@@ -353,26 +353,26 @@ let write_trace_bench () =
      overhead)\n"
     (rate off_s) (rate on_s) overhead_pct
 
-(* Functional vs flat vs hybrid taint-store backend on two
-   representative loads: the tracker replay over the reference event
-   stream (best-of-5, the hot single-replay path) and a 4-domain
-   Fig. 11 subset sweep (the bulk path).  The sweeps' cell lists are
-   compared — a backend that is fast but wrong must fail the bench, not
+(* The taint store on three loads: the tracker replay over the
+   reference event stream (best-of-5, the hot single-replay path), a
+   fragmented single-set stream (stride-2 taint over a 32 KiB window,
+   one interval per other byte — the store's worst case: every op pays
+   an O(#intervals) memmove), and a 4-domain Fig. 11 subset sweep (the
+   bulk path).  The parallel sweep's cells are compared against a
+   serial one — a store that is fast but wrong must fail the bench, not
    ship a number (BENCH_store.json). *)
 let write_store_bench () =
   let module Json = Pift_obs.Json in
   let module Store = Pift_core.Store in
+  let module Store_flat = Pift_core.Store_flat in
   let module Accuracy = Pift_eval.Accuracy in
   let recorded = Lazy.force bench_trace in
   let events =
     Array.init (Trace.length recorded.Recorded.trace) (fun i ->
         Trace.get recorded.Recorded.trace i)
   in
-  let replay backend () =
-    let t =
-      Tracker.create ~policy:Policy.default ~store:(Store.create ~backend ())
-        ()
-    in
+  let replay () =
+    let t = Tracker.create ~policy:Policy.default ~store:(Store.create ()) () in
     Tracker.taint_source t ~pid:1 (Range.of_len 0x4000_0000 32);
     Array.iter (Tracker.observe t) events
   in
@@ -392,88 +392,50 @@ let write_store_bench () =
     done;
     !b
   in
-  let functional_replay_s = best (replay Store.Functional) in
-  let flat_replay_s = best (replay Store.Flat) in
-  let hybrid_replay_s = best (replay Store.Hybrid) in
-  (* Fragmented-dense single-set workload — the hybrid backend's home
-     turf: stride-2 taint leaves one interval per other byte, so flat
-     pays an O(#intervals) memmove per op while promoted bit-pages flip
-     bits.  The replay above is its worst case (sparse, never
-     promotes); report both so the trade is visible. *)
+  let flat_replay_s = best replay in
   let fragmented_window = 32768 in
   let fragmented_mixed_ops = 50_000 in
-  let fragmented backend () =
-    let module SB = Pift_core.Store_backend in
-    let s = SB.make backend in
+  let fragmented () =
+    let s = Store_flat.create () in
     let i = ref 0 in
     while !i < fragmented_window do
-      s.SB.s_add (Range.of_len (0x4000_0000 + !i) 1);
+      Store_flat.add s (Range.of_len (0x4000_0000 + !i) 1);
       i := !i + 2
     done;
     let rng = Rng.create 99 in
     for _ = 1 to fragmented_mixed_ops do
       let r = Range.of_len (0x4000_0000 + Rng.int rng fragmented_window) 1 in
       match Rng.int rng 3 with
-      | 0 -> s.SB.s_add r
-      | 1 -> s.SB.s_remove r
-      | _ -> ignore (s.SB.s_overlaps r)
+      | 0 -> Store_flat.add s r
+      | 1 -> Store_flat.remove s r
+      | _ -> ignore (Store_flat.mem_overlap s r)
     done;
-    ignore (s.SB.s_count ())
+    ignore (Store_flat.cardinal s)
   in
-  let functional_frag_s = best (fragmented Store.Functional) in
-  let flat_frag_s = best (fragmented Store.Flat) in
-  let hybrid_frag_s = best (fragmented Store.Hybrid) in
+  let flat_frag_s = best fragmented in
   let apps = Pift_workloads.Droidbench.subset48 in
-  let sweep backend =
-    let t0 = Unix.gettimeofday () in
-    let s = Accuracy.sweep ~backend ~jobs:4 apps in
-    (s, Unix.gettimeofday () -. t0)
-  in
-  let functional_sweep, functional_sweep_s = sweep Store.Functional in
-  let flat_sweep, flat_sweep_s = sweep Store.Flat in
-  let hybrid_sweep, hybrid_sweep_s = sweep Store.Hybrid in
-  let identical =
-    functional_sweep.Accuracy.cells = flat_sweep.Accuracy.cells
-    && functional_sweep.Accuracy.cells = hybrid_sweep.Accuracy.cells
-  in
+  let sweep_jobs = 4 in
+  let t0 = Unix.gettimeofday () in
+  let sweep = Accuracy.sweep ~jobs:sweep_jobs apps in
+  let flat_sweep_s = Unix.gettimeofday () -. t0 in
+  let serial = Accuracy.sweep ~jobs:1 apps in
+  let identical = sweep.Accuracy.cells = serial.Accuracy.cells in
   let n = Array.length events in
   let rate s = if s > 0. then float_of_int n /. s else 0. in
-  let ratio a b = if b > 0. then a /. b else 0. in
   let json =
     Json.Obj
       [
-        ("bench", Json.String "taint-store-backends");
+        ("bench", Json.String "taint-store");
         ("events", Json.Int n);
         ("rounds", Json.Int rounds);
-        ("functional_replay_seconds", Json.Float functional_replay_s);
         ("flat_replay_seconds", Json.Float flat_replay_s);
-        ( "functional_replay_events_per_sec",
-          Json.Float (rate functional_replay_s) );
         ("flat_replay_events_per_sec", Json.Float (rate flat_replay_s));
-        ("hybrid_replay_seconds", Json.Float hybrid_replay_s);
-        ("hybrid_replay_events_per_sec", Json.Float (rate hybrid_replay_s));
-        ( "replay_speedup_flat_over_functional",
-          Json.Float (ratio functional_replay_s flat_replay_s) );
-        ( "replay_speedup_hybrid_over_functional",
-          Json.Float (ratio functional_replay_s hybrid_replay_s) );
         ( "fragmented_ops",
           Json.Int ((fragmented_window / 2) + fragmented_mixed_ops) );
-        ("functional_fragmented_seconds", Json.Float functional_frag_s);
         ("flat_fragmented_seconds", Json.Float flat_frag_s);
-        ("hybrid_fragmented_seconds", Json.Float hybrid_frag_s);
-        ( "fragmented_speedup_hybrid_over_flat",
-          Json.Float (ratio flat_frag_s hybrid_frag_s) );
-        ( "fragmented_speedup_hybrid_over_functional",
-          Json.Float (ratio functional_frag_s hybrid_frag_s) );
         ("sweep_apps", Json.Int (List.length apps));
-        ("sweep_jobs", Json.Int 4);
-        ("functional_sweep_seconds", Json.Float functional_sweep_s);
+        ("sweep_jobs", Json.Int sweep_jobs);
         ("flat_sweep_seconds", Json.Float flat_sweep_s);
-        ("hybrid_sweep_seconds", Json.Float hybrid_sweep_s);
-        ( "sweep_speedup_flat_over_functional",
-          Json.Float (ratio functional_sweep_s flat_sweep_s) );
-        ( "sweep_speedup_hybrid_over_functional",
-          Json.Float (ratio functional_sweep_s hybrid_sweep_s) );
         ("identical_cells", Json.Bool identical);
       ]
   in
@@ -482,13 +444,11 @@ let write_store_bench () =
   output_char oc '\n';
   close_out oc;
   Printf.printf
-    "wrote BENCH_store.json (replay: functional %.0f ev/s, flat %.0f ev/s, \
-     hybrid %.0f ev/s; fragmented: hybrid %.1fx over flat; sweep: \
-     functional %.2fs, flat %.2fs, hybrid %.2fs, %s)\n"
-    (rate functional_replay_s) (rate flat_replay_s) (rate hybrid_replay_s)
-    (ratio flat_frag_s hybrid_frag_s) functional_sweep_s flat_sweep_s
-    hybrid_sweep_s
-    (if identical then "cells identical" else "CELLS DIVERGED");
+    "wrote BENCH_store.json (replay %.0f ev/s; fragmented %.3fs; sweep \
+     %.2fs at %d jobs, %s)\n"
+    (rate flat_replay_s) flat_frag_s flat_sweep_s sweep_jobs
+    (if identical then "cells identical to the serial sweep"
+     else "CELLS DIVERGED");
   if not identical then exit 1
 
 (* Text vs binary trace format on the reference recording: file size,
@@ -525,13 +485,10 @@ let write_traceio_bench () =
     (Option.get !last, !b)
   in
   let load path () = Trace_io.load path in
-  (* Replay on the flat backend: the replay leg is a shared constant in
-     both columns, so the fastest store keeps the comparison about the
-     formats. *)
+  (* The replay leg is a shared constant in both columns, so the
+     comparison stays about the formats. *)
   let load_replay path () =
-    Recorded.replay ~policy:Policy.default
-      ~store:(Pift_core.Store.create ~backend:Pift_core.Store.Flat ())
-      (Trace_io.load path)
+    Recorded.replay ~policy:Policy.default (Trace_io.load path)
   in
   let _, text_load_s = best (load text_path) in
   let _, binary_load_s = best (load binary_path) in

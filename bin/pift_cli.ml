@@ -56,27 +56,6 @@ let jobs =
 
 let mode_of jit = if jit then Pift_dalvik.Vm.Jit else Pift_dalvik.Vm.Interpreter
 
-let store_backend =
-  let backend =
-    Arg.enum
-      [
-        ("functional", Pift_core.Store.Functional);
-        ("flat", Pift_core.Store.Flat);
-        ("hybrid", Pift_core.Store.Hybrid);
-      ]
-  in
-  let doc =
-    "Taint-store backend: $(b,functional) (persistent range set), \
-     $(b,flat) (imperative sorted interval array), or $(b,hybrid) \
-     (flat intervals with dense regions promoted to bit-pages).  The \
-     backends are semantically identical — output is byte-identical \
-     whichever one runs — so this is purely a performance knob."
-  in
-  Arg.(
-    value
-    & opt backend Pift_core.Store.Functional
-    & info [ "store" ] ~docv:"BACKEND" ~doc)
-
 (* --- metrics options --- *)
 
 module Obs = Pift_obs
@@ -374,9 +353,9 @@ let list_apps_cmd =
 
 (* --- run-app --- *)
 
-let run_app name ni nt untaint verbose jit explain prov prov_out backend
-    metrics_out metrics_format trace_out telemetry_out telemetry_every
-    telemetry_interval profile_out top =
+let run_app name ni nt untaint verbose jit explain prov prov_out metrics_out
+    metrics_format trace_out telemetry_out telemetry_every telemetry_interval
+    profile_out top =
   let app = find_app name in
   let policy = policy_of ni nt untaint in
   let metrics = registry_of metrics_out in
@@ -413,12 +392,12 @@ let run_app name ni nt untaint verbose jit explain prov prov_out backend
   let replay =
     Obs.Span.with_ ~name:"replay" (fun () ->
         fspan "replay" (fun () ->
-            Recorded.replay ~backend ~policy ?metrics ?flight ?telemetry
+            Recorded.replay ~policy ?metrics ?flight ?telemetry
               ?profile recorded))
   in
   let dift =
     Obs.Span.with_ ~name:"full-dift" (fun () ->
-        fspan "full-dift" (fun () -> Recorded.replay_dift ~backend recorded))
+        fspan "full-dift" (fun () -> Recorded.replay_dift recorded))
   in
   (* Replay once more against the hardware range cache so the snapshot
      carries pift_storage_* hits and the modelled stall cycles.  The
@@ -429,7 +408,7 @@ let run_app name ni nt untaint verbose jit explain prov prov_out backend
   | Some registry ->
       Obs.Span.with_ ~name:"hw-model" (fun () ->
           let storage =
-            Pift_core.Storage.create ~backend ~metrics:registry ()
+            Pift_core.Storage.create ~metrics:registry ()
           in
           let hw_store = Pift_core.Store.of_storage storage in
           (* The hardware pass owns a storage model worth watching: bind
@@ -543,13 +522,13 @@ let run_app_cmd =
        ~doc:"Execute one app and report PIFT and full-DIFT verdicts.")
     Term.(
       const run_app $ app_arg $ ni $ nt $ untaint $ verbose $ jit $ explain
-      $ prov_flag $ prov_out $ store_backend $ metrics_out $ metrics_format
+      $ prov_flag $ prov_out $ metrics_out $ metrics_format
       $ trace_out $ telemetry_out $ telemetry_every $ telemetry_interval
       $ profile_out $ top_flag)
 
 (* --- sweep --- *)
 
-let sweep subset_only backend jobs metrics_out metrics_format trace_out prov
+let sweep subset_only jobs metrics_out metrics_format trace_out prov
     prov_out telemetry_out telemetry_every telemetry_interval profile_out top
     progress =
   let apps =
@@ -572,7 +551,7 @@ let sweep subset_only backend jobs metrics_out metrics_format trace_out prov
   in
   let sweep =
     Obs.Span.with_ ~name:"sweep" (fun () ->
-        Pift_eval.Accuracy.sweep ~backend ?metrics ~rings ~telems ~profiles
+        Pift_eval.Accuracy.sweep ?metrics ~rings ~telems ~profiles
           ~on_cell ~jobs ~with_origins:prov apps)
   in
   finish_cells ();
@@ -584,7 +563,7 @@ let sweep subset_only backend jobs metrics_out metrics_format trace_out prov
          replay the grid never performs. *)
       let at =
         Obs.Span.with_ ~name:"attribution" (fun () ->
-            Pift_eval.Accuracy.attribution ~backend ~policy:Policy.default
+            Pift_eval.Accuracy.attribution ~policy:Policy.default
               apps)
       in
       let oc = open_out out in
@@ -641,14 +620,14 @@ let sweep_cmd =
   Cmd.v
     (Cmd.info "sweep" ~doc:"Accuracy sweep over the NI x NT grid (Fig. 11).")
     Term.(
-      const sweep $ subset $ store_backend $ jobs $ metrics_out
+      const sweep $ subset $ jobs $ metrics_out
       $ metrics_format $ trace_out $ prov $ prov_out $ telemetry_out
       $ telemetry_every $ telemetry_interval $ profile_out $ top_flag
       $ progress_flag)
 
 (* --- experiment --- *)
 
-let experiment backend jobs trace_out ids =
+let experiment jobs trace_out ids =
   match ids with
   | [] ->
       Printf.printf "available experiments:\n";
@@ -661,10 +640,10 @@ let experiment backend jobs trace_out ids =
       List.iter
         (fun id ->
           if String.equal id "all" then
-            Pift_eval.Experiments.run_all ~backend ~rings ~jobs
+            Pift_eval.Experiments.run_all ~rings ~jobs
               Format.std_formatter
           else
-            Pift_eval.Experiments.run ~backend ~rings ~on_cell ~jobs id
+            Pift_eval.Experiments.run ~rings ~on_cell ~jobs id
               Format.std_formatter)
         ids;
       finish_cells ();
@@ -683,7 +662,7 @@ let experiment_cmd =
   Cmd.v
     (Cmd.info "experiment"
        ~doc:"Regenerate one of the paper's tables/figures.")
-    Term.(const experiment $ store_backend $ jobs $ trace_out $ ids)
+    Term.(const experiment $ jobs $ trace_out $ ids)
 
 (* --- record-trace / analyze-trace / convert --- *)
 
@@ -1304,14 +1283,14 @@ let serve_engine eng ~prov ~shards ~snapshot_dir ~snapshot_every sources =
        sources);
   print_engine_stats eng shards
 
-let serve files shards isolated prov ni nt untaint backend batch queue drop
+let serve files shards isolated prov ni nt untaint batch queue drop
     snapshot_dir snapshot_every restore =
   let policy = policy_of ni nt untaint in
   if isolated then
     List.iter
       (fun path ->
         let r = Pift_eval.Trace_io.load path in
-        let rp = Recorded.replay ~backend ~policy ~with_origins:prov r in
+        let rp = Recorded.replay ~policy ~with_origins:prov r in
         let verdicts =
           if prov then
             List.map
@@ -1329,7 +1308,7 @@ let serve files shards isolated prov ni nt untaint backend batch queue drop
       files
   else if restore then begin
     (* Resume a killed serve: engine config comes from the snapshot
-       manifest (a mismatched policy/backend would diverge from the
+       manifest (a mismatched policy would diverge from the
        uninterrupted run — only the shard count is free), tenants are
        restored, and each source re-opens at its recorded cursor.
        Stdout is then byte-identical to a run that was never killed. *)
@@ -1345,9 +1324,8 @@ let serve files shards isolated prov ni nt untaint backend batch queue drop
     let m = snap.Service.Snapshot.manifest in
     let mprov = m.Service.Snapshot.m_with_origins in
     Service.Engine.with_engine ~shards ~policy:m.Service.Snapshot.m_policy
-      ~backend:m.Service.Snapshot.m_backend ~queue_capacity:queue ~batch
-      ~pid_range:m.Service.Snapshot.m_pid_range ~drop_when_full:drop
-      ~with_origins:mprov (fun eng ->
+      ~queue_capacity:queue ~batch ~pid_range:m.Service.Snapshot.m_pid_range
+      ~drop_when_full:drop ~with_origins:mprov (fun eng ->
         Service.Snapshot.restore_tenants eng snap;
         let sources =
           List.map
@@ -1370,8 +1348,8 @@ let serve files shards isolated prov ni nt untaint backend batch queue drop
   end
   else begin
     if files = [] then failwith "serve: no trace files given";
-    Service.Engine.with_engine ~shards ~policy ~backend ~queue_capacity:queue
-      ~batch ~drop_when_full:drop ~with_origins:prov (fun eng ->
+    Service.Engine.with_engine ~shards ~policy ~queue_capacity:queue ~batch
+      ~drop_when_full:drop ~with_origins:prov (fun eng ->
         let sources =
           List.mapi
             (fun i path ->
@@ -1451,7 +1429,7 @@ let serve_cmd =
     let doc =
       "Resume from $(b,--snapshot-dir)'s snapshot: restore every tenant, \
        re-open each source at its recorded cursor, and continue.  Engine \
-       policy/backend/origins come from the snapshot manifest (only \
+       policy/origins come from the snapshot manifest (only \
        $(b,--shards) is free); stdout is byte-identical to a run that \
        was never interrupted."
     in
@@ -1466,16 +1444,15 @@ let serve_cmd =
           at any $(b,--shards) count.")
     Term.(
       const serve $ files $ shards $ isolated $ prov $ ni $ nt $ untaint
-      $ store_backend $ batch $ queue $ drop $ snapshot_dir $ snapshot_every
+      $ batch $ queue $ drop $ snapshot_dir $ snapshot_every
       $ restore)
 
 let snapshot_inspect path =
   let snap = Service.Snapshot.load path in
   let m = snap.Service.Snapshot.manifest in
   Printf.printf
-    "snapshot: %d shard(s), pid-range %d, backend %s, policy %s, origins %s\n"
+    "snapshot: %d shard(s), pid-range %d, policy %s, origins %s\n"
     m.Service.Snapshot.m_shards m.Service.Snapshot.m_pid_range
-    (Pift_core.Store.backend_to_string m.Service.Snapshot.m_backend)
     (Policy.to_string m.Service.Snapshot.m_policy)
     (if m.Service.Snapshot.m_with_origins then "on" else "off");
   List.iter
@@ -1526,7 +1503,6 @@ let restore_run path shards =
   in
   let prov = m.Service.Snapshot.m_with_origins in
   Service.Engine.with_engine ~shards ~policy:m.Service.Snapshot.m_policy
-    ~backend:m.Service.Snapshot.m_backend
     ~pid_range:m.Service.Snapshot.m_pid_range ~with_origins:prov (fun eng ->
       Service.Snapshot.restore_tenants eng snap;
       print_tenant_blocks eng ~prov

@@ -2,7 +2,7 @@ module Range = Pift_util.Range
 module Insn = Pift_arm.Insn
 module Reg = Pift_arm.Reg
 module Event = Pift_trace.Event
-module Store_backend = Pift_core.Store_backend
+module Store_flat = Pift_core.Store_flat
 module Sset = Set.Make (String)
 
 (* [oregs]/[omem] shadow the boolean state with per-origin sets when
@@ -11,23 +11,21 @@ module Sset = Set.Make (String)
    ground-truth hot path is unchanged. *)
 type proc = {
   regs : bool array;
-  mem : Store_backend.set;
+  mem : Store_flat.t;
   oregs : Sset.t array;
-  omem : (string, Store_backend.set) Hashtbl.t;
+  omem : (string, Store_flat.t) Hashtbl.t;
 }
 
 type t = {
   procs : (int, proc) Hashtbl.t;
-  backend : Store_backend.backend;
   track_origins : bool;
   mutable labels : Sset.t;
   mutable propagations : int;
 }
 
-let create ?(backend = Store_backend.Functional) ?(track_origins = false) () =
+let create ?(track_origins = false) () =
   {
     procs = Hashtbl.create 4;
-    backend;
     track_origins;
     labels = Sset.empty;
     propagations = 0;
@@ -40,7 +38,7 @@ let proc t pid =
       let p =
         {
           regs = Array.make 16 false;
-          mem = Store_backend.make t.backend;
+          mem = Store_flat.create ();
           oregs = Array.make 16 Sset.empty;
           omem = Hashtbl.create 4;
         }
@@ -48,29 +46,29 @@ let proc t pid =
       Hashtbl.add t.procs pid p;
       p
 
-let olabel t p label =
+let olabel p label =
   match Hashtbl.find_opt p.omem label with
   | Some s -> s
   | None ->
-      let s = Store_backend.make t.backend in
+      let s = Store_flat.create () in
       Hashtbl.add p.omem label s;
       s
 
 let taint_source ?(kind = "source") t ~pid r =
   let p = proc t pid in
-  p.mem.Store_backend.s_add r;
+  Store_flat.add p.mem r;
   if t.track_origins then begin
     t.labels <- Sset.add kind t.labels;
-    (olabel t p kind).Store_backend.s_add r
+    Store_flat.add (olabel p kind) r
   end
 
-let is_tainted t ~pid r = (proc t pid).mem.Store_backend.s_overlaps r
+let is_tainted t ~pid r = Store_flat.mem_overlap (proc t pid).mem r
 let reg_tainted t ~pid reg = (proc t pid).regs.(Reg.index reg)
 
 let tainted_bytes t =
-  Hashtbl.fold (fun _ p acc -> acc + p.mem.Store_backend.s_bytes ()) t.procs 0
+  Hashtbl.fold (fun _ p acc -> acc + Store_flat.total_bytes p.mem) t.procs 0
 
-let tainted_ranges t ~pid = (proc t pid).mem.Store_backend.s_ranges ()
+let tainted_ranges t ~pid = Store_flat.ranges (proc t pid).mem
 let propagations t = t.propagations
 
 (* Origin sets are exact: which source kinds' data overlaps the range.
@@ -82,7 +80,7 @@ let origins_of t ~pid r =
     (Sset.filter
        (fun label ->
          match Hashtbl.find_opt p.omem label with
-         | Some s -> s.Store_backend.s_overlaps r
+         | Some s -> Store_flat.mem_overlap s r
          | None -> false)
        t.labels)
 
@@ -96,8 +94,7 @@ let set_reg t p i v =
 
 let set_mem t p range v =
   t.propagations <- t.propagations + 1;
-  if v then p.mem.Store_backend.s_add range
-  else p.mem.Store_backend.s_remove range
+  if v then Store_flat.add p.mem range else Store_flat.remove p.mem range
 
 let operand_taint p = function
   | Insn.Imm _ -> false
@@ -112,7 +109,7 @@ let omem_hit t p r =
   Sset.filter
     (fun label ->
       match Hashtbl.find_opt p.omem label with
-      | Some s -> s.Store_backend.s_overlaps r
+      | Some s -> Store_flat.mem_overlap s r
       | None -> false)
     t.labels
 
@@ -122,9 +119,9 @@ let omem_hit t p r =
 let oset_mem t p range oset =
   Sset.iter
     (fun label ->
-      let s = olabel t p label in
-      if Sset.mem label oset then s.Store_backend.s_add range
-      else s.Store_backend.s_remove range)
+      let s = olabel p label in
+      if Sset.mem label oset then Store_flat.add s range
+      else Store_flat.remove s range)
     t.labels
 
 let operand_origins p = function
@@ -187,12 +184,12 @@ let observe t e =
       | Insn.Dword ->
           let lo_half = Range.of_len (Range.lo range) 4 in
           let hi_half = Range.of_len (Range.lo range + 4) 4 in
-          set_reg t p (Reg.index r) (p.mem.Store_backend.s_overlaps lo_half);
+          set_reg t p (Reg.index r) (Store_flat.mem_overlap p.mem lo_half);
           set_reg t p
             (Reg.index (Reg.succ r))
-            (p.mem.Store_backend.s_overlaps hi_half)
+            (Store_flat.mem_overlap p.mem hi_half)
       | Insn.Byte | Insn.Half | Insn.Word ->
-          set_reg t p (Reg.index r) (p.mem.Store_backend.s_overlaps range))
+          set_reg t p (Reg.index r) (Store_flat.mem_overlap p.mem range))
   | Insn.Str (w, r, _), Event.Store range -> (
       match w with
       | Insn.Dword ->
@@ -208,7 +205,7 @@ let observe t e =
       List.iteri
         (fun i r ->
           set_reg t p (Reg.index r)
-            (p.mem.Store_backend.s_overlaps (word_slot range i)))
+            (Store_flat.mem_overlap p.mem (word_slot range i)))
         regs
   | Insn.Stm (_, regs), Event.Store range ->
       List.iteri

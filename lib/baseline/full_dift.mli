@@ -11,11 +11,8 @@
 
 type t
 
-val create :
-  ?backend:Pift_core.Store_backend.backend -> ?track_origins:bool -> unit -> t
-(** [backend] (default [Functional]) selects the shadow-memory
-    representation; all backends are semantically identical, so the
-    ground-truth verdicts never depend on the choice.
+val create : ?track_origins:bool -> unit -> t
+(** Shadow memory is one {!Pift_core.Store_flat} set per process.
 
     With [track_origins] (default off), every boolean shadow operation
     is mirrored over per-source-kind origin sets — registers carry label

@@ -26,8 +26,7 @@ type propagation = {
    removes the same range from independent per-label sets — commutative;
    and (c) [entries], which sorts before returning.  Every emission path
    goes through [labels_of]/[all_labels]/[entries] (all sorted), so
-   provenance output is byte-identical across runs, backends and --jobs
-   counts.
+   provenance output is byte-identical across runs and --jobs counts.
 
    The state is indexed pid-first: scan paths (hit_labels, untainting)
    touch only the probed pid's label sets, so per-event cost tracks that
@@ -36,20 +35,17 @@ type propagation = {
    melted down once a long-lived engine held thousands of cold pids. *)
 type t = {
   policy : Policy.t;
-  backend : Store_backend.backend;
   (* pid -> label -> tainted ranges *)
-  state : (int, (string, Store_backend.set) Hashtbl.t) Hashtbl.t;
+  state : (int, (string, Store_flat.t) Hashtbl.t) Hashtbl.t;
   windows : (int, window) Hashtbl.t;
   mutable known_labels : Sset.t;
   mutable on_propagate : (propagation -> unit) option;
   mutable probes : int;
 }
 
-let create ?(policy = Policy.default) ?(backend = Store_backend.Functional) ()
-    =
+let create ?(policy = Policy.default) () =
   {
     policy;
-    backend;
     state = Hashtbl.create 16;
     windows = Hashtbl.create 4;
     known_labels = Sset.empty;
@@ -74,7 +70,7 @@ let set_for t ~pid ~label =
   match Hashtbl.find_opt tbl label with
   | Some s -> s
   | None ->
-      let s = Store_backend.make t.backend in
+      let s = Store_flat.create () in
       Hashtbl.add tbl label s;
       s
 
@@ -91,7 +87,7 @@ let window t pid =
 
 let taint_source t ~pid ~label r =
   t.known_labels <- Sset.add label t.known_labels;
-  (set_for t ~pid ~label).Store_backend.s_add r
+  Store_flat.add (set_for t ~pid ~label) r
 
 let untaint_range t ~pid r =
   match Hashtbl.find_opt t.state pid with
@@ -100,7 +96,7 @@ let untaint_range t ~pid r =
       Hashtbl.iter
         (fun _ s ->
           t.probes <- t.probes + 1;
-          s.Store_backend.s_remove r)
+          Store_flat.remove s r)
         tbl
 
 let hit_labels t ~pid r =
@@ -110,7 +106,7 @@ let hit_labels t ~pid r =
       Hashtbl.fold
         (fun label s acc ->
           t.probes <- t.probes + 1;
-          if s.Store_backend.s_overlaps r then Sset.add label acc else acc)
+          if Store_flat.mem_overlap s r then Sset.add label acc else acc)
         tbl Sset.empty
 
 let observe t e =
@@ -131,7 +127,7 @@ let observe t e =
       if e.k <= w.ltlt + t.policy.Policy.ni && w.nt_used < t.policy.Policy.nt
       then begin
         Sset.iter
-          (fun label -> (set_for t ~pid:e.pid ~label).Store_backend.s_add r)
+          (fun label -> Store_flat.add (set_for t ~pid:e.pid ~label) r)
           w.labels;
         w.nt_used <- w.nt_used + 1;
         match (t.on_propagate, w.opener_range) with
@@ -154,7 +150,7 @@ let observe t e =
             Hashtbl.iter
               (fun _ s ->
                 t.probes <- t.probes + 1;
-                if s.Store_backend.s_overlaps r then s.Store_backend.s_remove r)
+                if Store_flat.mem_overlap s r then Store_flat.remove s r)
               tbl
 
 let labels_of t ~pid r = Sset.elements (hit_labels t ~pid r)
@@ -165,7 +161,7 @@ let tainted_bytes t ~label =
   Hashtbl.fold
     (fun _ tbl acc ->
       match Hashtbl.find_opt tbl label with
-      | Some s -> acc + s.Store_backend.s_bytes ()
+      | Some s -> acc + Store_flat.total_bytes s
       | None -> acc)
     t.state 0
 
@@ -183,7 +179,7 @@ let entries t =
        (fun pid tbl acc ->
          Hashtbl.fold
            (fun label s acc ->
-             ((pid, label), s.Store_backend.s_ranges ()) :: acc)
+             ((pid, label), Store_flat.ranges s) :: acc)
            tbl acc)
        t.state [])
 
@@ -234,13 +230,13 @@ let persist t =
     ps_probes = t.probes;
   }
 
-(* Rebuild into a freshly created sidecar (same policy and backend as
-   the persisted one — the snapshot manifest carries both). *)
+(* Rebuild into a freshly created sidecar (same policy as the persisted
+   one — the snapshot manifest carries it). *)
 let restore t p =
   List.iter
     (fun ((pid, label), ranges) ->
       let s = set_for t ~pid ~label in
-      List.iter s.Store_backend.s_add ranges)
+      List.iter (Store_flat.add s) ranges)
     p.ps_entries;
   List.iter
     (fun pw ->

@@ -10,8 +10,8 @@
     the labels it touched; the up-to-NT in-window stores inherit that
     label set; out-of-window stores untaint all labels.
 
-    State is one taint set per (process, label) — backed by any
-    {!Store_backend} — so per-label cost matches the plain tracker and
+    State is one {!Store_flat} taint set per (process, label), so
+    per-label cost matches the plain tracker and
     the label count only multiplies the source-registration footprint.
     The sets are indexed pid-first (pid -> label -> set), so the scan
     paths ([hit_labels], untainting) cost one probe per label of the
@@ -28,10 +28,7 @@
 
 type t
 
-val create :
-  ?policy:Policy.t -> ?backend:Store_backend.backend -> unit -> t
-(** [backend] (default [Functional]) picks the per-label taint-set
-    representation; exact backends give identical label sets. *)
+val create : ?policy:Policy.t -> unit -> t
 
 val policy : t -> Policy.t
 
@@ -66,8 +63,8 @@ val tainted_bytes : t -> label:string -> int
 val entries : t -> ((int * string) * Pift_util.Range.t list) list
 (** Full state dump for emission: ((pid, label), ranges), sorted by
     (pid, label) — the only sanctioned way to iterate the state for
-    output, so provenance emissions are byte-identical across runs,
-    backends and [--jobs] counts. *)
+    output, so provenance emissions are byte-identical across runs and
+    [--jobs] counts. *)
 
 (** {1 Persistence}
 
@@ -98,8 +95,8 @@ val persist : t -> persisted
 
 val restore : t -> persisted -> unit
 (** Rebuild persisted state into a freshly created sidecar.  The target
-    must have been created with the same policy and backend as the
-    persisted instance (the snapshot manifest records both); after
+    must have been created with the same policy as the persisted
+    instance (the snapshot manifest records it); after
     [restore t p], [persist t] equals [p] up to empty-set elision. *)
 
 (** {1 Propagation hook}

@@ -57,9 +57,8 @@ type t = {
   slots : slot array;
   eviction : eviction;
   granularity : int option;
-  backend : Store_backend.backend;
   (* Secondary storage in main memory, per process. *)
-  secondary : (int, Store_backend.set) Hashtbl.t;
+  secondary : (int, Store_flat.t) Hashtbl.t;
   mutable clock : int;
   mutable occupancy : int;
   mutable lookups : int;
@@ -80,7 +79,7 @@ let set_occupancy t v =
   meter t (fun m -> Gauge.set m.m_occupancy v)
 
 let create ?(entries = 2730) ?(eviction = Lru_writeback)
-    ?(granularity = None) ?(backend = Store_backend.Functional) ?metrics () =
+    ?(granularity = None) ?metrics () =
   if entries <= 0 then invalid_arg "Storage.create: entries must be positive";
   (match granularity with
   | Some r when r < 0 || r > 20 ->
@@ -92,7 +91,6 @@ let create ?(entries = 2730) ?(eviction = Lru_writeback)
           { pid = 0; lo = 0; hi = 0; valid = false; stamp = 0 });
     eviction;
     granularity;
-    backend;
     secondary = Hashtbl.create 4;
     clock = 0;
     occupancy = 0;
@@ -120,7 +118,7 @@ let secondary_set t pid =
   match Hashtbl.find_opt t.secondary pid with
   | Some s -> s
   | None ->
-      let s = Store_backend.make t.backend in
+      let s = Store_flat.create () in
       Hashtbl.add t.secondary pid s;
       s
 
@@ -154,7 +152,7 @@ let free_slot t =
           in
           let s = Option.get victim in
           let set = secondary_set t s.pid in
-          set.Store_backend.s_add (Range.make s.lo s.hi);
+          Store_flat.add set (Range.make s.lo s.hi);
           t.evictions <- t.evictions + 1;
           t.writebacks <- t.writebacks + 1;
           meter t (fun m ->
@@ -226,7 +224,7 @@ let remove t ~pid r =
   List.iter (fun p -> insert t ~pid p) !pending;
   (* Secondary storage is exact. *)
   match Hashtbl.find_opt t.secondary pid with
-  | Some set -> set.Store_backend.s_remove r
+  | Some set -> Store_flat.remove set r
   | None -> ()
 
 let primary_lookup t ~pid r =
@@ -255,18 +253,18 @@ let lookup t ~pid r =
     | Drop -> false
     | Lru_writeback -> (
         match Hashtbl.find_opt t.secondary pid with
-        | Some set when set.Store_backend.s_overlaps r ->
+        | Some set when Store_flat.mem_overlap set r ->
             t.secondary_hits <- t.secondary_hits + 1;
             meter t (fun m -> Counter.incr m.m_secondary_hits);
             (* Promote: hardware refetches the matching range. *)
             let promoted =
               List.find_opt
                 (fun p -> Range.overlaps p r)
-                (set.Store_backend.s_ranges ())
+                (Store_flat.ranges set)
             in
             (match promoted with
             | Some p ->
-                set.Store_backend.s_remove p;
+                Store_flat.remove set p;
                 insert t ~pid p
             | None -> ());
             true
@@ -290,7 +288,7 @@ let context_switch t =
     (fun s ->
       if s.valid then begin
         let set = secondary_set t s.pid in
-        set.Store_backend.s_add (Range.make s.lo s.hi);
+        Store_flat.add set (Range.make s.lo s.hi);
         t.writebacks <- t.writebacks + 1;
         meter t (fun m -> Counter.incr m.m_writebacks);
         s.valid <- false
@@ -312,7 +310,7 @@ let union_set t =
     (fun _ sec ->
       List.iter
         (fun r -> set := Range_set.add !set r)
-        (sec.Store_backend.s_ranges ()))
+        (Store_flat.ranges sec))
     t.secondary;
   !set
 
@@ -330,7 +328,7 @@ let ranges t ~pid =
   | Some sec ->
       List.iter
         (fun r -> set := Range_set.add !set r)
-        (sec.Store_backend.s_ranges ())
+        (Store_flat.ranges sec)
   | None -> ());
   Range_set.ranges !set
 

@@ -21,14 +21,11 @@ type t
 
 val create :
   ?entries:int -> ?eviction:eviction -> ?granularity:int option ->
-  ?backend:Store_backend.backend -> ?metrics:Pift_obs.Registry.t ->
-  unit -> t
+  ?metrics:Pift_obs.Registry.t -> unit -> t
 (** [entries] defaults to 2730 (32 KiB of 12-byte entries).
     [granularity] is [None] for arbitrary ranges, or [Some r] for
-    [2^r]-byte block tagging.  [backend] (default [Functional]) selects
-    the {!Store_backend} representation of the per-process secondary
-    store in main memory; all backends are semantically identical, so
-    hit/miss behaviour never depends on the choice.  With [metrics],
+    [2^r]-byte block tagging.  The per-process secondary store in main
+    memory is an exact {!Store_flat} set.  With [metrics],
     [pift_storage_*] counters (lookups, primary/secondary hits,
     insertions, evictions, drops, writebacks) and an occupancy gauge
     mirror {!stats} live. *)

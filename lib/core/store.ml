@@ -1,11 +1,5 @@
 module Range = Pift_util.Range
 
-type backend = Store_backend.backend = Functional | Flat | Hybrid | Bytemap
-
-let backend_to_string = Store_backend.backend_to_string
-let backend_of_string = Store_backend.backend_of_string
-let all_backends = Store_backend.all_backends
-
 type t = {
   add : pid:int -> Range.t -> unit;
   remove : pid:int -> Range.t -> unit;
@@ -17,16 +11,16 @@ type t = {
   dump : unit -> (int * Range.t list) list;
 }
 
-let create ?(backend = Functional) () =
-  let sets : (int, Store_backend.set) Hashtbl.t = Hashtbl.create 4 in
-  (* Mutating paths may materialise a backend set for a new PID; read
-     paths must not — a sink check on a never-seen PID would otherwise
-     grow the table and inflate range_count/memory on pure queries. *)
+let create () =
+  let sets : (int, Store_flat.t) Hashtbl.t = Hashtbl.create 4 in
+  (* Mutating paths may materialise a set for a new PID; read paths
+     must not — a sink check on a never-seen PID would otherwise grow
+     the table and inflate range_count/memory on pure queries. *)
   let set pid =
     match Hashtbl.find_opt sets pid with
     | Some s -> s
     | None ->
-        let s = Store_backend.make backend in
+        let s = Store_flat.create () in
         Hashtbl.add sets pid s;
         s
   in
@@ -37,36 +31,33 @@ let create ?(backend = Functional) () =
      made the old Hashtbl.fold quadratic-ish on multi-PID replays. *)
   let total_bytes = ref 0 in
   let total_count = ref 0 in
-  let mutate pid op r =
+  let mutate op pid r =
     let s = set pid in
-    let bytes = s.Store_backend.s_bytes ()
-    and count = s.Store_backend.s_count () in
+    let bytes = Store_flat.total_bytes s and count = Store_flat.cardinal s in
     op s r;
-    total_bytes := !total_bytes + s.Store_backend.s_bytes () - bytes;
-    total_count := !total_count + s.Store_backend.s_count () - count
+    total_bytes := !total_bytes + Store_flat.total_bytes s - bytes;
+    total_count := !total_count + Store_flat.cardinal s - count
   in
   {
-    add = (fun ~pid r -> mutate pid (fun s -> s.Store_backend.s_add) r);
-    remove = (fun ~pid r -> mutate pid (fun s -> s.Store_backend.s_remove) r);
+    add = (fun ~pid r -> mutate Store_flat.add pid r);
+    remove = (fun ~pid r -> mutate Store_flat.remove pid r);
     overlaps =
       (fun ~pid r ->
         match peek pid with
-        | Some s -> s.Store_backend.s_overlaps r
+        | Some s -> Store_flat.mem_overlap s r
         | None -> false);
     tainted_bytes = (fun () -> !total_bytes);
     range_count = (fun () -> !total_count);
     ranges =
       (fun ~pid ->
-        match peek pid with
-        | Some s -> s.Store_backend.s_ranges ()
-        | None -> []);
+        match peek pid with Some s -> Store_flat.ranges s | None -> []);
     release_pid =
       (fun ~pid ->
         match peek pid with
         | None -> ()
         | Some s ->
-            total_bytes := !total_bytes - s.Store_backend.s_bytes ();
-            total_count := !total_count - s.Store_backend.s_count ();
+            total_bytes := !total_bytes - Store_flat.total_bytes s;
+            total_count := !total_count - Store_flat.cardinal s;
             Hashtbl.remove sets pid);
     (* Snapshot extraction: every pid's canonical range list, sorted by
        pid so the dump is deterministic whatever the Hashtbl order.
@@ -79,7 +70,7 @@ let create ?(backend = Functional) () =
           (fun (p1, _) (p2, _) -> compare (p1 : int) p2)
           (Hashtbl.fold
              (fun pid s acc ->
-               match s.Store_backend.s_ranges () with
+               match Store_flat.ranges s with
                | [] -> acc
                | rs -> (pid, rs) :: acc)
              sets []));
@@ -108,7 +99,7 @@ let with_metrics registry inner =
         inner.add ~pid r;
         Counter.incr adds;
         (* A merge (or full overlap) is an insertion that did not grow the
-           range count — the coalescing path of a backend's add / the
+           range count — the coalescing path of a set's add / the
            range-cache update of Storage.insert. *)
         if inner.range_count () <= before then Counter.incr merges;
         sync ());

@@ -1,36 +1,12 @@
-(** Pluggable taint-state backends for the tracker.
+(** The tracker's taint state R.
 
     Algorithm 1 is defined over an abstract tainted-range state R; the
-    software model backs it with a per-process {!Store_backend.set}
-    (exact, unbounded — pick the representation with [backend]), while
-    the hardware model backs it with the {!Storage} range cache
-    (bounded, lossy under the drop policy).  The tracker is written once
-    against this record of operations.
-
-    All exact backends are semantically identical — proven equal to the
-    {!Store_bytemap} oracle by the differential property suite — so the
-    choice is purely a performance knob: verdicts, stats, and CLI output
-    are byte-for-byte the same whichever one runs. *)
-
-type backend = Store_backend.backend =
-  | Functional
-      (** persistent {!Range_set} map — O(log n), allocating; the
-          original reference implementation *)
-  | Flat
-      (** imperative sorted interval array ({!Store_flat}) — binary
-          search lookups, in-place coalescing, no per-op allocation *)
-  | Hybrid
-      (** adaptive sparse/dense split ({!Store_hybrid}) — flat
-          intervals for sparse regions, bit-per-byte pages promoted
-          where taint runs dense, demoted again on decay; the paper's
-          range-cache model as a software backend *)
-  | Bytemap
-      (** one bit per byte ({!Store_bytemap}); trivially correct oracle,
-          for tests only — never exposed on the CLI *)
-
-val backend_to_string : backend -> string
-val backend_of_string : string -> backend option
-val all_backends : backend list
+    software model backs it with one exact, unbounded {!Store_flat}
+    interval set per process ({!create}), while the hardware model backs
+    it with the {!Storage} range cache (bounded, lossy under the drop
+    policy; {!of_storage}).  The tracker is written once against this
+    record of operations, so wrappers ({!with_metrics}, timing shims)
+    substitute into it field by field. *)
 
 type t = {
   add : pid:int -> Pift_util.Range.t -> unit;
@@ -47,16 +23,18 @@ type t = {
   dump : unit -> (int * Pift_util.Range.t list) list;
       (** Snapshot extraction: every pid with live taint, sorted by pid,
           each with its canonical coalesced range list — deterministic
-          across backends and Hashtbl orders.  Replaying [add] over a
+          across Hashtbl orders.  Replaying [add] over a
           dump into a fresh store reproduces the original semantically
           (same [overlaps]/[ranges]/counters).  Raises [Failure] on
           {!of_storage} stores: the range cache is lossy, so persisting
           it would silently drop state. *)
 }
 
-val create : ?backend:backend -> unit -> t
+val create : unit -> t
 (** Exact per-process taint state — the software reference the paper's
-    trace-driven evaluation uses.  [backend] defaults to [Functional].
+    trace-driven evaluation uses: one {!Store_flat} set per PID, proven
+    equal to the {!Store_bytemap} oracle by the differential property
+    suite.
 
     Read paths ([overlaps], [ranges]) are pure: querying a PID the
     store has never seen allocates nothing and leaves [range_count] /
@@ -69,7 +47,7 @@ val of_storage : Storage.t -> t
     negatives) follow the cache's eviction policy. *)
 
 val with_metrics : Pift_obs.Registry.t -> t -> t
-(** Same backend, with [pift_store_*] add/remove/merge counters and a
+(** The same store, with [pift_store_*] add/remove/merge counters and a
     range-count gauge updated on every mutation.  Merge detection reads
     the (O(1), incrementally tracked) range count around each
     insertion, so wrap only when observing. *)

@@ -3,9 +3,9 @@ module Range = Pift_util.Range
 (* One bit per byte address, in a growable bitmap.  Every operation is
    a per-byte loop — O(range length), with no cleverness to get wrong —
    which is exactly what makes it a usable oracle: the differential
-   property suite checks the real backends against it.  The bitmap is
-   dense from address 0, so keep test addresses modest (the suite stays
-   under a few KiB); production traces go to the real backends. *)
+   property suite checks Store_flat against it.  The bitmap is dense
+   from address 0, so keep test addresses modest (the suite stays under
+   a few KiB); production traces go to Store_flat. *)
 type t = {
   mutable bits : Bytes.t;
   mutable max_addr : int;  (* highest address ever tainted; bounds scans *)

@@ -1,11 +1,12 @@
-(** Trivially-correct bytemap taint set — the [Bytemap] oracle backend.
+(** Trivially-correct bytemap taint set — the test oracle for {!Store_flat}.
 
     One bit per byte address in a dense growable bitmap; every operation
     is a per-byte loop.  Too slow (and too dense) for real traces, but
     impossible to get subtly wrong at range boundaries — which is the
     point: the differential property suite replays the same operation
-    sequences through the fast backends and this oracle and demands
-    identical answers.  Testing only; the CLI never exposes it. *)
+    sequences through {!Store_flat} and this oracle and demands
+    identical answers.  Testing only; no library configuration reaches
+    it. *)
 
 type t
 

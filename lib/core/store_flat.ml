@@ -135,30 +135,6 @@ let remove t r =
     t.bytes <- t.bytes - !removed + kept
   end
 
-(* Indices of every entry overlapping [r]; empty iff i > j. *)
-let overlap_window t r =
-  let i = first_hi_ge t (Range.lo r) in
-  let j = first_lo_gt t (Range.hi r) - 1 in
-  (i, j)
-
-let bytes_in t r =
-  let i, j = overlap_window t r in
-  let total = ref 0 in
-  for k = i to j do
-    total := !total + (min t.hi.(k) (Range.hi r) - max t.lo.(k) (Range.lo r) + 1)
-  done;
-  !total
-
-let overlapping t r =
-  let i, j = overlap_window t r in
-  let out = ref [] in
-  for k = j downto i do
-    out :=
-      Range.make (max t.lo.(k) (Range.lo r)) (min t.hi.(k) (Range.hi r))
-      :: !out
-  done;
-  !out
-
 let mem_overlap t r =
   (* Last entry starting at or before the query's end; it overlaps iff
      it ends at or after the query's start. *)

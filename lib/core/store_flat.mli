@@ -1,13 +1,14 @@
-(** Imperative flat taint set — the [Flat] backend of {!Store}.
+(** Imperative flat taint set — the one taint-set implementation
+    behind {!Store}, {!Storage}'s secondary store, {!Provenance} and the
+    full-DIFT baseline.
 
     A sorted interval array (parallel [lo]/[hi] int arrays) holding the
     canonical maximal disjoint closed ranges, exactly like {!Range_set}
     but mutable and allocation-free on the hot path: overlap queries are
     a binary search over a flat array, insertion coalesces in place, and
     removal splices without tombstones.  Capacity grows by amortised
-    doubling.  Semantically byte-for-byte equivalent to {!Range_set} —
-    the property suite in [test/test_store.ml] proves it against the
-    {!Store_bytemap} oracle. *)
+    doubling.  The property suite in [test/test_store.ml] proves it
+    equal to the {!Store_bytemap} oracle. *)
 
 type t
 
@@ -25,15 +26,6 @@ val mem_overlap : t -> Pift_util.Range.t -> bool
 (** O(log n) binary search. *)
 
 val covers : t -> Pift_util.Range.t -> bool
-
-val bytes_in : t -> Pift_util.Range.t -> int
-(** Tainted bytes inside the query window: the summed overlap of every
-    entry with the range.  O(log n + entries in window); the {!Store}
-    hybrid backend reads page occupancy through this. *)
-
-val overlapping : t -> Pift_util.Range.t -> Pift_util.Range.t list
-(** Entries overlapping the query, clipped to it, in increasing address
-    order. *)
 
 val cardinal : t -> int
 (** O(1). *)

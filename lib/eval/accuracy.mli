@@ -21,11 +21,8 @@ type sweep = {
 }
 
 val evaluate :
-  ?backend:Pift_core.Store.backend ->
   policy:Pift_core.Policy.t -> Pift_workloads.App.t list -> confusion
-(** Record and replay each app once at the given policy.  [backend]
-    picks the taint-store representation for the replays; confusions
-    are identical whichever exact backend runs. *)
+(** Record and replay each app once at the given policy. *)
 
 (** {1 Attribution accuracy}
 
@@ -62,7 +59,6 @@ type attribution = {
 }
 
 val attribution :
-  ?backend:Pift_core.Store.backend ->
   policy:Pift_core.Policy.t ->
   Pift_workloads.App.t list ->
   attribution
@@ -87,7 +83,6 @@ val default_nts : int list
 (** NT = 1..10, the paper's Fig. 11 rows. *)
 
 val sweep :
-  ?backend:Pift_core.Store.backend ->
   ?nis:int list ->
   ?nts:int list ->
   ?progress:(int -> int -> unit) ->
@@ -123,16 +118,15 @@ val sweep :
     changes cells, metrics, or stdout.  [jobs]
     (default 1) sizes the [Pift_par] domain pool the recordings and
     grid cells run on; the result — cells and merged metrics both — is
-    identical for every [jobs] value, for every taint-store [backend],
-    and with tracing on or off.  [with_origins] (default off) threads
-    the provenance sidecar through every grid replay; verdicts are
+    identical for every [jobs] value and with tracing on or off.
+    [with_origins] (default off) threads the provenance sidecar through
+    every grid replay; verdicts are
     byte-identical with it on or off, so the sweep result is too — the
     flag only measures the sidecar's cost under the full grid. *)
 
 val cell : sweep -> ni:int -> nt:int -> confusion
 
 val misclassified :
-  ?backend:Pift_core.Store.backend ->
   policy:Pift_core.Policy.t ->
   Pift_workloads.App.t list ->
   (string * [ `False_positive | `False_negative ]) list

@@ -12,9 +12,9 @@ type point = {
   untaint_ops : int;
 }
 
-let measure ?backend ?(untaint = true) recorded ~ni ~nt =
+let measure ?(untaint = true) recorded ~ni ~nt =
   let policy = Policy.make ~untaint ~ni ~nt () in
-  let replay = Recorded.replay ?backend ~policy recorded in
+  let replay = Recorded.replay ~policy recorded in
   let s = replay.Recorded.stats in
   {
     ni;
@@ -36,13 +36,13 @@ let default_nts = List.init 10 (fun i -> i + 1)
 (* Wrap one measurement in a named span and sample its peak footprint on
    the worker's ring, when tracing is on.  Names are built per point —
    off the hot path. *)
-let traced_measure rings ~worker ~name ?backend ?untaint recorded ~ni ~nt =
+let traced_measure rings ~worker ~name ?untaint recorded ~ni ~nt =
   if worker >= Array.length rings then
-    measure ?backend ?untaint recorded ~ni ~nt
+    measure ?untaint recorded ~ni ~nt
   else begin
     let r = rings.(worker) in
     Pift_obs.Flight.begin_ r name;
-    let p = measure ?backend ?untaint recorded ~ni ~nt in
+    let p = measure ?untaint recorded ~ni ~nt in
     Pift_obs.Flight.sample r "max_tainted_bytes"
       (float_of_int p.max_tainted_bytes);
     Pift_obs.Flight.sample r "max_ranges" (float_of_int p.max_ranges);
@@ -50,7 +50,7 @@ let traced_measure rings ~worker ~name ?backend ?untaint recorded ~ni ~nt =
     p
   end
 
-let grid ?backend ?(nis = default_nis) ?(nts = default_nts) ?(rings = [||])
+let grid ?(nis = default_nis) ?(nts = default_nts) ?(rings = [||])
     ?(jobs = 1) recorded =
   let points =
     Array.of_list
@@ -61,16 +61,16 @@ let grid ?backend ?(nis = default_nis) ?(nts = default_nts) ?(rings = [||])
         (Pift_par.Pool.map_slots pool
            ~f:(fun ~worker _ (ni, nt) ->
              let name = Printf.sprintf "cell(%d,%d)" ni nt in
-             traced_measure rings ~worker ~name ?backend recorded ~ni ~nt)
+             traced_measure rings ~worker ~name recorded ~ni ~nt)
            points))
 
-let series ?backend recorded ~ni ~nt =
+let series recorded ~ni ~nt =
   let policy = Policy.make ~ni ~nt () in
-  let replay = Recorded.replay ?backend ~policy recorded in
+  let replay = Recorded.replay ~policy recorded in
   ( Series.downsample replay.Recorded.bytes_series 72,
     Series.downsample replay.Recorded.ops_series 72 )
 
-let untaint_effect ?backend ?(rings = [||]) ?(jobs = 1) recorded ~nis ~nt =
+let untaint_effect ?(rings = [||]) ?(jobs = 1) recorded ~nis ~nt =
   Pift_par.Pool.with_pool ~jobs ~rings (fun pool ->
       Array.to_list
         (Pift_par.Pool.map_slots pool
@@ -78,10 +78,10 @@ let untaint_effect ?backend ?(rings = [||]) ?(jobs = 1) recorded ~nis ~nt =
              ( ni,
                traced_measure rings ~worker
                  ~name:(Printf.sprintf "untaint-on(%d,%d)" ni nt)
-                 ?backend ~untaint:true recorded ~ni ~nt,
+                 ~untaint:true recorded ~ni ~nt,
                traced_measure rings ~worker
                  ~name:(Printf.sprintf "untaint-off(%d,%d)" ni nt)
-                 ?backend ~untaint:false recorded ~ni ~nt ))
+                 ~untaint:false recorded ~ni ~nt ))
            (Array.of_list nis)))
 
 let render_grid ~title ~metric points ppf () =

@@ -13,14 +13,9 @@ type point = {
   untaint_ops : int;  (** Fig. 16 metric: taint + untaint over time *)
 }
 
-val measure :
-  ?backend:Pift_core.Store.backend ->
-  ?untaint:bool -> Recorded.t -> ni:int -> nt:int -> point
-(** [backend] selects the taint-store representation of the replay;
-    points are identical whichever exact backend runs. *)
+val measure : ?untaint:bool -> Recorded.t -> ni:int -> nt:int -> point
 
 val grid :
-  ?backend:Pift_core.Store.backend ->
   ?nis:int list ->
   ?nts:int list ->
   ?rings:Pift_obs.Flight.t array ->
@@ -34,7 +29,6 @@ val grid :
     ["max_tainted_bytes"]/["max_ranges"] samples per point. *)
 
 val series :
-  ?backend:Pift_core.Store.backend ->
   Recorded.t ->
   ni:int ->
   nt:int ->
@@ -43,7 +37,6 @@ val series :
     cumulative-operations-over-time) samples for one parameter pair. *)
 
 val untaint_effect :
-  ?backend:Pift_core.Store.backend ->
   ?rings:Pift_obs.Flight.t array ->
   ?jobs:int ->
   Recorded.t ->

@@ -119,25 +119,23 @@ let items t =
     end
     else None
 
-let replay ?(backend = Store.Functional) ?store ?metrics ?flight ?telemetry
+let replay ?store ?metrics ?flight ?telemetry
     ?profile ?(with_origins = false) ~policy t =
   Pift_obs.Profile.span profile "replay" @@ fun () ->
   let store =
-    match store with
-    | Some store -> store
-    | None -> Store.create ~backend ()
+    match store with Some store -> store | None -> Store.create ()
   in
   let store =
     match metrics with
     | Some registry -> Store.with_metrics registry store
     | None -> store
   in
-  (* The sidecar shares the replay's policy and backend; sink-time origin
+  (* The sidecar shares the replay's policy; sink-time origin
      sets must be captured at the sink check (later untainting can erase
      them), hence the [origin_verdict] list rather than a final query. *)
   let prov =
     if with_origins then
-      Some (Pift_core.Provenance.create ~policy ~backend ())
+      Some (Pift_core.Provenance.create ~policy ())
     else None
   in
   let tracker =
@@ -183,8 +181,8 @@ type dift_replay = {
   dift_origins : origin_verdict list;
 }
 
-let replay_dift ?(backend = Store.Functional) ?(with_origins = false) t =
-  let dift = Full_dift.create ~backend ~track_origins:with_origins () in
+let replay_dift ?(with_origins = false) t =
+  let dift = Full_dift.create ~track_origins:with_origins () in
   let verdicts = ref [] in
   let origin_verdicts = ref [] in
   let on_marker = function

@@ -71,15 +71,15 @@ type replay = {
 }
 
 val replay :
-  ?backend:Pift_core.Store.backend -> ?store:Pift_core.Store.t ->
+  ?store:Pift_core.Store.t ->
   ?metrics:Pift_obs.Registry.t -> ?flight:Pift_obs.Flight.t ->
   ?telemetry:Pift_obs.Telemetry.t -> ?profile:Pift_obs.Profile.t ->
   ?with_origins:bool ->
   policy:Pift_core.Policy.t -> t -> replay
-(** Run Algorithm 1 over the recording.  [backend] (default
-    [Functional]) picks the taint-store representation when no explicit
-    [store] is given; exact backends are interchangeable, so verdicts
-    and stats are identical whichever one runs.  With [metrics], the
+(** Run Algorithm 1 over the recording.  [store] defaults to a fresh
+    {!Pift_core.Store.create}; pass one to replay against another
+    {!Pift_core.Store.t} (a range-cache model, a wrapped store).  With
+    [metrics], the
     tracker and the taint store are instrumented ([pift_tracker_*],
     [pift_store_*]); [flight] is handed to the tracker for fine-grained
     event/counter stamps; verdicts and {!Pift_core.Tracker.stats} are
@@ -90,7 +90,7 @@ val replay :
     ["tracker"]/["store"] regions nested beneath it.  Neither changes
     verdicts, stats, series, or stdout.  [with_origins] (default off)
     threads a
-    {!Pift_core.Provenance} sidecar (same policy and backend) through
+    {!Pift_core.Provenance} sidecar (same policy) through
     the tracker and fills [origins]; verdicts, stats and series are
     byte-identical with it on or off. *)
 
@@ -102,10 +102,8 @@ type dift_replay = {
       (** exact ground-truth origin sets; [[]] unless [~with_origins] *)
 }
 
-val replay_dift :
-  ?backend:Pift_core.Store.backend -> ?with_origins:bool -> t -> dift_replay
-(** Full register-level DIFT over the same recording (ground truth);
-    [backend] selects the shadow-memory representation only.
+val replay_dift : ?with_origins:bool -> t -> dift_replay
+(** Full register-level DIFT over the same recording (ground truth).
     [with_origins] mirrors every propagation over exact per-source
     origin sets ({!Pift_baseline.Full_dift}) and fills [dift_origins]. *)
 

@@ -96,4 +96,4 @@ val load_snapshot : string -> Snapshot.t
 
 val restore_snapshot : Engine.t -> Snapshot.t -> unit
 (** Restore every tenant; raises [Invalid_argument] on a config
-    mismatch (policy/backend/origins/pid_range — shard count is free). *)
+    mismatch (policy/origins/pid_range — shard count is free). *)

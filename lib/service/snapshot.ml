@@ -1,7 +1,6 @@
 module Range = Pift_util.Range
 module Wire = Pift_util.Wire
 module Policy = Pift_core.Policy
-module Store = Pift_core.Store
 module Tracker = Pift_core.Tracker
 module Provenance = Pift_core.Provenance
 
@@ -14,7 +13,7 @@ module Provenance = Pift_core.Provenance
    "PIFTSNAP" <version byte '1'>
    <varint payload-length> <payload>   repeated until EOF
    payload := tag byte, then fields
-     0 manifest  shards pid_range backend(str) with_origins(byte)
+     0 manifest  shards pid_range store(str) with_origins(byte)
                  ni nt untaint(byte) n_sources n_tenants
      1 source    name(str) path(str) pid(hex str) orig-pid(hex str)
                  cursor
@@ -36,7 +35,7 @@ module Provenance = Pift_core.Provenance
    v}
 
    The manifest must be record 1 and carries the engine config a
-   restore needs (policy, backend, origins mode) plus the pid-block
+   restore needs (policy, origins mode) plus the pid-block
    layout and expected record counts, so truncation at a record
    boundary — which reads as a clean EOF — is still caught.  Source
    pids are hex strings rather than varints: they cross the snapshot /
@@ -58,10 +57,17 @@ let tag_manifest = 0
 let tag_source = 1
 let tag_tenant = 2
 
+(* The manifest's store-name field.  Every tenant store is a Store_flat
+   set, so the encoder writes one constant; the decoder accepts every
+   name an older encoder could write — all of them exact stores with
+   the same canonical ranges, so such a snapshot restores identically —
+   and rejects anything else. *)
+let store_name = "flat"
+let known_store_names = [ "functional"; "flat"; "hybrid"; "bytemap" ]
+
 type manifest = {
   m_shards : int;
   m_pid_range : int;
-  m_backend : Store.backend;
   m_with_origins : bool;
   m_policy : Policy.t;
   m_sources : int;  (* expected source records *)
@@ -103,7 +109,7 @@ let add_manifest buf m =
   Buffer.add_char buf (Char.chr tag_manifest);
   Wire.add_varint buf m.m_shards;
   Wire.add_varint buf m.m_pid_range;
-  Wire.add_string buf (Store.backend_to_string m.m_backend);
+  Wire.add_string buf store_name;
   add_bool buf m.m_with_origins;
   Wire.add_varint buf m.m_policy.Policy.ni;
   Wire.add_varint buf m.m_policy.Policy.nt;
@@ -318,12 +324,9 @@ let br_hex_pid br what =
 let read_manifest br =
   let m_shards = br_varint br in
   let m_pid_range = br_varint br in
-  let backend_s = br_string br in
-  let m_backend =
-    match Store.backend_of_string backend_s with
-    | Some b -> b
-    | None -> br_fail br (Printf.sprintf "unknown backend %S" backend_s)
-  in
+  let store = br_string br in
+  if not (List.mem store known_store_names) then
+    br_fail br (Printf.sprintf "unknown backend %S" store);
   let m_with_origins = br_bool br in
   let ni = br_varint br in
   let nt = br_varint br in
@@ -340,7 +343,6 @@ let read_manifest br =
   {
     m_shards;
     m_pid_range;
-    m_backend;
     m_with_origins;
     m_policy = policy;
     m_sources;
@@ -562,7 +564,6 @@ let of_engine ?(sources = []) eng =
       {
         m_shards = Engine.shards eng;
         m_pid_range = Engine.pid_range eng;
-        m_backend = Engine.backend eng;
         m_with_origins = Engine.with_origins eng;
         m_policy = Engine.policy eng;
         m_sources = List.length sources;
@@ -575,7 +576,7 @@ let of_engine ?(sources = []) eng =
 let save ?sources eng path = write path (of_engine ?sources eng)
 
 (* Restores are strict about config compatibility: a tenant persisted
-   under one policy/backend/origins mode restored into an engine with
+   under one policy/origins mode restored into an engine with
    another would silently diverge from the uninterrupted run — the one
    thing a durability layer must never do. *)
 let restore_tenants eng t =
@@ -585,8 +586,6 @@ let restore_tenants eng t =
       (Printf.sprintf "Snapshot.restore_tenants: engine policy %s <> snapshot %s"
          (Policy.to_string (Engine.policy eng))
          (Policy.to_string m.m_policy));
-  if Engine.backend eng <> m.m_backend then
-    invalid_arg "Snapshot.restore_tenants: store backend mismatch";
   if Engine.with_origins eng <> m.m_with_origins then
     invalid_arg "Snapshot.restore_tenants: origins mode mismatch";
   if Engine.pid_range eng <> m.m_pid_range then

@@ -17,7 +17,7 @@ let hi r = r.hi
    past it.  Everything downstream builds on this — [length] is
    [hi - lo + 1], two ranges are adjacent (coalescable into one
    canonical range, never overlapping) exactly when [a.hi + 1 = b.lo],
-   and a store backend's canonical form is maximal disjoint
+   and a taint set's canonical form is maximal disjoint
    non-adjacent closed ranges.  A half-open reading of [hi] silently
    shifts every one of those by one byte, so changes here must keep the
    [test_store.ml] hi+1-adjacency regression green. *)

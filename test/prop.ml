@@ -84,6 +84,50 @@ let gen_ops rng n =
   let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (gen_op rng :: acc) in
   go n []
 
+(* --- the oracle store ---------------------------------------------------- *)
+
+(* A {!Pift_core.Store.t} over per-pid {!Pift_core.Store_bytemap} sets:
+   the trivially correct per-byte oracle behind the same record the
+   tracker runs against, so store-level cases and whole-tracker
+   replays can be checked against it.  Totals are re-summed over every
+   pid on each read — slow, and independent of the production store's
+   incremental bookkeeping.  Dense from address 0: keep addresses
+   small. *)
+let bytemap_store () : Pift_core.Store.t =
+  let module B = Pift_core.Store_bytemap in
+  let sets : (int, B.t) Hashtbl.t = Hashtbl.create 4 in
+  let set pid =
+    match Hashtbl.find_opt sets pid with
+    | Some s -> s
+    | None ->
+        let s = B.create () in
+        Hashtbl.add sets pid s;
+        s
+  in
+  let sum f = Hashtbl.fold (fun _ s acc -> acc + f s) sets 0 in
+  let ranges pid =
+    match Hashtbl.find_opt sets pid with Some s -> B.ranges s | None -> []
+  in
+  {
+    add = (fun ~pid r -> B.add (set pid) r);
+    remove = (fun ~pid r -> B.remove (set pid) r);
+    overlaps =
+      (fun ~pid r ->
+        match Hashtbl.find_opt sets pid with
+        | Some s -> B.mem_overlap s r
+        | None -> false);
+    tainted_bytes = (fun () -> sum B.total_bytes);
+    range_count = (fun () -> sum B.cardinal);
+    ranges = (fun ~pid -> ranges pid);
+    release_pid = (fun ~pid -> Hashtbl.remove sets pid);
+    dump =
+      (fun () ->
+        Hashtbl.fold (fun pid _ acc -> pid :: acc) sets []
+        |> List.sort compare
+        |> List.filter_map (fun pid ->
+               match ranges pid with [] -> None | rs -> Some (pid, rs)));
+  }
+
 (* --- shrinking ---------------------------------------------------------- *)
 
 (* Candidate smaller sequences: drop a chunk of half the length, then

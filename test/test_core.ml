@@ -447,29 +447,39 @@ let test_provenance_entries_sorted () =
   checkb "other pid untouched" true
     (List.assoc_opt (2, "Z") (Provenance.entries p) = Some [ r 50 60 ])
 
-let test_provenance_backends_agree () =
-  (* identical event feed under every exact backend -> identical
-     per-label entries *)
-  let run backend =
-    let p =
-      Provenance.create ~policy:(Policy.make ~ni:6 ~nt:2 ()) ~backend ()
-    in
-    Provenance.taint_source p ~pid:1 ~label:"IMEI" (r 100 120);
-    Provenance.taint_source p ~pid:1 ~label:"GPS" (r 115 130);
-    List.iter (Provenance.observe p)
-      [ load (r 116 118) 1; store (r 200 203) 2; store (r 210 213) 3;
-        load (r 100 101) 10; store (r 220 223) 11 ];
-    Provenance.untaint_range p ~pid:1 (r 211 212);
-    Provenance.entries p
+let test_provenance_label_sets () =
+  (* one event feed, checked set by set: two overlapping sources, a
+     window carrying both labels into NT stores, a second window opened
+     by one label only, and an untaint splitting both label sets; the
+     per-label union answers like the plain tracker on the same feed *)
+  let policy = Policy.make ~ni:6 ~nt:2 () in
+  let p = Provenance.create ~policy () in
+  let t = Tracker.create ~policy () in
+  Provenance.taint_source p ~pid:1 ~label:"IMEI" (r 100 120);
+  Provenance.taint_source p ~pid:1 ~label:"GPS" (r 115 130);
+  Tracker.taint_source t ~pid:1 (r 100 130);
+  let events =
+    [ load (r 116 118) 1; store (r 200 203) 2; store (r 210 213) 3;
+      load (r 100 101) 10; store (r 220 223) 11 ]
   in
-  match List.map run Pift_core.Store.all_backends with
-  | [] -> Alcotest.fail "no backends"
-  | reference :: rest ->
-      checkb "reference is non-trivial" true (List.length reference >= 2);
-      List.iter
-        (fun other -> checkb "backend-independent entries" true
-            (other = reference))
-        rest
+  List.iter (Provenance.observe p) events;
+  feed t events;
+  Provenance.untaint_range p ~pid:1 (r 211 212);
+  Tracker.untaint_range t ~pid:1 (r 211 212);
+  checkb "per-label entries" true
+    (Provenance.entries p
+    = [
+        ((1, "GPS"), [ r 115 130; r 200 203; r 210 210; r 213 213 ]);
+        ( (1, "IMEI"),
+          [ r 100 120; r 200 203; r 210 210; r 213 213; r 220 223 ] );
+      ]);
+  List.iter
+    (fun range ->
+      checkb
+        ("union matches tracker at " ^ Range.to_string range)
+        (Tracker.is_tainted t ~pid:1 range)
+        (Provenance.is_tainted p ~pid:1 range))
+    [ r 200 203; r 211 212; r 213 213; r 220 223; r 224 300 ]
 
 (* --- Deferred (buffered) tracking ------------------------------------------ *)
 
@@ -576,69 +586,65 @@ let test_storage_context_switch () =
   checkb "still visible via secondary" true (Storage.lookup s ~pid:1 (r 0 9));
   checkb "pid 2 too" true (Storage.lookup s ~pid:2 (r 20 29))
 
-(* Eviction paths under a live metrics registry, for every secondary
-   backend: capacity pressure under Lru_writeback must count evictions
-   and writebacks (and keep evicted state reachable through secondary
-   hits + promotion), Drop must count drops and lose the range, and the
-   occupancy gauge must track valid primary entries. *)
+(* Eviction paths under a live metrics registry: capacity pressure
+   under Lru_writeback must count evictions and writebacks (and keep
+   evicted state reachable through secondary hits + promotion), Drop
+   must count drops and lose the range, and the occupancy gauge must
+   track valid primary entries. *)
 let storage_counter registry name =
   match Pift_obs.Registry.find_counter registry name with
   | Some v -> v
   | None -> Alcotest.failf "counter %s not registered" name
 
 let test_storage_lru_eviction_metrics () =
-  List.iter
-    (fun backend ->
-      let name s = Store.backend_to_string backend ^ ": " ^ s in
-      let registry = Pift_obs.Registry.create () in
-      let s =
-        Storage.create ~entries:2 ~eviction:Storage.Lru_writeback ~backend
-          ~metrics:registry ()
-      in
-      Storage.insert s ~pid:1 (r 0 9);
-      Storage.insert s ~pid:1 (r 20 29);
-      checkb (name "no eviction while capacity lasts") true
-        (storage_counter registry "pift_storage_evictions_total" = 0);
-      (* touch the first entry so the second is least recently used *)
-      checkb (name "primary hit") true (Storage.lookup s ~pid:1 (r 0 0));
-      Storage.insert s ~pid:1 (r 40 49);
-      checki (name "one eviction")
-        1 (storage_counter registry "pift_storage_evictions_total");
-      checki (name "eviction wrote back")
-        1 (storage_counter registry "pift_storage_writebacks_total");
-      checkb (name "occupancy gauge full") true
-        (Pift_obs.Registry.find_gauge registry "pift_storage_occupancy"
-        = Some 2.0);
-      (* the evicted range is only in secondary storage now: a lookup is
-         a secondary hit and promotes it back, evicting the next LRU *)
-      checkb (name "evicted range still reachable") true
-        (Storage.lookup s ~pid:1 (r 20 29));
-      checki (name "secondary hit counted")
-        1 (storage_counter registry "pift_storage_secondary_hits_total");
-      checki (name "promotion evicted the next LRU")
-        2 (storage_counter registry "pift_storage_evictions_total");
-      checki (name "second writeback")
-        2 (storage_counter registry "pift_storage_writebacks_total");
-      checki (name "promotion is an insertion")
-        4 (storage_counter registry "pift_storage_insertions_total");
-      (* the newly-evicted range went through the same cycle *)
-      checkb (name "second evicted range still reachable") true
-        (Storage.lookup s ~pid:1 (r 0 9));
-      checki (name "second secondary hit")
-        2 (storage_counter registry "pift_storage_secondary_hits_total");
-      checki (name "drops never fire under Lru_writeback")
-        0 (storage_counter registry "pift_storage_drops_total");
-      (* counters mirror stats exactly *)
-      let st = Storage.stats s in
-      checki (name "stats/evictions agree") st.Storage.evictions
-        (storage_counter registry "pift_storage_evictions_total");
-      checki (name "stats/writebacks agree") st.Storage.writebacks
-        (storage_counter registry "pift_storage_writebacks_total");
-      checki (name "stats/secondary agree") st.Storage.secondary_hits
-        (storage_counter registry "pift_storage_secondary_hits_total");
-      checki (name "stats/lookups agree") st.Storage.lookups
-        (storage_counter registry "pift_storage_lookups_total"))
-    [ Store.Functional; Store.Flat ]
+  let registry = Pift_obs.Registry.create () in
+  let s =
+    Storage.create ~entries:2 ~eviction:Storage.Lru_writeback
+      ~metrics:registry ()
+  in
+  Storage.insert s ~pid:1 (r 0 9);
+  Storage.insert s ~pid:1 (r 20 29);
+  checkb "no eviction while capacity lasts" true
+    (storage_counter registry "pift_storage_evictions_total" = 0);
+  (* touch the first entry so the second is least recently used *)
+  checkb "primary hit" true (Storage.lookup s ~pid:1 (r 0 0));
+  Storage.insert s ~pid:1 (r 40 49);
+  checki "one eviction"
+    1 (storage_counter registry "pift_storage_evictions_total");
+  checki "eviction wrote back"
+    1 (storage_counter registry "pift_storage_writebacks_total");
+  checkb "occupancy gauge full" true
+    (Pift_obs.Registry.find_gauge registry "pift_storage_occupancy"
+    = Some 2.0);
+  (* the evicted range is only in secondary storage now: a lookup is
+     a secondary hit and promotes it back, evicting the next LRU *)
+  checkb "evicted range still reachable" true
+    (Storage.lookup s ~pid:1 (r 20 29));
+  checki "secondary hit counted"
+    1 (storage_counter registry "pift_storage_secondary_hits_total");
+  checki "promotion evicted the next LRU"
+    2 (storage_counter registry "pift_storage_evictions_total");
+  checki "second writeback"
+    2 (storage_counter registry "pift_storage_writebacks_total");
+  checki "promotion is an insertion"
+    4 (storage_counter registry "pift_storage_insertions_total");
+  (* the newly-evicted range went through the same cycle *)
+  checkb "second evicted range still reachable" true
+    (Storage.lookup s ~pid:1 (r 0 9));
+  checki "second secondary hit"
+    2 (storage_counter registry "pift_storage_secondary_hits_total");
+  checki "drops never fire under Lru_writeback"
+    0 (storage_counter registry "pift_storage_drops_total");
+  (* counters mirror stats exactly *)
+  let st = Storage.stats s in
+  checki "stats/evictions agree" st.Storage.evictions
+    (storage_counter registry "pift_storage_evictions_total");
+  checki "stats/writebacks agree" st.Storage.writebacks
+    (storage_counter registry "pift_storage_writebacks_total");
+  checki "stats/secondary agree" st.Storage.secondary_hits
+    (storage_counter registry "pift_storage_secondary_hits_total");
+  checki "stats/lookups agree" st.Storage.lookups
+    (storage_counter registry "pift_storage_lookups_total")
 
 let test_storage_drop_metrics () =
   let registry = Pift_obs.Registry.create () in
@@ -663,10 +669,11 @@ let test_storage_drop_metrics () =
     (Storage.lookup s ~pid:1 (r 0 9) && Storage.lookup s ~pid:1 (r 20 29))
 
 let test_store_backends () =
+  (* the same Store.t contract from the production store, the bytemap
+     oracle and the range-cache model *)
   List.iter
-    (fun backend ->
-      let name s = Store.backend_to_string backend ^ ": " ^ s in
-      let sets = Store.create ~backend () in
+    (fun (impl, sets) ->
+      let name s = impl ^ ": " ^ s in
       sets.Store.add ~pid:1 (r 0 9);
       sets.Store.add ~pid:2 (r 20 24);
       checkb (name "overlap") true (sets.Store.overlaps ~pid:1 (r 5 6));
@@ -674,7 +681,11 @@ let test_store_backends () =
       checki (name "count") 2 (sets.Store.range_count ());
       sets.Store.remove ~pid:1 (r 0 9);
       checki (name "bytes after remove") 5 (sets.Store.tainted_bytes ()))
-    Store.all_backends
+    [
+      ("flat", Store.create ());
+      ("bytemap", Prop.bytemap_store ());
+      ("range cache", Store.of_storage (Storage.create ()));
+    ]
 
 let test_hw_model () =
   let report =
@@ -762,8 +773,8 @@ let () =
             test_provenance_nt_cap_merged_labels;
           Alcotest.test_case "entries sorted" `Quick
             test_provenance_entries_sorted;
-          Alcotest.test_case "backends agree" `Quick
-            test_provenance_backends_agree;
+          Alcotest.test_case "label sets after windows & untaint" `Quick
+            test_provenance_label_sets;
         ] );
       ( "deferred",
         [
@@ -780,7 +791,7 @@ let () =
           Alcotest.test_case "granularity" `Quick test_storage_granularity;
           Alcotest.test_case "context switch" `Quick
             test_storage_context_switch;
-          Alcotest.test_case "LRU eviction metrics (per backend)" `Quick
+          Alcotest.test_case "LRU eviction metrics" `Quick
             test_storage_lru_eviction_metrics;
           Alcotest.test_case "drop metrics" `Quick test_storage_drop_metrics;
         ] );

@@ -89,17 +89,29 @@ let test_map_slots_worker_bounds () =
   let jobs = test_jobs in
   Pool.with_pool ~jobs (fun p ->
       checki "pool jobs" jobs (Pool.jobs p);
-      (* per-slot accumulators: no lock, summed after the region *)
+      (* per-slot accumulators: no lock, summed after the region.  Each
+         item also records the worker id it ran on; the bounds are
+         asserted here, on the calling domain, because Alcotest's check
+         functions are not domain-safe. *)
       let per_slot = Array.init jobs (fun _ -> ref 0) in
       let input = Array.init 64 (fun i -> i) in
+      let workers = Array.make 64 (-1) in
       let out =
         Pool.map_slots p
           ~f:(fun ~worker i x ->
-            checkb "worker in range" true (worker >= 0 && worker < jobs);
-            per_slot.(worker) := !(per_slot.(worker)) + 1;
+            workers.(i) <- worker;
+            if worker >= 0 && worker < jobs then
+              per_slot.(worker) := !(per_slot.(worker)) + 1;
             i + x)
         input
       in
+      Array.iteri
+        (fun i w ->
+          checkb
+            (Printf.sprintf "item %d: worker %d in range" i w)
+            true
+            (w >= 0 && w < jobs))
+        workers;
       checkb "slots sum to items" true
         (Array.fold_left (fun a r -> a + !r) 0 per_slot = 64);
       checkb "results by input index" true

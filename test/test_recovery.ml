@@ -2,14 +2,15 @@
    contract.
 
    - a seeded round-trip property: persist∘restore is the identity for
-     every store backend × provenance mode, checked structurally, at
-     the byte level, and differentially — a restored tracker must be
-     indistinguishable from a bytemap-oracle tracker that was never
-     persisted, including on a fresh op suffix (windows, peaks and
-     origin sets all have to survive the trip for that to hold);
-   - corrupt-fixture decoding: truncation, bad magic, wrong version and
-     non-hex pid records all fail with a positioned
-     [Snapshot: record N] error, never a bare exception, and the
+     the production and the bytemap-oracle store × provenance mode,
+     checked structurally, at the byte level, and differentially — a
+     restored tracker must be indistinguishable from a bytemap-oracle
+     tracker that was never persisted, including on a fresh op suffix
+     (windows, peaks and origin sets all have to survive the trip for
+     that to hold);
+   - corrupt-fixture decoding: truncation, bad magic, wrong version,
+     unknown store names and non-hex pid records all fail with a
+     positioned [Snapshot: record N] error, never a bare exception, and the
      streaming reader delivers every intact prefix record first;
    - fault-injection crash/recovery differentials: kill a shard
      consumer mid-ingest through the production Spsc abort path,
@@ -150,11 +151,11 @@ let rec take n = function
 
 let rec drop n = function _ :: tl when n > 0 -> drop (n - 1) tl | l -> l
 
-let mk_tracker ~backend ~prov_on () =
-  let prov =
-    if prov_on then Some (Provenance.create ~backend ()) else None
-  in
-  Tracker.create ~store:(Store.create ~backend ()) ?prov ()
+(* [store] is the [Store.t] constructor under test: the production
+   {!Store.create} or the bytemap oracle. *)
+let mk_tracker ~store ~prov_on () =
+  let prov = if prov_on then Some (Provenance.create ()) else None in
+  Tracker.create ~store:(store ()) ?prov ()
 
 (* One case: prefix on tracker A and on a bytemap-oracle tracker O
    (their answers must already agree — the store differential), then
@@ -163,17 +164,17 @@ let mk_tracker ~backend ~prov_on () =
    persisted intervals expand to exactly B's live bytes), and
    behaviourally (a fresh op suffix gives identical answers on A, B
    and O — windows, peaks, provenance and all). *)
-let roundtrip_prop ~backend ~prov_on ops =
+let roundtrip_prop ~store ~prov_on ops =
   let split = max 1 (List.length ops * 3 / 5) in
   let pre = take split ops and suf = drop split ops in
-  let a = mk_tracker ~backend ~prov_on () in
-  let o = mk_tracker ~backend:Store.Bytemap ~prov_on () in
+  let a = mk_tracker ~store ~prov_on () in
+  let o = mk_tracker ~store:Prop.bytemap_store ~prov_on () in
   let out_a = run_ops a pre ~seq0:0 ~ks:(k_table []) in
   let out_o = run_ops o pre ~seq0:0 ~ks:(k_table []) in
   if out_a <> out_o then Error "prefix diverged from bytemap oracle"
   else begin
     let p = Tracker.persist a in
-    let b = mk_tracker ~backend ~prov_on () in
+    let b = mk_tracker ~store ~prov_on () in
     Tracker.restore b p;
     let p' = Tracker.persist b in
     if p' <> p then Error "persist (restore p) <> p"
@@ -205,25 +206,24 @@ let roundtrip_prop ~backend ~prov_on ops =
     end
   end
 
+(* Both stores x both provenance modes, 30 cases of 100 ops each. *)
 let test_roundtrip_property () =
   List.iter
-    (fun backend ->
+    (fun (impl, store) ->
       List.iter
         (fun prov_on ->
           Prop.check_gen
             ~name:
-              (Printf.sprintf "snapshot roundtrip (%s, prov=%b)"
-                 (Store.backend_to_string backend)
-                 prov_on)
-            ~count:20
+              (Printf.sprintf "snapshot roundtrip (%s, prov=%b)" impl prov_on)
+            ~count:30
             ~gen:(fun rng -> gen_tops rng 100)
             ~shrink:Prop.shrink_candidates
             ~to_string:(fun ops ->
               Printf.sprintf "(%d ops): %s" (List.length ops)
                 (String.concat "; " (List.map top_to_string ops)))
-            (roundtrip_prop ~backend ~prov_on))
+            (roundtrip_prop ~store ~prov_on))
         [ false; true ])
-    [ Store.Functional; Store.Flat; Store.Hybrid ]
+    [ ("flat", Store.create); ("bytemap", Prop.bytemap_store) ]
 
 (* --- snapshot files: write/load identity ---------------------------------- *)
 
@@ -423,6 +423,80 @@ let test_corrupt_non_hex_pid () =
           (* the manifest (record 1) was still delivered *)
           checki "intact prefix delivered" 1 !delivered))
 
+(* Older encoders wrote the store implementation's name into the
+   manifest.  [with_store_name full name] re-encodes the manifest
+   (record 1: the 9-byte header, a one-byte payload length, then the
+   payload holding the name as "\004flat") to carry [name] instead. *)
+let with_store_name full name =
+  let header = 9 in
+  let len = Char.code full.[header] in
+  if len >= 0x80 then Alcotest.fail "manifest payload length is not one byte";
+  let payload = String.sub full (header + 1) len in
+  let needle = "\004flat" in
+  let n = String.length needle in
+  let rec find i =
+    if i + n > len then Alcotest.fail "store name not found in the manifest"
+    else if String.sub payload i n = needle then i
+    else find (i + 1)
+  in
+  let idx = find 0 in
+  let payload =
+    String.sub payload 0 idx
+    ^ String.make 1 (Char.chr (String.length name))
+    ^ name
+    ^ String.sub payload (idx + n) (len - idx - n)
+  in
+  if String.length payload >= 0x80 then
+    Alcotest.fail "re-encoded manifest payload length is not one byte";
+  String.sub full 0 header
+  ^ String.make 1 (Char.chr (String.length payload))
+  ^ payload
+  ^ String.sub full (header + 1 + len) (String.length full - header - 1 - len)
+
+(* Every name an older encoder could write named an exact store, so a
+   snapshot carrying any of them restores to the same verdicts, origin
+   sets and stats; any other name is still a positioned failure. *)
+let test_legacy_store_names () =
+  sample_snapshot_bytes (fun t full ->
+      let restored bytes =
+        with_tmp ~suffix:".piftsnap" (fun path ->
+            write_file path bytes;
+            let snap = Snapshot.load path in
+            checkb "decodes to the written snapshot" true (snap = t);
+            Engine.with_engine ~shards:2 ~policy:Policy.default
+              ~with_origins:true (fun eng ->
+                Snapshot.restore_tenants eng snap;
+                List.map
+                  (fun (tp : Admin.tenant_persisted) ->
+                    Option.get (Admin.snapshot_tenant eng ~pid:tp.Admin.tp_pid))
+                  snap.Snapshot.tenants))
+      in
+      let reference = restored full in
+      checkb "reference carries origin sets" true
+        (List.exists
+           (fun (ts : Admin.tenant_snapshot) ->
+             List.exists
+               (fun (v : Admin.verdict) -> v.Admin.v_origins <> [])
+               ts.Admin.ts_verdicts)
+           reference);
+      List.iter
+        (fun name ->
+          let got = restored (with_store_name full name) in
+          checkb
+            (name ^ ": same verdicts, origins and stats")
+            true
+            (List.length got = List.length reference
+            && List.for_all2 tenant_equal got reference))
+        [ "functional"; "flat"; "hybrid"; "bytemap" ];
+      with_tmp ~suffix:".piftsnap" (fun path ->
+          write_file path (with_store_name full "bogus");
+          let msg =
+            expect_positioned_failure ~what:"unknown store name" (fun () ->
+                Snapshot.load path)
+          in
+          checks "unknown store name error"
+            "Snapshot: record 1: unknown backend \"bogus\"" msg))
+
 (* --- crash / recovery differential ---------------------------------------- *)
 
 (* Uninterrupted reference run at [shards]. *)
@@ -598,9 +672,6 @@ let test_restore_config_mismatch () =
       Engine.with_engine ~shards:2 ~with_origins:true
         ~policy:(Policy.make ~ni:2 ~nt:1 ()) (fun eng ->
           Snapshot.restore_tenants eng snap));
-  refuse ~what:"backend" (fun () ->
-      Engine.with_engine ~shards:2 ~with_origins:true ~backend:Store.Flat
-        (fun eng -> Snapshot.restore_tenants eng snap));
   refuse ~what:"origins" (fun () ->
       Engine.with_engine ~shards:2 ~with_origins:false (fun eng ->
           Snapshot.restore_tenants eng snap));
@@ -631,6 +702,8 @@ let () =
             test_write_load_identity;
           Alcotest.test_case "persisted state is shard-count-free" `Quick
             test_persist_shard_free;
+          Alcotest.test_case "legacy store names restore identically" `Quick
+            test_legacy_store_names;
         ] );
       ( "corrupt",
         [
