@@ -91,18 +91,6 @@ let test_tracker_observe =
          Tracker.taint_source t ~pid:1 (Range.of_len 0x4000_0000 32);
          Array.iter (Tracker.observe t) events))
 
-(* Same workload with a live metrics registry — the gap between this and
-   tracker/observe-20k-events is the cost of observation, and the no-op
-   path above must not regress when lib/obs changes. *)
-let test_tracker_observe_metrics =
-  Test.make ~name:"tracker/observe-20k-events-metrics"
-    (Staged.stage (fun () ->
-         let events = Lazy.force tracker_events in
-         let registry = Pift_obs.Registry.create () in
-         let t = Tracker.create ~policy:Policy.default ~metrics:registry () in
-         Tracker.taint_source t ~pid:1 (Range.of_len 0x4000_0000 32);
-         Array.iter (Tracker.observe t) events))
-
 let test_dift_observe =
   Test.make ~name:"full_dift/observe-20k-events"
     (Staged.stage (fun () ->
@@ -169,7 +157,6 @@ let tests =
     test_store_flat_add;
     test_store_flat_query;
     test_tracker_observe;
-    test_tracker_observe_metrics;
     test_dift_observe;
     test_provenance_observe;
     test_storage_lookup;
@@ -284,74 +271,6 @@ let write_par_bench () =
     serial_s parallel_jobs parallel_s
     (if identical then "cells identical" else "CELLS DIVERGED");
   if not identical then exit 1
-
-(* Tracker throughput with the flight recorder off vs on, over the same
-   replayed event stream: events/sec both ways and the recorder's
-   percentage cost.  The recorder's budget is "allocation-light ring
-   writes"; this stage is the cross-commit guard that keeps it there
-   (BENCH_trace.json, acceptance bar: < 10% overhead). *)
-let write_trace_bench () =
-  let module Json = Pift_obs.Json in
-  let recorded = Lazy.force bench_trace in
-  let events =
-    Array.init (Trace.length recorded.Recorded.trace) (fun i ->
-        Trace.get recorded.Recorded.trace i)
-  in
-  let replay ?flight () =
-    let t = Tracker.create ~policy:Policy.default ?flight () in
-    Tracker.taint_source t ~pid:1 (Range.of_len 0x4000_0000 32);
-    Array.iter (Tracker.observe t) events
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let rounds = 5 in
-  let best f =
-    let b = ref infinity in
-    for _ = 1 to rounds do
-      let s = time f in
-      if s < !b then b := s
-    done;
-    !b
-  in
-  ignore (time (fun () -> replay ()));
-  (* warm-up *)
-  let off_s = best (fun () -> replay ()) in
-  let ring = Pift_obs.Flight.create () in
-  let on_s =
-    best (fun () ->
-        Pift_obs.Flight.clear ring;
-        replay ~flight:ring ())
-  in
-  let n = Array.length events in
-  let rate s = if s > 0. then float_of_int n /. s else 0. in
-  let overhead_pct =
-    if off_s > 0. then 100. *. (on_s -. off_s) /. off_s else 0.
-  in
-  let json =
-    Json.Obj
-      [
-        ("bench", Json.String "tracker-flight-recorder");
-        ("events", Json.Int n);
-        ("rounds", Json.Int rounds);
-        ("recorder_off_seconds", Json.Float off_s);
-        ("recorder_on_seconds", Json.Float on_s);
-        ("recorder_off_events_per_sec", Json.Float (rate off_s));
-        ("recorder_on_events_per_sec", Json.Float (rate on_s));
-        ("recorder_events_written", Json.Int (Pift_obs.Flight.written ring));
-        ("overhead_pct", Json.Float overhead_pct);
-      ]
-  in
-  let oc = open_out "BENCH_trace.json" in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf
-    "wrote BENCH_trace.json (recorder off %.0f ev/s, on %.0f ev/s, %.1f%% \
-     overhead)\n"
-    (rate off_s) (rate on_s) overhead_pct
 
 (* The taint store on three loads: the tracker replay over the
    reference event stream (best-of-5, the hot single-replay path), a
@@ -546,24 +465,17 @@ let write_traceio_bench () =
     (if identical then "verdicts identical" else "VERDICTS DIVERGED");
   if not identical then exit 1
 
-(* Tracker replay with continuous telemetry and with the
-   overhead-attribution profiler, each off vs on, over the same event
-   stream (best-of-5).  Telemetry's per-event budget is an increment
-   and a compare (snapshots amortised over --telemetry-every events);
-   the profiler's is two clock reads per region.  Emitted as
-   BENCH_telemetry.json for the cross-commit trajectory and the
-   `report --diff` CI gate. *)
+(* Recording replay plain, with continuous telemetry and with the
+   overhead-attribution profiler, over the same recording (best-of-5).
+   Telemetry's per-event budget is an increment and a compare
+   (snapshots amortised over --telemetry-every events); the profiler's
+   is two clock reads per store operation.  Emitted as
+   BENCH_telemetry.json for the cross-commit trajectory. *)
 let write_telemetry_bench () =
   let module Json = Pift_obs.Json in
   let recorded = Lazy.force bench_trace in
-  let events =
-    Array.init (Trace.length recorded.Recorded.trace) (fun i ->
-        Trace.get recorded.Recorded.trace i)
-  in
   let replay ?telemetry ?profile () =
-    let t = Tracker.create ~policy:Policy.default ?telemetry ?profile () in
-    Tracker.taint_source t ~pid:1 (Range.of_len 0x4000_0000 32);
-    Array.iter (Tracker.observe t) events
+    ignore (Recorded.replay ~policy:Policy.default ?telemetry ?profile recorded)
   in
   let time f =
     let t0 = Unix.gettimeofday () in
@@ -594,13 +506,13 @@ let write_telemetry_bench () =
         Pift_obs.Profile.reset profile;
         replay ~profile ())
   in
-  let n = Array.length events in
+  let n = Trace.length recorded.Recorded.trace in
   let rate s = if s > 0. then float_of_int n /. s else 0. in
   let pct on = if off_s > 0. then 100. *. (on -. off_s) /. off_s else 0. in
   let json =
     Json.Obj
       [
-        ("bench", Json.String "tracker-telemetry-profiler");
+        ("bench", Json.String "replay-telemetry-profiler");
         ("events", Json.Int n);
         ("rounds", Json.Int rounds);
         ("off_seconds", Json.Float off_s);
@@ -999,7 +911,6 @@ let () =
     run_microbenchmarks ();
     write_obs_snapshot ();
     write_par_bench ();
-    write_trace_bench ();
     write_store_bench ();
     write_traceio_bench ();
     write_telemetry_bench ();

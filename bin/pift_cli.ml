@@ -161,7 +161,7 @@ let telemetry_interval =
 let profile_out =
   let doc =
     "Write an overhead-attribution profile to $(docv): folded stacks \
-     (self time per $(b,pool;replay;tracker;store)-style region path, \
+     (self time per $(b,pool;replay;store)-style region path, \
      flamegraph.pl/speedscope-compatible), summarized per subsystem by \
      $(b,pift report).  Never touches stdout."
   in
@@ -332,7 +332,8 @@ let write_metrics ~out ~format ~run registry =
   else begin
     let oc = open_out out in
     Fun.protect ~finally:(fun () -> close_out oc) (fun () -> emit oc);
-    Printf.printf "metrics:    wrote %s\n" out
+    (* stderr, like write_trace: stdout stays byte-identical *)
+    Printf.eprintf "metrics:    wrote %s\n" out
   end
 
 (* --- list-apps --- *)
@@ -374,9 +375,9 @@ let run_app name ni nt untaint verbose jit explain prov prov_out metrics_out
     if top then Some (Obs.Top.create ~label:app.App.name ~telems ~rings ())
     else None
   in
-  (* A single replay is cheap enough to flight the tracker itself:
-     per-event counter tracks (tainted bytes, ranges, window occupancy)
-     plus source/sink instants, bracketed by per-phase spans. *)
+  (* Per-phase spans; the recording stamps source/sink instants and VM
+     spans, and the replay's peaks are sampled once it ends (per-event
+     curves come from --telemetry-out --telemetry-every 1). *)
   let fspan name f =
     match flight with
     | None -> f ()
@@ -392,9 +393,15 @@ let run_app name ni nt untaint verbose jit explain prov prov_out metrics_out
   let replay =
     Obs.Span.with_ ~name:"replay" (fun () ->
         fspan "replay" (fun () ->
-            Recorded.replay ~policy ?metrics ?flight ?telemetry
-              ?profile recorded))
+            Recorded.replay ~policy ?metrics ?telemetry ?profile recorded))
   in
+  (match flight with
+  | None -> ()
+  | Some r ->
+      let s = replay.Recorded.stats in
+      Obs.Flight.sample r "max_tainted_bytes"
+        (float_of_int s.Tracker.max_tainted_bytes);
+      Obs.Flight.sample r "max_ranges" (float_of_int s.Tracker.max_ranges));
   let dift =
     Obs.Span.with_ ~name:"full-dift" (fun () ->
         fspan "full-dift" (fun () -> Recorded.replay_dift recorded))
@@ -412,8 +419,8 @@ let run_app name ni nt untaint verbose jit explain prov prov_out metrics_out
           in
           let hw_store = Pift_core.Store.of_storage storage in
           (* The hardware pass owns a storage model worth watching: bind
-             its occupancy as an extra telemetry source (the tracker
-             rebinds its own sources to the hw store for this replay). *)
+             its occupancy as an extra telemetry source (the replay
+             rebinds its tracker sources to this pass's tracker). *)
           (match telemetry with
           | None -> ()
           | Some te ->

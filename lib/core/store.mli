@@ -5,7 +5,8 @@
     interval set per process ({!create}), while the hardware model backs
     it with the {!Storage} range cache (bounded, lossy under the drop
     policy; {!of_storage}).  The tracker is written once against this
-    record of operations, so wrappers ({!with_metrics}, timing shims)
+    record of operations, so wrappers ({!with_metrics}, {!with_profile},
+    timing shims)
     substitute into it field by field. *)
 
 type t = {
@@ -51,3 +52,8 @@ val with_metrics : Pift_obs.Registry.t -> t -> t
     range-count gauge updated on every mutation.  Merge detection reads
     the (O(1), incrementally tracked) range count around each
     insertion, so wrap only when observing. *)
+
+val with_profile : Pift_obs.Profile.t -> t -> t
+(** The same store, with every [add], [remove] and [overlaps] call
+    attributed to a ["store"] profiler region nested under whatever
+    region the caller has open. *)

@@ -15,23 +15,9 @@
 type t
 
 val create :
-  ?policy:Policy.t -> ?store:Store.t -> ?metrics:Pift_obs.Registry.t ->
-  ?flight:Pift_obs.Flight.t -> ?prov:Provenance.t ->
-  ?telemetry:Pift_obs.Telemetry.t -> ?profile:Pift_obs.Profile.t -> unit -> t
+  ?policy:Policy.t -> ?store:Store.t -> ?prov:Provenance.t -> unit -> t
 (** [policy] defaults to {!Policy.default}; [store] to
-    [Store.create ()], the exact per-process software store.  When
-    [metrics] is given, the tracker registers [pift_tracker_*] counters
-    and gauges (events, lookups, tainted loads, taint/untaint ops,
-    tainted-bytes and range-count gauges, and a per-pid
-    [pift_tracker_window_opens_total] family) and keeps them in
-    lock-step with {!stats}; without it the observer path is a no-op.
-
-    When [flight] is given, the tracker also stamps the flight recorder:
-    an instant per {!taint_source} (["source"]) and per {!is_tainted}
-    query (["sink-check"]), counter samples ["tainted_bytes"]/["ranges"]
-    whenever the peaks update, and ["window_used"] per in-window store
-    taint — the fine-grained counter tracks behind [--trace-out] on
-    single replays.
+    [Store.create ()], the exact per-process software store.
 
     When [prov] is given (create it with the same policy),
     the tracker drives it as an origin-set sidecar: sources land with
@@ -40,14 +26,12 @@ val create :
     per-label union equals the tracker's own taint state at every step,
     so verdicts, stats and stdout are unchanged by threading it.
 
-    When [telemetry] is given, the tracker registers the
-    ["tainted_bytes"]/["ranges"]/["window_used"] snapshot sources
-    (replacing any previous tracker's bindings on a shared per-slot
-    instance) and bumps it once per {!observe}d event, so the snapshot
-    cadence follows real event flow.  When [profile] is given, every
-    event dispatch is attributed to the ["tracker"] region with store
-    operations nested as ["store"].  Both are no-ops when absent, and
-    neither ever changes verdicts, stats, or stdout. *)
+    The tracker pushes nothing to observers.  Its counters ({!stats},
+    {!current_tainted_bytes}, {!current_ranges}, {!window_used}) are
+    its whole observation surface; callers read them when they need
+    them — {!Pift_eval.Recorded.replay} publishes metrics and binds
+    telemetry sources over them, and store-level profiling wraps the
+    {!Store.t} ({!Store.with_profile}). *)
 
 val policy : t -> Policy.t
 
@@ -61,10 +45,10 @@ val untaint_range : t -> pid:int -> Pift_util.Range.t -> unit
 
 val release_pid : t -> pid:int -> unit
 (** Tenant eviction: drop the pid's window, its store state and (when
-    present) its provenance state, then refresh the observability
-    gauges/series so occupancy returns to the remaining tenants'
-    baseline.  A released pid starts clean if seen again.  Peak stats
-    ([max_tainted_bytes]/[max_ranges]) keep their high-water marks. *)
+    present) its provenance state, so {!current_tainted_bytes} returns
+    to the remaining tenants' baseline.  A released pid starts clean if
+    seen again.  Peak stats ([max_tainted_bytes]/[max_ranges]) keep
+    their high-water marks. *)
 
 val current_tainted_bytes : t -> int
 (** Live store occupancy in bytes (not the peak) — the engine's
@@ -72,6 +56,10 @@ val current_tainted_bytes : t -> int
 
 val current_ranges : t -> int
 (** Live distinct-range count (not the peak). *)
+
+val window_used : t -> pid:int -> int
+(** Stores tainted in the pid's current tainting window (its NT budget
+    used so far); [0] when the pid has no window. *)
 
 val origins_of : t -> pid:int -> Pift_util.Range.t -> string list
 (** Source kinds whose data overlaps the range (sorted); [[]] without a
@@ -98,13 +86,6 @@ type stats = {
 }
 
 val stats : t -> stats
-
-val tainted_bytes_series : t -> Pift_util.Series.t
-(** Tainted-bytes-over-time samples (paper Fig. 15); time is the global
-    instruction sequence number. *)
-
-val ops_series : t -> Pift_util.Series.t
-(** Cumulative tainting+untainting operations over time (Fig. 16). *)
 
 (** {1 Persistence}
 
@@ -133,7 +114,7 @@ val restore : t -> persisted -> unit
     same policy and provenance mode (the snapshot manifest records
     both).  Restored ranges bypass
     [taint_source], so stats and the sidecar keep their persisted
-    values; gauges and the Fig. 15 series are synced once at the end.
+    values.
     After [restore t p] the tracker's observable behaviour — verdicts,
     origin sets, stats, future window decisions — is identical to the
     persisted tracker's. *)

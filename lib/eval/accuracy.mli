@@ -109,11 +109,11 @@ val sweep :
     per cell, not per event, so rings never flood mid-sweep.  [telems]
     (one {!Pift_obs.Telemetry} instance per worker slot) threads the
     continuous-telemetry ring through every grid replay: each cell's
-    tracker re-binds the snapshot sources on its slot's instance, and
+    replay re-binds the snapshot sources on its slot's instance, and
     snapshots fire on the event-count / wall-clock cadence across the
     whole sweep.  [profiles] (one {!Pift_obs.Profile} per slot, also
     handed to the pool) attributes wall time to
-    [pool;replay;tracker;store] (and [pool;record;vm;cpu]) folded
+    [pool;replay;store] (and [pool;record;vm;cpu]) folded
     stacks.  Both follow the per-slot single-writer discipline; neither
     changes cells, metrics, or stdout.  [jobs]
     (default 1) sizes the [Pift_par] domain pool the recordings and

@@ -64,11 +64,41 @@ let grid ?(nis = default_nis) ?(nts = default_nts) ?(rings = [||])
              traced_measure rings ~worker ~name recorded ~ni ~nt)
            points))
 
+(* Figs. 15/16 read the tracker after every item of the recording.  An
+   item changes occupancy at most once and the op count by at most one,
+   so sampling on change, stamped with the last event's seq, keeps every
+   step of both curves.  Both start from an implicit 0. *)
 let series recorded ~ni ~nt =
-  let policy = Policy.make ~ni ~nt () in
-  let replay = Recorded.replay ~policy recorded in
-  ( Series.downsample replay.Recorded.bytes_series 72,
-    Series.downsample replay.Recorded.ops_series 72 )
+  let tracker = Tracker.create ~policy:(Policy.make ~ni ~nt ()) () in
+  let bytes = Series.create ~name:"tainted bytes" () in
+  let ops = Series.create ~name:"taint+untaint ops" () in
+  let sample s ~time value =
+    if value <> Option.value (Series.last_value s) ~default:0 then
+      Series.record s ~time ~value
+  in
+  let next = Recorded.items recorded in
+  let rec loop time =
+    match next () with
+    | None -> ()
+    | Some item ->
+        let time =
+          match item with
+          | Recorded.Item_event e ->
+              Tracker.observe tracker e;
+              e.Pift_trace.Event.seq
+          | Recorded.Item_marker (_, Recorded.Source { kind; range }) ->
+              Tracker.taint_source ~kind tracker ~pid:recorded.Recorded.pid
+                range;
+              time
+          | Recorded.Item_marker (_, Recorded.Sink _) -> time
+        in
+        let s = Tracker.stats tracker in
+        sample bytes ~time (Tracker.current_tainted_bytes tracker);
+        sample ops ~time (s.Tracker.taint_ops + s.Tracker.untaint_ops);
+        loop time
+  in
+  loop 0;
+  (Series.downsample bytes 72, Series.downsample ops 72)
 
 let untaint_effect ?(rings = [||]) ?(jobs = 1) recorded ~nis ~nt =
   Pift_par.Pool.with_pool ~jobs ~rings (fun pool ->

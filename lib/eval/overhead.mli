@@ -34,7 +34,11 @@ val series :
   nt:int ->
   (int * int) list * (int * int) list
 (** Fig. 15 and Fig. 16: (tainted-bytes-over-time,
-    cumulative-operations-over-time) samples for one parameter pair. *)
+    cumulative-operations-over-time) samples for one parameter pair,
+    time being the global instruction sequence number.  Built by
+    feeding the recording's {!Recorded.items} to a tracker and reading
+    its counters after each one; each curve is downsampled to at most
+    72 points. *)
 
 val untaint_effect :
   ?rings:Pift_obs.Flight.t array ->

@@ -63,8 +63,6 @@ type replay = {
   verdicts : verdict list;
   flagged : bool;
   stats : Tracker.stats;
-  bytes_series : Pift_util.Series.t;
-  ops_series : Pift_util.Series.t;
   origins : origin_verdict list;
 }
 
@@ -119,8 +117,56 @@ let items t =
     end
     else None
 
-let replay ?store ?metrics ?flight ?telemetry
-    ?profile ?(with_origins = false) ~policy t =
+(* The tracker's [pift_tracker_*] metrics, read off its own counters
+   when a replay ends.  The cells are registered when the replay starts,
+   so they sit between the store's cells and any later pass's in the
+   snapshot.  A recording runs one VM process, so every window the
+   tracker opened belongs to [pid]. *)
+let tracker_metrics registry =
+  let module Counter = Pift_obs.Metric.Counter in
+  let module Gauge = Pift_obs.Metric.Gauge in
+  let c help name = Pift_obs.Registry.counter registry ~help name in
+  let g help name = Pift_obs.Registry.gauge registry ~help name in
+  let window_opens =
+    Pift_obs.Registry.counter_family registry
+      ~help:"tainting windows opened or restarted, per process" ~label:"pid"
+      "pift_tracker_window_opens_total"
+  in
+  let ranges = g "distinct tainted ranges" "pift_tracker_ranges" in
+  let tainted_bytes =
+    g "currently tainted bytes across processes (Fig. 15)"
+      "pift_tracker_tainted_bytes"
+  in
+  let untaint_ops =
+    c "store ranges untainted (Fig. 16)" "pift_tracker_untaint_ops_total"
+  in
+  let taint_ops =
+    c "store ranges tainted by propagation (Fig. 16)"
+      "pift_tracker_taint_ops_total"
+  in
+  let tainted_loads =
+    c "queries that hit and opened a window" "pift_tracker_tainted_loads_total"
+  in
+  let lookups = c "load-time taint queries" "pift_tracker_lookups_total" in
+  let events = c "instruction events observed" "pift_tracker_events_total" in
+  fun tracker ~pid ->
+    let s = Tracker.stats tracker in
+    Counter.add events s.Tracker.events;
+    Counter.add lookups s.Tracker.lookups;
+    Counter.add tainted_loads s.Tracker.tainted_loads;
+    Counter.add taint_ops s.Tracker.taint_ops;
+    Counter.add untaint_ops s.Tracker.untaint_ops;
+    (* A gauge snapshots its peak too: the high-water mark, then the
+       live value. *)
+    Gauge.set tainted_bytes s.Tracker.max_tainted_bytes;
+    Gauge.set tainted_bytes (Tracker.current_tainted_bytes tracker);
+    Gauge.set ranges s.Tracker.max_ranges;
+    Gauge.set ranges (Tracker.current_ranges tracker);
+    if s.Tracker.tainted_loads > 0 then
+      Counter.add (window_opens (string_of_int pid)) s.Tracker.tainted_loads
+
+let replay ?store ?metrics ?telemetry ?profile ?(with_origins = false) ~policy
+    t =
   Pift_obs.Profile.span profile "replay" @@ fun () ->
   let store =
     match store with Some store -> store | None -> Store.create ()
@@ -130,6 +176,12 @@ let replay ?store ?metrics ?flight ?telemetry
     | Some registry -> Store.with_metrics registry store
     | None -> store
   in
+  let store =
+    match profile with
+    | Some p -> Store.with_profile p store
+    | None -> store
+  in
+  let publish = Option.map tracker_metrics metrics in
   (* The sidecar shares the replay's policy; sink-time origin
      sets must be captured at the sink check (later untainting can erase
      them), hence the [origin_verdict] list rather than a final query. *)
@@ -138,8 +190,26 @@ let replay ?store ?metrics ?flight ?telemetry
       Some (Pift_core.Provenance.create ~policy ())
     else None
   in
-  let tracker =
-    Tracker.create ~policy ~store ?metrics ?flight ?prov ?telemetry ?profile ()
+  let tracker = Tracker.create ~policy ~store ?prov () in
+  (* Telemetry sources read the tracker's live counters; they replace any
+     previous replay's bindings on a shared per-slot instance (a sweep
+     replays every cell against the same one). *)
+  let observe =
+    match telemetry with
+    | None -> Tracker.observe tracker
+    | Some te ->
+        let module Telemetry = Pift_obs.Telemetry in
+        let source name f =
+          Telemetry.set_source te ~name (fun () -> float_of_int (f ()))
+        in
+        source "tainted_bytes" (fun () ->
+            Tracker.current_tainted_bytes tracker);
+        source "ranges" (fun () -> Tracker.current_ranges tracker);
+        source "window_used" (fun () ->
+            Tracker.window_used tracker ~pid:t.pid);
+        fun e ->
+          Telemetry.bump te;
+          Tracker.observe tracker e
   in
   let verdicts = ref [] in
   let origin_verdicts = ref [] in
@@ -163,14 +233,13 @@ let replay ?store ?metrics ?flight ?telemetry
             :: !origin_verdicts
         end
   in
-  interleave t ~observe:(Tracker.observe tracker) ~on_marker;
+  interleave t ~observe ~on_marker;
+  Option.iter (fun publish -> publish tracker ~pid:t.pid) publish;
   let verdicts = List.rev !verdicts in
   {
     verdicts;
     flagged = List.exists (fun (v : verdict) -> v.flagged) verdicts;
     stats = Tracker.stats tracker;
-    bytes_series = Tracker.tainted_bytes_series tracker;
-    ops_series = Tracker.ops_series tracker;
     origins = List.rev !origin_verdicts;
   }
 

@@ -29,7 +29,7 @@ val record :
     exception terminates the run but still yields the recording.
     [mode] selects interpreter or JIT execution (default interpreter);
     [metrics] instruments the CPU and VM of the recording run; [flight]
-    additionally stamps ["source"]/["sink-check"] instants as the
+    stamps one ["source"]/["sink-check"] instant per marker as the
     Manager fires and passes through to the VM's ["vm-run"] span;
     [profile] attributes the run to a ["record"] region with the VM's
     ["vm"]/["cpu"] regions nested beneath it. *)
@@ -64,35 +64,39 @@ type replay = {
   verdicts : verdict list;  (** in sink-check order *)
   flagged : bool;  (** any sink check came back tainted *)
   stats : Pift_core.Tracker.stats;
-  bytes_series : Pift_util.Series.t;
-  ops_series : Pift_util.Series.t;
   origins : origin_verdict list;
       (** in sink-check order; [[]] unless replayed [~with_origins] *)
 }
 
 val replay :
   ?store:Pift_core.Store.t ->
-  ?metrics:Pift_obs.Registry.t -> ?flight:Pift_obs.Flight.t ->
+  ?metrics:Pift_obs.Registry.t ->
   ?telemetry:Pift_obs.Telemetry.t -> ?profile:Pift_obs.Profile.t ->
   ?with_origins:bool ->
   policy:Pift_core.Policy.t -> t -> replay
 (** Run Algorithm 1 over the recording.  [store] defaults to a fresh
     {!Pift_core.Store.create}; pass one to replay against another
-    {!Pift_core.Store.t} (a range-cache model, a wrapped store).  With
-    [metrics], the
-    tracker and the taint store are instrumented ([pift_tracker_*],
-    [pift_store_*]); [flight] is handed to the tracker for fine-grained
-    event/counter stamps; verdicts and {!Pift_core.Tracker.stats} are
-    unaffected.  [telemetry] is handed to the tracker, which bumps the
-    snapshot cadence per event and binds the
-    ["tainted_bytes"]/["ranges"]/["window_used"] sources; [profile]
-    wraps the whole replay in a ["replay"] region with the tracker's
-    ["tracker"]/["store"] regions nested beneath it.  Neither changes
-    verdicts, stats, series, or stdout.  [with_origins] (default off)
-    threads a
-    {!Pift_core.Provenance} sidecar (same policy) through
-    the tracker and fills [origins]; verdicts, stats and series are
-    byte-identical with it on or off. *)
+    {!Pift_core.Store.t} (a range-cache model, a wrapped store).
+
+    The replay observes the tracker from outside; none of these
+    changes verdicts, stats or stdout:
+    - [metrics] wraps the store with {!Pift_core.Store.with_metrics}
+      ([pift_store_*]) and, when the replay ends, publishes the
+      tracker's [pift_tracker_*] counters from its {!Pift_core.Tracker.stats},
+      the [pift_tracker_tainted_bytes]/[pift_tracker_ranges] gauges
+      (peak and final value), and
+      [pift_tracker_window_opens_total{pid}] under the recording's pid.
+    - [telemetry] binds the ["tainted_bytes"], ["ranges"] and
+      ["window_used"] sources to the tracker's live counters (replacing
+      a previous replay's bindings on a shared instance) and is bumped
+      once per event.
+    - [profile] wraps the whole replay in a ["replay"] region, with
+      store operations nested beneath it as ["store"]
+      ({!Pift_core.Store.with_profile}).
+
+    [with_origins] (default off) threads a {!Pift_core.Provenance}
+    sidecar (same policy) through the tracker and fills [origins];
+    verdicts and stats are byte-identical with it on or off. *)
 
 type dift_replay = {
   dift_verdicts : verdict list;

@@ -8,7 +8,7 @@
    Attribution rule: a region's *self* time is its wall time minus the
    wall time of the regions entered beneath it, so sibling totals are
    additive and a folded stack sums to the instrumented wall clock.
-   Paths are semicolon-joined region names ("pool;replay;tracker;store"),
+   Paths are semicolon-joined region names ("pool;replay;store"),
    the folded-stack format flamegraph.pl and speedscope consume. *)
 
 type frame = {

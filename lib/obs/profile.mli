@@ -5,7 +5,7 @@
     [option]-gated {!span}); each completed region accumulates its
     *self* time — wall time minus the time of the regions entered
     beneath it — under its semicolon-joined path
-    (["pool;replay;tracker;store"]).  Self times are additive: a folded
+    (["pool;replay;store"]).  Self times are additive: a folded
     stack sums to the instrumented wall clock, which is what makes the
     per-subsystem percentage breakdown meaningful.
 

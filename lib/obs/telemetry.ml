@@ -1,17 +1,15 @@
 (* Continuous telemetry: a bounded ring of periodic snapshots taken
-   while a run is in flight, so tainted-byte growth, store occupancy and
-   the registry's counters become time series instead of end-of-run
-   aggregates.
+   while a run is in flight, so tainted-byte growth and store occupancy
+   become time series instead of end-of-run aggregates.
 
    One instance per worker slot, single writer (the ring discipline of
    [Flight]): [bump] is the per-event hot path — an integer increment
    and a compare, plus a clock read at most every 64 events when a
    wall-clock interval is configured.  Snapshots read the registered
-   sources (closures over live tracker/store/storage state) and the
-   attached registry; when the ring is full the oldest snapshots are
-   overwritten and counted as dropped.  Capacity 0 turns recording off:
-   every call is a no-op, the same convention as [Flight.create
-   ~capacity:0]. *)
+   sources (closures over live tracker/store/storage state); when the
+   ring is full the oldest snapshots are overwritten and counted as
+   dropped.  Capacity 0 turns recording off: every call is a no-op, the
+   same convention as [Flight.create ~capacity:0]. *)
 
 type snapshot = {
   sn_seq : int;  (* snapshots taken before this one *)
@@ -26,7 +24,6 @@ type t = {
   interval : float;  (* seconds between snapshots; <= 0 disables *)
   sources : (string, unit -> float) Hashtbl.t;
   mutable source_order_rev : string list;
-  mutable registry : Registry.t option;
   ring : snapshot array;
   mutable taken : int;
   mutable events : int;
@@ -49,7 +46,6 @@ let create ?(capacity = default_capacity) ?(every = default_every)
     interval;
     sources = Hashtbl.create 8;
     source_order_rev = [];
-    registry = None;
     ring = Array.make (max 1 cap) empty_snapshot;
     taken = 0;
     events = 0;
@@ -70,33 +66,7 @@ let set_source t ~name f =
     Hashtbl.replace t.sources name f
   end
 
-let attach_registry t registry = if t.cap > 0 then t.registry <- Some registry
-
 let on_snapshot t f = t.on_snapshot <- Some f
-
-(* Registry counters and gauges become series points named by metric
-   (plus a {label=value} suffix for family cells); histograms are
-   end-of-run distributions and are skipped. *)
-let registry_values registry =
-  List.concat_map
-    (fun (s : Registry.sample) ->
-      List.filter_map
-        (fun (labels, point) ->
-          let name =
-            match labels with
-            | [] -> s.Registry.s_name
-            | labels ->
-                s.Registry.s_name ^ "{"
-                ^ String.concat ","
-                    (List.map (fun (k, v) -> k ^ "=" ^ v) labels)
-                ^ "}"
-          in
-          match point with
-          | Registry.P_counter v -> Some (name, float_of_int v)
-          | Registry.P_gauge { value; _ } -> Some (name, value)
-          | Registry.P_histogram _ -> None)
-        s.Registry.s_points)
-    (Registry.snapshot registry)
 
 let sample_now t =
   if t.cap > 0 then begin
@@ -105,7 +75,6 @@ let sample_now t =
       List.rev_map
         (fun name -> (name, (Hashtbl.find t.sources name) ()))
         t.source_order_rev
-      @ match t.registry with None -> [] | Some r -> registry_values r
     in
     t.ring.(t.taken mod t.cap) <-
       { sn_seq = t.taken; sn_ts = ts; sn_events = t.events; sn_values = values };

@@ -2,10 +2,10 @@
     while a run is in flight.
 
     A telemetry instance holds named {e sources} — closures over live
-    tracker/store/storage state — plus, optionally, a whole metrics
-    registry.  The instrumented hot path calls {!bump} once per event;
-    every [every] events (or every [interval] seconds, whichever
-    triggers first) the instance reads all sources into a snapshot.
+    tracker/store/storage state.  The instrumented hot path calls
+    {!bump} once per event; every [every] events (or every [interval]
+    seconds, whichever triggers first) the instance reads all sources
+    into a snapshot.
     When the ring fills, the oldest snapshots are overwritten and
     counted by {!dropped}; a ring created with [~capacity:0] accepts
     every call as a no-op — recording is off, the [Flight] convention.
@@ -45,11 +45,6 @@ val set_source : t -> name:string -> (unit -> float) -> unit
     cell against the same per-slot telemetry, and each must rebind
     ["tainted_bytes"] to its own store rather than accumulate
     duplicates. *)
-
-val attach_registry : t -> Registry.t -> unit
-(** Also snapshot every counter and gauge of [registry] (named by
-    metric, with a [{label=value}] suffix for family cells); histograms
-    are skipped. *)
 
 val on_snapshot : t -> (unit -> unit) -> unit
 (** Hook called after each snapshot is taken — how [pift top] repaints

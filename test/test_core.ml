@@ -201,25 +201,31 @@ let test_tracker_untaint_disabled () =
   checkb "untaint when enabled" false
     (Tracker.is_tainted t2 ~pid:1 (r 105 106))
 
-(* Fig. 15 plots tainted bytes over the instruction stream; an explicit
-   untaint (e.g. a scrubbing intrinsic) must show up as a dip in the
-   series, not just in a later event's sample.  untaint_range used to
-   skip the peak/series update, so the dip was invisible until the next
-   observed event — and absent entirely at end of trace. *)
+(* An explicit untaint (e.g. a scrubbing intrinsic) must show up as a
+   dip in the live occupancy at once — Fig. 15 and the telemetry
+   sources read it from there — while the byte peak keeps its
+   high-water mark. *)
 let test_tracker_untaint_range_records_dip () =
-  let module Series = Pift_util.Series in
   let t = Tracker.create ~policy:(Policy.make ~ni:3 ~nt:2 ()) () in
   Tracker.taint_source t ~pid:1 (r 100 199);
   feed t [ load (r 100 101) 1; store (r 300 303) 2 ];
-  let series = Tracker.tainted_bytes_series t in
-  let before = Option.get (Series.last_value series) in
-  checki "bytes before untaint" 104 before;
+  checki "bytes before untaint" 104 (Tracker.current_tainted_bytes t);
   Tracker.untaint_range t ~pid:1 (r 150 199);
   checkb "range untainted" false (Tracker.is_tainted t ~pid:1 (r 150 199));
-  checki "series records the dip" 54
-    (Option.get (Series.last_value series));
+  checki "occupancy records the dip" 54 (Tracker.current_tainted_bytes t);
   checki "peak survives the dip" 104
-    (Tracker.stats t).Tracker.max_tainted_bytes
+    (Tracker.stats t).Tracker.max_tainted_bytes;
+  (* A removal that cuts a hole splits a range in two: the range peak
+     must follow, both for a Manager untaint and for an observed
+     out-of-window store. *)
+  Tracker.untaint_range t ~pid:1 (r 120 129);
+  checki "split by untaint_range" 3 (Tracker.current_ranges t);
+  checki "range peak follows untaint_range" 3
+    (Tracker.stats t).Tracker.max_ranges;
+  feed t [ store (r 110 111) 10 ];
+  checki "split by an untaint op" 4 (Tracker.current_ranges t);
+  checki "range peak follows the untaint op" 4
+    (Tracker.stats t).Tracker.max_ranges
 
 let test_tracker_per_pid () =
   let t = Tracker.create ~policy:(Policy.make ~ni:5 ~nt:1 ()) () in
@@ -242,14 +248,10 @@ let test_tracker_per_pid () =
   checkb "window is per-process" false
     (Tracker.is_tainted t ~pid:2 (r 310 311))
 
-(* Regression: a hand-built 10-event trace with known taint traffic must
-   yield the same taint_ops/untaint_ops/lookups through the legacy
-   [stats] record and the [pift_tracker_*] metrics registry. *)
+(* Regression: a hand-built 10-event trace with known taint traffic
+   must yield known [stats] counts. *)
 let test_tracker_ten_event_counts () =
-  let registry = Pift_obs.Registry.create () in
-  let t =
-    Tracker.create ~policy:(Policy.make ~ni:4 ~nt:2 ()) ~metrics:registry ()
-  in
+  let t = Tracker.create ~policy:(Policy.make ~ni:4 ~nt:2 ()) () in
   Tracker.taint_source t ~pid:1 (r 100 120);
   feed t
     [
@@ -270,18 +272,8 @@ let test_tracker_ten_event_counts () =
   checki "tainted loads" 2 s.Tracker.tainted_loads;
   checki "taint ops" 3 s.Tracker.taint_ops;
   checki "untaint ops" 1 s.Tracker.untaint_ops;
-  let metric name =
-    Option.value ~default:(-1) (Pift_obs.Registry.find_counter registry name)
-  in
-  checki "metric events" s.Tracker.events (metric "pift_tracker_events_total");
-  checki "metric lookups" s.Tracker.lookups
-    (metric "pift_tracker_lookups_total");
-  checki "metric tainted loads" s.Tracker.tainted_loads
-    (metric "pift_tracker_tainted_loads_total");
-  checki "metric taint ops" s.Tracker.taint_ops
-    (metric "pift_tracker_taint_ops_total");
-  checki "metric untaint ops" s.Tracker.untaint_ops
-    (metric "pift_tracker_untaint_ops_total")
+  checki "window used after the restart" 1 (Tracker.window_used t ~pid:1);
+  checki "no window, none used" 0 (Tracker.window_used t ~pid:2)
 
 (* Differential property: Tracker vs the naive Reference on random event
    streams. *)
@@ -757,10 +749,10 @@ let () =
             test_tracker_window_restart;
           Alcotest.test_case "untaint switch" `Quick
             test_tracker_untaint_disabled;
-          Alcotest.test_case "untaint dip in series" `Quick
+          Alcotest.test_case "untaint dip in occupancy" `Quick
             test_tracker_untaint_range_records_dip;
           Alcotest.test_case "per-pid state" `Quick test_tracker_per_pid;
-          Alcotest.test_case "10-event stats vs metrics" `Quick
+          Alcotest.test_case "10-event stats" `Quick
             test_tracker_ten_event_counts;
         ] );
       ("differential", qsuite);

@@ -199,6 +199,41 @@ let test_series_monotonic () =
   checkb "cumulative ops monotone" true (monotone ops);
   checkb "ops recorded" true (List.length ops > 2)
 
+(* Figs. 15/16 end where the replay's counters end: the last bytes
+   sample is the final occupancy (read off the replay's published
+   gauge), the bytes curve peaks at [max_tainted_bytes], and the ops
+   curve steps by one per op up to [taint_ops + untaint_ops].  The apps
+   are small enough that neither curve is downsampled. *)
+let test_series_endpoints () =
+  List.iter
+    (fun name ->
+      let r = Recorded.record (Option.get (Droidbench.find name)) in
+      let registry = Pift_obs.Registry.create () in
+      let s =
+        (Recorded.replay ~metrics:registry ~policy:(Policy.make ~ni:13 ~nt:3 ())
+           r)
+          .Recorded.stats
+      in
+      let bytes, ops = Overhead.series r ~ni:13 ~nt:3 in
+      let check what = checki (name ^ ": " ^ what) in
+      let last pts = snd (List.nth pts (List.length pts - 1)) in
+      check "last bytes sample is the final occupancy"
+        (int_of_float
+           (Option.get
+              (Pift_obs.Registry.find_gauge registry
+                 "pift_tracker_tainted_bytes")))
+        (last bytes);
+      check "bytes curve peaks at max_tainted_bytes"
+        s.Tracker.max_tainted_bytes
+        (List.fold_left (fun m (_, v) -> max m v) 0 bytes);
+      check "last ops value" (s.Tracker.taint_ops + s.Tracker.untaint_ops)
+        (last ops);
+      checkb (name ^ ": one ops sample per op") true
+        (List.mapi (fun i (_, v) -> v = i + 1) ops |> List.for_all Fun.id))
+    [
+      "StringConcat1"; "BenignOverwrite1"; "BenignSeparate1"; "LifecycleClear1";
+    ]
+
 (* --- Trace statistics -------------------------------------------------------- *)
 
 let test_trace_statistics () =
@@ -737,6 +772,7 @@ let () =
         [
           Alcotest.test_case "regimes" `Slow test_overhead_regimes;
           Alcotest.test_case "series" `Quick test_series_monotonic;
+          Alcotest.test_case "series endpoints" `Quick test_series_endpoints;
         ] );
       ( "trace stats",
         [ Alcotest.test_case "fig2 properties" `Quick test_trace_statistics ] );

@@ -288,26 +288,81 @@ let test_merge_four_domain_gauge_max () =
 
 (* --- instrumentation must not perturb results ---------------------------- *)
 
-let test_metrics_do_not_change_stats () =
-  let app = Option.get (Pift_workloads.Droidbench.find "StringConcat1") in
-  let recorded = Recorded.record app in
-  let plain = Recorded.replay ~policy:Policy.default recorded in
-  let registry = Registry.create () in
-  let metered =
-    Recorded.replay ~metrics:registry ~policy:Policy.default recorded
+(* Final occupancy of a recording's replay, read off a tracker fed the
+   recording's items — independent of the metrics publish path. *)
+let final_occupancy recorded =
+  let t = Tracker.create ~policy:Policy.default () in
+  let next = Recorded.items recorded in
+  let rec loop () =
+    match next () with
+    | None -> ()
+    | Some (Recorded.Item_event e) ->
+        Tracker.observe t e;
+        loop ()
+    | Some (Recorded.Item_marker (_, Recorded.Source { kind; range })) ->
+        Tracker.taint_source ~kind t ~pid:recorded.Recorded.pid range;
+        loop ()
+    | Some (Recorded.Item_marker (_, Recorded.Sink _)) -> loop ()
   in
-  checkb "stats identical" true
-    (plain.Recorded.stats = metered.Recorded.stats);
-  checkb "verdicts identical" true
-    (plain.Recorded.verdicts = metered.Recorded.verdicts);
-  (* and the registry agrees with the stats record *)
-  let s = metered.Recorded.stats in
-  let metric name = Option.get (Registry.find_counter registry name) in
-  checki "taint ops" s.Tracker.taint_ops
-    (metric "pift_tracker_taint_ops_total");
-  checki "untaint ops" s.Tracker.untaint_ops
-    (metric "pift_tracker_untaint_ops_total");
-  checki "lookups" s.Tracker.lookups (metric "pift_tracker_lookups_total")
+  loop ();
+  (Tracker.current_tainted_bytes t, Tracker.current_ranges t)
+
+let test_metrics_do_not_change_stats () =
+  List.iter
+    (fun name ->
+      let app = Option.get (Pift_workloads.Droidbench.find name) in
+      let recorded = Recorded.record app in
+      let plain = Recorded.replay ~policy:Policy.default recorded in
+      let registry = Registry.create () in
+      let metered =
+        Recorded.replay ~metrics:registry ~policy:Policy.default recorded
+      in
+      let check what = Alcotest.(check int) (name ^ ": " ^ what) in
+      checkb (name ^ ": stats identical") true
+        (plain.Recorded.stats = metered.Recorded.stats);
+      checkb (name ^ ": verdicts identical") true
+        (plain.Recorded.verdicts = metered.Recorded.verdicts);
+      (* and the registry agrees with the stats record, cell by cell *)
+      let s = metered.Recorded.stats in
+      let samples = Registry.snapshot registry in
+      let point metric labels =
+        match
+          List.find_opt (fun sm -> sm.Registry.s_name = metric) samples
+        with
+        | None -> Alcotest.failf "%s: %s not registered" name metric
+        | Some sm -> List.assoc_opt labels sm.Registry.s_points
+      in
+      let counter ?(labels = []) metric =
+        match point metric labels with
+        | Some (Registry.P_counter v) -> v
+        | _ -> Alcotest.failf "%s: %s is not a counter cell" name metric
+      in
+      let gauge metric =
+        match point metric [] with
+        | Some (Registry.P_gauge { value; peak }) ->
+            (int_of_float value, int_of_float peak)
+        | _ -> Alcotest.failf "%s: %s is not a gauge" name metric
+      in
+      check "events" s.Tracker.events (counter "pift_tracker_events_total");
+      check "lookups" s.Tracker.lookups (counter "pift_tracker_lookups_total");
+      check "tainted loads" s.Tracker.tainted_loads
+        (counter "pift_tracker_tainted_loads_total");
+      check "taint ops" s.Tracker.taint_ops
+        (counter "pift_tracker_taint_ops_total");
+      check "untaint ops" s.Tracker.untaint_ops
+        (counter "pift_tracker_untaint_ops_total");
+      check "window opens of the recording's pid" s.Tracker.tainted_loads
+        (counter
+           ~labels:[ ("pid", string_of_int recorded.Recorded.pid) ]
+           "pift_tracker_window_opens_total");
+      let bytes, ranges = final_occupancy recorded in
+      let bytes_value, bytes_peak = gauge "pift_tracker_tainted_bytes" in
+      let ranges_value, ranges_peak = gauge "pift_tracker_ranges" in
+      check "tainted bytes gauge" bytes bytes_value;
+      check "tainted bytes peak" s.Tracker.max_tainted_bytes bytes_peak;
+      check "ranges gauge" ranges ranges_value;
+      check "ranges peak" s.Tracker.max_ranges ranges_peak)
+    [ "StringConcat1"; "BenignOverwrite1" ]
 
 let () =
   Alcotest.run "pift_obs"

@@ -374,9 +374,11 @@ let test_replay_unperturbed () =
   checkb "telemetry actually sampled" true (Telemetry.taken telemetry > 0);
   checkb "tracker sources registered" true
     (List.mem_assoc "tainted_bytes" (Telemetry.latest telemetry));
-  checkb "profiler saw the replay" true
+  checkb "window_used source registered" true
+    (List.mem_assoc "window_used" (Telemetry.latest telemetry));
+  checkb "profiler saw the store" true
     (List.exists
-       (fun (path, _) -> Profile.leaf path = "tracker")
+       (fun (path, _) -> Profile.leaf path = "store")
        (Profile.folded profile))
 
 let () =
