@@ -657,7 +657,6 @@ let write_service_bench () =
   let module Json = Pift_obs.Json in
   let module Engine = Pift_service.Engine in
   let module Ingest = Pift_service.Ingest in
-  let module Admin = Pift_service.Admin in
   let recorded = Lazy.force bench_trace in
   let policy = Policy.default in
   let tenants = 32 in
@@ -678,18 +677,18 @@ let write_service_bench () =
         let identical =
           List.for_all
             (fun i ->
-              match Admin.snapshot_tenant eng ~pid:(Ingest.tenant_pid i) with
+              match Engine.snapshot_tenant eng ~pid:(Ingest.tenant_pid i) with
               | None -> false
               | Some ts ->
                   List.map
-                    (fun (v : Admin.verdict) ->
-                      (v.Admin.v_kind, v.Admin.v_flagged))
-                    ts.Admin.ts_verdicts
+                    (fun (v : Engine.verdict) ->
+                      (v.Engine.v_kind, v.Engine.v_flagged))
+                    ts.Engine.ts_verdicts
                   = List.map
                       (fun (v : Recorded.verdict) ->
                         (v.Recorded.kind, v.Recorded.flagged))
                       isolated.Recorded.verdicts
-                  && ts.Admin.ts_stats = isolated.Recorded.stats)
+                  && ts.Engine.ts_stats = isolated.Recorded.stats)
             (List.init tenants Fun.id)
         in
         (seconds, identical))
@@ -750,7 +749,6 @@ let write_snapshot_bench () =
   let module Json = Pift_obs.Json in
   let module Engine = Pift_service.Engine in
   let module Ingest = Pift_service.Ingest in
-  let module Admin = Pift_service.Admin in
   let module Snapshot = Pift_service.Snapshot in
   let recorded = Lazy.force bench_trace in
   let policy = Policy.default in
@@ -774,12 +772,12 @@ let write_snapshot_bench () =
       infinity
       (List.init n Fun.id)
   in
-  let tenant_matches (ts : Admin.tenant_snapshot)
-      (ref_ts : Admin.tenant_snapshot) =
-    ts.Admin.ts_verdicts = ref_ts.Admin.ts_verdicts
-    && ts.Admin.ts_stats = ref_ts.Admin.ts_stats
-    && ts.Admin.ts_tainted_bytes = ref_ts.Admin.ts_tainted_bytes
-    && ts.Admin.ts_ranges = ref_ts.Admin.ts_ranges
+  let tenant_matches (ts : Engine.tenant_snapshot)
+      (ref_ts : Engine.tenant_snapshot) =
+    ts.Engine.ts_verdicts = ref_ts.Engine.ts_verdicts
+    && ts.Engine.ts_stats = ref_ts.Engine.ts_stats
+    && ts.Engine.ts_tainted_bytes = ref_ts.Engine.ts_tainted_bytes
+    && ts.Engine.ts_ranges = ref_ts.Engine.ts_ranges
   in
   let tmp = Filename.temp_file "pift_bench" ".piftsnap" in
   let mid = Filename.temp_file "pift_bench_mid" ".piftsnap" in
@@ -797,9 +795,9 @@ let write_snapshot_bench () =
             let reference =
               List.init tenants (fun i ->
                   Option.get
-                    (Admin.snapshot_tenant eng ~pid:(Ingest.tenant_pid i)))
+                    (Engine.snapshot_tenant eng ~pid:(Ingest.tenant_pid i)))
             in
-            let snapshot_s = best_of 5 (fun () -> Admin.save_snapshot eng tmp) in
+            let snapshot_s = best_of 5 (fun () -> Snapshot.save eng tmp) in
             let snapshot_bytes = (Unix.stat tmp).Unix.st_size in
             let restore_s =
               best_of 3 (fun () ->
@@ -817,7 +815,7 @@ let write_snapshot_bench () =
           let on_idle () =
             if not !saved then begin
               saved := true;
-              Admin.save_snapshot
+              Snapshot.save
                 ~sources:(Snapshot.source_entries sources)
                 eng mid
             end
@@ -850,7 +848,7 @@ let write_snapshot_bench () =
               List.for_all
                 (fun i ->
                   match
-                    Admin.snapshot_tenant eng ~pid:(Ingest.tenant_pid i)
+                    Engine.snapshot_tenant eng ~pid:(Ingest.tenant_pid i)
                   with
                   | None -> false
                   | Some ts -> tenant_matches ts (List.nth reference i))

@@ -1231,27 +1231,26 @@ let print_tenant_block ~name ~prov verdicts (s : Tracker.stats) =
 let print_tenant_blocks eng ~prov pids =
   List.iter
     (fun pid ->
-      match Service.Admin.snapshot_tenant eng ~pid with
+      match Service.Engine.snapshot_tenant eng ~pid with
       | None -> ()
       | Some ts ->
-          print_tenant_block ~name:ts.Service.Admin.ts_name ~prov
+          print_tenant_block ~name:ts.Service.Engine.ts_name ~prov
             (List.map
-               (fun (v : Service.Admin.verdict) ->
-                 (v.Service.Admin.v_kind, v.Service.Admin.v_flagged,
-                  v.Service.Admin.v_origins))
-               ts.Service.Admin.ts_verdicts)
-            ts.Service.Admin.ts_stats)
+               (fun (v : Service.Engine.verdict) ->
+                 (v.Service.Engine.v_kind, v.Service.Engine.v_flagged,
+                  v.Service.Engine.v_origins))
+               ts.Service.Engine.ts_verdicts)
+            ts.Service.Engine.ts_stats)
     pids
 
 let print_engine_stats eng shards =
-  let st = Service.Admin.stats eng in
+  let st = Service.Engine.stats eng in
   Printf.eprintf
     "engine: %d shard(s), %d tenant(s), %d items (%d events), %d batches, \
      %d dropped\n"
-    shards
-    (List.length (Service.Admin.tenants eng))
-    st.Service.Admin.st_items st.Service.Admin.st_events
-    st.Service.Admin.st_batches st.Service.Admin.st_dropped
+    shards st.Service.Engine.st_tenants st.Service.Engine.st_items
+    st.Service.Engine.st_events st.Service.Engine.st_batches
+    st.Service.Engine.st_dropped
 
 let snapshot_file dir = Filename.concat dir "engine.piftsnap"
 
@@ -1274,7 +1273,7 @@ let serve_engine eng ~prov ~shards ~snapshot_dir ~snapshot_every sources =
   let on_idle =
     Option.map
       (fun dir () ->
-        Service.Admin.save_snapshot
+        Service.Snapshot.save
           ~sources:(Service.Snapshot.source_entries sources)
           eng (snapshot_file dir);
         incr snapshots;
@@ -1417,7 +1416,8 @@ let serve_cmd =
     let doc =
       "Write a PIFTSNAP1 snapshot of all tenant state (and ingest \
        cursors) to $(docv)/engine.piftsnap at every snapshot point.  \
-       Writes are atomic, so a crash always leaves a complete snapshot."
+       Writes are atomic and fsynced, so they survive process kill and \
+       power loss: a crash always leaves a complete snapshot."
     in
     Arg.(
       value
@@ -1471,8 +1471,8 @@ let snapshot_inspect path =
          else " path " ^ se.Service.Snapshot.se_path))
     snap.Service.Snapshot.sources;
   List.iter
-    (fun (tp : Service.Admin.tenant_persisted) ->
-      let st = tp.Service.Admin.tp_state in
+    (fun (tp : Service.Engine.tenant_persisted) ->
+      let st = tp.Service.Engine.tp_state in
       let ranges =
         List.concat_map snd st.Tracker.p_store |> List.length
       in
@@ -1483,8 +1483,8 @@ let snapshot_inspect path =
       Printf.printf
         "tenant %s pid %d: %d verdicts, %d events, %d tainted bytes, %d \
          ranges\n"
-        tp.Service.Admin.tp_name tp.Service.Admin.tp_pid
-        (List.length tp.Service.Admin.tp_verdicts)
+        tp.Service.Engine.tp_name tp.Service.Engine.tp_pid
+        (List.length tp.Service.Engine.tp_verdicts)
         st.Tracker.p_stats.Tracker.events bytes ranges)
     snap.Service.Snapshot.tenants
 
@@ -1514,8 +1514,8 @@ let restore_run path shards =
       Service.Snapshot.restore_tenants eng snap;
       print_tenant_blocks eng ~prov
         (List.map
-           (fun (tp : Service.Admin.tenant_persisted) ->
-             tp.Service.Admin.tp_pid)
+           (fun (tp : Service.Engine.tenant_persisted) ->
+             tp.Service.Engine.tp_pid)
            snap.Service.Snapshot.tenants);
       print_engine_stats eng shards)
 

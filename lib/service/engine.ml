@@ -5,10 +5,6 @@ module Store = Pift_core.Store
 module Tracker = Pift_core.Tracker
 module Provenance = Pift_core.Provenance
 module Pool = Pift_par.Pool
-module Registry = Pift_obs.Registry
-module Telemetry = Pift_obs.Telemetry
-module Counter = Pift_obs.Metric.Counter
-module Gauge = Pift_obs.Metric.Gauge
 
 type item =
   | I_event of Event.t
@@ -23,7 +19,7 @@ type verdict = { v_kind : string; v_flagged : bool; v_origins : string list }
 
 (* One tenant = one pid = one private tracker stack (store + optional
    provenance sidecar).  Private per tenant, not per shard: the tracker's
-   stats and series are then the tenant's alone, which is what makes the
+   stats are then the tenant's alone, which is what makes the
    interleaved engine byte-identical to N isolated replays — the
    differential harness's whole claim. *)
 type tenant = {
@@ -37,19 +33,8 @@ type tenant = {
 type shard = {
   sh_id : int;
   sh_tenants : (int, tenant) Hashtbl.t;
-  sh_registry : Registry.t;
-  sh_telemetry : Telemetry.t option;
   mutable sh_queue : item Spsc.t;  (* fresh per run *)
-  (* registry cells *)
-  sh_c_items : Counter.t;
-  sh_c_events : Counter.t;
-  sh_c_batches : Counter.t;
-  sh_c_evictions : Counter.t;
-  sh_c_dropped : Counter.t;
-  sh_g_tenants : Gauge.t;
-  sh_g_bytes : Gauge.t;
-  sh_g_queue : Gauge.t;
-  (* plain mirrors for stats () *)
+  (* Plain counters, read only by [stats] while the engine is idle. *)
   mutable sh_items : int;
   mutable sh_events : int;
   mutable sh_batches : int;
@@ -83,56 +68,26 @@ type t = {
   mutable fault_after : int;  (* negative = disarmed *)
 }
 
-let make_shard ~telemetry_capacity id =
-  let registry = Registry.create () in
-  let c help name = Registry.counter registry ~help name in
-  let g help name = Registry.gauge registry ~help name in
-  let telemetry =
-    if telemetry_capacity > 0 then
-      Some (Telemetry.create ~capacity:telemetry_capacity ())
-    else None
-  in
-  let sh =
-    {
-      sh_id = id;
-      sh_tenants = Hashtbl.create 8;
-      sh_registry = registry;
-      sh_telemetry = telemetry;
-      sh_queue = Spsc.create ~capacity:1 ();
-      sh_c_items = c "stream items routed to this shard" "pift_service_items_total";
-      sh_c_events = c "instruction events observed" "pift_service_events_total";
-      sh_c_batches = c "batches consumed off the shard queue" "pift_service_batches_total";
-      sh_c_evictions = c "tenants evicted" "pift_service_evictions_total";
-      sh_c_dropped =
-        c "items dropped by the non-blocking backpressure policy"
-          "pift_service_dropped_total";
-      sh_g_tenants = g "resident tenants" "pift_service_tenants";
-      sh_g_bytes = g "tainted bytes across resident tenants" "pift_service_tainted_bytes";
-      sh_g_queue = g "shard queue depth, in batches" "pift_service_queue_depth";
-      sh_items = 0;
-      sh_events = 0;
-      sh_batches = 0;
-      sh_evictions = 0;
-      sh_dropped = 0;
-      sh_max_queue_depth = 0;
-      sh_bytes = 0;
-    }
-  in
-  (match telemetry with
-  | None -> ()
-  | Some te ->
-      Telemetry.set_source te ~name:"tainted_bytes" (fun () ->
-          float_of_int sh.sh_bytes);
-      Telemetry.set_source te ~name:"tenants" (fun () ->
-          float_of_int (Hashtbl.length sh.sh_tenants));
-      Telemetry.set_source te ~name:"queue_depth" (fun () ->
-          float_of_int (Spsc.length sh.sh_queue)));
-  sh
+let make_shard id =
+  {
+    sh_id = id;
+    sh_tenants = Hashtbl.create 8;
+    sh_queue = Spsc.create ~capacity:1 ();
+    sh_items = 0;
+    sh_events = 0;
+    sh_batches = 0;
+    sh_evictions = 0;
+    sh_dropped = 0;
+    sh_max_queue_depth = 0;
+    sh_bytes = 0;
+  }
 
 let create ?(shards = 1) ?(policy = Policy.default) ?(queue_capacity = 64)
     ?(batch = 128) ?(pid_range = 1 lsl 20) ?(drop_when_full = false)
-    ?(with_origins = false) ?(telemetry_capacity = 0) () =
+    ?(with_origins = false) () =
   if shards <= 0 then invalid_arg "Engine.create: shards must be positive";
+  if queue_capacity <= 0 then
+    invalid_arg "Engine.create: queue_capacity must be positive";
   if batch <= 0 then invalid_arg "Engine.create: batch must be positive";
   if pid_range <= 0 then invalid_arg "Engine.create: pid_range must be positive";
   let cfg =
@@ -151,7 +106,7 @@ let create ?(shards = 1) ?(policy = Policy.default) ?(queue_capacity = 64)
     (* One pool slot per shard consumer plus slot 0 for the ingest
        producer; [Pool.run_job] hands each role exactly one call. *)
     pool = Pool.create ~jobs:(shards + 1) ();
-    shard_arr = Array.init shards (make_shard ~telemetry_capacity);
+    shard_arr = Array.init shards make_shard;
     closed = false;
     fault_shard = 0;
     fault_after = -1;
@@ -161,14 +116,6 @@ let shards t = t.cfg.shards
 let policy t = t.cfg.policy
 let pid_range t = t.cfg.pid_range
 let with_origins t = t.cfg.with_origins
-let registries t = Array.map (fun sh -> sh.sh_registry) t.shard_arr
-
-let telemetries t =
-  let tes =
-    Array.to_list
-      (Array.map (fun sh -> sh.sh_telemetry) t.shard_arr)
-  in
-  Array.of_list (List.filter_map Fun.id tes)
 
 (* PID-range partitioning: pids land on shards in contiguous blocks of
    [pid_range], so one process's whole address space of pids-it-spawns
@@ -199,29 +146,24 @@ let tenant_of t sh pid =
         }
       in
       Hashtbl.add sh.sh_tenants pid tn;
-      Gauge.set sh.sh_g_tenants (Hashtbl.length sh.sh_tenants);
       tn
 
 (* Occupancy delta after any op that can move the tenant's store: the
-   shard gauge is a running sum of per-tenant live bytes, so eviction
-   can subtract a tenant's exact contribution and return the gauge to
+   shard's [sh_bytes] is a running sum of per-tenant live bytes, so
+   eviction can subtract a tenant's exact contribution and return it to
    the remaining tenants' baseline. *)
 let sync_bytes sh tn =
   let now = Tracker.current_tainted_bytes tn.tn_tracker in
   if now <> tn.tn_bytes then begin
     sh.sh_bytes <- sh.sh_bytes + now - tn.tn_bytes;
-    tn.tn_bytes <- now;
-    Gauge.set sh.sh_g_bytes sh.sh_bytes
+    tn.tn_bytes <- now
   end
 
 let evict_local sh tn =
   Tracker.release_pid tn.tn_tracker ~pid:tn.tn_pid;
   sh.sh_bytes <- sh.sh_bytes - tn.tn_bytes;
-  Gauge.set sh.sh_g_bytes sh.sh_bytes;
   Hashtbl.remove sh.sh_tenants tn.tn_pid;
-  sh.sh_evictions <- sh.sh_evictions + 1;
-  Counter.incr sh.sh_c_evictions;
-  Gauge.set sh.sh_g_tenants (Hashtbl.length sh.sh_tenants)
+  sh.sh_evictions <- sh.sh_evictions + 1
 
 let sink_verdict t tn ~pid ~kind ranges =
   let flagged =
@@ -239,11 +181,9 @@ let sink_verdict t tn ~pid ~kind ranges =
 
 let process_item t sh item =
   sh.sh_items <- sh.sh_items + 1;
-  Counter.incr sh.sh_c_items;
   match item with
   | I_event e ->
       sh.sh_events <- sh.sh_events + 1;
-      Counter.incr sh.sh_c_events;
       let tn = tenant_of t sh e.Event.pid in
       Tracker.observe tn.tn_tracker e;
       sync_bytes sh tn
@@ -332,7 +272,6 @@ let consume t sh =
       | None -> ()
       | Some batch ->
           sh.sh_batches <- sh.sh_batches + 1;
-          Counter.incr sh.sh_c_batches;
           Array.iter
             (fun item ->
               if t.fault_after >= 0 && t.fault_shard = sh.sh_id then begin
@@ -342,12 +281,8 @@ let consume t sh =
                 end;
                 t.fault_after <- t.fault_after - 1
               end;
-              (match sh.sh_telemetry with
-              | None -> ()
-              | Some te -> Telemetry.bump te);
               process_item t sh item)
             batch;
-          Gauge.set sh.sh_g_queue (Spsc.length q);
           go ()
     in
     go ()
@@ -368,14 +303,8 @@ let run t stream =
       Array.iter
         (fun sh ->
           let q = sh.sh_queue in
-          let d = Spsc.dropped q in
-          if d > 0 then begin
-            sh.sh_dropped <- sh.sh_dropped + d;
-            Counter.add sh.sh_c_dropped d
-          end;
-          let peak = Spsc.max_depth q in
-          if peak > sh.sh_max_queue_depth then sh.sh_max_queue_depth <- peak;
-          Gauge.set sh.sh_g_queue peak)
+          sh.sh_dropped <- sh.sh_dropped + Spsc.dropped q;
+          sh.sh_max_queue_depth <- max sh.sh_max_queue_depth (Spsc.max_depth q))
         t.shard_arr)
     (fun () ->
       Pool.run_job t.pool (fun ~worker ->
@@ -389,14 +318,14 @@ let shutdown t =
   end
 
 let with_engine ?shards ?policy ?queue_capacity ?batch ?pid_range
-    ?drop_when_full ?with_origins ?telemetry_capacity f =
+    ?drop_when_full ?with_origins f =
   let t =
     create ?shards ?policy ?queue_capacity ?batch ?pid_range ?drop_when_full
-      ?with_origins ?telemetry_capacity ()
+      ?with_origins ()
   in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-(* --- admin API (engine idle: between runs, from the owning thread) ---- *)
+(* --- control plane (engine idle: between runs, from the owning thread) *)
 
 let find_tenant t pid = Hashtbl.find_opt (shard_of t pid).sh_tenants pid
 
@@ -488,9 +417,9 @@ let persist_tenants t = List.filter_map (fun pid -> persist_tenant t ~pid) (tena
 (* Rebuilding a tenant routes it to whatever shard the *current* config
    maps its pid to — a snapshot taken at 4 shards restores cleanly into
    a 1-shard engine, because shard placement never leaks into tenant
-   state.  [sync_bytes] folds the restored occupancy into the shard
-   gauge, so a restore immediately followed by an eviction returns the
-   gauge to the survivors' baseline (the restore-then-evict test). *)
+   state.  [sync_bytes] folds the restored occupancy into the shard's
+   [sh_bytes], so a restore immediately followed by an eviction returns
+   it to the survivors' baseline (the restore-then-evict test). *)
 let restore_tenant t tp =
   let sh = shard_of t tp.tp_pid in
   if Hashtbl.mem sh.sh_tenants tp.tp_pid then

@@ -3,8 +3,13 @@
     One engine owns [shards] shard states, each pinned to one pool
     worker slot.  A shard holds its resident tenants — one pid, one
     private {!Pift_core.Tracker} stack (store + optional provenance
-    sidecar) — plus a per-shard metrics registry, optional telemetry
-    ring, and the bounded queue its consumer drains during a {!run}.
+    sidecar) — plus a few plain counters and the bounded queue its
+    consumer drains during a {!run}.
+
+    {b Observation.}  Shards keep plain counters (items, events,
+    batches, evictions, drops, peak queue depth, live tainted bytes)
+    and nothing pushes them anywhere: {!stats} and {!snapshot_tenant}
+    are the only reads, taken while the engine is idle.
 
     {b Sharding.}  Pids are partitioned by contiguous range:
     [shard_of pid = (pid / pid_range) mod shards].  Routing is pure
@@ -20,9 +25,10 @@
 
     {b Concurrency contract.}  {!run} is the only concurrent region:
     slot 0 produces, slots 1..shards consume, and the pool join fences
-    all shard state before returning.  Every other function (the admin
-    API, {!stats}, {!snapshot_tenant}) must be called while the engine
-    is idle — between runs, from the owning domain. *)
+    all shard state before returning.  Every other function (the
+    control plane below, {!stats}, {!snapshot_tenant}, and
+    {!Snapshot}'s save and restore) must be called while the engine is
+    idle — between runs, from the owning domain. *)
 
 type t
 
@@ -46,7 +52,6 @@ val create :
   ?pid_range:int ->
   ?drop_when_full:bool ->
   ?with_origins:bool ->
-  ?telemetry_capacity:int ->
   unit ->
   t
 (** [shards] (default 1) sets the shard count and spawns a pool of
@@ -57,11 +62,10 @@ val create :
     of the contiguous pid blocks mapped to one shard.
     [drop_when_full:true] switches backpressure from blocking the
     producer to dropping batches (counted per shard, surfaced in
-    {!stats} and metrics).  [with_origins] threads a provenance sidecar
-    through every tenant so sink verdicts carry origin sets.
-    [telemetry_capacity > 0] attaches one telemetry ring per shard
-    (sources: tainted bytes, tenant count, queue depth; bumped once per
-    consumed item). *)
+    {!stats}).  [with_origins] threads a provenance sidecar through
+    every tenant so sink verdicts carry origin sets.  Raises
+    [Invalid_argument] unless [shards], [queue_capacity], [batch] and
+    [pid_range] are positive. *)
 
 val run : t -> stream -> unit
 (** Drain [stream] to completion: route every item to its pid's shard,
@@ -74,7 +78,7 @@ val run : t -> stream -> unit
 
 val shutdown : t -> unit
 (** Join the pool domains.  Idempotent; {!run} refuses afterwards
-    (admin reads still work). *)
+    (idle-time reads still work). *)
 
 val with_engine :
   ?shards:int ->
@@ -84,12 +88,11 @@ val with_engine :
   ?pid_range:int ->
   ?drop_when_full:bool ->
   ?with_origins:bool ->
-  ?telemetry_capacity:int ->
   (t -> 'a) ->
   'a
 (** [create], run [f], and {!shutdown} (also on exception). *)
 
-(** {1 Admin API}
+(** {1 Control plane}
 
     Engine-idle only (see the concurrency contract above). *)
 
@@ -118,7 +121,7 @@ val untaint_range : t -> pid:int -> Pift_util.Range.t -> unit
 
 val evict_tenant : t -> pid:int -> bool
 (** Release the tenant's store, provenance, and window state, subtract
-    its bytes from the shard occupancy gauge, and forget it.  Returns
+    its bytes from the shard's occupancy, and forget it.  Returns
     [false] if the pid was not resident.  A later touch of the same pid
     starts a clean tenant. *)
 
@@ -163,8 +166,8 @@ val restore_tenant : t -> tenant_persisted -> unit
     and tracker behaviour as the persisted one.  The tenant lands on
     whatever shard the {e current} config routes its pid to, so a
     snapshot restores cleanly into an engine with a different shard
-    count.  The restored occupancy is folded into the shard's byte
-    gauge (so a subsequent eviction returns the gauge to the
+    count.  The restored occupancy is folded into the shard's
+    [ss_tainted_bytes] (so a subsequent eviction returns it to the
     survivors' baseline).  Raises [Invalid_argument] if the pid is
     already resident — restore into fresh or evicted slots only. *)
 
@@ -181,7 +184,7 @@ val inject_fault : t -> shard:int -> after_items:int -> unit
     [after_items] more items.  This drives the production failure path
     — the dying consumer aborts its queue so the producer cannot block
     against it, every queue closes, and {!run} re-raises the fault
-    after the pool drains.  The engine survives: admin calls and
+    after the pool drains.  The engine survives: control-plane calls and
     further runs still work, exactly like any consumer death. *)
 
 type shard_stats = {
@@ -215,12 +218,3 @@ val shards : t -> int
 val policy : t -> Pift_core.Policy.t
 val pid_range : t -> int
 val with_origins : t -> bool
-
-val registries : t -> Pift_obs.Registry.t array
-(** Per-shard metrics registries, by shard id ([pift_service_*]
-    counters and gauges).  Merge into one with
-    {!Pift_obs.Registry.merge} for a combined snapshot. *)
-
-val telemetries : t -> Pift_obs.Telemetry.t array
-(** Per-shard telemetry rings (empty array unless created with
-    [telemetry_capacity > 0]). *)

@@ -46,8 +46,9 @@ module Provenance = Pift_core.Provenance
    Failure discipline matches Trace_io: every corrupt byte surfaces as
    [Failure "Snapshot: record N: ..."], never a bare exception, and a
    streaming {!iter} delivers every intact prefix record before the
-   positioned error.  Writes are atomic (temp file + rename), so a
-   crash mid-snapshot leaves the previous snapshot intact. *)
+   positioned error.  Writes are atomic and durable (fsynced temp file
+   + rename + fsynced directory), so a process kill or a power loss
+   mid-snapshot leaves the previous snapshot intact. *)
 
 let magic = "PIFTSNAP"
 let version = '1'
@@ -218,20 +219,33 @@ let to_channel t oc =
       emit ())
     t.tenants
 
-(* Atomic: a crash (or SIGKILL) between two snapshot cadences must
-   never leave a half-written file where the last good snapshot was —
-   recovery always finds either the old complete snapshot or the new
-   one.  The temp file lives in the same directory so the rename stays
-   within one filesystem. *)
+(* Atomic and durable: a crash, a SIGKILL or a power loss between two
+   snapshot cadences must never leave a half-written file where the
+   last good snapshot was — recovery always finds either the old
+   complete snapshot or the new one.  The temp file lives in the same
+   directory so the rename stays within one filesystem; it is fsynced
+   before the rename (so the new name never points at unwritten
+   blocks) and the directory after it (so the rename itself is on
+   disk). *)
+let fsync_dir path =
+  let fd = Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () -> Unix.fsync fd)
+
 let write path t =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   (try
-     Fun.protect ~finally:(fun () -> close_out oc) (fun () -> to_channel t oc)
+     Fun.protect
+       ~finally:(fun () -> close_out oc)
+       (fun () ->
+         to_channel t oc;
+         flush oc;
+         Unix.fsync (Unix.descr_of_out_channel oc))
    with e ->
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
-  Sys.rename tmp path
+  Sys.rename tmp path;
+  fsync_dir path
 
 (* --- decoding ----------------------------------------------------------- *)
 

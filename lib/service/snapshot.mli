@@ -15,9 +15,10 @@
     discipline: length-prefixed records, capped payloads and varints,
     and every corrupt byte surfacing as a positioned
     [Failure "Snapshot: record N: ..."] — never a bare exception.
-    {!write} is atomic (temp file + rename), so a crash during a
-    snapshot cadence leaves the previous snapshot intact: recovery
-    always finds a complete file.
+    {!write} is atomic and durable (fsynced temp file, rename, fsynced
+    directory), so it survives process kill and power loss: a crash
+    during a snapshot cadence leaves the previous snapshot intact, and
+    recovery always finds a complete file.
 
     Restore contract: an engine built from the manifest's policy /
     origins mode / pid_range (the shard count is free — see
@@ -57,7 +58,10 @@ type record =
 (** {1 Files} *)
 
 val write : string -> t -> unit
-(** Atomic: encode to [path ^ ".tmp"], then rename over [path]. *)
+(** Atomic and durable: encode to [path ^ ".tmp"], fsync it, rename it
+    over [path], then fsync [path]'s directory.  Survives process kill
+    and power loss.  On an encoding or I/O failure the temp file is
+    removed and [path] is left untouched. *)
 
 val iter : string -> (record -> unit) -> unit
 (** Stream records in file order.  On a corrupt file, every intact
@@ -71,7 +75,7 @@ val load : string -> t
 
 (** {1 Engine glue}
 
-    Engine-idle only, like the rest of the admin surface. *)
+    Engine-idle only, like the rest of the control plane. *)
 
 val source_entries : Ingest.source list -> source_entry list
 (** Capture each source's path, pid mapping and current cursor. *)

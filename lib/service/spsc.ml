@@ -6,8 +6,8 @@
    Backpressure is the producer's choice per push: block until the
    consumer frees a slot (the default, deterministic — nothing is ever
    lost, the producer just runs at the slowest shard's pace), or drop
-   the batch and count the items ([dropped] is surfaced through the
-   shard's registry and telemetry).
+   the batch and count the items ([dropped] is folded into the shard's
+   counters after each run and read through [Engine.stats]).
 
    [abort] is the failure path: a consumer that dies mid-stream aborts
    its queue so the producer cannot block forever against a reader that

@@ -7,8 +7,8 @@
     Backpressure policy is chosen per {!push}: blocking (default;
     deterministic, the producer runs at the slowest consumer's pace) or
     dropping (the batch is discarded and its {e items} counted in
-    {!dropped} — surfaced by the engine through per-shard metrics and
-    telemetry). *)
+    {!dropped} — folded into the shard's counters and read through
+    [Engine.stats]). *)
 
 type 'a t
 

@@ -18,7 +18,7 @@
      shard count), resume from the recorded cursors, and require the
      final tenant state to equal an uninterrupted run's;
    - the restore/evict occupancy invariant: restoring a tenant and then
-     evicting it returns the shard gauge to the survivors' baseline. *)
+     evicting it returns the shard occupancy to the survivors' baseline. *)
 
 module Range = Pift_util.Range
 module Rng = Pift_util.Rng
@@ -26,14 +26,12 @@ module Policy = Pift_core.Policy
 module Store = Pift_core.Store
 module Tracker = Pift_core.Tracker
 module Provenance = Pift_core.Provenance
-module Registry = Pift_obs.Registry
 module Event = Pift_trace.Event
 module Insn = Pift_arm.Insn
 module Droidbench = Pift_workloads.Droidbench
 module Recorded = Pift_eval.Recorded
 module Engine = Pift_service.Engine
 module Ingest = Pift_service.Ingest
-module Admin = Pift_service.Admin
 module Snapshot = Pift_service.Snapshot
 
 let checkb = Alcotest.(check bool)
@@ -229,15 +227,15 @@ let test_roundtrip_property () =
 
 let stats_equal (a : Tracker.stats) (b : Tracker.stats) = a = b
 
-let tenant_equal (a : Admin.tenant_snapshot) (b : Admin.tenant_snapshot) =
+let tenant_equal (a : Engine.tenant_snapshot) (b : Engine.tenant_snapshot) =
   (* everything but ts_shard, which legitimately differs across shard
      counts *)
-  String.equal a.Admin.ts_name b.Admin.ts_name
-  && a.Admin.ts_pid = b.Admin.ts_pid
-  && a.Admin.ts_verdicts = b.Admin.ts_verdicts
-  && stats_equal a.Admin.ts_stats b.Admin.ts_stats
-  && a.Admin.ts_tainted_bytes = b.Admin.ts_tainted_bytes
-  && a.Admin.ts_ranges = b.Admin.ts_ranges
+  String.equal a.Engine.ts_name b.Engine.ts_name
+  && a.Engine.ts_pid = b.Engine.ts_pid
+  && a.Engine.ts_verdicts = b.Engine.ts_verdicts
+  && stats_equal a.Engine.ts_stats b.Engine.ts_stats
+  && a.Engine.ts_tainted_bytes = b.Engine.ts_tainted_bytes
+  && a.Engine.ts_ranges = b.Engine.ts_ranges
 
 let run_engine ~shards ?(with_origins = true) f =
   let recs = Lazy.force recordings in
@@ -271,7 +269,7 @@ let test_persist_shard_free () =
   let persist_at shards =
     run_engine ~shards (fun eng sources ->
         Ingest.run eng sources;
-        Admin.persist_tenants eng)
+        Engine.persist_tenants eng)
   in
   let p1 = persist_at 1 in
   checkb "persist shards=1 equals shards=2" true (p1 = persist_at 2);
@@ -289,7 +287,7 @@ let sample_snapshot_bytes f =
       Ingest.run eng sources;
       let entries = Snapshot.source_entries sources in
       with_tmp ~suffix:".piftsnap" (fun path ->
-          Admin.save_snapshot ~sources:entries eng path;
+          Snapshot.save ~sources:entries eng path;
           f (Snapshot.load path) (read_file path)))
 
 let expect_positioned_failure ~what f =
@@ -467,17 +465,17 @@ let test_legacy_store_names () =
               ~with_origins:true (fun eng ->
                 Snapshot.restore_tenants eng snap;
                 List.map
-                  (fun (tp : Admin.tenant_persisted) ->
-                    Option.get (Admin.snapshot_tenant eng ~pid:tp.Admin.tp_pid))
+                  (fun (tp : Engine.tenant_persisted) ->
+                    Option.get (Engine.snapshot_tenant eng ~pid:tp.Engine.tp_pid))
                   snap.Snapshot.tenants))
       in
       let reference = restored full in
       checkb "reference carries origin sets" true
         (List.exists
-           (fun (ts : Admin.tenant_snapshot) ->
+           (fun (ts : Engine.tenant_snapshot) ->
              List.exists
-               (fun (v : Admin.verdict) -> v.Admin.v_origins <> [])
-               ts.Admin.ts_verdicts)
+               (fun (v : Engine.verdict) -> v.Engine.v_origins <> [])
+               ts.Engine.ts_verdicts)
            reference);
       List.iter
         (fun name ->
@@ -505,7 +503,7 @@ let clean_run ~shards =
       Ingest.run eng sources;
       List.map
         (fun (s : Ingest.source) ->
-          Option.get (Admin.snapshot_tenant eng ~pid:s.Ingest.src_pid))
+          Option.get (Engine.snapshot_tenant eng ~pid:s.Ingest.src_pid))
         sources)
 
 (* Kill shard [fault_shard]'s consumer [after_items] items after the
@@ -521,7 +519,7 @@ let crash_recovery_differential ~shards ~resume_shards ~crash_at ~fault_shard
         run_engine ~shards (fun eng sources ->
             let snaps = ref 0 in
             let on_idle () =
-              Admin.save_snapshot
+              Snapshot.save
                 ~sources:(Snapshot.source_entries sources)
                 eng snap_path;
               incr snaps;
@@ -565,14 +563,14 @@ let crash_recovery_differential ~shards ~resume_shards ~crash_at ~fault_shard
             sources;
           Ingest.run eng sources;
           List.iter2
-            (fun (c : Admin.tenant_snapshot) (s : Ingest.source) ->
+            (fun (c : Engine.tenant_snapshot) (s : Ingest.source) ->
               let ts =
-                Option.get (Admin.snapshot_tenant eng ~pid:s.Ingest.src_pid)
+                Option.get (Engine.snapshot_tenant eng ~pid:s.Ingest.src_pid)
               in
               checkb
                 (Printf.sprintf
                    "resumed tenant %s equals uninterrupted (s%d -> s%d)"
-                   ts.Admin.ts_name shards resume_shards)
+                   ts.Engine.ts_name shards resume_shards)
                 true (tenant_equal c ts))
             clean sources))
 
@@ -606,52 +604,45 @@ let test_engine_survives_fault () =
       (match Ingest.run eng sources with
       | () -> Alcotest.fail "expected injected fault"
       | exception Engine.Injected_fault _ -> ());
-      ignore (Admin.stats eng);
+      ignore (Engine.stats eng);
       (* a fresh run on the same engine still works *)
       let r = List.hd (Lazy.force recordings) in
       let pid = Ingest.tenant_pid 9 in
       Ingest.run eng [ Ingest.of_recorded ~pid r ];
       checkb "post-fault ingest works" true
-        (Admin.snapshot_tenant eng ~pid <> None))
+        (Engine.snapshot_tenant eng ~pid <> None))
 
 (* --- restore / evict occupancy -------------------------------------------- *)
-
-let gauge_bytes eng =
-  Array.fold_left
-    (fun acc reg ->
-      match Registry.find_gauge reg "pift_service_tainted_bytes" with
-      | Some v -> acc +. v
-      | None -> acc)
-    0. (Admin.registries eng)
 
 let test_restore_then_evict_gauge () =
   run_engine ~shards:2 (fun eng sources ->
       Ingest.run eng sources;
       let pid0 = Ingest.tenant_pid 0 in
-      let full = int_of_float (gauge_bytes eng) in
-      let ts_before = Option.get (Admin.snapshot_tenant eng ~pid:pid0) in
-      let tp0 = Option.get (Admin.persist_tenant eng ~pid:pid0) in
-      checkb "evicted" true (Admin.evict_tenant eng ~pid:pid0);
-      let survivors = int_of_float (gauge_bytes eng) in
+      let full = (Engine.stats eng).Engine.st_tainted_bytes in
+      let ts_before = Option.get (Engine.snapshot_tenant eng ~pid:pid0) in
+      let tp0 = Option.get (Engine.persist_tenant eng ~pid:pid0) in
+      checkb "evicted" true (Engine.evict_tenant eng ~pid:pid0);
+      let survivors = (Engine.stats eng).Engine.st_tainted_bytes in
       checki "eviction released the tenant's bytes"
-        (full - ts_before.Admin.ts_tainted_bytes)
+        (full - ts_before.Engine.ts_tainted_bytes)
         survivors;
       (* restore the persisted tenant: occupancy returns in full *)
-      Admin.restore_tenant eng tp0;
-      checki "gauge after restore" full (int_of_float (gauge_bytes eng));
-      let ts_after = Option.get (Admin.snapshot_tenant eng ~pid:pid0) in
+      Engine.restore_tenant eng tp0;
+      checki "gauge after restore" full
+        (Engine.stats eng).Engine.st_tainted_bytes;
+      let ts_after = Option.get (Engine.snapshot_tenant eng ~pid:pid0) in
       checkb "restored tenant equals pre-evict snapshot" true
         (tenant_equal ts_before ts_after);
       (* restoring over a resident pid is refused *)
-      (match Admin.restore_tenant eng tp0 with
+      (match Engine.restore_tenant eng tp0 with
       | () -> Alcotest.fail "double restore must be refused"
       | exception Invalid_argument _ -> ());
       (* evicting the restored tenant lands exactly back on the
          survivors' baseline — the restored occupancy was folded into
-         the gauge, not leaked beside it *)
-      checkb "evicted again" true (Admin.evict_tenant eng ~pid:pid0);
+         the shard occupancy, not leaked beside it *)
+      checkb "evicted again" true (Engine.evict_tenant eng ~pid:pid0);
       checki "gauge back at survivors' baseline" survivors
-        (int_of_float (gauge_bytes eng)))
+        (Engine.stats eng).Engine.st_tainted_bytes)
 
 (* --- restore guard rails --------------------------------------------------- *)
 

@@ -12,15 +12,14 @@ module Store = Pift_core.Store
 module Storage = Pift_core.Storage
 module Tracker = Pift_core.Tracker
 module Provenance = Pift_core.Provenance
-module Registry = Pift_obs.Registry
 module Pool = Pift_par.Pool
+module Rng = Pift_util.Rng
 module Droidbench = Pift_workloads.Droidbench
 module Recorded = Pift_eval.Recorded
 module Trace_io = Pift_eval.Trace_io
 module Spsc = Pift_service.Spsc
 module Engine = Pift_service.Engine
 module Ingest = Pift_service.Ingest
-module Admin = Pift_service.Admin
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -139,13 +138,13 @@ let norm_verdicts (rp : Recorded.replay) ~with_origins =
       (fun (v : Recorded.verdict) -> (v.Recorded.kind, v.Recorded.flagged, []))
       rp.Recorded.verdicts
 
-let engine_verdicts (ts : Admin.tenant_snapshot) ~with_origins =
+let engine_verdicts (ts : Engine.tenant_snapshot) ~with_origins =
   List.map
-    (fun (v : Admin.verdict) ->
-      ( v.Admin.v_kind,
-        v.Admin.v_flagged,
-        if with_origins then v.Admin.v_origins else [] ))
-    ts.Admin.ts_verdicts
+    (fun (v : Engine.verdict) ->
+      ( v.Engine.v_kind,
+        v.Engine.v_flagged,
+        if with_origins then v.Engine.v_origins else [] ))
+    ts.Engine.ts_verdicts
 
 let stats_equal (a : Tracker.stats) (b : Tracker.stats) =
   a.Tracker.taint_ops = b.Tracker.taint_ops
@@ -171,28 +170,28 @@ let run_differential ~shards ~with_origins =
       List.iteri
         (fun i (r, rp) ->
           let pid = Ingest.tenant_pid i in
-          match Admin.snapshot_tenant eng ~pid with
+          match Engine.snapshot_tenant eng ~pid with
           | None -> Alcotest.failf "tenant %d missing" pid
           | Some ts ->
               let label which =
                 Printf.sprintf "%s shards=%d tenant=%s" which shards
                   r.Recorded.name
               in
-              checks (label "name") r.Recorded.name ts.Admin.ts_name;
+              checks (label "name") r.Recorded.name ts.Engine.ts_name;
               checkb (label "verdicts") true
                 (engine_verdicts ts ~with_origins
                 = norm_verdicts rp ~with_origins);
               checkb (label "stats") true
-                (stats_equal ts.Admin.ts_stats rp.Recorded.stats))
+                (stats_equal ts.Engine.ts_stats rp.Recorded.stats))
         (List.combine recs isolated);
       (* all shards between 0 and shards-1 got the round-robin tenants *)
-      let st = Admin.stats eng in
+      let st = Engine.stats eng in
       checki
         (Printf.sprintf "tenant total shards=%d" shards)
-        (List.length recs) st.Admin.st_tenants;
+        (List.length recs) st.Engine.st_tenants;
       checki
         (Printf.sprintf "dropped shards=%d" shards)
-        0 st.Admin.st_dropped)
+        0 st.Engine.st_dropped)
 
 let test_differential_shards_1 () = run_differential ~shards:1 ~with_origins:true
 let test_differential_shards_2 () = run_differential ~shards:2 ~with_origins:true
@@ -211,8 +210,8 @@ let test_blocking_backpressure_lossless () =
         List.mapi (fun i r -> Ingest.of_recorded ~pid:(Ingest.tenant_pid i) r) recs
       in
       Ingest.run eng sources;
-      let st = Admin.stats eng in
-      checki "no drops under blocking policy" 0 st.Admin.st_dropped;
+      let st = Engine.stats eng in
+      checki "no drops under blocking policy" 0 st.Engine.st_dropped;
       let total_items =
         List.fold_left
           (fun acc (r : Recorded.t) ->
@@ -220,7 +219,7 @@ let test_blocking_backpressure_lossless () =
             + Array.length r.Recorded.markers)
           0 recs
       in
-      checki "every item processed" total_items st.Admin.st_items)
+      checki "every item processed" total_items st.Engine.st_items)
 
 (* Dropping policy: items are either processed or counted dropped —
    the split is timing-dependent, the sum is not.  The run must
@@ -233,7 +232,7 @@ let test_drop_policy_accounting () =
         List.mapi (fun i r -> Ingest.of_recorded ~pid:(Ingest.tenant_pid i) r) recs
       in
       Ingest.run eng sources;
-      let st = Admin.stats eng in
+      let st = Engine.stats eng in
       let total_items =
         List.fold_left
           (fun acc (r : Recorded.t) ->
@@ -242,20 +241,12 @@ let test_drop_policy_accounting () =
           0 recs
       in
       checki "processed + dropped = streamed" total_items
-        (st.Admin.st_items + st.Admin.st_dropped))
+        (st.Engine.st_items + st.Engine.st_dropped))
 
 (* --- tenant lifecycle ----------------------------------------------------- *)
 
-let gauge_bytes eng =
-  Array.fold_left
-    (fun acc reg ->
-      match Registry.find_gauge reg "pift_service_tainted_bytes" with
-      | Some v -> acc +. v
-      | None -> acc)
-    0. (Admin.registries eng)
-
 (* Evict one of two tenants mid-stream (in-band I_evict): its store,
-   provenance and window state must be released, the occupancy gauge
+   provenance and window state must be released, the shard occupancy
    must fall back to the surviving tenant's baseline, and a re-ingested
    tenant under the same pid must start clean. *)
 let test_evict_mid_stream () =
@@ -282,44 +273,195 @@ let test_evict_mid_stream () =
       Engine.register_tenant eng ~pid:pid0 ~name:r0.Recorded.name ();
       Engine.register_tenant eng ~pid:pid1 ~name:r1.Recorded.name ();
       Engine.run eng stream;
-      checkb "tenant 0 gone" true (Admin.snapshot_tenant eng ~pid:pid0 = None);
+      checkb "tenant 0 gone" true (Engine.snapshot_tenant eng ~pid:pid0 = None);
       checkb "tenant 1 resident" true
-        (Admin.snapshot_tenant eng ~pid:pid1 <> None);
-      checki "one eviction" 1 (Admin.stats eng).Admin.st_evictions;
-      (* occupancy gauge = surviving tenant's live bytes, exactly *)
-      let ts1 = Option.get (Admin.snapshot_tenant eng ~pid:pid1) in
-      checki "gauge at survivor baseline" ts1.Admin.ts_tainted_bytes
-        (int_of_float (gauge_bytes eng));
+        (Engine.snapshot_tenant eng ~pid:pid1 <> None);
+      checki "one eviction" 1 (Engine.stats eng).Engine.st_evictions;
+      (* occupancy = surviving tenant's live bytes, exactly *)
+      let ts1 = Option.get (Engine.snapshot_tenant eng ~pid:pid1) in
+      checki "gauge at survivor baseline" ts1.Engine.ts_tainted_bytes
+        (Engine.stats eng).Engine.st_tainted_bytes;
       (* the pid starts clean: re-ingesting r0 under pid0 must match a
          fresh isolated replay, untainted by the evicted incarnation *)
       Ingest.run eng [ Ingest.of_recorded ~pid:pid0 r0 ];
       let rp0 = Recorded.replay ~policy ~with_origins:true r0 in
-      let ts0 = Option.get (Admin.snapshot_tenant eng ~pid:pid0) in
+      let ts0 = Option.get (Engine.snapshot_tenant eng ~pid:pid0) in
       checkb "re-registered pid replays clean" true
         (engine_verdicts ts0 ~with_origins:true
         = norm_verdicts rp0 ~with_origins:true);
       checkb "stats clean too" true
-        (stats_equal ts0.Admin.ts_stats rp0.Recorded.stats))
+        (stats_equal ts0.Engine.ts_stats rp0.Recorded.stats))
 
 let test_admin_out_of_band () =
   Engine.with_engine ~shards:2 ~with_origins:true (fun eng ->
       let pid = Ingest.tenant_pid 3 in
-      Admin.register_tenant eng ~pid ~name:"manual" ();
-      Admin.register_source eng ~pid ~kind:"IMEI"
+      Engine.register_tenant eng ~pid ~name:"manual" ();
+      Engine.register_source eng ~pid ~kind:"IMEI"
         (Range.of_len 100 16);
-      let v = Admin.query_sink eng ~pid [ Range.of_len 104 4 ] in
-      checkb "sink flagged" true v.Admin.v_flagged;
-      checkb "origins" true (v.Admin.v_origins = [ "IMEI" ]);
+      let v = Engine.query_sink eng ~pid [ Range.of_len 104 4 ] in
+      checkb "sink flagged" true v.Engine.v_flagged;
+      checkb "origins" true (v.Engine.v_origins = [ "IMEI" ]);
       (* query_sink is pure: no verdict was logged *)
-      let ts = Option.get (Admin.snapshot_tenant eng ~pid) in
-      checks "name" "manual" ts.Admin.ts_name;
-      checki "no logged verdicts" 0 (List.length ts.Admin.ts_verdicts);
-      checki "live bytes" 16 ts.Admin.ts_tainted_bytes;
-      Admin.untaint_range eng ~pid (Range.of_len 100 16);
-      let v2 = Admin.query_sink eng ~pid [ Range.of_len 104 4 ] in
-      checkb "clean after untaint" false v2.Admin.v_flagged;
-      checkb "evict reports residency" true (Admin.evict_tenant eng ~pid);
-      checkb "second evict is false" false (Admin.evict_tenant eng ~pid))
+      let ts = Option.get (Engine.snapshot_tenant eng ~pid) in
+      checks "name" "manual" ts.Engine.ts_name;
+      checki "no logged verdicts" 0 (List.length ts.Engine.ts_verdicts);
+      checki "live bytes" 16 ts.Engine.ts_tainted_bytes;
+      Engine.untaint_range eng ~pid (Range.of_len 100 16);
+      let v2 = Engine.query_sink eng ~pid [ Range.of_len 104 4 ] in
+      checkb "clean after untaint" false v2.Engine.v_flagged;
+      checkb "evict reports residency" true (Engine.evict_tenant eng ~pid);
+      checkb "second evict is false" false (Engine.evict_tenant eng ~pid))
+
+(* [shards], [queue_capacity] and [batch] are validated up front, before
+   the pool is spawned — not later inside [run]. *)
+let test_create_validates_config () =
+  List.iter
+    (fun (what, mk) ->
+      checkb (what ^ " rejected") true
+        (match mk () with
+        | eng ->
+            Engine.shutdown eng;
+            false
+        | exception Invalid_argument _ -> true))
+    [
+      ("queue_capacity 0", fun () -> Engine.create ~queue_capacity:0 ());
+      ("batch 0", fun () -> Engine.create ~batch:0 ());
+      ("shards 0", fun () -> Engine.create ~shards:0 ());
+    ]
+
+(* --- occupancy invariant against a recount -------------------------------- *)
+
+(* Random engine-op sequences over the four shared recordings (tenant
+   [i] = [Ingest.tenant_pid i]).  After every step the engine's running
+   occupancy must equal a recount from the tenants' live bytes, in total
+   and per shard. *)
+type engine_op =
+  | Ingest_segments of { tenant : int; segment : int }
+      (** replay the tenant's recording, [segment] items per run *)
+  | Evict_in_band of int
+  | Untaint of int * Range.t
+  | Source of int * Range.t
+  | Persist_evict_restore of int
+
+let engine_op_to_string = function
+  | Ingest_segments { tenant; segment } ->
+      Printf.sprintf "ingest %d/%d" tenant segment
+  | Evict_in_band i -> Printf.sprintf "I_evict %d" i
+  | Untaint (i, r) -> Printf.sprintf "untaint %d %s" i (Range.to_string r)
+  | Source (i, r) -> Printf.sprintf "source %d %s" i (Range.to_string r)
+  | Persist_evict_restore i -> Printf.sprintf "persist/evict/restore %d" i
+
+(* Untaint and source ranges: a recorded source range (hits live
+   taint), a small range near it, or everything. *)
+let gen_engine_range rng source_ranges =
+  match Rng.int rng 3 with
+  | 0 -> List.nth source_ranges (Rng.int rng (List.length source_ranges))
+  | 1 ->
+      let r = List.nth source_ranges (Rng.int rng (List.length source_ranges)) in
+      Range.of_len (Range.lo r + Rng.int_in rng (-8) 8) (Rng.int_in rng 1 24)
+  | _ -> Range.make 0 (1 lsl 48)
+
+let gen_engine_op rng ~tenants source_ranges =
+  let tenant = Rng.int rng tenants in
+  match Rng.int rng 9 with
+  | 0 | 1 | 2 ->
+      Ingest_segments { tenant; segment = Rng.int_in rng 16 400 }
+  | 3 -> Evict_in_band tenant
+  | 4 | 5 -> Untaint (tenant, gen_engine_range rng source_ranges)
+  | 6 -> Source (tenant, gen_engine_range rng source_ranges)
+  | _ -> Persist_evict_restore tenant
+
+exception Occupancy_mismatch of string
+
+let check_occupancy eng =
+  let st = Engine.stats eng in
+  let tenants =
+    List.map
+      (fun pid -> Option.get (Engine.snapshot_tenant eng ~pid))
+      (Engine.tenants eng)
+  in
+  let recount keep =
+    List.fold_left
+      (fun acc (ts : Engine.tenant_snapshot) ->
+        if keep ts then acc + ts.Engine.ts_tainted_bytes else acc)
+      0 tenants
+  in
+  let expect what got want =
+    if got <> want then
+      raise
+        (Occupancy_mismatch
+           (Printf.sprintf "%s %d, tenants sum to %d" what got want))
+  in
+  expect "st_tainted_bytes" st.Engine.st_tainted_bytes (recount (fun _ -> true));
+  List.iter
+    (fun (ss : Engine.shard_stats) ->
+      expect
+        (Printf.sprintf "shard %d ss_tainted_bytes" ss.Engine.ss_shard)
+        ss.Engine.ss_tainted_bytes
+        (recount (fun ts -> ts.Engine.ts_shard = ss.Engine.ss_shard)))
+    st.Engine.st_shards
+
+let run_engine_op eng recs op =
+  let pid i = Ingest.tenant_pid i in
+  match op with
+  | Ingest_segments { tenant; segment } ->
+      Ingest.run ~segment
+        ~on_idle:(fun () -> check_occupancy eng)
+        eng
+        [ Ingest.of_recorded ~pid:(pid tenant) (List.nth recs tenant) ]
+  | Evict_in_band i ->
+      let sent = ref false in
+      Engine.run eng (fun () ->
+          if !sent then None
+          else begin
+            sent := true;
+            Some (Engine.I_evict { pid = pid i })
+          end)
+  | Untaint (i, r) -> Engine.untaint_range eng ~pid:(pid i) r
+  | Source (i, r) -> Engine.register_source eng ~pid:(pid i) r
+  | Persist_evict_restore i -> (
+      match Engine.persist_tenant eng ~pid:(pid i) with
+      | None -> ()
+      | Some tp ->
+          ignore (Engine.evict_tenant eng ~pid:(pid i));
+          check_occupancy eng;
+          Engine.restore_tenant eng tp)
+
+let test_occupancy_invariant () =
+  let recs = Lazy.force recordings in
+  let source_ranges =
+    List.concat_map
+      (fun (r : Recorded.t) ->
+        Array.to_list r.Recorded.markers
+        |> List.filter_map (function
+             | _, Recorded.Source { range; _ } -> Some range
+             | _ -> None))
+      recs
+  in
+  List.iter
+    (fun shards ->
+      Prop.check_gen
+        ~name:(Printf.sprintf "occupancy = recount, %d shard(s)" shards)
+        ~count:12
+        ~gen:(fun rng ->
+          List.init 10 (fun _ ->
+              gen_engine_op rng ~tenants:(List.length recs) source_ranges))
+        ~shrink:Prop.shrink_candidates
+        ~to_string:(fun ops ->
+          String.concat "; " (List.map engine_op_to_string ops))
+        (fun ops ->
+          Engine.with_engine ~shards ~with_origins:true ~queue_capacity:2
+            ~batch:16 (fun eng ->
+              match
+                List.iter
+                  (fun op ->
+                    run_engine_op eng recs op;
+                    check_occupancy eng)
+                  ops
+              with
+              | () -> Ok ()
+              | exception Occupancy_mismatch msg -> Error msg)))
+    [ 1; 2; 4 ]
 
 (* --- release_pid through the stack ---------------------------------------- *)
 
@@ -527,6 +669,10 @@ let () =
           Alcotest.test_case "evict mid-stream" `Quick test_evict_mid_stream;
           Alcotest.test_case "admin out-of-band ops" `Quick
             test_admin_out_of_band;
+          Alcotest.test_case "create validates its config" `Quick
+            test_create_validates_config;
+          Alcotest.test_case "occupancy = recount after every step" `Quick
+            test_occupancy_invariant;
         ] );
       ( "release_pid",
         [
