@@ -78,51 +78,90 @@ let to_engine_item s (item : Recorded.item) : Engine.item =
   | Recorded.Item_marker (_, Recorded.Sink { kind; ranges }) ->
       Engine.I_sink { pid = s.src_pid; kind; ranges }
 
+let item_seq = function
+  | Recorded.Item_event e -> e.Event.seq
+  | Recorded.Item_marker (seq, _) -> seq
+
+(* Placeholder for a heap slot whose source has no head yet. *)
+let no_item =
+  Recorded.Item_marker (0, Recorded.Sink { kind = ""; ranges = [] })
+
 (* Deterministic interleave of the per-source streams: repeatedly emit
-   the head with the smallest (seq, source index) — strict [<] on seq,
-   so the earlier-listed source wins ties.  Only {e head} order across
+   the head with the smallest (seq, source index), so the
+   earlier-listed source wins ties on seq.  Only {e head} order across
    sources is decided here; within one source the items come out in
    stream order, which is all per-tenant determinism needs.  The seq of
    a marker is its recorded occurrence seq, so markers compete in the
-   same time axis as events. *)
+   same time axis as events.
+
+   The live sources sit in a binary min-heap of source indices keyed on
+   (seq of head, index).  The key is a total order, so the minimum — and
+   therefore the emitted sequence — does not depend on the heap's shape.
+   The first pull reads every head in index order.  The emitted source
+   stays at the root until the next pull, which refills it (the only
+   [src_next] call a later pull makes) and sifts it down, or drops it
+   from the heap for good when its stream has ended.  Each item costs
+   one sift, O(log live sources). *)
 let merge sources : Engine.stream =
   let srcs = Array.of_list sources in
   let n = Array.length srcs in
-  let heads = Array.make n None in
-  let live = Array.make n (n > 0) in
-  let item_seq = function
-    | Recorded.Item_event e -> e.Event.seq
-    | Recorded.Item_marker (seq, _) -> seq
-  in
-  let fill i =
-    if live.(i) && heads.(i) = None then begin
-      match srcs.(i).src_next () with
-      | Some it -> heads.(i) <- Some it
-      | None -> live.(i) <- false
+  let heads = Array.make n no_item in
+  let seqs = Array.make n 0 in
+  let heap = Array.make n 0 in
+  let size = ref 0 in
+  let started = ref false in
+  (* [pending]: the root was emitted by the previous pull and must be
+     refilled before the next pick. *)
+  let pending = ref false in
+  let less a b = seqs.(a) < seqs.(b) || (seqs.(a) = seqs.(b) && a < b) in
+  let rec sift_down k =
+    let l = (2 * k) + 1 in
+    if l < !size then begin
+      let r = l + 1 in
+      let c = if r < !size && less heap.(r) heap.(l) then r else l in
+      if less heap.(c) heap.(k) then begin
+        let t = heap.(k) in
+        heap.(k) <- heap.(c);
+        heap.(c) <- t;
+        sift_down c
+      end
     end
   in
+  let read i =
+    match srcs.(i).src_next () with
+    | Some it ->
+        heads.(i) <- it;
+        seqs.(i) <- item_seq it;
+        true
+    | None -> false
+  in
   fun () ->
-    for i = 0 to n - 1 do
-      fill i
-    done;
-    let best = ref (-1) and best_seq = ref max_int in
-    for i = 0 to n - 1 do
-      match heads.(i) with
-      | None -> ()
-      | Some it ->
-          let seq = item_seq it in
-          if !best < 0 || seq < !best_seq then begin
-            best := i;
-            best_seq := seq
-          end
-    done;
-    if !best < 0 then None
+    if not !started then begin
+      started := true;
+      for i = 0 to n - 1 do
+        if read i then begin
+          heap.(!size) <- i;
+          incr size
+        end
+      done;
+      for k = (!size / 2) - 1 downto 0 do
+        sift_down k
+      done
+    end
+    else if !pending then begin
+      pending := false;
+      if not (read heap.(0)) then begin
+        decr size;
+        heap.(0) <- heap.(!size)
+      end;
+      sift_down 0
+    end;
+    if !size = 0 then None
     else begin
-      let i = !best in
-      let it = Option.get heads.(i) in
-      heads.(i) <- None;
+      let i = heap.(0) in
+      pending := true;
       srcs.(i).src_emitted <- srcs.(i).src_emitted + 1;
-      Some (to_engine_item srcs.(i) it)
+      Some (to_engine_item srcs.(i) heads.(i))
     end
 
 let run ?segment ?on_idle engine sources =

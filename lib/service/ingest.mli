@@ -40,7 +40,15 @@ val merge : source list -> Engine.stream
     [(seq, source index)] — ties on seq go to the earlier-listed
     source.  Per-source item order is preserved, so each tenant sees
     exactly its own stream in order; the cross-tenant schedule is fixed
-    by the inputs alone, never by thread timing. *)
+    by the inputs alone, never by thread timing.
+
+    The live heads sit in a binary min-heap, so each item costs
+    O(log n) in the number of live sources.  The first pull reads every
+    source's head in index order; each later pull first refills only
+    the source emitted last, and a source whose [src_next] returned
+    [None] is never pulled again.  The emitted sequence, the order of
+    [src_next] calls and every {!cursor} are those of a linear scan over
+    all heads. *)
 
 val cursor : source -> int
 (** Ingest cursor: items emitted to the engine so far (plus any

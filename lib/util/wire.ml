@@ -36,7 +36,7 @@ module Reader = struct
   }
 
   let create ic =
-    { ic; buf = Bytes.create 65536; lo = 0; hi = 0; eof = false }
+    { ic; buf = Bytes.create 16384; lo = 0; hi = 0; eof = false }
 
   let refill r =
     if not r.eof then begin

@@ -37,8 +37,11 @@ module Reader : sig
   }
 
   val create : in_channel -> t
-  (** Reader over [ic] with a 64 KiB chunk buffer. The caller retains
-      ownership of the channel (close it yourself). *)
+  (** Reader over [ic] with a 16 KiB chunk buffer, grown by {!has} for
+      records larger than that. The channel keeps its own buffer, so a
+      reader holds about 80 KiB while open; the service keeps one open per
+      tenant. The caller retains ownership of the channel (close it
+      yourself). *)
 
   val refill : t -> unit
   (** Slide live bytes to the front and read one more chunk; sets [eof]

@@ -275,6 +275,29 @@ let test_persist_shard_free () =
   checkb "persist shards=1 equals shards=2" true (p1 = persist_at 2);
   checkb "persist shards=1 equals shards=4" true (p1 = persist_at 4)
 
+(* A record larger than the reader's chunk, and than 64 KiB, must be
+   buffered whole: one tenant whose store holds 30k disjoint ranges. *)
+let test_oversized_record () =
+  Engine.with_engine ~shards:1 (fun eng ->
+      let pid = Ingest.tenant_pid 0 and n = 30_000 in
+      Engine.register_tenant eng ~pid ~name:"wide" ();
+      let i = ref 0 in
+      Engine.run eng (fun () ->
+          if !i = n then None
+          else begin
+            incr i;
+            Some
+              (Engine.I_source
+                 { pid; kind = "IMEI"; range = Range.of_len (!i * 1000) 4 })
+          end);
+      let t = Snapshot.of_engine eng in
+      with_tmp ~suffix:".piftsnap" (fun path ->
+          Snapshot.write path t;
+          (* the manifest is tiny, so the tenant record holds the rest *)
+          let size = In_channel.with_open_bin path In_channel.length in
+          checkb "tenant record exceeds 64 KiB" true (size > 65536L);
+          checkb "load (write t) = t" true (Snapshot.load path = t)))
+
 (* --- corrupt fixtures ----------------------------------------------------- *)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
@@ -695,6 +718,7 @@ let () =
             test_persist_shard_free;
           Alcotest.test_case "legacy store names restore identically" `Quick
             test_legacy_store_names;
+          Alcotest.test_case "record over 64 KiB" `Quick test_oversized_record;
         ] );
       ( "corrupt",
         [

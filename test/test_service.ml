@@ -541,6 +541,192 @@ let test_provenance_release_pid () =
     (Provenance.labels_of p ~pid:2 (Range.of_len 0 8) = [ "b" ]);
   checki "pid 1 bytes" 0 (Provenance.tainted_bytes p ~label:"a")
 
+(* --- ingest merge order ---------------------------------------------------- *)
+
+(* Synthetic sources for the merge-order property.  Seqs come from a
+   small range so ties across sources are common, and a marker often
+   reuses the seq of the event before it, as recorded markers do. *)
+type synth_item = S_event of int | S_source of int | S_sink of int
+
+let synth_item_to_string = function
+  | S_event s -> Printf.sprintf "e%d" s
+  | S_source s -> Printf.sprintf "src%d" s
+  | S_sink s -> Printf.sprintf "snk%d" s
+
+let gen_synth_source rng =
+  let len = if Rng.int rng 5 = 0 then 0 else Rng.int_in rng 1 20 in
+  let last = ref (Rng.int rng 8) in
+  List.init len (fun _ ->
+      match Rng.int rng 6 with
+      | 0 -> S_source !last
+      | 1 -> S_sink !last
+      | _ ->
+          last := Rng.int rng 8;
+          S_event !last)
+
+let gen_synth_sources rng =
+  List.init (Rng.int_in rng 0 200) (fun _ -> gen_synth_source rng)
+
+let synth_sources_to_string specs =
+  Printf.sprintf "%d sources: %s" (List.length specs)
+    (String.concat " | "
+       (List.map
+          (fun items -> String.concat " " (List.map synth_item_to_string items))
+          specs))
+
+(* Item [j] of source [i]: its ranges name (i, j), so two distinct
+   items never compare equal once remapped. *)
+let synth_orig_pid = 7
+
+let recorded_of_synth i j it : Recorded.item =
+  let r = Range.of_len ((((i * 64) + j) * 32) + 4096) 8 in
+  match it with
+  | S_event seq ->
+      Recorded.Item_event
+        {
+          Pift_trace.Event.seq;
+          k = j;
+          pid = synth_orig_pid;
+          insn = Pift_arm.Insn.Nop;
+          access = (if j mod 2 = 0 then Pift_trace.Event.Load r else Store r);
+        }
+  | S_source seq ->
+      Recorded.Item_marker (seq, Recorded.Source { kind = "K"; range = r })
+  | S_sink seq ->
+      Recorded.Item_marker (seq, Recorded.Sink { kind = "K"; ranges = [ r ] })
+
+(* One set of sources over [specs]; every [src_next] call appends the
+   source's index to [log]. *)
+let synth_sources specs log =
+  List.mapi
+    (fun i items ->
+      let rest = ref (List.mapi (recorded_of_synth i) items) in
+      {
+        Ingest.src_name = Printf.sprintf "synth%d" i;
+        src_path = None;
+        src_pid = Ingest.tenant_pid i;
+        src_orig_pid = synth_orig_pid;
+        src_next =
+          (fun () ->
+            log := i :: !log;
+            match !rest with
+            | [] -> None
+            | it :: tl ->
+                rest := tl;
+                Some it);
+        src_close = ignore;
+        src_emitted = 0;
+      })
+    specs
+
+(* The oracle: the two-pass scan [Ingest.merge] used before the heap.
+   Each pull refills every live source without a head, in index order,
+   then emits the head with the smallest (seq, index). *)
+let scan_merge (srcs : Ingest.source array) =
+  let n = Array.length srcs in
+  let heads = Array.make n None in
+  let live = Array.make n true in
+  let item_seq = function
+    | Recorded.Item_event e -> e.Pift_trace.Event.seq
+    | Recorded.Item_marker (seq, _) -> seq
+  in
+  fun () ->
+    for i = 0 to n - 1 do
+      if live.(i) && heads.(i) = None then
+        match srcs.(i).Ingest.src_next () with
+        | Some it -> heads.(i) <- Some it
+        | None -> live.(i) <- false
+    done;
+    let best = ref (-1) and best_seq = ref max_int in
+    for i = 0 to n - 1 do
+      match heads.(i) with
+      | Some it when !best < 0 || item_seq it < !best_seq ->
+          best := i;
+          best_seq := item_seq it
+      | _ -> ()
+    done;
+    if !best < 0 then None
+    else begin
+      let i = !best in
+      let it = Option.get heads.(i) in
+      heads.(i) <- None;
+      srcs.(i).Ingest.src_emitted <- srcs.(i).Ingest.src_emitted + 1;
+      Some (Ingest.to_engine_item srcs.(i) it)
+    end
+
+let cursors srcs = Array.map Ingest.cursor srcs
+
+(* Run the oracle to the end; element [k] of the result holds every
+   source's cursor after [k] pulls. *)
+let scan_cursor_trace specs =
+  let srcs = Array.of_list (synth_sources specs (ref [])) in
+  let next = scan_merge srcs in
+  let rec go acc =
+    match next () with
+    | Some _ -> go (cursors srcs :: acc)
+    | None -> Array.of_list (List.rev acc)
+  in
+  go [ cursors srcs ]
+
+(* After every pull: the same item (hence the same source — its pid is
+   in the item), the same [src_next] calls made by that pull, in order,
+   and the same cursor on every source. *)
+let merge_matches_scan specs =
+  let heap_log = ref [] and scan_log = ref [] in
+  let heap_srcs = Array.of_list (synth_sources specs heap_log) in
+  let scan_srcs = Array.of_list (synth_sources specs scan_log) in
+  let heap = Ingest.merge (Array.to_list heap_srcs) in
+  let scan = scan_merge scan_srcs in
+  let rec pull k =
+    heap_log := [];
+    scan_log := [];
+    let got = heap () and want = scan () in
+    if got <> want then Error (Printf.sprintf "pull %d: emitted items differ" k)
+    else if !heap_log <> !scan_log then
+      Error
+        (Printf.sprintf "pull %d: src_next calls [%s], scan made [%s]" k
+           (String.concat " " (List.rev_map string_of_int !heap_log))
+           (String.concat " " (List.rev_map string_of_int !scan_log)))
+    else if cursors heap_srcs <> cursors scan_srcs then
+      Error (Printf.sprintf "pull %d: cursors differ" k)
+    else if got = None then Ok ()
+    else pull (k + 1)
+  in
+  pull 1
+
+let test_merge_matches_scan () =
+  Prop.check_gen ~name:"heap merge = two-pass scan" ~count:150
+    ~gen:gen_synth_sources ~shrink:Prop.shrink_candidates
+    ~to_string:synth_sources_to_string merge_matches_scan
+
+(* Through [Ingest.run ~segment]: at each [on_idle] every source's
+   cursor equals the scan's after that many items. *)
+let test_run_segment_cursors () =
+  Prop.check_gen ~name:"segmented run cursors = scan" ~count:25
+    ~gen:(fun rng -> (Rng.int_in rng 1 50, gen_synth_sources rng))
+    ~shrink:(fun (segment, specs) ->
+      List.map (fun s -> (segment, s)) (Prop.shrink_candidates specs))
+    ~to_string:(fun (segment, specs) ->
+      Printf.sprintf "segment %d, %s" segment (synth_sources_to_string specs))
+    (fun (segment, specs) ->
+      let expected = scan_cursor_trace specs in
+      let total = Array.length expected - 1 in
+      let srcs = Array.of_list (synth_sources specs (ref [])) in
+      let idles = ref 0 and mismatch = ref None in
+      Engine.with_engine ~shards:2 (fun eng ->
+          Ingest.run ~segment
+            ~on_idle:(fun () ->
+              incr idles;
+              let k = min (!idles * segment) total in
+              if !mismatch = None && cursors srcs <> expected.(k) then
+                mismatch := Some (Printf.sprintf "idle %d (item %d)" !idles k))
+            eng (Array.to_list srcs));
+      match !mismatch with
+      | Some where -> Error ("cursors differ at " ^ where)
+      | None when !idles <> (total / segment) + 1 ->
+          Error (Printf.sprintf "%d on_idle calls for %d items" !idles total)
+      | None -> Ok ())
+
 (* --- streaming trace readers (satellite) ----------------------------------- *)
 
 let with_tmp ~suffix f =
@@ -589,6 +775,44 @@ let test_reader_matches_load () =
             true
             (streamed = items_of_recording loaded)))
     [ Trace_io.Text; Trace_io.Binary ]
+
+(* Records larger than the reader's chunk, and than 64 KiB, must be
+   buffered whole: a source marker with a 70 kB kind and a sink marker
+   with 30k ranges, appended after the last event. *)
+let test_reader_oversized_records () =
+  let r = List.hd (Lazy.force recordings) in
+  let seq =
+    (Pift_trace.Trace.get r.Recorded.trace
+       (Pift_trace.Trace.length r.Recorded.trace - 1))
+      .Pift_trace.Event.seq
+  in
+  let big_source =
+    Recorded.Source { kind = String.make 70_000 'k'; range = Range.of_len 0 4 }
+  and big_sink =
+    Recorded.Sink
+      {
+        kind = "wide";
+        ranges = List.init 30_000 (fun i -> Range.of_len (i * 1000) 4);
+      }
+  in
+  let r =
+    {
+      r with
+      Recorded.markers =
+        Array.append r.Recorded.markers
+          [| (seq, big_source); (seq, big_sink) |];
+    }
+  in
+  with_tmp ~suffix:".pift" (fun path ->
+      Trace_io.save ~format:Trace_io.Binary r path;
+      let _, streamed = drain_reader path in
+      checkb "streamed = loaded items" true
+        (streamed = items_of_recording (Trace_io.load path));
+      match List.rev streamed with
+      | Recorded.Item_marker (s2, m2) :: Recorded.Item_marker (s1, m1) :: _ ->
+          checkb "oversized markers intact" true
+            ((s1, m1) = (seq, big_source) && (s2, m2) = (seq, big_sink))
+      | _ -> Alcotest.fail "trace does not end in the two markers")
 
 let test_truncated_binary_positioned_error () =
   let r = List.hd (Lazy.force recordings) in
@@ -686,10 +910,19 @@ let () =
             test_provenance_scans_stay_per_pid;
           Alcotest.test_case "release_pid" `Quick test_provenance_release_pid;
         ] );
+      ( "ingest merge",
+        [
+          Alcotest.test_case "heap merge = two-pass scan" `Quick
+            test_merge_matches_scan;
+          Alcotest.test_case "segmented run cursors = scan" `Quick
+            test_run_segment_cursors;
+        ] );
       ( "streaming readers",
         [
           Alcotest.test_case "reader = load, both formats" `Quick
             test_reader_matches_load;
+          Alcotest.test_case "records over 64 KiB" `Quick
+            test_reader_oversized_records;
           Alcotest.test_case "truncated binary positioned error" `Quick
             test_truncated_binary_positioned_error;
         ] );
