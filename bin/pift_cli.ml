@@ -1208,7 +1208,8 @@ module Service = Pift_service
    sharded engine or by isolated replays — the CI determinism leg
    [cmp]s the two, so everything else (engine stats, progress) goes to
    stderr. *)
-let print_tenant_block ~name ~prov verdicts (s : Tracker.stats) =
+let print_tenant_block ?(dropped = 0) ~name ~prov verdicts
+    (s : Tracker.stats) =
   Printf.printf "tenant %s\n" name;
   List.iter
     (fun (kind, flagged, origins) ->
@@ -1222,7 +1223,11 @@ let print_tenant_block ~name ~prov verdicts (s : Tracker.stats) =
     "  stats: %d events, %d taint ops, %d untaint ops, %d lookups, max %d \
      tainted bytes, %d ranges\n"
     s.Tracker.events s.Tracker.taint_ops s.Tracker.untaint_ops
-    s.Tracker.lookups s.Tracker.max_tainted_bytes s.Tracker.max_ranges
+    s.Tracker.lookups s.Tracker.max_tainted_bytes s.Tracker.max_ranges;
+  (* Only [--drop-when-full] loses items; a lossless run prints nothing
+     here, so its blocks stay byte-identical to [--isolated]. *)
+  if dropped > 0 then
+    Printf.printf "  dropped %d items (possible false negatives)\n" dropped
 
 (* Per-tenant blocks for a list of engine pids, in the given order.
    Shared by serve (source order) and restore (snapshot order); the
@@ -1234,7 +1239,8 @@ let print_tenant_blocks eng ~prov pids =
       match Service.Engine.snapshot_tenant eng ~pid with
       | None -> ()
       | Some ts ->
-          print_tenant_block ~name:ts.Service.Engine.ts_name ~prov
+          print_tenant_block ~dropped:ts.Service.Engine.ts_dropped
+            ~name:ts.Service.Engine.ts_name ~prov
             (List.map
                (fun (v : Service.Engine.verdict) ->
                  (v.Service.Engine.v_kind, v.Service.Engine.v_flagged,
@@ -1408,7 +1414,8 @@ let serve_cmd =
   let drop =
     let doc =
       "Drop batches instead of blocking the producer when a shard queue is \
-       full (lossy; dropped items are reported on stderr)."
+       full (lossy: each tenant block reports its dropped items as \
+       possible false negatives, and the stderr engine line the total)."
     in
     Arg.(value & flag & info [ "drop-when-full" ] ~doc)
   in

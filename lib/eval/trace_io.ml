@@ -391,8 +391,9 @@ let rd_varint = Wire.Reader.varint
 
 (* Pull-side decoder state: the chunk reader plus the record counter and
    the delta baselines.  The decode helpers are top-level functions over
-   this record — no per-record closure allocation, same as the old
-   hoisted-closure loop, but usable one record at a time. *)
+   this record, and the error continuations are built once per reader
+   or only on the failure path, so decoding a record allocates nothing
+   but the item it returns. *)
 type bin_reader = {
   br_rd : rd;
   mutable br_record : int;
@@ -401,25 +402,24 @@ type bin_reader = {
   mutable br_prev_lo : int;
   mutable br_pos : int;  (* next payload byte *)
   mutable br_limit : int;  (* end of current payload *)
+  br_fail_next : string -> int;  (* fails naming record [br_record + 1] *)
 }
 
 let br_fail br msg = fail_record br.br_record msg
 
-let br_varint br =
-  let rec go shift acc =
-    if br.br_pos >= br.br_limit then br_fail br "truncated record payload"
+let rec br_varint_from br shift acc =
+  if br.br_pos >= br.br_limit then br_fail br "truncated record payload"
+  else begin
+    let b = Char.code (Bytes.unsafe_get br.br_rd.Wire.Reader.buf br.br_pos) in
+    br.br_pos <- br.br_pos + 1;
+    if shift > 56 && b > 0x7f then br_fail br "varint overflow"
     else begin
-      let b = Char.code (Bytes.unsafe_get br.br_rd.Wire.Reader.buf br.br_pos) in
-      br.br_pos <- br.br_pos + 1;
-      if shift > 56 && b > 0x7f then br_fail br "varint overflow"
-      else begin
-        let acc = acc lor ((b land 0x7f) lsl shift) in
-        if b < 0x80 then acc else go (shift + 7) acc
-      end
+      let acc = acc lor ((b land 0x7f) lsl shift) in
+      if b < 0x80 then acc else br_varint_from br (shift + 7) acc
     end
-  in
-  go 0 0
+  end
 
+let br_varint br = br_varint_from br 0 0
 let br_svarint br = unzigzag (br_varint br)
 
 let br_seq br =
@@ -428,7 +428,9 @@ let br_seq br =
 
 let br_range br =
   br.br_prev_lo <- br.br_prev_lo + br_svarint br;
-  range_of_len (br_fail br) br.br_prev_lo (br_varint br)
+  let len = br_varint br in
+  try Range.of_len br.br_prev_lo len
+  with Invalid_argument msg -> br_fail br msg
 
 let br_kind br =
   let klen = br_varint br in
@@ -455,7 +457,7 @@ let bin_open ic =
   rd.Wire.Reader.lo <- rd.Wire.Reader.lo + name_len;
   let h_pid = rd_varint fail0 rd in
   let h_bytecodes = rd_varint fail0 rd in
-  ( { h_name; h_pid; h_bytecodes },
+  let rec br =
     {
       br_rd = rd;
       br_record = 0;
@@ -464,21 +466,23 @@ let bin_open ic =
       br_prev_lo = 0;
       br_pos = 0;
       br_limit = 0;
-    } )
+      br_fail_next = (fun msg -> fail_record (br.br_record + 1) msg);
+    }
+  in
+  ({ h_name; h_pid; h_bytecodes }, br)
 
 (* One record per pull; [None] only on EOF exactly at a record boundary,
    anything else fails with the record number. *)
 let bin_next br =
   let rd = br.br_rd in
-  match rd_varint ~first_eof_ok:true (fail_record (br.br_record + 1)) rd with
+  match rd_varint ~first_eof_ok:true br.br_fail_next rd with
   | exception End_of_file -> None
   | len ->
       br.br_record <- br.br_record + 1;
-      let fail msg = br_fail br msg in
-      if len <= 0 then fail "empty record";
-      if len > max_record_payload then fail "implausible record length";
+      if len <= 0 then br_fail br "empty record";
+      if len > max_record_payload then br_fail br "implausible record length";
       if not (rd_has rd len) then
-        fail (Printf.sprintf "truncated record (%d payload bytes)" len);
+        br_fail br (Printf.sprintf "truncated record (%d payload bytes)" len);
       br.br_pos <- rd.Wire.Reader.lo + 1;
       br.br_limit <- rd.Wire.Reader.lo + len;
       let tag = Char.code (Bytes.unsafe_get rd.Wire.Reader.buf rd.Wire.Reader.lo) in
@@ -516,13 +520,14 @@ let bin_next br =
           let seq = br_seq br in
           let kind = br_kind br in
           let nranges = br_varint br in
-          if nranges < 0 || nranges > len then fail "implausible range count";
+          if nranges < 0 || nranges > len then
+            br_fail br "implausible range count";
           let ranges = List.init nranges (fun _ -> br_range br) in
           Recorded.Item_marker (seq, Recorded.Sink { kind; ranges })
         end
-        else fail (Printf.sprintf "unknown record tag %d" tag)
+        else br_fail br (Printf.sprintf "unknown record tag %d" tag)
       in
-      if br.br_pos <> br.br_limit then fail "trailing bytes in record";
+      if br.br_pos <> br.br_limit then br_fail br "trailing bytes in record";
       Some item
 
 let iter_channel_binary ic ~on_event ~on_marker =

@@ -31,7 +31,11 @@
     range starts are zigzag-coded deltas against the previous record, so
     the common consecutive-event case costs one byte per field.  The
     length prefix bounds every record: truncated or corrupt files are
-    rejected with the failing record's number.
+    rejected with the failing record's number.  The binary decoder
+    builds no closure per record (its error continuations run only on
+    the failure path), so a record costs only the item it returns.
+    That is a property of the decoder, not of the format: the bytes
+    above and the positioned error messages are the contract.
 
     Either format round-trips loads, stores, and markers exactly —
     replaying a loaded recording produces byte-identical verdicts.

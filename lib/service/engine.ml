@@ -28,12 +28,38 @@ type tenant = {
   tn_tracker : Tracker.t;
   mutable tn_verdicts_rev : verdict list;
   mutable tn_bytes : int;  (* last synced store occupancy, bytes *)
+  mutable tn_dropped : int;  (* items lost to the dropping policy *)
 }
+
+(* A column batch: the shard queues carry these, not item values.  Row
+   [r] is the [width] ints at [r * width] of [b_rows]: tag, pid, seq, k,
+   lo, len — the Fig. 5 record, flat.  The rare non-event items keep
+   tag [tag_item] and travel in [b_side] at their row index; every
+   other side slot holds [no_item].  Batches are made lazily by the
+   producer, handed back by the consumer once drained (through the
+   shard's [sh_free]), and reused across runs, so the steady state
+   allocates none and queues no pointer into the minor heap. *)
+type batch = { b_rows : int array; b_side : item array }
+
+let width = 6
+let tag_load = 0
+let tag_store = 1
+let tag_other = 2
+let tag_item = 3
+let no_item = I_evict { pid = min_int }
+let no_batch = { b_rows = [||]; b_side = [||] }
+
+let make_batch n =
+  { b_rows = Array.make (n * width) 0; b_side = Array.make n no_item }
 
 type shard = {
   sh_id : int;
   sh_tenants : (int, tenant) Hashtbl.t;
-  mutable sh_queue : item Spsc.t;  (* fresh per run *)
+  mutable sh_queue : batch Spsc.t;  (* fresh per run *)
+  (* Drained batches on their way back from the consumer to the
+     producer.  The only batch state both domains touch, hence atomic;
+     kept across runs. *)
+  sh_free : batch list Atomic.t;
   (* Plain counters, read only by [stats] while the engine is idle. *)
   mutable sh_items : int;
   mutable sh_events : int;
@@ -72,7 +98,8 @@ let make_shard id =
   {
     sh_id = id;
     sh_tenants = Hashtbl.create 8;
-    sh_queue = Spsc.create ~capacity:1 ();
+    sh_queue = Spsc.create ~capacity:1 ~empty:no_batch;
+    sh_free = Atomic.make [];
     sh_items = 0;
     sh_events = 0;
     sh_batches = 0;
@@ -143,6 +170,7 @@ let tenant_of t sh pid =
           tn_tracker = tracker;
           tn_verdicts_rev = [];
           tn_bytes = 0;
+          tn_dropped = 0;
         }
       in
       Hashtbl.add sh.sh_tenants pid tn;
@@ -179,14 +207,14 @@ let sink_verdict t tn ~pid ~kind ranges =
   in
   { v_kind = kind; v_flagged = flagged; v_origins = origins }
 
-let process_item t sh item =
-  sh.sh_items <- sh.sh_items + 1;
-  match item with
-  | I_event e ->
-      sh.sh_events <- sh.sh_events + 1;
-      let tn = tenant_of t sh e.Event.pid in
-      Tracker.observe tn.tn_tracker e;
-      sync_bytes sh tn
+let observe t sh (e : Event.t) =
+  sh.sh_events <- sh.sh_events + 1;
+  let tn = tenant_of t sh e.Event.pid in
+  Tracker.observe tn.tn_tracker e;
+  sync_bytes sh tn
+
+let process_item t sh = function
+  | I_event e -> observe t sh e
   | I_source { pid; kind; range } ->
       let tn = tenant_of t sh pid in
       Tracker.taint_source ~kind tn.tn_tracker ~pid range;
@@ -204,37 +232,121 @@ let process_item t sh item =
       | None -> ()
       | Some tn -> evict_local sh tn)
 
+let row_access rows o tag =
+  if tag = tag_other then Event.Other
+  else
+    let range = Range.of_len rows.(o + 4) rows.(o + 5) in
+    if tag = tag_load then Event.Load range else Event.Store range
+
+(* Row [r] of [b], in place: an event row becomes a short-lived
+   [Event.t] for Algorithm 1 ([insn] is a constant — nothing in the
+   engine reads it); a side item is taken out of its slot first, so a
+   drained batch keeps no item reachable. *)
+let process_row t sh b r =
+  sh.sh_items <- sh.sh_items + 1;
+  let rows = b.b_rows and o = r * width in
+  let tag = rows.(o) in
+  if tag = tag_item then begin
+    let item = b.b_side.(r) in
+    b.b_side.(r) <- no_item;
+    process_item t sh item
+  end
+  else
+    observe t sh
+      {
+        Event.seq = rows.(o + 2);
+        k = rows.(o + 3);
+        pid = rows.(o + 1);
+        insn = Pift_arm.Insn.Nop;
+        access = row_access rows o tag;
+      }
+
 let pid_of_item = function
   | I_event e -> e.Event.pid
   | I_source { pid; _ } | I_sink { pid; _ } | I_untaint { pid; _ }
   | I_evict { pid } ->
       pid
 
-(* Ingest producer (pool slot 0): route each item to its shard's local
-   batch buffer, push full batches through the bounded queue, close all
+let put_range rows o tag range =
+  rows.(o) <- tag;
+  rows.(o + 4) <- Range.lo range;
+  rows.(o + 5) <- Range.length range
+
+(* Copy one streamed item into row [r] of [b]. *)
+let put b r item =
+  let rows = b.b_rows and o = r * width in
+  match item with
+  | I_event e -> (
+      rows.(o + 1) <- e.Event.pid;
+      rows.(o + 2) <- e.Event.seq;
+      rows.(o + 3) <- e.Event.k;
+      match e.Event.access with
+      | Event.Load range -> put_range rows o tag_load range
+      | Event.Store range -> put_range rows o tag_store range
+      | Event.Other -> rows.(o) <- tag_other)
+  | I_source _ | I_sink _ | I_untaint _ | I_evict _ ->
+      rows.(o) <- tag_item;
+      rows.(o + 1) <- pid_of_item item;
+      b.b_side.(r) <- item
+
+(* [sh_free] is a lock-free stack: the consumer pushes each drained
+   batch, the producer pops one when it starts a batch and makes a new
+   one only when the stack is empty.  A shard therefore owns at most
+   [queue_capacity + 2] batches: the queued ones, the one being filled,
+   the one being drained. *)
+let rec recycle sh b =
+  let free = Atomic.get sh.sh_free in
+  if not (Atomic.compare_and_set sh.sh_free free (b :: free)) then
+    recycle sh b
+
+let rec take_batch t sh =
+  match Atomic.get sh.sh_free with
+  | [] -> make_batch t.cfg.batch
+  | b :: rest as free ->
+      if Atomic.compare_and_set sh.sh_free free rest then b
+      else take_batch t sh
+
+(* A batch the queue refused (already counted there): charge each row
+   to its pid in [drops] and release its side items, so the producer
+   can refill it. *)
+let discard drops b items =
+  for r = 0 to items - 1 do
+    let o = r * width in
+    let pid = b.b_rows.(o + 1) in
+    Hashtbl.replace drops pid
+      (1 + Option.value ~default:0 (Hashtbl.find_opt drops pid));
+    if b.b_rows.(o) = tag_item then b.b_side.(r) <- no_item
+  done
+
+(* Ingest producer (pool slot 0): copy each item into its shard's
+   current batch, push full batches through the bounded queue, close all
    queues at end of stream — also on failure, so shard consumers always
    see end-of-stream and the pool join cannot deadlock on a producer
-   exception. *)
-let produce t stream =
+   exception.  A batch still held at the end (one the queue dropped)
+   goes back to the free list. *)
+let produce t stream drops =
   let n = t.cfg.shards in
-  let dummy = I_evict { pid = min_int } in
-  let bufs = Array.init n (fun _ -> Array.make t.cfg.batch dummy) in
+  let cur = Array.make n no_batch in
   let fills = Array.make n 0 in
   let flush i =
-    if fills.(i) > 0 then begin
-      let batch = Array.sub bufs.(i) 0 fills.(i) in
+    let items = fills.(i) in
+    if items > 0 then begin
       fills.(i) <- 0;
-      (* A [Dropped] result is already counted by the queue. *)
-      ignore
-        (Spsc.push t.shard_arr.(i).sh_queue
-           ~drop_when_full:t.cfg.drop_when_full batch)
+      match
+        Spsc.push t.shard_arr.(i).sh_queue
+          ~drop_when_full:t.cfg.drop_when_full cur.(i) ~items
+      with
+      | Spsc.Pushed -> cur.(i) <- no_batch
+      | Spsc.Dropped -> discard drops cur.(i) items
     end
   in
   Fun.protect
     ~finally:(fun () ->
       for i = 0 to n - 1 do
+        let sh = t.shard_arr.(i) in
         flush i;
-        Spsc.close t.shard_arr.(i).sh_queue
+        Spsc.close sh.sh_queue;
+        if cur.(i) != no_batch then recycle sh cur.(i)
       done)
     (fun () ->
       let rec go () =
@@ -243,7 +355,8 @@ let produce t stream =
         | Some item ->
             let sh = shard_of t (pid_of_item item) in
             let i = sh.sh_id in
-            bufs.(i).(fills.(i)) <- item;
+            if cur.(i) == no_batch then cur.(i) <- take_batch t sh;
+            put cur.(i) fills.(i) item;
             fills.(i) <- fills.(i) + 1;
             if fills.(i) = t.cfg.batch then flush i;
             go ()
@@ -251,9 +364,10 @@ let produce t stream =
       go ())
 
 (* Shard consumer (pool slot 1 + shard id): drain the queue batch by
-   batch until closed.  A consumer failure aborts its queue first, so
-   the producer can never block against it, then propagates through the
-   pool join. *)
+   batch until closed, walking each batch's rows in order and handing
+   it back for reuse.  A consumer failure aborts its queue first, so the
+   producer can never block against it, then propagates through the
+   pool join; the batch it was draining is not handed back. *)
 exception Injected_fault of int
 
 let inject_fault t ~shard ~after_items =
@@ -270,19 +384,19 @@ let consume t sh =
     let rec go () =
       match Spsc.pop q with
       | None -> ()
-      | Some batch ->
+      | Some (b, items) ->
           sh.sh_batches <- sh.sh_batches + 1;
-          Array.iter
-            (fun item ->
-              if t.fault_after >= 0 && t.fault_shard = sh.sh_id then begin
-                if t.fault_after = 0 then begin
-                  t.fault_after <- -1;
-                  raise (Injected_fault sh.sh_id)
-                end;
-                t.fault_after <- t.fault_after - 1
+          for r = 0 to items - 1 do
+            if t.fault_after >= 0 && t.fault_shard = sh.sh_id then begin
+              if t.fault_after = 0 then begin
+                t.fault_after <- -1;
+                raise (Injected_fault sh.sh_id)
               end;
-              process_item t sh item)
-            batch;
+              t.fault_after <- t.fault_after - 1
+            end;
+            process_row t sh b r
+          done;
+          recycle sh b;
           go ()
     in
     go ()
@@ -294,21 +408,30 @@ let run t stream =
   if t.closed then invalid_arg "Engine.run: engine is shut down";
   (* Fresh queues per run: the previous run closed them. *)
   Array.iter
-    (fun sh -> sh.sh_queue <- Spsc.create ~capacity:t.cfg.queue_capacity ())
+    (fun sh ->
+      sh.sh_queue <-
+        Spsc.create ~capacity:t.cfg.queue_capacity ~empty:no_batch)
     t.shard_arr;
+  (* Items per pid the dropping policy discarded during this run. *)
+  let drops = Hashtbl.create 8 in
   Fun.protect
     ~finally:(fun () ->
-      (* Fold the run's queue tallies into the shard totals whether the
-         run succeeded or not. *)
+      (* Fold the run's queue tallies into the shard totals, and its
+         losses into their tenants, whether the run succeeded or not. *)
       Array.iter
         (fun sh ->
           let q = sh.sh_queue in
           sh.sh_dropped <- sh.sh_dropped + Spsc.dropped q;
           sh.sh_max_queue_depth <- max sh.sh_max_queue_depth (Spsc.max_depth q))
-        t.shard_arr)
+        t.shard_arr;
+      Hashtbl.iter
+        (fun pid n ->
+          let tn = tenant_of t (shard_of t pid) pid in
+          tn.tn_dropped <- tn.tn_dropped + n)
+        drops)
     (fun () ->
       Pool.run_job t.pool (fun ~worker ->
-          if worker = 0 then produce t stream
+          if worker = 0 then produce t stream drops
           else consume t t.shard_arr.(worker - 1)))
 
 let shutdown t =
@@ -367,6 +490,7 @@ type tenant_snapshot = {
   ts_stats : Tracker.stats;
   ts_tainted_bytes : int;
   ts_ranges : int;
+  ts_dropped : int;
 }
 
 let snapshot_tenant t ~pid =
@@ -383,6 +507,7 @@ let snapshot_tenant t ~pid =
           ts_stats = Tracker.stats tn.tn_tracker;
           ts_tainted_bytes = Tracker.current_tainted_bytes tn.tn_tracker;
           ts_ranges = Tracker.current_ranges tn.tn_tracker;
+          ts_dropped = tn.tn_dropped;
         }
 
 let tenants t =

@@ -11,6 +11,24 @@
     and nothing pushes them anywhere: {!stats} and {!snapshot_tenant}
     are the only reads, taken while the engine is idle.
 
+    {b Queues.}  The producer does not queue item values.  It copies
+    each item into a row of a preallocated {e column batch}: six ints
+    per row — tag, pid, seq, k, lo, len, the Fig. 5 record — with the
+    rare non-event items kept in a side array at their row index.  A
+    full batch moves through the shard's {!Spsc} queue as one value;
+    the consumer walks its rows in order (non-event items in place),
+    builds a short-lived [Pift_trace.Event.t] per event row for
+    {!Pift_core.Tracker.observe}, clears each side slot it consumes and
+    hands the batch back through the shard's atomic free list.  Batches
+    are made lazily inside {!run}, never more than
+    [queue_capacity + 2] per shard (queued, filling, draining), and
+    reused across runs and segments: a steady-state run allocates no
+    batch and no queued item survives a minor collection.  Events reach
+    the tracker with a constant [insn] (nothing in the engine reads
+    it).  A batch the dropping policy refuses stays with the producer,
+    is charged to its rows' tenants and refilled; a consumer that dies
+    keeps the batch it was draining and the producer makes a fresh one.
+
     {b Sharding.}  Pids are partitioned by contiguous range:
     [shard_of pid = (pid / pid_range) mod shards].  Routing is pure
     arithmetic, so a pid's shard never changes and no cross-shard
@@ -62,7 +80,7 @@ val create :
     of the contiguous pid blocks mapped to one shard.
     [drop_when_full:true] switches backpressure from blocking the
     producer to dropping batches (counted per shard, surfaced in
-    {!stats}).  [with_origins] threads a provenance sidecar through
+    {!stats}, and per tenant in {!snapshot_tenant}'s [ts_dropped]).  [with_origins] threads a provenance sidecar through
     every tenant so sink verdicts carry origin sets.  Raises
     [Invalid_argument] unless [shards], [queue_capacity], [batch] and
     [pid_range] are positive. *)
@@ -74,7 +92,9 @@ val run : t -> stream -> unit
     consumer) the queues are closed/aborted so no domain wedges, and
     the first exception re-raises here after all workers drain.
     Tenants are created on first touch and survive across runs until
-    evicted. *)
+    evicted.  Items the dropping policy discards are added to their
+    tenants' [ts_dropped] once the workers have joined (creating the
+    tenant if none is resident). *)
 
 val shutdown : t -> unit
 (** Join the pool domains.  Idempotent; {!run} refuses afterwards
@@ -133,6 +153,10 @@ type tenant_snapshot = {
   ts_stats : Pift_core.Tracker.stats;
   ts_tainted_bytes : int;  (** live, not peak *)
   ts_ranges : int;
+  ts_dropped : int;
+      (** items of this tenant the dropping policy discarded, summed over
+          runs; each is a possible false negative.  Not persisted: a
+          restored tenant starts again from 0. *)
 }
 
 val snapshot_tenant : t -> pid:int -> tenant_snapshot option

@@ -25,7 +25,10 @@
     {!Engine.restore_tenant}) with every tenant restored and every
     source re-opened and {!Ingest.skip}ped to its cursor resumes to
     byte-identical verdicts, origins, and stats versus the
-    uninterrupted run. *)
+    uninterrupted run.  A tenant's dropped-item count
+    ([Engine.tenant_snapshot]'s [ts_dropped], only non-zero under
+    [drop_when_full]) is not persisted: a restored tenant's count
+    restarts at 0. *)
 
 type manifest = {
   m_shards : int;  (** shard count at snapshot time (informational) *)

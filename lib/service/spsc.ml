@@ -1,25 +1,35 @@
 (* Bounded single-producer single-consumer batch queue: the link between
    the engine's ingest front (pool slot 0) and one shard consumer.  The
-   unit of transfer is a batch (an array of items), so the mutex is
-   taken once per batch, not per event.
+   unit of transfer is a batch value plus its item count, so the mutex
+   is taken once per batch, not per event.
+
+   The queue is a fixed ring of [capacity] slots, so a push allocates
+   nothing.  A slot that is not queued holds the [empty] value given to
+   [create]: once a batch is popped (or discarded by [abort]) the queue
+   no longer keeps it reachable.  What a batch is, and who reuses it
+   after the consumer is done with it, is the caller's business.
 
    Backpressure is the producer's choice per push: block until the
    consumer frees a slot (the default, deterministic — nothing is ever
    lost, the producer just runs at the slowest shard's pace), or drop
-   the batch and count the items ([dropped] is folded into the shard's
-   counters after each run and read through [Engine.stats]).
+   the batch and count its items ([dropped] is folded into the shard's
+   counters after each run and read through [Engine.stats]).  A dropped
+   batch stays with the producer.
 
    [abort] is the failure path: a consumer that dies mid-stream aborts
    its queue so the producer cannot block forever against a reader that
    will never come back — subsequent pushes drop, pops return [None],
    and the pool join re-raises the consumer's exception. *)
 
-type 'a t = {
+type 'b t = {
   mu : Mutex.t;
   not_full : Condition.t;
   not_empty : Condition.t;
-  buf : 'a array Queue.t;  (* of batches *)
-  capacity : int;  (* max queued batches *)
+  empty : 'b;  (* fills every slot that holds no queued batch *)
+  slots : 'b array;  (* ring of queued batches *)
+  counts : int array;  (* items in the batch of the same slot *)
+  mutable head : int;  (* slot of the oldest queued batch *)
+  mutable len : int;  (* queued batches *)
   mutable closed : bool;  (* producer finished *)
   mutable aborted : bool;  (* consumer died *)
   mutable dropped : int;  (* items (not batches) dropped *)
@@ -28,50 +38,48 @@ type 'a t = {
 
 type push_result = Pushed | Dropped
 
-let create ~capacity () =
+let create ~capacity ~empty =
   if capacity <= 0 then invalid_arg "Spsc.create: capacity must be positive";
   {
     mu = Mutex.create ();
     not_full = Condition.create ();
     not_empty = Condition.create ();
-    buf = Queue.create ();
-    capacity;
+    empty;
+    slots = Array.make capacity empty;
+    counts = Array.make capacity 0;
+    head = 0;
+    len = 0;
     closed = false;
     aborted = false;
     dropped = 0;
     max_depth = 0;
   }
 
-let push t ~drop_when_full batch =
+let capacity t = Array.length t.slots
+
+let push t ~drop_when_full batch ~items =
   Mutex.lock t.mu;
   if t.closed then begin
     Mutex.unlock t.mu;
     invalid_arg "Spsc.push: queue closed"
   end;
+  if (not t.aborted) && not drop_when_full then
+    while t.len >= capacity t && not t.aborted do
+      Condition.wait t.not_full t.mu
+    done;
   let result =
-    if t.aborted then begin
-      t.dropped <- t.dropped + Array.length batch;
-      Dropped
-    end
-    else if drop_when_full && Queue.length t.buf >= t.capacity then begin
-      t.dropped <- t.dropped + Array.length batch;
+    if t.aborted || t.len >= capacity t then begin
+      t.dropped <- t.dropped + items;
       Dropped
     end
     else begin
-      while Queue.length t.buf >= t.capacity && not t.aborted do
-        Condition.wait t.not_full t.mu
-      done;
-      if t.aborted then begin
-        t.dropped <- t.dropped + Array.length batch;
-        Dropped
-      end
-      else begin
-        Queue.add batch t.buf;
-        let depth = Queue.length t.buf in
-        if depth > t.max_depth then t.max_depth <- depth;
-        Condition.signal t.not_empty;
-        Pushed
-      end
+      let slot = (t.head + t.len) mod capacity t in
+      t.slots.(slot) <- batch;
+      t.counts.(slot) <- items;
+      t.len <- t.len + 1;
+      if t.len > t.max_depth then t.max_depth <- t.len;
+      Condition.signal t.not_empty;
+      Pushed
     end
   in
   Mutex.unlock t.mu;
@@ -83,9 +91,12 @@ let close t =
   Condition.broadcast t.not_empty;
   Mutex.unlock t.mu
 
+(* Queued batches are discarded, not delivered: release them. *)
 let abort t =
   Mutex.lock t.mu;
   t.aborted <- true;
+  Array.fill t.slots 0 (capacity t) t.empty;
+  t.len <- 0;
   Condition.broadcast t.not_empty;
   Condition.broadcast t.not_full;
   Mutex.unlock t.mu
@@ -94,10 +105,14 @@ let pop t =
   Mutex.lock t.mu;
   let rec go () =
     if t.aborted then None
-    else if not (Queue.is_empty t.buf) then begin
-      let b = Queue.take t.buf in
+    else if t.len > 0 then begin
+      let slot = t.head in
+      let b = t.slots.(slot) in
+      t.slots.(slot) <- t.empty;
+      t.head <- (slot + 1) mod capacity t;
+      t.len <- t.len - 1;
       Condition.signal t.not_full;
-      Some b
+      Some (b, t.counts.(slot))
     end
     else if t.closed then None
     else begin
@@ -115,6 +130,6 @@ let locked t f =
   Mutex.unlock t.mu;
   v
 
-let length t = locked t (fun () -> Queue.length t.buf)
+let length t = locked t (fun () -> t.len)
 let dropped t = locked t (fun () -> t.dropped)
 let max_depth t = locked t (fun () -> t.max_depth)

@@ -1,46 +1,63 @@
 (** Bounded single-producer single-consumer batch queue — the channel
     between the engine's ingest front and one shard consumer.
 
-    The transfer unit is a batch (array of items): one mutex round-trip
-    amortised over the whole batch.  Capacity is counted in batches.
+    The transfer unit is one batch value plus its item count: one mutex
+    round-trip amortised over the whole batch.  Capacity is counted in
+    batches.  The queue is a fixed ring, so {!push} allocates nothing;
+    it moves the batch value itself, never a copy.
+
+    {b Ownership.}  A pushed batch belongs to the queue until {!pop}
+    hands it to the consumer; a dropped batch stays with the producer.
+    The queue keeps no reference to a batch once it is popped (or
+    discarded by {!abort}): free slots hold the [empty] value given to
+    {!create}.  The engine uses this to recycle column batches — the
+    consumer hands each processed batch back to the producer through a
+    separate synchronised free list, so a shard owns at most
+    [capacity + 2] batches (the queued ones, the one being filled, the
+    one being drained).
 
     Backpressure policy is chosen per {!push}: blocking (default;
     deterministic, the producer runs at the slowest consumer's pace) or
-    dropping (the batch is discarded and its {e items} counted in
+    dropping (the batch is refused and its {e items} counted in
     {!dropped} — folded into the shard's counters and read through
     [Engine.stats]). *)
 
-type 'a t
+type 'b t
 
-val create : capacity:int -> unit -> 'a t
-(** [capacity] > 0, in batches. *)
+val create : capacity:int -> empty:'b -> 'b t
+(** [capacity] > 0, in batches.  [empty] fills the slots that hold no
+    queued batch. *)
 
 type push_result = Pushed | Dropped
 
-val push : 'a t -> drop_when_full:bool -> 'a array -> push_result
-(** Producer side.  With [drop_when_full:false], blocks while the queue
-    is at capacity (until the consumer pops, or the queue is aborted).
-    With [drop_when_full:true], never blocks: a full queue drops the
-    batch.  After {!abort}, every push drops — a dead consumer must not
-    wedge the producer.  Raises [Invalid_argument] after {!close}. *)
+val push : 'b t -> drop_when_full:bool -> 'b -> items:int -> push_result
+(** Producer side: queue a batch holding [items] items.  With
+    [drop_when_full:false], blocks while the queue is at capacity
+    (until the consumer pops, or the queue is aborted).  With
+    [drop_when_full:true], never blocks: a full queue drops the batch
+    and adds [items] to {!dropped}.  After {!abort}, every push drops —
+    a dead consumer must not wedge the producer.  A [Dropped] batch was
+    not taken: the producer still owns it and may refill it.  Raises
+    [Invalid_argument] after {!close}. *)
 
-val close : 'a t -> unit
+val close : 'b t -> unit
 (** Producer side, end of stream: the consumer drains what is queued,
     then {!pop} returns [None]. *)
 
-val abort : 'a t -> unit
-(** Consumer side, failure path: wake everyone, make every subsequent
-    push drop and every pop return [None]. *)
+val abort : 'b t -> unit
+(** Consumer side, failure path: discard every queued batch, wake
+    everyone, make every subsequent push drop and every pop return
+    [None]. *)
 
-val pop : 'a t -> 'a array option
-(** Consumer side: blocks until a batch, [None] once closed-and-drained
-    (or aborted). *)
+val pop : 'b t -> ('b * int) option
+(** Consumer side: blocks until a batch, returned with its item count;
+    [None] once closed-and-drained (or aborted). *)
 
-val length : 'a t -> int
+val length : 'b t -> int
 (** Batches currently queued. *)
 
-val dropped : 'a t -> int
+val dropped : 'b t -> int
 (** Items discarded by non-blocking pushes (and pushes after abort). *)
 
-val max_depth : 'a t -> int
+val max_depth : 'b t -> int
 (** Peak queued batches — how close the producer came to blocking. *)

@@ -75,19 +75,22 @@ module Reader = struct
   (* Header fields and record length prefixes.  [first_eof_ok]
      distinguishes the clean end of the stream (EOF where a record
      would start) from truncation inside a varint.  Varints are capped
-     at 9 bytes (63 value bits) so corrupt input cannot loop. *)
+     at 9 bytes (63 value bits) so corrupt input cannot loop.  The loop
+     is a top-level function over its state, so a decode allocates
+     nothing; [fail] is only called on the failure path. *)
+  let rec varint_from fail r ~first_eof_ok shift acc =
+    match byte r with
+    | -1 ->
+        if shift = 0 && first_eof_ok then raise End_of_file
+        else fail "truncated varint"
+    | b ->
+        if shift > 56 && b > 0x7f then fail "varint overflow"
+        else begin
+          let acc = acc lor ((b land 0x7f) lsl shift) in
+          if b < 0x80 then acc
+          else varint_from fail r ~first_eof_ok (shift + 7) acc
+        end
+
   let varint ?(first_eof_ok = false) fail r =
-    let rec go shift acc first =
-      match byte r with
-      | -1 ->
-          if first && first_eof_ok then raise End_of_file
-          else fail "truncated varint"
-      | b ->
-          if shift > 56 && b > 0x7f then fail "varint overflow"
-          else begin
-            let acc = acc lor ((b land 0x7f) lsl shift) in
-            if b < 0x80 then acc else go (shift + 7) acc false
-          end
-    in
-    go 0 0 true
+    varint_from fail r ~first_eof_ok 0 0
 end

@@ -59,5 +59,7 @@ module Reader : sig
   (** Decode one varint. Calls [fail] (which must raise) on truncation
       or a varint longer than 9 bytes. With [~first_eof_ok:true],
       raises [End_of_file] when the stream ends cleanly before the
-      first byte — the record-boundary EOF case. *)
+      first byte — the record-boundary EOF case. Decoding allocates
+      nothing, so a hot caller should pass a [fail] it built once
+      rather than a fresh closure per call. *)
 end

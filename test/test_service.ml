@@ -39,10 +39,13 @@ let recordings =
 
 (* --- Spsc ---------------------------------------------------------------- *)
 
+(* Batches are int arrays here; [[||]] fills the free slots. *)
+let spsc ~capacity = Spsc.create ~capacity ~empty:[||]
+
 let test_spsc_fifo () =
-  let q = Spsc.create ~capacity:4 () in
+  let q = spsc ~capacity:4 in
   for i = 0 to 3 do
-    match Spsc.push q ~drop_when_full:false [| i; i + 10 |] with
+    match Spsc.push q ~drop_when_full:false [| i; i + 10; -1 |] ~items:2 with
     | Spsc.Pushed -> ()
     | Spsc.Dropped -> Alcotest.fail "push dropped below capacity"
   done;
@@ -52,8 +55,8 @@ let test_spsc_fifo () =
   let drained = ref [] in
   let rec drain () =
     match Spsc.pop q with
-    | Some b ->
-        drained := !drained @ Array.to_list b;
+    | Some (b, items) ->
+        drained := !drained @ Array.to_list (Array.sub b 0 items);
         drain ()
     | None -> ()
   in
@@ -62,32 +65,74 @@ let test_spsc_fifo () =
     (!drained = [ 0; 10; 1; 11; 2; 12; 3; 13 ]);
   checkb "pop after drain stays None" true (Spsc.pop q = None)
 
+(* The ring wraps: interleaved pushes and pops past the capacity keep
+   FIFO order and the depth bound. *)
+let test_spsc_ring_wraps () =
+  let q = spsc ~capacity:3 in
+  let popped = ref [] in
+  let pop () =
+    match Spsc.pop q with
+    | Some (b, items) -> popped := (b.(0), items) :: !popped
+    | None -> Alcotest.fail "pop returned None with batches queued"
+  in
+  for i = 0 to 9 do
+    ignore (Spsc.push q ~drop_when_full:false [| i |] ~items:(i + 1));
+    if Spsc.length q = 3 then pop ()
+  done;
+  Spsc.close q;
+  for _ = 1 to Spsc.length q do
+    pop ()
+  done;
+  checkb "fifo across the wrap, counts travel with their batch" true
+    (List.rev !popped = List.init 10 (fun i -> (i, i + 1)));
+  checki "max depth is the capacity" 3 (Spsc.max_depth q)
+
 let test_spsc_drop_when_full () =
-  let q = Spsc.create ~capacity:1 () in
+  let q = spsc ~capacity:1 in
   checkb "first push fits" true
-    (Spsc.push q ~drop_when_full:true [| 1 |] = Spsc.Pushed);
+    (Spsc.push q ~drop_when_full:true [| 1 |] ~items:1 = Spsc.Pushed);
+  (* [dropped] counts the fill count, not the array length *)
   checkb "second push drops" true
-    (Spsc.push q ~drop_when_full:true [| 2; 3 |] = Spsc.Dropped);
+    (Spsc.push q ~drop_when_full:true [| 2; 3; 0; 0 |] ~items:2 = Spsc.Dropped);
   checki "dropped counts items" 2 (Spsc.dropped q);
   (* the queued batch is still intact *)
-  checkb "survivor delivered" true (Spsc.pop q = Some [| 1 |])
+  checkb "survivor delivered" true (Spsc.pop q = Some ([| 1 |], 1))
+
+(* A blocking push waits for the consumer instead of dropping. *)
+let test_spsc_blocks_when_full () =
+  let q = spsc ~capacity:1 in
+  ignore (Spsc.push q ~drop_when_full:false [| 1 |] ~items:1);
+  let pushed = Atomic.make false in
+  let producer =
+    Domain.spawn (fun () ->
+        let r = Spsc.push q ~drop_when_full:false [| 2 |] ~items:1 in
+        Atomic.set pushed true;
+        r)
+  in
+  Unix.sleepf 0.05;
+  checkb "producer blocked on the full queue" false (Atomic.get pushed);
+  checkb "first batch popped" true (Spsc.pop q = Some ([| 1 |], 1));
+  checkb "blocked push then lands" true (Domain.join producer = Spsc.Pushed);
+  checkb "second batch popped" true (Spsc.pop q = Some ([| 2 |], 1));
+  checki "nothing dropped" 0 (Spsc.dropped q)
 
 let test_spsc_abort () =
-  let q = Spsc.create ~capacity:1 () in
-  ignore (Spsc.push q ~drop_when_full:false [| 1 |]);
+  let q = spsc ~capacity:1 in
+  ignore (Spsc.push q ~drop_when_full:false [| 1 |] ~items:1);
   Spsc.abort q;
   (* a blocked producer would have been woken; pushes now drop *)
   checkb "push after abort drops" true
-    (Spsc.push q ~drop_when_full:false [| 2 |] = Spsc.Dropped);
+    (Spsc.push q ~drop_when_full:false [| 2; 0 |] ~items:1 = Spsc.Dropped);
   checkb "pop after abort is None" true (Spsc.pop q = None);
-  checki "aborted pushes counted" 1 (Spsc.dropped q)
+  checki "aborted pushes counted" 1 (Spsc.dropped q);
+  checki "queued batch discarded" 0 (Spsc.length q)
 
 let test_spsc_close_rejects_push () =
-  let q = Spsc.create ~capacity:1 () in
+  let q = spsc ~capacity:1 in
   Spsc.close q;
   checkb "push after close raises" true
     (try
-       ignore (Spsc.push q ~drop_when_full:false [| 1 |]);
+       ignore (Spsc.push q ~drop_when_full:false [| 1 |] ~items:1);
        false
      with Invalid_argument _ -> true)
 
@@ -242,6 +287,386 @@ let test_drop_policy_accounting () =
       in
       checki "processed + dropped = streamed" total_items
         (st.Engine.st_items + st.Engine.st_dropped))
+
+(* --- column batches ---------------------------------------------------------- *)
+
+(* Random multi-tenant item streams for the column-path property: up to
+   three tenants, each with a forked child pid in its pid block, every
+   access kind over a small adversarial address space (so taint
+   interacts), every non-event kind — including mid-stream untaint and
+   eviction — and runs of events sharing one seq with markers between
+   them ([Engine.item] markers carry no seq of their own). *)
+let gen_engine_stream rng =
+  let tenants = Rng.int_in rng 1 3 in
+  let pids =
+    Array.init (2 * tenants) (fun i -> Ingest.tenant_pid (i / 2) + (i mod 2))
+  in
+  let ks = Array.make (Array.length pids) 0 in
+  let seq = ref 0 in
+  List.init (Rng.int rng 160) (fun _ ->
+      let p = Rng.int rng (Array.length pids) in
+      let pid = pids.(p) in
+      let range () = Prop.gen_range rng in
+      match Rng.int rng 20 with
+      | 0 | 1 ->
+          let kind = Printf.sprintf "K%d" (Rng.int rng 3) in
+          Engine.I_source { pid; kind; range = range () }
+      | 2 | 3 ->
+          let ranges = List.init (Rng.int_in rng 1 2) (fun _ -> range ()) in
+          Engine.I_sink { pid; kind = "S"; ranges }
+      | 4 -> Engine.I_untaint { pid; range = range () }
+      | 5 -> Engine.I_evict { pid }
+      | n ->
+          seq := !seq + Rng.int rng 2;
+          ks.(p) <- ks.(p) + Rng.int_in rng 1 6;
+          let access =
+            match n mod 3 with
+            | 0 -> Pift_trace.Event.Load (range ())
+            | 1 -> Pift_trace.Event.Store (range ())
+            | _ -> Pift_trace.Event.Other
+          in
+          Engine.I_event
+            {
+              Pift_trace.Event.seq = !seq;
+              k = ks.(p);
+              pid;
+              insn = Pift_arm.Insn.Nop;
+              access;
+            })
+
+let engine_item_to_string = function
+  | Engine.I_event e -> (
+      let open Pift_trace.Event in
+      match e.access with
+      | Load r -> Printf.sprintf "L%d@%d:%s" e.pid e.k (Range.to_string r)
+      | Store r -> Printf.sprintf "S%d@%d:%s" e.pid e.k (Range.to_string r)
+      | Other -> Printf.sprintf "O%d@%d" e.pid e.k)
+  | Engine.I_source { pid; kind; range } ->
+      Printf.sprintf "src%d:%s:%s" pid kind (Range.to_string range)
+  | Engine.I_sink { pid; ranges; _ } ->
+      Printf.sprintf "snk%d:%s" pid
+        (String.concat "," (List.map Range.to_string ranges))
+  | Engine.I_untaint { pid; range } ->
+      Printf.sprintf "untaint%d:%s" pid (Range.to_string range)
+  | Engine.I_evict { pid } -> Printf.sprintf "evict%d" pid
+
+let stream_of_list items : Engine.stream =
+  let rest = ref items in
+  fun () ->
+    match !rest with
+    | [] -> None
+    | it :: tl ->
+        rest := tl;
+        Some it
+
+(* The oracle: each pid's items fed in order to its own directly driven
+   tracker, as a tenant would see them; eviction forgets the tracker. *)
+type direct = {
+  d_tracker : Tracker.t;
+  mutable d_verdicts_rev : Engine.verdict list;
+}
+
+let direct_replay items =
+  let tenants = Hashtbl.create 8 in
+  let get pid =
+    match Hashtbl.find_opt tenants pid with
+    | Some d -> d
+    | None ->
+        let d =
+          {
+            d_tracker =
+              Tracker.create ~policy:Policy.default ~store:(Store.create ())
+                ~prov:(Provenance.create ~policy:Policy.default ())
+                ();
+            d_verdicts_rev = [];
+          }
+        in
+        Hashtbl.add tenants pid d;
+        d
+  in
+  List.iter
+    (function
+      | Engine.I_event e ->
+          Tracker.observe (get e.Pift_trace.Event.pid).d_tracker e
+      | Engine.I_source { pid; kind; range } ->
+          Tracker.taint_source ~kind (get pid).d_tracker ~pid range
+      | Engine.I_sink { pid; kind; ranges } ->
+          let d = get pid in
+          let v =
+            {
+              Engine.v_kind = kind;
+              v_flagged =
+                List.exists
+                  (fun r -> Tracker.is_tainted d.d_tracker ~pid r)
+                  ranges;
+              v_origins =
+                List.sort_uniq String.compare
+                  (List.concat_map
+                     (fun r -> Tracker.origins_of d.d_tracker ~pid r)
+                     ranges);
+            }
+          in
+          d.d_verdicts_rev <- v :: d.d_verdicts_rev
+      | Engine.I_untaint { pid; range } ->
+          Tracker.untaint_range (get pid).d_tracker ~pid range
+      | Engine.I_evict { pid } -> Hashtbl.remove tenants pid)
+    items;
+  tenants
+
+let column_configs =
+  List.concat_map
+    (fun batch ->
+      List.concat_map
+        (fun queue_capacity ->
+          List.map (fun shards -> (batch, queue_capacity, shards)) [ 1; 2; 4 ])
+        [ 1; 64 ])
+    [ 1; 2; 3; 128 ]
+
+(* First failing check of [checks], in order. *)
+let first_error checks =
+  List.fold_left
+    (fun acc check -> match acc with Error _ -> acc | Ok () -> check ())
+    (Ok ()) checks
+
+let tenant_matches where (ts : Engine.tenant_snapshot)
+    (tp : Engine.tenant_persisted) d () =
+  let tr = d.d_tracker in
+  let bad what = Error (where (Printf.sprintf "pid %d %s" ts.Engine.ts_pid what)) in
+  if ts.Engine.ts_verdicts <> List.rev d.d_verdicts_rev then
+    bad "verdicts/origins"
+  else if ts.Engine.ts_stats <> Tracker.stats tr then bad "stats"
+  else if ts.Engine.ts_tainted_bytes <> Tracker.current_tainted_bytes tr then
+    bad "live bytes"
+  else if ts.Engine.ts_ranges <> Tracker.current_ranges tr then bad "ranges"
+  else if ts.Engine.ts_dropped <> 0 then bad "dropped"
+  else if tp.Engine.tp_state <> Tracker.persist tr then
+    bad "persisted tracker state (windows, last seq, origin sets)"
+  else Ok ()
+
+let column_path_matches items =
+  let want = direct_replay items in
+  let want_pids =
+    List.sort compare (Hashtbl.fold (fun pid _ acc -> pid :: acc) want [])
+  in
+  let check (batch, queue_capacity, shards) () =
+    let where what =
+      Printf.sprintf "batch %d queue %d shards %d: %s" batch queue_capacity
+        shards what
+    in
+    Engine.with_engine ~shards ~batch ~queue_capacity ~with_origins:true
+      (fun eng ->
+        Engine.run eng (stream_of_list items);
+        if Engine.tenants eng <> want_pids then
+          Error (where "resident tenants differ")
+        else
+          first_error
+            (List.map
+               (fun pid ->
+                 tenant_matches where
+                   (Option.get (Engine.snapshot_tenant eng ~pid))
+                   (Option.get (Engine.persist_tenant eng ~pid))
+                   (Hashtbl.find want pid))
+               want_pids))
+  in
+  first_error (List.map check column_configs)
+
+let test_column_path_differential () =
+  Prop.check_gen ~name:"column batches = direct tracker per tenant" ~count:12
+    ~gen:gen_engine_stream ~shrink:Prop.shrink_candidates
+    ~to_string:(fun items ->
+      String.concat " " (List.map engine_item_to_string items))
+    column_path_matches
+
+(* Allocation budgets.  [Gc.minor_words] counts the calling domain's
+   allocation alone, and [Engine.run]'s producer is pool slot 0, which
+   runs on the caller's domain. *)
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* Over a stream that allocates nothing, twice the items may cost the
+   producer no more than a constant more: it allocates nothing per item
+   and nothing per batch.  Up to [queue_capacity + 2] batches may still
+   be made in either run (how many the warm-up left depends on timing),
+   which the slack covers; one word per item would be 40 000. *)
+let test_producer_allocates_nothing_per_item () =
+  let pid = Ingest.tenant_pid 0 in
+  let n = 40_000 in
+  let items =
+    Array.init (2 * n) (fun i ->
+        let r = Range.of_len (64 * (i mod 97)) 8 in
+        Some
+          (Engine.I_event
+             {
+               Pift_trace.Event.seq = i;
+               k = i;
+               pid;
+               insn = Pift_arm.Insn.Nop;
+               access =
+                 (match i mod 3 with
+                 | 0 -> Pift_trace.Event.Load r
+                 | 1 -> Pift_trace.Event.Store r
+                 | _ -> Pift_trace.Event.Other);
+             }))
+  in
+  let pos = ref 0 and stop = ref 0 in
+  let stream () =
+    if !pos >= !stop then None
+    else begin
+      let it = items.(!pos) in
+      incr pos;
+      it
+    end
+  in
+  Engine.with_engine ~shards:1 ~batch:16 ~queue_capacity:2 (fun eng ->
+      let run count =
+        pos := 0;
+        stop := count;
+        minor_words_of (fun () -> Engine.run eng stream)
+      in
+      (* Warm-up: creates the tenant and the first batches. *)
+      ignore (run n);
+      let once = run n in
+      let twice = run (2 * n) in
+      checkb
+        (Printf.sprintf "producer: %.0f minor words for %d items, %.0f for %d"
+           once n twice (2 * n))
+        true
+        (twice -. once <= 1024.);
+      checki "every item processed" (4 * n) (Engine.stats eng).Engine.st_items)
+
+(* Decode plus merge — everything the producer does per item before the
+   engine copies it into a row — over a binary trace of the shared
+   recordings.  The first pull (opening reads of every head) is left
+   out; the rest is per item. *)
+let test_merge_alloc_budget () =
+  let recs = Lazy.force recordings in
+  let paths =
+    List.map
+      (fun r ->
+        let path = Filename.temp_file "pift_alloc" ".pift" in
+        Trace_io.save ~format:Trace_io.Binary r path;
+        path)
+      recs
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove paths)
+    (fun () ->
+      let sources =
+        List.mapi (fun i path -> Ingest.of_file ~pid:(Ingest.tenant_pid i) path) paths
+      in
+      Fun.protect
+        ~finally:(fun () -> List.iter Ingest.close sources)
+        (fun () ->
+          let next = Ingest.merge sources in
+          ignore (next ());
+          let items = ref 0 in
+          let words =
+            minor_words_of (fun () ->
+                while next () <> None do
+                  incr items
+                done)
+          in
+          let per_item = words /. float_of_int !items in
+          checkb
+            (Printf.sprintf "%.2f minor words per item over %d items (budget 24)"
+               per_item !items)
+            true
+            (!items > 1000 && per_item <= 24.)))
+
+(* A drained batch goes back to its shard's free list, so it outlives
+   the run: its side slots must not keep the run's items reachable. *)
+let test_drained_batches_release_items () =
+  let pid = Ingest.tenant_pid 0 in
+  let weak = Weak.create 1 in
+  Engine.with_engine ~shards:1 ~batch:4 ~queue_capacity:1 (fun eng ->
+      (let item =
+         Engine.I_untaint
+           { pid; range = Range.of_len (Sys.opaque_identity 64) 8 }
+       in
+       Weak.set weak 0 (Some item);
+       Engine.run eng (stream_of_list [ Engine.I_evict { pid }; item ]));
+      Gc.full_major ();
+      checkb "side item collected after the run" false (Weak.check weak 0);
+      checki "both items processed" 2 (Engine.stats eng).Engine.st_items)
+
+(* Drop mode charges every lost item to its tenant: the per-tenant
+   counts sum to the engine's total, and a tenant that lost nothing
+   matches its isolated replay exactly.  With two shards, batches mix
+   tenants.  With five, every tenant has a shard to itself, and the
+   last one — a two-item source-then-sink recording, a single batch
+   pushed into an empty queue — never drops. *)
+let tiny_recording =
+  {
+    Recorded.name = "tiny";
+    trace = Pift_trace.Trace.create ();
+    markers =
+      [|
+        (0, Recorded.Source { kind = "IMEI"; range = Range.of_len 0 8 });
+        (0, Recorded.Sink { kind = "net"; ranges = [ Range.of_len 4 2 ] });
+      |];
+    pid = 1;
+    bytecodes = 0;
+  }
+
+(* Lost events and sinks show as missing stats events and verdicts; a
+   lost source shows nowhere, hence a range rather than an equality. *)
+let check_tenant_drops policy r (ts : Engine.tenant_snapshot) =
+  let sources, sinks =
+    Array.fold_left
+      (fun (so, si) (_, m) ->
+        match m with
+        | Recorded.Source _ -> (so + 1, si)
+        | Recorded.Sink _ -> (so, si + 1))
+      (0, 0) r.Recorded.markers
+  in
+  let seen_lost =
+    Pift_trace.Trace.length r.Recorded.trace - ts.Engine.ts_stats.Tracker.events
+    + sinks - List.length ts.Engine.ts_verdicts
+  in
+  checkb
+    (Printf.sprintf "%s: %d dropped, %d events/sinks missing, %d sources"
+       r.Recorded.name ts.Engine.ts_dropped seen_lost sources)
+    true
+    (seen_lost <= ts.Engine.ts_dropped
+    && ts.Engine.ts_dropped <= seen_lost + sources);
+  if ts.Engine.ts_dropped = 0 then begin
+    let rp = Recorded.replay ~policy ~with_origins:true r in
+    checkb (r.Recorded.name ^ " lost nothing: verdicts") true
+      (engine_verdicts ts ~with_origins:true
+      = norm_verdicts rp ~with_origins:true);
+    checkb (r.Recorded.name ^ " lost nothing: stats") true
+      (stats_equal ts.Engine.ts_stats rp.Recorded.stats)
+  end
+
+let test_drop_per_tenant () =
+  let recs = Lazy.force recordings @ [ tiny_recording ] in
+  let policy = Policy.default in
+  List.iter
+    (fun shards ->
+      Engine.with_engine ~shards ~policy ~with_origins:true ~queue_capacity:1
+        ~batch:2 ~drop_when_full:true (fun eng ->
+          let sources =
+            List.mapi
+              (fun i r -> Ingest.of_recorded ~pid:(Ingest.tenant_pid i) r)
+              recs
+          in
+          Ingest.run eng sources;
+          let snaps =
+            List.map
+              (fun (s : Ingest.source) ->
+                Option.get (Engine.snapshot_tenant eng ~pid:s.Ingest.src_pid))
+              sources
+          in
+          if shards = 5 then
+            checki "the tiny tenant lost nothing" 0
+              (List.nth snaps 4).Engine.ts_dropped;
+          checki "per-tenant drops sum to the total"
+            (Engine.stats eng).Engine.st_dropped
+            (List.fold_left (fun acc ts -> acc + ts.Engine.ts_dropped) 0 snaps);
+          List.iter2 (check_tenant_drops policy) recs snaps))
+    [ 2; 5 ]
 
 (* --- tenant lifecycle ----------------------------------------------------- *)
 
@@ -861,7 +1286,10 @@ let () =
       ( "spsc",
         [
           Alcotest.test_case "fifo and close" `Quick test_spsc_fifo;
+          Alcotest.test_case "ring wraps" `Quick test_spsc_ring_wraps;
           Alcotest.test_case "drop when full" `Quick test_spsc_drop_when_full;
+          Alcotest.test_case "blocks when full" `Quick
+            test_spsc_blocks_when_full;
           Alcotest.test_case "abort" `Quick test_spsc_abort;
           Alcotest.test_case "push after close" `Quick
             test_spsc_close_rejects_push;
@@ -887,6 +1315,19 @@ let () =
             test_blocking_backpressure_lossless;
           Alcotest.test_case "drop policy accounting" `Quick
             test_drop_policy_accounting;
+        ] );
+      ( "column batches",
+        [
+          Alcotest.test_case "column path = direct tracker per tenant" `Quick
+            test_column_path_differential;
+          Alcotest.test_case "producer allocates nothing per item" `Quick
+            test_producer_allocates_nothing_per_item;
+          Alcotest.test_case "decode + merge alloc budget" `Quick
+            test_merge_alloc_budget;
+          Alcotest.test_case "drops reported per tenant" `Quick
+            test_drop_per_tenant;
+          Alcotest.test_case "drained batches release their items" `Quick
+            test_drained_batches_release_items;
         ] );
       ( "tenant lifecycle",
         [
