@@ -121,18 +121,18 @@ let test_cpu_copy =
          Pift_runtime.Intrinsics.char_copy cpu ~dst:0x5000_0000
            ~src:0x4000_0000 ~chars:256))
 
-let test_provenance_observe =
-  Test.make ~name:"provenance/observe-20k-events-3-labels"
+let test_tracker_prov_observe =
+  Test.make ~name:"tracker+prov/observe-20k-events-3-labels"
     (Staged.stage (fun () ->
          let events = Lazy.force tracker_events in
-         let t = Pift_core.Provenance.create ~policy:Policy.default () in
-         Pift_core.Provenance.taint_source t ~pid:1 ~label:"IMEI"
+         let prov = Pift_core.Provenance.create () in
+         let t = Tracker.create ~policy:Policy.default ~prov () in
+         Tracker.taint_source ~kind:"IMEI" t ~pid:1
            (Range.of_len 0x4000_0000 32);
-         Pift_core.Provenance.taint_source t ~pid:1 ~label:"GPS"
-           (Range.of_len 0x4000_0100 8);
-         Pift_core.Provenance.taint_source t ~pid:1 ~label:"Phone"
+         Tracker.taint_source ~kind:"GPS" t ~pid:1 (Range.of_len 0x4000_0100 8);
+         Tracker.taint_source ~kind:"Phone" t ~pid:1
            (Range.of_len 0x4000_0200 22);
-         Array.iter (Pift_core.Provenance.observe t) events))
+         Array.iter (Tracker.observe t) events))
 
 let test_trace_io =
   Test.make ~name:"trace_io/save+load-small-app"
@@ -158,7 +158,7 @@ let tests =
     test_store_flat_query;
     test_tracker_observe;
     test_dift_observe;
-    test_provenance_observe;
+    test_tracker_prov_observe;
     test_storage_lookup;
     test_cpu_copy;
     test_trace_io;
@@ -559,10 +559,7 @@ let write_prov_bench () =
     ]
   in
   let replay ~with_prov () =
-    let prov =
-      if with_prov then Some (Provenance.create ~policy:Policy.default ())
-      else None
-    in
+    let prov = if with_prov then Some (Provenance.create ()) else None in
     let t = Tracker.create ~policy:Policy.default ?prov () in
     List.iter
       (fun (kind, r) -> Tracker.taint_source ~kind t ~pid:1 r)

@@ -450,11 +450,11 @@ let run_app name ni nt untaint verbose jit explain prov prov_out metrics_out
         (if v.Recorded.flagged then "TAINTED" else "clean"))
     replay.Recorded.verdicts;
   List.iter
-    (fun (v : Recorded.provenance_verdict) ->
-      if v.Recorded.leaked <> [] then
-        Printf.printf "  sink %-6s carries: %s\n" v.Recorded.pv_kind
-          (String.concat ", " v.Recorded.leaked))
-    (Recorded.replay_provenance ~policy recorded);
+    (fun (v : Recorded.origin_verdict) ->
+      if v.Recorded.ov_origins <> [] then
+        Printf.printf "  sink %-6s carries: %s\n" v.Recorded.ov_kind
+          (String.concat ", " v.Recorded.ov_origins))
+    (Recorded.replay ~with_origins:true ~policy recorded).Recorded.origins;
   Printf.printf "PIFT:       %s\n"
     (if replay.Recorded.flagged then "LEAK DETECTED" else "no leak");
   Printf.printf "full DIFT:  %s (ground truth oracle)\n"

@@ -51,17 +51,19 @@ let contacts_backup =
 
 let () =
   let recorded = Recorded.record contacts_backup in
-  let replay = Recorded.replay ~policy:Policy.default recorded in
+  let replay =
+    Recorded.replay ~with_origins:true ~policy:Policy.default recorded
+  in
   List.iter
     (fun (v : Recorded.verdict) ->
       Printf.printf "sink %-5s -> %s\n" v.Recorded.kind
         (if v.Recorded.flagged then "LEAK DETECTED" else "clean"))
     replay.Recorded.verdicts;
   List.iter
-    (fun (v : Recorded.provenance_verdict) ->
-      Printf.printf "sink %-5s carries: %s\n" v.Recorded.pv_kind
-        (String.concat ", " v.Recorded.leaked))
-    (Recorded.replay_provenance ~policy:Policy.default recorded);
+    (fun (v : Recorded.origin_verdict) ->
+      Printf.printf "sink %-5s carries: %s\n" v.Recorded.ov_kind
+        (String.concat ", " v.Recorded.ov_origins))
+    replay.Recorded.origins;
   (* the new source participates in threshold analysis like any other *)
   List.iter
     (fun ni ->

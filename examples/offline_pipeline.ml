@@ -34,9 +34,10 @@ let () =
     [ (1, 1); (3, 2); (13, 3) ];
   (* 4. provenance: name the sources that reached the sink *)
   List.iter
-    (fun (v : Recorded.provenance_verdict) ->
-      Printf.printf "  sink %s carries: %s\n" v.Recorded.pv_kind
-        (if v.Recorded.leaked = [] then "(nothing)"
-         else String.concat ", " v.Recorded.leaked))
-    (Recorded.replay_provenance ~policy:Policy.default loaded);
+    (fun (v : Recorded.origin_verdict) ->
+      Printf.printf "  sink %s carries: %s\n" v.Recorded.ov_kind
+        (if v.Recorded.ov_origins = [] then "(nothing)"
+         else String.concat ", " v.Recorded.ov_origins))
+    (Recorded.replay ~with_origins:true ~policy:Policy.default loaded)
+      .Recorded.origins;
   Sys.remove path

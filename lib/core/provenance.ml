@@ -1,14 +1,17 @@
 module Range = Pift_util.Range
-module Event = Pift_trace.Event
 module Json = Pift_obs.Json
 module Sset = Set.Make (String)
 
-type window = {
-  mutable ltlt : int;
-  mutable nt_used : int;
-  mutable labels : Sset.t;
-  mutable opener_seq : int;
-  mutable opener_range : Range.t option;
+(* The window the tracker opened last on a pid: the labels its opening
+   load hit, each with its set so an in-window store adds to it without
+   a lookup, and that load's global seq and range.  The sets stay valid
+   for the opener's lifetime: only [release_pid] drops a pid's sets, and
+   it drops the opener with them.  The sidecar never decides a window;
+   it only records what {!Tracker.observe} decided. *)
+type opener = {
+  hits : (string * Store_flat.t) list;  (* sorted by label *)
+  seq : int;
+  range : Range.t;
 }
 
 type propagation = {
@@ -21,39 +24,36 @@ type propagation = {
 }
 
 (* Determinism audit: the per-pid label tables are only ever *iterated*
-   for (a) [hit_labels], which folds into an Sset — commutative, so
-   hashing order cannot leak into the result; (b) untainting, which
+   for (a) [hits], which sorts what it folds, so hashing order cannot
+   leak into the result; (b) untainting, which
    removes the same range from independent per-label sets — commutative;
    and (c) [entries], which sorts before returning.  Every emission path
    goes through [labels_of]/[all_labels]/[entries] (all sorted), so
    provenance output is byte-identical across runs and --jobs counts.
 
-   The state is indexed pid-first: scan paths (hit_labels, untainting)
+   The state is indexed pid-first: scan paths (hits, untainting)
    touch only the probed pid's label sets, so per-event cost tracks that
    process's label count instead of the whole tenant population — the
    flat (pid, label) table scanned every table entry per event, which
    melted down once a long-lived engine held thousands of cold pids. *)
 type t = {
-  policy : Policy.t;
   (* pid -> label -> tainted ranges *)
   state : (int, (string, Store_flat.t) Hashtbl.t) Hashtbl.t;
-  windows : (int, window) Hashtbl.t;
+  openers : (int, opener) Hashtbl.t;
   mutable known_labels : Sset.t;
   mutable on_propagate : (propagation -> unit) option;
   mutable probes : int;
 }
 
-let create ?(policy = Policy.default) () =
+let create () =
   {
-    policy;
     state = Hashtbl.create 16;
-    windows = Hashtbl.create 4;
+    openers = Hashtbl.create 4;
     known_labels = Sset.empty;
     on_propagate = None;
     probes = 0;
   }
 
-let policy t = t.policy
 let set_on_propagate t f = t.on_propagate <- Some f
 let probes t = t.probes
 
@@ -74,17 +74,6 @@ let set_for t ~pid ~label =
       Hashtbl.add tbl label s;
       s
 
-let window t pid =
-  match Hashtbl.find_opt t.windows pid with
-  | Some w -> w
-  | None ->
-      let w =
-        { ltlt = min_int / 2; nt_used = 0; labels = Sset.empty;
-          opener_seq = 0; opener_range = None }
-      in
-      Hashtbl.add t.windows pid w;
-      w
-
 let taint_source t ~pid ~label r =
   t.known_labels <- Sset.add label t.known_labels;
   Store_flat.add (set_for t ~pid ~label) r
@@ -99,62 +88,43 @@ let untaint_range t ~pid r =
           Store_flat.remove s r)
         tbl
 
-let hit_labels t ~pid r =
+(* The labels of [pid] whose set overlaps [r], with their sets, sorted by
+   label. *)
+let hits t ~pid r =
   match Hashtbl.find_opt t.state pid with
-  | None -> Sset.empty
+  | None -> []
   | Some tbl ->
-      Hashtbl.fold
-        (fun label s acc ->
-          t.probes <- t.probes + 1;
-          if Store_flat.mem_overlap s r then Sset.add label acc else acc)
-        tbl Sset.empty
+      List.sort
+        (fun (a, _) (b, _) -> String.compare a b)
+        (Hashtbl.fold
+           (fun label s acc ->
+             t.probes <- t.probes + 1;
+             if Store_flat.mem_overlap s r then (label, s) :: acc else acc)
+           tbl [])
 
-let observe t e =
-  match e.Event.access with
-  | Event.Other -> ()
-  | Event.Load r ->
-      let labels = hit_labels t ~pid:e.pid r in
-      if not (Sset.is_empty labels) then begin
-        let w = window t e.pid in
-        w.ltlt <- e.k;
-        w.nt_used <- 0;
-        w.labels <- labels;
-        w.opener_seq <- e.seq;
-        w.opener_range <- Some r
-      end
-  | Event.Store r ->
-      let w = window t e.pid in
-      if e.k <= w.ltlt + t.policy.Policy.ni && w.nt_used < t.policy.Policy.nt
-      then begin
-        Sset.iter
-          (fun label -> Store_flat.add (set_for t ~pid:e.pid ~label) r)
-          w.labels;
-        w.nt_used <- w.nt_used + 1;
-        match (t.on_propagate, w.opener_range) with
-        | Some f, Some loaded when not (Sset.is_empty w.labels) ->
-            f
-              {
-                p_pid = e.pid;
-                p_store_seq = e.seq;
-                p_stored = r;
-                p_load_seq = w.opener_seq;
-                p_loaded = loaded;
-                p_labels = Sset.elements w.labels;
-              }
-        | _ -> ()
-      end
-      else if t.policy.Policy.untaint then
-        match Hashtbl.find_opt t.state e.pid with
-        | None -> ()
-        | Some tbl ->
-            Hashtbl.iter
-              (fun _ s ->
-                t.probes <- t.probes + 1;
-                if Store_flat.mem_overlap s r then Store_flat.remove s r)
-              tbl
+let window_opened t ~pid ~seq r =
+  Hashtbl.replace t.openers pid { hits = hits t ~pid r; seq; range = r }
 
-let labels_of t ~pid r = Sset.elements (hit_labels t ~pid r)
-let is_tainted t ~pid r = not (Sset.is_empty (hit_labels t ~pid r))
+let store_tainted t ~pid ~seq r =
+  match Hashtbl.find_opt t.openers pid with
+  | None -> ()
+  | Some o -> (
+      List.iter (fun (_, s) -> Store_flat.add s r) o.hits;
+      match t.on_propagate with
+      | None -> ()
+      | Some f ->
+          f
+            {
+              p_pid = pid;
+              p_store_seq = seq;
+              p_stored = r;
+              p_load_seq = o.seq;
+              p_loaded = o.range;
+              p_labels = List.map fst o.hits;
+            })
+
+let labels_of t ~pid r = List.map fst (hits t ~pid r)
+let is_tainted t ~pid r = hits t ~pid r <> []
 let all_labels t = Sset.elements t.known_labels
 
 let tainted_bytes t ~label =
@@ -167,7 +137,7 @@ let tainted_bytes t ~label =
 
 let release_pid t ~pid =
   Hashtbl.remove t.state pid;
-  Hashtbl.remove t.windows pid
+  Hashtbl.remove t.openers pid
 
 let entries t =
   List.sort
@@ -187,8 +157,6 @@ let entries t =
 
 type persisted_window = {
   pw_pid : int;
-  pw_ltlt : int;
-  pw_nt_used : int;
   pw_labels : string list;
   pw_opener_seq : int;
   pw_opener_range : Range.t option;
@@ -201,37 +169,39 @@ type persisted = {
   ps_probes : int;
 }
 
-(* Everything [observe]/[labels_of] depend on, in the deterministic
-   orders the sorted accessors already guarantee: per-(pid,label) range
-   sets, open windows (with their label sets and opener provenance, so
-   an in-flight propagation window survives a snapshot), the label
-   universe (a label can be known yet currently hold no ranges), and
-   the probe counter so observability stays continuous across a
-   restore. *)
-let persist t =
+(* Everything [labels_of] and the two window entry points depend on, in
+   the deterministic orders the sorted accessors already guarantee:
+   per-(pid,label) range sets, one opener per tracker window (so an
+   in-flight propagation window survives a snapshot; a window no
+   tainted load opened yet persists empty), the label universe (a label
+   can be known yet currently hold no ranges), and the probe counter so
+   observability stays continuous across a restore. *)
+let persist t ~windows =
   {
     ps_entries = entries t;
     ps_windows =
-      List.sort
-        (fun a b -> compare (a.pw_pid : int) b.pw_pid)
-        (Hashtbl.fold
-           (fun pid w acc ->
-             {
-               pw_pid = pid;
-               pw_ltlt = w.ltlt;
-               pw_nt_used = w.nt_used;
-               pw_labels = Sset.elements w.labels;
-               pw_opener_seq = w.opener_seq;
-               pw_opener_range = w.opener_range;
-             }
-             :: acc)
-           t.windows []);
+      List.map
+        (fun pid ->
+          match Hashtbl.find_opt t.openers pid with
+          | Some o ->
+              {
+                pw_pid = pid;
+                pw_labels = List.map fst o.hits;
+                pw_opener_seq = o.seq;
+                pw_opener_range = Some o.range;
+              }
+          | None ->
+              {
+                pw_pid = pid;
+                pw_labels = [];
+                pw_opener_seq = 0;
+                pw_opener_range = None;
+              })
+        windows;
     ps_known_labels = Sset.elements t.known_labels;
     ps_probes = t.probes;
   }
 
-(* Rebuild into a freshly created sidecar (same policy as the persisted
-   one — the snapshot manifest carries it). *)
 let restore t p =
   List.iter
     (fun ((pid, label), ranges) ->
@@ -240,14 +210,18 @@ let restore t p =
     p.ps_entries;
   List.iter
     (fun pw ->
-      Hashtbl.replace t.windows pw.pw_pid
-        {
-          ltlt = pw.pw_ltlt;
-          nt_used = pw.pw_nt_used;
-          labels = Sset.of_list pw.pw_labels;
-          opener_seq = pw.pw_opener_seq;
-          opener_range = pw.pw_opener_range;
-        })
+      match pw.pw_opener_range with
+      | None -> ()
+      | Some range ->
+          let pid = pw.pw_pid in
+          Hashtbl.replace t.openers pid
+            {
+              hits =
+                List.map (fun label -> (label, set_for t ~pid ~label))
+                  pw.pw_labels;
+              seq = pw.pw_opener_seq;
+              range;
+            })
     p.ps_windows;
   t.known_labels <- Sset.of_list p.ps_known_labels;
   t.probes <- p.ps_probes

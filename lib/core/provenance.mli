@@ -1,54 +1,71 @@
-(** Provenance-carrying variant of Algorithm 1: taint tags identify the
-    source that produced them.
+(** Provenance sidecar for Algorithm 1: taint tags identify the source
+    that produced them.
 
     The paper's related work (Raksha, Flexitaint) uses multi-bit tags to
     carry policy; the natural PIFT extension is to carry *source
     identity*, so a sink check answers not just "is this tainted" but
     "this buffer contains data derived from the IMEI and the phone
-    number".  The window mechanics are identical to {!Tracker}: a load
-    hitting any tainted range opens the window and records the union of
-    the labels it touched; the up-to-NT in-window stores inherit that
-    label set; out-of-window stores untaint all labels.
+    number".
+
+    The sidecar decides nothing.  A {!Tracker} created with [~prov]
+    makes every Algorithm 1 decision once and records it here:
+    {!window_opened} when a load hit taint (the window's label set is
+    the labels that load touched), {!store_tainted} for each in-window
+    store it tainted (the store inherits the window's labels), and
+    {!untaint_range} for each out-of-window store it actually
+    untainted.  Clean loads and stores the tracker left alone never
+    reach the sidecar.
 
     State is one {!Store_flat} taint set per (process, label), so
     per-label cost matches the plain tracker and
     the label count only multiplies the source-registration footprint.
     The sets are indexed pid-first (pid -> label -> set), so the scan
-    paths ([hit_labels], untainting) cost one probe per label of the
+    paths (label lookups and untainting) cost one probe per label of the
     *probed* process: cold processes held by a long-lived engine add
     nothing to another tenant's per-event cost.
 
     {b Invariant} (the basis of every origin-set guarantee downstream):
-    the union of the per-label sets equals the plain {!Tracker} state at
-    every point of the replay.  A load opens the provenance window iff
-    any label set overlaps, which by the union is exactly when the
-    tracker's set overlaps; propagation and untainting apply to every
-    window label.  Hence a tracker-flagged sink always has a non-empty
-    origin set, and vice versa. *)
+    the union of the per-label sets equals the carrying tracker's state
+    at every point of the replay.  It holds by construction: every
+    store mutation the tracker makes is applied to the sidecar too —
+    sources to their label, propagation to every window label, and
+    untainting to every label.  Hence a tracker-flagged sink always has
+    a non-empty origin set, and vice versa.  Driving the sidecar's
+    entry points other than through its tracker voids the invariant. *)
 
 type t
 
-val create : ?policy:Policy.t -> unit -> t
-
-val policy : t -> Policy.t
+val create : unit -> t
+(** An empty sidecar; hand it to {!Tracker.create} as [~prov]. *)
 
 val taint_source : t -> pid:int -> label:string -> Pift_util.Range.t -> unit
 
 val untaint_range : t -> pid:int -> Pift_util.Range.t -> unit
-(** Software-level removal, mirroring {!Tracker.untaint_range}: the
-    range is dropped from every label of the process. *)
+(** The range is dropped from every label of the process: the tracker
+    calls this for {!Tracker.untaint_range} and for every out-of-window
+    store it actually untainted. *)
 
 val release_pid : t -> pid:int -> unit
-(** Tenant eviction: drop every label set and the window of [pid].  The
+(** Tenant eviction: drop every label set and the opener of [pid].  The
     pid can be re-registered later and starts from a clean slate. *)
+
+val window_opened : t -> pid:int -> seq:int -> Pift_util.Range.t -> unit
+(** The tracker opened (or restarted) [pid]'s window with a tainted load
+    of [r] at global sequence [seq].  The window's label set becomes the
+    labels whose taint overlaps [r]; this is the only load that probes
+    the label sets. *)
+
+val store_tainted : t -> pid:int -> seq:int -> Pift_util.Range.t -> unit
+(** The tracker tainted [r] with an in-window store at global sequence
+    [seq]: [r] joins every label of [pid]'s window, and the
+    {!set_on_propagate} hook fires. *)
 
 val probes : t -> int
 (** Cumulative count of per-label set visits on the scan paths
-    ([hit_labels] / untainting).  Regression handle for the per-pid
-    index: with N cold pids resident, probing one pid must cost that
-    pid's label count, not the table size. *)
-
-val observe : t -> Pift_trace.Event.t -> unit
+    ({!window_opened}, {!labels_of}, {!is_tainted}, {!untaint_range}).
+    Regression handle for the per-pid index: with N cold pids resident,
+    probing one pid must cost that pid's label count, not the table
+    size.  Clean loads and stores the tracker left alone add nothing. *)
 
 val labels_of : t -> pid:int -> Pift_util.Range.t -> string list
 (** Labels whose taint overlaps the range, sorted. *)
@@ -69,15 +86,15 @@ val entries : t -> ((int * string) * Pift_util.Range.t list) list
 (** {1 Persistence}
 
     Structural snapshot of the sidecar for the service durability layer
-    ({!Pift_service.Snapshot}): everything [observe]/[labels_of] depend
-    on, in deterministic (sorted) order, as plain data the snapshot
-    format can encode. *)
+    ({!Pift_service.Snapshot}): everything [labels_of] and the window
+    entry points depend on, in deterministic (sorted) order, as plain
+    data the snapshot format can encode.  The window's LTLT and NT
+    budget are the tracker's ({!Tracker.persisted.p_windows}); the
+    sidecar keeps only who opened it. *)
 
 type persisted_window = {
   pw_pid : int;
-  pw_ltlt : int;
-  pw_nt_used : int;
-  pw_labels : string list;  (** sorted *)
+  pw_labels : string list;  (** sorted; [[]] before any tainted load *)
   pw_opener_seq : int;
   pw_opener_range : Pift_util.Range.t option;
 }
@@ -85,19 +102,22 @@ type persisted_window = {
 type persisted = {
   ps_entries : ((int * string) * Pift_util.Range.t list) list;
       (** as {!entries}: sorted by (pid, label) *)
-  ps_windows : persisted_window list;  (** sorted by pid *)
+  ps_windows : persisted_window list;
+      (** one per tracker window, in {!Tracker.persisted.p_windows}
+          order *)
   ps_known_labels : string list;  (** sorted; may exceed [ps_entries]'
       labels — a label stays known after its ranges untaint *)
   ps_probes : int;
 }
 
-val persist : t -> persisted
+val persist : t -> windows:int list -> persisted
+(** [windows] are the carrying tracker's window pids, in order: one
+    persisted window each, empty where no tainted load opened it. *)
 
 val restore : t -> persisted -> unit
-(** Rebuild persisted state into a freshly created sidecar.  The target
-    must have been created with the same policy as the persisted
-    instance (the snapshot manifest records it); after
-    [restore t p], [persist t] equals [p] up to empty-set elision. *)
+(** Rebuild persisted state into a freshly created sidecar; after
+    [restore t p], [persist t ~windows] over [p]'s window pids equals
+    [p] up to empty-set elision. *)
 
 (** {1 Propagation hook}
 

@@ -101,18 +101,15 @@ let origins_of t ~pid r =
   | None -> []
   | Some p -> Provenance.labels_of p ~pid r
 
-let provenance t = t.prov
 let is_tainted t ~pid r = t.store.Store.overlaps ~pid r
 let tainted_ranges t ~pid = t.store.Store.ranges ~pid
 
+(* The provenance sidecar decides nothing: each branch below that moves
+   the store tells it what was decided, so its per-label union equals
+   [t.store] at every step (see Provenance) and it never changes
+   verdicts — it only answers [origins_of]. *)
 let observe t e =
   t.events <- t.events + 1;
-  (* The provenance sidecar replays the same Algorithm 1 over per-label
-     state; its union equals [t.store] at every step (see Provenance),
-     so it never changes verdicts — only answers [origins_of]. *)
-  (match t.prov with
-  | None -> ()
-  | Some p -> Provenance.observe p e);
   if e.Event.seq > t.last_time then t.last_time <- e.Event.seq;
   match e.Event.access with
   | Event.Other -> ()
@@ -123,7 +120,10 @@ let observe t e =
         t.tainted_loads <- t.tainted_loads + 1;
         let w = window t e.pid in
         w.ltlt <- e.k;
-        w.nt_used <- 0
+        w.nt_used <- 0;
+        match t.prov with
+        | None -> ()
+        | Some p -> Provenance.window_opened p ~pid:e.pid ~seq:e.seq r
       end
   | Event.Store r ->
       (* Lines 16–23: taint inside the window, up to NT times; otherwise
@@ -132,6 +132,9 @@ let observe t e =
       if e.k <= w.ltlt + t.policy.Policy.ni && w.nt_used < t.policy.Policy.nt
       then begin
         t.store.Store.add ~pid:e.pid r;
+        (match t.prov with
+        | None -> ()
+        | Some p -> Provenance.store_tainted p ~pid:e.pid ~seq:e.seq r);
         w.nt_used <- w.nt_used + 1;
         t.taint_ops <- t.taint_ops + 1;
         update_peaks t
@@ -139,6 +142,9 @@ let observe t e =
       else if t.policy.Policy.untaint && t.store.Store.overlaps ~pid:e.pid r
       then begin
         t.store.Store.remove ~pid:e.pid r;
+        (match t.prov with
+        | None -> ()
+        | Some p -> Provenance.untaint_range p ~pid:e.pid r);
         t.untaint_ops <- t.untaint_ops + 1;
         update_peaks t
       end
@@ -165,16 +171,22 @@ type persisted = {
 }
 
 let persist t =
+  let windows =
+    List.sort compare
+      (Hashtbl.fold
+         (fun pid w acc -> (pid, w.ltlt, w.nt_used) :: acc)
+         t.windows [])
+  in
   {
     p_stats = stats t;
     p_last_time = t.last_time;
-    p_windows =
-      List.sort compare
-        (Hashtbl.fold
-           (fun pid w acc -> (pid, w.ltlt, w.nt_used) :: acc)
-           t.windows []);
+    p_windows = windows;
     p_store = t.store.Store.dump ();
-    p_prov = Option.map Provenance.persist t.prov;
+    p_prov =
+      Option.map
+        (Provenance.persist
+           ~windows:(List.map (fun (pid, _, _) -> pid) windows))
+        t.prov;
   }
 
 (* Rebuild into a fresh tracker of the same policy/prov mode.

@@ -19,10 +19,10 @@ val create :
 (** [policy] defaults to {!Policy.default}; [store] to
     [Store.create ()], the exact per-process software store.
 
-    When [prov] is given (create it with the same policy),
-    the tracker drives it as an origin-set sidecar: sources land with
-    their kind as the label, every observed event and [untaint_range]
-    is mirrored, and {!origins_of} answers from it.  The sidecar's
+    When [prov] is given, the tracker records its decisions in it as an
+    origin-set sidecar: sources land with their kind as the label, each
+    window it opens, in-window store it taints and range it untaints
+    is passed on, and {!origins_of} answers from it.  The sidecar's
     per-label union equals the tracker's own taint state at every step,
     so verdicts, stats and stdout are unchanged by threading it.
 
@@ -64,8 +64,6 @@ val window_used : t -> pid:int -> int
 val origins_of : t -> pid:int -> Pift_util.Range.t -> string list
 (** Source kinds whose data overlaps the range (sorted); [[]] without a
     provenance sidecar. *)
-
-val provenance : t -> Provenance.t option
 
 val is_tainted : t -> pid:int -> Pift_util.Range.t -> bool
 (** Software-level query at a sink. *)

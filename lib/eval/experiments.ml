@@ -541,14 +541,16 @@ let provenance ppf =
   List.iter
     (fun (app : App.t) ->
       let r = Recorded.record app in
-      let verdicts = Recorded.replay_provenance ~policy:Policy.default r in
+      let replay =
+        Recorded.replay ~with_origins:true ~policy:Policy.default r
+      in
       List.iter
-        (fun (v : Recorded.provenance_verdict) ->
+        (fun (v : Recorded.origin_verdict) ->
           Format.fprintf ppf "%-14s sink %-5s <- %s@," app.App.name
-            v.Recorded.pv_kind
-            (if v.Recorded.leaked = [] then "(clean)"
-             else String.concat ", " v.Recorded.leaked))
-        verdicts)
+            v.Recorded.ov_kind
+            (if v.Recorded.ov_origins = [] then "(clean)"
+             else String.concat ", " v.Recorded.ov_origins))
+        replay.Recorded.origins)
     Malware.all;
   Format.fprintf ppf "@]@."
 

@@ -1,6 +1,7 @@
 module Range = Pift_util.Range
 module Policy = Pift_core.Policy
 module Provenance = Pift_core.Provenance
+module Tracker = Pift_core.Tracker
 module Graph = Provenance.Graph
 
 type hop = {
@@ -19,13 +20,14 @@ type flow = {
 
 type src = { src_kind : string; src_seq : int; src_range : Range.t }
 
-(* The shared label-carrying replay: one Provenance engine (Algorithm 1
-   per label, union equal to the plain tracker state) whose propagation
-   hook records, per in-window store, the opening load and the window's
-   label set.  Both the single-chain [explain] walk and the [flow_graph]
-   builder are derived from its output. *)
+(* The shared label-carrying replay: a tracker carrying a Provenance
+   sidecar (per-label sets whose union equals the tracker state), whose
+   propagation hook records, per in-window store, the opening load and
+   the window's label set.  Both the single-chain [explain] walk and the
+   [flow_graph] builder are derived from its output. *)
 let provenance_replay ~policy (t : Recorded.t) =
-  let prov = Provenance.create ~policy () in
+  let prov = Provenance.create () in
+  let tracker = Tracker.create ~policy ~prov () in
   let props = ref [] (* newest first *) in
   Provenance.set_on_propagate prov (fun p -> props := p :: !props);
   let pid = t.Recorded.pid in
@@ -36,7 +38,7 @@ let provenance_replay ~policy (t : Recorded.t) =
     | Recorded.Source { kind; range } ->
         sources := { src_kind = kind; src_seq = seq; src_range = range }
           :: !sources;
-        Provenance.taint_source prov ~pid ~label:kind range
+        Tracker.taint_source ~kind tracker ~pid range
     | Recorded.Sink { kind; ranges } ->
         incr checks;
         let check = !checks in
@@ -44,7 +46,7 @@ let provenance_replay ~policy (t : Recorded.t) =
           (fun r ->
             (* non-empty labels iff the plain tracker flags the range
                (the Provenance union invariant) *)
-            let labels = Provenance.labels_of prov ~pid r in
+            let labels = Tracker.origins_of tracker ~pid r in
             if labels <> [] then
               flagged := (check, kind, r, seq, labels) :: !flagged)
           ranges
@@ -60,7 +62,7 @@ let provenance_replay ~policy (t : Recorded.t) =
   apply_until 0;
   Pift_trace.Trace.iter
     (fun e ->
-      Provenance.observe prov e;
+      Tracker.observe tracker e;
       apply_until e.Pift_trace.Event.seq)
     t.Recorded.trace;
   apply_until max_int;

@@ -182,13 +182,11 @@ let replay ?store ?metrics ?telemetry ?profile ?(with_origins = false) ~policy
     | None -> store
   in
   let publish = Option.map tracker_metrics metrics in
-  (* The sidecar shares the replay's policy; sink-time origin
-     sets must be captured at the sink check (later untainting can erase
-     them), hence the [origin_verdict] list rather than a final query. *)
+  (* Sink-time origin sets must be captured at the sink check (later
+     untainting can erase them), hence the [origin_verdict] list rather
+     than a final query. *)
   let prov =
-    if with_origins then
-      Some (Pift_core.Provenance.create ~policy ())
-    else None
+    if with_origins then Some (Pift_core.Provenance.create ()) else None
   in
   let tracker = Tracker.create ~policy ~store ?prov () in
   (* Telemetry sources read the tracker's live counters; they replace any
@@ -284,24 +282,3 @@ let replay_dift ?(with_origins = false) t =
     propagations = Full_dift.propagations dift;
     dift_origins = List.rev !origin_verdicts;
   }
-
-type provenance_verdict = { pv_kind : string; leaked : string list }
-
-let replay_provenance ~policy t =
-  let module Provenance = Pift_core.Provenance in
-  let prov = Provenance.create ~policy () in
-  let verdicts = ref [] in
-  let on_marker = function
-    | Source { kind; range } ->
-        Provenance.taint_source prov ~pid:t.pid ~label:kind range
-    | Sink { kind; ranges } ->
-        let leaked =
-          List.sort_uniq String.compare
-            (List.concat_map
-               (fun r -> Provenance.labels_of prov ~pid:t.pid r)
-               ranges)
-        in
-        verdicts := { pv_kind = kind; leaked } :: !verdicts
-  in
-  interleave t ~observe:(Provenance.observe prov) ~on_marker;
-  List.rev !verdicts

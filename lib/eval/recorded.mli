@@ -95,7 +95,7 @@ val replay :
       ({!Pift_core.Store.with_profile}).
 
     [with_origins] (default off) threads a {!Pift_core.Provenance}
-    sidecar (same policy) through the tracker and fills [origins];
+    sidecar through the tracker and fills [origins];
     verdicts and stats are byte-identical with it on or off. *)
 
 type dift_replay = {
@@ -110,11 +110,3 @@ val replay_dift : ?with_origins:bool -> t -> dift_replay
 (** Full register-level DIFT over the same recording (ground truth).
     [with_origins] mirrors every propagation over exact per-source
     origin sets ({!Pift_baseline.Full_dift}) and fills [dift_origins]. *)
-
-type provenance_verdict = { pv_kind : string; leaked : string list }
-(** One sink check: which source labels reached it. *)
-
-val replay_provenance :
-  policy:Pift_core.Policy.t -> t -> provenance_verdict list
-(** Label-carrying replay ({!Pift_core.Provenance}): each sink verdict
-    lists the sources whose data reached it. *)

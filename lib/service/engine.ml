@@ -158,9 +158,7 @@ let tenant_of t sh pid =
       let cfg = t.cfg in
       let store = Store.create () in
       let prov =
-        if cfg.with_origins then
-          Some (Provenance.create ~policy:cfg.policy ())
-        else None
+        if cfg.with_origins then Some (Provenance.create ()) else None
       in
       let tracker = Tracker.create ~policy:cfg.policy ~store ?prov () in
       let tn =

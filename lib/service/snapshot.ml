@@ -30,6 +30,9 @@ module Provenance = Pift_core.Provenance
                                      n-labels str*
                                      opener_seq(svarint)
                                      opener(byte) [range] }
+                                 — one per tracker window, same order;
+                                 pid/ltlt/nt_used copy the tracker
+                                 window and are checked on read
                    known-labels: n str*
                    probes
    v}
@@ -126,7 +129,9 @@ let add_source buf se =
   Wire.add_string buf (Printf.sprintf "%x" se.se_orig_pid);
   Wire.add_varint buf se.se_cursor
 
-let add_prov buf (pp : Provenance.persisted) =
+(* The provenance windows are the tracker's windows, same pids in the
+   same order: their ltlt and nt_used are written from [windows]. *)
+let add_prov buf ~windows (pp : Provenance.persisted) =
   Wire.add_varint buf (List.length pp.Provenance.ps_entries);
   List.iter
     (fun ((pid, label), ranges) ->
@@ -135,11 +140,11 @@ let add_prov buf (pp : Provenance.persisted) =
       add_ranges buf ranges)
     pp.Provenance.ps_entries;
   Wire.add_varint buf (List.length pp.Provenance.ps_windows);
-  List.iter
-    (fun (pw : Provenance.persisted_window) ->
+  List.iter2
+    (fun (pw : Provenance.persisted_window) (_, ltlt, nt_used) ->
       Wire.add_varint buf pw.Provenance.pw_pid;
-      Wire.add_svarint buf pw.Provenance.pw_ltlt;
-      Wire.add_varint buf pw.Provenance.pw_nt_used;
+      Wire.add_svarint buf ltlt;
+      Wire.add_varint buf nt_used;
       Wire.add_varint buf (List.length pw.Provenance.pw_labels);
       List.iter (Wire.add_string buf) pw.Provenance.pw_labels;
       Wire.add_svarint buf pw.Provenance.pw_opener_seq;
@@ -148,7 +153,7 @@ let add_prov buf (pp : Provenance.persisted) =
       | Some r ->
           add_bool buf true;
           add_range buf r)
-    pp.Provenance.ps_windows;
+    pp.Provenance.ps_windows windows;
   Wire.add_varint buf (List.length pp.Provenance.ps_known_labels);
   List.iter (Wire.add_string buf) pp.Provenance.ps_known_labels;
   Wire.add_varint buf pp.Provenance.ps_probes
@@ -192,7 +197,7 @@ let add_tenant buf (tp : Engine.tenant_persisted) =
   | None -> add_bool buf false
   | Some pp ->
       add_bool buf true;
-      add_prov buf pp
+      add_prov buf ~windows:p.Tracker.p_windows pp
 
 let to_channel t oc =
   output_string oc magic;
@@ -372,18 +377,32 @@ let read_source br =
   if se_cursor < 0 then br_fail br "negative cursor";
   { se_name; se_path; se_pid; se_orig_pid; se_cursor }
 
-let read_prov br : Provenance.persisted =
+(* Each provenance window must repeat the tracker window at its index:
+   the sidecar records the tracker's windows, it has none of its own. *)
+let read_prov br ~windows : Provenance.persisted =
   let ps_entries =
     List.init (br_count br "prov entry") (fun _ ->
         let pid = br_varint br in
         let label = br_string br in
         ((pid, label), br_ranges br))
   in
+  let n = br_count br "prov window" in
+  if n <> Array.length windows then
+    br_fail br
+      (Printf.sprintf "%d provenance windows for %d tracker windows" n
+         (Array.length windows));
   let ps_windows =
-    List.init (br_count br "prov window") (fun _ ->
+    List.init n (fun i ->
         let pw_pid = br_varint br in
-        let pw_ltlt = br_svarint br in
-        let pw_nt_used = br_varint br in
+        let ltlt = br_svarint br in
+        let nt_used = br_varint br in
+        let ((tpid, tltlt, tnt) as tw) = windows.(i) in
+        if (pw_pid, ltlt, nt_used) <> tw then
+          br_fail br
+            (Printf.sprintf
+               "provenance window %d (pid %d, ltlt %d, nt_used %d) \
+                disagrees with tracker window (pid %d, ltlt %d, nt_used %d)"
+               i pw_pid ltlt nt_used tpid tltlt tnt);
         let pw_labels =
           List.init (br_count br "label") (fun _ -> br_string br)
         in
@@ -393,8 +412,6 @@ let read_prov br : Provenance.persisted =
         in
         {
           Provenance.pw_pid;
-          pw_ltlt;
-          pw_nt_used;
           pw_labels;
           pw_opener_seq;
           pw_opener_range;
@@ -438,7 +455,10 @@ let read_tenant br : Engine.tenant_persisted =
         let pid = br_varint br in
         (pid, br_ranges br))
   in
-  let p_prov = if br_bool br then Some (read_prov br) else None in
+  let p_prov =
+    if br_bool br then Some (read_prov br ~windows:(Array.of_list p_windows))
+    else None
+  in
   {
     Engine.tp_pid;
     tp_name;

@@ -335,17 +335,18 @@ let prop_tracker_reference =
 module Provenance = Pift_core.Provenance
 
 let test_provenance_labels () =
-  let p = Provenance.create ~policy:(Policy.make ~ni:5 ~nt:2 ()) () in
-  Provenance.taint_source p ~pid:1 ~label:"IMEI" (r 100 110);
-  Provenance.taint_source p ~pid:1 ~label:"GPS" (r 200 210);
-  let obs e = Provenance.observe p e in
+  let p = Provenance.create () in
+  let tp = Tracker.create ~policy:(Policy.make ~ni:5 ~nt:2 ()) ~prov:p () in
+  Tracker.taint_source ~kind:"IMEI" tp ~pid:1 (r 100 110);
+  Tracker.taint_source ~kind:"GPS" tp ~pid:1 (r 200 210);
+  let obs e = Tracker.observe tp e in
   (* a load touching only the IMEI range propagates only that label *)
   obs (load (r 100 101) 1);
   obs (store (r 300 303) 2);
   checkb "imei label" true
     (Provenance.labels_of p ~pid:1 (r 300 303) = [ "IMEI" ]);
   (* a load spanning both propagates both *)
-  Provenance.taint_source p ~pid:1 ~label:"GPS" (r 304 307);
+  Tracker.taint_source ~kind:"GPS" tp ~pid:1 (r 304 307);
   obs (load (r 104 106) 10);
   obs (load (r 204 206) 11);
   obs (store (r 400 403) 12);
@@ -357,10 +358,11 @@ let test_provenance_labels () =
   checkb "bytes per label" true (Provenance.tainted_bytes p ~label:"IMEI" > 0)
 
 let test_provenance_union_and_untaint () =
-  let p = Provenance.create ~policy:(Policy.make ~ni:8 ~nt:2 ()) () in
-  Provenance.taint_source p ~pid:1 ~label:"A" (r 0 10);
-  Provenance.taint_source p ~pid:1 ~label:"B" (r 8 20);
-  let obs e = Provenance.observe p e in
+  let p = Provenance.create () in
+  let tp = Tracker.create ~policy:(Policy.make ~ni:8 ~nt:2 ()) ~prov:p () in
+  Tracker.taint_source ~kind:"A" tp ~pid:1 (r 0 10);
+  Tracker.taint_source ~kind:"B" tp ~pid:1 (r 8 20);
+  let obs e = Tracker.observe tp e in
   (* load overlapping both label ranges -> stores carry the union *)
   obs (load (r 9 10) 1);
   obs (store (r 100 103) 2);
@@ -384,10 +386,11 @@ let test_provenance_nt_cap_merged_labels () =
      per label.  Otherwise the per-label union would drift from the
      plain tracker's single-window state. *)
   let policy = Policy.make ~ni:20 ~nt:2 () in
-  let p = Provenance.create ~policy () in
-  Provenance.taint_source p ~pid:1 ~label:"A" (r 0 10);
-  Provenance.taint_source p ~pid:1 ~label:"B" (r 8 20);
-  let obs e = Provenance.observe p e in
+  let p = Provenance.create () in
+  let tp = Tracker.create ~policy ~prov:p () in
+  Tracker.taint_source ~kind:"A" tp ~pid:1 (r 0 10);
+  Tracker.taint_source ~kind:"B" tp ~pid:1 (r 8 20);
+  let obs e = Tracker.observe tp e in
   obs (load (r 9 10) 1);
   obs (store (r 100 103) 2);
   obs (store (r 200 203) 3);
@@ -417,7 +420,7 @@ let test_provenance_nt_cap_merged_labels () =
     (Provenance.labels_of p ~pid:1 (r 300 303) = [ "A" ])
 
 let test_provenance_entries_sorted () =
-  let p = Provenance.create ~policy:(Policy.make ~ni:5 ~nt:3 ()) () in
+  let p = Provenance.create () in
   Provenance.taint_source p ~pid:2 ~label:"Z" (r 50 60);
   Provenance.taint_source p ~pid:1 ~label:"B" (r 30 40);
   Provenance.taint_source p ~pid:1 ~label:"A" (r 300 310);
@@ -445,18 +448,19 @@ let test_provenance_label_sets () =
      by one label only, and an untaint splitting both label sets; the
      per-label union answers like the plain tracker on the same feed *)
   let policy = Policy.make ~ni:6 ~nt:2 () in
-  let p = Provenance.create ~policy () in
+  let p = Provenance.create () in
+  let tp = Tracker.create ~policy ~prov:p () in
   let t = Tracker.create ~policy () in
-  Provenance.taint_source p ~pid:1 ~label:"IMEI" (r 100 120);
-  Provenance.taint_source p ~pid:1 ~label:"GPS" (r 115 130);
+  Tracker.taint_source ~kind:"IMEI" tp ~pid:1 (r 100 120);
+  Tracker.taint_source ~kind:"GPS" tp ~pid:1 (r 115 130);
   Tracker.taint_source t ~pid:1 (r 100 130);
   let events =
     [ load (r 116 118) 1; store (r 200 203) 2; store (r 210 213) 3;
       load (r 100 101) 10; store (r 220 223) 11 ]
   in
-  List.iter (Provenance.observe p) events;
+  feed tp events;
   feed t events;
-  Provenance.untaint_range p ~pid:1 (r 211 212);
+  Tracker.untaint_range tp ~pid:1 (r 211 212);
   Tracker.untaint_range t ~pid:1 (r 211 212);
   checkb "per-label entries" true
     (Provenance.entries p
@@ -472,6 +476,165 @@ let test_provenance_label_sets () =
         (Tracker.is_tainted t ~pid:1 range)
         (Provenance.is_tainted p ~pid:1 range))
     [ r 200 203; r 211 212; r 213 213; r 220 223; r 224 300 ]
+
+(* Per-step union property: a tracker carrying the sidecar, fed random
+   multi-pid streams of labelled sources, loads, stores, untaints and
+   releases.  After every step, for every pid, the per-label sets union
+   to exactly the tracker's ranges and [origins_of] is non-empty iff
+   [is_tainted] on every probe block.  Midway the pair is persisted and
+   restored into a fresh tracker and sidecar; from then on both runs
+   take the same steps and must give the same origin sets. *)
+type pop =
+  | P_source of int * string * Range.t
+  | P_load of int * Range.t
+  | P_store of int * Range.t
+  | P_untaint of int * Range.t
+  | P_release of int
+
+type pcase = { pc_policy : Policy.t; pc_ops : pop list }
+
+let pop_to_string = function
+  | P_source (pid, l, r) ->
+      Printf.sprintf "source p%d %s %s" pid l (Range.to_string r)
+  | P_load (pid, r) -> Printf.sprintf "load p%d %s" pid (Range.to_string r)
+  | P_store (pid, r) -> Printf.sprintf "store p%d %s" pid (Range.to_string r)
+  | P_untaint (pid, r) ->
+      Printf.sprintf "untaint p%d %s" pid (Range.to_string r)
+  | P_release pid -> Printf.sprintf "release p%d" pid
+
+let prov_pids = [ 1; 2; 3 ]
+let prov_labels = [| "IMEI"; "GPS"; "SMS" |]
+
+let gen_pcase rng =
+  let module Rng = Pift_util.Rng in
+  (* Draws are sequenced with [let]: argument and tuple evaluation order
+     is unspecified, and the case must depend on the seed alone. *)
+  let untaint = Rng.bool rng in
+  let ni = Rng.int_in rng 1 4 in
+  let nt = Rng.int_in rng 1 3 in
+  let pc_policy = Policy.make ~untaint ~ni ~nt () in
+  let gen_pop () =
+    let pid = 1 + Rng.int rng 3 in
+    match Rng.int rng 20 with
+    | 0 | 1 | 2 ->
+        let label = prov_labels.(Rng.int rng (Array.length prov_labels)) in
+        P_source (pid, label, Prop.gen_range rng)
+    | 3 | 4 | 5 | 6 | 7 | 8 -> P_load (pid, Prop.gen_range rng)
+    | 9 | 10 | 11 | 12 | 13 | 14 | 15 | 16 -> P_store (pid, Prop.gen_range rng)
+    | 17 | 18 -> P_untaint (pid, Prop.gen_range rng)
+    | _ -> P_release pid
+  in
+  let rec go n acc =
+    if n = 0 then List.rev acc else go (n - 1) (gen_pop () :: acc)
+  in
+  { pc_policy; pc_ops = go 80 [] }
+
+let prov_probes =
+  List.init (Prop.addr_space / Prop.block) (fun b ->
+      Range.of_len (b * Prop.block) Prop.block)
+
+let prov_pair policy =
+  let prov = Provenance.create () in
+  (Tracker.create ~policy ~prov (), prov)
+
+let union_violation (tr, prov) =
+  List.find_map
+    (fun pid ->
+      let union =
+        Range_set.ranges
+          (Range_set.of_list
+             (List.concat_map
+                (fun ((p, _), ranges) -> if p = pid then ranges else [])
+                (Provenance.entries prov)))
+      in
+      if union <> Tracker.tainted_ranges tr ~pid then
+        Some (Printf.sprintf "pid %d: label union differs from the tracker" pid)
+      else
+        List.find_map
+          (fun q ->
+            if
+              (Tracker.origins_of tr ~pid q <> [])
+              <> Tracker.is_tainted tr ~pid q
+            then
+              Some
+                (Printf.sprintf
+                   "pid %d: origins_of and is_tainted disagree at %s" pid
+                   (Range.to_string q))
+            else None)
+          prov_probes)
+    prov_pids
+
+let origin_answers (tr, _) =
+  List.concat_map
+    (fun pid -> List.map (fun q -> Tracker.origins_of tr ~pid q) prov_probes)
+    prov_pids
+
+let prop_provenance_union { pc_policy; pc_ops } =
+  let ks = Hashtbl.create 4 in
+  let apply (tr, _) seq = function
+    | P_source (pid, label, r) -> Tracker.taint_source ~kind:label tr ~pid r
+    | P_untaint (pid, r) -> Tracker.untaint_range tr ~pid r
+    | P_release pid -> Tracker.release_pid tr ~pid
+    | (P_load (pid, r) | P_store (pid, r)) as op ->
+        let k = Hashtbl.find ks pid in
+        let access =
+          match op with P_load _ -> Event.Load r | _ -> Event.Store r
+        in
+        Tracker.observe tr { Event.seq; k; pid; insn = Insn.Nop; access }
+  in
+  let split = List.length pc_ops / 2 in
+  let a = prov_pair pc_policy in
+  let rec go seq restored = function
+    | [] -> Ok ()
+    | op :: rest -> (
+        let restored =
+          if seq <> split then restored
+          else begin
+            let b = prov_pair pc_policy in
+            Tracker.restore (fst b) (Tracker.persist (fst a));
+            Some b
+          end
+        in
+        (match op with
+        | P_load (pid, _) | P_store (pid, _) ->
+            Hashtbl.replace ks pid
+              (1 + Option.value ~default:0 (Hashtbl.find_opt ks pid))
+        | P_source _ | P_untaint _ | P_release _ -> ());
+        apply a seq op;
+        Option.iter (fun b -> apply b seq op) restored;
+        let fail who msg =
+          Error
+            (Printf.sprintf "step %d (%s), %s: %s" seq (pop_to_string op) who
+               msg)
+        in
+        match union_violation a with
+        | Some msg -> fail "uninterrupted" msg
+        | None -> (
+            match restored with
+            | None -> go (seq + 1) restored rest
+            | Some b -> (
+                match union_violation b with
+                | Some msg -> fail "restored" msg
+                | None ->
+                    if origin_answers a <> origin_answers b then
+                      fail "restored"
+                        "origin sets differ from the uninterrupted run"
+                    else go (seq + 1) restored rest)))
+  in
+  go 0 None pc_ops
+
+let test_provenance_union_per_step () =
+  Prop.check_gen ~name:"sidecar union = tracker after every step" ~count:250
+    ~gen:gen_pcase
+    ~shrink:(fun c ->
+      List.map
+        (fun ops -> { c with pc_ops = ops })
+        (Prop.shrink_candidates c.pc_ops))
+    ~to_string:(fun c ->
+      Printf.sprintf "%s, %d ops: %s" (Policy.to_string c.pc_policy)
+        (List.length c.pc_ops)
+        (String.concat "; " (List.map pop_to_string c.pc_ops)))
+    prop_provenance_union
 
 (* --- Deferred (buffered) tracking ------------------------------------------ *)
 
@@ -767,6 +930,8 @@ let () =
             test_provenance_entries_sorted;
           Alcotest.test_case "label sets after windows & untaint" `Quick
             test_provenance_label_sets;
+          Alcotest.test_case "union = tracker per step, across a restore"
+            `Quick test_provenance_union_per_step;
         ] );
       ( "deferred",
         [

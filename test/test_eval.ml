@@ -439,21 +439,28 @@ let test_experiments_smoke () =
 
 let test_provenance_replay () =
   let r = Recorded.record (Malware.lgroot_sized ~rounds:1 ~payload_chars:64) in
-  let verdicts = Recorded.replay_provenance ~policy:Policy.default r in
+  let verdicts =
+    (Recorded.replay ~with_origins:true ~policy:Policy.default r)
+      .Recorded.origins
+  in
   match verdicts with
   | [ v ] ->
-      Alcotest.(check string) "http sink" "http" v.Recorded.pv_kind;
-      checkb "IMEI leaked" true (List.mem "IMEI" v.Recorded.leaked);
-      checkb "phone leaked" true (List.mem "PhoneNumber" v.Recorded.leaked);
-      checkb "serial leaked" true (List.mem "SerialNumber" v.Recorded.leaked)
+      Alcotest.(check string) "http sink" "http" v.Recorded.ov_kind;
+      checkb "IMEI leaked" true (List.mem "IMEI" v.Recorded.ov_origins);
+      checkb "phone leaked" true (List.mem "PhoneNumber" v.Recorded.ov_origins);
+      checkb "serial leaked" true
+        (List.mem "SerialNumber" v.Recorded.ov_origins)
   | other -> Alcotest.failf "expected one verdict, got %d" (List.length other)
 
 let test_provenance_clean_app () =
   let r = Recorded.record (app "BenignConstant1") in
-  let verdicts = Recorded.replay_provenance ~policy:Policy.default r in
+  let verdicts =
+    (Recorded.replay ~with_origins:true ~policy:Policy.default r)
+      .Recorded.origins
+  in
   checkb "clean sinks" true
     (List.for_all
-       (fun (v : Recorded.provenance_verdict) -> v.Recorded.leaked = [])
+       (fun (v : Recorded.origin_verdict) -> v.Recorded.ov_origins = [])
        verdicts)
 
 (* --- Provenance graphs -------------------------------------------------------- *)

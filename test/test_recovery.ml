@@ -9,7 +9,8 @@
      (windows, peaks and origin sets all have to survive the trip for
      that to hold);
    - corrupt-fixture decoding: truncation, bad magic, wrong version,
-     unknown store names and non-hex pid records all fail with a
+     unknown store names, non-hex pid records and provenance windows
+     that disagree with the tracker's all fail with a
      positioned [Snapshot: record N] error, never a bare exception, and the
      streaming reader delivers every intact prefix record first;
    - fault-injection crash/recovery differentials: kill a shard
@@ -444,6 +445,74 @@ let test_corrupt_non_hex_pid () =
           (* the manifest (record 1) was still delivered *)
           checki "intact prefix delivered" 1 !delivered))
 
+(* The provenance windows of a tenant record repeat the tracker's
+   windows (pid, ltlt, nt_used) at the same index; a record where they
+   disagree is corrupt.  One tenant opens one window with a load at
+   k = 300, so the triple's bytes occur exactly twice in its record —
+   tracker window first, provenance window second — and patching the
+   second ltlt (same varint width) must fail with a positioned error. *)
+let test_corrupt_prov_window () =
+  let pid = Ingest.tenant_pid 0 in
+  Engine.with_engine ~shards:1 ~policy:Policy.default ~with_origins:true
+    (fun eng ->
+      let ev seq k access =
+        Engine.I_event { Event.seq; k; pid; insn = Insn.Nop; access }
+      in
+      let items =
+        ref
+          [
+            Engine.I_source { pid; kind = "IMEI"; range = Range.of_len 0 8 };
+            ev 1 300 (Event.Load (Range.of_len 0 4));
+            ev 2 301 (Event.Store (Range.of_len 64 4));
+          ]
+      in
+      Engine.run eng (fun () ->
+          match !items with
+          | [] -> None
+          | it :: rest ->
+              items := rest;
+              Some it);
+      let triple ltlt =
+        let b = Buffer.create 8 in
+        Pift_util.Wire.add_varint b pid;
+        Pift_util.Wire.add_svarint b ltlt;
+        Pift_util.Wire.add_varint b 1;
+        Buffer.contents b
+      in
+      with_tmp ~suffix:".piftsnap" (fun path ->
+          Snapshot.write path (Snapshot.of_engine eng);
+          let full = read_file path in
+          let needle = triple 300 and patch = triple 301 in
+          let n = String.length needle in
+          checki "patch keeps the varint width" n (String.length patch);
+          let rec find i acc =
+            if i + n > String.length full then List.rev acc
+            else
+              find (i + 1)
+                (if String.sub full i n = needle then i :: acc else acc)
+          in
+          let at =
+            match find 0 [] with
+            | [ _; prov ] -> prov
+            | l ->
+                Alcotest.failf "window triple found %d times, want 2"
+                  (List.length l)
+          in
+          write_file path
+            (String.sub full 0 at ^ patch
+            ^ String.sub full (at + n) (String.length full - at - n));
+          let msg =
+            expect_positioned_failure ~what:"provenance window" (fun () ->
+                Snapshot.load path)
+          in
+          checks "provenance window error"
+            (Printf.sprintf
+               "Snapshot: record 2: provenance window 0 (pid %d, ltlt 301, \
+                nt_used 1) disagrees with tracker window (pid %d, ltlt 300, \
+                nt_used 1)"
+               pid pid)
+            msg))
+
 (* Older encoders wrote the store implementation's name into the
    manifest.  [with_store_name full name] re-encodes the manifest
    (record 1: the 9-byte header, a one-byte payload length, then the
@@ -732,6 +801,8 @@ let () =
             test_corrupt_wrong_version;
           Alcotest.test_case "non-hex pid record" `Quick
             test_corrupt_non_hex_pid;
+          Alcotest.test_case "provenance window disagrees with tracker" `Quick
+            test_corrupt_prov_window;
         ] );
       ( "crash-recovery",
         [

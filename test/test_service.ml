@@ -376,7 +376,7 @@ let direct_replay items =
           {
             d_tracker =
               Tracker.create ~policy:Policy.default ~store:(Store.create ())
-                ~prov:(Provenance.create ~policy:Policy.default ())
+                ~prov:(Provenance.create ())
                 ();
             d_verdicts_rev = [];
           }
@@ -955,6 +955,33 @@ let test_provenance_scans_stay_per_pid () =
     true
     (after_hit - after_untaint <= 1)
 
+(* The sidecar only hears about the tracker's decisions: with 1000 cold
+   pids resident, a clean load and an out-of-window store to a clean
+   range reach it not at all, and a tainted load probes exactly that
+   pid's labels once. *)
+let test_provenance_probes_follow_decisions () =
+  let p = Provenance.create () in
+  let t = Tracker.create ~prov:p () in
+  for pid = 1 to 1000 do
+    Tracker.taint_source ~kind:(Printf.sprintf "src%d" (pid mod 7)) t ~pid
+      (Range.of_len (pid * 64) 16)
+  done;
+  (* pid 500 carries a second label *)
+  Tracker.taint_source ~kind:"extra" t ~pid:500
+    (Range.of_len ((500 * 64) + 32) 8);
+  let observe seq k access =
+    Tracker.observe t
+      { Pift_trace.Event.seq; k; pid = 500; insn = Pift_arm.Insn.Nop; access }
+  in
+  let before = Provenance.probes p in
+  observe 1 1 (Pift_trace.Event.Load (Range.of_len 0 4));
+  checki "clean load probes nothing" 0 (Provenance.probes p - before);
+  observe 2 2 (Pift_trace.Event.Store (Range.of_len 8 4));
+  checki "out-of-window store to a clean range probes nothing" 0
+    (Provenance.probes p - before);
+  observe 3 3 (Pift_trace.Event.Load (Range.of_len (500 * 64) 4));
+  checki "tainted load probes the pid's labels" 2 (Provenance.probes p - before)
+
 let test_provenance_release_pid () =
   let p = Provenance.create () in
   Provenance.taint_source p ~pid:1 ~label:"a" (Range.of_len 0 8);
@@ -1349,6 +1376,8 @@ let () =
         [
           Alcotest.test_case "scans stay per-pid (1k cold pids)" `Quick
             test_provenance_scans_stay_per_pid;
+          Alcotest.test_case "probes follow the tracker's decisions" `Quick
+            test_provenance_probes_follow_decisions;
           Alcotest.test_case "release_pid" `Quick test_provenance_release_pid;
         ] );
       ( "ingest merge",

@@ -123,12 +123,13 @@ let test_extended_suite () =
   | Some a -> (
       let r = Recorded.record a in
       match
-        Recorded.replay_provenance ~policy:Pift_core.Policy.default r
+        (Recorded.replay ~with_origins:true ~policy:Pift_core.Policy.default r)
+          .Recorded.origins
       with
       | [ v ] ->
           checkb "both labels" true
-            (List.mem "IMEI" v.Recorded.leaked
-            && List.mem "PhoneNumber" v.Recorded.leaked)
+            (List.mem "IMEI" v.Recorded.ov_origins
+            && List.mem "PhoneNumber" v.Recorded.ov_origins)
       | _ -> Alcotest.fail "expected one sink verdict")
 
 let test_evasion_inventory () =
