@@ -83,6 +83,13 @@ let test_store_flat_query =
 
 let tracker_events = lazy (event_slice 20_000)
 
+(* The instructions of [tracker_events], for full DIFT. *)
+let tracker_insns =
+  lazy
+    (Array.init
+       (Array.length (Lazy.force tracker_events))
+       (Trace.insn (Lazy.force bench_trace).Recorded.trace))
+
 let test_tracker_observe =
   Test.make ~name:"tracker/observe-20k-events"
     (Staged.stage (fun () ->
@@ -95,9 +102,10 @@ let test_dift_observe =
   Test.make ~name:"full_dift/observe-20k-events"
     (Staged.stage (fun () ->
          let events = Lazy.force tracker_events in
+         let insns = Lazy.force tracker_insns in
          let t = Full_dift.create () in
          Full_dift.taint_source t ~pid:1 (Range.of_len 0x4000_0000 32);
-         Array.iter (Full_dift.observe t) events))
+         Array.iter2 (Full_dift.observe t) insns events))
 
 let test_storage_lookup =
   let storage = Storage.create ~entries:2730 () in
@@ -117,7 +125,7 @@ let test_cpu_copy =
   Test.make ~name:"cpu/char_copy-256"
     (Staged.stage (fun () ->
          let mem = Pift_machine.Memory.create () in
-         let cpu = Pift_machine.Cpu.create ~sink:(fun _ -> ()) mem in
+         let cpu = Pift_machine.Cpu.create ~sink:(fun _ _ -> ()) mem in
          Pift_runtime.Intrinsics.char_copy cpu ~dst:0x5000_0000
            ~src:0x4000_0000 ~chars:256))
 

@@ -36,10 +36,10 @@ let () =
   let trace = Pift_trace.Trace.create () in
   let pift = Tracker.create ~policy:Policy.default () in
   let dift = Full_dift.create () in
-  let sink e =
-    Pift_trace.Trace.add trace e;
+  let sink insn e =
+    Pift_trace.Trace.sink trace insn e;
     Tracker.observe pift e;
-    Full_dift.observe dift e
+    Full_dift.observe dift insn e
   in
   let env = Pift_runtime.Env.create ~sink () in
   (* Attach both trackers to the PIFT manager: sources taint, sinks check. *)

@@ -128,9 +128,9 @@ let operand_origins p = function
   | Insn.Imm _ -> Sset.empty
   | Insn.Reg r | Insn.Shifted (r, _) -> p.oregs.(Reg.index r)
 
-let observe_origins t p e =
+let observe_origins t p insn e =
   let set_oreg i s = p.oregs.(i) <- s in
-  match (e.Event.insn, e.Event.access) with
+  match (insn, e.Event.access) with
   | Insn.Ldr (w, r, _), Event.Load range -> (
       match w with
       | Insn.Dword ->
@@ -172,13 +172,13 @@ let observe_origins t p e =
   | Insn.Cmp _, _ | Insn.B _, _ | Insn.Bx _, _ | Insn.Nop, _ -> ()
   | (Insn.Ldr _ | Insn.Str _ | Insn.Ldm _ | Insn.Stm _), _ -> assert false
 
-let observe t e =
+let observe t insn e =
   let p = proc t e.Event.pid in
   (* The origin mirror reads only origin state and the bool pass reads
      only bool state, so running it first changes nothing — but keeping
      it first means both passes see the same pre-instruction world. *)
-  if t.track_origins then observe_origins t p e;
-  match (e.Event.insn, e.Event.access) with
+  if t.track_origins then observe_origins t p insn e;
+  match (insn, e.Event.access) with
   | Insn.Ldr (w, r, _), Event.Load range -> (
       match w with
       | Insn.Dword ->

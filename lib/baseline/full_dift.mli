@@ -26,7 +26,13 @@ val taint_source : ?kind:string -> t -> pid:int -> Pift_util.Range.t -> unit
 (** [kind] (default ["source"]) is the origin label recorded when
     origin tracking is on; ignored otherwise. *)
 
-val observe : t -> Pift_trace.Event.t -> unit
+val observe : t -> Pift_arm.Insn.t -> Pift_trace.Event.t -> unit
+(** [observe t insn e] propagates through the executed instruction
+    [insn], whose resolved access is [e]'s.  This is the
+    {!Pift_machine.Cpu} sink shape: the instruction comes from the CPU
+    or a live recording ({!Pift_trace.Trace.insn}), never from a
+    decoded trace file. *)
+
 val is_tainted : t -> pid:int -> Pift_util.Range.t -> bool
 val reg_tainted : t -> pid:int -> Pift_arm.Reg.t -> bool
 val tainted_bytes : t -> int

@@ -376,7 +376,7 @@ let multiproc ppf =
   in
   let storage = Storage.create ~entries:64 () in
   let hw = Tracker.create ~policy:Policy.default ~store:(Store.of_storage storage) () in
-  let env = Pift_runtime.Env.create ~sink:(fun e ->
+  let env = Pift_runtime.Env.create ~sink:(fun _ e ->
       Tracker.observe tracker e;
       Tracker.observe hw e) () in
   Manager.add_tracker env.Pift_runtime.Env.manager ~name:"pift"
@@ -423,32 +423,23 @@ let deferred_run recorded ~buffer_size ~drain_batch ~period =
     Deferred.create ~policy:Policy.default ~buffer_size ~drain_batch ()
   in
   let flagged = ref false in
-  let markers = recorded.Recorded.markers in
-  let mi = ref 0 in
-  let apply_until seq =
-    while !mi < Array.length markers && fst markers.(!mi) <= seq do
-      (match snd markers.(!mi) with
-      | Recorded.Source { range; _ } ->
-          Deferred.taint_source d ~pid:recorded.Recorded.pid range
-      | Recorded.Sink { ranges; _ } ->
-          if
-            List.exists
-              (fun r -> Deferred.check d ~pid:recorded.Recorded.pid r)
-              ranges
-          then flagged := true);
-      incr mi
-    done
+  let on_marker _ = function
+    | Recorded.Source { range; _ } ->
+        Deferred.taint_source d ~pid:recorded.Recorded.pid range
+    | Recorded.Sink { ranges; _ } ->
+        if
+          List.exists
+            (fun r -> Deferred.check d ~pid:recorded.Recorded.pid r)
+            ranges
+        then flagged := true
   in
-  apply_until 0;
   let n = ref 0 in
-  Trace.iter
-    (fun e ->
-      Deferred.observe d e;
-      incr n;
-      if !n mod period = 0 then Deferred.tick d;
-      apply_until e.Pift_trace.Event.seq)
-    recorded.Recorded.trace;
-  apply_until max_int;
+  let observe e =
+    Deferred.observe d e;
+    incr n;
+    if !n mod period = 0 then Deferred.tick d
+  in
+  Recorded.interleave recorded ~observe ~on_marker;
   (!flagged, Deferred.dropped d)
 
 let deferred ppf =

@@ -51,21 +51,7 @@ let provenance_replay ~policy (t : Recorded.t) =
               flagged := (check, kind, r, seq, labels) :: !flagged)
           ranges
   in
-  let markers = t.Recorded.markers in
-  let mi = ref 0 in
-  let apply_until seq =
-    while !mi < Array.length markers && fst markers.(!mi) <= seq do
-      on_marker (fst markers.(!mi)) (snd markers.(!mi));
-      incr mi
-    done
-  in
-  apply_until 0;
-  Pift_trace.Trace.iter
-    (fun e ->
-      Tracker.observe tracker e;
-      apply_until e.Pift_trace.Event.seq)
-    t.Recorded.trace;
-  apply_until max_int;
+  Recorded.interleave t ~observe:(Tracker.observe tracker) ~on_marker;
   (!props, !sources, List.rev !flagged)
 
 let max_hops = 64

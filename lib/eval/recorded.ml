@@ -73,7 +73,8 @@ let interleave t ~observe ~on_marker =
   let n = Array.length t.markers in
   let apply_until seq =
     while !mi < n && fst t.markers.(!mi) <= seq do
-      on_marker (snd t.markers.(!mi));
+      let mseq, m = t.markers.(!mi) in
+      on_marker mseq m;
       incr mi
     done
   in
@@ -211,7 +212,7 @@ let replay ?store ?metrics ?telemetry ?profile ?(with_origins = false) ~policy
   in
   let verdicts = ref [] in
   let origin_verdicts = ref [] in
-  let on_marker = function
+  let on_marker _ = function
     | Source { kind; range } ->
         Tracker.taint_source ~kind tracker ~pid:t.pid range
     | Sink { kind; ranges } ->
@@ -249,10 +250,16 @@ type dift_replay = {
 }
 
 let replay_dift ?(with_origins = false) t =
+  if not (Trace.has_insns t.trace) then
+    invalid_arg
+      (Printf.sprintf
+         "Recorded.replay_dift: recording %s was decoded from a trace file \
+          and has no instructions; full DIFT needs a live recording"
+         t.name);
   let dift = Full_dift.create ~track_origins:with_origins () in
   let verdicts = ref [] in
   let origin_verdicts = ref [] in
-  let on_marker = function
+  let on_marker _ = function
     | Source { kind; range } ->
         Full_dift.taint_source ~kind dift ~pid:t.pid range
     | Sink { kind; ranges } ->
@@ -274,7 +281,14 @@ let replay_dift ?(with_origins = false) t =
             :: !origin_verdicts
         end
   in
-  interleave t ~observe:(Full_dift.observe dift) ~on_marker;
+  (* [interleave] feeds the events in trace order, so event [!i] is the
+     one being observed. *)
+  let i = ref 0 in
+  let observe e =
+    Full_dift.observe dift (Trace.insn t.trace !i) e;
+    incr i
+  in
+  interleave t ~observe ~on_marker;
   let dift_verdicts = List.rev !verdicts in
   {
     dift_verdicts;

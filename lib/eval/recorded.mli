@@ -15,6 +15,8 @@ type marker =
 type t = {
   name : string;
   trace : Pift_trace.Trace.t;
+      (** with its instructions when {!record}ed, without when decoded
+          ({!Trace_io.load}) *)
   markers : (int * marker) array;
       (** (global seq at occurrence, marker), in order *)
   pid : int;
@@ -33,6 +35,17 @@ val record :
     Manager fires and passes through to the VM's ["vm-run"] span;
     [profile] attributes the run to a ["record"] region with the VM's
     ["vm"]/["cpu"] regions nested beneath it. *)
+
+val interleave :
+  t ->
+  observe:(Pift_trace.Event.t -> unit) ->
+  on_marker:(int -> marker -> unit) ->
+  unit
+(** Walk the recording in replay order: every event in trace order, and
+    each marker, with its timestamp, once every event up to that
+    timestamp has been observed.  This is the one interleaving of events
+    and markers: {!replay} applies it, {!items} pulls it and the trace
+    writers serialize it. *)
 
 type item =
   | Item_event of Pift_trace.Event.t
@@ -107,6 +120,10 @@ type dift_replay = {
 }
 
 val replay_dift : ?with_origins:bool -> t -> dift_replay
-(** Full register-level DIFT over the same recording (ground truth).
+(** Full register-level DIFT over the same recording (ground truth),
+    walking the instructions the recording kept beside its events.
     [with_origins] mirrors every propagation over exact per-source
-    origin sets ({!Pift_baseline.Full_dift}) and fills [dift_origins]. *)
+    origin sets ({!Pift_baseline.Full_dift}) and fills [dift_origins].
+    Raises [Invalid_argument] naming the recording when its trace has
+    no instructions ({!Pift_trace.Trace.has_insns}): one loaded with
+    {!Trace_io.load} holds only the Fig. 5 record. *)

@@ -2,8 +2,6 @@ module Range = Pift_util.Range
 module Wire = Pift_util.Wire
 module Event = Pift_trace.Event
 module Trace = Pift_trace.Trace
-module Insn = Pift_arm.Insn
-module Reg = Pift_arm.Reg
 
 let magic = "PIFT-TRACE 1"
 let binary_magic = "PIFTBIN1"
@@ -41,46 +39,36 @@ let escape_kind kind =
 let write_range oc r =
   Printf.fprintf oc " %d %d" (Range.lo r) (Range.length r)
 
+(* Events and markers in [Recorded.interleave] order: each marker after
+   the last event at or before its timestamp. *)
 let to_channel (t : Recorded.t) oc =
   Printf.fprintf oc "%s\n" magic;
   Printf.fprintf oc "name %s\n" t.Recorded.name;
   Printf.fprintf oc "pid %d\n" t.Recorded.pid;
   Printf.fprintf oc "bytecodes %d\n" t.Recorded.bytecodes;
-  (* Merge events and markers in global-sequence order, markers after the
-     event they follow (same order [Recorded.interleave] applies). *)
-  let markers = t.Recorded.markers in
-  let mi = ref 0 in
-  let emit_markers_until seq =
-    while !mi < Array.length markers && fst markers.(!mi) <= seq do
-      let mseq, marker = markers.(!mi) in
-      (match marker with
-      | Recorded.Source { kind; range } ->
-          Printf.fprintf oc "M %d SRC %s" mseq (escape_kind kind);
-          write_range oc range;
-          output_char oc '\n'
-      | Recorded.Sink { kind; ranges } ->
-          Printf.fprintf oc "M %d SNK %s" mseq (escape_kind kind);
-          List.iter (write_range oc) ranges;
-          output_char oc '\n');
-      incr mi
-    done
+  let on_marker mseq = function
+    | Recorded.Source { kind; range } ->
+        Printf.fprintf oc "M %d SRC %s" mseq (escape_kind kind);
+        write_range oc range;
+        output_char oc '\n'
+    | Recorded.Sink { kind; ranges } ->
+        Printf.fprintf oc "M %d SNK %s" mseq (escape_kind kind);
+        List.iter (write_range oc) ranges;
+        output_char oc '\n'
   in
-  emit_markers_until 0;
-  Trace.iter
-    (fun e ->
-      (match e.Event.access with
-      | Event.Load r ->
-          Printf.fprintf oc "L %d %d %d" e.seq e.k e.pid;
-          write_range oc r;
-          output_char oc '\n'
-      | Event.Store r ->
-          Printf.fprintf oc "S %d %d %d" e.seq e.k e.pid;
-          write_range oc r;
-          output_char oc '\n'
-      | Event.Other -> Printf.fprintf oc "O %d %d %d\n" e.seq e.k e.pid);
-      emit_markers_until e.Event.seq)
-    t.Recorded.trace;
-  emit_markers_until max_int
+  let observe (e : Event.t) =
+    match e.access with
+    | Event.Load r ->
+        Printf.fprintf oc "L %d %d %d" e.seq e.k e.pid;
+        write_range oc r;
+        output_char oc '\n'
+    | Event.Store r ->
+        Printf.fprintf oc "S %d %d %d" e.seq e.k e.pid;
+        write_range oc r;
+        output_char oc '\n'
+    | Event.Other -> Printf.fprintf oc "O %d %d %d\n" e.seq e.k e.pid
+  in
+  Recorded.interleave t ~observe ~on_marker
 
 (* --- binary format ------------------------------------------------------ *)
 
@@ -167,15 +155,6 @@ let to_channel_binary (t : Recorded.t) oc =
         List.iter add_range ranges;
         emit ()
   in
-  let markers = t.Recorded.markers in
-  let mi = ref 0 in
-  let emit_markers_until seq =
-    while !mi < Array.length markers && fst markers.(!mi) <= seq do
-      let mseq, marker = markers.(!mi) in
-      put_marker mseq marker;
-      incr mi
-    done
-  in
   let put_event (e : Event.t) =
     let put_mem tag r =
       Buffer.add_char payload (Char.chr tag);
@@ -197,13 +176,7 @@ let to_channel_binary (t : Recorded.t) oc =
         add_varint payload e.Event.pid;
         emit ()
   in
-  emit_markers_until 0;
-  Trace.iter
-    (fun e ->
-      put_event e;
-      emit_markers_until e.Event.seq)
-    t.Recorded.trace;
-  emit_markers_until max_int
+  Recorded.interleave t ~observe:put_event ~on_marker:put_marker
 
 let save ?(format = Text) t path =
   let oc = open_out_bin path in
@@ -228,11 +201,6 @@ let parse_int n s =
    deep inside the parser. *)
 let range_of_len fail lo len =
   try Range.of_len lo len with Invalid_argument msg -> fail msg
-
-(* A synthetic instruction for deserialised memory events: serialisation
-   keeps only the access, which is all the PIFT analysis consumes. *)
-let synth_load = Insn.Ldr (Insn.Word, Reg.R0, Insn.Offset (Reg.R0, Insn.Imm 0))
-let synth_store = Insn.Str (Insn.Word, Reg.R0, Insn.Offset (Reg.R0, Insn.Imm 0))
 
 let is_hex_digit = function
   | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
@@ -274,9 +242,7 @@ let rec parse_ranges n = function
 
 type header = { h_name : string; h_pid : int; h_bytecodes : int }
 
-(* One record line to one stream item — shared by the whole-trace loader
-   and the streaming reader, so both reject malformed input with the
-   same positioned error. *)
+(* One record line to one stream item. *)
 let text_item n line =
   match String.split_on_char ' ' line with
   | [ "L"; seq; k; epid; lo; len ] ->
@@ -285,7 +251,6 @@ let text_item n line =
           Event.seq = parse_int n seq;
           k = parse_int n k;
           pid = parse_int n epid;
-          insn = synth_load;
           access =
             Event.Load
               (range_of_len (fail_line n) (parse_int n lo) (parse_int n len));
@@ -296,7 +261,6 @@ let text_item n line =
           Event.seq = parse_int n seq;
           k = parse_int n k;
           pid = parse_int n epid;
-          insn = synth_store;
           access =
             Event.Store
               (range_of_len (fail_line n) (parse_int n lo) (parse_int n len));
@@ -307,7 +271,6 @@ let text_item n line =
           Event.seq = parse_int n seq;
           k = parse_int n k;
           pid = parse_int n epid;
-          insn = Insn.Nop;
           access = Event.Other;
         }
   | [ "M"; seq; "SRC"; kind; lo; len ] ->
@@ -353,29 +316,6 @@ let text_open ic =
     | line -> Some (text_item !line_no line)
   in
   ({ h_name; h_pid; h_bytecodes }, next_item)
-
-let of_channel ic =
-  let h, next = text_open ic in
-  let trace = Trace.create () in
-  let markers = ref [] in
-  let rec drain () =
-    match next () with
-    | None -> ()
-    | Some (Recorded.Item_event e) ->
-        Trace.add trace e;
-        drain ()
-    | Some (Recorded.Item_marker (seq, m)) ->
-        markers := (seq, m) :: !markers;
-        drain ()
-  in
-  drain ();
-  {
-    Recorded.name = h.h_name;
-    trace;
-    markers = Array.of_list (List.rev !markers);
-    pid = h.h_pid;
-    bytecodes = h.h_bytecodes;
-  }
 
 (* --- binary parsing ------------------------------------------------------ *)
 
@@ -498,7 +438,6 @@ let bin_next br =
               Event.seq;
               k = br.br_prev_k;
               pid;
-              insn = (if tag = tag_load then synth_load else synth_store);
               access = (if tag = tag_load then Event.Load r else Event.Store r);
             }
         end
@@ -507,8 +446,7 @@ let bin_next br =
           br.br_prev_k <- br.br_prev_k + br_svarint br;
           let pid = br_varint br in
           Recorded.Item_event
-            { Event.seq; k = br.br_prev_k; pid; insn = Insn.Nop;
-              access = Event.Other }
+            { Event.seq; k = br.br_prev_k; pid; access = Event.Other }
         end
         else if tag = tag_source then begin
           let seq = br_seq br in
@@ -530,37 +468,7 @@ let bin_next br =
       if br.br_pos <> br.br_limit then br_fail br "trailing bytes in record";
       Some item
 
-let iter_channel_binary ic ~on_event ~on_marker =
-  let h, br = bin_open ic in
-  let rec drain () =
-    match bin_next br with
-    | None -> ()
-    | Some (Recorded.Item_event e) ->
-        on_event e;
-        drain ()
-    | Some (Recorded.Item_marker (seq, m)) ->
-        on_marker seq m;
-        drain ()
-  in
-  drain ();
-  h
-
-let of_channel_binary ic =
-  let trace = Trace.create () in
-  let markers = ref [] in
-  let h =
-    iter_channel_binary ic ~on_event:(Trace.add trace)
-      ~on_marker:(fun seq m -> markers := (seq, m) :: !markers)
-  in
-  {
-    Recorded.name = h.h_name;
-    trace;
-    markers = Array.of_list (List.rev !markers);
-    pid = h.h_pid;
-    bytecodes = h.h_bytecodes;
-  }
-
-(* --- loading with format autodetection ----------------------------------- *)
+(* --- format autodetection ------------------------------------------------- *)
 
 let detect_channel ic =
   let mlen = String.length binary_magic in
@@ -578,16 +486,6 @@ let detect_channel ic =
 let detect_format path =
   let ic = open_in_bin path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () -> detect_channel ic)
-
-let load ?profile path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      Pift_obs.Profile.span profile "trace_io" (fun () ->
-          match detect_channel ic with
-          | Binary -> of_channel_binary ic
-          | Text -> of_channel ic))
 
 (* --- streaming readers --------------------------------------------------- *)
 
@@ -629,3 +527,30 @@ let close_reader r =
 let with_reader path f =
   let r = open_reader path in
   Fun.protect ~finally:(fun () -> close_reader r) (fun () -> f r)
+
+(* The whole-trace loader is the streaming reader, drained.  A decoded
+   event has no instruction, so the recording is built with [Trace.add]. *)
+let load ?profile path =
+  Pift_obs.Profile.span profile "trace_io" @@ fun () ->
+  with_reader path @@ fun r ->
+  let trace = Trace.create () in
+  let markers = ref [] in
+  let rec drain () =
+    match read_item r with
+    | None -> ()
+    | Some (Recorded.Item_event e) ->
+        Trace.add trace e;
+        drain ()
+    | Some (Recorded.Item_marker (seq, m)) ->
+        markers := (seq, m) :: !markers;
+        drain ()
+  in
+  drain ();
+  let h = reader_header r in
+  {
+    Recorded.name = h.h_name;
+    trace;
+    markers = Array.of_list (List.rev !markers);
+    pid = h.h_pid;
+    bytecodes = h.h_bytecodes;
+  }

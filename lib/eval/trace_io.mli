@@ -37,12 +37,13 @@
     That is a property of the decoder, not of the format: the bytes
     above and the positioned error messages are the contract.
 
-    Either format round-trips loads, stores, and markers exactly —
-    replaying a loaded recording produces byte-identical verdicts.
-    Non-memory instructions are serialised as opaque [O] records: a
-    loaded recording supports the PIFT analysis and all trace
-    statistics, but not the register-level full-DIFT baseline (which
-    needs instruction operands — run it live instead). *)
+    Either format round-trips every {!Pift_trace.Event.t} and marker
+    exactly — replaying a loaded recording produces byte-identical
+    verdicts.  A trace file holds the Fig. 5 record only, with no
+    instructions: a loaded recording supports the PIFT analysis and all
+    trace statistics, and {!Recorded.replay_dift} refuses it with
+    [Invalid_argument] (the register-level full-DIFT baseline needs
+    instruction operands — run it on a live recording instead). *)
 
 type format = Text | Binary
 
@@ -54,33 +55,16 @@ val save : ?format:format -> Recorded.t -> string -> unit
     defaults to [Text]. *)
 
 val load : ?profile:Pift_obs.Profile.t -> string -> Recorded.t
-(** Autodetects the format from the magic bytes.  Raises [Failure] with
-    a line number (text) or record number (binary) on malformed input.
-    With [profile], the whole parse is attributed to a ["trace_io"]
-    region, so decode cost shows up in the overhead breakdown next to
-    tracker and store time. *)
+(** Drains a {!reader} into a recording whose trace has no instructions
+    ({!Pift_trace.Trace.add}).  Autodetects the format from the magic
+    bytes.  Raises [Failure] with a line number (text) or record number
+    (binary) on malformed input.  With [profile], the whole parse is
+    attributed to a ["trace_io"] region, so decode cost shows up in the
+    overhead breakdown next to tracker and store time. *)
 
 val detect_format : string -> format
 (** Peeks at the magic bytes; files too short to be binary (or with any
     other leading bytes) report [Text], whose parser owns the error. *)
-
-val to_channel : Recorded.t -> out_channel -> unit
-val of_channel : in_channel -> Recorded.t
-
-val to_channel_binary : Recorded.t -> out_channel -> unit
-val of_channel_binary : in_channel -> Recorded.t
-
-type header = { h_name : string; h_pid : int; h_bytecodes : int }
-
-val iter_channel_binary :
-  in_channel ->
-  on_event:(Pift_trace.Event.t -> unit) ->
-  on_marker:(int -> Recorded.marker -> unit) ->
-  header
-(** Streaming binary reader: decodes records into the callbacks in file
-    order without materialising any per-event list, reusing one scratch
-    buffer across records.  Returns the header once the stream ends.
-    Raises [Failure] with the record number on malformed input. *)
 
 (** {1 Streaming readers}
 
@@ -88,6 +72,8 @@ val iter_channel_binary :
     multiplexes many open traces without ever materialising one, so
     resident memory is one buffered chunk (binary) or one line (text)
     per tenant, whatever the trace length. *)
+
+type header = { h_name : string; h_pid : int; h_bytecodes : int }
 
 type reader
 (** An open trace positioned after its header.  Not an unbounded

@@ -33,7 +33,7 @@ type t = {
   mutable pid : int;
   counters : (int, int ref) Hashtbl.t;
   mutable seq : int;
-  mutable sink : Event.t -> unit;
+  mutable sink : Insn.t -> Event.t -> unit;
   meters : meters option;
 }
 
@@ -218,7 +218,7 @@ let run ?(fuel = 50_000_000) t frag =
         | Event.Load _ -> Counter.incr m.m_loads
         | Event.Store _ -> Counter.incr m.m_stores
         | Event.Other -> ()));
-    t.sink { Event.seq = t.seq; k = !kr; pid = t.pid; insn; access };
+    t.sink insn { Event.seq = t.seq; k = !kr; pid = t.pid; access };
     pc := next
   done;
   set t Reg.LR saved_lr

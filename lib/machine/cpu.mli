@@ -4,15 +4,18 @@
     Every executed instruction emits one {!Pift_trace.Event.t} to the
     attached sink — this is the PIFT front-end logic of the paper's Fig. 5,
     which "tracks the instructions executed by the CPU's instruction unit
-    and generates events upon observing memory access instructions" (we
-    emit non-memory events too, so consumers can measure distances and the
-    full-DIFT baseline can see every instruction). *)
+    and generates events upon observing memory access instructions".  The
+    event is the Fig. 5 record only: pid, instruction counter, access type
+    and resolved range.  The sink receives the executed instruction as a
+    separate argument, which PIFT ignores and the full-DIFT baseline reads.
+    Non-memory instructions emit [Other] events too, so consumers can
+    measure distances. *)
 
 type t
 
 val create :
   ?pid:int -> ?metrics:Pift_obs.Registry.t ->
-  sink:(Pift_trace.Event.t -> unit) -> Memory.t -> t
+  sink:(Pift_arm.Insn.t -> Pift_trace.Event.t -> unit) -> Memory.t -> t
 (** A CPU with zeroed registers.  [pid] defaults to 1.  With [metrics],
     [pift_cpu_*] counters track instructions retired and the load/store
     mix; without it the retire path stays untouched. *)
@@ -37,7 +40,7 @@ val counter : t -> int
 val global_seq : t -> int
 (** Instructions executed across all processes. *)
 
-val set_sink : t -> (Pift_trace.Event.t -> unit) -> unit
+val set_sink : t -> (Pift_arm.Insn.t -> Pift_trace.Event.t -> unit) -> unit
 (** Redirect the event stream (used to splice trackers in and out). *)
 
 exception Fuel_exhausted

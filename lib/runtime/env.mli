@@ -15,7 +15,7 @@ type native = t -> args:int array -> arg_addrs:int array -> unit
 
 val create :
   ?pid:int -> ?metrics:Pift_obs.Registry.t ->
-  sink:(Pift_trace.Event.t -> unit) -> unit -> t
+  sink:(Pift_arm.Insn.t -> Pift_trace.Event.t -> unit) -> unit -> t
 (** Fresh memory, CPU (with [r6] pointing at the process TCB), heap and
     manager.  [metrics] is handed to {!Pift_machine.Cpu.create}. *)
 

@@ -237,9 +237,8 @@ let row_access rows o tag =
     if tag = tag_load then Event.Load range else Event.Store range
 
 (* Row [r] of [b], in place: an event row becomes a short-lived
-   [Event.t] for Algorithm 1 ([insn] is a constant — nothing in the
-   engine reads it); a side item is taken out of its slot first, so a
-   drained batch keeps no item reachable. *)
+   [Event.t] for Algorithm 1; a side item is taken out of its slot
+   first, so a drained batch keeps no item reachable. *)
 let process_row t sh b r =
   sh.sh_items <- sh.sh_items + 1;
   let rows = b.b_rows and o = r * width in
@@ -255,7 +254,6 @@ let process_row t sh b r =
         Event.seq = rows.(o + 2);
         k = rows.(o + 3);
         pid = rows.(o + 1);
-        insn = Pift_arm.Insn.Nop;
         access = row_access rows o tag;
       }
 

@@ -23,11 +23,10 @@
     are made lazily inside {!run}, never more than
     [queue_capacity + 2] per shard (queued, filling, draining), and
     reused across runs and segments: a steady-state run allocates no
-    batch and no queued item survives a minor collection.  Events reach
-    the tracker with a constant [insn] (nothing in the engine reads
-    it).  A batch the dropping policy refuses stays with the producer,
-    is charged to its rows' tenants and refilled; a consumer that dies
-    keeps the batch it was draining and the producer makes a fresh one.
+    batch and no queued item survives a minor collection.  A batch the
+    dropping policy refuses stays with the producer, is charged to its
+    rows' tenants and refilled; a consumer that dies keeps the batch it
+    was draining and the producer makes a fresh one.
 
     {b Sharding.}  Pids are partitioned by contiguous range:
     [shard_of pid = (pid / pid_range) mod shards].  Routing is pure

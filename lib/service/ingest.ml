@@ -16,7 +16,11 @@ type source = {
   mutable src_emitted : int;
 }
 
-let tenant_pid ?(pid_range = 1 lsl 20) i =
+(* The width of a tenant's pid block, [Engine.create]'s default
+   [pid_range]. *)
+let pid_block = 1 lsl 20
+
+let tenant_pid ?(pid_range = pid_block) i =
   if i < 0 then invalid_arg "Ingest.tenant_pid: index must be non-negative";
   (i + 1) * pid_range
 
@@ -67,12 +71,21 @@ let skip s n =
 (* Remap a recorded item onto the source's assigned engine pid.  The
    recording's events may carry child pids (fork); preserving the
    offset from the recorded main pid keeps distinct processes distinct
-   inside the tenant's pid block. *)
+   inside the tenant's pid block.  An offset outside the block would
+   land on another tenant's pid, so it is refused. *)
 let to_engine_item s (item : Recorded.item) : Engine.item =
   match item with
   | Recorded.Item_event e ->
-      Engine.I_event
-        { e with Event.pid = e.Event.pid - s.src_orig_pid + s.src_pid }
+      let offset = e.Event.pid - s.src_orig_pid in
+      if offset < 0 || offset >= pid_block then
+        failwith
+          (Printf.sprintf
+             "Ingest: %s: item %d: event pid %d is outside the tenant's pid \
+              block [%d, %d)"
+             (Option.value s.src_path ~default:s.src_name)
+             s.src_emitted e.Event.pid s.src_orig_pid
+             (s.src_orig_pid + pid_block));
+      Engine.I_event { e with Event.pid = offset + s.src_pid }
   | Recorded.Item_marker (_, Recorded.Source { kind; range }) ->
       Engine.I_source { pid = s.src_pid; kind; range }
   | Recorded.Item_marker (_, Recorded.Sink { kind; ranges }) ->

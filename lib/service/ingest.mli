@@ -33,7 +33,12 @@ val of_file : pid:int -> string -> source
 val close : source -> unit
 
 val to_engine_item : source -> Pift_eval.Recorded.item -> Engine.item
-(** Remap one recorded item onto the source's engine pid. *)
+(** Remap one recorded item onto the source's engine pid.  An event
+    whose pid is not in [[src_orig_pid, src_orig_pid + 2{^20})] — the
+    block {!tenant_pid} spaces tenants by — would land in another
+    tenant's taint state: it raises [Failure] naming the source (its
+    path, else its name), the item number ({!cursor}, which {!merge}
+    has already advanced past the item) and the pid. *)
 
 val merge : source list -> Engine.stream
 (** Deterministic interleave: always emit the head with the smallest

@@ -3,9 +3,9 @@
     This is the paper's Fig. 5 interface between CPU and PIFT hardware
     module: for every instruction the front end supplies the
     process-specific ID, the process-specific instruction counter, the
-    access type, and the resolved address range.  We additionally carry the
-    instruction itself so the full-DIFT baseline (which needs register
-    semantics) can consume the same stream. *)
+    access type, and the resolved address range — and nothing else.  The
+    instruction itself is not part of the event: only the CPU and a live
+    recording ({!Trace.sink}) have one. *)
 
 type access =
   | Load of Pift_util.Range.t
@@ -16,7 +16,6 @@ type t = {
   seq : int;  (** global instruction sequence number *)
   k : int;  (** per-process instruction counter (Algorithm 1's [k]) *)
   pid : int;
-  insn : Pift_arm.Insn.t;
   access : access;
 }
 
@@ -25,5 +24,3 @@ val is_store : t -> bool
 
 val range : t -> Pift_util.Range.t option
 (** Address range of a memory access, [None] for [Other]. *)
-
-val pp : Format.formatter -> t -> unit

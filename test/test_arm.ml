@@ -198,7 +198,7 @@ let test_parse_fragment () =
   | i -> Alcotest.failf "bge resolved wrong: %s" (Insn.to_string i));
   (* execute it for good measure *)
   let m = Pift_machine.Memory.create () in
-  let cpu = Pift_machine.Cpu.create ~sink:(fun _ -> ()) m in
+  let cpu = Pift_machine.Cpu.create ~sink:(fun _ _ -> ()) m in
   Pift_machine.Memory.write_u16 m 0x1000 0xCAFE;
   Pift_machine.Cpu.set cpu Reg.R0 0x2000;
   Pift_machine.Cpu.set cpu Reg.R1 0x1000;

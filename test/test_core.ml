@@ -10,7 +10,6 @@ module Storage = Pift_core.Storage
 module Store = Pift_core.Store
 module Hw_model = Pift_core.Hw_model
 module Event = Pift_trace.Event
-module Insn = Pift_arm.Insn
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -131,13 +130,13 @@ let prop_range_set_model =
 (* --- Tracker: Algorithm 1 scenarios -------------------------------------- *)
 
 let load range k =
-  { Event.seq = k; k; pid = 1; insn = Insn.Nop; access = Event.Load range }
+  { Event.seq = k; k; pid = 1; access = Event.Load range }
 
 let store range k =
-  { Event.seq = k; k; pid = 1; insn = Insn.Nop; access = Event.Store range }
+  { Event.seq = k; k; pid = 1; access = Event.Store range }
 
 let other k =
-  { Event.seq = k; k; pid = 1; insn = Insn.Nop; access = Event.Other }
+  { Event.seq = k; k; pid = 1; access = Event.Other }
 
 let feed tracker events = List.iter (Tracker.observe tracker) events
 
@@ -232,19 +231,15 @@ let test_tracker_per_pid () =
   Tracker.taint_source t ~pid:1 (r 100 110);
   (* pid 2's load of the same addresses sees clean state *)
   Tracker.observe t
-    { Event.seq = 1; k = 1; pid = 2; insn = Insn.Nop;
-      access = Event.Load (r 100 101) };
+    { Event.seq = 1; k = 1; pid = 2; access = Event.Load (r 100 101) };
   Tracker.observe t
-    { Event.seq = 2; k = 2; pid = 2; insn = Insn.Nop;
-      access = Event.Store (r 300 301) };
+    { Event.seq = 2; k = 2; pid = 2; access = Event.Store (r 300 301) };
   checkb "no cross-pid window" false (Tracker.is_tainted t ~pid:2 (r 300 301));
   (* pid 1's window does not serve pid 2's stores *)
   Tracker.observe t
-    { Event.seq = 3; k = 3; pid = 1; insn = Insn.Nop;
-      access = Event.Load (r 100 101) };
+    { Event.seq = 3; k = 3; pid = 1; access = Event.Load (r 100 101) };
   Tracker.observe t
-    { Event.seq = 4; k = 4; pid = 2; insn = Insn.Nop;
-      access = Event.Store (r 310 311) };
+    { Event.seq = 4; k = 4; pid = 2; access = Event.Store (r 310 311) };
   checkb "window is per-process" false
     (Tracker.is_tainted t ~pid:2 (r 310 311))
 
@@ -580,7 +575,7 @@ let prop_provenance_union { pc_policy; pc_ops } =
         let access =
           match op with P_load _ -> Event.Load r | _ -> Event.Store r
         in
-        Tracker.observe tr { Event.seq; k; pid; insn = Insn.Nop; access }
+        Tracker.observe tr { Event.seq; k; pid; access }
   in
   let split = List.length pc_ops / 2 in
   let a = prov_pair pc_policy in

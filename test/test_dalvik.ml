@@ -111,7 +111,7 @@ let test_translation_errors () =
 (* --- VM execution --------------------------------------------------------- *)
 
 let fresh_vm ?classes program_methods =
-  let env = Env.create ~sink:(fun _ -> ()) () in
+  let env = Env.create ~sink:(fun _ _ -> ()) () in
   let program = Program.make ?classes ~entry:"main" program_methods in
   (env, Vm.create env program)
 
@@ -482,7 +482,7 @@ let prop_vm_differential =
     ~count:200 fuzz_bytecode_gen (fun code ->
       let expected = emulate code in
       let run mode =
-        let env = Env.create ~sink:(fun _ -> ()) () in
+        let env = Env.create ~sink:(fun _ _ -> ()) () in
         let vm =
           Vm.create ~mode env
             (Program.make ~entry:"main"

@@ -49,7 +49,7 @@ let test_body_is_blocks () =
   | _ -> Alcotest.fail "label after Is block wrong"
 
 let run_body code =
-  let env = Env.create ~sink:(fun _ -> ()) () in
+  let env = Env.create ~sink:(fun _ _ -> ()) () in
   let vm =
     Vm.create env
       (Pift_dalvik.Program.make ~entry:"main"

@@ -558,7 +558,6 @@ let test_flow_json_validates () =
 (* --- Graph builder over random synthetic recordings ---------------------- *)
 
 module Event = Pift_trace.Event
-module Insn = Pift_arm.Insn
 module Trace = Pift_trace.Trace
 module Rng = Pift_util.Rng
 
@@ -623,7 +622,7 @@ let gen_prov_case rng =
               Event.Store r
           | _ -> Event.Other
         in
-        { Event.seq = k; k; pid = 1; insn = Insn.Nop; access })
+        { Event.seq = k; k; pid = 1; access })
   in
   let sinks =
     List.init (1 + Rng.int rng 2) (fun _ ->

@@ -41,7 +41,7 @@ let test_scrubber_removes_dummy_block () =
   (* semantics preserved: run both on fresh machines, compare the store *)
   let run f =
     let m = Memory.create () in
-    let cpu = Cpu.create ~sink:(fun _ -> ()) m in
+    let cpu = Cpu.create ~sink:(fun _ _ -> ()) m in
     Memory.write_u16 m 0x1000 0xBEEF;
     Cpu.set cpu Reg.R0 0x2000;
     Cpu.set cpu Reg.R1 0x1000;
@@ -130,7 +130,7 @@ let test_relocate_stores () =
   (* semantics preserved *)
   let run f =
     let m = Memory.create () in
-    let cpu = Cpu.create ~sink:(fun _ -> ()) m in
+    let cpu = Cpu.create ~sink:(fun _ _ -> ()) m in
     Memory.write_u16 m 0x1000 0xBEEF;
     Cpu.set cpu Reg.R0 0x2000;
     Cpu.set cpu Reg.R1 0x1000;
@@ -215,7 +215,7 @@ let prop_scrub_preserves_semantics =
       in
       let run f =
         let m = Memory.create () in
-        let cpu = Cpu.create ~sink:(fun _ -> ()) m in
+        let cpu = Cpu.create ~sink:(fun _ _ -> ()) m in
         Cpu.set cpu Reg.R0 0x1000;
         (* deterministic nonzero starting registers *)
         Array.iteri
@@ -299,7 +299,7 @@ let test_jit_semantics_match () =
     ]
   in
   let run mode =
-    let env = Pift_runtime.Env.create ~sink:(fun _ -> ()) () in
+    let env = Pift_runtime.Env.create ~sink:(fun _ _ -> ()) () in
     let vm =
       Vm.create ~mode env
         (Pift_dalvik.Program.make ~entry:"main" (methods ()))
@@ -355,6 +355,61 @@ let test_trace_io_roundtrip () =
       in
       checkb "identical analysis" true (sweep original = sweep loaded))
 
+(* [Trace_io.load (save r)] in [format], through a temporary file. *)
+let reload format r =
+  let path = Filename.temp_file "pift" ".trace" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Trace_io.save ~format r path;
+      Trace_io.load path)
+
+(* A trace file holds the Fig. 5 record and so does [Event.t]: every
+   event comes back equal under [=], in either format. *)
+let test_trace_io_events_exact () =
+  let original =
+    Recorded.record (Option.get (Pift_workloads.Droidbench.find "BatchLeak1"))
+  in
+  List.iter
+    (fun format ->
+      let loaded = reload format original in
+      let name = Trace_io.format_to_string format in
+      checki (name ^ " events")
+        (Trace.length original.Recorded.trace)
+        (Trace.length loaded.Recorded.trace);
+      for i = 0 to Trace.length original.Recorded.trace - 1 do
+        if Trace.get original.Recorded.trace i <> Trace.get loaded.Recorded.trace i
+        then Alcotest.failf "%s: event %d differs after the round trip" name i
+      done;
+      checkb (name ^ " markers equal") true
+        (original.Recorded.markers = loaded.Recorded.markers))
+    [ Trace_io.Text; Trace_io.Binary ]
+
+(* A decoded recording has no instructions, so full DIFT refuses it
+   instead of running a made-up instruction model; the live recording
+   it was saved from still runs. *)
+let test_dift_refuses_decoded () =
+  let original =
+    Recorded.record (Option.get (Pift_workloads.Droidbench.find "BatchLeak1"))
+  in
+  checkb "recording keeps instructions" true
+    (Trace.has_insns original.Recorded.trace);
+  checkb "live full DIFT flags the leak" true
+    (Recorded.replay_dift original).Recorded.dift_flagged;
+  List.iter
+    (fun format ->
+      let loaded = reload format original in
+      checkb "decoded trace has none" false
+        (Trace.has_insns loaded.Recorded.trace);
+      Alcotest.check_raises
+        (Trace_io.format_to_string format ^ " recording refused")
+        (Invalid_argument
+           "Recorded.replay_dift: recording BatchLeak1 was decoded from a \
+            trace file and has no instructions; full DIFT needs a live \
+            recording")
+        (fun () -> ignore (Recorded.replay_dift loaded)))
+    [ Trace_io.Text; Trace_io.Binary ]
+
 (* Marker kinds are free-form strings from the app's source/sink
    registrations; the file format is space-delimited, so kinds carrying
    spaces (or newlines, or literal percent signs) must be escaped on
@@ -369,7 +424,6 @@ let test_trace_io_adversarial_kinds () =
       Event.seq = 1;
       k = 1;
       pid = 7;
-      insn = Insn.Nop;
       access = Event.Load (Range.make 100 103);
     };
   let kinds =
@@ -501,14 +555,13 @@ let gen_recorded rng =
     (match Rng.int rng 4 with
     | 0 ->
         Trace.add trace
-          { Event.seq = !seq; k; pid; insn = Insn.Nop; access = Event.Other }
+          { Event.seq = !seq; k; pid; access = Event.Other }
     | 1 | 2 ->
         Trace.add trace
           {
             Event.seq = !seq;
             k;
             pid;
-            insn = Insn.Nop;
             access = Event.Load (gen_range rng);
           }
     | _ ->
@@ -517,7 +570,6 @@ let gen_recorded rng =
             Event.seq = !seq;
             k;
             pid;
-            insn = Insn.Nop;
             access = Event.Store (gen_range rng);
           });
     if Rng.int rng 3 = 0 then begin
@@ -553,15 +605,10 @@ let gen_recorded rng =
     bytecodes = Rng.int rng 1000;
   }
 
-(* Loads and stores come back with synthetic instructions, so compare
-   the serialised projection: header, (seq, k, pid, access) per event,
-   and the marker array. *)
+(* Everything a trace file holds: header, events, markers. *)
 let project (r : Recorded.t) =
-  let module Event = Pift_trace.Event in
   let evs = ref [] in
-  Trace.iter
-    (fun e -> evs := (e.Event.seq, e.Event.k, e.Event.pid, e.Event.access) :: !evs)
-    r.Recorded.trace;
+  Trace.iter (fun e -> evs := e :: !evs) r.Recorded.trace;
   ( r.Recorded.name,
     r.Recorded.pid,
     r.Recorded.bytecodes,
@@ -721,6 +768,10 @@ let () =
       ( "trace_io",
         [
           Alcotest.test_case "roundtrip" `Quick test_trace_io_roundtrip;
+          Alcotest.test_case "events exact, both formats" `Quick
+            test_trace_io_events_exact;
+          Alcotest.test_case "full DIFT refuses a decoded recording" `Quick
+            test_dift_refuses_decoded;
           Alcotest.test_case "adversarial marker kinds" `Quick
             test_trace_io_adversarial_kinds;
           Alcotest.test_case "rejects garbage" `Quick

@@ -50,7 +50,7 @@ let test_memory_pages () =
 let run_frag ?(setup = fun _ -> ()) insns =
   let events = ref [] in
   let m = Memory.create () in
-  let cpu = Cpu.create ~sink:(fun e -> events := e :: !events) m in
+  let cpu = Cpu.create ~sink:(fun _ e -> events := e :: !events) m in
   setup cpu;
   let a = Asm.create () in
   Asm.emit_all a insns;
@@ -227,7 +227,7 @@ let test_branching () =
   Asm.label a "end";
   Asm.ret a;
   let m = Memory.create () in
-  let cpu = Cpu.create ~sink:(fun _ -> ()) m in
+  let cpu = Cpu.create ~sink:(fun _ _ -> ()) m in
   Cpu.run cpu (Asm.assemble a);
   checki "loop sum" 15 (Cpu.get cpu Reg.R0)
 
@@ -247,7 +247,7 @@ let test_flags_from_alu () =
 
 let test_counters_and_pids () =
   let m = Memory.create () in
-  let cpu = Cpu.create ~pid:7 ~sink:(fun _ -> ()) m in
+  let cpu = Cpu.create ~pid:7 ~sink:(fun _ _ -> ()) m in
   let frag =
     let a = Asm.create () in
     Asm.emit a Insn.Nop;
@@ -271,7 +271,7 @@ let test_fuel () =
   Asm.branch a Cond.Always "spin";
   let frag = Asm.assemble a in
   let m = Memory.create () in
-  let cpu = Cpu.create ~sink:(fun _ -> ()) m in
+  let cpu = Cpu.create ~sink:(fun _ _ -> ()) m in
   Alcotest.check_raises "fuel" Cpu.Fuel_exhausted (fun () ->
       Cpu.run ~fuel:1000 cpu frag)
 

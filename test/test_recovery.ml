@@ -28,7 +28,6 @@ module Store = Pift_core.Store
 module Tracker = Pift_core.Tracker
 module Provenance = Pift_core.Provenance
 module Event = Pift_trace.Event
-module Insn = Pift_arm.Insn
 module Droidbench = Pift_workloads.Droidbench
 module Recorded = Pift_eval.Recorded
 module Engine = Pift_service.Engine
@@ -118,7 +117,7 @@ let run_ops tr ops ~seq0 ~ks =
       let observe pid access =
         let k = 1 + Option.value ~default:0 (Hashtbl.find_opt ks pid) in
         Hashtbl.replace ks pid k;
-        Tracker.observe tr { Event.seq; k; pid; insn = Insn.Nop; access }
+        Tracker.observe tr { Event.seq; k; pid; access }
       in
       match op with
       | T_source (pid, label, r) -> Tracker.taint_source ~kind:label tr ~pid r
@@ -456,7 +455,7 @@ let test_corrupt_prov_window () =
   Engine.with_engine ~shards:1 ~policy:Policy.default ~with_origins:true
     (fun eng ->
       let ev seq k access =
-        Engine.I_event { Event.seq; k; pid; insn = Insn.Nop; access }
+        Engine.I_event { Event.seq; k; pid; access }
       in
       let items =
         ref

@@ -330,7 +330,6 @@ let gen_engine_stream rng =
               Pift_trace.Event.seq = !seq;
               k = ks.(p);
               pid;
-              insn = Pift_arm.Insn.Nop;
               access;
             })
 
@@ -502,7 +501,6 @@ let test_producer_allocates_nothing_per_item () =
                Pift_trace.Event.seq = i;
                k = i;
                pid;
-               insn = Pift_arm.Insn.Nop;
                access =
                  (match i mod 3 with
                  | 0 -> Pift_trace.Event.Load r
@@ -609,6 +607,68 @@ let tiny_recording =
     pid = 1;
     bytecodes = 0;
   }
+
+(* An event pid outside [orig, orig + 2^20) would be remapped into the
+   next or previous tenant's pid block.  Tenant a's pid 2^20 + 1 lands
+   exactly on tenant b's main pid, where its store would copy b's
+   source into b's sink range and flip b's verdict; ingest refuses it
+   before it reaches the engine, naming the source, item and pid. *)
+let test_pid_outside_block () =
+  let ev seq pid access = { Pift_trace.Event.seq; k = seq; pid; access } in
+  let recording name events markers =
+    let trace = Pift_trace.Trace.create () in
+    List.iter (Pift_trace.Trace.add trace) events;
+    { Recorded.name; trace; markers; pid = 1; bytecodes = 0 }
+  in
+  let overflow = 1 + (1 lsl 20) in
+  let a =
+    recording "a"
+      [
+        ev 5 overflow (Pift_trace.Event.Load (Range.of_len 4096 4));
+        ev 6 overflow (Pift_trace.Event.Store (Range.of_len 8192 4));
+      ]
+      [||]
+  in
+  let b =
+    recording "b"
+      [ ev 2 1 Pift_trace.Event.Other ]
+      [|
+        (1, Recorded.Source { kind = "imei"; range = Range.of_len 4096 4 });
+        (20, Recorded.Sink { kind = "net"; ranges = [ Range.of_len 8192 4 ] });
+      |]
+  in
+  let refusal name pid =
+    Failure
+      (Printf.sprintf
+         "Ingest: %s: item 1: event pid %d is outside the tenant's pid block \
+          [1, 1048577)"
+         name pid)
+  in
+  Engine.with_engine ~shards:1 (fun eng ->
+      Alcotest.check_raises "overflow refused" (refusal "a" overflow)
+        (fun () ->
+          Ingest.run eng
+            (List.mapi
+               (fun i r -> Ingest.of_recorded ~pid:(Ingest.tenant_pid i) r)
+               [ a; b ]));
+      match Engine.snapshot_tenant eng ~pid:(Ingest.tenant_pid 1) with
+      | None -> ()
+      | Some ts ->
+          checki "no verdict reached tenant b" 0
+            (List.length ts.Engine.ts_verdicts));
+  let first_item r =
+    Ingest.merge [ Ingest.of_recorded ~pid:(Ingest.tenant_pid 0) r ] ()
+  in
+  Alcotest.check_raises "negative offset refused" (refusal "neg" 0) (fun () ->
+      ignore (first_item (recording "neg" [ ev 1 0 Pift_trace.Event.Other ] [||])));
+  match
+    first_item
+      (recording "last" [ ev 1 (1 lsl 20) Pift_trace.Event.Other ] [||])
+  with
+  | Some (Engine.I_event e) ->
+      checki "the block's last pid is accepted"
+        (Ingest.tenant_pid 1 - 1) e.Pift_trace.Event.pid
+  | _ -> Alcotest.fail "expected the event"
 
 (* Lost events and sinks show as missing stats events and verdicts; a
    lost source shows nowhere, hence a range rather than an equality. *)
@@ -971,7 +1031,7 @@ let test_provenance_probes_follow_decisions () =
     (Range.of_len ((500 * 64) + 32) 8);
   let observe seq k access =
     Tracker.observe t
-      { Pift_trace.Event.seq; k; pid = 500; insn = Pift_arm.Insn.Nop; access }
+      { Pift_trace.Event.seq; k; pid = 500; access }
   in
   let before = Provenance.probes p in
   observe 1 1 (Pift_trace.Event.Load (Range.of_len 0 4));
@@ -1039,7 +1099,6 @@ let recorded_of_synth i j it : Recorded.item =
           Pift_trace.Event.seq;
           k = j;
           pid = synth_orig_pid;
-          insn = Pift_arm.Insn.Nop;
           access = (if j mod 2 = 0 then Pift_trace.Event.Load r else Store r);
         }
   | S_source seq ->
@@ -1382,6 +1441,8 @@ let () =
         ] );
       ( "ingest merge",
         [
+          Alcotest.test_case "event pid outside the tenant block" `Quick
+            test_pid_outside_block;
           Alcotest.test_case "heap merge = two-pass scan" `Quick
             test_merge_matches_scan;
           Alcotest.test_case "segmented run cursors = scan" `Quick

@@ -6,13 +6,12 @@ module Event = Pift_trace.Event
 module Trace = Pift_trace.Trace
 module Stats = Pift_trace.Stats
 module Histogram = Pift_util.Histogram
-module Insn = Pift_arm.Insn
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
 let ev ?(pid = 1) k access =
-  { Event.seq = k; k; pid; insn = Insn.Nop; access }
+  { Event.seq = k; k; pid; access }
 
 let load ?pid k lo len = ev ?pid k (Event.Load (Range.of_len lo len))
 let store ?pid k lo len = ev ?pid k (Event.Store (Range.of_len lo len))
@@ -56,6 +55,44 @@ let test_trace_storage () =
     Trace.add big (other i)
   done;
   checki "grows" 5000 (Trace.length big)
+
+(* [sink] keeps each instruction beside its event, also across chunks;
+   [add] keeps none, and a trace is one kind or the other. *)
+let test_trace_instructions () =
+  let module Insn = Pift_arm.Insn in
+  let insn i = Insn.Mov (Pift_arm.Reg.R0, Insn.Imm i) in
+  let recorded = Trace.create () in
+  checkb "empty trace has its (no) instructions" true
+    (Trace.has_insns recorded);
+  for i = 1 to 9000 do
+    Trace.sink recorded (insn i) (other i)
+  done;
+  checkb "recorded" true (Trace.has_insns recorded);
+  checkb "instruction beside its event" true
+    (List.for_all
+       (fun i ->
+         Trace.insn recorded (i - 1) = insn i
+         && (Trace.get recorded (i - 1)).Event.k = i)
+       [ 1; 4095; 4096; 4097; 8192; 8193; 9000 ]);
+  let seen = ref 0 in
+  Trace.iter
+    (fun e ->
+      incr seen;
+      if e.Event.k <> !seen then Alcotest.failf "iter: event %d out of order" !seen)
+    recorded;
+  checki "iter visits every chunk" 9000 !seen;
+  let invalid what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  invalid "add to a recorded trace" (fun () -> Trace.add recorded (other 9001));
+  let decoded = of_list [ load 1 0 4; other 2 ] in
+  checkb "decoded" false (Trace.has_insns decoded);
+  invalid "insn of a decoded trace" (fun () -> ignore (Trace.insn decoded 0));
+  invalid "sink into a decoded trace" (fun () ->
+      Trace.sink decoded Insn.Nop (other 3));
+  invalid "insn out of bounds" (fun () -> ignore (Trace.insn recorded 9000))
 
 let test_pids () =
   let t = of_list [ load ~pid:3 1 0 4; load ~pid:1 2 0 4; other ~pid:3 3 ] in
@@ -181,6 +218,8 @@ let () =
         [
           Alcotest.test_case "event metadata" `Quick test_event_meta;
           Alcotest.test_case "trace storage" `Quick test_trace_storage;
+          Alcotest.test_case "recorded instructions" `Quick
+            test_trace_instructions;
           Alcotest.test_case "pids" `Quick test_pids;
         ] );
       ( "statistics",
