@@ -146,10 +146,16 @@ let with_origins t = t.cfg.with_origins
 
 (* PID-range partitioning: pids land on shards in contiguous blocks of
    [pid_range], so one process's whole address space of pids-it-spawns
-   stays local while distinct tenants spread round-robin. *)
+   stays local while distinct tenants spread round-robin.  The shard is
+   [((pid / pid_range) mod shards + shards) mod shards]; this runs per
+   item on the producer, so one shard skips the arithmetic and the
+   outer [mod] is a sign test ([mod] keeps the dividend's sign). *)
 let shard_of t pid =
-  let s = pid / t.cfg.pid_range mod t.cfg.shards in
-  t.shard_arr.((s + t.cfg.shards) mod t.cfg.shards)
+  let n = t.cfg.shards in
+  if n = 1 then t.shard_arr.(0)
+  else
+    let s = pid / t.cfg.pid_range mod n in
+    t.shard_arr.(if s < 0 then s + n else s)
 
 let tenant_of t sh pid =
   match Hashtbl.find_opt sh.sh_tenants pid with

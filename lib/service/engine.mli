@@ -29,9 +29,11 @@
     was draining and the producer makes a fresh one.
 
     {b Sharding.}  Pids are partitioned by contiguous range:
-    [shard_of pid = (pid / pid_range) mod shards].  Routing is pure
-    arithmetic, so a pid's shard never changes and no cross-shard
-    state exists.
+    [shard_of pid = ((pid / pid_range) mod shards + shards) mod shards]
+    with OCaml's truncating [/] and [mod], so a negative pid still lands
+    on a shard in [0, shards) (it is the [ts_shard] of
+    {!snapshot_tenant}).  Routing is pure arithmetic, so a pid's shard
+    never changes and no cross-shard state exists.
 
     {b Determinism.}  Because every tenant owns a private tracker and
     items of one pid are routed to one shard through a FIFO queue in

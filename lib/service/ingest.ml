@@ -114,7 +114,14 @@ let no_item =
    stays at the root until the next pull, which refills it (the only
    [src_next] call a later pull makes) and sifts it down, or drops it
    from the heap for good when its stream has ended.  Each item costs
-   one sift, O(log live sources). *)
+   one sift, O(log live sources).
+
+   The sift is Floyd's bottom-up one: walk the hole from [k] down to a
+   leaf along the smaller children (one key comparison per level), then
+   climb the sifted source back up — never above [k] — to its place.
+   A refilled head usually belongs near the bottom, so the climb is
+   short and the descent skips the standard sift's second comparison
+   per level. *)
 let merge sources : Engine.stream =
   let srcs = Array.of_list sources in
   let n = Array.length srcs in
@@ -126,19 +133,48 @@ let merge sources : Engine.stream =
   (* [pending]: the root was emitted by the previous pull and must be
      refilled before the next pick. *)
   let pending = ref false in
-  let less a b = seqs.(a) < seqs.(b) || (seqs.(a) = seqs.(b) && a < b) in
-  let rec sift_down k =
-    let l = (2 * k) + 1 in
-    if l < !size then begin
-      let r = l + 1 in
-      let c = if r < !size && less heap.(r) heap.(l) then r else l in
-      if less heap.(c) heap.(k) then begin
-        let t = heap.(k) in
-        heap.(k) <- heap.(c);
-        heap.(c) <- t;
-        sift_down c
+  (* Loops over local refs, not local recursive functions: those would
+     be closures allocated on every sift. *)
+  let sift_down k =
+    let size = !size in
+    let x = heap.(k) in
+    let sx = seqs.(x) in
+    (* Descend: move the smaller child up into the hole at [j]. *)
+    let j = ref k in
+    let l = ref ((2 * k) + 1) in
+    while !l < size do
+      let l' = !l in
+      let r = l' + 1 in
+      (* [r] when its key is the smaller, as arithmetic on the three
+         comparisons: the outcome is a coin flip, so a branch on it
+         would mispredict about every other level. *)
+      let c =
+        if r < size then
+          let a = heap.(r) and b = heap.(l') in
+          let sa = seqs.(a) and sb = seqs.(b) in
+          l'
+          + (Bool.to_int (sa < sb)
+            lor (Bool.to_int (sa = sb) land Bool.to_int (a < b)))
+        else l'
+      in
+      heap.(!j) <- heap.(c);
+      j := c;
+      l := (2 * c) + 1
+    done;
+    (* Climb: move parents below [k] back down while [x] sorts before
+       them. *)
+    let climbing = ref true in
+    while !climbing && !j > k do
+      let p = (!j - 1) lsr 1 in
+      let y = heap.(p) in
+      let sy = seqs.(y) in
+      if sx < sy || (sx = sy && x < y) then begin
+        heap.(!j) <- y;
+        j := p
       end
-    end
+      else climbing := false
+    done;
+    heap.(!j) <- x
   in
   let read i =
     match srcs.(i).src_next () with

@@ -19,7 +19,17 @@
    [abort] is the failure path: a consumer that dies mid-stream aborts
    its queue so the producer cannot block forever against a reader that
    will never come back — subsequent pushes drop, pops return [None],
-   and the pool join re-raises the consumer's exception. *)
+   and the pool join re-raises the consumer's exception.
+
+   Wakeups go by watermark, not by batch.  A side that waits records it
+   in [consumer_parked] / [producer_parked]; the other side signals it
+   only across half the ring: a push once the ring holds at least half
+   its capacity (every push in drop mode), a pop once the ring has
+   drained to at most half.  The consumer parks only on an empty ring
+   and the producer only on a full one, so whoever is parked is always
+   woken before the other side could need it — and [close] and [abort]
+   broadcast regardless.  A parked consumer thus costs one wakeup per
+   half ring of batches instead of one per batch. *)
 
 type 'b t = {
   mu : Mutex.t;
@@ -34,6 +44,8 @@ type 'b t = {
   mutable aborted : bool;  (* consumer died *)
   mutable dropped : int;  (* items (not batches) dropped *)
   mutable max_depth : int;  (* peak queued batches *)
+  mutable consumer_parked : bool;  (* waiting on [not_empty], unsignalled *)
+  mutable producer_parked : bool;  (* waiting on [not_full], unsignalled *)
 }
 
 type push_result = Pushed | Dropped
@@ -53,6 +65,8 @@ let create ~capacity ~empty =
     aborted = false;
     dropped = 0;
     max_depth = 0;
+    consumer_parked = false;
+    producer_parked = false;
   }
 
 let capacity t = Array.length t.slots
@@ -65,6 +79,7 @@ let push t ~drop_when_full batch ~items =
   end;
   if (not t.aborted) && not drop_when_full then
     while t.len >= capacity t && not t.aborted do
+      t.producer_parked <- true;
       Condition.wait t.not_full t.mu
     done;
   let result =
@@ -78,7 +93,11 @@ let push t ~drop_when_full batch ~items =
       t.counts.(slot) <- items;
       t.len <- t.len + 1;
       if t.len > t.max_depth then t.max_depth <- t.len;
-      Condition.signal t.not_empty;
+      if t.consumer_parked && (drop_when_full || 2 * t.len >= capacity t)
+      then begin
+        t.consumer_parked <- false;
+        Condition.signal t.not_empty
+      end;
       Pushed
     end
   in
@@ -111,11 +130,15 @@ let pop t =
       t.slots.(slot) <- t.empty;
       t.head <- (slot + 1) mod capacity t;
       t.len <- t.len - 1;
-      Condition.signal t.not_full;
+      if t.producer_parked && 2 * t.len <= capacity t then begin
+        t.producer_parked <- false;
+        Condition.signal t.not_full
+      end;
       Some (b, t.counts.(slot))
     end
     else if t.closed then None
     else begin
+      t.consumer_parked <- true;
       Condition.wait t.not_empty t.mu;
       go ()
     end

@@ -20,7 +20,17 @@
     deterministic, the producer runs at the slowest consumer's pace) or
     dropping (the batch is refused and its {e items} counted in
     {!dropped} — folded into the shard's counters and read through
-    [Engine.stats]). *)
+    [Engine.stats]).
+
+    {b Wakeups.}  The consumer parks only on an empty queue, the
+    producer only on a full one, and each side signals the other only
+    across the half-capacity watermark: {!push} wakes a parked consumer
+    once the queue holds [2 * length >= capacity] batches (in dropping
+    mode, on every push that lands), and {!pop} wakes a parked producer
+    once the queue has drained to [2 * length <= capacity].  A parked
+    consumer therefore waits while fewer than half the slots are
+    filled; {!close} and {!abort} wake every waiter at once.  Neither
+    side spins. *)
 
 type 'b t
 
@@ -33,16 +43,16 @@ type push_result = Pushed | Dropped
 val push : 'b t -> drop_when_full:bool -> 'b -> items:int -> push_result
 (** Producer side: queue a batch holding [items] items.  With
     [drop_when_full:false], blocks while the queue is at capacity
-    (until the consumer pops, or the queue is aborted).  With
-    [drop_when_full:true], never blocks: a full queue drops the batch
-    and adds [items] to {!dropped}.  After {!abort}, every push drops —
+    (until the consumer has drained it to half, or the queue is
+    aborted).  With [drop_when_full:true], never blocks: a full queue
+    drops the batch and adds [items] to {!dropped}.  After {!abort}, every push drops —
     a dead consumer must not wedge the producer.  A [Dropped] batch was
     not taken: the producer still owns it and may refill it.  Raises
     [Invalid_argument] after {!close}. *)
 
 val close : 'b t -> unit
-(** Producer side, end of stream: the consumer drains what is queued,
-    then {!pop} returns [None]. *)
+(** Producer side, end of stream: wakes a parked consumer whatever the
+    depth; it drains what is queued, then {!pop} returns [None]. *)
 
 val abort : 'b t -> unit
 (** Consumer side, failure path: discard every queued batch, wake
@@ -50,8 +60,10 @@ val abort : 'b t -> unit
     [None]. *)
 
 val pop : 'b t -> ('b * int) option
-(** Consumer side: blocks until a batch, returned with its item count;
-    [None] once closed-and-drained (or aborted). *)
+(** Consumer side: the oldest batch, returned with its item count;
+    [None] once closed-and-drained (or aborted).  On an empty queue it
+    parks until a push crosses the watermark (see {b Wakeups}), or
+    until {!close} or {!abort}. *)
 
 val length : 'b t -> int
 (** Batches currently queued. *)

@@ -42,6 +42,63 @@ let recordings =
 (* Batches are int arrays here; [[||]] fills the free slots. *)
 let spsc ~capacity = Spsc.create ~capacity ~empty:[||]
 
+(* Liveness under the watermark wake rule.  Each case that could hang
+   runs under [within]: past its deadline a watchdog domain aborts the
+   queue, which wakes every waiter, and the case fails instead of
+   wedging the suite. *)
+let within q f =
+  let seconds = 20. in
+  let finished = Atomic.make false and fired = Atomic.make false in
+  let dog =
+    Domain.spawn (fun () ->
+        let deadline = Unix.gettimeofday () +. seconds in
+        while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+          Unix.sleepf 0.005
+        done;
+        if not (Atomic.get finished) then begin
+          Atomic.set fired true;
+          Spsc.abort q
+        end)
+  in
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set finished true;
+        Domain.join dog)
+      (fun () -> try Ok (f ()) with e -> Error e)
+  in
+  if Atomic.get fired then Alcotest.failf "timed out after %.0f s" seconds;
+  match r with Ok v -> v | Error e -> raise e
+
+(* Poll until [cond] holds; on timeout abort [q] (releasing any domain
+   parked on it) and fail. *)
+let wait_until q ~what cond =
+  let deadline = Unix.gettimeofday () +. 10. in
+  while not (cond ()) do
+    if Unix.gettimeofday () > deadline then begin
+      Spsc.abort q;
+      Alcotest.failf "timed out waiting for %s" what
+    end;
+    Unix.sleepf 0.001
+  done
+
+let push_blocking q i ~items =
+  match Spsc.push q ~drop_when_full:false [| i |] ~items with
+  | Spsc.Pushed -> ()
+  | Spsc.Dropped -> Alcotest.fail "blocking push dropped"
+
+(* A consumer domain popping until [None]; [got] counts its batches. *)
+let spawn_consumer q got =
+  Domain.spawn (fun () ->
+      let rec go acc =
+        match Spsc.pop q with
+        | Some (b, items) ->
+            Atomic.incr got;
+            go ((b.(0), items) :: acc)
+        | None -> List.rev acc
+      in
+      go [])
+
 let test_spsc_fifo () =
   let q = spsc ~capacity:4 in
   for i = 0 to 3 do
@@ -96,7 +153,29 @@ let test_spsc_drop_when_full () =
     (Spsc.push q ~drop_when_full:true [| 2; 3; 0; 0 |] ~items:2 = Spsc.Dropped);
   checki "dropped counts items" 2 (Spsc.dropped q);
   (* the queued batch is still intact *)
-  checkb "survivor delivered" true (Spsc.pop q = Some ([| 1 |], 1))
+  checkb "survivor delivered" true (Spsc.pop q = Some ([| 1 |], 1));
+  (* At any capacity drop mode never waits: it queues up to the
+     capacity and drops exactly the pushes that find the ring full. *)
+  List.iter
+    (fun capacity ->
+      let q = spsc ~capacity in
+      within q (fun () ->
+          let results =
+            List.init (capacity + 3) (fun i ->
+                Spsc.push q ~drop_when_full:true [| i |] ~items:2)
+          in
+          checkb
+            (Printf.sprintf "capacity %d: pushed up to full, then dropped"
+               capacity)
+            true
+            (results
+            = List.init (capacity + 3) (fun i ->
+                  if i < capacity then Spsc.Pushed else Spsc.Dropped));
+          checki "dropped items" 6 (Spsc.dropped q);
+          ignore (Spsc.pop q);
+          checkb "a freed slot takes the next push" true
+            (Spsc.push q ~drop_when_full:true [| 9 |] ~items:1 = Spsc.Pushed)))
+    [ 1; 2; 3; 5; 64 ]
 
 (* A blocking push waits for the consumer instead of dropping. *)
 let test_spsc_blocks_when_full () =
@@ -135,6 +214,122 @@ let test_spsc_close_rejects_push () =
        ignore (Spsc.push q ~drop_when_full:false [| 1 |] ~items:1);
        false
      with Invalid_argument _ -> true)
+
+(* A consumer parked on the empty ring is woken by [close] even though
+   the two batches queued since stay below the watermark. *)
+let test_spsc_close_wakes_parked_consumer () =
+  let q = spsc ~capacity:8 in
+  within q (fun () ->
+      let consumer = spawn_consumer q (Atomic.make 0) in
+      Unix.sleepf 0.05 (* let it park *);
+      push_blocking q 0 ~items:3;
+      push_blocking q 1 ~items:4;
+      Spsc.close q;
+      checkb "close drains the partly filled ring" true
+        (Domain.join consumer = [ (0, 3); (1, 4) ]))
+
+(* Filling half the ring wakes a parked consumer without [close]; in
+   drop mode a single push does. *)
+let test_spsc_watermark_wakes_consumer () =
+  List.iter
+    (fun (drop_when_full, pushes) ->
+      let q = spsc ~capacity:8 in
+      let got = Atomic.make 0 in
+      within q (fun () ->
+          let consumer = spawn_consumer q got in
+          Unix.sleepf 0.05;
+          for i = 1 to pushes do
+            ignore (Spsc.push q ~drop_when_full [| i |] ~items:1)
+          done;
+          wait_until q
+            ~what:(Printf.sprintf "%d batches (drop_when_full %b)" pushes
+                     drop_when_full)
+            (fun () -> Atomic.get got = pushes);
+          Spsc.close q;
+          checki "all delivered" pushes (List.length (Domain.join consumer))))
+    [ (false, 4); (true, 1) ]
+
+(* A producer parked on a full ring lands once the consumer has
+   drained it to half, and [abort] releases a parked producer with
+   [Dropped]. *)
+let test_spsc_parked_producer () =
+  let q = spsc ~capacity:4 in
+  within q (fun () ->
+      for i = 0 to 3 do
+        push_blocking q i ~items:1
+      done;
+      let landed = Atomic.make false in
+      let producer =
+        Domain.spawn (fun () ->
+            push_blocking q 4 ~items:1;
+            Atomic.set landed true)
+      in
+      Unix.sleepf 0.05;
+      ignore (Spsc.pop q);
+      ignore (Spsc.pop q);
+      wait_until q ~what:"the parked push to land" (fun () ->
+          Atomic.get landed);
+      Domain.join producer;
+      checki "depth" 3 (Spsc.length q));
+  let q = spsc ~capacity:2 in
+  within q (fun () ->
+      push_blocking q 0 ~items:1;
+      push_blocking q 1 ~items:1;
+      let producer =
+        Domain.spawn (fun () -> Spsc.push q ~drop_when_full:false [| 2 |] ~items:5)
+      in
+      Unix.sleepf 0.05;
+      Spsc.abort q;
+      checkb "abort releases the parked producer with Dropped" true
+        (Domain.join producer = Spsc.Dropped);
+      checki "its items counted as dropped" 5 (Spsc.dropped q))
+
+(* Two domains, random batch counts and sizes, both sides pausing at
+   random so each parks on the other: every batch arrives exactly once,
+   in FIFO order, at every capacity. *)
+let test_spsc_two_domain_stress () =
+  List.iter
+    (fun capacity ->
+      for run = 1 to 3 do
+        let rng = Rng.create ((capacity * 100) + run) in
+        let n = Rng.int_in rng 0 3000 in
+        let items = Array.init n (fun _ -> Rng.int_in rng 1 9) in
+        let pause () = if Rng.int rng 64 = 0 then 0.0002 else 0. in
+        let producer_pauses = Array.init n (fun _ -> pause ()) in
+        let consumer_pauses = Array.init n (fun _ -> pause ()) in
+        let q = spsc ~capacity in
+        within q (fun () ->
+            let consumer =
+              Domain.spawn (fun () ->
+                  let rec go k =
+                    match Spsc.pop q with
+                    | None -> Ok k
+                    | Some (b, m) ->
+                        if k >= n || b.(0) <> k || m <> items.(k) then
+                          Error
+                            (Printf.sprintf "batch %d: got %d (%d items)" k
+                               b.(0) m)
+                        else begin
+                          if consumer_pauses.(k) > 0. then
+                            Unix.sleepf consumer_pauses.(k);
+                          go (k + 1)
+                        end
+                  in
+                  go 0)
+            in
+            for k = 0 to n - 1 do
+              if producer_pauses.(k) > 0. then Unix.sleepf producer_pauses.(k);
+              push_blocking q k ~items:items.(k)
+            done;
+            Spsc.close q;
+            match Domain.join consumer with
+            | Ok k when k = n -> ()
+            | Ok k ->
+                Alcotest.failf "capacity %d run %d: %d of %d batches" capacity
+                  run k n
+            | Error e -> Alcotest.failf "capacity %d run %d: %s" capacity run e)
+      done)
+    [ 1; 2; 3; 5; 64 ]
 
 (* --- Pool.run_job --------------------------------------------------------- *)
 
@@ -814,6 +1009,46 @@ let test_create_validates_config () =
       ("shards 0", fun () -> Engine.create ~shards:0 ());
     ]
 
+(* Routing: [ts_shard] is the shard the engine routed the pid to; it
+   must equal the full formula with both [mod]s — the engine skips the
+   arithmetic for one shard and replaces the outer [mod] with a sign
+   test.  Pids cover block boundaries on both sides of zero, blocks
+   past [shards * pid_range], the extremes, and random values. *)
+let test_routing_formula () =
+  let rng = Rng.create 1919 in
+  for shards = 1 to 7 do
+    List.iter
+      (fun pid_range ->
+        let expected pid = ((pid / pid_range mod shards) + shards) mod shards in
+        let boundaries =
+          List.concat_map
+            (fun b ->
+              List.map
+                (fun d -> (b * pid_range) + d)
+                [ -1; 0; 1; pid_range - 1 ])
+            [ -(2 * shards) - 1; -shards; -1; 0; 1; shards; (3 * shards) + 2 ]
+        in
+        let span = 20 * shards * pid_range in
+        let randoms =
+          List.init 40 (fun _ -> Rng.int_in rng (-span) span)
+          @ List.init 10 (fun _ -> Rng.int rng max_int - (max_int / 2))
+        in
+        Engine.with_engine ~shards ~pid_range (fun eng ->
+            List.iter
+              (fun pid ->
+                Engine.register_tenant eng ~pid ();
+                match Engine.snapshot_tenant eng ~pid with
+                | None -> Alcotest.failf "pid %d not resident" pid
+                | Some ts ->
+                    if ts.Engine.ts_shard <> expected pid then
+                      Alcotest.failf
+                        "shards %d, pid_range %d, pid %d: shard %d, formula %d"
+                        shards pid_range pid ts.Engine.ts_shard (expected pid);
+                    ignore (Engine.evict_tenant eng ~pid))
+              ((min_int :: max_int :: boundaries) @ randoms)))
+      [ 1; 2; 3; 7; 64; 1000; 4096; 1 lsl 20 ]
+  done
+
 (* --- occupancy invariant against a recount -------------------------------- *)
 
 (* Random engine-op sequences over the four shared recordings (tenant
@@ -1205,7 +1440,35 @@ let merge_matches_scan specs =
   in
   pull 1
 
+(* Fixed shapes the random sizes rarely hit: heaps of one to three
+   sources, one level short of, exactly at and one past a full
+   127-node tree, and sources whose seqs all tie, so the source index
+   alone orders every pick and a sift that climbs past its subtree's
+   root shows up at once. *)
+let merge_boundary_cases =
+  let rng = Rng.create 127 in
+  List.concat_map
+    (fun n ->
+      [
+        List.init n (fun _ -> gen_synth_source rng);
+        List.init n (fun i ->
+            List.init (1 + (i mod 4)) (fun j ->
+                match j with
+                | 1 -> S_source 5
+                | 3 -> S_sink 5
+                | _ -> S_event 5));
+      ])
+    [ 1; 2; 3; 127; 128; 129 ]
+
 let test_merge_matches_scan () =
+  List.iter
+    (fun specs ->
+      match merge_matches_scan specs with
+      | Ok () -> ()
+      | Error e ->
+          Alcotest.failf "%d sources: %s@.%s" (List.length specs) e
+            (synth_sources_to_string specs))
+    merge_boundary_cases;
   Prop.check_gen ~name:"heap merge = two-pass scan" ~count:150
     ~gen:gen_synth_sources ~shrink:Prop.shrink_candidates
     ~to_string:synth_sources_to_string merge_matches_scan
@@ -1379,6 +1642,14 @@ let () =
           Alcotest.test_case "abort" `Quick test_spsc_abort;
           Alcotest.test_case "push after close" `Quick
             test_spsc_close_rejects_push;
+          Alcotest.test_case "close wakes a parked consumer" `Quick
+            test_spsc_close_wakes_parked_consumer;
+          Alcotest.test_case "watermark wakes a parked consumer" `Quick
+            test_spsc_watermark_wakes_consumer;
+          Alcotest.test_case "parked producer: drain to half, abort" `Quick
+            test_spsc_parked_producer;
+          Alcotest.test_case "two-domain stress, capacities 1-64" `Quick
+            test_spsc_two_domain_stress;
         ] );
       ( "pool run_job",
         [
@@ -1422,6 +1693,8 @@ let () =
             test_admin_out_of_band;
           Alcotest.test_case "create validates its config" `Quick
             test_create_validates_config;
+          Alcotest.test_case "routing = ((pid / range) mod n + n) mod n"
+            `Quick test_routing_formula;
           Alcotest.test_case "occupancy = recount after every step" `Quick
             test_occupancy_invariant;
         ] );
