@@ -13,18 +13,38 @@ type t = {
 
 let create () =
   let sets : (int, Store_flat.t) Hashtbl.t = Hashtbl.create 4 in
-  (* Mutating paths may materialise a set for a new PID; read paths
-     must not — a sink check on a never-seen PID would otherwise grow
-     the table and inflate range_count/memory on pure queries. *)
-  let set pid =
-    match Hashtbl.find_opt sets pid with
-    | Some s -> s
-    | None ->
-        let s = Store_flat.create () in
-        Hashtbl.add sets pid s;
-        s
+  (* One-entry cache beside the table: the last pid touched and its set,
+     or [absent] when the table has none for it.  Every tracker serves
+     one process nearly all the time, so the cache saves the hashing
+     (and the [Some] of [find_opt]) on almost every op.  Invariant:
+     [!cached_set] is [Hashtbl.find sets !cached_pid], or [absent] when
+     that pid has no set — it holds for the empty table at start, and
+     [release_pid] restores it when it drops the cached pid. *)
+  let absent = Store_flat.create () in
+  let cached_pid = ref min_int and cached_set = ref absent in
+  (* Read paths go through [peek] and get [absent] for an unseen pid: a
+     sink check on a never-seen PID must not grow the table and inflate
+     range_count/memory on pure queries.  [absent] is never mutated. *)
+  let peek pid =
+    if pid = !cached_pid then !cached_set
+    else begin
+      let s = try Hashtbl.find sets pid with Not_found -> absent in
+      cached_pid := pid;
+      cached_set := s;
+      s
+    end
   in
-  let peek pid = Hashtbl.find_opt sets pid in
+  (* Mutating paths may materialise a set for a new PID. *)
+  let set pid =
+    let s = peek pid in
+    if s != absent then s
+    else begin
+      let s = Store_flat.create () in
+      Hashtbl.add sets pid s;
+      cached_set := s;
+      s
+    end
+  in
   (* Store-wide totals are maintained per-op from the single touched
      set's O(1) counters instead of re-folding the whole table: the
      tracker reads both on every taint/untaint op (update_peaks), which
@@ -41,24 +61,19 @@ let create () =
   {
     add = (fun ~pid r -> mutate Store_flat.add pid r);
     remove = (fun ~pid r -> mutate Store_flat.remove pid r);
-    overlaps =
-      (fun ~pid r ->
-        match peek pid with
-        | Some s -> Store_flat.mem_overlap s r
-        | None -> false);
+    overlaps = (fun ~pid r -> Store_flat.mem_overlap (peek pid) r);
     tainted_bytes = (fun () -> !total_bytes);
     range_count = (fun () -> !total_count);
-    ranges =
-      (fun ~pid ->
-        match peek pid with Some s -> Store_flat.ranges s | None -> []);
+    ranges = (fun ~pid -> Store_flat.ranges (peek pid));
     release_pid =
       (fun ~pid ->
-        match peek pid with
-        | None -> ()
-        | Some s ->
-            total_bytes := !total_bytes - Store_flat.total_bytes s;
-            total_count := !total_count - Store_flat.cardinal s;
-            Hashtbl.remove sets pid);
+        let s = peek pid in
+        if s != absent then begin
+          total_bytes := !total_bytes - Store_flat.total_bytes s;
+          total_count := !total_count - Store_flat.cardinal s;
+          Hashtbl.remove sets pid;
+          cached_set := absent
+        end);
     (* Snapshot extraction: every pid's canonical range list, sorted by
        pid so the dump is deterministic whatever the Hashtbl order.
        Pids whose set emptied out are omitted — a restored store is

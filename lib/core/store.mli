@@ -37,11 +37,20 @@ val create : unit -> t
     equal to the {!Store_bytemap} oracle by the differential property
     suite.
 
-    Read paths ([overlaps], [ranges]) are pure: querying a PID the
-    store has never seen allocates nothing and leaves [range_count] /
-    memory untouched.  [tainted_bytes] and [range_count] are O(1) —
-    maintained per-op from the touched set's own counters, never by
-    folding over every process. *)
+    Read paths ([overlaps], [ranges]) are observably pure: querying a
+    PID the store has never seen allocates nothing and leaves
+    [range_count] / memory untouched.  [tainted_bytes] and
+    [range_count] are O(1) — maintained per-op from the touched set's
+    own counters, never by folding over every process.
+
+    The store caches the last PID it touched together with that PID's
+    set (or the fact that it has none), so [add], [remove] and
+    [overlaps] on the same PID as the previous call find the set
+    without hashing or allocating.  [release_pid] of the cached PID
+    empties the cache entry; nothing else can make it stale.  Reads
+    update the cache too (two separate fields), so a store, reads
+    included, belongs to one domain at a time: two domains querying
+    it at once could pair one PID with another's set. *)
 
 val of_storage : Storage.t -> t
 (** State held in a hardware range cache; behaviour (and possible false

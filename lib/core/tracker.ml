@@ -17,6 +17,11 @@ type t = {
   policy : Policy.t;
   store : Store.t;
   windows : (int, window) Hashtbl.t;
+  (* One-entry cache beside [windows], as in {!Store.create}:
+     [cached_window] is the window of [cached_pid], or [no_window] when
+     that pid has none.  [release_pid] and [restore] re-resolve it. *)
+  mutable cached_pid : int;
+  mutable cached_window : window;
   mutable taint_ops : int;
   mutable untaint_ops : int;
   mutable lookups : int;
@@ -31,12 +36,18 @@ type t = {
 (* LTLT <- -inf (Algorithm 1 line 8); any value with ltlt + ni < 1 works. *)
 let minus_infinity = min_int / 2
 
+(* Stands for "no window yet" in the cache; never mutated, because only
+   a materialised window is ever written. *)
+let no_window = { ltlt = minus_infinity; nt_used = 0 }
+
 let create ?(policy = Policy.default) ?(store = Store.create ()) ?prov () =
   {
     prov;
     policy;
     store;
     windows = Hashtbl.create 4;
+    cached_pid = min_int;
+    cached_window = no_window;
     taint_ops = 0;
     untaint_ops = 0;
     lookups = 0;
@@ -49,16 +60,31 @@ let create ?(policy = Policy.default) ?(store = Store.create ()) ?prov () =
 
 let policy t = t.policy
 
-let window t pid =
-  match Hashtbl.find_opt t.windows pid with
-  | Some w -> w
-  | None ->
-      let w = { ltlt = minus_infinity; nt_used = 0 } in
-      Hashtbl.add t.windows pid w;
-      w
+let[@inline] find_window t pid =
+  if pid = t.cached_pid then t.cached_window
+  else begin
+    let w = try Hashtbl.find t.windows pid with Not_found -> no_window in
+    t.cached_pid <- pid;
+    t.cached_window <- w;
+    w
+  end
 
-let window_used t ~pid =
-  match Hashtbl.find_opt t.windows pid with Some w -> w.nt_used | None -> 0
+(* Re-resolve the cached pid after the table changed under it. *)
+let recache t =
+  t.cached_window <-
+    (try Hashtbl.find t.windows t.cached_pid with Not_found -> no_window)
+
+let window t pid =
+  let w = find_window t pid in
+  if w != no_window then w
+  else begin
+    let w = { ltlt = minus_infinity; nt_used = 0 } in
+    Hashtbl.add t.windows pid w;
+    t.cached_window <- w;
+    w
+  end
+
+let window_used t ~pid = (find_window t pid).nt_used
 
 (* Peaks are refreshed after every store mutation that can raise one of
    them: an add can raise both, and a remove that cuts a hole in a range
@@ -88,6 +114,7 @@ let untaint_range t ~pid r =
    state and provenance sidecar state are all dropped. *)
 let release_pid t ~pid =
   Hashtbl.remove t.windows pid;
+  recache t;
   (match t.prov with
   | None -> ()
   | Some p -> Provenance.release_pid p ~pid);
@@ -208,6 +235,7 @@ let restore t p =
     (fun (pid, ltlt, nt_used) ->
       Hashtbl.replace t.windows pid { ltlt; nt_used })
     p.p_windows;
+  recache t;
   List.iter
     (fun (pid, ranges) -> List.iter (t.store.Store.add ~pid) ranges)
     p.p_store;

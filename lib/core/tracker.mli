@@ -6,7 +6,12 @@
     up-to-[nt] stores inside the window are tainted; stores outside the
     window (or beyond the propagation cap) are optionally *untainted*.
     Windows are per-process, measured on the per-process instruction
-    counter.
+    counter.  The tracker caches the last pid it looked up together
+    with that pid's window (or the fact that it has none), so a run of
+    events from one process resolves its window once;
+    {!release_pid} and {!restore} re-resolve the cached pid.  Queries
+    ({!is_tainted}, {!window_used}) move the cache too, so a tracker,
+    reads included, belongs to one domain at a time.
 
     Sources register tainted ranges with {!taint_source} (the PIFT
     Manager / Native / Module path of Fig. 3); sinks query with

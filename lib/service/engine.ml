@@ -55,6 +55,13 @@ let make_batch n =
 type shard = {
   sh_id : int;
   sh_tenants : (int, tenant) Hashtbl.t;
+  (* Resident tenants by pid block ([block_of]), so the consumer finds a
+     row's tenant without hashing: slot [b] holds [no_tenant] or one
+     resident tenant whose pid lies in block [b], the first of its block
+     to be looked up.  Its other pids (a tenant's children) miss on
+     [tn_pid] and go to [sh_tenants].  The stream switches pid on nearly
+     every item, so a last-tenant cache would never hit. *)
+  mutable sh_by_block : tenant array;
   mutable sh_queue : batch Spsc.t;  (* fresh per run *)
   (* Drained batches on their way back from the consumer to the
      producer.  The only batch state both domains touch, hence atomic;
@@ -94,10 +101,23 @@ type t = {
   mutable fault_after : int;  (* negative = disarmed *)
 }
 
+(* An empty slot.  Never returned: only pid [min_int] could match it,
+   and its block is negative, so it never reaches a slot. *)
+let no_tenant =
+  {
+    tn_pid = min_int;
+    tn_name = "";
+    tn_tracker = Tracker.create ();
+    tn_verdicts_rev = [];
+    tn_bytes = 0;
+    tn_dropped = 0;
+  }
+
 let make_shard id =
   {
     sh_id = id;
     sh_tenants = Hashtbl.create 8;
+    sh_by_block = [||];
     sh_queue = Spsc.create ~capacity:1 ~empty:no_batch;
     sh_free = Atomic.make [];
     sh_items = 0;
@@ -157,28 +177,60 @@ let shard_of t pid =
     let s = pid / t.cfg.pid_range mod n in
     t.shard_arr.(if s < 0 then s + n else s)
 
+(* A pid's block, [pid / pid_range] as in [shard_of]; -1 (no slot) for
+   a negative pid.  Any block is safe, since a lookup checks the slot's
+   [tn_pid]; it only decides which slot a pid may use. *)
+let block_of t pid = if pid >= 0 then pid / t.cfg.pid_range else -1
+
+(* Blocks past this are left to the table, so a huge pid cannot grow
+   [sh_by_block] without bound. *)
+let max_indexed_block = 1 lsl 16
+
+let new_tenant t sh pid =
+  let cfg = t.cfg in
+  let store = Store.create () in
+  let prov = if cfg.with_origins then Some (Provenance.create ()) else None in
+  let tracker = Tracker.create ~policy:cfg.policy ~store ?prov () in
+  let tn =
+    {
+      tn_pid = pid;
+      tn_name = Printf.sprintf "pid-%d" pid;
+      tn_tracker = tracker;
+      tn_verdicts_rev = [];
+      tn_bytes = 0;
+      tn_dropped = 0;
+    }
+  in
+  Hashtbl.add sh.sh_tenants pid tn;
+  tn
+
+let index_tenant sh b tn =
+  if b >= 0 && b < max_indexed_block then begin
+    let len = Array.length sh.sh_by_block in
+    if b >= len then begin
+      let grown =
+        Array.make (min max_indexed_block (max (b + 1) (2 * len))) no_tenant
+      in
+      Array.blit sh.sh_by_block 0 grown 0 len;
+      sh.sh_by_block <- grown
+    end;
+    if sh.sh_by_block.(b) == no_tenant then sh.sh_by_block.(b) <- tn
+  end
+
 let tenant_of t sh pid =
-  match Hashtbl.find_opt sh.sh_tenants pid with
-  | Some tn -> tn
-  | None ->
-      let cfg = t.cfg in
-      let store = Store.create () in
-      let prov =
-        if cfg.with_origins then Some (Provenance.create ()) else None
-      in
-      let tracker = Tracker.create ~policy:cfg.policy ~store ?prov () in
-      let tn =
-        {
-          tn_pid = pid;
-          tn_name = Printf.sprintf "pid-%d" pid;
-          tn_tracker = tracker;
-          tn_verdicts_rev = [];
-          tn_bytes = 0;
-          tn_dropped = 0;
-        }
-      in
-      Hashtbl.add sh.sh_tenants pid tn;
-      tn
+  let b = block_of t pid in
+  let idx = sh.sh_by_block in
+  if b >= 0 && b < Array.length idx && (Array.unsafe_get idx b).tn_pid = pid
+  then Array.unsafe_get idx b
+  else begin
+    let tn =
+      match Hashtbl.find_opt sh.sh_tenants pid with
+      | Some tn -> tn
+      | None -> new_tenant t sh pid
+    in
+    index_tenant sh b tn;
+    tn
+  end
 
 (* Occupancy delta after any op that can move the tenant's store: the
    shard's [sh_bytes] is a running sum of per-tenant live bytes, so
@@ -191,10 +243,13 @@ let sync_bytes sh tn =
     tn.tn_bytes <- now
   end
 
-let evict_local sh tn =
+let evict_local t sh tn =
   Tracker.release_pid tn.tn_tracker ~pid:tn.tn_pid;
   sh.sh_bytes <- sh.sh_bytes - tn.tn_bytes;
   Hashtbl.remove sh.sh_tenants tn.tn_pid;
+  let b = block_of t tn.tn_pid in
+  if b >= 0 && b < Array.length sh.sh_by_block && sh.sh_by_block.(b) == tn then
+    sh.sh_by_block.(b) <- no_tenant;
   sh.sh_evictions <- sh.sh_evictions + 1
 
 let sink_verdict t tn ~pid ~kind ranges =
@@ -234,7 +289,7 @@ let process_item t sh = function
   | I_evict { pid } -> (
       match Hashtbl.find_opt sh.sh_tenants pid with
       | None -> ()
-      | Some tn -> evict_local sh tn)
+      | Some tn -> evict_local t sh tn)
 
 let row_access rows o tag =
   if tag = tag_other then Event.Other
@@ -481,7 +536,7 @@ let evict_tenant t ~pid =
   match find_tenant t pid with
   | None -> false
   | Some tn ->
-      evict_local (shard_of t pid) tn;
+      evict_local t (shard_of t pid) tn;
       true
 
 type tenant_snapshot = {

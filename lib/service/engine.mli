@@ -33,7 +33,10 @@
     with OCaml's truncating [/] and [mod], so a negative pid still lands
     on a shard in [0, shards) (it is the [ts_shard] of
     {!snapshot_tenant}).  Routing is pure arithmetic, so a pid's shard
-    never changes and no cross-shard state exists.
+    never changes and no cross-shard state exists.  Within a shard,
+    tenants are indexed by pid block ([pid / pid_range]), one per
+    block; the block's other pids (forked children) and negative or
+    huge pids are found through a table.
 
     {b Determinism.}  Because every tenant owns a private tracker and
     items of one pid are routed to one shard through a FIFO queue in

@@ -271,7 +271,13 @@ let test_tracker_ten_event_counts () =
   checki "no window, none used" 0 (Tracker.window_used t ~pid:2)
 
 (* Differential property: Tracker vs the naive Reference on random event
-   streams. *)
+   streams over three interleaved pids, each with its own instruction
+   counter [k], with random sources, [release_pid]s and persist/restore
+   round trips.  The pid switches and releases exercise the tracker's
+   and the store's one-entry pid caches; a restore lands in a fresh
+   tracker whose caches were primed by queries first. *)
+let ref_pids = [| 1; 7; 1 lsl 20 |]
+
 let events_gen =
   QCheck2.Gen.(
     let range_g =
@@ -279,51 +285,90 @@ let events_gen =
       let* len = int_range 1 8 in
       return (Range.of_len lo len)
     in
+    (* kinds: 0–6 load, 7–13 store, 14–16 other, 17 source, 18 release,
+       19 persist + restore *)
     let event_g =
-      let* kind = int_range 0 2 in
+      let* pid = int_range 0 (Array.length ref_pids - 1) in
+      let* kind = int_range 0 19 in
       let* range = range_g in
-      return (kind, range)
+      return (ref_pids.(pid), kind, range)
     in
-    list_size (int_range 1 120) event_g)
+    list_size (int_range 1 200) event_g)
 
 let prop_tracker_reference =
-  QCheck2.Test.make ~name:"tracker agrees with the naive Algorithm 1 model"
+  QCheck2.Test.make
+    ~name:"tracker agrees with the naive Algorithm 1 model on 3 pids"
     ~count:300
     QCheck2.Gen.(triple (int_range 1 8) (int_range 1 4) events_gen)
     (fun (ni, nt, events) ->
       let policy = Policy.make ~ni ~nt () in
-      let tracker = Tracker.create ~policy () in
+      let tracker = ref (Tracker.create ~policy ()) in
       let reference = Reference.create policy in
-      Tracker.taint_source tracker ~pid:1 (r 0 10);
-      Reference.taint_source reference ~pid:1 (r 0 10);
-      let ok = ref true in
-      List.iteri
-        (fun i (kind, range) ->
-          let k = i + 1 in
-          let e =
-            match kind with
-            | 0 -> load range k
-            | 1 -> store range k
-            | _ -> other k
-          in
-          Tracker.observe tracker e;
-          Reference.observe reference e)
-        events;
-      (* byte-exact agreement *)
-      for x = 0 to 120 do
-        if
-          Tracker.is_tainted tracker ~pid:1 (Range.byte x)
-          <> Reference.is_tainted reference ~pid:1 (Range.byte x)
-        then ok := false
-      done;
-      let tracker_bytes =
-        List.fold_left
-          (fun acc range -> acc + Range.length range)
-          0
-          (Tracker.tainted_ranges tracker ~pid:1)
+      Array.iter
+        (fun pid ->
+          Tracker.taint_source !tracker ~pid (r 0 10);
+          Reference.taint_source reference ~pid (r 0 10))
+        ref_pids;
+      let ks = Hashtbl.create 3 in
+      let agree () =
+        let ok = ref true in
+        Array.iter
+          (fun pid ->
+            for x = 0 to 120 do
+              if
+                Tracker.is_tainted !tracker ~pid (Range.byte x)
+                <> Reference.is_tainted reference ~pid (Range.byte x)
+              then ok := false
+            done)
+          ref_pids;
+        let listed =
+          Array.fold_left
+            (fun acc pid ->
+              List.fold_left
+                (fun acc range -> acc + Range.length range)
+                acc
+                (Tracker.tainted_ranges !tracker ~pid))
+            0 ref_pids
+        in
+        let bytes = Reference.tainted_bytes reference in
+        !ok && listed = bytes && Tracker.current_tainted_bytes !tracker = bytes
       in
-      if tracker_bytes <> Reference.tainted_bytes reference then ok := false;
-      !ok)
+      List.iteri
+        (fun i (pid, kind, range) ->
+          let seq = i + 1 in
+          let next_k () =
+            let k = 1 + Option.value ~default:0 (Hashtbl.find_opt ks pid) in
+            Hashtbl.replace ks pid k;
+            k
+          in
+          let feed access =
+            let e = { Event.seq; k = next_k (); pid; access } in
+            Tracker.observe !tracker e;
+            Reference.observe reference e
+          in
+          if kind <= 6 then feed (Event.Load range)
+          else if kind <= 13 then feed (Event.Store range)
+          else if kind <= 16 then feed Event.Other
+          else if kind = 17 then begin
+            Tracker.taint_source !tracker ~pid range;
+            Reference.taint_source reference ~pid range
+          end
+          else if kind = 18 then begin
+            Tracker.release_pid !tracker ~pid;
+            Reference.release_pid reference ~pid
+          end
+          else begin
+            let fresh = Tracker.create ~policy () in
+            Array.iter
+              (fun pid ->
+                ignore (Tracker.window_used fresh ~pid);
+                ignore (Tracker.is_tainted fresh ~pid (Range.byte 0)))
+              ref_pids;
+            Tracker.restore fresh (Tracker.persist !tracker);
+            tracker := fresh
+          end)
+        events;
+      agree ())
 
 (* --- Provenance ------------------------------------------------------------ *)
 

@@ -637,7 +637,7 @@ let tenant_matches where (ts : Engine.tenant_snapshot)
     bad "persisted tracker state (windows, last seq, origin sets)"
   else Ok ()
 
-let column_path_matches items =
+let column_path_matches ?pid_range items =
   let want = direct_replay items in
   let want_pids =
     List.sort compare (Hashtbl.fold (fun pid _ acc -> pid :: acc) want [])
@@ -647,8 +647,8 @@ let column_path_matches items =
       Printf.sprintf "batch %d queue %d shards %d: %s" batch queue_capacity
         shards what
     in
-    Engine.with_engine ~shards ~batch ~queue_capacity ~with_origins:true
-      (fun eng ->
+    Engine.with_engine ~shards ~batch ~queue_capacity ?pid_range
+      ~with_origins:true (fun eng ->
         Engine.run eng (stream_of_list items);
         if Engine.tenants eng <> want_pids then
           Error (where "resident tenants differ")
@@ -1048,6 +1048,224 @@ let test_routing_formula () =
               ((min_int :: max_int :: boundaries) @ randoms)))
       [ 1; 2; 3; 7; 64; 1000; 4096; 1 lsl 20 ]
   done
+
+(* --- tenants indexed by pid block ----------------------------------------- *)
+
+(* The consumer finds a row's tenant through its shard's pid-block
+   index, falling back to the table for any other pid of the block.
+   130 tenants (more than any fixed slot count a shard might use) over
+   the four recordings must still match their isolated replays, at one
+   shard and at several. *)
+let test_block_index_130_tenants () =
+  let recs = Array.of_list (Lazy.force recordings) in
+  let policy = Policy.default in
+  let isolated =
+    Array.map (fun r -> Recorded.replay ~policy ~with_origins:true r) recs
+  in
+  let tenants = 130 in
+  List.iter
+    (fun shards ->
+      Engine.with_engine ~shards ~policy ~with_origins:true ~queue_capacity:4
+        ~batch:32 (fun eng ->
+          Ingest.run eng
+            (List.init tenants (fun i ->
+                 Ingest.of_recorded ~pid:(Ingest.tenant_pid i)
+                   recs.(i mod Array.length recs)));
+          checki
+            (Printf.sprintf "shards %d: tenants" shards)
+            tenants (Engine.stats eng).Engine.st_tenants;
+          for i = 0 to tenants - 1 do
+            let rp = isolated.(i mod Array.length recs) in
+            let ts =
+              Option.get (Engine.snapshot_tenant eng ~pid:(Ingest.tenant_pid i))
+            in
+            let label what =
+              Printf.sprintf "shards %d tenant %d %s" shards i what
+            in
+            checkb (label "verdicts") true
+              (engine_verdicts ts ~with_origins:true
+              = norm_verdicts rp ~with_origins:true);
+            checkb (label "stats") true
+              (stats_equal ts.Engine.ts_stats rp.Recorded.stats)
+          done))
+    [ 1; 3 ]
+
+let event ~seq ~k pid access =
+  Engine.I_event { Pift_trace.Event.seq; k; pid; access }
+
+let check_column_path ?pid_range what items =
+  match column_path_matches ?pid_range items with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: %s" what e
+
+(* A child pid in the block of a hot main pid is a tenant of its own:
+   the main pid's window must not serve the child's stores, whichever
+   of the two claimed the block's slot first, and the main pid keeps
+   being found after the child's lookups.  Also at [pid_range] 3 with
+   main pid -1 and child 0: truncating division puts both in block 0,
+   but a negative pid is left to the table. *)
+let test_block_index_child_pid () =
+  let source pid =
+    Engine.I_source { pid; kind = "K"; range = Range.make 0 15 }
+  in
+  let sink ?(kind = "S") ?(range = Range.make 100 103) pid =
+    Engine.I_sink { pid; kind; ranges = [ range ] }
+  in
+  (* ks rise per pid whichever of main and child comes first *)
+  let scenario ~main ~child ~other first =
+    let second = if first = main then child else main in
+    let store lo = Pift_trace.Event.Store (Range.make lo (lo + 3)) in
+    let load = Pift_trace.Event.Load (Range.byte 4) in
+    [
+      event ~seq:1 ~k:1 first Pift_trace.Event.Other;
+      source main;
+      event ~seq:2 ~k:1 other Pift_trace.Event.Other;
+      event ~seq:3 ~k:2 main load;
+      event ~seq:4 ~k:2 child (store 100);
+      sink child;
+      event ~seq:5 ~k:3 main (store 100);
+      sink main;
+      event ~seq:6 ~k:4 second load;
+      event ~seq:7 ~k:5 child (store 200);
+      sink ~kind:"S2" ~range:(Range.make 200 203) child;
+      sink main;
+    ]
+  in
+  List.iter
+    (fun (pid_range, main, child, other) ->
+      List.iter
+        (fun first ->
+          let items = scenario ~main ~child ~other first in
+          check_column_path ?pid_range
+            (Printf.sprintf "pid %d first" first)
+            items;
+          Engine.with_engine ?pid_range ~with_origins:true (fun eng ->
+              Engine.run eng (stream_of_list items);
+              checkb "main and child are distinct tenants" true
+                (Engine.tenants eng = List.sort compare [ main; child; other ]);
+              let flagged pid =
+                List.map
+                  (fun v -> v.Engine.v_flagged)
+                  (Option.get (Engine.snapshot_tenant eng ~pid))
+                    .Engine.ts_verdicts
+              in
+              checkb "main's window did not taint the child" true
+                (flagged child = [ false; false ]);
+              checkb "main tainted its own store" true
+                (flagged main = [ true; true ])))
+        [ main; child ])
+    [
+      (None, Ingest.tenant_pid 0, Ingest.tenant_pid 0 + 1, Ingest.tenant_pid 1);
+      (Some 3, -1, 0, 4);
+    ]
+
+(* Evicting a tenant mid-stream empties its block's slot: the pid seen
+   again is a fresh tenant, found through the index again, and its
+   evicted incarnation's state is gone. *)
+let test_block_index_evict_and_return () =
+  let rng = Rng.create 2020 in
+  let pids =
+    [| Ingest.tenant_pid 0; Ingest.tenant_pid 0 + 1; Ingest.tenant_pid 1 |]
+  in
+  let ks = Array.make (Array.length pids) 0 in
+  let seq = ref 0 in
+  let burst p n =
+    List.init n (fun _ ->
+        incr seq;
+        ks.(p) <- ks.(p) + 1;
+        let range = Prop.gen_range rng in
+        event ~seq:!seq ~k:ks.(p) pids.(p)
+          (match Rng.int rng 3 with
+          | 0 -> Pift_trace.Event.Load range
+          | 1 -> Pift_trace.Event.Store range
+          | _ -> Pift_trace.Event.Other))
+  in
+  let source p =
+    Engine.I_source { pid = pids.(p); kind = "K"; range = Prop.gen_range rng }
+  in
+  let sink p =
+    Engine.I_sink { pid = pids.(p); kind = "S"; ranges = [ Range.make 0 511 ] }
+  in
+  let round () =
+    List.concat
+      [
+        [ source 0; source 1; source 2 ];
+        burst 0 30;
+        burst 1 10;
+        burst 2 30;
+        [ sink 0; sink 1; sink 2 ];
+      ]
+  in
+  let items =
+    List.concat
+      [
+        round ();
+        [ Engine.I_evict { pid = pids.(0) } ];
+        burst 0 20;
+        [ sink 0 ];
+        round ();
+        [
+          Engine.I_evict { pid = pids.(1) };
+          Engine.I_evict { pid = pids.(0) };
+        ];
+        round ();
+      ]
+  in
+  check_column_path "evict and return" items
+
+(* A snapshot taken at one shard count restores into another, and the
+   restored tenants are found through the new engine's index: the rest
+   of the stream then lands on the restored state. *)
+let test_block_index_restore_reshard () =
+  let rng = Rng.create 2121 in
+  let tenants = 40 in
+  let ks = Array.make (2 * tenants) 0 in
+  let items =
+    List.init 3000 (fun seq ->
+        let p = Rng.int rng (2 * tenants) in
+        let pid = Ingest.tenant_pid (p / 2) + (p mod 2) in
+        let range = Prop.gen_range rng in
+        match Rng.int rng 12 with
+        | 0 -> Engine.I_source { pid; kind = "K"; range }
+        | 1 -> Engine.I_sink { pid; kind = "S"; ranges = [ range ] }
+        | 2 -> Engine.I_untaint { pid; range }
+        | n ->
+            ks.(p) <- ks.(p) + 1;
+            event ~seq ~k:ks.(p) pid
+              (match n mod 3 with
+              | 0 -> Pift_trace.Event.Load range
+              | 1 -> Pift_trace.Event.Store range
+              | _ -> Pift_trace.Event.Other))
+  in
+  let first = List.filteri (fun i _ -> i < 1500) items in
+  let rest = List.filteri (fun i _ -> i >= 1500) items in
+  let want = direct_replay items in
+  let persisted =
+    Engine.with_engine ~shards:4 ~with_origins:true (fun eng ->
+        Engine.run eng (stream_of_list first);
+        Engine.persist_tenants eng)
+  in
+  List.iter
+    (fun shards ->
+      Engine.with_engine ~shards ~with_origins:true (fun eng ->
+          List.iter (Engine.restore_tenant eng) persisted;
+          Engine.run eng (stream_of_list rest);
+          let where what = Printf.sprintf "4 -> %d shards: %s" shards what in
+          let pids = Engine.tenants eng in
+          checki (where "tenants") (Hashtbl.length want) (List.length pids);
+          match
+            first_error
+              (List.map
+                 (fun pid ->
+                   tenant_matches where
+                     (Option.get (Engine.snapshot_tenant eng ~pid))
+                     (Option.get (Engine.persist_tenant eng ~pid))
+                     (Hashtbl.find want pid))
+                 pids)
+          with
+          | Ok () -> ()
+          | Error e -> Alcotest.fail e))
+    [ 1; 3 ]
 
 (* --- occupancy invariant against a recount -------------------------------- *)
 
@@ -1697,6 +1915,14 @@ let () =
             `Quick test_routing_formula;
           Alcotest.test_case "occupancy = recount after every step" `Quick
             test_occupancy_invariant;
+          Alcotest.test_case "block index: 130 tenants = isolated" `Quick
+            test_block_index_130_tenants;
+          Alcotest.test_case "block index: a child pid is its own tenant"
+            `Quick test_block_index_child_pid;
+          Alcotest.test_case "block index: evict mid-stream, seen again"
+            `Quick test_block_index_evict_and_return;
+          Alcotest.test_case "block index: restore into other shard counts"
+            `Quick test_block_index_restore_reshard;
         ] );
       ( "release_pid",
         [

@@ -174,6 +174,65 @@ let test_store_read_purity () =
       checki (name "fresh store still empty after queries") 0
         (fresh.Store.range_count ()))
 
+(* The store keeps the last pid it touched and that pid's set beside
+   its table.  Switching pids (A, B, A) must re-resolve the cache;
+   releasing the cached pid must empty it, so the pid reads clean and
+   a re-add starts from nothing; and a query of an unseen pid right
+   after a cache hit must stay pure — it allocates no set (so the flat
+   store allocates nothing at all) and leaves the totals alone. *)
+let test_store_pid_cache () =
+  each_store (fun name create ->
+      let store = create () in
+      let a = 1 and b = 2 in
+      store.Store.add ~pid:a (Range.make 0 7);
+      store.Store.add ~pid:b (Range.make 100 107);
+      store.Store.add ~pid:a (Range.make 8 15);
+      checkb (name "A after B sees its own range") true
+        (store.Store.ranges ~pid:a = [ Range.make 0 15 ]);
+      checkb (name "B untouched by A's add") true
+        (store.Store.ranges ~pid:b = [ Range.make 100 107 ]);
+      checkb (name "A blind to B's range") false
+        (store.Store.overlaps ~pid:a (Range.make 100 107));
+      checkb (name "A hit") true (store.Store.overlaps ~pid:a (Range.byte 3));
+      store.Store.release_pid ~pid:a;
+      checkb (name "released cached pid reads clean") false
+        (store.Store.overlaps ~pid:a (Range.make 0 15));
+      checkb (name "released cached pid has no ranges") true
+        (store.Store.ranges ~pid:a = []);
+      checki (name "release folds A out of the bytes") 8
+        (store.Store.tainted_bytes ());
+      store.Store.add ~pid:a (Range.make 40 43);
+      checkb (name "re-add starts fresh") true
+        (store.Store.ranges ~pid:a = [ Range.make 40 43 ]);
+      checki (name "re-add counts once") 2 (store.Store.range_count ());
+      checkb (name "cache hit before the unseen query") true
+        (store.Store.overlaps ~pid:a (Range.byte 40));
+      checkb (name "unseen pid after a hit") false
+        (store.Store.overlaps ~pid:99 (Range.make 0 1000));
+      checkb (name "unseen pid has no ranges") true
+        (store.Store.ranges ~pid:99 = []);
+      checki (name "range_count untouched") 2 (store.Store.range_count ());
+      checki (name "tainted_bytes untouched") 12 (store.Store.tainted_bytes ());
+      checkb (name "dump lists only A and B") true
+        (List.map fst (store.Store.dump ()) = [ a; b ]);
+      checkb (name "A still hits after the unseen query") true
+        (store.Store.overlaps ~pid:a (Range.byte 43)));
+  let store = Store.create () in
+  store.Store.add ~pid:1 (Range.make 0 7);
+  let probe = Range.make 0 1000 in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let hit () = ignore (store.Store.overlaps ~pid:1 probe) in
+  let unseen () = ignore (store.Store.overlaps ~pid:99 probe) in
+  hit ();
+  checkb "flat: a cache hit allocates nothing" true (words hit = 0.);
+  hit ();
+  checkb "flat: an unseen pid after a hit allocates no set" true
+    (words unseen = 0.)
+
 (* The production store's totals are tracked incrementally (per-op
    deltas), not re-summed over every PID; after every step they must
    equal the from-scratch sums and the oracle's re-summed totals, and
@@ -326,6 +385,8 @@ let () =
             test_store_read_purity;
           Alcotest.test_case "incremental totals match recounts" `Quick
             test_store_incremental_totals;
+          Alcotest.test_case "pid cache: A, B, A, release, unseen pid" `Quick
+            test_store_pid_cache;
         ] );
       ( "end-to-end",
         [
