@@ -34,9 +34,10 @@
     on a shard in [0, shards) (it is the [ts_shard] of
     {!snapshot_tenant}).  Routing is pure arithmetic, so a pid's shard
     never changes and no cross-shard state exists.  Within a shard,
-    tenants are indexed by pid block ([pid / pid_range]), one per
-    block; the block's other pids (forked children) and negative or
-    huge pids are found through a table.
+    tenants are found through a table keyed by pid, behind a one-entry
+    cache of the last tenant found: {!Ingest.merge} serves a tenant up
+    to a window of seqs at a time, so the consumer hashes once per
+    tenant switch.  Eviction clears the cache.
 
     {b Determinism.}  Because every tenant owns a private tracker and
     items of one pid are routed to one shard through a FIFO queue in

@@ -95,119 +95,84 @@ let item_seq = function
   | Recorded.Item_event e -> e.Event.seq
   | Recorded.Item_marker (seq, _) -> seq
 
-(* Placeholder for a heap slot whose source has no head yet. *)
+(* Placeholder for the head of a source that has none. *)
 let no_item =
   Recorded.Item_marker (0, Recorded.Sink { kind = ""; ranges = [] })
 
+(* A window of 4,096 seqs holds at most 4,096 events of one recording
+   (its markers reuse their events' seqs), half of one default shard
+   queue (64 batches of 128 rows). *)
+let window_bits = 12
+
+(* The window of a source whose stream has ended.  No head reaches it:
+   [max_int asr window_bits] is far below [max_int]. *)
+let ended = max_int
+
 (* Deterministic interleave of the per-source streams: repeatedly emit
-   the head with the smallest (seq, source index), so the
-   earlier-listed source wins ties on seq.  Only {e head} order across
-   sources is decided here; within one source the items come out in
-   stream order, which is all per-tenant determinism needs.  The seq of
-   a marker is its recorded occurrence seq, so markers compete in the
-   same time axis as events.
+   the head with the smallest (seq asr window_bits, source index).  So
+   one source runs on for up to a whole window of seqs before the next
+   one takes over, and the earlier-listed source wins ties on the
+   window.  Within one source the items come out in stream order, which
+   is all per-tenant determinism needs.  The seq of a marker is its
+   recorded occurrence seq, so markers share the events' time axis.
 
-   The live sources sit in a binary min-heap of source indices keyed on
-   (seq of head, index).  The key is a total order, so the minimum — and
-   therefore the emitted sequence — does not depend on the heap's shape.
-   The first pull reads every head in index order.  The emitted source
-   stays at the root until the next pull, which refills it (the only
-   [src_next] call a later pull makes) and sifts it down, or drops it
-   from the heap for good when its stream has ended.  Each item costs
-   one sift, O(log live sources).
-
-   The sift is Floyd's bottom-up one: walk the hole from [k] down to a
-   leaf along the smaller children (one key comparison per level), then
-   climb the sifted source back up — never above [k] — to its place.
-   A refilled head usually belongs near the bottom, so the climb is
-   short and the descent skips the standard sift's second comparison
-   per level. *)
+   A round serves window [w], the smallest head window when it starts:
+   the sources are taken in index order, and each emits while its head's
+   window is at most [w].  A later source cannot have a smaller window
+   (none moved since [w] was taken) and a passed one has a larger one,
+   so the current source's head is the minimum even when its seqs drop
+   back below [w].  After the last source the next round starts from
+   the new minimum: one pass over the heads per round, none per item.
+   The first pull reads every head in index order; the emitted source
+   keeps its place until the next pull refills it (the only [src_next]
+   call a later pull makes). *)
 let merge sources : Engine.stream =
   let srcs = Array.of_list sources in
   let n = Array.length srcs in
   let heads = Array.make n no_item in
-  let seqs = Array.make n 0 in
-  let heap = Array.make n 0 in
-  let size = ref 0 in
-  let started = ref false in
-  (* [pending]: the root was emitted by the previous pull and must be
-     refilled before the next pick. *)
-  let pending = ref false in
-  (* Loops over local refs, not local recursive functions: those would
-     be closures allocated on every sift. *)
-  let sift_down k =
-    let size = !size in
-    let x = heap.(k) in
-    let sx = seqs.(x) in
-    (* Descend: move the smaller child up into the hole at [j]. *)
-    let j = ref k in
-    let l = ref ((2 * k) + 1) in
-    while !l < size do
-      let l' = !l in
-      let r = l' + 1 in
-      (* [r] when its key is the smaller, as arithmetic on the three
-         comparisons: the outcome is a coin flip, so a branch on it
-         would mispredict about every other level. *)
-      let c =
-        if r < size then
-          let a = heap.(r) and b = heap.(l') in
-          let sa = seqs.(a) and sb = seqs.(b) in
-          l'
-          + (Bool.to_int (sa < sb)
-            lor (Bool.to_int (sa = sb) land Bool.to_int (a < b)))
-        else l'
-      in
-      heap.(!j) <- heap.(c);
-      j := c;
-      l := (2 * c) + 1
-    done;
-    (* Climb: move parents below [k] back down while [x] sorts before
-       them. *)
-    let climbing = ref true in
-    while !climbing && !j > k do
-      let p = (!j - 1) lsr 1 in
-      let y = heap.(p) in
-      let sy = seqs.(y) in
-      if sx < sy || (sx = sy && x < y) then begin
-        heap.(!j) <- y;
-        j := p
-      end
-      else climbing := false
-    done;
-    heap.(!j) <- x
-  in
+  let wins = Array.make n ended in
   let read i =
     match srcs.(i).src_next () with
     | Some it ->
         heads.(i) <- it;
-        seqs.(i) <- item_seq it;
-        true
-    | None -> false
+        wins.(i) <- item_seq it asr window_bits
+    | None -> wins.(i) <- ended
   in
+  let min_window () =
+    let m = ref ended in
+    for i = 0 to n - 1 do
+      if wins.(i) < !m then m := wins.(i)
+    done;
+    !m
+  in
+  let w = ref ended in
+  let cur = ref 0 in
+  let started = ref false in
+  (* [pending]: [cur] was emitted by the previous pull and must be
+     refilled before the next pick. *)
+  let pending = ref false in
   fun () ->
     if not !started then begin
       started := true;
       for i = 0 to n - 1 do
-        if read i then begin
-          heap.(!size) <- i;
-          incr size
-        end
+        read i
       done;
-      for k = (!size / 2) - 1 downto 0 do
-        sift_down k
-      done
+      w := min_window ()
     end
     else if !pending then begin
       pending := false;
-      if not (read heap.(0)) then begin
-        decr size;
-        heap.(0) <- heap.(!size)
-      end;
-      sift_down 0
+      read !cur
     end;
-    if !size = 0 then None
+    while !w <> ended && wins.(!cur) > !w do
+      if !cur + 1 < n then incr cur
+      else begin
+        cur := 0;
+        w := min_window ()
+      end
+    done;
+    if !w = ended then None
     else begin
-      let i = heap.(0) in
+      let i = !cur in
       pending := true;
       srcs.(i).src_emitted <- srcs.(i).src_emitted + 1;
       Some (to_engine_item srcs.(i) heads.(i))

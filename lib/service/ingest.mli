@@ -40,27 +40,37 @@ val to_engine_item : source -> Pift_eval.Recorded.item -> Engine.item
     path, else its name), the item number ({!cursor}, which {!merge}
     has already advanced past the item) and the pid. *)
 
+val window_bits : int
+(** [12]: {!merge} orders heads by [seq asr window_bits], so one merge
+    window spans 4,096 seqs. *)
+
 val merge : source list -> Engine.stream
 (** Deterministic interleave: always emit the head with the smallest
-    [(seq, source index)] — ties on seq go to the earlier-listed
-    source.  Per-source item order is preserved, so each tenant sees
-    exactly its own stream in order; the cross-tenant schedule is fixed
-    by the inputs alone, never by thread timing.
+    [(seq asr window_bits, source index)].  A source therefore runs on
+    for up to a window of seqs before the next one takes over, and ties
+    on the window go to the earlier-listed source.  Per-source item
+    order is preserved, so each tenant sees exactly its own stream in
+    order; the cross-tenant schedule is fixed by the inputs alone,
+    never by thread timing, and no tenant's state depends on it.
 
-    The live heads sit in a binary min-heap, so each item costs
-    O(log n) in the number of live sources.  The first pull reads every
-    source's head in index order; each later pull first refills only
-    the source emitted last, and a source whose [src_next] returned
-    [None] is never pulled again.  The emitted sequence, the order of
-    [src_next] calls and every {!cursor} are those of a linear scan over
-    all heads. *)
+    Each round serves the smallest head window over the sources in
+    index order, so a pick costs O(1) and a round one pass over the
+    heads.  The first pull reads every source's head in index order;
+    each later pull first refills only the source emitted last, and a
+    source whose [src_next] returned [None] is never pulled again.  The
+    emitted sequence, the order of [src_next] calls and every {!cursor}
+    are those of a linear scan over all heads for the smallest key, so
+    fresh sources {!skip}ped to the cursors after any pull continue the
+    uninterrupted schedule. *)
 
 val cursor : source -> int
 (** Ingest cursor: items emitted to the engine so far (plus any
     {!skip}ped on resume).  Counted at merge-emission time — the one
     prefetched head {!merge} may hold is {e not} included, so after an
     idle {!Engine.run} the cursor names exactly the processed prefix.
-    Recorded per source in every snapshot. *)
+    Recorded per source in every snapshot.  Any vector of cursors is a
+    valid resume point: tenants share no state, so a snapshot need not
+    cut the stream at a window boundary. *)
 
 val skip : source -> int -> unit
 (** Resume from a snapshot: discard the first [n] items of a freshly

@@ -313,14 +313,16 @@ let sample_snapshot_bytes f =
           Snapshot.save ~sources:entries eng path;
           f (Snapshot.load path) (read_file path)))
 
+let positioned msg =
+  String.length msg >= 16 && String.sub msg 0 16 = "Snapshot: record"
+
 let expect_positioned_failure ~what f =
   match f () with
   | _ -> Alcotest.failf "%s: expected a positioned failure" what
   | exception Failure msg ->
       checkb
         (Printf.sprintf "%s error is positioned (%s)" what msg)
-        true
-        (String.length msg >= 16 && String.sub msg 0 16 = "Snapshot: record");
+        true (positioned msg);
       msg
   | exception e ->
       Alcotest.failf "%s: bare exception %s escaped" what (Printexc.to_string e)
@@ -703,6 +705,84 @@ let test_engine_survives_fault () =
       checkb "post-fault ingest works" true
         (Engine.snapshot_tenant eng ~pid <> None))
 
+(* --- a snapshot from the (seq, source) heap merge ---------------------------- *)
+
+(* [heap_merge_mid_run.piftsnap] was written by the build before
+   [Ingest.merge] ordered heads by seq window, when it emitted the head
+   with the smallest (seq, source index): the four [recordings] as
+   tenants [Ingest.tenant_pid 0..3], [--prov] ([with_origins]), 2
+   shards, saved by [Snapshot.save] at the third [on_idle] of
+   [Ingest.run ~segment:50].  Its cursors cut the streams where that
+   order stood after 150 items, which the window merge never passes
+   through; since no tenant's state depends on another's items,
+   resuming from them must still finish every tenant exactly as an
+   uninterrupted run does. *)
+let heap_merge_fixture =
+  (* beside the test executable, where the [deps] field of test/dune
+     puts it *)
+  Filename.concat
+    (Filename.dirname Sys.executable_name)
+    "heap_merge_mid_run.piftsnap"
+
+let test_heap_merge_snapshot_resumes () =
+  let snap = Snapshot.load heap_merge_fixture in
+  checki "fixture shards" 2 snap.Snapshot.manifest.Snapshot.m_shards;
+  let cursors =
+    List.map
+      (fun (se : Snapshot.source_entry) -> se.Snapshot.se_cursor)
+      snap.Snapshot.sources
+  in
+  checkb "fixture cursors sum to 150" true
+    (List.fold_left ( + ) 0 cursors = 150);
+  let clean = clean_run ~shards:2 in
+  List.iter
+    (fun shards ->
+      Engine.with_engine ~shards ~policy:Policy.default ~with_origins:true
+        (fun eng ->
+          Snapshot.restore_tenants eng snap;
+          let sources =
+            List.mapi
+              (fun i r -> Ingest.of_recorded ~pid:(Ingest.tenant_pid i) r)
+              (Lazy.force recordings)
+          in
+          List.iter2 Ingest.skip sources cursors;
+          Ingest.run eng sources;
+          List.iter2
+            (fun (c : Engine.tenant_snapshot) (s : Ingest.source) ->
+              let ts =
+                Option.get (Engine.snapshot_tenant eng ~pid:s.Ingest.src_pid)
+              in
+              checkb
+                (Printf.sprintf "shards %d: tenant %s equals uninterrupted"
+                   shards ts.Engine.ts_name)
+                true (tenant_equal c ts))
+            clean sources))
+    [ 1; 4 ]
+
+(* Every single-bit flip of the fixture either loads or fails with a
+   positioned [Snapshot: record N:] error; any other exception escaping
+   the decoder fails the test.  [PIFTSNAP1] has no checksum, so many
+   flips load as a different, well-formed snapshot. *)
+let test_bit_flips_positioned () =
+  let full = read_file heap_merge_fixture in
+  let loaded = ref 0 and refused = ref 0 in
+  with_tmp ~suffix:".piftsnap" (fun path ->
+      for bit = 0 to (8 * String.length full) - 1 do
+        let b = Bytes.of_string full in
+        let i = bit / 8 in
+        Bytes.set b i
+          (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
+        write_file path (Bytes.to_string b);
+        match Snapshot.load path with
+        | _ -> incr loaded
+        | exception Failure msg when positioned msg -> incr refused
+        | exception e ->
+            Alcotest.failf "bit %d (byte %d): %s escaped the decoder" bit i
+              (Printexc.to_string e)
+      done);
+  checkb "some flips load, some are refused" true
+    (!loaded > 0 && !refused > 0)
+
 (* --- restore / evict occupancy -------------------------------------------- *)
 
 let test_restore_then_evict_gauge () =
@@ -802,6 +882,8 @@ let () =
             test_corrupt_non_hex_pid;
           Alcotest.test_case "provenance window disagrees with tracker" `Quick
             test_corrupt_prov_window;
+          Alcotest.test_case "heap-merge snapshot: every bit flip positioned"
+            `Quick test_bit_flips_positioned;
         ] );
       ( "crash-recovery",
         [
@@ -815,6 +897,8 @@ let () =
             test_crash_recovery_reshard;
           Alcotest.test_case "engine survives an injected fault" `Quick
             test_engine_survives_fault;
+          Alcotest.test_case "heap-merge snapshot resumes at 1 and 4 shards"
+            `Quick test_heap_merge_snapshot_resumes;
         ] );
       ( "lifecycle",
         [

@@ -1049,13 +1049,14 @@ let test_routing_formula () =
       [ 1; 2; 3; 7; 64; 1000; 4096; 1 lsl 20 ]
   done
 
-(* --- tenants indexed by pid block ----------------------------------------- *)
+(* --- tenant lookup: the shard's table behind a last-tenant cache ---------- *)
 
-(* The consumer finds a row's tenant through its shard's pid-block
-   index, falling back to the table for any other pid of the block.
-   130 tenants (more than any fixed slot count a shard might use) over
-   the four recordings must still match their isolated replays, at one
-   shard and at several. *)
+(* The consumer finds a row's tenant through its shard's last-tenant
+   cache, falling back to the table on a switch.  130 tenants over the
+   four recordings, each served a window at a time, must still match
+   their isolated replays, at one shard and at several.  (The "block
+   index" test names predate the cache; they keep naming the same
+   checks.) *)
 let test_block_index_130_tenants () =
   let recs = Array.of_list (Lazy.force recordings) in
   let policy = Policy.default in
@@ -1100,10 +1101,9 @@ let check_column_path ?pid_range what items =
 
 (* A child pid in the block of a hot main pid is a tenant of its own:
    the main pid's window must not serve the child's stores, whichever
-   of the two claimed the block's slot first, and the main pid keeps
-   being found after the child's lookups.  Also at [pid_range] 3 with
-   main pid -1 and child 0: truncating division puts both in block 0,
-   but a negative pid is left to the table. *)
+   of the two the cache held first, and the main pid keeps being found
+   after the child's lookups.  Also at [pid_range] 3 with main pid -1
+   and child 0, which truncating division puts in one block. *)
 let test_block_index_child_pid () =
   let source pid =
     Engine.I_source { pid; kind = "K"; range = Range.make 0 15 }
@@ -1159,9 +1159,9 @@ let test_block_index_child_pid () =
       (Some 3, -1, 0, 4);
     ]
 
-(* Evicting a tenant mid-stream empties its block's slot: the pid seen
-   again is a fresh tenant, found through the index again, and its
-   evicted incarnation's state is gone. *)
+(* Evicting a tenant mid-stream clears the last-tenant cache: the pid
+   seen again is a fresh tenant, and its evicted incarnation's state is
+   gone. *)
 let test_block_index_evict_and_return () =
   let rng = Rng.create 2020 in
   let pids =
@@ -1214,7 +1214,7 @@ let test_block_index_evict_and_return () =
   check_column_path "evict and return" items
 
 (* A snapshot taken at one shard count restores into another, and the
-   restored tenants are found through the new engine's index: the rest
+   restored tenants are found through the new engine's lookup: the rest
    of the stream then lands on the restored state. *)
 let test_block_index_restore_reshard () =
   let rng = Rng.create 2121 in
@@ -1508,9 +1508,12 @@ let test_provenance_release_pid () =
 
 (* --- ingest merge order ---------------------------------------------------- *)
 
-(* Synthetic sources for the merge-order property.  Seqs come from a
-   small range so ties across sources are common, and a marker often
-   reuses the seq of the event before it, as recorded markers do. *)
+(* Synthetic sources for the merge-order properties.  Seqs cluster
+   within a seq or two of the window boundaries up to [4 * window], so
+   ties on the seq and on the window across sources are common, a
+   source's seqs often cross a boundary and drop back across it, and a
+   marker often reuses the seq of the event before it, as recorded
+   markers do. *)
 type synth_item = S_event of int | S_source of int | S_sink of int
 
 let synth_item_to_string = function
@@ -1518,15 +1521,18 @@ let synth_item_to_string = function
   | S_source s -> Printf.sprintf "src%d" s
   | S_sink s -> Printf.sprintf "snk%d" s
 
+let window = 1 lsl Ingest.window_bits
+
 let gen_synth_source rng =
   let len = if Rng.int rng 5 = 0 then 0 else Rng.int_in rng 1 20 in
-  let last = ref (Rng.int rng 8) in
+  let draw () = (Rng.int rng 5 * window) + Rng.int_in rng (-2) 1 in
+  let last = ref (draw ()) in
   List.init len (fun _ ->
       match Rng.int rng 6 with
       | 0 -> S_source !last
       | 1 -> S_sink !last
       | _ ->
-          last := Rng.int rng 8;
+          last := draw ();
           S_event !last)
 
 let gen_synth_sources rng =
@@ -1583,16 +1589,16 @@ let synth_sources specs log =
       })
     specs
 
-(* The oracle: the two-pass scan [Ingest.merge] used before the heap.
-   Each pull refills every live source without a head, in index order,
-   then emits the head with the smallest (seq, index). *)
+(* The oracle: a two-pass scan.  Each pull refills every live source
+   without a head, in index order, then emits the head with the
+   smallest (seq asr window_bits, index). *)
 let scan_merge (srcs : Ingest.source array) =
   let n = Array.length srcs in
   let heads = Array.make n None in
   let live = Array.make n true in
-  let item_seq = function
-    | Recorded.Item_event e -> e.Pift_trace.Event.seq
-    | Recorded.Item_marker (seq, _) -> seq
+  let key = function
+    | Recorded.Item_event e -> e.Pift_trace.Event.seq asr Ingest.window_bits
+    | Recorded.Item_marker (seq, _) -> seq asr Ingest.window_bits
   in
   fun () ->
     for i = 0 to n - 1 do
@@ -1601,12 +1607,12 @@ let scan_merge (srcs : Ingest.source array) =
         | Some it -> heads.(i) <- Some it
         | None -> live.(i) <- false
     done;
-    let best = ref (-1) and best_seq = ref max_int in
+    let best = ref (-1) and best_key = ref max_int in
     for i = 0 to n - 1 do
       match heads.(i) with
-      | Some it when !best < 0 || item_seq it < !best_seq ->
+      | Some it when !best < 0 || key it < !best_key ->
           best := i;
-          best_seq := item_seq it
+          best_key := key it
       | _ -> ()
     done;
     if !best < 0 then None
@@ -1636,35 +1642,37 @@ let scan_cursor_trace specs =
    in the item), the same [src_next] calls made by that pull, in order,
    and the same cursor on every source. *)
 let merge_matches_scan specs =
-  let heap_log = ref [] and scan_log = ref [] in
-  let heap_srcs = Array.of_list (synth_sources specs heap_log) in
+  let merge_log = ref [] and scan_log = ref [] in
+  let merge_srcs = Array.of_list (synth_sources specs merge_log) in
   let scan_srcs = Array.of_list (synth_sources specs scan_log) in
-  let heap = Ingest.merge (Array.to_list heap_srcs) in
+  let merge = Ingest.merge (Array.to_list merge_srcs) in
   let scan = scan_merge scan_srcs in
   let rec pull k =
-    heap_log := [];
+    merge_log := [];
     scan_log := [];
-    let got = heap () and want = scan () in
+    let got = merge () and want = scan () in
     if got <> want then Error (Printf.sprintf "pull %d: emitted items differ" k)
-    else if !heap_log <> !scan_log then
+    else if !merge_log <> !scan_log then
       Error
         (Printf.sprintf "pull %d: src_next calls [%s], scan made [%s]" k
-           (String.concat " " (List.rev_map string_of_int !heap_log))
+           (String.concat " " (List.rev_map string_of_int !merge_log))
            (String.concat " " (List.rev_map string_of_int !scan_log)))
-    else if cursors heap_srcs <> cursors scan_srcs then
+    else if cursors merge_srcs <> cursors scan_srcs then
       Error (Printf.sprintf "pull %d: cursors differ" k)
     else if got = None then Ok ()
     else pull (k + 1)
   in
   pull 1
 
-(* Fixed shapes the random sizes rarely hit: heaps of one to three
-   sources, one level short of, exactly at and one past a full
-   127-node tree, and sources whose seqs all tie, so the source index
-   alone orders every pick and a sift that climbs past its subtree's
-   root shows up at once. *)
+(* Fixed shapes the random sizes rarely hit: one to three sources and
+   around 128; sources whose seqs all tie, so the source index alone
+   orders every pick; seqs on both sides of a window boundary (W - 1
+   and W), in both orders; a source whose seqs drop back across a
+   boundary while others wait in the higher window; no sources; and
+   sources that are all empty. *)
 let merge_boundary_cases =
   let rng = Rng.create 127 in
+  let w = window in
   List.concat_map
     (fun n ->
       [
@@ -1677,6 +1685,21 @@ let merge_boundary_cases =
                 | _ -> S_event 5));
       ])
     [ 1; 2; 3; 127; 128; 129 ]
+  @ [
+      [ [ S_event (w - 1); S_event w ]; [ S_event w; S_event (w - 1) ] ];
+      [ [ S_event w; S_sink w ]; [ S_event (w - 1); S_source (w - 1) ] ];
+      [
+        [ S_event w; S_event (w - 1); S_source (w - 1); S_event w ];
+        [ S_event w; S_event (2 * w) ];
+        [ S_event (w + 1); S_event (w - 2); S_event 0 ];
+      ];
+      [
+        [ S_event (2 * w); S_event (w - 1); S_event (3 * w); S_event 0 ];
+        [ S_event (2 * w - 1); S_event (2 * w) ];
+      ];
+      [];
+      [ []; []; [] ];
+    ]
 
 let test_merge_matches_scan () =
   List.iter
@@ -1687,7 +1710,7 @@ let test_merge_matches_scan () =
           Alcotest.failf "%d sources: %s@.%s" (List.length specs) e
             (synth_sources_to_string specs))
     merge_boundary_cases;
-  Prop.check_gen ~name:"heap merge = two-pass scan" ~count:150
+  Prop.check_gen ~name:"window merge = two-pass scan" ~count:150
     ~gen:gen_synth_sources ~shrink:Prop.shrink_candidates
     ~to_string:synth_sources_to_string merge_matches_scan
 
@@ -1718,6 +1741,88 @@ let test_run_segment_cursors () =
       | None when !idles <> (total / segment) + 1 ->
           Error (Printf.sprintf "%d on_idle calls for %d items" !idles total)
       | None -> Ok ())
+
+(* Every item of a merge run, with every source's cursors after each
+   pull. *)
+let merge_run srcs =
+  let next = Ingest.merge (Array.to_list srcs) in
+  let rec go acc =
+    match next () with
+    | Some item -> go ((item, cursors srcs) :: acc)
+    | None -> List.rev acc
+  in
+  go []
+
+(* Resume: fresh sources, each [Ingest.skip]ped to its cursor after [k]
+   pulls of an uninterrupted run, must emit the rest of that run item
+   for item, with the same cursors after every pull.  A snapshot may
+   cut the stream anywhere, so this must hold for every [k]. *)
+let test_resume_continues_run () =
+  Prop.check_gen ~name:"resume from any cursors = rest of the run" ~count:100
+    ~gen:(fun rng ->
+      let specs = gen_synth_sources rng in
+      let total = List.fold_left (fun acc l -> acc + List.length l) 0 specs in
+      (Rng.int_in rng 0 total, specs))
+    ~shrink:(fun (k, specs) ->
+      List.map (fun s -> (k, s)) (Prop.shrink_candidates specs))
+    ~to_string:(fun (k, specs) ->
+      Printf.sprintf "k %d, %s" k (synth_sources_to_string specs))
+    (fun (k, specs) ->
+      let full = merge_run (Array.of_list (synth_sources specs (ref []))) in
+      let k = min k (List.length full) in
+      let at_k =
+        if k = 0 then Array.make (List.length specs) 0
+        else snd (List.nth full (k - 1))
+      in
+      let srcs = Array.of_list (synth_sources specs (ref [])) in
+      Array.iteri (fun i s -> Ingest.skip s at_k.(i)) srcs;
+      let rest = merge_run srcs in
+      if rest = List.filteri (fun i _ -> i >= k) full then Ok ()
+      else
+        Error
+          (Printf.sprintf "resumed after %d of %d pulls: %d pulls differ" k
+             (List.length full) (List.length rest)))
+
+let item_pid = function
+  | Engine.I_event e -> e.Pift_trace.Event.pid
+  | Engine.I_source { pid; _ }
+  | Engine.I_sink { pid; _ }
+  | Engine.I_untaint { pid; _ }
+  | Engine.I_evict { pid } ->
+      pid
+
+(* [n] tenants, each [l] dense seqs long from its own start: a tenant
+   runs on for a whole window, so the merged stream changes tenant at
+   most n * (ceil (l / W) + 1) times — the + 1 for a start that is not
+   window-aligned — where a per-seq order would change it on every
+   item. *)
+let test_tenant_switch_bound () =
+  let rng = Rng.create 4096 in
+  let cases =
+    [ (2, 3 * window, 0); (8, window, 0); (5, (2 * window) + 1, window - 1) ]
+    @ List.init 12 (fun _ ->
+          (Rng.int_in rng 1 16, Rng.int rng (3 * window), Rng.int rng window))
+  in
+  List.iter
+    (fun (n, l, start) ->
+      let specs =
+        List.init n (fun _ -> List.init l (fun j -> S_event (start + j)))
+      in
+      let pids =
+        List.map
+          (fun (item, _) -> item_pid item)
+          (merge_run (Array.of_list (synth_sources specs (ref []))))
+      in
+      let rec count acc = function
+        | a :: (b :: _ as tl) -> count (if a <> b then acc + 1 else acc) tl
+        | _ -> acc
+      in
+      let switches = count 0 pids in
+      let bound = n * (((l + window - 1) / window) + 1) in
+      if switches > bound then
+        Alcotest.failf "%d tenants x %d seqs from %d: %d switches > %d" n l
+          start switches bound)
+    cases
 
 (* --- streaming trace readers (satellite) ----------------------------------- *)
 
@@ -1942,10 +2047,14 @@ let () =
         [
           Alcotest.test_case "event pid outside the tenant block" `Quick
             test_pid_outside_block;
-          Alcotest.test_case "heap merge = two-pass scan" `Quick
+          Alcotest.test_case "window merge = two-pass scan" `Quick
             test_merge_matches_scan;
           Alcotest.test_case "segmented run cursors = scan" `Quick
             test_run_segment_cursors;
+          Alcotest.test_case "resume from any cursors = rest of the run"
+            `Quick test_resume_continues_run;
+          Alcotest.test_case "tenant switches <= n * (windows + 1)" `Quick
+            test_tenant_switch_bound;
         ] );
       ( "streaming readers",
         [
