@@ -2,6 +2,7 @@ module Range = Pift_util.Range
 module Wire = Pift_util.Wire
 module Event = Pift_trace.Event
 module Trace = Pift_trace.Trace
+module Row = Pift_trace.Row
 
 let magic = "PIFT-TRACE 1"
 let binary_magic = "PIFTBIN1"
@@ -98,6 +99,12 @@ let tag_store = 1
 let tag_other = 2
 let tag_source = 3
 let tag_sink = 4
+
+(* The decoder writes an event's tag byte as its row's tag. *)
+let () =
+  assert (
+    tag_load = Row.tag_load && tag_store = Row.tag_store
+    && tag_other = Row.tag_other)
 
 (* Corrupt binary traces must not be able to make the reader allocate
    or loop without bound: payloads are capped, varints are capped at 9
@@ -304,7 +311,8 @@ let text_open ic =
   let header key =
     match String.split_on_char ' ' (next ()) with
     | k :: rest when String.equal k key -> String.concat " " rest
-    | _ -> fail_line !line_no ("expected header " ^ key)
+    | _ | (exception End_of_file) ->
+        fail_line !line_no ("expected header " ^ key)
   in
   let h_name = header "name" in
   let h_pid = parse_int !line_no (header "pid") in
@@ -332,19 +340,22 @@ let rd_varint = Wire.Reader.varint
 (* Pull-side decoder state: the chunk reader plus the record counter and
    the delta baselines.  The decode helpers are top-level functions over
    this record, and the error continuations are built once per reader
-   or only on the failure path, so decoding a record allocates nothing
-   but the item it returns. *)
+   or only on the failure path, so decoding an event record allocates
+   nothing: it writes a row.  A marker record allocates its value. *)
 type bin_reader = {
   br_rd : rd;
+  br_pid : int;  (* the header pid, the pid of every marker row *)
   mutable br_record : int;
   mutable br_prev_seq : int;
   mutable br_prev_k : int;
   mutable br_prev_lo : int;
   mutable br_pos : int;  (* next payload byte *)
   mutable br_limit : int;  (* end of current payload *)
+  mutable br_marker : Recorded.marker;  (* of the last marker row *)
   br_fail_next : string -> int;  (* fails naming record [br_record + 1] *)
 }
 
+let no_marker = Recorded.Sink { kind = ""; ranges = [] }
 let br_fail br msg = fail_record br.br_record msg
 
 let rec br_varint_from br shift acc =
@@ -359,18 +370,41 @@ let rec br_varint_from br shift acc =
     end
   end
 
-let br_varint br = br_varint_from br 0 0
+(* The one-byte case, nearly every field of a delta-coded record,
+   without the loop's call. *)
+let br_varint br =
+  let pos = br.br_pos in
+  let b =
+    if pos < br.br_limit then
+      Char.code (Bytes.unsafe_get br.br_rd.Wire.Reader.buf pos)
+    else 0x80
+  in
+  if b < 0x80 then begin
+    br.br_pos <- pos + 1;
+    b
+  end
+  else br_varint_from br 0 0
+
 let br_svarint br = unzigzag (br_varint br)
 
 let br_seq br =
   br.br_prev_seq <- br.br_prev_seq + br_svarint br;
   br.br_prev_seq
 
-let br_range br =
+(* A range's fields: the start lands in [br_prev_lo], the length is
+   returned.  A pair [Range.of_len] would refuse fails with its message,
+   without building the range. *)
+let br_lo_len br =
   br.br_prev_lo <- br.br_prev_lo + br_svarint br;
-  let len = br_varint br in
-  try Range.of_len br.br_prev_lo len
-  with Invalid_argument msg -> br_fail br msg
+  let lo = br.br_prev_lo and len = br_varint br in
+  if len <= 0 || lo < 0 || lo + len - 1 < lo then begin
+    try ignore (Range.of_len lo len) with Invalid_argument msg -> br_fail br msg
+  end;
+  len
+
+let br_range br =
+  let len = br_lo_len br in
+  Range.of_len br.br_prev_lo len
 
 let br_kind br =
   let klen = br_varint br in
@@ -400,73 +434,120 @@ let bin_open ic =
   let rec br =
     {
       br_rd = rd;
+      br_pid = h_pid;
       br_record = 0;
       br_prev_seq = 0;
       br_prev_k = 0;
       br_prev_lo = 0;
       br_pos = 0;
       br_limit = 0;
+      br_marker = no_marker;
       br_fail_next = (fun msg -> fail_record (br.br_record + 1) msg);
     }
   in
   ({ h_name; h_pid; h_bytecodes }, br)
 
-(* One record per pull; [None] only on EOF exactly at a record boundary,
-   anything else fails with the record number. *)
-let bin_next br =
+(* The next record's payload length, its bytes buffered from [rd.lo]
+   on, or 0 on EOF exactly at a record boundary.  A one-byte length
+   whose record is already buffered (nearly every record) takes the
+   short path; anything else goes through the checked one. *)
+let bin_payload br =
   let rd = br.br_rd in
-  match rd_varint ~first_eof_ok:true br.br_fail_next rd with
-  | exception End_of_file -> None
+  let lo = rd.Wire.Reader.lo in
+  let b =
+    if lo < rd.Wire.Reader.hi then
+      Char.code (Bytes.unsafe_get rd.Wire.Reader.buf lo)
+    else 0
+  in
+  if b > 0 && b < 0x80 && lo + 1 + b <= rd.Wire.Reader.hi then begin
+    br.br_record <- br.br_record + 1;
+    rd.Wire.Reader.lo <- lo + 1;
+    b
+  end
+  else
+    match rd_varint ~first_eof_ok:true br.br_fail_next rd with
+    | exception End_of_file -> 0
+    | len ->
+        br.br_record <- br.br_record + 1;
+        if len <= 0 then br_fail br "empty record";
+        if len > max_record_payload then
+          br_fail br "implausible record length";
+        if not (rd_has rd len) then
+          br_fail br (Printf.sprintf "truncated record (%d payload bytes)" len);
+        len
+
+(* The PIFTBIN1 decoder body: the next record into the row at [o] of
+   [rows] (the [Row] layout; the binary tags of load, store and other
+   are [Row]'s).  A marker becomes a [Row.tag_item] row carrying the
+   header pid, its value left in [br_marker].  [false] only on EOF
+   exactly at a record boundary; anything else fails with the record
+   number. *)
+let bin_row br rows o =
+  let rd = br.br_rd in
+  match bin_payload br with
+  | 0 -> false
   | len ->
-      br.br_record <- br.br_record + 1;
-      if len <= 0 then br_fail br "empty record";
-      if len > max_record_payload then br_fail br "implausible record length";
-      if not (rd_has rd len) then
-        br_fail br (Printf.sprintf "truncated record (%d payload bytes)" len);
       br.br_pos <- rd.Wire.Reader.lo + 1;
       br.br_limit <- rd.Wire.Reader.lo + len;
       let tag = Char.code (Bytes.unsafe_get rd.Wire.Reader.buf rd.Wire.Reader.lo) in
       rd.Wire.Reader.lo <- rd.Wire.Reader.lo + len;
-      let item =
-        if tag = tag_load || tag = tag_store then begin
-          let seq = br_seq br in
-          br.br_prev_k <- br.br_prev_k + br_svarint br;
-          let pid = br_varint br in
-          let r = br_range br in
-          Recorded.Item_event
-            {
-              Event.seq;
-              k = br.br_prev_k;
-              pid;
-              access = (if tag = tag_load then Event.Load r else Event.Store r);
-            }
+      if tag <= tag_other then begin
+        let seq = br_seq br in
+        br.br_prev_k <- br.br_prev_k + br_svarint br;
+        let pid = br_varint br in
+        rows.(o) <- tag;
+        rows.(o + 1) <- pid;
+        rows.(o + 2) <- seq;
+        rows.(o + 3) <- br.br_prev_k;
+        if tag = tag_other then begin
+          rows.(o + 4) <- 0;
+          rows.(o + 5) <- 0
         end
-        else if tag = tag_other then begin
-          let seq = br_seq br in
-          br.br_prev_k <- br.br_prev_k + br_svarint br;
-          let pid = br_varint br in
-          Recorded.Item_event
-            { Event.seq; k = br.br_prev_k; pid; access = Event.Other }
+        else begin
+          let len = br_lo_len br in
+          rows.(o + 4) <- br.br_prev_lo;
+          rows.(o + 5) <- len
         end
-        else if tag = tag_source then begin
-          let seq = br_seq br in
-          let kind = br_kind br in
-          let range = br_range br in
-          Recorded.Item_marker (seq, Recorded.Source { kind; range })
-        end
-        else if tag = tag_sink then begin
-          let seq = br_seq br in
-          let kind = br_kind br in
-          let nranges = br_varint br in
-          if nranges < 0 || nranges > len then
-            br_fail br "implausible range count";
-          let ranges = List.init nranges (fun _ -> br_range br) in
-          Recorded.Item_marker (seq, Recorded.Sink { kind; ranges })
-        end
-        else br_fail br (Printf.sprintf "unknown record tag %d" tag)
-      in
+      end
+      else if tag = tag_source then begin
+        let seq = br_seq br in
+        let kind = br_kind br in
+        let range = br_range br in
+        br.br_marker <- Recorded.Source { kind; range };
+        Row.set_item rows o ~pid:br.br_pid ~seq
+      end
+      else if tag = tag_sink then begin
+        let seq = br_seq br in
+        let kind = br_kind br in
+        let nranges = br_varint br in
+        if nranges < 0 || nranges > len then
+          br_fail br "implausible range count";
+        let ranges = List.init nranges (fun _ -> br_range br) in
+        br.br_marker <- Recorded.Sink { kind; ranges };
+        Row.set_item rows o ~pid:br.br_pid ~seq
+      end
+      else br_fail br (Printf.sprintf "unknown record tag %d" tag);
       if br.br_pos <> br.br_limit then br_fail br "trailing bytes in record";
-      Some item
+      true
+
+(* Any other item pull — a text trace's parsed lines, an in-memory
+   stream — writes its items as rows one at a time. *)
+type item_rows = {
+  it_next : unit -> Recorded.item option;
+  it_pid : int;  (* the pid of every marker row *)
+  mutable it_marker : Recorded.marker;  (* of the last marker row *)
+}
+
+let items_row it rows o =
+  match it.it_next () with
+  | None -> false
+  | Some (Recorded.Item_event e) ->
+      Row.set_event rows o e;
+      true
+  | Some (Recorded.Item_marker (seq, m)) ->
+      it.it_marker <- m;
+      Row.set_item rows o ~pid:it.it_pid ~seq;
+      true
 
 (* --- format autodetection ------------------------------------------------- *)
 
@@ -489,13 +570,20 @@ let detect_format path =
 
 (* --- streaming readers --------------------------------------------------- *)
 
+type decoder = Bin of bin_reader | Items of item_rows
+
 type reader = {
-  r_ic : in_channel;
-  r_format : format;
   r_header : header;
-  r_next : unit -> Recorded.item option;
+  r_decoder : decoder;
+  r_ic : in_channel option;  (* [None] for {!of_items} *)
+  r_row : int array;  (* [read_item]'s row *)
   mutable r_closed : bool;
 }
+
+let make_reader r_header r_decoder r_ic =
+  { r_header; r_decoder; r_ic; r_row = Array.make Row.width 0; r_closed = false }
+
+let item_rows it_pid it_next = Items { it_next; it_pid; it_marker = no_marker }
 
 let open_reader path =
   let ic = open_in_bin path in
@@ -503,25 +591,39 @@ let open_reader path =
     match detect_channel ic with
     | Binary ->
         let h, br = bin_open ic in
-        (Binary, h, fun () -> bin_next br)
+        (h, Bin br)
     | Text ->
         let h, next = text_open ic in
-        (Text, h, next)
+        (h, item_rows h.h_pid next)
   with
-  | r_format, r_header, r_next ->
-      { r_ic = ic; r_format; r_header; r_next; r_closed = false }
+  | h, decoder -> make_reader h decoder (Some ic)
   | exception e ->
       close_in_noerr ic;
       raise e
 
-let read_item r = r.r_next ()
+let of_items h next = make_reader h (item_rows h.h_pid next) None
+
+let read_row r rows o =
+  match r.r_decoder with
+  | Bin br -> bin_row br rows o
+  | Items it -> items_row it rows o
+
+let row_marker r =
+  match r.r_decoder with Bin br -> br.br_marker | Items it -> it.it_marker
+
+let read_item r =
+  let row = r.r_row in
+  if not (read_row r row 0) then None
+  else if row.(0) = Row.tag_item then
+    Some (Recorded.Item_marker (row.(2), row_marker r))
+  else Some (Recorded.Item_event (Row.event row 0))
+
 let reader_header r = r.r_header
-let reader_format r = r.r_format
 
 let close_reader r =
   if not r.r_closed then begin
     r.r_closed <- true;
-    close_in_noerr r.r_ic
+    Option.iter close_in_noerr r.r_ic
   end
 
 let with_reader path f =

@@ -33,9 +33,10 @@
     length prefix bounds every record: truncated or corrupt files are
     rejected with the failing record's number.  The binary decoder
     builds no closure per record (its error continuations run only on
-    the failure path), so a record costs only the item it returns.
-    That is a property of the decoder, not of the format: the bytes
-    above and the positioned error messages are the contract.
+    the failure path) and writes an event record into an int row (see
+    {!read_row}), so it allocates nothing for one.  That is a property
+    of the decoder, not of the format: the bytes above and the
+    positioned error messages are the contract.
 
     Either format round-trips every {!Pift_trace.Event.t} and marker
     exactly — replaying a loaded recording produces byte-identical
@@ -68,10 +69,24 @@ val detect_format : string -> format
 
 (** {1 Streaming readers}
 
-    Event-at-a-time ingestion over either format: the service engine
+    Record-at-a-time ingestion over either format: the service engine
     multiplexes many open traces without ever materialising one, so
     resident memory is one buffered chunk (binary) or one line (text)
-    per tenant, whatever the trace length. *)
+    per tenant, whatever the trace length.
+
+    {b Rows.}  A reader's unit is one record decoded into a
+    {!Pift_trace.Row}: six ints, tag, pid, seq, k, lo, len.  A
+    [PIFTBIN1] reader decodes the varints straight into the caller's
+    row and allocates nothing for an event record; the service's fill
+    path hands it the engine's column batch.  A marker becomes a
+    [Row.tag_item] row with the header pid and its seq, and its value
+    stays readable through {!row_marker} until the reader's next record.
+    The text reader and {!of_items} parse or pull an item and write it
+    as a row, more slowly.  {!read_item} is a thin wrapper: one
+    {!read_row} into the reader's own row, then the
+    {!Recorded.item} built from it.  Both run the same decoder, so they
+    deliver the same records and fail with the same positioned
+    message. *)
 
 type header = { h_name : string; h_pid : int; h_bytecodes : int }
 
@@ -82,18 +97,32 @@ type reader
 val open_reader : string -> reader
 (** Autodetects the format and parses the header eagerly — a bad magic
     or truncated header raises the same positioned [Failure] as {!load}
-    (and the file is closed).  Items then come one {!read_item} at a
-    time. *)
+    (and the file is closed).  Records then come one {!read_row} or
+    {!read_item} at a time. *)
+
+val of_items : header -> (unit -> Recorded.item option) -> reader
+(** A reader over an item pull ([None] = end), e.g. {!Recorded.items}:
+    {!read_row} writes each pulled item as a row, marker rows with
+    [h_pid].  Holds no file; {!close_reader} only marks it closed. *)
+
+val read_row : reader -> int array -> int -> bool
+(** [read_row r rows o] decodes the next record, in file order, into
+    the row at [o] of [rows].  [false] at a clean end of stream, and
+    the row is left as it was.  Malformed or truncated input raises
+    [Failure] with the line (text) or record (binary) position; records
+    before the corruption have already been delivered, so an ingester
+    can account for partial streams.  A failing record may have
+    written part of the row. *)
+
+val row_marker : reader -> Recorded.marker
+(** The value of the last [Row.tag_item] row {!read_row} wrote. *)
 
 val read_item : reader -> Recorded.item option
 (** Next item in file order — the replay interleaving the writers emit
-    ({!Recorded.items}).  [None] at a clean end of stream.  Malformed or
-    truncated input raises [Failure] with the line (text) or record
-    (binary) position; items before the corruption have already been
-    delivered, so an ingester can account for partial streams. *)
+    ({!Recorded.items}): {!read_row} with the item built from the row.
+    [None] at a clean end of stream; failures as {!read_row}'s. *)
 
 val reader_header : reader -> header
-val reader_format : reader -> format
 
 val close_reader : reader -> unit
 (** Idempotent. *)

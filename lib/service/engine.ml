@@ -1,5 +1,6 @@
 module Range = Pift_util.Range
 module Event = Pift_trace.Event
+module Row = Pift_trace.Row
 module Policy = Pift_core.Policy
 module Store = Pift_core.Store
 module Tracker = Pift_core.Tracker
@@ -32,32 +33,32 @@ type tenant = {
 }
 
 (* A column batch: the shard queues carry these, not item values.  Row
-   [r] is the [width] ints at [r * width] of [b_rows]: tag, pid, seq, k,
-   lo, len — the Fig. 5 record, flat.  The rare non-event items keep
-   tag [tag_item] and travel in [b_side] at their row index; every
-   other side slot holds [no_item].  Batches are made lazily by the
-   producer, handed back by the consumer once drained (through the
+   [r] is the [Row.width] ints at [r * Row.width] of [b_rows]: tag, pid,
+   seq, k, lo, len — the Fig. 5 record, flat.  The rare non-event items
+   have tag [Row.tag_item] and travel in [b_side] at their row index;
+   every other side slot holds [no_item].  Batches are made lazily by
+   the producer, handed back by the consumer once drained (through the
    shard's [sh_free]), and reused across runs, so the steady state
-   allocates none and queues no pointer into the minor heap. *)
-type batch = { b_rows : int array; b_side : item array }
+   allocates none and queues no pointer into the minor heap.  [b_len]
+   is the producer's: the consumer reads the row count the queue hands
+   it with the batch. *)
+type batch = { b_rows : int array; b_side : item array; mutable b_len : int }
 
-let width = 6
-let tag_load = 0
-let tag_store = 1
-let tag_other = 2
-let tag_item = 3
+type fill = batch -> int -> bool
+
+let width = Row.width
 let no_item = I_evict { pid = min_int }
-let no_batch = { b_rows = [||]; b_side = [||] }
+let no_batch = { b_rows = [||]; b_side = [||]; b_len = 0 }
 
 let make_batch n =
-  { b_rows = Array.make (n * width) 0; b_side = Array.make n no_item }
+  { b_rows = Array.make (n * width) 0; b_side = Array.make n no_item; b_len = 0 }
 
 type shard = {
   sh_id : int;
   sh_tenants : (int, tenant) Hashtbl.t;
-  (* The tenant [tenant_of] found last, or [no_tenant]: the merge serves
-     a tenant a window of seqs at a time, so the consumer hashes once
-     per tenant switch, not per row. *)
+  (* The tenant [tenant_of] found last, or [no_tenant]: the ingest
+     schedule serves a tenant a window of seqs at a time, so the
+     consumer hashes once per tenant switch, not per row. *)
   mutable sh_last : tenant;
   mutable sh_queue : batch Spsc.t;  (* fresh per run *)
   (* Drained batches on their way back from the consumer to the
@@ -165,14 +166,16 @@ let with_origins t = t.cfg.with_origins
    [pid_range], so one process's whole address space of pids-it-spawns
    stays local while distinct tenants spread round-robin.  The shard is
    [((pid / pid_range) mod shards + shards) mod shards]; this runs per
-   item on the producer, so one shard skips the arithmetic and the
+   row on the producer, so one shard skips the arithmetic and the
    outer [mod] is a sign test ([mod] keeps the dividend's sign). *)
-let shard_of t pid =
+let shard_index t pid =
   let n = t.cfg.shards in
-  if n = 1 then t.shard_arr.(0)
+  if n = 1 then 0
   else
     let s = pid / t.cfg.pid_range mod n in
-    t.shard_arr.(if s < 0 then s + n else s)
+    if s < 0 then s + n else s
+
+let shard_of t pid = t.shard_arr.(shard_index t pid)
 
 let new_tenant t sh pid =
   let cfg = t.cfg in
@@ -262,32 +265,18 @@ let process_item t sh = function
       | None -> ()
       | Some tn -> evict_local sh tn)
 
-let row_access rows o tag =
-  if tag = tag_other then Event.Other
-  else
-    let range = Range.of_len rows.(o + 4) rows.(o + 5) in
-    if tag = tag_load then Event.Load range else Event.Store range
-
 (* Row [r] of [b], in place: an event row becomes a short-lived
    [Event.t] for Algorithm 1; a side item is taken out of its slot
    first, so a drained batch keeps no item reachable. *)
 let process_row t sh b r =
   sh.sh_items <- sh.sh_items + 1;
-  let rows = b.b_rows and o = r * width in
-  let tag = rows.(o) in
-  if tag = tag_item then begin
+  let o = r * width in
+  if b.b_rows.(o) = Row.tag_item then begin
     let item = b.b_side.(r) in
     b.b_side.(r) <- no_item;
     process_item t sh item
   end
-  else
-    observe t sh
-      {
-        Event.seq = rows.(o + 2);
-        k = rows.(o + 3);
-        pid = rows.(o + 1);
-        access = row_access rows o tag;
-      }
+  else observe t sh (Row.event b.b_rows o)
 
 let pid_of_item = function
   | I_event e -> e.Event.pid
@@ -295,27 +284,33 @@ let pid_of_item = function
   | I_evict { pid } ->
       pid
 
-let put_range rows o tag range =
-  rows.(o) <- tag;
-  rows.(o + 4) <- Range.lo range;
-  rows.(o + 5) <- Range.length range
-
-(* Copy one streamed item into row [r] of [b]. *)
-let put b r item =
-  let rows = b.b_rows and o = r * width in
-  match item with
-  | I_event e -> (
-      rows.(o + 1) <- e.Event.pid;
-      rows.(o + 2) <- e.Event.seq;
-      rows.(o + 3) <- e.Event.k;
-      match e.Event.access with
-      | Event.Load range -> put_range rows o tag_load range
-      | Event.Store range -> put_range rows o tag_store range
-      | Event.Other -> rows.(o) <- tag_other)
+(* Append one streamed item to [b] as its next row. *)
+let put b item =
+  let r = b.b_len in
+  (match item with
+  | I_event e -> Row.set_event b.b_rows (r * width) e
   | I_source _ | I_sink _ | I_untaint _ | I_evict _ ->
-      rows.(o) <- tag_item;
-      rows.(o + 1) <- pid_of_item item;
-      b.b_side.(r) <- item
+      Row.set_item b.b_rows (r * width) ~pid:(pid_of_item item) ~seq:0;
+      b.b_side.(r) <- item);
+  b.b_len <- r + 1
+
+(* [run]'s fill: up to [n] items of [stream], one pull each. *)
+let rec fill_from stream b n =
+  n = 0
+  ||
+  match stream () with
+  | None -> false
+  | Some item ->
+      put b item;
+      fill_from stream b (n - 1)
+
+(* Move row [r] of [src] to row [d] of [dst], side item included. *)
+let move_row src r dst d =
+  Row.blit src.b_rows (r * width) dst.b_rows (d * width);
+  if src.b_rows.(r * width) = Row.tag_item then begin
+    dst.b_side.(d) <- src.b_side.(r);
+    src.b_side.(r) <- no_item
+  end
 
 (* [sh_free] is a lock-free stack: the consumer pushes each drained
    batch, the producer pops one when it starts a batch and makes a new
@@ -331,45 +326,82 @@ let rec take_batch t sh =
   match Atomic.get sh.sh_free with
   | [] -> make_batch t.cfg.batch
   | b :: rest as free ->
-      if Atomic.compare_and_set sh.sh_free free rest then b
+      if Atomic.compare_and_set sh.sh_free free rest then begin
+        b.b_len <- 0;
+        b
+      end
       else take_batch t sh
 
 (* A batch the queue refused (already counted there): charge each row
    to its pid in [drops] and release its side items, so the producer
    can refill it. *)
-let discard drops b items =
-  for r = 0 to items - 1 do
+let discard drops b =
+  for r = 0 to b.b_len - 1 do
     let o = r * width in
     let pid = b.b_rows.(o + 1) in
     Hashtbl.replace drops pid
       (1 + Option.value ~default:0 (Hashtbl.find_opt drops pid));
-    if b.b_rows.(o) = tag_item then b.b_side.(r) <- no_item
-  done
+    if b.b_rows.(o) = Row.tag_item then b.b_side.(r) <- no_item
+  done;
+  b.b_len <- 0
 
-(* Ingest producer (pool slot 0): copy each item into its shard's
-   current batch, push full batches through the bounded queue, close all
-   queues at end of stream — also on failure, so shard consumers always
-   see end-of-stream and the pool join cannot deadlock on a producer
-   exception.  A batch still held at the end (one the queue dropped)
-   goes back to the free list. *)
-let produce t stream drops =
-  let n = t.cfg.shards in
+(* Ingest producer (pool slot 0), the one loop every run goes through.
+   Each fill call writes straight into the batch of the shard the
+   previous row went to.  The rows it wrote are then routed: those of
+   that shard stay, compacted in place, and any other moves to its own
+   shard's batch.  So every shard sees its rows in stream order, and
+   its batch boundaries are those of an item-at-a-time copy.  A full
+   batch goes through the shard's bounded queue.  All queues close at
+   end of stream — also on failure, after the rows a failing fill wrote
+   are routed and flushed, so shard consumers always see end-of-stream
+   and the pool join cannot deadlock on a producer exception.  A batch
+   still held at the end (one the queue dropped) goes back to the free
+   list. *)
+let produce t fill drops =
+  let n = t.cfg.shards and cap = t.cfg.batch in
   let cur = Array.make n no_batch in
-  let fills = Array.make n 0 in
-  let flush i =
-    let items = fills.(i) in
-    if items > 0 then begin
-      fills.(i) <- 0;
-      match
-        Spsc.push t.shard_arr.(i).sh_queue
-          ~drop_when_full:t.cfg.drop_when_full cur.(i) ~items
-      with
-      | Spsc.Pushed -> cur.(i) <- no_batch
-      | Spsc.Dropped -> discard drops cur.(i) items
-    end
+  let batch_of s =
+    if cur.(s) == no_batch then cur.(s) <- take_batch t t.shard_arr.(s);
+    cur.(s)
   in
+  let flush s =
+    let b = cur.(s) in
+    let items = b.b_len in
+    if items > 0 then
+      match
+        Spsc.push t.shard_arr.(s).sh_queue ~drop_when_full:t.cfg.drop_when_full
+          b ~items
+      with
+      | Spsc.Pushed -> cur.(s) <- no_batch
+      | Spsc.Dropped -> discard drops b
+  in
+  (* Route rows [from, b_len) of shard [s]'s batch; the shard of the
+     last of them, else [s]. *)
+  let route s from =
+    let b = cur.(s) in
+    let kept = ref from and last = ref s in
+    for r = from to b.b_len - 1 do
+      let d = shard_index t b.b_rows.((r * width) + 1) in
+      if d = s then begin
+        if !kept <> r then move_row b r b !kept;
+        incr kept
+      end
+      else begin
+        let db = batch_of d in
+        move_row b r db db.b_len;
+        db.b_len <- db.b_len + 1;
+        if db.b_len = cap then flush d
+      end;
+      last := d
+    done;
+    b.b_len <- !kept;
+    if !kept = cap then flush s;
+    !last
+  in
+  let target = ref 0 and from = ref 0 and filling = ref false in
   Fun.protect
     ~finally:(fun () ->
+      if !filling then ignore (route !target !from);
       for i = 0 to n - 1 do
         let sh = t.shard_arr.(i) in
         flush i;
@@ -377,19 +409,15 @@ let produce t stream drops =
         if cur.(i) != no_batch then recycle sh cur.(i)
       done)
     (fun () ->
-      let rec go () =
-        match stream () with
-        | None -> ()
-        | Some item ->
-            let sh = shard_of t (pid_of_item item) in
-            let i = sh.sh_id in
-            if cur.(i) == no_batch then cur.(i) <- take_batch t sh;
-            put cur.(i) fills.(i) item;
-            fills.(i) <- fills.(i) + 1;
-            if fills.(i) = t.cfg.batch then flush i;
-            go ()
-      in
-      go ())
+      let more = ref true in
+      while !more do
+        let b = batch_of !target in
+        from := b.b_len;
+        filling := true;
+        more := fill b (cap - b.b_len);
+        filling := false;
+        target := route !target !from
+      done)
 
 (* Shard consumer (pool slot 1 + shard id): drain the queue batch by
    batch until closed, walking each batch's rows in order and handing
@@ -432,7 +460,7 @@ let consume t sh =
     Spsc.abort q;
     raise exn
 
-let run t stream =
+let run_fill t fill =
   if t.closed then invalid_arg "Engine.run: engine is shut down";
   (* Fresh queues per run: the previous run closed them. *)
   Array.iter
@@ -459,8 +487,10 @@ let run t stream =
         drops)
     (fun () ->
       Pool.run_job t.pool (fun ~worker ->
-          if worker = 0 then produce t stream drops
+          if worker = 0 then produce t fill drops
           else consume t t.shard_arr.(worker - 1)))
+
+let run t stream = run_fill t (fill_from stream)
 
 let shutdown t =
   if not t.closed then begin

@@ -11,11 +11,14 @@
     and nothing pushes them anywhere: {!stats} and {!snapshot_tenant}
     are the only reads, taken while the engine is idle.
 
-    {b Queues.}  The producer does not queue item values.  It copies
-    each item into a row of a preallocated {e column batch}: six ints
-    per row — tag, pid, seq, k, lo, len, the Fig. 5 record — with the
-    rare non-event items kept in a side array at their row index.  A
-    full batch moves through the shard's {!Spsc} queue as one value;
+    {b Queues.}  The producer does not queue item values.  Its input
+    writes rows straight into a preallocated {e column batch} (a
+    {!fill}): six ints per row — tag, pid, seq, k, lo, len, the Fig. 5
+    record ({!Pift_trace.Row}) — with the rare non-event items kept in
+    a side array at their row index.  {!Ingest.run}'s fill decodes
+    [PIFTBIN1] records straight into them; {!run} copies each item of
+    a {!stream} into one.  A full batch moves through the shard's
+    {!Spsc} queue as one value;
     the consumer walks its rows in order (non-event items in place),
     builds a short-lived [Pift_trace.Event.t] per event row for
     {!Pift_core.Tracker.observe}, clears each side slot it consumes and
@@ -35,9 +38,9 @@
     {!snapshot_tenant}).  Routing is pure arithmetic, so a pid's shard
     never changes and no cross-shard state exists.  Within a shard,
     tenants are found through a table keyed by pid, behind a one-entry
-    cache of the last tenant found: {!Ingest.merge} serves a tenant up
-    to a window of seqs at a time, so the consumer hashes once per
-    tenant switch.  Eviction clears the cache.
+    cache of the last tenant found: the {!Ingest} schedule serves a
+    tenant up to a window of seqs at a time, so the consumer hashes
+    once per tenant switch.  Eviction clears the cache.
 
     {b Determinism.}  Because every tenant owns a private tracker and
     items of one pid are routed to one shard through a FIFO queue in
@@ -67,6 +70,26 @@ type item =
 type stream = unit -> item option
 (** Pull stream of interleaved multi-tenant items ([None] = end). *)
 
+type batch = {
+  b_rows : int array;
+      (** row [r] is the {!Pift_trace.Row} at [r * Row.width] *)
+  b_side : item array;
+      (** the item of each [Row.tag_item] row, at its row index; its
+          length is the batch's capacity in rows *)
+  mutable b_len : int;  (** rows written *)
+}
+(** A column batch, the unit the shard queues carry. *)
+
+type fill = batch -> int -> bool
+(** [fill b n] writes up to [n >= 1] more rows of the stream into [b],
+    from row [b.b_len] on, advancing [b_len] as it writes each one.
+    Event rows carry the event; any other item is a [Row.tag_item] row
+    with the item's pid, and the item itself in [b_side] at the same
+    index.  It returns [false] once the stream has ended — the rows it
+    wrote on that call still count — and is not called again.  Rows
+    written before a fill raises count too: the engine delivers them,
+    as it would the items pulled before a failing pull. *)
+
 val create :
   ?shards:int ->
   ?policy:Pift_core.Policy.t ->
@@ -90,16 +113,25 @@ val create :
     [Invalid_argument] unless [shards], [queue_capacity], [batch] and
     [pid_range] are positive. *)
 
+val run_fill : t -> fill -> unit
+(** Drain a stream given as a {!fill} to completion: route every row to
+    its pid's shard, push batches through the bounded queues, process
+    them on the shard consumers.  The producer lets each fill call
+    write straight into the batch of the shard the previous row went
+    to, then moves any row of another shard to that shard's batch, so
+    each shard's rows, and its batch boundaries, follow stream order.
+    Fresh queues per run; on any failure (producer or consumer) the
+    queues are closed/aborted so no domain wedges, and the first
+    exception re-raises here after all workers drain.  Tenants are
+    created on first touch and survive across runs until evicted.
+    Items the dropping policy discards are added to their tenants'
+    [ts_dropped] once the workers have joined (creating the tenant if
+    none is resident). *)
+
 val run : t -> stream -> unit
-(** Drain [stream] to completion: route every item to its pid's shard,
-    push batches through the bounded queues, process them on the shard
-    consumers.  Fresh queues per run; on any failure (producer or
-    consumer) the queues are closed/aborted so no domain wedges, and
-    the first exception re-raises here after all workers drain.
-    Tenants are created on first touch and survive across runs until
-    evicted.  Items the dropping policy discards are added to their
-    tenants' [ts_dropped] once the workers have joined (creating the
-    tenant if none is resident). *)
+(** {!run_fill} over a fill that pulls [stream] one item per row — for
+    the recorder, the tests and item-at-a-time callers.  [stream] is
+    not pulled again once it returns [None]. *)
 
 val shutdown : t -> unit
 (** Join the pool domains.  Idempotent; {!run} refuses afterwards

@@ -1,4 +1,5 @@
 module Event = Pift_trace.Event
+module Row = Pift_trace.Row
 module Recorded = Pift_eval.Recorded
 module Trace_io = Pift_eval.Trace_io
 
@@ -10,7 +11,7 @@ type source = {
   src_next : unit -> Recorded.item option;
   src_close : unit -> unit;
   (* Ingest cursor: items handed to the engine (or skipped on resume).
-     Counted at merge-emission time, not at head prefetch — [merge]
+     Counted at emission time, not at head prefetch — the schedule
      holds one prefetched head per source, and a snapshot must record
      only what the engine actually consumed. *)
   mutable src_emitted : int;
@@ -23,6 +24,20 @@ let pid_block = 1 lsl 20
 let tenant_pid ?(pid_range = pid_block) i =
   if i < 0 then invalid_arg "Ingest.tenant_pid: index must be non-negative";
   (i + 1) * pid_range
+
+(* The readers of the open [of_file] sources, each with its source's
+   [src_next].  The fill path decodes a source's rows straight from its
+   reader while the source's [src_next] is still that closure; any other
+   source — a recording, a hand-built stream, a wrapper around a file
+   source's [src_next] — is read through [src_next], one item per row.
+   So the source stays the plain record callers build and copy.  An
+   entry leaves when its source is closed. *)
+let file_readers : ((unit -> Recorded.item option) * Trace_io.reader) list Atomic.t =
+  Atomic.make []
+
+let rec update_readers f =
+  let old = Atomic.get file_readers in
+  if not (Atomic.compare_and_set file_readers old (f old)) then update_readers f
 
 let of_recorded ~pid (r : Recorded.t) =
   {
@@ -38,18 +53,38 @@ let of_recorded ~pid (r : Recorded.t) =
 let of_file ~pid path =
   let r = Trace_io.open_reader path in
   let h = Trace_io.reader_header r in
+  let next () = Trace_io.read_item r in
+  update_readers (List.cons (next, r));
   {
     src_name = h.Trace_io.h_name;
     src_path = Some path;
     src_pid = pid;
     src_orig_pid = h.Trace_io.h_pid;
-    src_next = (fun () -> Trace_io.read_item r);
-    src_close = (fun () -> Trace_io.close_reader r);
+    src_next = next;
+    src_close =
+      (fun () ->
+        update_readers (List.filter (fun (_, r') -> r' != r));
+        Trace_io.close_reader r);
     src_emitted = 0;
   }
 
 let close s = s.src_close ()
 let cursor s = s.src_emitted
+
+(* The reader the fill path decodes [s]'s rows from. *)
+let reader_of s =
+  match
+    List.find_opt (fun (next, _) -> next == s.src_next) (Atomic.get file_readers)
+  with
+  | Some (_, r) -> r
+  | None ->
+      Trace_io.of_items
+        {
+          Trace_io.h_name = s.src_name;
+          h_pid = s.src_orig_pid;
+          h_bytecodes = 0;
+        }
+        s.src_next
 
 (* Resume: discard the items a previous run already consumed (per its
    snapshot cursor), so the next emission is the first unseen item.
@@ -57,39 +92,49 @@ let cursor s = s.src_emitted
    snapshot and restart is corruption, not a clean resume. *)
 let skip s n =
   if n < 0 then invalid_arg "Ingest.skip: negative cursor";
+  let r = reader_of s and row = Array.make Row.width 0 in
   for _ = 1 to n do
-    match s.src_next () with
-    | Some _ -> s.src_emitted <- s.src_emitted + 1
-    | None ->
-        failwith
-          (Printf.sprintf
-             "Ingest.skip: source %s ended before cursor %d (trace changed \
-              since snapshot?)"
-             s.src_name n)
+    if Trace_io.read_row r row 0 then s.src_emitted <- s.src_emitted + 1
+    else
+      failwith
+        (Printf.sprintf
+           "Ingest.skip: source %s ended before cursor %d (trace changed \
+            since snapshot?)"
+           s.src_name n)
   done
 
-(* Remap a recorded item onto the source's assigned engine pid.  The
-   recording's events may carry child pids (fork); preserving the
+(* The recording's events may carry child pids (fork); preserving the
    offset from the recorded main pid keeps distinct processes distinct
    inside the tenant's pid block.  An offset outside the block would
-   land on another tenant's pid, so it is refused. *)
+   land on another tenant's pid, so it is refused, naming the item by
+   the cursor (already advanced past it). *)
+let refuse s pid =
+  failwith
+    (Printf.sprintf
+       "Ingest: %s: item %d: event pid %d is outside the tenant's pid block \
+        [%d, %d)"
+       (Option.value s.src_path ~default:s.src_name)
+       s.src_emitted pid s.src_orig_pid
+       (s.src_orig_pid + pid_block))
+
+(* An event's pid in the engine: [src_pid] plus its offset from the
+   recorded main pid. *)
+let engine_pid s pid =
+  let offset = pid - s.src_orig_pid in
+  if offset < 0 || offset >= pid_block then refuse s pid;
+  offset + s.src_pid
+
+let marker_item s = function
+  | Recorded.Source { kind; range } ->
+      Engine.I_source { pid = s.src_pid; kind; range }
+  | Recorded.Sink { kind; ranges } ->
+      Engine.I_sink { pid = s.src_pid; kind; ranges }
+
 let to_engine_item s (item : Recorded.item) : Engine.item =
   match item with
   | Recorded.Item_event e ->
-      let offset = e.Event.pid - s.src_orig_pid in
-      if offset < 0 || offset >= pid_block then
-        failwith
-          (Printf.sprintf
-             "Ingest: %s: item %d: event pid %d is outside the tenant's pid \
-              block [%d, %d)"
-             (Option.value s.src_path ~default:s.src_name)
-             s.src_emitted e.Event.pid s.src_orig_pid
-             (s.src_orig_pid + pid_block));
-      Engine.I_event { e with Event.pid = offset + s.src_pid }
-  | Recorded.Item_marker (_, Recorded.Source { kind; range }) ->
-      Engine.I_source { pid = s.src_pid; kind; range }
-  | Recorded.Item_marker (_, Recorded.Sink { kind; ranges }) ->
-      Engine.I_sink { pid = s.src_pid; kind; ranges }
+      Engine.I_event { e with Event.pid = engine_pid s e.Event.pid }
+  | Recorded.Item_marker (_, m) -> marker_item s m
 
 let item_seq = function
   | Recorded.Item_event e -> e.Event.seq
@@ -108,75 +153,156 @@ let window_bits = 12
    [max_int asr window_bits] is far below [max_int]. *)
 let ended = max_int
 
-(* Deterministic interleave of the per-source streams: repeatedly emit
-   the head with the smallest (seq asr window_bits, source index).  So
-   one source runs on for up to a whole window of seqs before the next
-   one takes over, and the earlier-listed source wins ties on the
-   window.  Within one source the items come out in stream order, which
-   is all per-tenant determinism needs.  The seq of a marker is its
-   recorded occurrence seq, so markers share the events' time axis.
+(* The one window schedule, behind both [merge]'s pulls and [fill]'s
+   rows: repeatedly emit the head with the smallest
+   (seq asr window_bits, source index).  So one source runs on for up
+   to a whole window of seqs before the next one takes over, and the
+   earlier-listed source wins ties on the window.  Within one source
+   the items come out in stream order, which is all per-tenant
+   determinism needs.  The seq of a marker is its recorded occurrence
+   seq, so markers share the events' time axis.
 
    A round serves window [w], the smallest head window when it starts:
-   the sources are taken in index order, and each emits while its head's
-   window is at most [w].  A later source cannot have a smaller window
-   (none moved since [w] was taken) and a passed one has a larger one,
-   so the current source's head is the minimum even when its seqs drop
-   back below [w].  After the last source the next round starts from
-   the new minimum: one pass over the heads per round, none per item.
-   The first pull reads every head in index order; the emitted source
-   keeps its place until the next pull refills it (the only [src_next]
-   call a later pull makes). *)
+   the sources are taken in index order, and each emits while its
+   head's window is at most [w].  A later source cannot have a smaller
+   window (none moved since [w] was taken) and a passed one has a
+   larger one, so the current source's head is the minimum even when
+   its seqs drop back below [w].  After the last source the next round
+   starts from the new minimum: one pass over the heads per round, none
+   per item. *)
+type schedule = {
+  wins : int array;  (* each source's head window, [ended] once done *)
+  mutable w : int;  (* the window this round serves *)
+  mutable cur : int;  (* the source being served *)
+  mutable started : bool;
+  (* [cur]'s head was emitted: read its next before the next pick. *)
+  mutable pending : bool;
+}
+
+let schedule n =
+  { wins = Array.make n ended; w = ended; cur = 0; started = false; pending = false }
+
+let min_window wins =
+  let m = ref ended in
+  for i = 0 to Array.length wins - 1 do
+    if wins.(i) < !m then m := wins.(i)
+  done;
+  !m
+
+(* The source whose head is emitted next, or -1 once every stream has
+   ended; the pick marks that head emitted.  [read i] reads source [i]'s
+   next head and sets [wins.(i)].  The first pick reads every head in
+   index order; a later one first reads the next head of the source
+   picked last, the only read a pick makes, and a source whose stream
+   ended is never read again. *)
+let pick sc read =
+  let n = Array.length sc.wins in
+  if not sc.started then begin
+    sc.started <- true;
+    for i = 0 to n - 1 do
+      read i
+    done;
+    sc.w <- min_window sc.wins
+  end
+  else if sc.pending then begin
+    sc.pending <- false;
+    read sc.cur
+  end;
+  while sc.w <> ended && sc.wins.(sc.cur) > sc.w do
+    if sc.cur + 1 < n then sc.cur <- sc.cur + 1
+    else begin
+      sc.cur <- 0;
+      sc.w <- min_window sc.wins
+    end
+  done;
+  if sc.w = ended then -1
+  else begin
+    sc.pending <- true;
+    sc.cur
+  end
+
 let merge sources : Engine.stream =
   let srcs = Array.of_list sources in
-  let n = Array.length srcs in
-  let heads = Array.make n no_item in
-  let wins = Array.make n ended in
+  let heads = Array.make (Array.length srcs) no_item in
+  let sc = schedule (Array.length srcs) in
   let read i =
     match srcs.(i).src_next () with
     | Some it ->
         heads.(i) <- it;
-        wins.(i) <- item_seq it asr window_bits
-    | None -> wins.(i) <- ended
+        sc.wins.(i) <- item_seq it asr window_bits
+    | None -> sc.wins.(i) <- ended
   in
-  let min_window () =
-    let m = ref ended in
-    for i = 0 to n - 1 do
-      if wins.(i) < !m then m := wins.(i)
-    done;
-    !m
-  in
-  let w = ref ended in
-  let cur = ref 0 in
-  let started = ref false in
-  (* [pending]: [cur] was emitted by the previous pull and must be
-     refilled before the next pick. *)
-  let pending = ref false in
   fun () ->
-    if not !started then begin
-      started := true;
-      for i = 0 to n - 1 do
-        read i
-      done;
-      w := min_window ()
+    let i = pick sc read in
+    if i < 0 then None
+    else begin
+      let s = srcs.(i) in
+      s.src_emitted <- s.src_emitted + 1;
+      Some (to_engine_item s heads.(i))
     end
-    else if !pending then begin
-      pending := false;
-      read !cur
-    end;
-    while !w <> ended && wins.(!cur) > !w do
-      if !cur + 1 < n then incr cur
+
+let width = Row.width
+
+(* Emit row [r] of [b], the next record of source [s] (read from [rd]):
+   count it, map an event's pid into the tenant's block, put a marker's
+   item beside its row. *)
+let emit s rd (b : Engine.batch) r =
+  s.src_emitted <- s.src_emitted + 1;
+  let o = r * width in
+  if b.b_rows.(o) = Row.tag_item then begin
+    b.b_rows.(o + 1) <- s.src_pid;
+    b.b_side.(r) <- marker_item s (Trace_io.row_marker rd)
+  end
+  else b.b_rows.(o + 1) <- engine_pid s b.b_rows.(o + 1);
+  b.b_len <- r + 1
+
+(* The schedule's heads are rows of [heads], one per source.  Once a
+   pick has emitted a source's head, its next records are decoded
+   straight into the batch while they stay in the round's window; the
+   first one past it is copied back as the source's new head. *)
+let fill sources : Engine.fill =
+  let srcs = Array.of_list sources in
+  let n = Array.length srcs in
+  let readers = Array.map reader_of srcs in
+  let heads = Array.make (n * width) 0 in
+  let sc = schedule n in
+  let read i =
+    if Trace_io.read_row readers.(i) heads (i * width) then
+      sc.wins.(i) <- heads.((i * width) + 2) asr window_bits
+    else sc.wins.(i) <- ended
+  in
+  fun b room ->
+    let stop = b.b_len + room in
+    let more = ref true in
+    while !more && b.b_len < stop do
+      let i = pick sc read in
+      if i < 0 then more := false
       else begin
-        cur := 0;
-        w := min_window ()
+        let s = srcs.(i) and rd = readers.(i) in
+        Row.blit heads (i * width) b.b_rows (b.b_len * width);
+        emit s rd b b.b_len;
+        let serving = ref true in
+        while !serving && b.b_len < stop do
+          let o = b.b_len * width in
+          if not (Trace_io.read_row rd b.b_rows o) then begin
+            sc.wins.(i) <- ended;
+            sc.pending <- false;
+            serving := false
+          end
+          else begin
+            let win = b.b_rows.(o + 2) asr window_bits in
+            if win <= sc.w then emit s rd b b.b_len
+            else begin
+              Row.blit b.b_rows o heads (i * width);
+              sc.wins.(i) <- win;
+              sc.pending <- false;
+              serving := false
+            end
+          end
+        done
       end
     done;
-    if !w = ended then None
-    else begin
-      let i = !cur in
-      pending := true;
-      srcs.(i).src_emitted <- srcs.(i).src_emitted + 1;
-      Some (to_engine_item srcs.(i) heads.(i))
-    end
+    !more
 
 let run ?segment ?on_idle engine sources =
   let idle () = match on_idle with Some f -> f () | None -> () in
@@ -187,32 +313,31 @@ let run ?segment ?on_idle engine sources =
         (fun s ->
           Engine.register_tenant engine ~pid:s.src_pid ~name:s.src_name ())
         sources;
-      let stream = merge sources in
+      let fill = fill sources in
       match segment with
       | None ->
-          Engine.run engine stream;
+          Engine.run_fill engine fill;
           idle ()
       | Some n ->
           if n <= 0 then invalid_arg "Ingest.run: segment must be positive";
-          (* Wrap the persistent merged stream in per-segment budgets:
-             each [Engine.run] drains at most [n] items and joins the
-             pool, so [on_idle] always observes a fully quiescent
-             engine — the only state a snapshot may capture. *)
+          (* Per-segment budgets over the one schedule: each
+             [Engine.run_fill] takes at most [n] rows and joins the
+             pool, so [on_idle] always observes a fully quiescent engine
+             — the only state a snapshot may capture.  A spent budget
+             ends the run without reading further. *)
           let exhausted = ref false in
           let budget = ref 0 in
-          let bounded () =
-            if !budget = 0 then None
-            else
-              match stream () with
-              | None ->
-                  exhausted := true;
-                  None
-              | Some item ->
-                  decr budget;
-                  Some item
+          let bounded (b : Engine.batch) room =
+            !budget > 0
+            &&
+            let before = b.b_len in
+            let more = fill b (min room !budget) in
+            budget := !budget - (b.b_len - before);
+            if not more then exhausted := true;
+            more
           in
           while not !exhausted do
             budget := n;
-            Engine.run engine bounded;
+            Engine.run_fill engine bounded;
             idle ()
           done)

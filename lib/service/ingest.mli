@@ -27,8 +27,10 @@ val of_recorded : pid:int -> Pift_eval.Recorded.t -> source
 
 val of_file : pid:int -> string -> source
 (** Open [path] with {!Pift_eval.Trace_io.open_reader} — text or binary,
-    streamed event-at-a-time, never materialised.  {!close} (or {!run})
-    releases the channel. *)
+    streamed record-at-a-time, never materialised.  [src_next] is
+    {!Pift_eval.Trace_io.read_item} on the reader; {!fill} and {!skip}
+    read its rows directly.  {!close} (or {!run}) releases the
+    channel. *)
 
 val close : source -> unit
 
@@ -37,37 +39,63 @@ val to_engine_item : source -> Pift_eval.Recorded.item -> Engine.item
     whose pid is not in [[src_orig_pid, src_orig_pid + 2{^20})] — the
     block {!tenant_pid} spaces tenants by — would land in another
     tenant's taint state: it raises [Failure] naming the source (its
-    path, else its name), the item number ({!cursor}, which {!merge}
-    has already advanced past the item) and the pid. *)
+    path, else its name), the item number ({!cursor}, which {!fill} and
+    {!merge} have already advanced past the item) and the pid. *)
 
 val window_bits : int
-(** [12]: {!merge} orders heads by [seq asr window_bits], so one merge
+(** [12]: the schedule orders heads by [seq asr window_bits], so one
     window spans 4,096 seqs. *)
 
-val merge : source list -> Engine.stream
-(** Deterministic interleave: always emit the head with the smallest
-    [(seq asr window_bits, source index)].  A source therefore runs on
-    for up to a window of seqs before the next one takes over, and ties
-    on the window go to the earlier-listed source.  Per-source item
-    order is preserved, so each tenant sees exactly its own stream in
-    order; the cross-tenant schedule is fixed by the inputs alone,
+(** {1 The window schedule}
+
+    One schedule decides the order in which every consumer of several
+    sources sees their items: {!fill}, which {!run} drains, and
+    {!merge}, its per-item view.  It always emits the head with the
+    smallest [(seq asr window_bits, source index)].  A source therefore
+    runs on for up to a window of seqs before the next one takes over,
+    and ties on the window go to the earlier-listed source.  Per-source
+    item order is preserved, so each tenant sees exactly its own stream
+    in order; the cross-tenant schedule is fixed by the inputs alone,
     never by thread timing, and no tenant's state depends on it.
 
     Each round serves the smallest head window over the sources in
     index order, so a pick costs O(1) and a round one pass over the
-    heads.  The first pull reads every source's head in index order;
-    each later pull first refills only the source emitted last, and a
-    source whose [src_next] returned [None] is never pulled again.  The
-    emitted sequence, the order of [src_next] calls and every {!cursor}
-    are those of a linear scan over all heads for the smallest key, so
-    fresh sources {!skip}ped to the cursors after any pull continue the
-    uninterrupted schedule. *)
+    heads.  The first pick reads every source's head in index order;
+    each later one first reads the next record of the source emitted
+    last, and a source whose stream ended is never read again.  The
+    emitted sequence, the order of the reads and every {!cursor} are
+    those of a linear scan over all heads for the smallest key, so
+    fresh sources {!skip}ped to the cursors after any emission continue
+    the uninterrupted schedule. *)
+
+val fill : source list -> Engine.fill
+(** The schedule as an {!Engine.fill}: each call writes up to its room
+    of rows into the engine's batch.  A source opened by {!of_file} is
+    decoded straight into the batch rows ({!Pift_eval.Trace_io.read_row})
+    while its [src_next] is still the one {!of_file} made; any other —
+    {!of_recorded}, a hand-built record, a copy with a wrapped
+    [src_next] — is pulled through [src_next], one item per row.  Along
+    the way each event row's pid is remapped into its tenant's block as
+    {!to_engine_item} does, with the same refusal, and a marker's item
+    goes into the batch's side array.  Once a pick has emitted a
+    source's head, its next records go straight into the batch while
+    they stay in the round's window; the first one past it is held as
+    the source's head.  A call decodes no record beyond its room, so a
+    run that stops after a full call has read nothing it did not
+    emit. *)
+
+val merge : source list -> Engine.stream
+(** The schedule as a pull stream, one item per pull: each source is
+    read through its [src_next] and each item remapped by
+    {!to_engine_item}.  It emits the items {!fill} writes, in the same
+    order, with the same cursors after each. *)
 
 val cursor : source -> int
 (** Ingest cursor: items emitted to the engine so far (plus any
-    {!skip}ped on resume).  Counted at merge-emission time — the one
-    prefetched head {!merge} may hold is {e not} included, so after an
-    idle {!Engine.run} the cursor names exactly the processed prefix.
+    {!skip}ped on resume).  Counted at emission time — the one
+    prefetched head the schedule may hold is {e not} included, so after
+    an idle {!Engine.run_fill} the cursor names exactly the processed
+    prefix.
     Recorded per source in every snapshot.  Any vector of cursors is a
     valid resume point: tenants share no state, so a snapshot need not
     cut the stream at a window boundary. *)
@@ -75,14 +103,15 @@ val cursor : source -> int
 val skip : source -> int -> unit
 (** Resume from a snapshot: discard the first [n] items of a freshly
     opened source (the prefix a previous run consumed) and set its
-    cursor to [n].  Fails if the source ends early — the trace changed
-    since the snapshot was taken. *)
+    cursor to [n].  The records are read as {!fill} reads them, a file
+    source's into one scratch row.  Fails if the source ends early —
+    the trace changed since the snapshot was taken. *)
 
 val run :
   ?segment:int -> ?on_idle:(unit -> unit) -> Engine.t -> source list -> unit
 (** Register each source's tenant (named after the trace), then
-    {!Engine.run} the merged stream.  Sources are closed on the way
-    out, also on failure.
+    {!Engine.run_fill} the sources' {!fill}.  Sources are closed on the
+    way out, also on failure.
 
     With [segment:n], the stream is drained in budgets of [n] items:
     after each segment the engine is fully idle (pool joined, queues

@@ -705,6 +705,97 @@ let test_engine_survives_fault () =
       checkb "post-fault ingest works" true
         (Engine.snapshot_tenant eng ~pid <> None))
 
+(* --- long tenants: the kill cuts every stream mid-way ----------------------- *)
+
+(* The recordings above have fewer than 4,096 events each, one seq
+   window, so the schedule serves each whole before the next and a kill
+   mostly cuts whole tenants.  Browser records over 100k events: as a
+   binary file, a text file and in memory (one tenant each, the three
+   ways the fill path reads), the schedule alternates them window by
+   window, and the third snapshot cuts every one mid-stream. *)
+let test_long_tenant_recovery () =
+  let r = Recorded.record Pift_workloads.Browser.app in
+  let items =
+    Pift_trace.Trace.length r.Recorded.trace + Array.length r.Recorded.markers
+  in
+  checkb "Browser spans many windows" true (items > 25 * 4096);
+  with_tmp ~suffix:".pift" (fun bin_path ->
+      with_tmp ~suffix:".pift" (fun text_path ->
+          with_tmp ~suffix:".piftsnap" (fun snap_path ->
+              Pift_eval.Trace_io.save ~format:Pift_eval.Trace_io.Binary r
+                bin_path;
+              Pift_eval.Trace_io.save ~format:Pift_eval.Trace_io.Text r
+                text_path;
+              let sources () =
+                [
+                  Ingest.of_file ~pid:(Ingest.tenant_pid 0) bin_path;
+                  Ingest.of_file ~pid:(Ingest.tenant_pid 1) text_path;
+                  Ingest.of_recorded ~pid:(Ingest.tenant_pid 2) r;
+                ]
+              in
+              let serve ~shards f =
+                Engine.with_engine ~shards ~policy:Policy.default
+                  ~with_origins:true (fun eng -> f eng (sources ()))
+              in
+              let tenant_states eng srcs =
+                List.map
+                  (fun (s : Ingest.source) ->
+                    Option.get (Engine.snapshot_tenant eng ~pid:s.Ingest.src_pid))
+                  srcs
+              in
+              let clean =
+                serve ~shards:2 (fun eng srcs ->
+                    Ingest.run eng srcs;
+                    tenant_states eng srcs)
+              in
+              let crashed =
+                serve ~shards:2 (fun eng srcs ->
+                    let snaps = ref 0 in
+                    let on_idle () =
+                      Snapshot.save
+                        ~sources:(Snapshot.source_entries srcs)
+                        eng snap_path;
+                      incr snaps;
+                      if !snaps = 3 then
+                        Engine.inject_fault eng ~shard:0 ~after_items:1000
+                    in
+                    match Ingest.run ~segment:30_000 ~on_idle eng srcs with
+                    | () -> false
+                    | exception Engine.Injected_fault _ -> true)
+              in
+              checkb "the injected fault killed the run" true crashed;
+              let snap = Snapshot.load snap_path in
+              let cursors =
+                List.map
+                  (fun (se : Snapshot.source_entry) -> se.Snapshot.se_cursor)
+                  snap.Snapshot.sources
+              in
+              checki "cursors sum to three segments" 90_000
+                (List.fold_left ( + ) 0 cursors);
+              List.iteri
+                (fun i c ->
+                  checkb
+                    (Printf.sprintf "tenant %d cut mid-stream: 0 < %d < %d" i
+                       c items)
+                    true
+                    (0 < c && c < items))
+                cursors;
+              List.iter
+                (fun shards ->
+                  serve ~shards (fun eng srcs ->
+                      Snapshot.restore_tenants eng snap;
+                      List.iter2 Ingest.skip srcs cursors;
+                      Ingest.run eng srcs;
+                      List.iter2
+                        (fun (c : Engine.tenant_snapshot) ts ->
+                          checkb
+                            (Printf.sprintf
+                               "shards %d: tenant %s equals uninterrupted"
+                               shards ts.Engine.ts_name)
+                            true (tenant_equal c ts))
+                        clean (tenant_states eng srcs)))
+                [ 1; 4 ])))
+
 (* --- a snapshot from the (seq, source) heap merge ---------------------------- *)
 
 (* [heap_merge_mid_run.piftsnap] was written by the build before
@@ -899,6 +990,8 @@ let () =
             test_engine_survives_fault;
           Alcotest.test_case "heap-merge snapshot resumes at 1 and 4 shards"
             `Quick test_heap_merge_snapshot_resumes;
+          Alcotest.test_case "long tenants: kill mid-stream, restore at 1 and 4"
+            `Quick test_long_tenant_recovery;
         ] );
       ( "lifecycle",
         [

@@ -768,6 +768,59 @@ let test_merge_alloc_budget () =
             true
             (!items > 1000 && per_item <= 24.)))
 
+(* The fill path's target (ROADMAP item 1): decoding PIFTBIN1 straight
+   into the batch rows, the producer allocates at most 2 minor words per
+   item over a whole [Ingest.run] — setup, markers and batches included.
+   The per-item path allocates ~19.7.  perfbench's traced leg, and so
+   its CI allocation gate, times that per-item path, so the target for
+   the path [pift serve] takes lives here. *)
+let test_fill_alloc_budget () =
+  let n = 120_000 in
+  let trace = Pift_trace.Trace.create () in
+  for i = 0 to n - 1 do
+    let r = Range.of_len (64 * (i mod 1031)) (1 + (i mod 8)) in
+    Pift_trace.Trace.add trace
+      {
+        Pift_trace.Event.seq = i + 1;
+        k = i + 1;
+        pid = 1 + (if i mod 500 = 7 then 1 else 0);
+        access =
+          (match i mod 3 with
+          | 0 -> Pift_trace.Event.Load r
+          | 1 -> Pift_trace.Event.Store r
+          | _ -> Pift_trace.Event.Other);
+      }
+  done;
+  let r =
+    {
+      Recorded.name = "alloc";
+      trace;
+      markers =
+        Array.init 40 (fun i ->
+            let seq = 1 + (i * (n / 40)) in
+            if i mod 2 = 0 then
+              (seq, Recorded.Source { kind = "K"; range = Range.of_len 64 8 })
+            else (seq, Recorded.Sink { kind = "K"; ranges = [ Range.of_len 64 8 ] }));
+      pid = 1;
+      bytecodes = 0;
+    }
+  in
+  let path = Filename.temp_file "pift_fill_alloc" ".pift" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Trace_io.save ~format:Trace_io.Binary r path;
+      Engine.with_engine ~shards:1 (fun eng ->
+          let s = Ingest.of_file ~pid:(Ingest.tenant_pid 0) path in
+          let words = minor_words_of (fun () -> Ingest.run eng [ s ]) in
+          let items = (Engine.stats eng).Engine.st_items in
+          let per_item = words /. float_of_int items in
+          checki "every item served" (n + 40) items;
+          checkb
+            (Printf.sprintf "%.3f minor words per item over %d items (budget 2)"
+               per_item items)
+            true (per_item <= 2.)))
+
 (* A drained batch goes back to its shard's free list, so it outlives
    the run: its side slots must not keep the run's items reachable. *)
 let test_drained_batches_release_items () =
@@ -1824,6 +1877,313 @@ let test_tenant_switch_bound () =
           start switches bound)
     cases
 
+(* --- fill path = per-item view --------------------------------------------- *)
+
+(* [Ingest.run] drains [Ingest.fill]: records decoded straight into the
+   engine's batch rows.  [Ingest.merge] is the per-item view of the same
+   schedule.  Over the same inputs both must emit the same items in the
+   same order with the same cursors, for text, binary and in-memory
+   sources alike, and a run over fills must leave the engine exactly as
+   the per-item path does. *)
+
+module Row = Pift_trace.Row
+
+type fill_kind = Fill_memory | Fill_text | Fill_binary
+
+let fill_kind_to_string = function
+  | Fill_memory -> "memory"
+  | Fill_text -> "text"
+  | Fill_binary -> "binary"
+
+(* An event flagged [true] runs in a child process, [child_offset] pids
+   above the recording's main pid: with [pid_range] 3 at 4 shards,
+   tenant 0 (pid 3, shard 1) has its child at pid 9, on shard 3. *)
+let child_offset = 6
+
+type fill_case = {
+  fc_specs : (synth_item * bool) list list;
+  fc_kind : fill_kind;
+  fc_segment : int;
+  fc_batch : int;
+  fc_shards : int;
+  fc_pid_range : int;
+  fc_drop : bool;
+}
+
+let fill_case_to_string c =
+  Printf.sprintf "%s, segment %d, batch %d, shards %d, pid_range %d%s, %s"
+    (fill_kind_to_string c.fc_kind) c.fc_segment c.fc_batch c.fc_shards
+    c.fc_pid_range
+    (if c.fc_drop then ", drop" else "")
+    (synth_sources_to_string (List.map (List.map fst) c.fc_specs))
+
+(* Source [i] as a recording; item [j]'s range names (i, j). *)
+let fill_recording i items =
+  let trace = Pift_trace.Trace.create () in
+  let markers = ref [] in
+  List.iteri
+    (fun j (it, child) ->
+      let r = Range.of_len ((((i * 64) + j) * 32) + 4096) 8 in
+      match it with
+      | S_event seq ->
+          Pift_trace.Trace.add trace
+            {
+              Pift_trace.Event.seq;
+              k = j;
+              pid = (synth_orig_pid + if child then child_offset else 0);
+              access =
+                (match j mod 3 with
+                | 0 -> Pift_trace.Event.Load r
+                | 1 -> Pift_trace.Event.Store r
+                | _ -> Pift_trace.Event.Other);
+            }
+      | S_source seq ->
+          markers := (seq, Recorded.Source { kind = "K"; range = r }) :: !markers
+      | S_sink seq ->
+          markers :=
+            (seq, Recorded.Sink { kind = "K"; ranges = [ r ] }) :: !markers)
+    items;
+  {
+    Recorded.name = Printf.sprintf "fill%d" i;
+    trace;
+    markers = Array.of_list (List.rev !markers);
+    pid = synth_orig_pid;
+    bytecodes = 0;
+  }
+
+(* [f] gets a maker of fresh sources over the case's inputs. *)
+let with_fill_inputs c f =
+  let recs = List.mapi fill_recording c.fc_specs in
+  let paths =
+    match c.fc_kind with
+    | Fill_memory -> []
+    | Fill_text | Fill_binary ->
+        let format =
+          if c.fc_kind = Fill_text then Trace_io.Text else Trace_io.Binary
+        in
+        List.map
+          (fun r ->
+            let path = Filename.temp_file "pift_fill" ".pift" in
+            Trace_io.save ~format r path;
+            path)
+          recs
+  in
+  let fresh () =
+    Array.of_list
+      (List.mapi
+         (fun i r ->
+           let pid = Ingest.tenant_pid ~pid_range:c.fc_pid_range i in
+           match paths with
+           | [] -> Ingest.of_recorded ~pid r
+           | _ -> Ingest.of_file ~pid (List.nth paths i))
+         recs)
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove paths)
+    (fun () -> f fresh)
+
+let test_batch rows =
+  {
+    Engine.b_rows = Array.make (rows * Row.width) 0;
+    b_side = Array.make rows (Engine.I_evict { pid = 0 });
+    b_len = 0;
+  }
+
+let row_item (b : Engine.batch) r =
+  let o = r * Row.width in
+  if b.Engine.b_rows.(o) = Row.tag_item then b.Engine.b_side.(r)
+  else Engine.I_event (Row.event b.Engine.b_rows o)
+
+(* [Ingest.fill] driven by hand, [batch] rows a call: every item, and
+   the cursors after each call with the number of items so far. *)
+let fill_run ~batch srcs =
+  let fill = Ingest.fill (Array.to_list srcs) in
+  let b = test_batch batch in
+  let items = ref [] and cuts = ref [] and n = ref 0 in
+  let rec go () =
+    b.Engine.b_len <- 0;
+    let more = fill b batch in
+    for r = 0 to b.Engine.b_len - 1 do
+      items := row_item b r :: !items
+    done;
+    n := !n + b.Engine.b_len;
+    cuts := (!n, cursors srcs) :: !cuts;
+    if more then go ()
+  in
+  go ();
+  Array.iter Ingest.close srcs;
+  (List.rev !items, List.rev !cuts)
+
+(* The per-item path [Ingest.run] took before it filled rows: the
+   merged stream in per-segment budgets through [Engine.run]. *)
+let item_path_run ~segment ~on_idle eng srcs =
+  Array.iter
+    (fun s ->
+      Engine.register_tenant eng ~pid:s.Ingest.src_pid ~name:s.Ingest.src_name ())
+    srcs;
+  let stream = Ingest.merge (Array.to_list srcs) in
+  let exhausted = ref false and budget = ref 0 in
+  let bounded () =
+    if !budget = 0 then None
+    else
+      match stream () with
+      | None ->
+          exhausted := true;
+          None
+      | Some item ->
+          decr budget;
+          Some item
+  in
+  while not !exhausted do
+    budget := segment;
+    Engine.run eng bounded;
+    on_idle ()
+  done;
+  Array.iter Ingest.close srcs
+
+(* One engine run over fresh sources: the cursors at every [on_idle],
+   every resident tenant's snapshot, and the per-shard counts that do
+   not depend on timing. *)
+let engine_outcome c ~drop fresh run =
+  Engine.with_engine ~shards:c.fc_shards ~batch:c.fc_batch
+    ~queue_capacity:(if drop then 1 else 2)
+    ~pid_range:c.fc_pid_range ~drop_when_full:drop (fun eng ->
+      let srcs = fresh () in
+      let idles = ref [] in
+      run ~segment:c.fc_segment
+        ~on_idle:(fun () -> idles := cursors srcs :: !idles)
+        eng srcs;
+      let st = Engine.stats eng in
+      ( List.rev !idles,
+        List.map
+          (fun pid -> Option.get (Engine.snapshot_tenant eng ~pid))
+          (Engine.tenants eng),
+        st,
+        List.map
+          (fun ss ->
+            Engine.(ss.ss_shard, ss.ss_items, ss.ss_events, ss.ss_batches))
+          st.Engine.st_shards ))
+
+let fill_matches_items c =
+  with_fill_inputs c (fun fresh ->
+      let merged = merge_run (fresh ()) in
+      let total = List.length merged in
+      let cursors_at k =
+        if k = 0 then Array.make (List.length c.fc_specs) 0
+        else snd (List.nth merged (k - 1))
+      in
+      let items, cuts = fill_run ~batch:c.fc_batch (fresh ()) in
+      let want_idles, want_tenants, want_st, want_shards =
+        engine_outcome c ~drop:false fresh item_path_run
+      in
+      let idles, tenants, st, shards =
+        engine_outcome c ~drop:c.fc_drop fresh (fun ~segment ~on_idle eng srcs ->
+            Ingest.run ~segment ~on_idle eng (Array.to_list srcs))
+      in
+      let dropped =
+        List.fold_left (fun acc ts -> acc + ts.Engine.ts_dropped) 0 tenants
+      in
+      let want_of pid =
+        List.find_opt (fun ts -> ts.Engine.ts_pid = pid) want_tenants
+      in
+      if items <> List.map fst merged then Error "fill items <> merge items"
+      else if
+        List.exists (fun (k, cur) -> k > total || cur <> cursors_at k) cuts
+      then Error "cursors after a fill call <> merge cursors"
+      else if
+        want_idles
+        <> List.init ((total / c.fc_segment) + 1) (fun i ->
+               cursors_at (min total ((i + 1) * c.fc_segment)))
+      then Error "per-item path: on_idle cursors <> merge cursors"
+      else if idles <> want_idles then Error "on_idle cursors differ"
+      else if c.fc_drop then
+        if dropped <> st.Engine.st_dropped then
+          Error "per-tenant drops do not sum to the engine's"
+        else if st.Engine.st_items + dropped <> want_st.Engine.st_items then
+          Error "processed + dropped <> items"
+        else if
+          List.exists
+            (fun ts ->
+              ts.Engine.ts_dropped = 0 && want_of ts.Engine.ts_pid <> Some ts)
+            tenants
+        then Error "a tenant that lost nothing differs"
+        else Ok ()
+      else if tenants <> want_tenants then Error "tenant snapshots differ"
+      else if shards <> want_shards then
+        Error "per-shard items, events or batches differ"
+      else Ok ())
+
+let segments = [ 1; 7; 50 ]
+let batches = [ 1; 3; 128 ]
+let fill_kinds = [ Fill_memory; Fill_text; Fill_binary ]
+
+let gen_fill_specs rng =
+  List.init (Rng.int_in rng 0 5) (fun _ ->
+      let items =
+        List.concat
+          (List.init (Rng.int_in rng 0 4) (fun _ -> gen_synth_source rng))
+      in
+      List.map (fun it -> (it, Rng.int rng 5 = 0)) items)
+
+let gen_fill_case rng =
+  let pick l = List.nth l (Rng.int rng (List.length l)) in
+  let shards = pick [ 1; 2; 4 ] in
+  {
+    fc_specs = gen_fill_specs rng;
+    fc_kind = pick fill_kinds;
+    fc_segment = pick segments;
+    fc_batch = pick batches;
+    fc_shards = shards;
+    fc_pid_range = (if shards = 4 then 3 else 1 lsl 20);
+    fc_drop = Rng.int rng 4 = 0;
+  }
+
+(* Every kind x segment x batch over one fixed input: two tenants with
+   child pids at 4 shards of [pid_range] 3, seqs on both sides of a
+   window boundary, markers reusing an event's seq. *)
+let fixed_fill_cases =
+  let w = window in
+  let specs =
+    [
+      List.init 60 (fun j ->
+          let seq = if j < 30 then w - 31 + j else (2 * w) - 60 + j in
+          ((if j mod 11 = 5 then S_source seq else S_event seq), j mod 4 = 1));
+      List.init 45 (fun j ->
+          let seq = w - 20 + j in
+          ((if j mod 9 = 8 then S_sink seq else S_event seq), j mod 3 = 0));
+    ]
+  in
+  List.concat_map
+    (fun kind ->
+      List.concat_map
+        (fun segment ->
+          List.map
+            (fun batch ->
+              {
+                fc_specs = specs;
+                fc_kind = kind;
+                fc_segment = segment;
+                fc_batch = batch;
+                fc_shards = 4;
+                fc_pid_range = 3;
+                fc_drop = false;
+              })
+            batches)
+        segments)
+    fill_kinds
+
+let test_fill_matches_items () =
+  List.iter
+    (fun c ->
+      match fill_matches_items c with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s@.%s" e (fill_case_to_string c))
+    fixed_fill_cases;
+  Prop.check_gen ~name:"fill path = per-item view" ~count:40 ~gen:gen_fill_case
+    ~shrink:(fun c ->
+      List.map (fun s -> { c with fc_specs = s }) (Prop.shrink_candidates c.fc_specs))
+    ~to_string:fill_case_to_string fill_matches_items
+
 (* --- streaming trace readers (satellite) ----------------------------------- *)
 
 let with_tmp ~suffix f =
@@ -1952,6 +2312,180 @@ let test_truncated_binary_positioned_error () =
                     (String.length m >= String.length expected
                     && String.sub m 0 (String.length expected) = expected))))
 
+(* --- decoder mutation property ---------------------------------------------- *)
+
+(* [mutation_fixture.pift] is DirectLeak1 recorded as PIFTBIN1 (21
+   events: loads, stores and others; a source and a two-range sink),
+   [mutation_fixture_text.pift] its text twin; both sit beside the test
+   executable, where the [deps] field of test/dune puts them.  Every
+   mutant goes through both ways of reading a trace: [Trace_io.read_item],
+   and the fill path ([Ingest.of_file] + [Ingest.fill]).  They share one
+   decoder, so they must deliver the same records, or fail with the same
+   positioned message; no other exception may escape. *)
+let fixture name = Filename.concat (Filename.dirname Sys.executable_name) name
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* The items of a trace and the failure that ended them, if any. *)
+type outcome = Engine.item list * string option
+
+let mutant_pid = Ingest.tenant_pid 0
+
+(* [read_item], each item remapped as the fill path remaps it: a pid
+   outside the tenant's block fails there with [Ingest:]'s refusal. *)
+let read_item_outcome path : outcome =
+  match Trace_io.open_reader path with
+  | exception Failure m -> ([], Some m)
+  | r ->
+      let h = Trace_io.reader_header r in
+      let model =
+        {
+          Ingest.src_name = h.Trace_io.h_name;
+          src_path = Some path;
+          src_pid = mutant_pid;
+          src_orig_pid = h.Trace_io.h_pid;
+          src_next = (fun () -> None);
+          src_close = ignore;
+          src_emitted = 0;
+        }
+      in
+      let items = ref [] in
+      let rec go () =
+        match Trace_io.read_item r with
+        | None -> None
+        | Some it ->
+            model.Ingest.src_emitted <- model.Ingest.src_emitted + 1;
+            items := Ingest.to_engine_item model it :: !items;
+            go ()
+      in
+      let failure = try go () with Failure m -> Some m in
+      Trace_io.close_reader r;
+      (List.rev !items, failure)
+
+let fill_outcome path : outcome =
+  match Ingest.of_file ~pid:mutant_pid path with
+  | exception Failure m -> ([], Some m)
+  | s ->
+      let fill = Ingest.fill [ s ] in
+      let room = 4 in
+      let b = test_batch room in
+      let items = ref [] in
+      let collect () =
+        for r = 0 to b.Engine.b_len - 1 do
+          items := row_item b r :: !items
+        done
+      in
+      let rec go () =
+        b.Engine.b_len <- 0;
+        match fill b room with
+        | more ->
+            collect ();
+            if more then go () else None
+        | exception Failure m ->
+            collect ();
+            Some m
+      in
+      let failure = go () in
+      Ingest.close s;
+      (List.rev !items, failure)
+
+(* Tallies of the mutants that decoded whole and that failed. *)
+let check_mutant ~what ~clean ~failed path bytes =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
+  let outcome f =
+    try f path
+    with e ->
+      Alcotest.failf "%s: %s escaped the decoder" what (Printexc.to_string e)
+  in
+  let ((_, want_failure) as want) = outcome read_item_outcome in
+  let got = outcome fill_outcome in
+  if got <> want then
+    Alcotest.failf "%s: fill path %s, read_item %s" what
+      (match got with
+      | items, None -> Printf.sprintf "decoded %d items" (List.length items)
+      | items, Some m -> Printf.sprintf "failed after %d items: %s" (List.length items) m)
+      (match want with
+      | items, None -> Printf.sprintf "decoded %d items" (List.length items)
+      | items, Some m -> Printf.sprintf "failed after %d items: %s" (List.length items) m);
+  match want_failure with
+  | None -> incr clean
+  | Some m ->
+      let positioned prefix =
+        String.length m > String.length prefix
+        && String.sub m 0 (String.length prefix) = prefix
+      in
+      if not (positioned "Trace_io: " || positioned "Ingest: ") then
+        Alcotest.failf "%s: unpositioned failure %S" what m;
+      incr failed
+
+let flip bytes bit =
+  let b = Bytes.of_string bytes in
+  let i = bit / 8 in
+  Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
+  Bytes.to_string b
+
+(* A run of 0xff bytes over [len] bytes from [at]. *)
+let ff_run bytes at len =
+  let b = Bytes.of_string bytes in
+  Bytes.fill b at (min len (Bytes.length b - at)) '\xff';
+  Bytes.to_string b
+
+(* The bytes [a, a + len) copied over the bytes from [at] on: a
+   duplicated or shifted stretch of records, as a bad concatenation
+   leaves. *)
+let splice bytes a len at =
+  String.sub bytes 0 at ^ String.sub bytes a len
+  ^ String.sub bytes at (String.length bytes - at)
+
+let gen_mutation bytes rng =
+  let n = String.length bytes in
+  match Rng.int rng 2 with
+  | 0 ->
+      let at = Rng.int rng n and len = Rng.int_in rng 1 12 in
+      (Printf.sprintf "0xff x %d at %d" len at, ff_run bytes at len)
+  | _ ->
+      let a = Rng.int rng n in
+      let len = Rng.int_in rng 1 (n - a) in
+      let at = Rng.int rng n in
+      (Printf.sprintf "splice [%d, %d) at %d" a (a + len) at, splice bytes a len at)
+
+let test_decoder_mutations () =
+  let bin = read_file (fixture "mutation_fixture.pift")
+  and text = read_file (fixture "mutation_fixture_text.pift") in
+  let clean = ref 0 and failed = ref 0 in
+  with_tmp ~suffix:".pift" (fun path ->
+      check_mutant ~what:"binary fixture" ~clean ~failed path bin;
+      let want = read_item_outcome path in
+      check_mutant ~what:"text fixture" ~clean ~failed path text;
+      checkb "text twin = binary fixture" true (read_item_outcome path = want);
+      checkb "the fixture decodes whole" true
+        (snd want = None && List.length (fst want) = 23);
+      List.iter
+        (fun (name, bytes) ->
+          for bit = 0 to (8 * String.length bytes) - 1 do
+            check_mutant ~clean ~failed path (flip bytes bit)
+              ~what:(Printf.sprintf "%s: bit %d flipped" name bit)
+          done;
+          for len = 0 to String.length bytes - 1 do
+            check_mutant ~clean ~failed path (String.sub bytes 0 len)
+              ~what:(Printf.sprintf "%s: cut to %d bytes" name len)
+          done)
+        [ ("binary", bin); ("text", text) ];
+      Prop.check_gen ~name:"0xff runs and splices" ~count:400
+        ~gen:(fun rng ->
+          let name, bytes = if Rng.int rng 4 = 0 then ("text", text) else ("binary", bin) in
+          let what, mutant = gen_mutation bytes rng in
+          (name ^ ": " ^ what, mutant))
+        ~shrink:(fun _ -> [])
+        ~to_string:fst
+        (fun (what, mutant) ->
+          check_mutant ~what ~clean ~failed path mutant;
+          Ok ()));
+  checkb
+    (Printf.sprintf "mutants both decode (%d) and fail (%d)" !clean !failed)
+    true
+    (!clean > 0 && !failed > 0)
+
 let () =
   Alcotest.run "pift service"
     [
@@ -2002,6 +2536,8 @@ let () =
             test_column_path_differential;
           Alcotest.test_case "producer allocates nothing per item" `Quick
             test_producer_allocates_nothing_per_item;
+          Alcotest.test_case "fill path: <= 2 words per item" `Quick
+            test_fill_alloc_budget;
           Alcotest.test_case "decode + merge alloc budget" `Quick
             test_merge_alloc_budget;
           Alcotest.test_case "drops reported per tenant" `Quick
@@ -2056,12 +2592,19 @@ let () =
           Alcotest.test_case "tenant switches <= n * (windows + 1)" `Quick
             test_tenant_switch_bound;
         ] );
+      ( "fill path",
+        [
+          Alcotest.test_case "fill path = per-item view" `Quick
+            test_fill_matches_items;
+        ] );
       ( "streaming readers",
         [
           Alcotest.test_case "reader = load, both formats" `Quick
             test_reader_matches_load;
           Alcotest.test_case "records over 64 KiB" `Quick
             test_reader_oversized_records;
+          Alcotest.test_case "decoder mutations: fill = read_item" `Quick
+            test_decoder_mutations;
           Alcotest.test_case "truncated binary positioned error" `Quick
             test_truncated_binary_positioned_error;
         ] );
