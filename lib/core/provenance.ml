@@ -2,16 +2,32 @@ module Range = Pift_util.Range
 module Json = Pift_obs.Json
 module Sset = Set.Make (String)
 
-(* The window the tracker opened last on a pid: the labels its opening
-   load hit, each with its set so an in-window store adds to it without
-   a lookup, and that load's global seq and range.  The sets stay valid
-   for the opener's lifetime: only [release_pid] drops a pid's sets, and
-   it drops the opener with them.  The sidecar never decides a window;
-   it only records what {!Tracker.observe} decided. *)
-type opener = {
-  hits : (string * Store_flat.t) list;  (* sorted by label *)
-  seq : int;
-  range : Range.t;
+(* One process's origin state.  [labels.(0 .. n-1)] are its labels,
+   sorted by [String.compare], and [sets.(i)] is the taint of
+   [labels.(i)]; both arrays grow by doubling.
+
+   The [w_*] fields are the window the tracker opened last on the pid:
+   the labels its opening load hit, with their sets, in label order
+   ([w_labels]/[w_sets].(0 .. w_n-1)), and that load's seq and range
+   (as [w_lo]/[w_hi], so recording it keeps no pointer to the caller's
+   range).  The next opening overwrites them in place, so once the hit
+   arrays have grown to the pid's label count a window costs no
+   allocation.  A label registered while the window is open is not in
+   the hit arrays, so it does not join the window.  The window's sets
+   stay valid for its lifetime: only [release_pid] drops a pid's sets,
+   and it drops the whole record.  The sidecar never decides a window;
+   it only records what {!Tracker} decided. *)
+type proc = {
+  mutable labels : string array;
+  mutable sets : Store_flat.t array;
+  mutable n : int;
+  mutable opened : bool;  (* false until a tainted load or a restore *)
+  mutable w_labels : string array;
+  mutable w_sets : Store_flat.t array;
+  mutable w_n : int;
+  mutable w_seq : int;
+  mutable w_lo : int;
+  mutable w_hi : int;
 }
 
 type propagation = {
@@ -23,32 +39,56 @@ type propagation = {
   p_labels : string list;
 }
 
-(* Determinism audit: the per-pid label tables are only ever *iterated*
-   for (a) [hits], which sorts what it folds, so hashing order cannot
-   leak into the result; (b) untainting, which
-   removes the same range from independent per-label sets — commutative;
-   and (c) [entries], which sorts before returning.  Every emission path
-   goes through [labels_of]/[all_labels]/[entries] (all sorted), so
-   provenance output is byte-identical across runs and --jobs counts.
+(* Determinism audit: nothing iterates the pid table in hashing order
+   and lets that order out.  Scans within a pid walk its label array in
+   label order; untainting removes the same range from independent
+   per-label sets, which commutes anyway; [entries] and
+   [tainted_bytes] fold the table but sort or sum what they fold.
+   Every emission path goes through [labels_of]/[all_labels]/[entries]
+   (all sorted), so provenance output is byte-identical across runs
+   and --jobs counts.
 
-   The state is indexed pid-first: scan paths (hits, untainting)
-   touch only the probed pid's label sets, so per-event cost tracks that
-   process's label count instead of the whole tenant population — the
-   flat (pid, label) table scanned every table entry per event, which
-   melted down once a long-lived engine held thousands of cold pids. *)
+   The state is indexed pid-first, so the scan paths (window openings,
+   label lookups, untainting) touch only the probed pid's label sets:
+   per-event cost tracks that process's label count, not the tenant
+   population.  [cached] is [procs]'s record for [cached_pid], or
+   [absent] when it has none, as in {!Store.create}; [release_pid]
+   re-resolves it. *)
 type t = {
-  (* pid -> label -> tainted ranges *)
-  state : (int, (string, Store_flat.t) Hashtbl.t) Hashtbl.t;
-  openers : (int, opener) Hashtbl.t;
+  procs : (int, proc) Hashtbl.t;
+  mutable cached_pid : int;
+  mutable cached : proc;
   mutable known_labels : Sset.t;
   mutable on_propagate : (propagation -> unit) option;
   mutable probes : int;
 }
 
+(* Fills unused array slots; never mutated. *)
+let no_set = Store_flat.create ()
+
+let new_proc () =
+  {
+    labels = [||];
+    sets = [||];
+    n = 0;
+    opened = false;
+    w_labels = [||];
+    w_sets = [||];
+    w_n = 0;
+    w_seq = 0;
+    w_lo = 0;
+    w_hi = 0;
+  }
+
+(* Stands for "no record" in the cache and on the read paths; never
+   mutated, because only [proc_for]'s records are ever written. *)
+let absent = new_proc ()
+
 let create () =
   {
-    state = Hashtbl.create 16;
-    openers = Hashtbl.create 4;
+    procs = Hashtbl.create 4;
+    cached_pid = min_int;
+    cached = absent;
     known_labels = Sset.empty;
     on_propagate = None;
     probes = 0;
@@ -57,87 +97,144 @@ let create () =
 let set_on_propagate t f = t.on_propagate <- Some f
 let probes t = t.probes
 
-let labels_for t pid =
-  match Hashtbl.find_opt t.state pid with
-  | Some tbl -> tbl
-  | None ->
-      let tbl = Hashtbl.create 4 in
-      Hashtbl.add t.state pid tbl;
-      tbl
+(* The record of [pid], or [absent]: read paths must not grow the
+   table. *)
+let[@inline] find t pid =
+  if pid = t.cached_pid then t.cached
+  else begin
+    let p = try Hashtbl.find t.procs pid with Not_found -> absent in
+    t.cached_pid <- pid;
+    t.cached <- p;
+    p
+  end
+
+let proc_for t pid =
+  let p = find t pid in
+  if p != absent then p
+  else begin
+    let p = new_proc () in
+    Hashtbl.add t.procs pid p;
+    t.cached <- p;
+    p
+  end
+
+(* [a] with room for [cap] elements, its first [n] kept. *)
+let grow a n cap dummy =
+  let b = Array.make cap dummy in
+  Array.blit a 0 b 0 n;
+  b
+
+(* The index of [label] in [p]'s labels [lo .. hi-1], or [-(i + 1)]
+   when it is absent and belongs at [i]. *)
+let rec search p label lo hi =
+  if lo >= hi then -(lo + 1)
+  else
+    let mid = (lo + hi) lsr 1 in
+    let c = String.compare p.labels.(mid) label in
+    if c = 0 then mid
+    else if c < 0 then search p label (mid + 1) hi
+    else search p label lo mid
+
+let find_label p label = search p label 0 p.n
 
 let set_for t ~pid ~label =
-  let tbl = labels_for t pid in
-  match Hashtbl.find_opt tbl label with
-  | Some s -> s
-  | None ->
-      let s = Store_flat.create () in
-      Hashtbl.add tbl label s;
-      s
+  let p = proc_for t pid in
+  let i = find_label p label in
+  if i >= 0 then p.sets.(i)
+  else begin
+    let i = -(i + 1) in
+    if p.n = Array.length p.labels then begin
+      let cap = max 4 (2 * p.n) in
+      p.labels <- grow p.labels p.n cap "";
+      p.sets <- grow p.sets p.n cap no_set
+    end;
+    Array.blit p.labels i p.labels (i + 1) (p.n - i);
+    Array.blit p.sets i p.sets (i + 1) (p.n - i);
+    let s = Store_flat.create () in
+    p.labels.(i) <- label;
+    p.sets.(i) <- s;
+    p.n <- p.n + 1;
+    s
+  end
 
 let taint_source t ~pid ~label r =
   t.known_labels <- Sset.add label t.known_labels;
   Store_flat.add (set_for t ~pid ~label) r
 
 let untaint_range t ~pid r =
-  match Hashtbl.find_opt t.state pid with
-  | None -> ()
-  | Some tbl ->
-      Hashtbl.iter
-        (fun _ s ->
-          t.probes <- t.probes + 1;
-          Store_flat.remove s r)
-        tbl
-
-(* The labels of [pid] whose set overlaps [r], with their sets, sorted by
-   label. *)
-let hits t ~pid r =
-  match Hashtbl.find_opt t.state pid with
-  | None -> []
-  | Some tbl ->
-      List.sort
-        (fun (a, _) (b, _) -> String.compare a b)
-        (Hashtbl.fold
-           (fun label s acc ->
-             t.probes <- t.probes + 1;
-             if Store_flat.mem_overlap s r then (label, s) :: acc else acc)
-           tbl [])
+  let p = find t pid in
+  t.probes <- t.probes + p.n;
+  for i = 0 to p.n - 1 do
+    Store_flat.remove p.sets.(i) r
+  done
 
 let window_opened t ~pid ~seq r =
-  Hashtbl.replace t.openers pid { hits = hits t ~pid r; seq; range = r }
+  let p = proc_for t pid in
+  if Array.length p.w_sets < p.n then begin
+    p.w_labels <- Array.make (Array.length p.labels) "";
+    p.w_sets <- Array.make (Array.length p.sets) no_set
+  end;
+  let w = ref 0 in
+  for i = 0 to p.n - 1 do
+    let s = p.sets.(i) in
+    if Store_flat.mem_overlap s r then begin
+      p.w_labels.(!w) <- p.labels.(i);
+      p.w_sets.(!w) <- s;
+      incr w
+    end
+  done;
+  t.probes <- t.probes + p.n;
+  p.opened <- true;
+  p.w_n <- !w;
+  p.w_seq <- seq;
+  p.w_lo <- Range.lo r;
+  p.w_hi <- Range.hi r
+
+let window_labels p = Array.to_list (Array.sub p.w_labels 0 p.w_n)
 
 let store_tainted t ~pid ~seq r =
-  match Hashtbl.find_opt t.openers pid with
-  | None -> ()
-  | Some o -> (
-      List.iter (fun (_, s) -> Store_flat.add s r) o.hits;
-      match t.on_propagate with
-      | None -> ()
-      | Some f ->
-          f
-            {
-              p_pid = pid;
-              p_store_seq = seq;
-              p_stored = r;
-              p_load_seq = o.seq;
-              p_loaded = o.range;
-              p_labels = List.map fst o.hits;
-            })
+  let p = find t pid in
+  if p.opened then begin
+    for i = 0 to p.w_n - 1 do
+      Store_flat.add p.w_sets.(i) r
+    done;
+    match t.on_propagate with
+    | None -> ()
+    | Some f ->
+        f
+          {
+            p_pid = pid;
+            p_store_seq = seq;
+            p_stored = r;
+            p_load_seq = p.w_seq;
+            p_loaded = Range.make p.w_lo p.w_hi;
+            p_labels = window_labels p;
+          }
+  end
 
-let labels_of t ~pid r = List.map fst (hits t ~pid r)
-let is_tainted t ~pid r = hits t ~pid r <> []
+let labels_of t ~pid r =
+  let p = find t pid in
+  t.probes <- t.probes + p.n;
+  let acc = ref [] in
+  for i = p.n - 1 downto 0 do
+    if Store_flat.mem_overlap p.sets.(i) r then acc := p.labels.(i) :: !acc
+  done;
+  !acc
+
+let is_tainted t ~pid r = labels_of t ~pid r <> []
+
 let all_labels t = Sset.elements t.known_labels
 
 let tainted_bytes t ~label =
   Hashtbl.fold
-    (fun _ tbl acc ->
-      match Hashtbl.find_opt tbl label with
-      | Some s -> acc + Store_flat.total_bytes s
-      | None -> acc)
-    t.state 0
+    (fun _ p acc ->
+      let i = find_label p label in
+      if i >= 0 then acc + Store_flat.total_bytes p.sets.(i) else acc)
+    t.procs 0
 
 let release_pid t ~pid =
-  Hashtbl.remove t.state pid;
-  Hashtbl.remove t.openers pid
+  Hashtbl.remove t.procs pid;
+  if pid = t.cached_pid then t.cached <- absent
 
 let entries t =
   List.sort
@@ -146,12 +243,13 @@ let entries t =
       | 0 -> String.compare l1 l2
       | c -> c)
     (Hashtbl.fold
-       (fun pid tbl acc ->
-         Hashtbl.fold
-           (fun label s acc ->
-             ((pid, label), Store_flat.ranges s) :: acc)
-           tbl acc)
-       t.state [])
+       (fun pid p acc ->
+         let acc = ref acc in
+         for i = p.n - 1 downto 0 do
+           acc := ((pid, p.labels.(i)), Store_flat.ranges p.sets.(i)) :: !acc
+         done;
+         !acc)
+       t.procs [])
 
 (* --- persistence --------------------------------------------------------- *)
 
@@ -182,21 +280,21 @@ let persist t ~windows =
     ps_windows =
       List.map
         (fun pid ->
-          match Hashtbl.find_opt t.openers pid with
-          | Some o ->
-              {
-                pw_pid = pid;
-                pw_labels = List.map fst o.hits;
-                pw_opener_seq = o.seq;
-                pw_opener_range = Some o.range;
-              }
-          | None ->
-              {
-                pw_pid = pid;
-                pw_labels = [];
-                pw_opener_seq = 0;
-                pw_opener_range = None;
-              })
+          let p = find t pid in
+          if p.opened then
+            {
+              pw_pid = pid;
+              pw_labels = window_labels p;
+              pw_opener_seq = p.w_seq;
+              pw_opener_range = Some (Range.make p.w_lo p.w_hi);
+            }
+          else
+            {
+              pw_pid = pid;
+              pw_labels = [];
+              pw_opener_seq = 0;
+              pw_opener_range = None;
+            })
         windows;
     ps_known_labels = Sset.elements t.known_labels;
     ps_probes = t.probes;
@@ -214,14 +312,16 @@ let restore t p =
       | None -> ()
       | Some range ->
           let pid = pw.pw_pid in
-          Hashtbl.replace t.openers pid
-            {
-              hits =
-                List.map (fun label -> (label, set_for t ~pid ~label))
-                  pw.pw_labels;
-              seq = pw.pw_opener_seq;
-              range;
-            })
+          let w_labels = Array.of_list pw.pw_labels in
+          let w_sets = Array.map (fun label -> set_for t ~pid ~label) w_labels in
+          let pr = proc_for t pid in
+          pr.opened <- true;
+          pr.w_labels <- w_labels;
+          pr.w_sets <- w_sets;
+          pr.w_n <- Array.length w_labels;
+          pr.w_seq <- pw.pw_opener_seq;
+          pr.w_lo <- Range.lo range;
+          pr.w_hi <- Range.hi range)
     p.ps_windows;
   t.known_labels <- Sset.of_list p.ps_known_labels;
   t.probes <- p.ps_probes

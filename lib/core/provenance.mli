@@ -19,10 +19,25 @@
     State is one {!Store_flat} taint set per (process, label), so
     per-label cost matches the plain tracker and
     the label count only multiplies the source-registration footprint.
-    The sets are indexed pid-first (pid -> label -> set), so the scan
-    paths (label lookups and untainting) cost one probe per label of the
-    *probed* process: cold processes held by a long-lived engine add
-    nothing to another tenant's per-event cost.
+    Each process has one record: its labels as an array sorted by
+    [String.compare], a parallel array of their sets, and the window
+    the tracker opened last on it — the labels (and sets) its opening
+    load hit, in label order, with a hit count and that load's seq and
+    range, overwritten in place by the next opening.  A one-entry cache
+    of the last process looked up sits in front of the pid table, as in
+    {!Store.create} and {!Tracker}; {!release_pid} clears it, and reads
+    move it too, so a sidecar, reads included, belongs to one domain at
+    a time.  So {!window_opened}, {!store_tainted} and {!untaint_range}
+    hash nothing while one process runs, need no sort, and allocate
+    nothing once the window arrays have grown to the process's label
+    count.  The scan paths (window openings, label lookups and
+    untainting) cost one probe per label of the *probed* process: cold
+    processes held by a long-lived engine add nothing to another
+    tenant's per-event cost.
+
+    A window's label set is fixed when its load happens: a label first
+    registered while the window is open does not join it, even over
+    the loaded bytes; the next tainted load picks it up.
 
     {b Invariant} (the basis of every origin-set guarantee downstream):
     the union of the per-label sets equals the carrying tracker's state
@@ -46,14 +61,16 @@ val untaint_range : t -> pid:int -> Pift_util.Range.t -> unit
     store it actually untainted. *)
 
 val release_pid : t -> pid:int -> unit
-(** Tenant eviction: drop every label set and the opener of [pid].  The
-    pid can be re-registered later and starts from a clean slate. *)
+(** Tenant eviction: drop [pid]'s record — every label set and its
+    window.  The pid can be re-registered later and starts from a
+    clean slate. *)
 
 val window_opened : t -> pid:int -> seq:int -> Pift_util.Range.t -> unit
 (** The tracker opened (or restarted) [pid]'s window with a tainted load
     of [r] at global sequence [seq].  The window's label set becomes the
     labels whose taint overlaps [r]; this is the only load that probes
-    the label sets. *)
+    the label sets.  The window is recorded in [pid]'s record in place
+    of the previous one. *)
 
 val store_tainted : t -> pid:int -> seq:int -> Pift_util.Range.t -> unit
 (** The tracker tainted [r] with an in-window store at global sequence

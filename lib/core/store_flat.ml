@@ -111,26 +111,25 @@ let remove t r =
       removed := !removed + entry_bytes t k
     done;
     (* Surviving pieces: a left stub of entry [i] and/or a right stub of
-       entry [j].  0, 1, or 2 pieces replace the j - i + 1 old entries. *)
-    let left = if t.lo.(i) < l then Some (t.lo.(i), l - 1) else None in
-    let right = if t.hi.(j) > h then Some (h + 1, t.hi.(j)) else None in
-    let pieces =
-      match (left, right) with
-      | None, None -> []
-      | Some p, None | None, Some p -> [ p ]
-      | Some p, Some q -> [ p; q ]
-    in
-    let np = List.length pieces in
+       entry [j].  0, 1, or 2 pieces replace the j - i + 1 old entries;
+       their ends are read before the gap moves the entries. *)
+    let li = t.lo.(i) and hj = t.hi.(j) in
+    let left = li < l and right = hj > h in
+    let np = Bool.to_int left + Bool.to_int right in
     let old = j - i + 1 in
     if np > old then open_gap t i (np - old)
     else if np < old then close_gap t i (old - np);
-    List.iteri
-      (fun k (pl, ph) ->
-        t.lo.(i + k) <- pl;
-        t.hi.(i + k) <- ph)
-      pieces;
+    if left then begin
+      t.lo.(i) <- li;
+      t.hi.(i) <- l - 1
+    end;
+    if right then begin
+      let k = if left then i + 1 else i in
+      t.lo.(k) <- h + 1;
+      t.hi.(k) <- hj
+    end;
     let kept =
-      List.fold_left (fun acc (pl, ph) -> acc + (ph - pl + 1)) 0 pieces
+      (if left then l - li else 0) + if right then hj - h else 0
     in
     t.bytes <- t.bytes - !removed + kept
   end

@@ -131,50 +131,62 @@ let origins_of t ~pid r =
 let is_tainted t ~pid r = t.store.Store.overlaps ~pid r
 let tainted_ranges t ~pid = t.store.Store.ranges ~pid
 
-(* The provenance sidecar decides nothing: each branch below that moves
+(* Algorithm 1, one step per access kind, straight from the Fig. 5
+   ints: [observe] dispatches an [Event.t] to these, and the service
+   engine calls them from its rows, so there is one body for both.
+
+   The provenance sidecar decides nothing: each branch below that moves
    the store tells it what was decided, so its per-label union equals
    [t.store] at every step (see Provenance) and it never changes
    verdicts — it only answers [origins_of]. *)
-let observe t e =
+let[@inline] tick t seq =
   t.events <- t.events + 1;
-  if e.Event.seq > t.last_time then t.last_time <- e.Event.seq;
-  match e.Event.access with
-  | Event.Other -> ()
-  | Event.Load r ->
-      (* Lines 10–15: a load overlapping R starts (over) the window. *)
-      t.lookups <- t.lookups + 1;
-      if t.store.Store.overlaps ~pid:e.pid r then begin
-        t.tainted_loads <- t.tainted_loads + 1;
-        let w = window t e.pid in
-        w.ltlt <- e.k;
-        w.nt_used <- 0;
-        match t.prov with
-        | None -> ()
-        | Some p -> Provenance.window_opened p ~pid:e.pid ~seq:e.seq r
-      end
-  | Event.Store r ->
-      (* Lines 16–23: taint inside the window, up to NT times; otherwise
-         untaint (if enabled). *)
-      let w = window t e.pid in
-      if e.k <= w.ltlt + t.policy.Policy.ni && w.nt_used < t.policy.Policy.nt
-      then begin
-        t.store.Store.add ~pid:e.pid r;
-        (match t.prov with
-        | None -> ()
-        | Some p -> Provenance.store_tainted p ~pid:e.pid ~seq:e.seq r);
-        w.nt_used <- w.nt_used + 1;
-        t.taint_ops <- t.taint_ops + 1;
-        update_peaks t
-      end
-      else if t.policy.Policy.untaint && t.store.Store.overlaps ~pid:e.pid r
-      then begin
-        t.store.Store.remove ~pid:e.pid r;
-        (match t.prov with
-        | None -> ()
-        | Some p -> Provenance.untaint_range p ~pid:e.pid r);
-        t.untaint_ops <- t.untaint_ops + 1;
-        update_peaks t
-      end
+  if seq > t.last_time then t.last_time <- seq
+
+let[@inline] on_other t ~seq = tick t seq
+
+(* Lines 10–15: a load overlapping R starts (over) the window. *)
+let[@inline] on_load t ~pid ~seq ~k r =
+  tick t seq;
+  t.lookups <- t.lookups + 1;
+  if t.store.Store.overlaps ~pid r then begin
+    t.tainted_loads <- t.tainted_loads + 1;
+    let w = window t pid in
+    w.ltlt <- k;
+    w.nt_used <- 0;
+    match t.prov with
+    | None -> ()
+    | Some p -> Provenance.window_opened p ~pid ~seq r
+  end
+
+(* Lines 16–23: taint inside the window, up to NT times; otherwise
+   untaint (if enabled). *)
+let[@inline] on_store t ~pid ~seq ~k r =
+  tick t seq;
+  let w = window t pid in
+  if k <= w.ltlt + t.policy.Policy.ni && w.nt_used < t.policy.Policy.nt then begin
+    t.store.Store.add ~pid r;
+    (match t.prov with
+    | None -> ()
+    | Some p -> Provenance.store_tainted p ~pid ~seq r);
+    w.nt_used <- w.nt_used + 1;
+    t.taint_ops <- t.taint_ops + 1;
+    update_peaks t
+  end
+  else if t.policy.Policy.untaint && t.store.Store.overlaps ~pid r then begin
+    t.store.Store.remove ~pid r;
+    (match t.prov with
+    | None -> ()
+    | Some p -> Provenance.untaint_range p ~pid r);
+    t.untaint_ops <- t.untaint_ops + 1;
+    update_peaks t
+  end
+
+let observe t (e : Event.t) =
+  match e.access with
+  | Event.Load r -> on_load t ~pid:e.pid ~seq:e.seq ~k:e.k r
+  | Event.Store r -> on_store t ~pid:e.pid ~seq:e.seq ~k:e.k r
+  | Event.Other -> on_other t ~seq:e.seq
 
 let stats t =
   {

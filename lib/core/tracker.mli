@@ -73,8 +73,31 @@ val origins_of : t -> pid:int -> Pift_util.Range.t -> string list
 val is_tainted : t -> pid:int -> Pift_util.Range.t -> bool
 (** Software-level query at a sink. *)
 
+(** {1 Algorithm 1}
+
+    One step per access kind, taking the Fig. 5 ints as they come:
+    [seq] is the global sequence number, [k] the pid's instruction
+    counter and [r] the accessed range.  These steps are the tracker's
+    whole Algorithm 1: {!observe} only dispatches an event to them, and
+    the service engine calls them straight from its column rows, so no
+    event record is built on that path.  A step allocates nothing
+    itself, and with the default store ({!Store.create}) neither do the
+    store and provenance calls it makes, growth of their arrays aside. *)
+
+val on_load : t -> pid:int -> seq:int -> k:int -> Pift_util.Range.t -> unit
+(** Lines 10–15: a load overlapping the pid's taint (re)starts its
+    window at [k]. *)
+
+val on_store : t -> pid:int -> seq:int -> k:int -> Pift_util.Range.t -> unit
+(** Lines 16–23: inside the window, and under the NT budget, the store
+    taints [r]; otherwise it untaints [r] when the policy says so. *)
+
+val on_other : t -> seq:int -> unit
+(** An instruction with no memory access: it only counts. *)
+
 val observe : t -> Pift_trace.Event.t -> unit
-(** Feed one instruction event (the hardware fast path). *)
+(** Feed one instruction event: dispatches on its access to
+    {!on_load}, {!on_store} or {!on_other}. *)
 
 val tainted_ranges : t -> pid:int -> Pift_util.Range.t list
 

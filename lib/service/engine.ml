@@ -240,9 +240,12 @@ let sink_verdict t tn ~pid ~kind ranges =
   in
   { v_kind = kind; v_flagged = flagged; v_origins = origins }
 
-let observe t sh (e : Event.t) =
+let event_tenant t sh pid =
   sh.sh_events <- sh.sh_events + 1;
-  let tn = tenant_of t sh e.Event.pid in
+  tenant_of t sh pid
+
+let observe t sh (e : Event.t) =
+  let tn = event_tenant t sh e.Event.pid in
   Tracker.observe tn.tn_tracker e;
   sync_bytes sh tn
 
@@ -265,18 +268,33 @@ let process_item t sh = function
       | None -> ()
       | Some tn -> evict_local sh tn)
 
-(* Row [r] of [b], in place: an event row becomes a short-lived
-   [Event.t] for Algorithm 1; a side item is taken out of its slot
-   first, so a drained batch keeps no item reachable. *)
+(* Row [r] of [b], in place: an event row goes to Algorithm 1's step
+   for its tag as plain ints (and, for a load or store, the one range
+   [Row.range] builds and validates before the tenant is touched), so
+   no [Event.t] is built; a side item is taken out of its slot first,
+   so a drained batch keeps no item reachable. *)
 let process_row t sh b r =
   sh.sh_items <- sh.sh_items + 1;
-  let o = r * width in
-  if b.b_rows.(o) = Row.tag_item then begin
+  let rows = b.b_rows and o = r * width in
+  let tag = rows.(o) in
+  if tag = Row.tag_item then begin
     let item = b.b_side.(r) in
     b.b_side.(r) <- no_item;
     process_item t sh item
   end
-  else observe t sh (Row.event b.b_rows o)
+  else if tag = Row.tag_other then begin
+    let tn = event_tenant t sh rows.(o + 1) in
+    Tracker.on_other tn.tn_tracker ~seq:rows.(o + 2);
+    sync_bytes sh tn
+  end
+  else begin
+    let range = Row.range rows o in
+    let pid = rows.(o + 1) and seq = rows.(o + 2) and k = rows.(o + 3) in
+    let tn = event_tenant t sh pid in
+    if tag = Row.tag_load then Tracker.on_load tn.tn_tracker ~pid ~seq ~k range
+    else Tracker.on_store tn.tn_tracker ~pid ~seq ~k range;
+    sync_bytes sh tn
+  end
 
 let pid_of_item = function
   | I_event e -> e.Event.pid

@@ -20,9 +20,13 @@
     a {!stream} into one.  A full batch moves through the shard's
     {!Spsc} queue as one value;
     the consumer walks its rows in order (non-event items in place),
-    builds a short-lived [Pift_trace.Event.t] per event row for
-    {!Pift_core.Tracker.observe}, clears each side slot it consumes and
-    hands the batch back through the shard's atomic free list.  Batches
+    hands each event row's ints straight to the tracker's per-kind
+    Algorithm 1 step ({!Pift_core.Tracker.on_load}, [on_store],
+    [on_other]) with the one {!Pift_util.Range.t} a load or store
+    needs ({!Pift_trace.Row.range}, which refuses a bad range before
+    the tenant is touched) — no [Pift_trace.Event.t], no access box —
+    clears each side slot it consumes and hands the batch back through
+    the shard's atomic free list.  Batches
     are made lazily inside {!run}, never more than
     [queue_capacity + 2] per shard (queued, filling, draining), and
     reused across runs and segments: a steady-state run allocates no

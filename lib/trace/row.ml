@@ -31,6 +31,8 @@ let set_item rows o ~pid ~seq =
   rows.(o + 4) <- 0;
   rows.(o + 5) <- 0
 
+let range rows o = Range.of_len rows.(o + 4) rows.(o + 5)
+
 let event rows o =
   let tag = rows.(o) in
   {
@@ -40,7 +42,7 @@ let event rows o =
     access =
       (if tag = tag_other then Event.Other
        else
-         let range = Range.of_len rows.(o + 4) rows.(o + 5) in
+         let range = range rows o in
          if tag = tag_load then Event.Load range else Event.Store range);
   }
 

@@ -31,6 +31,10 @@ val set_event : int array -> int -> Event.t -> unit
 val set_item : int array -> int -> pid:int -> seq:int -> unit
 (** Write a [tag_item] row at [o]; k, lo and len are 0. *)
 
+val range : int array -> int -> Pift_util.Range.t
+(** The access range of the load or store row at [o].  Raises
+    [Invalid_argument] if it is not a valid {!Pift_util.Range.of_len}. *)
+
 val event : int array -> int -> Event.t
 (** The event of the row at [o], whose tag is not [tag_item].  Raises
     [Invalid_argument] if a load or store row's range is not a valid

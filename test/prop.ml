@@ -128,6 +128,37 @@ let bytemap_store () : Pift_core.Store.t =
                match ranges pid with [] -> None | rs -> Some (pid, rs)));
   }
 
+(* --- byte mutations ------------------------------------------------------ *)
+
+(* Seeded corruptions of a committed fixture's bytes, for the decoder
+   properties: every mutant must decode cleanly or fail with the
+   decoder's positioned error. *)
+
+(* A run of 0xff bytes over [len] bytes from [at]. *)
+let ff_run bytes at len =
+  let b = Bytes.of_string bytes in
+  Bytes.fill b at (min len (Bytes.length b - at)) '\xff';
+  Bytes.to_string b
+
+(* The bytes [a, a + len) copied over the bytes from [at] on: a
+   duplicated or shifted stretch of records, as a bad concatenation
+   leaves. *)
+let splice bytes a len at =
+  String.sub bytes 0 at ^ String.sub bytes a len
+  ^ String.sub bytes at (String.length bytes - at)
+
+let gen_mutation bytes rng =
+  let n = String.length bytes in
+  match Rng.int rng 2 with
+  | 0 ->
+      let at = Rng.int rng n and len = Rng.int_in rng 1 12 in
+      (Printf.sprintf "0xff x %d at %d" len at, ff_run bytes at len)
+  | _ ->
+      let a = Rng.int rng n in
+      let len = Rng.int_in rng 1 (n - a) in
+      let at = Rng.int rng n in
+      (Printf.sprintf "splice [%d, %d) at %d" a (a + len) at, splice bytes a len at)
+
 (* --- shrinking ---------------------------------------------------------- *)
 
 (* Candidate smaller sequences: drop a chunk of half the length, then

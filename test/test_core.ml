@@ -676,6 +676,304 @@ let test_provenance_union_per_step () =
         (String.concat "; " (List.map pop_to_string c.pc_ops)))
     prop_provenance_union
 
+(* --- Per-label origins oracle ---------------------------------------------- *)
+
+(* A literal model of what the sidecar answers, independent of how it
+   stores it: one [Range_set] per (pid, label), made when a source
+   first registers the label on the pid, and one window per pid whose
+   label set is fixed by the tainted load that opened it — the labels
+   that load's range touched.  The model makes Algorithm 1's decisions
+   itself, over the union of a pid's label sets, so a wrong window in
+   the tracker or a wrong label set in the sidecar both show as a
+   different [labels_of].  [probes] counts one per label of the scanned
+   pid on each window opening, untaint and label query, as
+   {!Provenance.probes} is specified. *)
+module Origins_model = struct
+  type window = {
+    mutable ltlt : int;
+    mutable nt_used : int;
+    mutable labels : string list;
+  }
+
+  type t = {
+    policy : Policy.t;
+    sets : (int * string, Range_set.t) Hashtbl.t;
+    windows : (int, window) Hashtbl.t;
+    mutable probes : int;
+  }
+
+  let create policy =
+    { policy; sets = Hashtbl.create 8; windows = Hashtbl.create 4; probes = 0 }
+
+  let labels t pid =
+    List.sort String.compare
+      (Hashtbl.fold
+         (fun (p, l) _ acc -> if p = pid then l :: acc else acc)
+         t.sets [])
+
+  let overlapping t pid r =
+    List.filter
+      (fun l -> Range_set.mem_overlap (Hashtbl.find t.sets (pid, l)) r)
+      (labels t pid)
+
+  let probe t pid =
+    t.probes <- t.probes + List.length (labels t pid)
+
+  let labels_of t ~pid r =
+    probe t pid;
+    overlapping t pid r
+
+  let update t pid f label =
+    Hashtbl.replace t.sets (pid, label) (f (Hashtbl.find t.sets (pid, label)))
+
+  let source t ~pid ~label r =
+    let s =
+      Option.value ~default:Range_set.empty (Hashtbl.find_opt t.sets (pid, label))
+    in
+    Hashtbl.replace t.sets (pid, label) (Range_set.add s r)
+
+  let untaint t ~pid r =
+    probe t pid;
+    List.iter (update t pid (fun s -> Range_set.remove s r)) (labels t pid)
+
+  let window t pid =
+    match Hashtbl.find_opt t.windows pid with
+    | Some w -> w
+    | None ->
+        let w = { ltlt = min_int / 2; nt_used = 0; labels = [] } in
+        Hashtbl.add t.windows pid w;
+        w
+
+  let load t ~pid ~k r =
+    match overlapping t pid r with
+    | [] -> ()
+    | hit ->
+        probe t pid;
+        let w = window t pid in
+        w.ltlt <- k;
+        w.nt_used <- 0;
+        w.labels <- hit
+
+  let store t ~pid ~k r =
+    let w = window t pid in
+    if k <= w.ltlt + t.policy.Policy.ni && w.nt_used < t.policy.Policy.nt then begin
+      List.iter (update t pid (fun s -> Range_set.add s r)) w.labels;
+      w.nt_used <- w.nt_used + 1
+    end
+    else if t.policy.Policy.untaint && overlapping t pid r <> [] then
+      untaint t ~pid r
+
+  let release t ~pid =
+    Hashtbl.remove t.windows pid;
+    List.iter (fun l -> Hashtbl.remove t.sets (pid, l)) (labels t pid)
+
+  let entries t =
+    List.sort compare
+      (Hashtbl.fold (fun key s acc -> (key, Range_set.ranges s) :: acc) t.sets [])
+end
+
+let prop_origins_oracle { pc_policy; pc_ops } =
+  let prov = Provenance.create () in
+  let tr = Tracker.create ~policy:pc_policy ~prov () in
+  let m = Origins_model.create pc_policy in
+  let ks = Hashtbl.create 4 in
+  let next_k pid =
+    let k = 1 + Option.value ~default:0 (Hashtbl.find_opt ks pid) in
+    Hashtbl.replace ks pid k;
+    k
+  in
+  let apply seq = function
+    | P_source (pid, label, r) ->
+        Tracker.taint_source ~kind:label tr ~pid r;
+        Origins_model.source m ~pid ~label r
+    | P_untaint (pid, r) ->
+        Tracker.untaint_range tr ~pid r;
+        Origins_model.untaint m ~pid r
+    | P_release pid ->
+        Tracker.release_pid tr ~pid;
+        Origins_model.release m ~pid
+    | P_load (pid, r) ->
+        let k = next_k pid in
+        Tracker.observe tr { Event.seq; k; pid; access = Event.Load r };
+        Origins_model.load m ~pid ~k r
+    | P_store (pid, r) ->
+        let k = next_k pid in
+        Tracker.observe tr { Event.seq; k; pid; access = Event.Store r };
+        Origins_model.store m ~pid ~k r
+  in
+  let mismatch () =
+    List.find_map
+      (fun pid ->
+        List.find_map
+          (fun q ->
+            let got = Tracker.origins_of tr ~pid q
+            and want = Origins_model.labels_of m ~pid q in
+            if got = want then None
+            else
+              Some
+                (Printf.sprintf "pid %d at %s: labels [%s], model [%s]" pid
+                   (Range.to_string q) (String.concat "; " got)
+                   (String.concat "; " want)))
+          prov_probes)
+      prov_pids
+  in
+  let rec go seq = function
+    | [] ->
+        if Provenance.entries prov <> Origins_model.entries m then
+          Error "entries differ from the model's"
+        else if Provenance.probes prov <> m.Origins_model.probes then
+          Error
+            (Printf.sprintf "probes %d, model %d" (Provenance.probes prov)
+               m.Origins_model.probes)
+        else Ok ()
+    | op :: rest -> (
+        apply seq op;
+        match mismatch () with
+        | Some msg ->
+            Error (Printf.sprintf "step %d (%s): %s" seq (pop_to_string op) msg)
+        | None -> go (seq + 1) rest)
+  in
+  go 0 pc_ops
+
+let test_origins_oracle () =
+  Prop.check_gen ~name:"origins = per-label model after every step" ~count:250
+    ~gen:gen_pcase
+    ~shrink:(fun c ->
+      List.map
+        (fun ops -> { c with pc_ops = ops })
+        (Prop.shrink_candidates c.pc_ops))
+    ~to_string:(fun c ->
+      Printf.sprintf "%s, %d ops: %s" (Policy.to_string c.pc_policy)
+        (List.length c.pc_ops)
+        (String.concat "; " (List.map pop_to_string c.pc_ops)))
+    prop_origins_oracle
+
+let ev pid access k = { Event.seq = k; k; pid; access }
+
+(* A window's labels are those its opening load touched: a label
+   registered afterwards, even over the loaded bytes, is not carried
+   by the window's later stores. *)
+let test_origins_mid_window_label () =
+  let p = Provenance.create () in
+  let tp = Tracker.create ~policy:(Policy.make ~ni:8 ~nt:3 ()) ~prov:p () in
+  Tracker.taint_source ~kind:"IMEI" tp ~pid:1 (r 0 15);
+  Tracker.observe tp (ev 1 (Event.Load (r 0 3)) 1);
+  Tracker.taint_source ~kind:"GPS" tp ~pid:1 (r 0 3);
+  Tracker.observe tp (ev 1 (Event.Store (r 200 203)) 2);
+  checkb "store carries the opener's labels only" true
+    (Tracker.origins_of tp ~pid:1 (r 200 203) = [ "IMEI" ]);
+  Tracker.observe tp (ev 1 (Event.Load (r 2 2)) 3);
+  Tracker.observe tp (ev 1 (Event.Store (r 300 303)) 4);
+  checkb "the next opening picks the label up" true
+    (Tracker.origins_of tp ~pid:1 (r 300 303) = [ "GPS"; "IMEI" ])
+
+(* Releasing the pid whose window is open drops the window with its
+   labels; another pid's open window is untouched, and the released
+   pid starts again from its new sources alone. *)
+let test_origins_release_open_pid () =
+  let p = Provenance.create () in
+  let tp = Tracker.create ~policy:(Policy.make ~ni:8 ~nt:3 ()) ~prov:p () in
+  List.iter
+    (fun pid ->
+      Tracker.taint_source ~kind:"IMEI" tp ~pid (r 0 15);
+      Tracker.observe tp (ev pid (Event.Load (r 0 3)) 1))
+    [ 1; 2 ];
+  Tracker.release_pid tp ~pid:1;
+  Tracker.observe tp (ev 1 (Event.Store (r 200 203)) 2);
+  Tracker.observe tp (ev 2 (Event.Store (r 200 203)) 2);
+  checkb "released pid: the store is not tainted" true
+    (Tracker.origins_of tp ~pid:1 (r 200 203) = []);
+  checkb "other pid keeps its window" true
+    (Tracker.origins_of tp ~pid:2 (r 200 203) = [ "IMEI" ]);
+  checkb "released pid has no entries" true
+    (List.for_all (fun ((pid, _), _) -> pid = 2) (Provenance.entries p));
+  Tracker.taint_source ~kind:"SMS" tp ~pid:1 (r 100 115);
+  Tracker.observe tp (ev 1 (Event.Load (r 0 115)) 3);
+  Tracker.observe tp (ev 1 (Event.Store (r 300 303)) 4);
+  checkb "re-registered pid carries its new label only" true
+    (Tracker.origins_of tp ~pid:1 (r 300 303) = [ "SMS" ])
+
+(* A window persisted while open keeps its labels through a restore:
+   the restored pair's next in-window store carries them, exactly as
+   the uninterrupted pair's does. *)
+let test_origins_store_after_restore () =
+  let policy = Policy.make ~ni:8 ~nt:3 () in
+  let pair () =
+    let p = Provenance.create () in
+    (Tracker.create ~policy ~prov:p (), p)
+  in
+  let ((ta, pa) as a) = pair () in
+  Tracker.taint_source ~kind:"IMEI" ta ~pid:1 (r 0 15);
+  Tracker.taint_source ~kind:"GPS" ta ~pid:1 (r 10 30);
+  Tracker.taint_source ~kind:"SMS" ta ~pid:1 (r 100 115);
+  Tracker.observe ta (ev 1 (Event.Load (r 12 13)) 1);
+  Tracker.observe ta (ev 1 (Event.Store (r 200 203)) 2);
+  let ((tb, pb) as b) = pair () in
+  Tracker.restore tb (Tracker.persist ta);
+  List.iter
+    (fun (t, _) ->
+      Tracker.taint_source ~kind:"Mic" t ~pid:1 (r 12 12);
+      Tracker.observe t (ev 1 (Event.Store (r 300 303)) 3))
+    [ a; b ];
+  checkb "restored = uninterrupted: entries" true
+    (Provenance.entries pa = Provenance.entries pb);
+  checkb "restored = uninterrupted: probes" true
+    (Provenance.probes pa = Provenance.probes pb);
+  List.iter
+    (fun (t, _) ->
+      checkb "the store carries the open window's labels" true
+        (Tracker.origins_of t ~pid:1 (r 300 303) = [ "GPS"; "IMEI" ]))
+    [ a; b ]
+
+(* The sidecar costs no allocation per event: a 120k-event replay
+   through a tracker with origins, the events built beforehand and no
+   sink queries, allocates at most half a word per event on the
+   calling domain.  Window openings, in-window stores and untaints all
+   happen (checked), so each sidecar entry point is on the path. *)
+let test_provenance_replay_allocation () =
+  let module Rng = Pift_util.Rng in
+  let rng = Rng.create 23 in
+  let n = 120_000 in
+  let p = Provenance.create () in
+  let tp = Tracker.create ~prov:p () in
+  let pids = Array.of_list prov_pids in
+  Array.iter
+    (fun pid ->
+      Array.iteri
+        (fun i label ->
+          Tracker.taint_source ~kind:label tp ~pid (Range.of_len (i * 128) 32))
+        prov_labels)
+    pids;
+  let ks = Array.make (Array.length pids) 0 and cur = ref 0 in
+  (* A pid runs for 64 events at a time, as the ingest schedule serves
+     a tenant a window of seqs at a time. *)
+  let events =
+    Array.init n (fun seq ->
+        if seq mod 64 = 0 then cur := Rng.int rng (Array.length pids);
+        ks.(!cur) <- ks.(!cur) + 1;
+        let access =
+          match Rng.int rng 10 with
+          | 0 | 1 | 2 -> Event.Load (Prop.gen_range rng)
+          | 3 | 4 | 5 -> Event.Store (Prop.gen_range rng)
+          | _ -> Event.Other
+        in
+        { Event.seq; k = ks.(!cur); pid = pids.(!cur); access })
+  in
+  let before = Gc.minor_words () in
+  Array.iter (Tracker.observe tp) events;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  let s = Tracker.stats tp in
+  checkb
+    (Printf.sprintf "sidecar on the path (%d tainted loads, %d taints, %d untaints)"
+       s.Tracker.tainted_loads s.Tracker.taint_ops s.Tracker.untaint_ops)
+    true
+    (s.Tracker.tainted_loads > n / 100
+    && s.Tracker.taint_ops > n / 100
+    && s.Tracker.untaint_ops > n / 100);
+  checkb (Printf.sprintf "%.3f minor words per event <= 0.5" words) true
+    (words <= 0.5)
+
+
 (* --- Deferred (buffered) tracking ------------------------------------------ *)
 
 module Deferred = Pift_core.Deferred
@@ -972,6 +1270,16 @@ let () =
             test_provenance_label_sets;
           Alcotest.test_case "union = tracker per step, across a restore"
             `Quick test_provenance_union_per_step;
+          Alcotest.test_case "origins = per-label model per step" `Quick
+            test_origins_oracle;
+          Alcotest.test_case "label registered mid-window stays out" `Quick
+            test_origins_mid_window_label;
+          Alcotest.test_case "release_pid of the open pid" `Quick
+            test_origins_release_open_pid;
+          Alcotest.test_case "in-window store after a restore" `Quick
+            test_origins_store_after_restore;
+          Alcotest.test_case "replay allocates <= 0.5 words per event" `Quick
+            test_provenance_replay_allocation;
         ] );
       ( "deferred",
         [

@@ -874,6 +874,78 @@ let test_bit_flips_positioned () =
   checkb "some flips load, some are refused" true
     (!loaded > 0 && !refused > 0)
 
+(* Restoring the fixture and persisting again gives back the records it
+   holds: the provenance windows (labels, opener seq and range), the
+   per-label entries, the known labels and the probe count of every
+   tenant, whatever representation the sidecar keeps in between. *)
+let test_heap_merge_snapshot_repersists () =
+  let snap = Snapshot.load heap_merge_fixture in
+  let m = snap.Snapshot.manifest in
+  checkb "fixture carries origins" true m.Snapshot.m_with_origins;
+  let prov (tp : Engine.tenant_persisted) =
+    Option.get tp.Engine.tp_state.Tracker.p_prov
+  in
+  checkb "fixture has a window with labels" true
+    (List.exists
+       (fun tp ->
+         List.exists
+           (fun pw -> pw.Provenance.pw_labels <> [])
+           (prov tp).Provenance.ps_windows)
+       snap.Snapshot.tenants);
+  Engine.with_engine ~shards:2 ~policy:m.Snapshot.m_policy
+    ~pid_range:m.Snapshot.m_pid_range ~with_origins:true (fun eng ->
+      Snapshot.restore_tenants eng snap;
+      let again = Engine.persist_tenants eng in
+      checki "tenant records" (List.length snap.Snapshot.tenants)
+        (List.length again);
+      List.iter2
+        (fun (want : Engine.tenant_persisted) (got : Engine.tenant_persisted) ->
+          let name = want.Engine.tp_name in
+          let pw = prov want and pg = prov got in
+          checkb (name ^ ": provenance windows") true
+            (pw.Provenance.ps_windows = pg.Provenance.ps_windows);
+          checkb (name ^ ": entries") true
+            (pw.Provenance.ps_entries = pg.Provenance.ps_entries);
+          checkb (name ^ ": known labels") true
+            (pw.Provenance.ps_known_labels = pg.Provenance.ps_known_labels);
+          checki (name ^ ": probes") pw.Provenance.ps_probes
+            pg.Provenance.ps_probes;
+          checkb (name ^ ": whole record") true (want = got))
+        snap.Snapshot.tenants again)
+
+(* Every truncation of the fixture, and seeded 0xff runs and splices,
+   either load or fail with a positioned [Snapshot: record N:] error,
+   as the bit flips above do. *)
+let test_snapshot_mutations_positioned () =
+  let full = read_file heap_merge_fixture in
+  let loaded = ref 0 and refused = ref 0 in
+  with_tmp ~suffix:".piftsnap" (fun path ->
+      let check what bytes =
+        write_file path bytes;
+        match Snapshot.load path with
+        | _ -> incr loaded
+        | exception Failure msg when positioned msg -> incr refused
+        | exception e ->
+            Alcotest.failf "%s: %s escaped the decoder" what
+              (Printexc.to_string e)
+      in
+      for len = 0 to String.length full - 1 do
+        check (Printf.sprintf "cut to %d bytes" len) (String.sub full 0 len)
+      done;
+      checki "every truncation is refused" (String.length full) !refused;
+      Prop.check_gen ~name:"snapshot 0xff runs and splices" ~count:400
+        ~gen:(Prop.gen_mutation full)
+        ~shrink:(fun _ -> [])
+        ~to_string:fst
+        (fun (what, mutant) ->
+          check what mutant;
+          Ok ()));
+  checkb
+    (Printf.sprintf "mutants both load (%d) and are refused (%d)" !loaded
+       !refused)
+    true
+    (!loaded > 0 && !refused > String.length full)
+
 (* --- restore / evict occupancy -------------------------------------------- *)
 
 let test_restore_then_evict_gauge () =
@@ -975,6 +1047,9 @@ let () =
             test_corrupt_prov_window;
           Alcotest.test_case "heap-merge snapshot: every bit flip positioned"
             `Quick test_bit_flips_positioned;
+          Alcotest.test_case
+            "heap-merge snapshot: truncations, 0xff runs, splices positioned"
+            `Quick test_snapshot_mutations_positioned;
         ] );
       ( "crash-recovery",
         [
@@ -990,6 +1065,8 @@ let () =
             test_engine_survives_fault;
           Alcotest.test_case "heap-merge snapshot resumes at 1 and 4 shards"
             `Quick test_heap_merge_snapshot_resumes;
+          Alcotest.test_case "heap-merge snapshot: restore, persist = fixture"
+            `Quick test_heap_merge_snapshot_repersists;
           Alcotest.test_case "long tenants: kill mid-stream, restore at 1 and 4"
             `Quick test_long_tenant_recovery;
         ] );

@@ -2424,31 +2424,6 @@ let flip bytes bit =
   Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
   Bytes.to_string b
 
-(* A run of 0xff bytes over [len] bytes from [at]. *)
-let ff_run bytes at len =
-  let b = Bytes.of_string bytes in
-  Bytes.fill b at (min len (Bytes.length b - at)) '\xff';
-  Bytes.to_string b
-
-(* The bytes [a, a + len) copied over the bytes from [at] on: a
-   duplicated or shifted stretch of records, as a bad concatenation
-   leaves. *)
-let splice bytes a len at =
-  String.sub bytes 0 at ^ String.sub bytes a len
-  ^ String.sub bytes at (String.length bytes - at)
-
-let gen_mutation bytes rng =
-  let n = String.length bytes in
-  match Rng.int rng 2 with
-  | 0 ->
-      let at = Rng.int rng n and len = Rng.int_in rng 1 12 in
-      (Printf.sprintf "0xff x %d at %d" len at, ff_run bytes at len)
-  | _ ->
-      let a = Rng.int rng n in
-      let len = Rng.int_in rng 1 (n - a) in
-      let at = Rng.int rng n in
-      (Printf.sprintf "splice [%d, %d) at %d" a (a + len) at, splice bytes a len at)
-
 let test_decoder_mutations () =
   let bin = read_file (fixture "mutation_fixture.pift")
   and text = read_file (fixture "mutation_fixture_text.pift") in
@@ -2474,7 +2449,7 @@ let test_decoder_mutations () =
       Prop.check_gen ~name:"0xff runs and splices" ~count:400
         ~gen:(fun rng ->
           let name, bytes = if Rng.int rng 4 = 0 then ("text", text) else ("binary", bin) in
-          let what, mutant = gen_mutation bytes rng in
+          let what, mutant = Prop.gen_mutation bytes rng in
           (name ^ ": " ^ what, mutant))
         ~shrink:(fun _ -> [])
         ~to_string:fst
