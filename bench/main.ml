@@ -199,18 +199,18 @@ let run_microbenchmarks () =
    `pift report BENCH_obs.json` renders it. *)
 let write_obs_snapshot () =
   let module Obs = Pift_obs in
-  Obs.Span.reset ();
+  let phases = Obs.Profile.create () in
   let registry = Obs.Registry.create () in
   let recorded =
-    Obs.Span.with_ ~name:"record" (fun () ->
+    Obs.Profile.span (Some phases) "record" (fun () ->
         Recorded.record ~metrics:registry
           (Pift_workloads.Malware.lgroot_sized ~rounds:2 ~payload_chars:256))
   in
   let _replay =
-    Obs.Span.with_ ~name:"replay" (fun () ->
+    Obs.Profile.span (Some phases) "replay" (fun () ->
         Recorded.replay ~policy:Policy.default ~metrics:registry recorded)
   in
-  Obs.Span.with_ ~name:"hw-model" (fun () ->
+  Obs.Profile.span (Some phases) "hw-model" (fun () ->
       let storage = Storage.create ~metrics:registry () in
       ignore
         (Recorded.replay
@@ -225,7 +225,7 @@ let write_obs_snapshot () =
   let oc = open_out "BENCH_obs.json" in
   Obs.Sink.write_jsonl oc
     (Obs.Sink.snapshot_to_json ~run:"bench:lgroot-2x256"
-       ~spans:(Obs.Span.roots ())
+       ~spans:(Obs.Profile.folded phases)
        (Obs.Registry.snapshot registry));
   close_out oc;
   print_endline "wrote BENCH_obs.json"

@@ -85,11 +85,7 @@ let metrics_format =
 (* Fresh registry when --metrics-out was given; [None] leaves every
    instrumented hot path on its no-op branch. *)
 let registry_of metrics_out =
-  match metrics_out with
-  | None -> None
-  | Some _ ->
-      Obs.Span.reset ();
-      Some (Obs.Registry.create ())
+  Option.map (fun _ -> Obs.Registry.create ()) metrics_out
 
 (* --- flight-recorder options --- *)
 
@@ -111,19 +107,28 @@ let rings_of trace_out ~slots =
 
 let write_trace ~out ~run rings =
   if Array.length rings > 0 then begin
-    let timeline = Obs.Timeline.of_rings rings in
     let oc = open_out out in
     Fun.protect
       ~finally:(fun () -> close_out oc)
-      (fun () -> Obs.Chrome.write oc ~run timeline);
+      (fun () -> Obs.Chrome.write oc ~run rings);
+    let sum f = Array.fold_left (fun acc r -> acc + f r) 0 rings in
     (* stderr, not stdout: traced and untraced runs must keep
        byte-identical standard output. *)
     Printf.eprintf "trace: wrote %s (%d events across %d tracks%s)\n" out
-      (Obs.Timeline.event_count timeline)
-      (Array.length rings)
-      (let d = Obs.Timeline.dropped timeline in
+      (sum Obs.Flight.length) (Array.length rings)
+      (let d = sum Obs.Flight.dropped in
        if d > 0 then Printf.sprintf ", %d dropped to wrap-around" d else "")
   end
+
+(* Times one run-level phase into [phases] (the metrics snapshot's
+   spans) and, when [flight] is given, brackets it on that ring. *)
+let time_phase phases flight name f =
+  Obs.Profile.span (Some phases) name (fun () ->
+      match flight with
+      | None -> f ()
+      | Some r ->
+          Obs.Flight.begin_ r name;
+          Fun.protect ~finally:(fun () -> Obs.Flight.end_ r name) f)
 
 (* --- telemetry / profiler / live-view options --- *)
 
@@ -150,14 +155,6 @@ let telemetry_every =
     & opt int Obs.Telemetry.default_every
     & info [ "telemetry-every" ] ~docv:"N" ~doc)
 
-let telemetry_interval =
-  let doc =
-    "Seconds between wall-clock telemetry snapshots ($(b,0) = event \
-     cadence only)."
-  in
-  Arg.(
-    value & opt float 0. & info [ "telemetry-interval" ] ~docv:"SEC" ~doc)
-
 let profile_out =
   let doc =
     "Write an overhead-attribution profile to $(docv): folded stacks \
@@ -170,27 +167,25 @@ let profile_out =
 
 let top_flag =
   let doc =
-    "Live per-worker dashboard on stderr while the run is in flight: \
-     throughput, tainted bytes, snapshot-ring health per slot.  Needs a \
-     terminal (silently off otherwise) and implies telemetry recording; \
-     stdout is untouched."
+    "Add per-worker lines to the live progress view on stderr: events, \
+     tainted bytes, snapshot-ring health per slot.  Needs a terminal \
+     (off one, only $(b,--progress)'s log lines appear) and implies \
+     telemetry recording; stdout is untouched."
   in
   Arg.(value & flag & info [ "top" ] ~doc)
 
 let progress_flag =
   let doc =
     "Report progress even when stderr is not a terminal: degrades the \
-     live meter to a log line every 25 cells."
+     live view to a log line every 25 cells."
   in
   Arg.(value & flag & info [ "progress" ] ~doc)
 
 (* One telemetry instance per worker slot when --telemetry-out or --top
    was given; [||] keeps Tracker.observe's bump on its no-op branch. *)
-let telems_of ~out ~top ~every ~interval ~slots =
+let telems_of ~out ~top ~every ~slots =
   if out = None && not top then [||]
-  else
-    Array.init (max 1 slots) (fun _ ->
-        Obs.Telemetry.create ~every ~interval ())
+  else Array.init (max 1 slots) (fun _ -> Obs.Telemetry.create ~every ())
 
 let profiles_of profile_out ~slots =
   match profile_out with
@@ -273,44 +268,14 @@ let write_flow_out ~out ~run (g, sinks) =
       (Graph.node_count g) (Graph.edge_count g)
   end
 
-(* Live cells-done/total line on stderr, fed by the sweep's [on_cell]
-   hook; created on the first callback, when the total is known.
-   [force] keeps reporting off a tty (as periodic log lines); [top]
-   routes the hook into the multi-line dashboard instead, which learns
-   its total the same lazy way via [Top.set_total]. *)
-let cell_progress ?(force = false) ?top label =
-  match top with
-  | Some t ->
-      let on_cell done_ total =
-        ignore done_;
-        Obs.Top.set_total t total;
-        Obs.Top.step t
-      in
-      (on_cell, fun () -> Obs.Top.finish t)
-  | None ->
-      let state = ref None in
-      let on_cell done_ total =
-        let p =
-          match !state with
-          | Some p -> p
-          | None ->
-              let p =
-                Obs.Progress.create
-                  ?enabled:(if force then Some true else None)
-                  ~label ~total ()
-              in
-              state := Some p;
-              p
-        in
-        ignore done_;
-        Obs.Progress.step p
-      in
-      let finish () = Option.iter Obs.Progress.finish !state in
-      (on_cell, finish)
+(* A sweep's [on_cell] hook: the view learns its total from the first
+   callback. *)
+let step_cell view _done total =
+  Obs.Progress.set_total view total;
+  Obs.Progress.step view
 
-let write_metrics ~out ~format ~run registry =
+let write_metrics ~out ~format ~run ~spans registry =
   let samples = Obs.Registry.snapshot registry in
-  let spans = Obs.Span.roots () in
   let emit oc =
     match format with
     | Jsonl ->
@@ -355,45 +320,37 @@ let list_apps_cmd =
 (* --- run-app --- *)
 
 let run_app name ni nt untaint verbose jit explain prov prov_out metrics_out
-    metrics_format trace_out telemetry_out telemetry_every telemetry_interval
-    profile_out top =
+    metrics_format trace_out telemetry_out telemetry_every profile_out top =
   let app = find_app name in
   let policy = policy_of ni nt untaint in
   let metrics = registry_of metrics_out in
   let rings = rings_of trace_out ~slots:1 in
   let flight = if Array.length rings > 0 then Some rings.(0) else None in
   let telems =
-    telems_of ~out:telemetry_out ~top ~every:telemetry_every
-      ~interval:telemetry_interval ~slots:1
+    telems_of ~out:telemetry_out ~top ~every:telemetry_every ~slots:1
   in
   let telemetry = if Array.length telems > 0 then Some telems.(0) else None in
   let profiles = profiles_of profile_out ~slots:1 in
   let profile =
     if Array.length profiles > 0 then Some profiles.(0) else None
   in
-  let top_view =
-    if top then Some (Obs.Top.create ~label:app.App.name ~telems ~rings ())
-    else None
+  let view =
+    Obs.Progress.create
+      ?enabled:(if top then None else Some false)
+      ~telems ~rings ~label:app.App.name ~total:0 ()
   in
   (* Per-phase spans; the recording stamps source/sink instants and VM
      spans, and the replay's peaks are sampled once it ends (per-event
      curves come from --telemetry-out --telemetry-every 1). *)
-  let fspan name f =
-    match flight with
-    | None -> f ()
-    | Some r ->
-        Obs.Flight.begin_ r name;
-        Fun.protect ~finally:(fun () -> Obs.Flight.end_ r name) f
-  in
+  let phases = Obs.Profile.create () in
+  let phase name f = time_phase phases flight name f in
   let recorded =
-    Obs.Span.with_ ~name:"record" (fun () ->
-        fspan "record" (fun () ->
-            Recorded.record ~mode:(mode_of jit) ?metrics ?flight ?profile app))
+    phase "record" (fun () ->
+        Recorded.record ~mode:(mode_of jit) ?metrics ?flight ?profile app)
   in
   let replay =
-    Obs.Span.with_ ~name:"replay" (fun () ->
-        fspan "replay" (fun () ->
-            Recorded.replay ~policy ?metrics ?telemetry ?profile recorded))
+    phase "replay" (fun () ->
+        Recorded.replay ~policy ?metrics ?telemetry ?profile recorded)
   in
   (match flight with
   | None -> ()
@@ -402,18 +359,16 @@ let run_app name ni nt untaint verbose jit explain prov prov_out metrics_out
       Obs.Flight.sample r "max_tainted_bytes"
         (float_of_int s.Tracker.max_tainted_bytes);
       Obs.Flight.sample r "max_ranges" (float_of_int s.Tracker.max_ranges));
-  let dift =
-    Obs.Span.with_ ~name:"full-dift" (fun () ->
-        fspan "full-dift" (fun () -> Recorded.replay_dift recorded))
-  in
+  let dift = phase "full-dift" (fun () -> Recorded.replay_dift recorded) in
   (* Replay once more against the hardware range cache so the snapshot
      carries pift_storage_* hits and the modelled stall cycles.  The
      tracker side runs un-instrumented: tracker counters must equal the
-     software replay's stats. *)
+     software replay's stats.  The pass stays off the trace, so a trace
+     is the same with or without --metrics-out. *)
   (match metrics with
   | None -> ()
   | Some registry ->
-      Obs.Span.with_ ~name:"hw-model" (fun () ->
+      time_phase phases None "hw-model" (fun () ->
           let storage =
             Pift_core.Storage.create ~metrics:registry ()
           in
@@ -494,9 +449,10 @@ let run_app name ni nt untaint verbose jit explain prov prov_out metrics_out
   end;
   (match (metrics, metrics_out) with
   | Some registry, Some out ->
-      write_metrics ~out ~format:metrics_format ~run:app.App.name registry
+      write_metrics ~out ~format:metrics_format ~run:app.App.name
+        ~spans:(Obs.Profile.folded phases) registry
   | _ -> ());
-  (match top_view with Some t -> Obs.Top.finish t | None -> ());
+  Obs.Progress.finish view;
   (match telemetry_out with
   | Some out -> write_telemetry ~out ~run:app.App.name telems
   | None -> ());
@@ -530,14 +486,12 @@ let run_app_cmd =
     Term.(
       const run_app $ app_arg $ ni $ nt $ untaint $ verbose $ jit $ explain
       $ prov_flag $ prov_out $ metrics_out $ metrics_format
-      $ trace_out $ telemetry_out $ telemetry_every $ telemetry_interval
-      $ profile_out $ top_flag)
+      $ trace_out $ telemetry_out $ telemetry_every $ profile_out $ top_flag)
 
 (* --- sweep --- *)
 
 let sweep subset_only jobs metrics_out metrics_format trace_out prov
-    prov_out telemetry_out telemetry_every telemetry_interval profile_out top
-    progress =
+    prov_out telemetry_out telemetry_every profile_out top progress =
   let apps =
     if subset_only then Pift_workloads.Droidbench.subset48
     else Pift_workloads.Droidbench.all
@@ -545,23 +499,25 @@ let sweep subset_only jobs metrics_out metrics_format trace_out prov
   let metrics = registry_of metrics_out in
   let rings = rings_of trace_out ~slots:jobs in
   let telems =
-    telems_of ~out:telemetry_out ~top ~every:telemetry_every
-      ~interval:telemetry_interval ~slots:jobs
+    telems_of ~out:telemetry_out ~top ~every:telemetry_every ~slots:jobs
   in
   let profiles = profiles_of profile_out ~slots:jobs in
-  let top_view =
-    if top then Some (Obs.Top.create ~label:"sweep" ~telems ~rings ())
-    else None
+  let view =
+    Obs.Progress.create
+      ?enabled:(if progress then Some true else None)
+      ~telems:(if top then telems else [||])
+      ~rings ~label:"cells" ~total:0 ()
   in
-  let on_cell, finish_cells =
-    cell_progress ~force:progress ?top:top_view "cells"
-  in
+  (* The sweep's phases stay off the rings: each ring's track holds its
+     pool slot's cells. *)
+  let phases = Obs.Profile.create () in
+  let phase name f = time_phase phases None name f in
   let sweep =
-    Obs.Span.with_ ~name:"sweep" (fun () ->
+    phase "sweep" (fun () ->
         Pift_eval.Accuracy.sweep ?metrics ~rings ~telems ~profiles
-          ~on_cell ~jobs ~with_origins:prov apps)
+          ~on_cell:(step_cell view) ~jobs ~with_origins:prov apps)
   in
-  finish_cells ();
+  Obs.Progress.finish view;
   Pift_eval.Accuracy.render sweep Format.std_formatter ();
   (match prov_out with
   | Some out ->
@@ -569,7 +525,7 @@ let sweep subset_only jobs metrics_out metrics_format trace_out prov
          corpus; a separate pass because it needs the full-DIFT origin
          replay the grid never performs. *)
       let at =
-        Obs.Span.with_ ~name:"attribution" (fun () ->
+        phase "attribution" (fun () ->
             Pift_eval.Accuracy.attribution ~policy:Policy.default
               apps)
       in
@@ -585,7 +541,8 @@ let sweep subset_only jobs metrics_out metrics_format trace_out prov
   | None -> ());
   (match (metrics, metrics_out) with
   | Some registry, Some out ->
-      write_metrics ~out ~format:metrics_format ~run:"sweep" registry
+      write_metrics ~out ~format:metrics_format ~run:"sweep"
+        ~spans:(Obs.Profile.folded phases) registry
   | _ -> ());
   (match telemetry_out with
   | Some out -> write_telemetry ~out ~run:"sweep" telems
@@ -629,7 +586,7 @@ let sweep_cmd =
     Term.(
       const sweep $ subset $ jobs $ metrics_out
       $ metrics_format $ trace_out $ prov $ prov_out $ telemetry_out
-      $ telemetry_every $ telemetry_interval $ profile_out $ top_flag
+      $ telemetry_every $ profile_out $ top_flag
       $ progress_flag)
 
 (* --- experiment --- *)
@@ -643,17 +600,17 @@ let experiment jobs trace_out ids =
         Pift_eval.Experiments.all
   | ids ->
       let rings = rings_of trace_out ~slots:jobs in
-      let on_cell, finish_cells = cell_progress "cells" in
+      let view = Obs.Progress.create ~label:"cells" ~total:0 () in
       List.iter
         (fun id ->
           if String.equal id "all" then
             Pift_eval.Experiments.run_all ~rings ~jobs
               Format.std_formatter
           else
-            Pift_eval.Experiments.run ~rings ~on_cell ~jobs id
-              Format.std_formatter)
+            Pift_eval.Experiments.run ~rings ~on_cell:(step_cell view) ~jobs
+              id Format.std_formatter)
         ids;
-      finish_cells ();
+      Obs.Progress.finish view;
       (match trace_out with
       | Some out -> write_trace ~out ~run:(String.concat "+" ids) rings
       | None -> ())

@@ -1,4 +1,4 @@
-(* Chrome trace-event / Perfetto JSON export of a merged timeline, plus
+(* Chrome trace-event / Perfetto JSON export of per-slot flight rings, plus
    the decoder side: a structural validator (used by tests and CI) and a
    human summary for `pift report`.
 
@@ -41,53 +41,49 @@ let base ~name ~ph ~tid ~ts rest =
    dropped, and spans still open when the ring stops are closed at the
    track's final timestamp — so every emitted track is balanced by
    construction, whatever survived the wrap. *)
-let events_of_track (tr : Timeline.track) =
+let events_of_track tid ring =
   let out = ref [] in
   let emit j = out := j :: !out in
   let open_rev = ref [] in
   let last_ts = ref 0. in
-  List.iter
+  Flight.iter
     (fun (e : Flight.event) ->
       last_ts := e.Flight.ts;
       match e.Flight.kind with
       | Flight.Begin ->
           open_rev := e.Flight.name :: !open_rev;
-          emit (base ~name:e.Flight.name ~ph:"B" ~tid:tr.Timeline.tid
-                  ~ts:e.Flight.ts [])
+          emit (base ~name:e.Flight.name ~ph:"B" ~tid ~ts:e.Flight.ts [])
       | Flight.End -> (
           match !open_rev with
           | [] -> ()  (* matching Begin lost to wrap-around *)
           | name :: rest ->
               open_rev := rest;
-              emit (base ~name ~ph:"E" ~tid:tr.Timeline.tid ~ts:e.Flight.ts []))
+              emit (base ~name ~ph:"E" ~tid ~ts:e.Flight.ts []))
       | Flight.Instant ->
           emit
-            (base ~name:e.Flight.name ~ph:"i" ~tid:tr.Timeline.tid
-               ~ts:e.Flight.ts
+            (base ~name:e.Flight.name ~ph:"i" ~tid ~ts:e.Flight.ts
                [ ("s", Json.String "t") ])
       | Flight.Sample ->
           emit
-            (base ~name:e.Flight.name ~ph:"C" ~tid:tr.Timeline.tid
-               ~ts:e.Flight.ts
+            (base ~name:e.Flight.name ~ph:"C" ~tid ~ts:e.Flight.ts
                [ ("args", Json.Obj [ ("value", Json.Float e.Flight.value) ]) ]))
-    tr.Timeline.events;
+    ring;
   List.iter
-    (fun name -> emit (base ~name ~ph:"E" ~tid:tr.Timeline.tid ~ts:!last_ts []))
+    (fun name -> emit (base ~name ~ph:"E" ~tid ~ts:!last_ts []))
     !open_rev;
   List.rev !out
 
-let json ?(run = "pift") timeline =
-  let tracks = Timeline.tracks timeline in
+let json ?(run = "pift") rings =
   let metadata =
     meta_event ~name:"process_name" ~tid:0 ~value:run
-    :: List.map
-         (fun (tr : Timeline.track) ->
-           meta_event ~name:"thread_name" ~tid:tr.Timeline.tid
-             ~value:(Printf.sprintf "worker %d" tr.Timeline.tid))
-         tracks
+    :: List.init (Array.length rings) (fun tid ->
+           meta_event ~name:"thread_name" ~tid
+             ~value:(Printf.sprintf "worker %d" tid))
   in
-  let events = List.concat_map events_of_track tracks in
-  let dropped = Timeline.dropped timeline in
+  let events =
+    List.concat (List.mapi events_of_track (Array.to_list rings))
+  in
+  let dropped = Array.fold_left (fun acc r -> acc + Flight.dropped r) 0 rings in
   Json.Obj
     ([
        ("traceEvents", Json.List (metadata @ events));
@@ -102,21 +98,21 @@ let json ?(run = "pift") timeline =
       [
         ( "pift_dropped_by_track",
           Json.List
-            (List.filter_map
-               (fun (tr : Timeline.track) ->
-                 if tr.Timeline.dropped = 0 then None
-                 else
-                   Some
-                     (Json.Obj
+            (List.concat
+               (List.mapi
+                  (fun tid ring ->
+                    match Flight.dropped ring with
+                    | 0 -> []
+                    | d ->
                         [
-                          ("tid", Json.Int tr.Timeline.tid);
-                          ("dropped", Json.Int tr.Timeline.dropped);
-                        ]))
-               tracks) );
+                          Json.Obj
+                            [ ("tid", Json.Int tid); ("dropped", Json.Int d) ];
+                        ])
+                  (Array.to_list rings))) );
       ])
 
-let write oc ?run timeline =
-  output_string oc (Json.to_string (json ?run timeline));
+let write oc ?run rings =
+  output_string oc (Json.to_string (json ?run rings));
   output_char oc '\n'
 
 (* --- validation --------------------------------------------------------- *)
@@ -228,8 +224,6 @@ let validate j =
   match validate_exn j with
   | check -> Ok check
   | exception Invalid msg -> Error msg
-
-let is_trace j = Json.member "traceEvents" j <> None
 
 (* --- summary ------------------------------------------------------------ *)
 

@@ -1,11 +1,13 @@
 (** Chrome trace-event / Perfetto JSON export and inspection.
 
-    [json] renders a merged {!Timeline} as the JSON object format
+    [json] renders per-slot flight rings as the JSON object format
     consumed by ui.perfetto.dev and chrome://tracing: a ["traceEvents"]
     array of [B]/[E] (span), [i] (instant) and [C] (counter) records
-    with timestamps in microseconds, [pid] 1 and one [tid] per pool
-    worker slot, plus [M]etadata records naming the process and each
-    worker thread.
+    with timestamps in microseconds, [pid] 1 and one [tid] per ring
+    (the ring's index, so [tid] 0 is the calling domain's slot), plus
+    [M]etadata records naming the process and each worker thread.
+    Each track keeps its ring's order: rings are single-writer with
+    monotonic timestamps, so no cross-ring reordering is needed.
 
     Ring wrap-around can strand span halves; the exporter repairs them
     ([End] without an open span is dropped, still-open spans are closed
@@ -14,10 +16,12 @@
 
 exception Invalid of string
 
-val json : ?run:string -> Timeline.t -> Json.t
-(** [?run] names the process in the trace UI (default ["pift"]). *)
+val json : ?run:string -> Flight.t array -> Json.t
+(** [?run] names the process in the trace UI (default ["pift"]).  Ring
+    wrap-around losses are reported as [pift_dropped_events] (total) and,
+    when non-zero, [pift_dropped_by_track]. *)
 
-val write : out_channel -> ?run:string -> Timeline.t -> unit
+val write : out_channel -> ?run:string -> Flight.t array -> unit
 (** [json] followed by a newline, serialized to [oc]. *)
 
 (** {1 Decoding} *)
@@ -38,10 +42,6 @@ val validate : Json.t -> (check, string) result
     phase requires them, and [id] for flow phases), timestamps are
     non-negative and non-decreasing per [tid], and [B]/[E] nest and
     balance on every track. *)
-
-val is_trace : Json.t -> bool
-(** True when the object has a [traceEvents] key — how [pift report]
-    sniffs trace files apart from metrics snapshots. *)
 
 val summarize : Json.t -> Format.formatter -> unit -> unit
 (** Human summary for [pift report]: track/event counts, per-phase time

@@ -12,7 +12,7 @@
     Timestamps come from one process-wide epoch (captured at module
     load) and are clamped per ring to be non-negative and non-decreasing,
     so per-slot event sequences merge onto a common, monotonic time
-    axis (see {!Timeline} and {!Chrome}). *)
+    axis (see {!Chrome}). *)
 
 type kind =
   | Begin  (** span opening ([B] phase in Chrome trace terms) *)

@@ -1,30 +1,42 @@
-(** Live progress line on stderr for long sweeps.
+(** Live progress view on stderr for sweeps and runs: one
+    done/total/rate/ETA state, shown one of three ways.
 
-    On a terminal: one status line rewritten in place ([label]:
-    done/total, rate, ETA).  Off a terminal, an {e explicitly} enabled
-    meter ([~enabled:true], the CLI's [--progress]) degrades to plain
-    newline-terminated log lines — one every [log_every] steps — so CI
-    logs don't accumulate carriage-return spam.  Everything goes to
-    stderr — stdout stays byte-identical whether progress is on or
-    off — and reporting defaults to enabled only when stderr is a tty.
-    [step] is safe to call from any worker domain. *)
+    - On a terminal it is a frame repainted in place with ANSI cursor
+      movement: the status line ([label]: done/total, rate, ETA) plus,
+      when [telems] were given (the CLI's [--top]), one line per worker
+      slot with events seen, snapshot-ring health and the latest
+      telemetry readings.  Telemetry snapshots repaint it mid-cell.
+    - Off a terminal, an {e explicitly} enabled view ([~enabled:true],
+      the CLI's [--progress]) logs the status line as a plain
+      newline-terminated line every 25 steps and at the end, so CI logs
+      carry no escape codes.
+    - Otherwise every call is a no-op.
+
+    Everything goes to stderr, so stdout stays byte-identical whether
+    the view is on or off.  {!step} and the telemetry hook are safe to
+    call from any worker domain. *)
 
 type t
 
-val default_log_every : int
-(** 25 steps between non-tty log lines. *)
-
 val create :
-  ?enabled:bool -> ?log_every:int -> label:string -> total:int -> unit -> t
-(** [?enabled] defaults to [Unix.isatty Unix.stderr].  When enabled on
-    a tty the meter repaints live; when forced on without a tty it logs
-    a line every [log_every] (default {!default_log_every}) steps
-    instead. *)
+  ?enabled:bool ->
+  ?telems:Telemetry.t array ->
+  ?rings:Flight.t array ->
+  label:string ->
+  total:int ->
+  unit ->
+  t
+(** [?enabled] defaults to [Unix.isatty Unix.stderr].  [telems] give
+    the live frame one per-slot line each and drive its mid-phase
+    repaints (via {!Telemetry.on_snapshot}); [rings] add flight-ring
+    drop counts to those lines.  [total] may be [0] (the status line
+    then shows elapsed time) and set later with {!set_total}. *)
+
+val set_total : t -> int -> unit
 
 val step : t -> unit
-(** Count one unit done; repaints at most every 0.1 s (tty) or logs
-    every [log_every] steps (non-tty). *)
+(** Count one unit done; repaints at most every 0.1 s (terminal) or
+    logs every 25 steps (forced, off a terminal). *)
 
 val finish : t -> unit
-(** Final repaint plus a newline (tty) or a final log line (non-tty),
-    leaving the last state in scrollback. *)
+(** Final frame or log line, left in scrollback.  Idempotent. *)

@@ -34,12 +34,50 @@ let json_of_sample (s : R.sample) =
       ("points", Json.List (List.map json_of_point s.R.s_points));
     ]
 
-let rec json_of_span span =
+(* Spans arrive as folded profile rows (path, self seconds) and are
+   nested by path: a node's first row places it, in row order, and its
+   seconds are its own self time plus its descendants', which is the
+   wall time of a [Profile.span]-timed region. *)
+type span = {
+  sp_name : string;
+  mutable sp_self : float;
+  mutable sp_children_rev : span list;
+}
+
+let span_forest rows =
+  let root = { sp_name = ""; sp_self = 0.; sp_children_rev = [] } in
+  let child parent name =
+    match
+      List.find_opt
+        (fun c -> String.equal c.sp_name name)
+        parent.sp_children_rev
+    with
+    | Some c -> c
+    | None ->
+        let c = { sp_name = name; sp_self = 0.; sp_children_rev = [] } in
+        parent.sp_children_rev <- c :: parent.sp_children_rev;
+        c
+  in
+  List.iter
+    (fun (path, self) ->
+      let node =
+        List.fold_left child root (String.split_on_char ';' path)
+      in
+      node.sp_self <- node.sp_self +. self)
+    rows;
+  List.rev root.sp_children_rev
+
+let children sp = List.rev sp.sp_children_rev
+
+let rec span_seconds sp =
+  List.fold_left (fun acc c -> acc +. span_seconds c) sp.sp_self (children sp)
+
+let rec json_of_span sp =
   Json.Obj
     [
-      ("name", Json.String (Span.name span));
-      ("seconds", Json.Float (Span.seconds span));
-      ("children", Json.List (List.map json_of_span (Span.children span)));
+      ("name", Json.String sp.sp_name);
+      ("seconds", Json.Float (span_seconds sp));
+      ("children", Json.List (List.map json_of_span (children sp)));
     ]
 
 let snapshot_to_json ?(run = "") ?(spans = []) samples =
@@ -47,7 +85,7 @@ let snapshot_to_json ?(run = "") ?(spans = []) samples =
     (if String.equal run "" then [] else [ ("run", Json.String run) ])
     @ [
         ("metrics", Json.List (List.map json_of_sample samples));
-        ("spans", Json.List (List.map json_of_span spans));
+        ("spans", Json.List (List.map json_of_span (span_forest spans)));
       ]
   in
   Json.Obj fields
@@ -185,24 +223,30 @@ let samples_of_json j =
   | Some metrics -> List.map sample_of_json metrics
   | None -> raise (Malformed "snapshot: missing metrics array")
 
-let rec span_of_json j =
-  let name =
-    get ~ctx:"span" "name" (Option.bind (Json.member "name" j) Json.to_str)
-  in
-  let seconds =
+let span_fields j =
+  ( get ~ctx:"span" "name" (Option.bind (Json.member "name" j) Json.to_str),
     get ~ctx:"span" "seconds"
-      (Option.bind (Json.member "seconds" j) Json.to_float)
+      (Option.bind (Json.member "seconds" j) Json.to_float),
+    Option.value ~default:[]
+      (Option.bind (Json.member "children" j) Json.to_list) )
+
+(* The inverse of [span_forest]: one pre-order row per node, its self
+   time being its seconds less its children's. *)
+let rec span_rows prefix j =
+  let name, seconds, children = span_fields j in
+  let path = if String.equal prefix "" then name else prefix ^ ";" ^ name in
+  let below =
+    List.fold_left
+      (fun acc c ->
+        let _, s, _ = span_fields c in
+        acc +. s)
+      0. children
   in
-  let children =
-    match Option.bind (Json.member "children" j) Json.to_list with
-    | Some l -> List.map span_of_json l
-    | None -> []
-  in
-  Span.make ~name ~seconds children
+  (path, seconds -. below) :: List.concat_map (span_rows path) children
 
 let spans_of_json j =
   match Option.bind (Json.member "spans" j) Json.to_list with
-  | Some spans -> List.map span_of_json spans
+  | Some spans -> List.concat_map (span_rows "") spans
   | None -> []
 
 let run_of_json j =
@@ -310,17 +354,15 @@ let render ?(run = "") ?(spans = []) samples ppf () =
     (if String.equal run "" then "" else Printf.sprintf " (%s)" run);
   if spans <> [] then begin
     Format.fprintf ppf "@[<v>@,spans:@,";
-    List.iter
-      (fun root ->
-        Span.iter
-          (fun ~depth span ->
-            Format.fprintf ppf "  %s%-*s %10.3f ms@,"
-              (String.make (2 * depth) ' ')
-              (max 1 (28 - (2 * depth)))
-              (Span.name span)
-              (1000. *. Span.seconds span))
-          root)
-      spans;
+    let rec show depth sp =
+      Format.fprintf ppf "  %s%-*s %10.3f ms@,"
+        (String.make (2 * depth) ' ')
+        (max 1 (28 - (2 * depth)))
+        sp.sp_name
+        (1000. *. span_seconds sp);
+      List.iter (show (depth + 1)) (children sp)
+    in
+    List.iter (show 0) (span_forest spans);
     Format.fprintf ppf "@]@."
   end;
   let counters =

@@ -3,9 +3,12 @@
     [pift report]. *)
 
 val snapshot_to_json :
-  ?run:string -> ?spans:Span.t list -> Registry.sample list -> Json.t
+  ?run:string -> ?spans:(string * float) list -> Registry.sample list -> Json.t
 (** One self-contained snapshot object: [{"run", "metrics", "spans"}].
-    [run] is omitted when empty. *)
+    [run] is omitted when empty.  [spans] are folded profile rows
+    ({!Profile.folded}: path, self seconds), written as a tree nested by
+    path in which each span's [seconds] is its self time plus its
+    descendants'. *)
 
 val write_jsonl : out_channel -> Json.t -> unit
 (** Compact rendering plus a newline — one snapshot per line. *)
@@ -42,7 +45,10 @@ val looks_like_dot : string -> bool
     catch them before parsing. *)
 
 val samples_of_json : Json.t -> Registry.sample list
-val spans_of_json : Json.t -> Span.t list
+val spans_of_json : Json.t -> (string * float) list
+(** The snapshot's span tree as folded rows, parents before children:
+    each span's self time is its [seconds] less its children's. *)
+
 val run_of_json : Json.t -> string
 
 val prometheus : Registry.sample list -> Format.formatter -> unit -> unit
@@ -54,7 +60,7 @@ val prometheus : Registry.sample list -> Format.formatter -> unit -> unit
 
 val render :
   ?run:string ->
-  ?spans:Span.t list ->
+  ?spans:(string * float) list ->
   Registry.sample list ->
   Format.formatter ->
   unit ->

@@ -4,12 +4,11 @@
 
    One instance per worker slot, single writer (the ring discipline of
    [Flight]): [bump] is the per-event hot path — an integer increment
-   and a compare, plus a clock read at most every 64 events when a
-   wall-clock interval is configured.  Snapshots read the registered
-   sources (closures over live tracker/store/storage state); when the
-   ring is full the oldest snapshots are overwritten and counted as
-   dropped.  Capacity 0 turns recording off: every call is a no-op, the
-   same convention as [Flight.create ~capacity:0]. *)
+   and a compare.  Snapshots read the registered sources (closures over
+   live tracker/store/storage state); when the ring is full the oldest
+   snapshots are overwritten and counted as dropped.  Capacity 0 turns
+   recording off: every call is a no-op, the same convention as
+   [Flight.create ~capacity:0]. *)
 
 type snapshot = {
   sn_seq : int;  (* snapshots taken before this one *)
@@ -21,14 +20,12 @@ type snapshot = {
 type t = {
   cap : int;
   every : int;  (* events between snapshots; <= 0 disables the trigger *)
-  interval : float;  (* seconds between snapshots; <= 0 disables *)
   sources : (string, unit -> float) Hashtbl.t;
   mutable source_order_rev : string list;
   ring : snapshot array;
   mutable taken : int;
   mutable events : int;
   mutable since : int;  (* events since the last snapshot *)
-  mutable last_ts : float;
   mutable on_snapshot : (unit -> unit) option;
 }
 
@@ -37,20 +34,17 @@ let default_every = 4096
 
 let empty_snapshot = { sn_seq = 0; sn_ts = 0.; sn_events = 0; sn_values = [] }
 
-let create ?(capacity = default_capacity) ?(every = default_every)
-    ?(interval = 0.) () =
+let create ?(capacity = default_capacity) ?(every = default_every) () =
   let cap = max 0 capacity in
   {
     cap;
     every;
-    interval;
     sources = Hashtbl.create 8;
     source_order_rev = [];
     ring = Array.make (max 1 cap) empty_snapshot;
     taken = 0;
     events = 0;
     since = 0;
-    last_ts = Flight.now ();
     on_snapshot = None;
   }
 
@@ -80,7 +74,6 @@ let sample_now t =
       { sn_seq = t.taken; sn_ts = ts; sn_events = t.events; sn_values = values };
     t.taken <- t.taken + 1;
     t.since <- 0;
-    t.last_ts <- ts;
     match t.on_snapshot with None -> () | Some f -> f ()
   end
 
@@ -89,12 +82,6 @@ let bump t =
     t.events <- t.events + 1;
     t.since <- t.since + 1;
     if t.every > 0 && t.since >= t.every then sample_now t
-    else if t.interval > 0. && t.since land 63 = 0 then begin
-      (* Check the wall clock only every 64 events so interval-driven
-         telemetry stays cheap on the per-event path. *)
-      let now = Flight.now () in
-      if now -. t.last_ts >= t.interval then sample_now t
-    end
   end
 
 let taken t = t.taken
@@ -115,8 +102,7 @@ let latest t =
 let clear t =
   t.taken <- 0;
   t.events <- 0;
-  t.since <- 0;
-  t.last_ts <- Flight.now ()
+  t.since <- 0
 
 (* Interleave per-slot snapshots onto the common time axis; ties break
    by slot then sequence so the merged order is deterministic for a

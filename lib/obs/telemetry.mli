@@ -3,9 +3,8 @@
 
     A telemetry instance holds named {e sources} — closures over live
     tracker/store/storage state.  The instrumented hot path calls
-    {!bump} once per event; every [every] events (or every [interval]
-    seconds, whichever triggers first) the instance reads all sources
-    into a snapshot.
+    {!bump} once per event; every [every] events the instance reads all
+    sources into a snapshot.
     When the ring fills, the oldest snapshots are overwritten and
     counted by {!dropped}; a ring created with [~capacity:0] accepts
     every call as a no-op — recording is off, the [Flight] convention.
@@ -30,12 +29,11 @@ val default_capacity : int
 val default_every : int
 (** 4096 events between snapshots. *)
 
-val create : ?capacity:int -> ?every:int -> ?interval:float -> unit -> t
+val create : ?capacity:int -> ?every:int -> unit -> t
 (** [capacity] (default {!default_capacity}; [<= 0] = recording off)
     bounds the ring; [every] (default {!default_every}; [<= 0] disables
-    the event trigger) and [interval] (seconds, default [0.] =
-    disabled) set the snapshot cadence.  The wall clock is only read
-    every 64 bumps, so interval-driven telemetry stays cheap. *)
+    the event trigger, leaving only {!sample_now}) sets the snapshot
+    cadence. *)
 
 val capacity : t -> int
 
@@ -47,8 +45,8 @@ val set_source : t -> name:string -> (unit -> float) -> unit
     duplicates. *)
 
 val on_snapshot : t -> (unit -> unit) -> unit
-(** Hook called after each snapshot is taken — how [pift top] repaints
-    mid-run without polling. *)
+(** Hook called after each snapshot is taken — how the {!Progress} view
+    repaints mid-run without polling. *)
 
 val bump : t -> unit
 (** Count one event; takes a snapshot when the cadence says so.  The

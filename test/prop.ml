@@ -151,7 +151,8 @@ let gen_mutation bytes rng =
   let n = String.length bytes in
   match Rng.int rng 2 with
   | 0 ->
-      let at = Rng.int rng n and len = Rng.int_in rng 1 12 in
+      let at = Rng.int rng n in
+      let len = Rng.int_in rng 1 12 in
       (Printf.sprintf "0xff x %d at %d" len at, ff_run bytes at len)
   | _ ->
       let a = Rng.int rng n in

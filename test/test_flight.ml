@@ -1,13 +1,11 @@
 (* Tests for the flight-recorder layer: ring wrap-around semantics,
-   timeline merging, Chrome trace export/validation round-trips, report
-   format sniffing, and the domain-safety of the Span collector. *)
+   per-ring Chrome tracks, Chrome trace export/validation round-trips
+   and report format sniffing. *)
 
 module Flight = Pift_obs.Flight
-module Timeline = Pift_obs.Timeline
 module Chrome = Pift_obs.Chrome
 module Json = Pift_obs.Json
 module Sink = Pift_obs.Sink
-module Span = Pift_obs.Span
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -61,38 +59,43 @@ let test_ring_capacity_zero_noop () =
   checki "written" 0 (Flight.written r);
   checkb "no events" true (Flight.events r = [])
 
-(* --- timeline merge ----------------------------------------------------- *)
+(* --- per-ring tracks ---------------------------------------------------- *)
+
+let field conv name j = Option.get (Option.bind (Json.member name j) conv)
 
 let test_timeline_merge_preserves_order () =
   let a = Flight.create ~capacity:8 () in
-  let b = Flight.create ~capacity:8 () in
+  let b = Flight.create ~capacity:2 () in
   (* interleave writes across rings; each track must keep its own order *)
   Flight.instant a "a1";
+  Flight.instant b "b0";
   Flight.instant b "b1";
   Flight.instant a "a2";
   Flight.instant b "b2";
   Flight.instant a "a3";
-  let tl = Timeline.of_rings [| a; b |] in
-  checki "event count" 5 (Timeline.event_count tl);
-  (match Timeline.tracks tl with
-  | [ ta; tb ] ->
-      checki "tid 0" 0 ta.Timeline.tid;
-      checki "tid 1" 1 tb.Timeline.tid;
-      checkb "track a order" true
-        (List.map (fun e -> e.Flight.name) ta.Timeline.events
-        = [ "a1"; "a2"; "a3" ]);
-      checkb "track b order" true
-        (List.map (fun e -> e.Flight.name) tb.Timeline.events
-        = [ "b1"; "b2" ])
-  | l -> Alcotest.failf "expected 2 tracks, got %d" (List.length l));
-  checkb "bounds ordered" true
-    (match Timeline.span_bounds tl with
-    | Some (lo, hi) -> lo <= hi
-    | None -> false)
+  let j = Chrome.json [| a; b |] in
+  let track tid =
+    List.filter_map
+      (fun ev ->
+        if field Json.to_str "ph" ev = "i" && field Json.to_int "tid" ev = tid
+        then Some (field Json.to_str "name" ev)
+        else None)
+      (field Json.to_list "traceEvents" j)
+  in
+  Alcotest.(check (list string)) "tid 0 = ring 0, in order" [ "a1"; "a2"; "a3" ]
+    (track 0);
+  Alcotest.(check (list string)) "tid 1 = ring 1, newest kept" [ "b1"; "b2" ]
+    (track 1);
+  checki "dropped total" 1 (field Json.to_int "pift_dropped_events" j);
+  match field Json.to_list "pift_dropped_by_track" j with
+  | [ t ] ->
+      checki "dropping track" 1 (field Json.to_int "tid" t);
+      checki "its drops" 1 (field Json.to_int "dropped" t)
+  | l -> Alcotest.failf "expected 1 dropping track, got %d" (List.length l)
 
 (* --- Chrome export round-trip ------------------------------------------- *)
 
-let sample_timeline () =
+let sample_rings () =
   let a = Flight.create ~capacity:64 () in
   let b = Flight.create ~capacity:64 () in
   Flight.begin_ a "cell(1,1)";
@@ -103,10 +106,10 @@ let sample_timeline () =
   Flight.begin_ b "inner";
   Flight.end_ b "inner";
   Flight.end_ b "cell(1,2)";
-  Timeline.of_rings [| a; b |]
+  [| a; b |]
 
 let test_chrome_round_trip () =
-  let j = Chrome.json ~run:"test" (sample_timeline ()) in
+  let j = Chrome.json ~run:"test" (sample_rings ()) in
   (* serialized text parses back to the same structure *)
   let reparsed = Json.of_string (Json.to_string j) in
   match Chrome.validate reparsed with
@@ -125,7 +128,7 @@ let test_chrome_repairs_wrap_imbalance () =
   Flight.end_ r "lost-begin";
   Flight.begin_ r "never-closed";
   Flight.instant r "i";
-  let j = Chrome.json (Timeline.of_rings [| r |]) in
+  let j = Chrome.json [| r |] in
   match Chrome.validate j with
   | Error msg -> Alcotest.failf "repaired trace invalid: %s" msg
   | Ok c ->
@@ -153,7 +156,7 @@ let test_chrome_validate_rejects () =
     {|{"traceEvents":[{"name":"x","ph":"Z","pid":1,"tid":0,"ts":1.0}]}|}
 
 let test_chrome_summarize_smoke () =
-  let j = Chrome.json ~run:"test" (sample_timeline ()) in
+  let j = Chrome.json ~run:"test" (sample_rings ()) in
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
   Chrome.summarize j ppf ();
@@ -208,43 +211,9 @@ let test_sweep_identical_with_tracing () =
   checkb "rings actually recorded" true
     (Array.exists (fun r -> Flight.written r > 0) rings);
   (* and the recorded rings export to a valid trace *)
-  match Chrome.validate (Chrome.json (Timeline.of_rings rings)) with
+  match Chrome.validate (Chrome.json rings) with
   | Ok c -> checkb "has cell spans" true (c.Chrome.c_spans > 0)
   | Error msg -> Alcotest.failf "sweep trace invalid: %s" msg
-
-(* --- span collector domain-safety ---------------------------------------- *)
-
-(* Hammer Span.with_ from several domains at once: each domain must end
-   up with its own consistent tree (the old process-global collector
-   interleaved spans across domains and corrupted the shared stack). *)
-let test_span_domain_safety () =
-  let domains = 4 and rounds = 200 in
-  let worker d () =
-    Span.reset ();
-    for i = 0 to rounds - 1 do
-      Span.with_ ~name:(Printf.sprintf "outer%d" d) (fun () ->
-          Span.with_ ~name:"inner" (fun () -> Sys.opaque_identity (ignore i)))
-    done;
-    let roots = Span.roots () in
-    let ok = ref (List.length roots = rounds) in
-    List.iter
-      (fun root ->
-        if Span.name root <> Printf.sprintf "outer%d" d then ok := false;
-        match Span.children root with
-        | [ child ] -> if Span.name child <> "inner" then ok := false
-        | _ -> ok := false)
-      roots;
-    !ok
-  in
-  let spawned =
-    List.init (domains - 1) (fun d -> Domain.spawn (worker (d + 1)))
-  in
-  let mine = worker 0 () in
-  let others = List.map Domain.join spawned in
-  checkb "caller's tree consistent" true mine;
-  List.iteri
-    (fun d ok -> checkb (Printf.sprintf "domain %d tree consistent" (d + 1)) true ok)
-    others
 
 let () =
   Alcotest.run "pift_flight"
@@ -282,10 +251,5 @@ let () =
         [
           Alcotest.test_case "results identical with tracing on" `Quick
             test_sweep_identical_with_tracing;
-        ] );
-      ( "span",
-        [
-          Alcotest.test_case "domain safety under hammering" `Quick
-            test_span_domain_safety;
         ] );
     ]

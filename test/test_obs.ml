@@ -4,7 +4,7 @@
 
 module Metric = Pift_obs.Metric
 module Registry = Pift_obs.Registry
-module Span = Pift_obs.Span
+module Profile = Pift_obs.Profile
 module Json = Pift_obs.Json
 module Sink = Pift_obs.Sink
 module Policy = Pift_core.Policy
@@ -88,33 +88,57 @@ let test_histogram_buckets () =
 
 (* --- spans --------------------------------------------------------------- *)
 
+(* Snapshot spans are [Profile]-timed regions, nested by path. *)
 let test_span_nesting () =
-  Span.reset ();
+  let p = Profile.create () in
   let v =
-    Span.with_ ~name:"outer" (fun () ->
-        ignore (Span.with_ ~name:"a" (fun () -> 1));
-        ignore (Span.with_ ~name:"b" (fun () -> 2));
+    Profile.span (Some p) "outer" (fun () ->
+        ignore (Profile.span (Some p) "a" (fun () -> 1));
+        ignore (Profile.span (Some p) "b" (fun () -> 2));
         42)
   in
-  checki "with_ returns f's value" 42 v;
-  (match Span.roots () with
-  | [ root ] ->
-      checks "root name" "outer" (Span.name root);
-      Alcotest.(check (list string))
-        "children in start order" [ "a"; "b" ]
-        (List.map Span.name (Span.children root));
-      let child_total =
-        List.fold_left
-          (fun acc c -> acc +. Span.seconds c)
-          0. (Span.children root)
-      in
-      checkb "root covers children" true (Span.seconds root >= child_total)
-  | l -> Alcotest.failf "expected one root, got %d" (List.length l));
+  checki "span returns f's value" 42 v;
   (* a raising body is still timed and filed *)
-  Span.reset ();
-  (try Span.with_ ~name:"boom" (fun () -> failwith "boom")
+  (try Profile.span (Some p) "boom" (fun () -> failwith "boom")
    with Failure _ -> ());
-  checki "raising span recorded" 1 (List.length (Span.roots ()))
+  let field conv name j = Option.get (Option.bind (Json.member name j) conv) in
+  let str = field Json.to_str and num = field Json.to_float in
+  let children = field Json.to_list "children" in
+  let spans =
+    field Json.to_list "spans"
+      (Sink.snapshot_to_json ~spans:(Profile.folded p) [])
+  in
+  Alcotest.(check (list string))
+    "roots in order, raising one filed" [ "outer"; "boom" ]
+    (List.map (str "name") spans);
+  let outer = List.hd spans in
+  Alcotest.(check (list string))
+    "children in start order" [ "a"; "b" ]
+    (List.map (str "name") (children outer));
+  let below =
+    List.fold_left (fun acc c -> acc +. num "seconds" c) 0. (children outer)
+  in
+  checkb "parent covers children" true (num "seconds" outer >= below);
+  (* A snapshot written while spans were their own tree type decodes to
+     rows that encode back to the same bytes. *)
+  let old =
+    {|{"metrics":[],"spans":[{"name":"run","seconds":0.5,"children":[|}
+    ^ {|{"name":"record","seconds":0.125,"children":[]},|}
+    ^ {|{"name":"replay","seconds":0.25,"children":[|}
+    ^ {|{"name":"store","seconds":0.0625,"children":[]}]}]}]}|}
+  in
+  let rows = Sink.spans_of_json (Json.of_string old) in
+  Alcotest.(check (list (pair string (float 1e-12))))
+    "nested tree decodes to self-time rows"
+    [
+      ("run", 0.125);
+      ("run;record", 0.125);
+      ("run;replay", 0.1875);
+      ("run;replay;store", 0.0625);
+    ]
+    rows;
+  checks "rows encode back to the same tree" old
+    (Json.to_string (Sink.snapshot_to_json ~spans:rows []))
 
 (* --- sinks --------------------------------------------------------------- *)
 
@@ -135,8 +159,7 @@ let golden_registry () =
   Metric.Counter.incr (per "2");
   reg
 
-let golden_spans =
-  [ Span.make ~name:"run" ~seconds:0.25 [ Span.make ~name:"replay" ~seconds:0.125 [] ] ]
+let golden_spans = [ ("run", 0.125); ("run;replay", 0.125) ]
 
 let test_jsonl_golden () =
   let json =
@@ -163,7 +186,7 @@ let test_jsonl_golden () =
   checks "run survives" "golden" (Sink.run_of_json reparsed);
   checkb "samples survive" true
     (Sink.samples_of_json reparsed = Registry.snapshot (golden_registry ()));
-  checki "spans survive" 1 (List.length (Sink.spans_of_json reparsed))
+  checkb "spans survive" true (Sink.spans_of_json reparsed = golden_spans)
 
 let test_prometheus_golden () =
   let rendered =

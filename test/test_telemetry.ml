@@ -1,12 +1,11 @@
 (* Tests for the continuous-telemetry layer: snapshot rings and their
    cadence, the overhead-attribution profiler's folded stacks, the
-   report --diff comparison engine, the pift top / progress fallbacks,
+   report --diff comparison engine, the live progress view's modes,
    and the guarantee that none of it perturbs replay results. *)
 
 module Telemetry = Pift_obs.Telemetry
 module Profile = Pift_obs.Profile
 module Diff = Pift_obs.Diff
-module Top = Pift_obs.Top
 module Progress = Pift_obs.Progress
 module Json = Pift_obs.Json
 module Policy = Pift_core.Policy
@@ -331,31 +330,104 @@ let test_diff_render () =
   in
   checkb "clean diff says so" true (contains text "ok: no regressions")
 
-(* --- top / progress fallbacks -------------------------------------------- *)
+(* --- live view ----------------------------------------------------------- *)
+
+(* Runs [f] with stdout and stderr sent to temp files; returns what each
+   received. *)
+let captured f =
+  let redirect fd =
+    let path = Filename.temp_file "pift-view" ".txt" in
+    let saved = Unix.dup fd in
+    let file = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+    Unix.dup2 file fd;
+    Unix.close file;
+    (path, saved)
+  in
+  flush stdout;
+  flush stderr;
+  let out, saved_out = redirect Unix.stdout in
+  let err, saved_err = redirect Unix.stderr in
+  Fun.protect
+    ~finally:(fun () ->
+      flush stdout;
+      flush stderr;
+      Unix.dup2 saved_out Unix.stdout;
+      Unix.dup2 saved_err Unix.stderr;
+      Unix.close saved_out;
+      Unix.close saved_err)
+    f;
+  let read path =
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    Sys.remove path;
+    text
+  in
+  (read out, read err)
 
 let test_top_disabled_is_silent () =
   let telems = [| Telemetry.create ~every:1 () |] in
-  let top = Top.create ~enabled:false ~label:"unit" ~telems () in
-  checkb "disabled stays disabled" true (not (Top.enabled top));
-  Top.set_total top 10;
-  for _ = 1 to 10 do
-    Telemetry.bump telems.(0);
-    Top.step top
-  done;
-  Top.finish top;
-  Top.finish top (* idempotent *)
+  let out, err =
+    captured (fun () ->
+        let top =
+          Progress.create ~enabled:false ~telems ~label:"unit" ~total:0 ()
+        in
+        Progress.set_total top 10;
+        for _ = 1 to 10 do
+          Telemetry.bump telems.(0);
+          Progress.step top
+        done;
+        Progress.finish top;
+        Progress.finish top (* idempotent *))
+  in
+  checks "stdout" "" out;
+  checks "stderr" "" err
 
 let test_progress_off_tty () =
-  (* under the test runner stderr is not a tty: default-enabled progress
-     must resolve to off, and forced progress must not raise *)
-  let p = Progress.create ~label:"unit" ~total:5 () in
-  for _ = 1 to 5 do
-    Progress.step p
-  done;
-  Progress.finish p;
-  let q = Progress.create ~enabled:false ~label:"unit" ~total:3 () in
-  Progress.step q;
-  Progress.finish q
+  (* off a terminal, default-enabled progress resolves to off *)
+  let out, err =
+    captured (fun () ->
+        let p = Progress.create ~label:"unit" ~total:5 () in
+        for _ = 1 to 5 do
+          Progress.step p
+        done;
+        Progress.finish p;
+        let q = Progress.create ~enabled:false ~label:"unit" ~total:3 () in
+        Progress.step q;
+        Progress.finish q)
+  in
+  checks "stdout" "" out;
+  checks "stderr" "" err
+
+(* Forced on off a terminal, the view logs a line every 25 steps and at
+   the end, with or without telemetry slots, and never paints a frame. *)
+let test_progress_log_mode () =
+  List.iter
+    (fun slots ->
+      let telems = Array.init slots (fun _ -> Telemetry.create ~every:1 ()) in
+      let out, err =
+        captured (fun () ->
+            let p =
+              Progress.create ~enabled:true ~telems ~label:"unit" ~total:60 ()
+            in
+            for _ = 1 to 60 do
+              Array.iter Telemetry.bump telems;
+              Progress.step p
+            done;
+            Progress.finish p)
+      in
+      checks "stdout" "" out;
+      let counts =
+        List.map
+          (fun line ->
+            match String.split_on_char ' ' line with
+            | label :: count :: _ -> label ^ " " ^ count
+            | _ -> line)
+          (List.filter (( <> ) "") (String.split_on_char '\n' err))
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "%d slots: lines at 25, 50, 60" slots)
+        [ "unit: 25/60"; "unit: 50/60"; "unit: 60/60" ]
+        counts)
+    [ 0; 2 ]
 
 (* --- replay results must not move ---------------------------------------- *)
 
@@ -417,6 +489,7 @@ let () =
         [
           Alcotest.test_case "top disabled" `Quick test_top_disabled_is_silent;
           Alcotest.test_case "progress off tty" `Quick test_progress_off_tty;
+          Alcotest.test_case "progress log mode" `Quick test_progress_log_mode;
         ] );
       ( "replay",
         [
