@@ -600,17 +600,19 @@ let experiment jobs trace_out ids =
         Pift_eval.Experiments.all
   | ids ->
       let rings = rings_of trace_out ~slots:jobs in
-      let view = Obs.Progress.create ~label:"cells" ~total:0 () in
       List.iter
         (fun id ->
           if String.equal id "all" then
             Pift_eval.Experiments.run_all ~rings ~jobs
               Format.std_formatter
-          else
+          else begin
+            (* one view per id: each experiment counts its own cells *)
+            let view = Obs.Progress.create ~label:"cells" ~total:0 () in
             Pift_eval.Experiments.run ~rings ~on_cell:(step_cell view) ~jobs
-              id Format.std_formatter)
+              id Format.std_formatter;
+            Obs.Progress.finish view
+          end)
         ids;
-      Obs.Progress.finish view;
       (match trace_out with
       | Some out -> write_trace ~out ~run:(String.concat "+" ids) rings
       | None -> ())

@@ -92,7 +92,9 @@ let to_channel (t : Recorded.t) oc =
    events cost 1-byte fields almost everywhere.  Kinds are raw bytes
    behind a length — no escaping.  The length prefix bounds every
    record, so a truncated or corrupt file fails with the record number
-   instead of a decode exception from half-way inside the stream. *)
+   instead of a decode exception from half-way inside the stream.  The
+   magic check, the framing, its limits and the field decoders are
+   [Pift_util.Wire]'s record layer, shared with the snapshot format. *)
 
 let tag_load = 0
 let tag_store = 1
@@ -106,82 +108,56 @@ let () =
     tag_load = Row.tag_load && tag_store = Row.tag_store
     && tag_other = Row.tag_other)
 
-(* Corrupt binary traces must not be able to make the reader allocate
-   or loop without bound: payloads are capped, varints are capped at 9
-   bytes (63 value bits).  The varint/zigzag primitives and the chunked
-   reader live in [Pift_util.Wire], shared with the service snapshot
-   format. *)
-let max_record_payload = 1 lsl 24
-let add_varint = Wire.add_varint
-let unzigzag = Wire.unzigzag
-let add_svarint = Wire.add_svarint
-
 let to_channel_binary (t : Recorded.t) oc =
   output_string oc binary_magic;
   let header = Buffer.create 64 in
-  add_varint header (String.length t.Recorded.name);
-  Buffer.add_string header t.Recorded.name;
-  add_varint header t.Recorded.pid;
-  add_varint header t.Recorded.bytecodes;
+  Wire.add_string header t.Recorded.name;
+  Wire.add_varint header t.Recorded.pid;
+  Wire.add_varint header t.Recorded.bytecodes;
   Buffer.output_buffer oc header;
-  let payload = Buffer.create 64 in
-  let length_prefix = Buffer.create 8 in
+  let w = Wire.writer oc in
+  let payload = Wire.payload w in
   let prev_seq = ref 0 and prev_k = ref 0 and prev_lo = ref 0 in
-  let emit () =
-    Buffer.clear length_prefix;
-    add_varint length_prefix (Buffer.length payload);
-    Buffer.output_buffer oc length_prefix;
-    Buffer.output_buffer oc payload;
-    Buffer.clear payload
-  in
   let add_seq seq =
-    add_svarint payload (seq - !prev_seq);
+    Wire.add_svarint payload (seq - !prev_seq);
     prev_seq := seq
   in
   let add_range r =
-    add_svarint payload (Range.lo r - !prev_lo);
+    Wire.add_svarint payload (Range.lo r - !prev_lo);
     prev_lo := Range.lo r;
-    add_varint payload (Range.length r)
-  in
-  let add_kind kind =
-    add_varint payload (String.length kind);
-    Buffer.add_string payload kind
+    Wire.add_varint payload (Range.length r)
   in
   let put_marker mseq = function
     | Recorded.Source { kind; range } ->
         Buffer.add_char payload (Char.chr tag_source);
         add_seq mseq;
-        add_kind kind;
+        Wire.add_string payload kind;
         add_range range;
-        emit ()
+        Wire.emit w
     | Recorded.Sink { kind; ranges } ->
         Buffer.add_char payload (Char.chr tag_sink);
         add_seq mseq;
-        add_kind kind;
-        add_varint payload (List.length ranges);
+        Wire.add_string payload kind;
+        Wire.add_varint payload (List.length ranges);
         List.iter add_range ranges;
-        emit ()
+        Wire.emit w
   in
   let put_event (e : Event.t) =
-    let put_mem tag r =
-      Buffer.add_char payload (Char.chr tag);
-      add_seq e.Event.seq;
-      add_svarint payload (e.Event.k - !prev_k);
-      prev_k := e.Event.k;
-      add_varint payload e.Event.pid;
-      add_range r;
-      emit ()
+    let tag =
+      match e.Event.access with
+      | Event.Load _ -> tag_load
+      | Event.Store _ -> tag_store
+      | Event.Other -> tag_other
     in
-    match e.Event.access with
-    | Event.Load r -> put_mem tag_load r
-    | Event.Store r -> put_mem tag_store r
-    | Event.Other ->
-        Buffer.add_char payload (Char.chr tag_other);
-        add_seq e.Event.seq;
-        add_svarint payload (e.Event.k - !prev_k);
-        prev_k := e.Event.k;
-        add_varint payload e.Event.pid;
-        emit ()
+    Buffer.add_char payload (Char.chr tag);
+    add_seq e.Event.seq;
+    Wire.add_svarint payload (e.Event.k - !prev_k);
+    prev_k := e.Event.k;
+    Wire.add_varint payload e.Event.pid;
+    (match e.Event.access with
+    | Event.Load r | Event.Store r -> add_range r
+    | Event.Other -> ());
+    Wire.emit w
   in
   Recorded.interleave t ~observe:put_event ~on_marker:put_marker
 
@@ -327,78 +303,34 @@ let text_open ic =
 
 (* --- binary parsing ------------------------------------------------------ *)
 
-let fail_record n msg = failwith (Printf.sprintf "Trace_io: record %d: %s" n msg)
-
-(* The chunked channel reader is [Wire.Reader] — shared with the
-   snapshot format, which has the same length-prefixed record shape. *)
-type rd = Wire.Reader.t
-
-let rd_create = Wire.Reader.create
-let rd_has = Wire.Reader.has
-let rd_varint = Wire.Reader.varint
-
-(* Pull-side decoder state: the chunk reader plus the record counter and
-   the delta baselines.  The decode helpers are top-level functions over
-   this record, and the error continuations are built once per reader
-   or only on the failure path, so decoding an event record allocates
-   nothing: it writes a row.  A marker record allocates its value. *)
+(* Pull-side decoder state: the record cursor plus the delta baselines.
+   The decode helpers are top-level functions over this record, so
+   decoding an event record allocates nothing: it writes a row.  A
+   marker record allocates its value. *)
 type bin_reader = {
-  br_rd : rd;
+  br_c : Wire.cursor;
   br_pid : int;  (* the header pid, the pid of every marker row *)
-  mutable br_record : int;
   mutable br_prev_seq : int;
   mutable br_prev_k : int;
   mutable br_prev_lo : int;
-  mutable br_pos : int;  (* next payload byte *)
-  mutable br_limit : int;  (* end of current payload *)
   mutable br_marker : Recorded.marker;  (* of the last marker row *)
-  br_fail_next : string -> int;  (* fails naming record [br_record + 1] *)
 }
 
 let no_marker = Recorded.Sink { kind = ""; ranges = [] }
-let br_fail br msg = fail_record br.br_record msg
-
-let rec br_varint_from br shift acc =
-  if br.br_pos >= br.br_limit then br_fail br "truncated record payload"
-  else begin
-    let b = Char.code (Bytes.unsafe_get br.br_rd.Wire.Reader.buf br.br_pos) in
-    br.br_pos <- br.br_pos + 1;
-    if shift > 56 && b > 0x7f then br_fail br "varint overflow"
-    else begin
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b < 0x80 then acc else br_varint_from br (shift + 7) acc
-    end
-  end
-
-(* The one-byte case, nearly every field of a delta-coded record,
-   without the loop's call. *)
-let br_varint br =
-  let pos = br.br_pos in
-  let b =
-    if pos < br.br_limit then
-      Char.code (Bytes.unsafe_get br.br_rd.Wire.Reader.buf pos)
-    else 0x80
-  in
-  if b < 0x80 then begin
-    br.br_pos <- pos + 1;
-    b
-  end
-  else br_varint_from br 0 0
-
-let br_svarint br = unzigzag (br_varint br)
 
 let br_seq br =
-  br.br_prev_seq <- br.br_prev_seq + br_svarint br;
+  br.br_prev_seq <- br.br_prev_seq + Wire.svarint br.br_c;
   br.br_prev_seq
 
 (* A range's fields: the start lands in [br_prev_lo], the length is
    returned.  A pair [Range.of_len] would refuse fails with its message,
    without building the range. *)
 let br_lo_len br =
-  br.br_prev_lo <- br.br_prev_lo + br_svarint br;
-  let lo = br.br_prev_lo and len = br_varint br in
+  br.br_prev_lo <- br.br_prev_lo + Wire.svarint br.br_c;
+  let lo = br.br_prev_lo and len = Wire.varint br.br_c in
   if len <= 0 || lo < 0 || lo + len - 1 < lo then begin
-    try ignore (Range.of_len lo len) with Invalid_argument msg -> br_fail br msg
+    try ignore (Range.of_len lo len)
+    with Invalid_argument msg -> Wire.fail br.br_c msg
   end;
   len
 
@@ -406,75 +338,25 @@ let br_range br =
   let len = br_lo_len br in
   Range.of_len br.br_prev_lo len
 
-let br_kind br =
-  let klen = br_varint br in
-  if klen < 0 || br.br_pos + klen > br.br_limit then br_fail br "truncated kind";
-  let s = Bytes.sub_string br.br_rd.Wire.Reader.buf br.br_pos klen in
-  br.br_pos <- br.br_pos + klen;
-  s
-
 (* Magic + header, eagerly; the returned reader is positioned at the
    first record. *)
 let bin_open ic =
-  let mlen = String.length binary_magic in
-  (match really_input_string ic mlen with
-  | s when String.equal s binary_magic -> ()
-  | _ -> fail_record 0 "bad magic"
-  | exception End_of_file -> fail_record 0 "bad magic (truncated)");
-  let rd = rd_create ic in
-  let fail0 = fail_record 0 in
-  let name_len = rd_varint fail0 rd in
-  if name_len < 0 || name_len > max_record_payload then
-    fail0 "implausible name length";
-  if not (rd_has rd name_len) then fail0 "truncated header";
-  let h_name = Bytes.sub_string rd.Wire.Reader.buf rd.Wire.Reader.lo name_len in
-  rd.Wire.Reader.lo <- rd.Wire.Reader.lo + name_len;
-  let h_pid = rd_varint fail0 rd in
-  let h_bytecodes = rd_varint fail0 rd in
-  let rec br =
+  let c = Wire.open_cursor ~what:"Trace_io" ~magic:binary_magic ic in
+  let name_len = Wire.header_varint c in
+  if name_len < 0 || name_len > Wire.max_record_payload then
+    Wire.fail c "implausible name length";
+  let h_name = Wire.header_bytes c name_len "truncated header" in
+  let h_pid = Wire.header_varint c in
+  let h_bytecodes = Wire.header_varint c in
+  ( { h_name; h_pid; h_bytecodes },
     {
-      br_rd = rd;
+      br_c = c;
       br_pid = h_pid;
-      br_record = 0;
       br_prev_seq = 0;
       br_prev_k = 0;
       br_prev_lo = 0;
-      br_pos = 0;
-      br_limit = 0;
       br_marker = no_marker;
-      br_fail_next = (fun msg -> fail_record (br.br_record + 1) msg);
-    }
-  in
-  ({ h_name; h_pid; h_bytecodes }, br)
-
-(* The next record's payload length, its bytes buffered from [rd.lo]
-   on, or 0 on EOF exactly at a record boundary.  A one-byte length
-   whose record is already buffered (nearly every record) takes the
-   short path; anything else goes through the checked one. *)
-let bin_payload br =
-  let rd = br.br_rd in
-  let lo = rd.Wire.Reader.lo in
-  let b =
-    if lo < rd.Wire.Reader.hi then
-      Char.code (Bytes.unsafe_get rd.Wire.Reader.buf lo)
-    else 0
-  in
-  if b > 0 && b < 0x80 && lo + 1 + b <= rd.Wire.Reader.hi then begin
-    br.br_record <- br.br_record + 1;
-    rd.Wire.Reader.lo <- lo + 1;
-    b
-  end
-  else
-    match rd_varint ~first_eof_ok:true br.br_fail_next rd with
-    | exception End_of_file -> 0
-    | len ->
-        br.br_record <- br.br_record + 1;
-        if len <= 0 then br_fail br "empty record";
-        if len > max_record_payload then
-          br_fail br "implausible record length";
-        if not (rd_has rd len) then
-          br_fail br (Printf.sprintf "truncated record (%d payload bytes)" len);
-        len
+    } )
 
 (* The PIFTBIN1 decoder body: the next record into the row at [o] of
    [rows] (the [Row] layout; the binary tags of load, store and other
@@ -483,18 +365,14 @@ let bin_payload br =
    exactly at a record boundary; anything else fails with the record
    number. *)
 let bin_row br rows o =
-  let rd = br.br_rd in
-  match bin_payload br with
-  | 0 -> false
-  | len ->
-      br.br_pos <- rd.Wire.Reader.lo + 1;
-      br.br_limit <- rd.Wire.Reader.lo + len;
-      let tag = Char.code (Bytes.unsafe_get rd.Wire.Reader.buf rd.Wire.Reader.lo) in
-      rd.Wire.Reader.lo <- rd.Wire.Reader.lo + len;
+  let c = br.br_c in
+  match Wire.next c with
+  | -1 -> false
+  | tag ->
       if tag <= tag_other then begin
         let seq = br_seq br in
-        br.br_prev_k <- br.br_prev_k + br_svarint br;
-        let pid = br_varint br in
+        br.br_prev_k <- br.br_prev_k + Wire.svarint c;
+        let pid = Wire.varint c in
         rows.(o) <- tag;
         rows.(o + 1) <- pid;
         rows.(o + 2) <- seq;
@@ -511,23 +389,24 @@ let bin_row br rows o =
       end
       else if tag = tag_source then begin
         let seq = br_seq br in
-        let kind = br_kind br in
+        let kind = Wire.string c "truncated kind" in
         let range = br_range br in
         br.br_marker <- Recorded.Source { kind; range };
         Row.set_item rows o ~pid:br.br_pid ~seq
       end
       else if tag = tag_sink then begin
+        let len = Wire.remaining c + 1 in
         let seq = br_seq br in
-        let kind = br_kind br in
-        let nranges = br_varint br in
+        let kind = Wire.string c "truncated kind" in
+        let nranges = Wire.varint c in
         if nranges < 0 || nranges > len then
-          br_fail br "implausible range count";
+          Wire.fail c "implausible range count";
         let ranges = List.init nranges (fun _ -> br_range br) in
         br.br_marker <- Recorded.Sink { kind; ranges };
         Row.set_item rows o ~pid:br.br_pid ~seq
       end
-      else br_fail br (Printf.sprintf "unknown record tag %d" tag);
-      if br.br_pos <> br.br_limit then br_fail br "trailing bytes in record";
+      else Wire.unknown_tag c tag;
+      Wire.finish c;
       true
 
 (* Any other item pull — a text trace's parsed lines, an in-memory

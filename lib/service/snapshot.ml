@@ -46,8 +46,10 @@ module Provenance = Pift_core.Provenance
    and the strict hex validation gives corrupt bytes a typed,
    positioned failure instead of a silently misrouted tenant.
 
-   Failure discipline matches Trace_io: every corrupt byte surfaces as
-   [Failure "Snapshot: record N: ..."], never a bare exception, and a
+   The framing, its limits, the field decoders and the failures are
+   [Pift_util.Wire]'s record layer, shared with Trace_io: every corrupt
+   byte surfaces as [Failure "Snapshot: record N: ..."], never a bare
+   exception, and a
    streaming {!iter} delivers every intact prefix record before the
    positioned error.  Writes are atomic and durable (fsynced temp file
    + rename + fsynced directory), so a process kill or a power loss
@@ -55,7 +57,6 @@ module Provenance = Pift_core.Provenance
 
 let magic = "PIFTSNAP"
 let version = '1'
-let max_record_payload = 1 lsl 24
 
 let tag_manifest = 0
 let tag_source = 1
@@ -202,27 +203,14 @@ let add_tenant buf (tp : Engine.tenant_persisted) =
 let to_channel t oc =
   output_string oc magic;
   output_char oc version;
-  let payload = Buffer.create 256 in
-  let prefix = Buffer.create 8 in
-  let emit () =
-    Buffer.clear prefix;
-    Wire.add_varint prefix (Buffer.length payload);
-    Buffer.output_buffer oc prefix;
-    Buffer.output_buffer oc payload;
-    Buffer.clear payload
+  let w = Wire.writer oc in
+  let record add x =
+    add (Wire.payload w) x;
+    Wire.emit w
   in
-  add_manifest payload t.manifest;
-  emit ();
-  List.iter
-    (fun se ->
-      add_source payload se;
-      emit ())
-    t.sources;
-  List.iter
-    (fun tp ->
-      add_tenant payload tp;
-      emit ())
-    t.tenants
+  record add_manifest t.manifest;
+  List.iter (record add_source) t.sources;
+  List.iter (record add_tenant) t.tenants
 
 (* Atomic and durable: a crash, a SIGKILL or a power loss between two
    snapshot cadences must never leave a half-written file where the
@@ -254,111 +242,73 @@ let write path t =
 
 (* --- decoding ----------------------------------------------------------- *)
 
-let fail_record n msg = failwith (Printf.sprintf "Snapshot: record %d: %s" n msg)
+(* Fields of the current record, decoded in place by the [Wire]
+   cursor [c]. *)
+let str c = Wire.string c "truncated string"
 
-(* Decoder over one buffered record: [Wire.Reader.has] pinned the whole
-   payload into the chunk buffer, so fields decode in place between
-   [pos] and [limit]. *)
-type br = {
-  rd : Wire.Reader.t;
-  mutable record : int;
-  mutable pos : int;
-  mutable limit : int;
-}
-
-let br_fail br msg = fail_record br.record msg
-
-let br_varint br =
-  let rec go shift acc =
-    if br.pos >= br.limit then br_fail br "truncated record payload"
-    else begin
-      let b = Char.code (Bytes.unsafe_get br.rd.Wire.Reader.buf br.pos) in
-      br.pos <- br.pos + 1;
-      if shift > 56 && b > 0x7f then br_fail br "varint overflow"
-      else begin
-        let acc = acc lor ((b land 0x7f) lsl shift) in
-        if b < 0x80 then acc else go (shift + 7) acc
-      end
-    end
-  in
-  go 0 0
-
-let br_svarint br = Wire.unzigzag (br_varint br)
-
-let br_bool br =
-  if br.pos >= br.limit then br_fail br "truncated record payload";
-  let b = Char.code (Bytes.unsafe_get br.rd.Wire.Reader.buf br.pos) in
-  br.pos <- br.pos + 1;
-  match b with
+let get_bool c =
+  match Wire.byte c with
   | 0 -> false
   | 1 -> true
-  | b -> br_fail br (Printf.sprintf "bad boolean byte %d" b)
-
-let br_string br =
-  let len = br_varint br in
-  if len < 0 || br.pos + len > br.limit then br_fail br "truncated string";
-  let s = Bytes.sub_string br.rd.Wire.Reader.buf br.pos len in
-  br.pos <- br.pos + len;
-  s
+  | b -> Wire.fail c (Printf.sprintf "bad boolean byte %d" b)
 
 (* A bounded count before List.init keeps corrupt counts from
    allocating without limit: every element is at least one payload
    byte, so a legitimate count never exceeds the record length. *)
-let br_count br what =
-  let n = br_varint br in
-  if n < 0 || n > br.limit - br.pos + 1 then
-    br_fail br (Printf.sprintf "implausible %s count" what);
+let get_count c what =
+  let n = Wire.varint c in
+  if n < 0 || n > Wire.remaining c + 1 then
+    Wire.fail c (Printf.sprintf "implausible %s count" what);
   n
 
-let br_range br =
-  let lo = br_svarint br in
-  let len = br_varint br in
-  try Range.of_len lo len with Invalid_argument msg -> br_fail br msg
+let get_range c =
+  let lo = Wire.svarint c in
+  let len = Wire.varint c in
+  try Range.of_len lo len with Invalid_argument msg -> Wire.fail c msg
 
-let br_ranges br = List.init (br_count br "range") (fun _ -> br_range br)
+let get_ranges c = List.init (get_count c "range") (fun _ -> get_range c)
 
 (* Strict hex, mirroring Trace_io's kind-escape validation: any
    non-hex byte is a positioned error, and [int_of_string]'s laxness
    (underscores, nested "0x") never gets a say. *)
-let br_hex_pid br what =
-  let s = br_string br in
-  if s = "" then br_fail br (Printf.sprintf "empty %s record" what);
+let get_hex_pid c what =
+  let s = str c in
+  if s = "" then Wire.fail c (Printf.sprintf "empty %s record" what);
   let v = ref 0 in
   String.iter
-    (fun c ->
+    (fun ch ->
       let d =
-        match c with
-        | '0' .. '9' -> Char.code c - Char.code '0'
-        | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-        | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-        | _ ->
-            br_fail br (Printf.sprintf "non-hex %s record: %S" what s)
+        match ch with
+        | '0' .. '9' -> Char.code ch - Char.code '0'
+        | 'a' .. 'f' -> Char.code ch - Char.code 'a' + 10
+        | 'A' .. 'F' -> Char.code ch - Char.code 'A' + 10
+        | _ -> Wire.fail c (Printf.sprintf "non-hex %s record: %S" what s)
       in
       if !v > max_int lsr 4 then
-        br_fail br (Printf.sprintf "%s overflow: %S" what s);
+        Wire.fail c (Printf.sprintf "%s overflow: %S" what s);
       v := (!v lsl 4) lor d)
     s;
   !v
 
-let read_manifest br =
-  let m_shards = br_varint br in
-  let m_pid_range = br_varint br in
-  let store = br_string br in
+let read_manifest c =
+  let m_shards = Wire.varint c in
+  let m_pid_range = Wire.varint c in
+  let store = str c in
   if not (List.mem store known_store_names) then
-    br_fail br (Printf.sprintf "unknown backend %S" store);
-  let m_with_origins = br_bool br in
-  let ni = br_varint br in
-  let nt = br_varint br in
-  let untaint = br_bool br in
+    Wire.fail c (Printf.sprintf "unknown backend %S" store);
+  let m_with_origins = get_bool c in
+  let ni = Wire.varint c in
+  let nt = Wire.varint c in
+  let untaint = get_bool c in
   let policy =
     try Policy.make ~untaint ~ni ~nt ()
-    with Invalid_argument msg -> br_fail br msg
+    with Invalid_argument msg -> Wire.fail c msg
   in
-  let m_sources = br_varint br in
-  let m_tenants = br_varint br in
-  if m_shards <= 0 then br_fail br "manifest: shards must be positive";
-  if m_pid_range <= 0 then br_fail br "manifest: pid_range must be positive";
-  if m_sources < 0 || m_tenants < 0 then br_fail br "manifest: negative count";
+  let m_sources = Wire.varint c in
+  let m_tenants = Wire.varint c in
+  if m_shards <= 0 then Wire.fail c "manifest: shards must be positive";
+  if m_pid_range <= 0 then Wire.fail c "manifest: pid_range must be positive";
+  if m_sources < 0 || m_tenants < 0 then Wire.fail c "manifest: negative count";
   {
     m_shards;
     m_pid_range;
@@ -368,47 +318,47 @@ let read_manifest br =
     m_tenants;
   }
 
-let read_source br =
-  let se_name = br_string br in
-  let se_path = br_string br in
-  let se_pid = br_hex_pid br "pid" in
-  let se_orig_pid = br_hex_pid br "orig-pid" in
-  let se_cursor = br_varint br in
-  if se_cursor < 0 then br_fail br "negative cursor";
+let read_source c =
+  let se_name = str c in
+  let se_path = str c in
+  let se_pid = get_hex_pid c "pid" in
+  let se_orig_pid = get_hex_pid c "orig-pid" in
+  let se_cursor = Wire.varint c in
+  if se_cursor < 0 then Wire.fail c "negative cursor";
   { se_name; se_path; se_pid; se_orig_pid; se_cursor }
 
 (* Each provenance window must repeat the tracker window at its index:
    the sidecar records the tracker's windows, it has none of its own. *)
-let read_prov br ~windows : Provenance.persisted =
+let read_prov c ~windows : Provenance.persisted =
   let ps_entries =
-    List.init (br_count br "prov entry") (fun _ ->
-        let pid = br_varint br in
-        let label = br_string br in
-        ((pid, label), br_ranges br))
+    List.init (get_count c "prov entry") (fun _ ->
+        let pid = Wire.varint c in
+        let label = str c in
+        ((pid, label), get_ranges c))
   in
-  let n = br_count br "prov window" in
+  let n = get_count c "prov window" in
   if n <> Array.length windows then
-    br_fail br
+    Wire.fail c
       (Printf.sprintf "%d provenance windows for %d tracker windows" n
          (Array.length windows));
   let ps_windows =
     List.init n (fun i ->
-        let pw_pid = br_varint br in
-        let ltlt = br_svarint br in
-        let nt_used = br_varint br in
+        let pw_pid = Wire.varint c in
+        let ltlt = Wire.svarint c in
+        let nt_used = Wire.varint c in
         let ((tpid, tltlt, tnt) as tw) = windows.(i) in
         if (pw_pid, ltlt, nt_used) <> tw then
-          br_fail br
+          Wire.fail c
             (Printf.sprintf
                "provenance window %d (pid %d, ltlt %d, nt_used %d) \
                 disagrees with tracker window (pid %d, ltlt %d, nt_used %d)"
                i pw_pid ltlt nt_used tpid tltlt tnt);
         let pw_labels =
-          List.init (br_count br "label") (fun _ -> br_string br)
+          List.init (get_count c "label") (fun _ -> str c)
         in
-        let pw_opener_seq = br_svarint br in
+        let pw_opener_seq = Wire.svarint c in
         let pw_opener_range =
-          if br_bool br then Some (br_range br) else None
+          if get_bool c then Some (get_range c) else None
         in
         {
           Provenance.pw_pid;
@@ -418,45 +368,45 @@ let read_prov br ~windows : Provenance.persisted =
         })
   in
   let ps_known_labels =
-    List.init (br_count br "known label") (fun _ -> br_string br)
+    List.init (get_count c "known label") (fun _ -> str c)
   in
-  let ps_probes = br_varint br in
+  let ps_probes = Wire.varint c in
   { Provenance.ps_entries; ps_windows; ps_known_labels; ps_probes }
 
-let read_tenant br : Engine.tenant_persisted =
-  let tp_pid = br_varint br in
-  let tp_name = br_string br in
+let read_tenant c : Engine.tenant_persisted =
+  let tp_pid = Wire.varint c in
+  let tp_name = str c in
   let tp_verdicts =
-    List.init (br_count br "verdict") (fun _ ->
-        let v_kind = br_string br in
-        let v_flagged = br_bool br in
+    List.init (get_count c "verdict") (fun _ ->
+        let v_kind = str c in
+        let v_flagged = get_bool c in
         let v_origins =
-          List.init (br_count br "origin") (fun _ -> br_string br)
+          List.init (get_count c "origin") (fun _ -> str c)
         in
         { Engine.v_kind; v_flagged; v_origins })
   in
-  let taint_ops = br_varint br in
-  let untaint_ops = br_varint br in
-  let lookups = br_varint br in
-  let tainted_loads = br_varint br in
-  let max_tainted_bytes = br_varint br in
-  let max_ranges = br_varint br in
-  let events = br_varint br in
-  let p_last_time = br_svarint br in
+  let taint_ops = Wire.varint c in
+  let untaint_ops = Wire.varint c in
+  let lookups = Wire.varint c in
+  let tainted_loads = Wire.varint c in
+  let max_tainted_bytes = Wire.varint c in
+  let max_ranges = Wire.varint c in
+  let events = Wire.varint c in
+  let p_last_time = Wire.svarint c in
   let p_windows =
-    List.init (br_count br "window") (fun _ ->
-        let pid = br_varint br in
-        let ltlt = br_svarint br in
-        let nt_used = br_varint br in
+    List.init (get_count c "window") (fun _ ->
+        let pid = Wire.varint c in
+        let ltlt = Wire.svarint c in
+        let nt_used = Wire.varint c in
         (pid, ltlt, nt_used))
   in
   let p_store =
-    List.init (br_count br "store pid") (fun _ ->
-        let pid = br_varint br in
-        (pid, br_ranges br))
+    List.init (get_count c "store pid") (fun _ ->
+        let pid = Wire.varint c in
+        (pid, get_ranges c))
   in
   let p_prov =
-    if br_bool br then Some (read_prov br ~windows:(Array.of_list p_windows))
+    if get_bool c then Some (read_prov c ~windows:(Array.of_list p_windows))
     else None
   in
   {
@@ -482,97 +432,79 @@ let read_tenant br : Engine.tenant_persisted =
       };
   }
 
-let open_reader ic =
-  let mlen = String.length magic in
-  (match really_input_string ic mlen with
-  | s when String.equal s magic -> ()
-  | _ -> fail_record 0 "bad magic"
-  | exception End_of_file -> fail_record 0 "bad magic (truncated)");
-  (match input_char ic with
-  | v when v = version -> ()
-  | v ->
-      fail_record 0
-        (Printf.sprintf "unsupported snapshot version %C (want %C)" v version)
-  | exception End_of_file -> fail_record 0 "bad magic (truncated)");
-  { rd = Wire.Reader.create ic; record = 0; pos = 0; limit = 0 }
-
-(* One record per pull; [None] only on EOF exactly at a record
-   boundary.  Anything else — truncation, unknown tags, trailing bytes
-   — fails with the record number, after every preceding record was
-   already delivered. *)
-let next br =
-  let rd = br.rd in
-  match Wire.Reader.varint ~first_eof_ok:true (fail_record (br.record + 1)) rd
-  with
-  | exception End_of_file -> None
-  | len ->
-      br.record <- br.record + 1;
-      let fail msg = br_fail br msg in
-      if len <= 0 then fail "empty record";
-      if len > max_record_payload then fail "implausible record length";
-      if not (Wire.Reader.has rd len) then
-        fail (Printf.sprintf "truncated record (%d payload bytes)" len);
-      br.pos <- rd.Wire.Reader.lo + 1;
-      br.limit <- rd.Wire.Reader.lo + len;
-      let tag = Char.code (Bytes.unsafe_get rd.Wire.Reader.buf rd.Wire.Reader.lo) in
-      rd.Wire.Reader.lo <- rd.Wire.Reader.lo + len;
-      let record =
-        if tag = tag_manifest then R_manifest (read_manifest br)
-        else if tag = tag_source then R_source (read_source br)
-        else if tag = tag_tenant then R_tenant (read_tenant br)
-        else fail (Printf.sprintf "unknown record tag %d" tag)
-      in
-      if br.pos <> br.limit then fail "trailing bytes in record";
-      Some record
-
-let iter path f =
+(* Magic and version byte, then [f] over the cursor at the first
+   record. *)
+let with_cursor path f =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
-      let br = open_reader ic in
-      let rec go () =
-        match next br with
-        | None -> ()
-        | Some r ->
-            f r;
-            go ()
-      in
-      go ())
+      let c = Wire.open_cursor ~what:"Snapshot" ~magic ic in
+      (match Wire.header_byte c with
+      | -1 -> Wire.fail c "bad magic (truncated)"
+      | v when Char.chr v = version -> ()
+      | v ->
+          Wire.fail c
+            (Printf.sprintf "unsupported snapshot version %C (want %C)"
+               (Char.chr v) version));
+      f c)
 
+(* One record per step until EOF exactly at a record boundary.
+   Anything else — truncation, unknown tags, trailing bytes — fails
+   with the record number, after every preceding record was already
+   delivered. *)
+let rec iter_records c f =
+  match Wire.next c with
+  | -1 -> ()
+  | tag ->
+      let record =
+        if tag = tag_manifest then R_manifest (read_manifest c)
+        else if tag = tag_source then R_source (read_source c)
+        else if tag = tag_tenant then R_tenant (read_tenant c)
+        else Wire.unknown_tag c tag
+      in
+      Wire.finish c;
+      f record;
+      iter_records c f
+
+let iter path f = with_cursor path (fun c -> iter_records c f)
+
+(* A failure here names the record just read, or the last one at the
+   end of the stream. *)
 let load path =
+  with_cursor path @@ fun c ->
   let manifest = ref None in
   let sources = ref [] in
   let tenants = ref [] in
   let records = ref 0 in
-  iter path (fun r ->
+  iter_records c (fun r ->
       incr records;
       match r with
       | R_manifest m ->
           if !records <> 1 then
-            fail_record !records "manifest must be the first record";
+            Wire.fail c "manifest must be the first record";
           manifest := Some m
       | R_source se ->
           if !manifest = None then
-            fail_record !records "source record before manifest";
+            Wire.fail c "source record before manifest";
           sources := se :: !sources
       | R_tenant tp ->
           if !manifest = None then
-            fail_record !records "tenant record before manifest";
+            Wire.fail c "tenant record before manifest";
           tenants := tp :: !tenants);
   match !manifest with
-  | None -> fail_record 0 "empty snapshot (no manifest)"
+  | None -> Wire.fail c "empty snapshot (no manifest)"
   | Some m ->
       let sources = List.rev !sources in
       let tenants = List.rev !tenants in
       (* Truncation at a record boundary reads as clean EOF; the
          manifest counts catch it. *)
       if List.length sources <> m.m_sources then
-        fail_record !records
+        Wire.fail c
           (Printf.sprintf "truncated snapshot: expected %d source records, got %d"
              m.m_sources (List.length sources));
       if List.length tenants <> m.m_tenants then
-        fail_record !records
+        Wire.fail c
           (Printf.sprintf "truncated snapshot: expected %d tenant records, got %d"
              m.m_tenants (List.length tenants));
       { manifest = m; sources; tenants }

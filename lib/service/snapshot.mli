@@ -10,10 +10,9 @@
     tracker stack — store intervals, windows, stats and peaks,
     provenance origin sets).
 
-    The coding is the same varint/zigzag layer as [Trace_io]'s binary
-    trace format ({!Pift_util.Wire}), with the same defensive
-    discipline: length-prefixed records, capped payloads and varints,
-    and every corrupt byte surfacing as a positioned
+    The record layer is the one [Trace_io]'s binary trace format uses
+    ({!Pift_util.Wire}): length-prefixed records, capped payloads and
+    varints, and every corrupt byte surfacing as a positioned
     [Failure "Snapshot: record N: ..."] — never a bare exception.
     {!write} is atomic and durable (fsynced temp file, rename, fsynced
     directory), so it survives process kill and power loss: a crash

@@ -1,11 +1,10 @@
-(* Low-level binary coding shared by the trace serialisation
+(* Binary coding and record layer shared by the trace serialisation
    (Pift_eval.Trace_io, magic PIFTBIN1) and the service snapshot format
    (Pift_service.Snapshot, magic PIFTSNAP1): LEB128 varints, zigzag
-   signed coding, and a chunked channel reader that decodes straight
-   out of a refill buffer.  Both formats are length-prefixed record
-   streams, so they share the same failure discipline: every decode
-   primitive takes a [fail] continuation that raises with the caller's
-   record position. *)
+   signed coding, and length-prefixed record streams.  Each format owns
+   its tags and field layouts; the framing, the limits, the field
+   decoders and the positioned failures ("<format>: record N: ...") are
+   decided here, once. *)
 
 let add_varint buf v =
   let v = ref v in
@@ -23,74 +22,190 @@ let add_string buf s =
   add_varint buf (String.length s);
   Buffer.add_string buf s
 
-module Reader = struct
-  (* Chunked channel reader: records average tens of bytes, so decoding
-     straight from a large refill buffer (grown in place for oversized
-     records) beats per-field channel calls by a wide margin. *)
-  type t = {
-    ic : in_channel;
-    mutable buf : Bytes.t;
-    mutable lo : int;  (* next unread byte *)
-    mutable hi : int;  (* end of valid bytes *)
-    mutable eof : bool;
-  }
+(* Corrupt input must not be able to make a reader allocate or loop
+   without bound: payloads are capped, varints are capped at 9 bytes
+   (63 value bits). *)
+let max_record_payload = 1 lsl 24
 
-  let create ic =
-    { ic; buf = Bytes.create 16384; lo = 0; hi = 0; eof = false }
+type writer = { oc : out_channel; payload : Buffer.t; prefix : Buffer.t }
 
-  let refill r =
-    if not r.eof then begin
-      let live = r.hi - r.lo in
-      if live > 0 && r.lo > 0 then Bytes.blit r.buf r.lo r.buf 0 live;
-      r.lo <- 0;
-      r.hi <- live;
-      let n = input r.ic r.buf r.hi (Bytes.length r.buf - r.hi) in
-      if n = 0 then r.eof <- true else r.hi <- r.hi + n
-    end
+let writer oc = { oc; payload = Buffer.create 256; prefix = Buffer.create 8 }
+let payload w = w.payload
 
-  (* Whether [n] contiguous bytes can be buffered (growing the buffer
-     when a record is larger than a chunk). *)
-  let has r n =
-    if Bytes.length r.buf < n then begin
-      let grown = Bytes.create (max n (2 * Bytes.length r.buf)) in
-      Bytes.blit r.buf r.lo grown 0 (r.hi - r.lo);
-      r.buf <- grown;
-      r.hi <- r.hi - r.lo;
-      r.lo <- 0
-    end;
-    while r.hi - r.lo < n && not r.eof do
-      refill r
-    done;
-    r.hi - r.lo >= n
+let emit w =
+  Buffer.clear w.prefix;
+  add_varint w.prefix (Buffer.length w.payload);
+  Buffer.output_buffer w.oc w.prefix;
+  Buffer.output_buffer w.oc w.payload;
+  Buffer.clear w.payload
 
-  let byte r =
-    if r.lo >= r.hi then refill r;
-    if r.lo >= r.hi then -1
+(* The record cursor: a chunked channel reader (records average tens
+   of bytes, so decoding straight from a large refill buffer, grown in
+   place for oversized records, beats per-field channel calls by a wide
+   margin), the record number and the current payload's bounds.  A
+   record's payload is buffered whole before its fields are read, so
+   they decode in place between [pos] and [limit].  The decoders are
+   top-level functions over this record and [fail] runs only on the
+   failure path, so decoding allocates nothing. *)
+type cursor = {
+  ic : in_channel;
+  what : string;  (* the format's error prefix *)
+  mutable buf : Bytes.t;
+  mutable lo : int;  (* next unread byte *)
+  mutable hi : int;  (* end of valid bytes *)
+  mutable eof : bool;
+  mutable record : int;  (* 0 in the header, then 1, 2, ... *)
+  mutable pos : int;
+  mutable limit : int;
+}
+
+let refill c =
+  if not c.eof then begin
+    let live = c.hi - c.lo in
+    if live > 0 && c.lo > 0 then Bytes.blit c.buf c.lo c.buf 0 live;
+    c.lo <- 0;
+    c.hi <- live;
+    let n = input c.ic c.buf c.hi (Bytes.length c.buf - c.hi) in
+    if n = 0 then c.eof <- true else c.hi <- c.hi + n
+  end
+
+(* Whether [n] contiguous bytes can be buffered (growing the buffer
+   when a record is larger than a chunk); when not, every byte left in
+   the stream is. *)
+let has c n =
+  if Bytes.length c.buf < n then begin
+    let grown = Bytes.create (max n (2 * Bytes.length c.buf)) in
+    Bytes.blit c.buf c.lo grown 0 (c.hi - c.lo);
+    c.buf <- grown;
+    c.hi <- c.hi - c.lo;
+    c.lo <- 0
+  end;
+  while c.hi - c.lo < n && not c.eof do
+    refill c
+  done;
+  c.hi - c.lo >= n
+
+let fail c msg = failwith (Printf.sprintf "%s: record %d: %s" c.what c.record msg)
+
+let open_cursor ~what ~magic ic =
+  let c =
+    {
+      ic;
+      what;
+      buf = Bytes.create 16384;
+      lo = 0;
+      hi = 0;
+      eof = false;
+      record = 0;
+      pos = 0;
+      limit = 0;
+    }
+  in
+  let n = String.length magic in
+  if not (has c n) then fail c "bad magic (truncated)";
+  if not (String.equal (Bytes.sub_string c.buf c.lo n) magic) then
+    fail c "bad magic";
+  c.lo <- c.lo + n;
+  c
+
+let truncated_payload = "truncated record payload"
+
+(* The one varint loop, over the bytes before [limit].  The 9th byte
+   carries bits 56..62 and must end the varint. *)
+let rec varint_from c truncated shift acc =
+  if c.pos >= c.limit then fail c truncated
+  else begin
+    let b = Char.code (Bytes.unsafe_get c.buf c.pos) in
+    c.pos <- c.pos + 1;
+    if shift = 56 && b > 0x7f then fail c "varint overflow"
     else begin
-      let b = Char.code (Bytes.unsafe_get r.buf r.lo) in
-      r.lo <- r.lo + 1;
+      let acc = acc lor ((b land 0x7f) lsl shift) in
+      if b < 0x80 then acc else varint_from c truncated (shift + 7) acc
+    end
+  end
+
+(* Header fields and record lengths are read off the stream itself: the
+   loop runs over whatever of a varint's 9 bytes the stream still
+   holds. *)
+let header_varint c =
+  ignore (has c 9);
+  c.pos <- c.lo;
+  c.limit <- c.hi;
+  let v = varint_from c "truncated varint" 0 0 in
+  c.lo <- c.pos;
+  v
+
+let header_byte c =
+  if not (has c 1) then -1
+  else begin
+    c.lo <- c.lo + 1;
+    Char.code (Bytes.get c.buf (c.lo - 1))
+  end
+
+let header_bytes c n truncated =
+  if not (has c n) then fail c truncated;
+  let s = Bytes.sub_string c.buf c.lo n in
+  c.lo <- c.lo + n;
+  s
+
+(* A one-byte length whose payload is already buffered, nearly every
+   record, skips the checked read. *)
+let next c =
+  let lo = c.lo in
+  let b = if lo < c.hi then Char.code (Bytes.unsafe_get c.buf lo) else 0 in
+  let len =
+    if b > 0 && b < 0x80 && lo + 1 + b <= c.hi then begin
+      c.record <- c.record + 1;
+      c.lo <- lo + 1;
       b
     end
+    else if not (has c 1) then 0
+    else begin
+      c.record <- c.record + 1;
+      let len = header_varint c in
+      if len <= 0 then fail c "empty record";
+      if len > max_record_payload then fail c "implausible record length";
+      if not (has c len) then
+        fail c (Printf.sprintf "truncated record (%d payload bytes)" len);
+      len
+    end
+  in
+  if len = 0 then -1
+  else begin
+    let lo = c.lo in
+    c.pos <- lo + 1;
+    c.limit <- lo + len;
+    c.lo <- lo + len;
+    Char.code (Bytes.unsafe_get c.buf lo)
+  end
 
-  (* Header fields and record length prefixes.  [first_eof_ok]
-     distinguishes the clean end of the stream (EOF where a record
-     would start) from truncation inside a varint.  Varints are capped
-     at 9 bytes (63 value bits) so corrupt input cannot loop.  The loop
-     is a top-level function over its state, so a decode allocates
-     nothing; [fail] is only called on the failure path. *)
-  let rec varint_from fail r ~first_eof_ok shift acc =
-    match byte r with
-    | -1 ->
-        if shift = 0 && first_eof_ok then raise End_of_file
-        else fail "truncated varint"
-    | b ->
-        if shift > 56 && b > 0x7f then fail "varint overflow"
-        else begin
-          let acc = acc lor ((b land 0x7f) lsl shift) in
-          if b < 0x80 then acc
-          else varint_from fail r ~first_eof_ok (shift + 7) acc
-        end
+(* The one-byte case, nearly every field of a delta-coded record,
+   without the loop's call. *)
+let[@inline] varint c =
+  let pos = c.pos in
+  let b =
+    if pos < c.limit then Char.code (Bytes.unsafe_get c.buf pos) else 0x80
+  in
+  if b < 0x80 then begin
+    c.pos <- pos + 1;
+    b
+  end
+  else varint_from c truncated_payload 0 0
 
-  let varint ?(first_eof_ok = false) fail r =
-    varint_from fail r ~first_eof_ok 0 0
-end
+let[@inline] svarint c = unzigzag (varint c)
+
+let byte c =
+  if c.pos >= c.limit then fail c truncated_payload;
+  c.pos <- c.pos + 1;
+  Char.code (Bytes.unsafe_get c.buf (c.pos - 1))
+
+let string c truncated =
+  let len = varint c in
+  if len < 0 || len > c.limit - c.pos then fail c truncated;
+  let s = Bytes.sub_string c.buf c.pos len in
+  c.pos <- c.pos + len;
+  s
+
+let remaining c = c.limit - c.pos
+let unknown_tag c tag = fail c (Printf.sprintf "unknown record tag %d" tag)
+let finish c = if c.pos <> c.limit then fail c "trailing bytes in record"

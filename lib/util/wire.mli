@@ -1,65 +1,107 @@
-(** Binary wire coding shared by the trace format ([Pift_eval.Trace_io],
-    magic [PIFTBIN1]) and the service snapshot format
-    ([Pift_service.Snapshot], magic [PIFTSNAP1]): LEB128 varints,
-    zigzag signed coding, and a chunked channel reader.
+(** Binary wire coding and the record layer shared by the trace format
+    ([Pift_eval.Trace_io], magic [PIFTBIN1]) and the service snapshot
+    format ([Pift_service.Snapshot], magic [PIFTSNAP1]).
 
-    Every decode primitive takes a [fail] continuation so each format
-    reports errors at its own record granularity ([Trace_io: record N],
-    [Snapshot: record N]); [fail] must raise. *)
+    Both formats are a magic, a few header fields, then records, each
+    a varint payload length followed by a tag byte and the tag's
+    fields.  This module owns what the two have in common: LEB128
+    varints (capped at 9 bytes, 63 value bits) with zigzag signed
+    coding, the length-prefixed record writer, the 16 MiB payload cap,
+    and a {!cursor} that checks the magic, frames each record and
+    decodes its fields in place.  A format keeps only its tags, its
+    field layouts and the validation of its own values.
+
+    Every failure on corrupt input is a [Failure
+    "<what>: record N: <message>"], where [what] names the format
+    ([Trace_io], [Snapshot]) and [N] is [0] in the magic and header,
+    then the record being read. *)
 
 val add_varint : Buffer.t -> int -> unit
 (** Append a non-negative int as an LEB128 varint (7 bits per byte,
     high bit = continuation). *)
 
-val zigzag : int -> int
-(** Map a signed int to a non-negative code: 0, -1, 1, -2 → 0, 1, 2, 3. *)
-
-val unzigzag : int -> int
-(** Inverse of {!zigzag}. *)
-
 val add_svarint : Buffer.t -> int -> unit
-(** [add_varint buf (zigzag v)] — signed values, small magnitudes stay
-    one byte. *)
+(** A signed int, zigzag-coded (0, -1, 1, -2 → 0, 1, 2, 3) then
+    {!add_varint}: small magnitudes stay one byte. *)
 
 val add_string : Buffer.t -> string -> unit
 (** Length-prefixed raw bytes: varint length, then the bytes. *)
 
-module Reader : sig
-  (** Chunked channel reader. Fields are exposed so length-prefixed
-      formats can decode a whole buffered record in place ([buf] between
-      [lo] and [hi]) after a {!has} check, without re-copying. *)
-  type t = {
-    ic : in_channel;
-    mutable buf : Bytes.t;
-    mutable lo : int;  (** next unread byte *)
-    mutable hi : int;  (** end of valid bytes *)
-    mutable eof : bool;
-  }
+val max_record_payload : int
+(** [2^24]: the largest record payload (and trace name) a cursor
+    accepts. *)
 
-  val create : in_channel -> t
-  (** Reader over [ic] with a 16 KiB chunk buffer, grown by {!has} for
-      records larger than that. The channel keeps its own buffer, so a
-      reader holds about 80 KiB while open; the service keeps one open per
-      tenant. The caller retains ownership of the channel (close it
-      yourself). *)
+(** {1 Writing records} *)
 
-  val refill : t -> unit
-  (** Slide live bytes to the front and read one more chunk; sets [eof]
-      when the channel is exhausted. *)
+type writer
 
-  val has : t -> int -> bool
-  (** [has r n] buffers until [n] contiguous bytes are available
-      (growing [buf] beyond the chunk size if needed); [false] means
-      the stream ended first. *)
+val writer : out_channel -> writer
+(** A record writer on [oc], positioned after the format's magic and
+    header, which the caller writes. *)
 
-  val byte : t -> int
-  (** Next byte, or [-1] at end of stream. *)
+val payload : writer -> Buffer.t
+(** The record being built: a tag byte, then its fields. *)
 
-  val varint : ?first_eof_ok:bool -> (string -> int) -> t -> int
-  (** Decode one varint. Calls [fail] (which must raise) on truncation
-      or a varint longer than 9 bytes. With [~first_eof_ok:true],
-      raises [End_of_file] when the stream ends cleanly before the
-      first byte — the record-boundary EOF case. Decoding allocates
-      nothing, so a hot caller should pass a [fail] it built once
-      rather than a fresh closure per call. *)
-end
+val emit : writer -> unit
+(** Write the payload's varint length, then the payload, and clear
+    it. *)
+
+(** {1 Reading records} *)
+
+type cursor
+(** A chunked reader over an open channel (16 KiB refills, grown for
+    larger records; the caller keeps and closes the channel), the
+    record number, and the current record's payload bounds. *)
+
+val open_cursor : what:string -> magic:string -> in_channel -> cursor
+(** Check that the stream starts with [magic] (["bad magic"], or
+    ["bad magic (truncated)"] when it is shorter) and position the
+    cursor after it, in the header (record 0). *)
+
+val fail : cursor -> string -> 'a
+(** Raise the positioned [Failure] for the current record. *)
+
+val header_byte : cursor -> int
+(** The next header byte, or [-1] at end of stream. *)
+
+val header_varint : cursor -> int
+(** The next header varint (["truncated varint"], ["varint overflow"]). *)
+
+val header_bytes : cursor -> int -> string -> string
+(** [header_bytes c n truncated]: the next [n] header bytes; fails with
+    [truncated] when the stream ends first. *)
+
+val next : cursor -> int
+(** Frame the next record and return its tag byte, its fields ready to
+    decode; [-1] at end of stream exactly at a record boundary.  Fails
+    on an empty, implausibly long (over {!max_record_payload}) or
+    truncated record.  A one-byte length whose payload is already
+    buffered skips the checked read. *)
+
+val varint : cursor -> int
+(** The next field of the current record.  Fails on a field running
+    past the payload (["truncated record payload"]) or a varint longer
+    than 9 bytes (["varint overflow"]).  A one-byte field skips the
+    varint loop, and no field decoder allocates, except that {!string}
+    returns a fresh string. *)
+
+val svarint : cursor -> int
+(** A zigzag-coded field. *)
+
+val byte : cursor -> int
+(** One raw payload byte. *)
+
+val string : cursor -> string -> string
+(** [string c truncated]: a length-prefixed field; fails with
+    [truncated] when its bytes run past the payload. *)
+
+val remaining : cursor -> int
+(** Payload bytes not yet decoded; right after {!next}, the payload
+    length less the tag byte. *)
+
+val unknown_tag : cursor -> int -> 'a
+(** Fail with ["unknown record tag N"]. *)
+
+val finish : cursor -> unit
+(** Fail with ["trailing bytes in record"] unless every payload byte
+    was decoded. *)

@@ -946,6 +946,144 @@ let test_snapshot_mutations_positioned () =
     true
     (!loaded > 0 && !refused > String.length full)
 
+(* --- wire formats: golden bytes, pinned decoder outcomes ------------------ *)
+
+module Trace_io = Pift_eval.Trace_io
+
+let fixture name = Filename.concat (Filename.dirname Sys.executable_name) name
+
+(* A varint is at most 9 bytes: the fixture's manifest with its shard
+   count (2) re-encoded in ten bytes, [82, 80 x 8, 00], is refused,
+   not read as 2 with a 10th byte shifted by 63 bits. *)
+let test_corrupt_ten_byte_varint () =
+  let full = read_file heap_merge_fixture in
+  let header = 9 in
+  let len = Char.code full.[header] in
+  checkb "manifest starts tag 0, shards 2" true
+    (String.sub full (header + 1) 2 = "\000\002" && len + 9 < 0x80);
+  let mutant =
+    String.sub full 0 header
+    ^ String.make 1 (Char.chr (len + 9))
+    ^ "\000\x82" ^ String.make 8 '\x80' ^ "\000"
+    ^ String.sub full (header + 3) (String.length full - header - 3)
+  in
+  with_tmp ~suffix:".piftsnap" (fun path ->
+      write_file path mutant;
+      checks "10-byte shard count" "Snapshot: record 1: varint overflow"
+        (expect_positioned_failure ~what:"10-byte varint" (fun () ->
+             Snapshot.load path)))
+
+(* The three writers reproduce the committed fixtures byte for byte:
+   the PIFTBIN1 trace and its text twin, each loaded and saved in both
+   formats, and the PIFTSNAP1 snapshot loaded and written again. *)
+let test_writers_golden () =
+  let bin = fixture "mutation_fixture.pift"
+  and text = fixture "mutation_fixture_text.pift" in
+  let same what want got =
+    checkb
+      (Printf.sprintf "%s: %d bytes, fixture %d" what (String.length got)
+         (String.length want))
+      true (String.equal want got)
+  in
+  List.iter
+    (fun src ->
+      let trace = Trace_io.load src in
+      List.iter
+        (fun (format, want) ->
+          with_tmp ~suffix:".pift" (fun path ->
+              Trace_io.save ~format trace path;
+              same
+                (Printf.sprintf "%s saved as %s" (Filename.basename src)
+                   (Trace_io.format_to_string format))
+                (read_file want) (read_file path)))
+        [ (Trace_io.Binary, bin); (Trace_io.Text, text) ])
+    [ bin; text ];
+  with_tmp ~suffix:".piftsnap" (fun path ->
+      Snapshot.write path (Snapshot.load heap_merge_fixture);
+      same "heap-merge snapshot rewritten" (read_file heap_merge_fixture)
+        (read_file path))
+
+(* Every single-bit flip, then every truncation, of [bytes]. *)
+let flips_and_cuts bytes =
+  List.init
+    (8 * String.length bytes)
+    (fun bit ->
+      let b = Bytes.of_string bytes in
+      let i = bit / 8 in
+      Bytes.set b i
+        (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8))));
+      Bytes.to_string b)
+  @ List.init (String.length bytes) (fun len -> String.sub bytes 0 len)
+
+(* The items a trace yields and the failure that ended them. *)
+let trace_outcome path =
+  match Trace_io.open_reader path with
+  | exception Failure m -> ([], Some m)
+  | r ->
+      let items = ref [] in
+      let rec go () =
+        match Trace_io.read_item r with
+        | None -> None
+        | Some it ->
+            items := it :: !items;
+            go ()
+      in
+      let failure = try go () with Failure m -> Some m in
+      Trace_io.close_reader r;
+      (List.rev !items, failure)
+
+let snapshot_outcome path =
+  match Snapshot.load path with
+  | s -> Ok s
+  | exception Failure m -> Error m
+
+(* One digest over the outcomes of every mutant but those at [skip]:
+   decoded values and exact failure messages alike. *)
+let outcomes_digest ~suffix ~skip outcome bytes =
+  with_tmp ~suffix (fun path ->
+      flips_and_cuts bytes
+      |> List.filteri (fun i _ -> not (List.mem i skip))
+      |> List.map (fun m ->
+             write_file path m;
+             Digest.string
+               (Marshal.to_string (outcome path) [ Marshal.No_sharing ]))
+      |> String.concat "" |> Digest.string |> Digest.to_hex)
+
+(* Bit flips of the snapshot fixture that set the continuation bit of
+   the 9th byte of a 9-byte varint (the [ff x 8, 3f] field at bytes
+   158-166 and its copies in later records), with the record each
+   names.  Decoders before the 9-byte cap read on into the next field
+   and shifted its byte by 63 bits; the cap refuses them. *)
+let capped_snapshot_flips =
+  [ (1335, 6); (1671, 6); (2183, 7); (2543, 7); (2935, 8); (3295, 8) ]
+
+(* The digests pin both decoders' every accept/refuse decision and
+   message on the fixtures' bit flips and truncations, and were taken
+   before the two formats shared [Pift_util.Wire]'s record layer.  The
+   only mutants whose outcome the shared layer changed are the capped
+   flips above, checked one by one instead. *)
+let test_pinned_decoder_outcomes () =
+  checks "PIFTBIN1 mutant outcomes" "095ed75d3cf3522c7a75dc8788b4c852"
+    (outcomes_digest ~suffix:".pift" ~skip:[] trace_outcome
+       (read_file (fixture "mutation_fixture.pift")));
+  let snap = read_file heap_merge_fixture in
+  checks "PIFTSNAP1 mutant outcomes" "48e4b17f2eb5728ac1a792b2e52f2775"
+    (outcomes_digest ~suffix:".piftsnap"
+       ~skip:(List.map fst capped_snapshot_flips)
+       snapshot_outcome snap);
+  let mutants = Array.of_list (flips_and_cuts snap) in
+  with_tmp ~suffix:".piftsnap" (fun path ->
+      List.iter
+        (fun (bit, record) ->
+          write_file path mutants.(bit);
+          checkb
+            (Printf.sprintf "bit %d refused" bit)
+            true
+            (snapshot_outcome path
+            = Error
+                (Printf.sprintf "Snapshot: record %d: varint overflow" record)))
+        capped_snapshot_flips)
+
 (* --- restore / evict occupancy -------------------------------------------- *)
 
 let test_restore_then_evict_gauge () =
@@ -1050,6 +1188,12 @@ let () =
           Alcotest.test_case
             "heap-merge snapshot: truncations, 0xff runs, splices positioned"
             `Quick test_snapshot_mutations_positioned;
+          Alcotest.test_case "writers reproduce the fixtures byte for byte"
+            `Quick test_writers_golden;
+          Alcotest.test_case "pinned decoder outcomes: bit flips, truncations"
+            `Quick test_pinned_decoder_outcomes;
+          Alcotest.test_case "10-byte varint refused" `Quick
+            test_corrupt_ten_byte_varint;
         ] );
       ( "crash-recovery",
         [

@@ -2271,6 +2271,23 @@ let test_reader_oversized_records () =
             ((s1, m1) = (seq, big_source) && (s2, m2) = (seq, big_sink))
       | _ -> Alcotest.fail "trace does not end in the two markers")
 
+(* A varint is at most 9 bytes: a load record whose seq delta takes
+   ten ([80 x 9, 01]) is refused, not decoded with its last byte
+   shifted by 63 bits. *)
+let test_binary_ten_byte_varint () =
+  let field = String.make 9 '\x80' ^ "\x01" in
+  let payload = "\000" ^ field ^ "\000\005\000\001" in
+  let bytes =
+    "PIFTBIN1\001x\005\000"
+    ^ String.make 1 (Char.chr (String.length payload))
+    ^ payload
+  in
+  with_tmp ~suffix:".pift" (fun path ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+      Alcotest.check_raises "10-byte seq delta"
+        (Failure "Trace_io: record 1: varint overflow") (fun () ->
+          ignore (Trace_io.load path)))
+
 let test_truncated_binary_positioned_error () =
   let r = List.hd (Lazy.force recordings) in
   with_tmp ~suffix:".pift" (fun path ->
@@ -2582,5 +2599,7 @@ let () =
             test_decoder_mutations;
           Alcotest.test_case "truncated binary positioned error" `Quick
             test_truncated_binary_positioned_error;
+          Alcotest.test_case "binary trace: 10-byte varint refused" `Quick
+            test_binary_ten_byte_varint;
         ] );
     ]

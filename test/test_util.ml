@@ -5,6 +5,7 @@ module Histogram = Pift_util.Histogram
 module Series = Pift_util.Series
 module Rng = Pift_util.Rng
 module Textplot = Pift_util.Textplot
+module Wire = Pift_util.Wire
 
 let check = Alcotest.check
 let checkb = Alcotest.(check bool)
@@ -226,6 +227,85 @@ let test_heatmap () =
   in
   checkb "heatmap non-empty" true (String.length out > 20)
 
+(* --- Wire ----------------------------------------------------------------- *)
+
+(* [f] over a cursor on ["WIRETEST" ^ bytes]: its result, or the
+   failure message. *)
+let wire_decode bytes f =
+  let path = Filename.temp_file "pift_wire_test" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc ("WIRETEST" ^ bytes));
+      In_channel.with_open_bin path (fun ic ->
+          match f (Wire.open_cursor ~what:"Wire" ~magic:"WIRETEST" ic) with
+          | v -> Ok v
+          | exception Failure m -> Error m))
+
+(* One record with tag 0 and [fields] (under 127 bytes). *)
+let wire_record fields =
+  String.make 1 (Char.chr (1 + String.length fields)) ^ "\000" ^ fields
+
+let wire_field c =
+  ignore (Wire.next c);
+  let v = Wire.varint c in
+  Wire.finish c;
+  v
+
+let test_wire_round_trip () =
+  let values = [ 0; 1; 127; 128; 300; max_int; -1; min_int ] in
+  let path = Filename.temp_file "pift_wire_test" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc "WIRETEST";
+          let w = Wire.writer oc in
+          List.iter
+            (fun v ->
+              let b = Wire.payload w in
+              Buffer.add_char b '\007';
+              Wire.add_svarint b v;
+              Wire.add_varint b (v land max_int);
+              Wire.add_string b (string_of_int v);
+              Wire.emit w)
+            values);
+      In_channel.with_open_bin path (fun ic ->
+          let c = Wire.open_cursor ~what:"Wire" ~magic:"WIRETEST" ic in
+          List.iter
+            (fun v ->
+              checki "tag" 7 (Wire.next c);
+              checki "svarint" v (Wire.svarint c);
+              checki "varint" (v land max_int) (Wire.varint c);
+              check Alcotest.string "string" (string_of_int v)
+                (Wire.string c "truncated string");
+              Wire.finish c)
+            values;
+          checki "end of stream" (-1) (Wire.next c)))
+
+(* Varints are capped at 9 bytes (63 value bits): a 9th byte with its
+   continuation bit set is refused, in a record and in the header. *)
+let test_wire_varint_cap () =
+  let nine = String.make 8 '\xff' ^ "\x3f"
+  and ten = String.make 9 '\x80' ^ "\x01" in
+  let result = Alcotest.(result int string) in
+  check result "9-byte field" (Ok max_int) (wire_decode (wire_record nine) wire_field);
+  check result "10-byte field" (Error "Wire: record 1: varint overflow")
+    (wire_decode (wire_record ten) wire_field);
+  check result "9-byte header varint" (Ok max_int)
+    (wire_decode nine Wire.header_varint);
+  check result "10-byte header varint" (Error "Wire: record 0: varint overflow")
+    (wire_decode ten Wire.header_varint);
+  check result "10-byte record length" (Error "Wire: record 1: varint overflow")
+    (wire_decode ten Wire.next);
+  (* a string length near max_int must not wrap the bounds check *)
+  check result "max_int string length"
+    (Error "Wire: record 1: truncated string")
+    (wire_decode (wire_record nine) (fun c ->
+         ignore (Wire.next c);
+         String.length (Wire.string c "truncated string")))
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
   [ prop_subtract_disjoint; prop_subtract_preserves; prop_overlap_naive ]
 
@@ -250,6 +330,11 @@ let () =
           Alcotest.test_case "downsample" `Quick test_series_downsample;
         ] );
       ("rng", [ Alcotest.test_case "behaviour" `Quick test_rng ]);
+      ( "wire",
+        [
+          Alcotest.test_case "round trip" `Quick test_wire_round_trip;
+          Alcotest.test_case "9-byte varint cap" `Quick test_wire_varint_cap;
+        ] );
       ( "textplot",
         [
           Alcotest.test_case "charts" `Quick test_textplot;
