@@ -24,6 +24,17 @@ let find_app name =
       Printf.eprintf "unknown app %S (try `pift list-apps`)\n" name;
       exit 2
 
+(* A corrupt or cut trace or snapshot makes its decoder fail with a
+   positioned message ([Trace_io: record N: ...], [Snapshot: record N:
+   ...]), and a bad combination of inputs fails with the command's own.
+   Either is an input error, not a crash: print it and exit 2, as
+   [report] does for a malformed file. *)
+let input_errors f =
+  try f ()
+  with Failure msg ->
+    Printf.eprintf "pift: %s\n" msg;
+    exit 2
+
 (* --- common options --- *)
 
 let ni =
@@ -679,6 +690,7 @@ let record_trace_cmd =
     Term.(const record_trace $ app_arg $ output $ jit $ trace_format)
 
 let convert input output format =
+  input_errors @@ fun () ->
   let format =
     (* Default to the format the input is not in — the common use is
        shrinking an archived text trace (or inspecting a binary one). *)
@@ -727,6 +739,7 @@ let convert_cmd =
     Term.(const convert $ input $ output $ format)
 
 let analyze_trace path ni nt untaint profile_out =
+  input_errors @@ fun () ->
   let profiles = profiles_of profile_out ~slots:1 in
   let profile =
     if Array.length profiles > 0 then Some profiles.(0) else None
@@ -768,6 +781,7 @@ let analyze_trace_cmd =
 (* --- why --- *)
 
 let why target ni nt untaint jit pid_opt sink_opt dot_out prov_out =
+  input_errors @@ fun () ->
   let recorded =
     if Sys.file_exists target then Pift_eval.Trace_io.load target
     else Recorded.record ~mode:(mode_of jit) (find_app target)
@@ -1256,6 +1270,7 @@ let serve_engine eng ~prov ~shards ~snapshot_dir ~snapshot_every sources =
 
 let serve files shards isolated prov ni nt untaint batch queue drop
     snapshot_dir snapshot_every restore =
+  input_errors @@ fun () ->
   let policy = policy_of ni nt untaint in
   if isolated then
     List.iter
@@ -1363,7 +1378,10 @@ let serve_cmd =
     Arg.(value & flag & info [ "prov" ] ~doc)
   in
   let batch =
-    let doc = "Items per queue batch." in
+    let doc =
+      "Rows per queue batch.  A run of one process's non-memory \
+       instructions takes one row."
+    in
     Arg.(value & opt int 128 & info [ "batch" ] ~docv:"N" ~doc)
   in
   let queue =
@@ -1421,6 +1439,7 @@ let serve_cmd =
       $ restore)
 
 let snapshot_inspect path =
+  input_errors @@ fun () ->
   let snap = Service.Snapshot.load path in
   let m = snap.Service.Snapshot.manifest in
   Printf.printf
@@ -1469,6 +1488,7 @@ let snapshot_cmd =
     Term.(const snapshot_inspect $ path)
 
 let restore_run path shards =
+  input_errors @@ fun () ->
   let snap = Service.Snapshot.load path in
   let m = snap.Service.Snapshot.manifest in
   let shards =

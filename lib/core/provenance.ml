@@ -7,21 +7,28 @@ module Sset = Set.Make (String)
    [labels.(i)]; both arrays grow by doubling.
 
    The [w_*] fields are the window the tracker opened last on the pid:
-   the labels its opening load hit, with their sets, in label order
-   ([w_labels]/[w_sets].(0 .. w_n-1)), and that load's seq and range
-   (as [w_lo]/[w_hi], so recording it keeps no pointer to the caller's
-   range).  The next opening overwrites them in place, so once the hit
-   arrays have grown to the pid's label count a window costs no
-   allocation.  A label registered while the window is open is not in
-   the hit arrays, so it does not join the window.  The window's sets
-   stay valid for its lifetime: only [release_pid] drops a pid's sets,
-   and it drops the whole record.  The sidecar never decides a window;
-   it only records what {!Tracker} decided. *)
+   that load's seq and range (as [w_lo]/[w_hi], so recording it keeps
+   no pointer to the caller's range), and the labels it hit, with their
+   sets, in label order ([w_labels]/[w_sets].(0 .. w_n-1)).  An opening
+   records only the load and marks the hit arrays [w_pending]: most
+   windows are reopened before any store lands in them, so the label
+   sets are probed lazily, by [resolve], before the first thing that
+   reads the hit arrays ([store_tainted], [persist]) or mutates one of
+   the pid's sets ([taint_source], [untaint_range]).  Until then the
+   sets are as they were at the opening, so the probe finds what an
+   eager one would have.  The next opening overwrites the window in
+   place, so once the hit arrays have grown to the pid's label count a
+   window costs no allocation.  A label registered while the window is
+   open is probed after the window, so it does not join it.  The
+   window's sets stay valid for its lifetime: only [release_pid] drops a
+   pid's sets, and it drops the whole record.  The sidecar never
+   decides a window; it only records what {!Tracker} decided. *)
 type proc = {
   mutable labels : string array;
   mutable sets : Store_flat.t array;
   mutable n : int;
   mutable opened : bool;  (* false until a tainted load or a restore *)
+  mutable w_pending : bool;  (* the hit arrays await [resolve] *)
   mutable w_labels : string array;
   mutable w_sets : Store_flat.t array;
   mutable w_n : int;
@@ -72,6 +79,7 @@ let new_proc () =
     sets = [||];
     n = 0;
     opened = false;
+    w_pending = false;
     w_labels = [||];
     w_sets = [||];
     w_n = 0;
@@ -157,35 +165,47 @@ let set_for t ~pid ~label =
     s
   end
 
+(* The probe an opening defers: the labels whose sets overlap the
+   opening load's range, in label order. *)
+let resolve p =
+  if p.w_pending then begin
+    p.w_pending <- false;
+    if Array.length p.w_sets < p.n then begin
+      p.w_labels <- Array.make (Array.length p.labels) "";
+      p.w_sets <- Array.make (Array.length p.sets) no_set
+    end;
+    let w = ref 0 in
+    for i = 0 to p.n - 1 do
+      let s = p.sets.(i) in
+      if Store_flat.overlaps s ~lo:p.w_lo ~hi:p.w_hi then begin
+        p.w_labels.(!w) <- p.labels.(i);
+        p.w_sets.(!w) <- s;
+        incr w
+      end
+    done;
+    p.w_n <- !w
+  end
+
 let taint_source t ~pid ~label r =
   t.known_labels <- Sset.add label t.known_labels;
+  resolve (find t pid);
   Store_flat.add (set_for t ~pid ~label) r
 
 let untaint_range t ~pid r =
   let p = find t pid in
+  resolve p;
   t.probes <- t.probes + p.n;
   for i = 0 to p.n - 1 do
     Store_flat.remove p.sets.(i) r
   done
 
+(* [probes] counts the visits the opening stands for, whether or not
+   [resolve] ever makes them. *)
 let window_opened t ~pid ~seq r =
   let p = proc_for t pid in
-  if Array.length p.w_sets < p.n then begin
-    p.w_labels <- Array.make (Array.length p.labels) "";
-    p.w_sets <- Array.make (Array.length p.sets) no_set
-  end;
-  let w = ref 0 in
-  for i = 0 to p.n - 1 do
-    let s = p.sets.(i) in
-    if Store_flat.mem_overlap s r then begin
-      p.w_labels.(!w) <- p.labels.(i);
-      p.w_sets.(!w) <- s;
-      incr w
-    end
-  done;
   t.probes <- t.probes + p.n;
   p.opened <- true;
-  p.w_n <- !w;
+  p.w_pending <- true;
   p.w_seq <- seq;
   p.w_lo <- Range.lo r;
   p.w_hi <- Range.hi r
@@ -195,6 +215,7 @@ let window_labels p = Array.to_list (Array.sub p.w_labels 0 p.w_n)
 let store_tainted t ~pid ~seq r =
   let p = find t pid in
   if p.opened then begin
+    resolve p;
     for i = 0 to p.w_n - 1 do
       Store_flat.add p.w_sets.(i) r
     done;
@@ -281,13 +302,15 @@ let persist t ~windows =
       List.map
         (fun pid ->
           let p = find t pid in
-          if p.opened then
+          if p.opened then begin
+            resolve p;
             {
               pw_pid = pid;
               pw_labels = window_labels p;
               pw_opener_seq = p.w_seq;
               pw_opener_range = Some (Range.make p.w_lo p.w_hi);
             }
+          end
           else
             {
               pw_pid = pid;

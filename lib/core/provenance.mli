@@ -21,16 +21,22 @@
     the label count only multiplies the source-registration footprint.
     Each process has one record: its labels as an array sorted by
     [String.compare], a parallel array of their sets, and the window
-    the tracker opened last on it — the labels (and sets) its opening
-    load hit, in label order, with a hit count and that load's seq and
-    range, overwritten in place by the next opening.  A one-entry cache
+    the tracker opened last on it — that load's seq and range and the
+    labels (and sets) it hit, in label order, overwritten in place by
+    the next opening.  An opening records only the load: the label
+    sets are probed for its hits lazily, just before the first thing
+    that reads them ({!store_tainted}, {!persist}) or changes one of
+    the process's sets ({!taint_source}, {!untaint_range}), so a
+    window reopened before any store lands in it is never probed.
+    Until then the sets are as they were at the opening, so the probe
+    finds exactly what an eager one would have.  A one-entry cache
     of the last process looked up sits in front of the pid table, as in
     {!Store.create} and {!Tracker}; {!release_pid} clears it, and reads
     move it too, so a sidecar, reads included, belongs to one domain at
     a time.  So {!window_opened}, {!store_tainted} and {!untaint_range}
     hash nothing while one process runs, need no sort, and allocate
     nothing once the window arrays have grown to the process's label
-    count.  The scan paths (window openings, label lookups and
+    count.  The scan paths (window probes, label lookups and
     untainting) cost one probe per label of the *probed* process: cold
     processes held by a long-lived engine add nothing to another
     tenant's per-event cost.
@@ -68,9 +74,9 @@ val release_pid : t -> pid:int -> unit
 val window_opened : t -> pid:int -> seq:int -> Pift_util.Range.t -> unit
 (** The tracker opened (or restarted) [pid]'s window with a tainted load
     of [r] at global sequence [seq].  The window's label set becomes the
-    labels whose taint overlaps [r]; this is the only load that probes
-    the label sets.  The window is recorded in [pid]'s record in place
-    of the previous one. *)
+    labels whose taint overlaps [r] now; the sets are probed for them
+    when the window is first used (see above).  The window is recorded
+    in [pid]'s record in place of the previous one. *)
 
 val store_tainted : t -> pid:int -> seq:int -> Pift_util.Range.t -> unit
 (** The tracker tainted [r] with an in-window store at global sequence
@@ -79,7 +85,9 @@ val store_tainted : t -> pid:int -> seq:int -> Pift_util.Range.t -> unit
 
 val probes : t -> int
 (** Cumulative count of per-label set visits on the scan paths
-    ({!window_opened}, {!labels_of}, {!is_tainted}, {!untaint_range}).
+    ({!window_opened}, {!labels_of}, {!is_tainted}, {!untaint_range});
+    an opening counts its process's label count when it happens,
+    whether or not its probe ever runs.
     Regression handle for the per-pid index: with N cold pids resident,
     probing one pid must cost that pid's label count, not the table
     size.  Clean loads and stores the tracker left alone add nothing. *)
@@ -129,7 +137,9 @@ type persisted = {
 
 val persist : t -> windows:int list -> persisted
 (** [windows] are the carrying tracker's window pids, in order: one
-    persisted window each, empty where no tainted load opened it. *)
+    persisted window each, empty where no tainted load opened it.  A
+    window still waiting for its probe is probed first, so it persists
+    as an eager one would. *)
 
 val restore : t -> persisted -> unit
 (** Rebuild persisted state into a freshly created sidecar; after

@@ -134,11 +134,13 @@ let remove t r =
     t.bytes <- t.bytes - !removed + kept
   end
 
-let mem_overlap t r =
+let[@inline] overlaps t ~lo ~hi =
   (* Last entry starting at or before the query's end; it overlaps iff
      it ends at or after the query's start. *)
-  let j = first_lo_gt t (Range.hi r) - 1 in
-  j >= 0 && t.hi.(j) >= Range.lo r
+  let j = first_lo_gt t hi - 1 in
+  j >= 0 && t.hi.(j) >= lo
+
+let mem_overlap t r = overlaps t ~lo:(Range.lo r) ~hi:(Range.hi r)
 
 let covers t r =
   let j = first_lo_gt t (Range.lo r) - 1 in

@@ -25,6 +25,9 @@ val remove : t -> Pift_util.Range.t -> unit
 val mem_overlap : t -> Pift_util.Range.t -> bool
 (** O(log n) binary search. *)
 
+val overlaps : t -> lo:int -> hi:int -> bool
+(** [mem_overlap] of the range [\[lo, hi\]], without building it. *)
+
 val covers : t -> Pift_util.Range.t -> bool
 
 val cardinal : t -> int

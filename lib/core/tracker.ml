@@ -139,15 +139,17 @@ let tainted_ranges t ~pid = t.store.Store.ranges ~pid
    the store tells it what was decided, so its per-label union equals
    [t.store] at every step (see Provenance) and it never changes
    verdicts — it only answers [origins_of]. *)
-let[@inline] tick t seq =
-  t.events <- t.events + 1;
+let[@inline] tick t ~n seq =
+  t.events <- t.events + n;
   if seq > t.last_time then t.last_time <- seq
 
-let[@inline] on_other t ~seq = tick t seq
+(* [n] instructions counted at once: the clock keeps the largest seq, so
+   the order of a run's seqs does not matter. *)
+let[@inline] on_other t ~seq ~n = tick t ~n seq
 
 (* Lines 10–15: a load overlapping R starts (over) the window. *)
 let[@inline] on_load t ~pid ~seq ~k r =
-  tick t seq;
+  tick t ~n:1 seq;
   t.lookups <- t.lookups + 1;
   if t.store.Store.overlaps ~pid r then begin
     t.tainted_loads <- t.tainted_loads + 1;
@@ -162,7 +164,7 @@ let[@inline] on_load t ~pid ~seq ~k r =
 (* Lines 16–23: taint inside the window, up to NT times; otherwise
    untaint (if enabled). *)
 let[@inline] on_store t ~pid ~seq ~k r =
-  tick t seq;
+  tick t ~n:1 seq;
   let w = window t pid in
   if k <= w.ltlt + t.policy.Policy.ni && w.nt_used < t.policy.Policy.nt then begin
     t.store.Store.add ~pid r;
@@ -186,7 +188,7 @@ let observe t (e : Event.t) =
   match e.access with
   | Event.Load r -> on_load t ~pid:e.pid ~seq:e.seq ~k:e.k r
   | Event.Store r -> on_store t ~pid:e.pid ~seq:e.seq ~k:e.k r
-  | Event.Other -> on_other t ~seq:e.seq
+  | Event.Other -> on_other t ~seq:e.seq ~n:1
 
 let stats t =
   {

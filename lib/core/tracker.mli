@@ -92,8 +92,13 @@ val on_store : t -> pid:int -> seq:int -> k:int -> Pift_util.Range.t -> unit
 (** Lines 16–23: inside the window, and under the NT budget, the store
     taints [r]; otherwise it untaints [r] when the policy says so. *)
 
-val on_other : t -> seq:int -> unit
-(** An instruction with no memory access: it only counts. *)
+val on_other : t -> seq:int -> n:int -> unit
+(** [n >= 1] instructions with no memory access, [seq] the largest of
+    their seqs: they only count.  Algorithm 1 reads nothing else of
+    them, so the service engine hands it a whole run of one pid's
+    non-memory instructions as one counted row ({!Pift_trace.Row}): the
+    tracker ends in the state [n] calls with [~n:1] at the run's seqs
+    would leave. *)
 
 val observe : t -> Pift_trace.Event.t -> unit
 (** Feed one instruction event: dispatches on its access to

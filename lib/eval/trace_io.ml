@@ -360,10 +360,10 @@ let bin_open ic =
 
 (* The PIFTBIN1 decoder body: the next record into the row at [o] of
    [rows] (the [Row] layout; the binary tags of load, store and other
-   are [Row]'s).  A marker becomes a [Row.tag_item] row carrying the
-   header pid, its value left in [br_marker].  [false] only on EOF
-   exactly at a record boundary; anything else fails with the record
-   number. *)
+   are [Row]'s, and an "other" record is a counted row of 1).  A marker
+   becomes a [Row.tag_item] row carrying the header pid, its value left
+   in [br_marker].  [false] only on EOF exactly at a record boundary;
+   anything else fails with the record number. *)
 let bin_row br rows o =
   let c = br.br_c in
   match Wire.next c with
@@ -379,7 +379,7 @@ let bin_row br rows o =
         rows.(o + 3) <- br.br_prev_k;
         if tag = tag_other then begin
           rows.(o + 4) <- 0;
-          rows.(o + 5) <- 0
+          rows.(o + 5) <- 1
         end
         else begin
           let len = br_lo_len br in

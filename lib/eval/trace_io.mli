@@ -78,7 +78,8 @@ val detect_format : string -> format
     {!Pift_trace.Row}: six ints, tag, pid, seq, k, lo, len.  A
     [PIFTBIN1] reader decodes the varints straight into the caller's
     row and allocates nothing for an event record; the service's fill
-    path hands it the engine's column batch.  A marker becomes a
+    path hands it the engine's column batch.  A non-memory event
+    becomes a counted [Row.tag_other] row of 1.  A marker becomes a
     [Row.tag_item] row with the header pid and its seq, and its value
     stays readable through {!row_marker} until the reader's next record.
     The text reader and {!of_items} parse or pull an item and write it

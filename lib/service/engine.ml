@@ -34,14 +34,16 @@ type tenant = {
 
 (* A column batch: the shard queues carry these, not item values.  Row
    [r] is the [Row.width] ints at [r * Row.width] of [b_rows]: tag, pid,
-   seq, k, lo, len — the Fig. 5 record, flat.  The rare non-event items
-   have tag [Row.tag_item] and travel in [b_side] at their row index;
-   every other side slot holds [no_item].  Batches are made lazily by
-   the producer, handed back by the consumer once drained (through the
-   shard's [sh_free]), and reused across runs, so the steady state
-   allocates none and queues no pointer into the minor heap.  [b_len]
-   is the producer's: the consumer reads the row count the queue hands
-   it with the batch. *)
+   seq, k, lo, len — the Fig. 5 record, flat, except that a run of one
+   pid's non-memory instructions is one counted row.  The rare
+   non-event items have tag [Row.tag_item] and travel in [b_side] at
+   their row index; every other side slot holds [no_item].  Batches are
+   made lazily by the producer, handed back by the consumer once drained
+   (through the shard's [sh_free]), and reused across runs, so the
+   steady state allocates none and queues no pointer into the minor
+   heap.  The producer writes [b_len] before the push and not again
+   until the batch comes back, so the consumer reads it after the
+   pop. *)
 type batch = { b_rows : int array; b_side : item array; mutable b_len : int }
 
 type fill = batch -> int -> bool
@@ -240,17 +242,12 @@ let sink_verdict t tn ~pid ~kind ranges =
   in
   { v_kind = kind; v_flagged = flagged; v_origins = origins }
 
-let event_tenant t sh pid =
-  sh.sh_events <- sh.sh_events + 1;
-  tenant_of t sh pid
-
-let observe t sh (e : Event.t) =
-  let tn = event_tenant t sh e.Event.pid in
-  Tracker.observe tn.tn_tracker e;
-  sync_bytes sh tn
-
 let process_item t sh = function
-  | I_event e -> observe t sh e
+  | I_event e ->
+      sh.sh_events <- sh.sh_events + 1;
+      let tn = tenant_of t sh e.Event.pid in
+      Tracker.observe tn.tn_tracker e;
+      sync_bytes sh tn
   | I_source { pid; kind; range } ->
       let tn = tenant_of t sh pid in
       Tracker.taint_source ~kind tn.tn_tracker ~pid range;
@@ -268,32 +265,44 @@ let process_item t sh = function
       | None -> ()
       | Some tn -> evict_local sh tn)
 
+(* [n] items of the counted row at [o]: all of them, or the first ones
+   when an injected fault lands inside the row. *)
+let process_other t sh rows o n =
+  sh.sh_items <- sh.sh_items + n;
+  sh.sh_events <- sh.sh_events + n;
+  let tn = tenant_of t sh rows.(o + 1) in
+  Tracker.on_other tn.tn_tracker ~seq:rows.(o + 2) ~n
+
 (* Row [r] of [b], in place: an event row goes to Algorithm 1's step
    for its tag as plain ints (and, for a load or store, the one range
    [Row.range] builds and validates before the tenant is touched), so
    no [Event.t] is built; a side item is taken out of its slot first,
-   so a drained batch keeps no item reachable. *)
+   so a drained batch keeps no item reachable.  Only a store, a source
+   or an untaint can move the store, so only they resync the
+   occupancy; an eviction subtracts the tenant's bytes itself. *)
 let process_row t sh b r =
-  sh.sh_items <- sh.sh_items + 1;
   let rows = b.b_rows and o = r * width in
   let tag = rows.(o) in
-  if tag = Row.tag_item then begin
-    let item = b.b_side.(r) in
-    b.b_side.(r) <- no_item;
-    process_item t sh item
-  end
-  else if tag = Row.tag_other then begin
-    let tn = event_tenant t sh rows.(o + 1) in
-    Tracker.on_other tn.tn_tracker ~seq:rows.(o + 2);
-    sync_bytes sh tn
-  end
+  if tag = Row.tag_other then process_other t sh rows o rows.(o + 5)
   else begin
-    let range = Row.range rows o in
-    let pid = rows.(o + 1) and seq = rows.(o + 2) and k = rows.(o + 3) in
-    let tn = event_tenant t sh pid in
-    if tag = Row.tag_load then Tracker.on_load tn.tn_tracker ~pid ~seq ~k range
-    else Tracker.on_store tn.tn_tracker ~pid ~seq ~k range;
-    sync_bytes sh tn
+    sh.sh_items <- sh.sh_items + 1;
+    if tag = Row.tag_item then begin
+      let item = b.b_side.(r) in
+      b.b_side.(r) <- no_item;
+      process_item t sh item
+    end
+    else begin
+      let range = Row.range rows o in
+      let pid = rows.(o + 1) and seq = rows.(o + 2) and k = rows.(o + 3) in
+      sh.sh_events <- sh.sh_events + 1;
+      let tn = tenant_of t sh pid in
+      if tag = Row.tag_load then
+        Tracker.on_load tn.tn_tracker ~pid ~seq ~k range
+      else begin
+        Tracker.on_store tn.tn_tracker ~pid ~seq ~k range;
+        sync_bytes sh tn
+      end
+    end
   end
 
 let pid_of_item = function
@@ -302,25 +311,37 @@ let pid_of_item = function
   | I_evict { pid } ->
       pid
 
-(* Append one streamed item to [b] as its next row. *)
+(* Append one streamed item to [b]: a non-memory event joins the last
+   row when that row counts the same pid's non-memory events (as
+   [Ingest.fill] folds), anything else is the next row. *)
 let put b item =
   let r = b.b_len in
-  (match item with
-  | I_event e -> Row.set_event b.b_rows (r * width) e
+  match item with
+  | I_event { Event.access = Event.Other; pid; seq; k }
+    when r > 0 && Row.fold b.b_rows ((r - 1) * width) ~pid ~seq ~k ->
+      ()
+  | I_event e ->
+      Row.set_event b.b_rows (r * width) e;
+      b.b_len <- r + 1
   | I_source _ | I_sink _ | I_untaint _ | I_evict _ ->
       Row.set_item b.b_rows (r * width) ~pid:(pid_of_item item) ~seq:0;
-      b.b_side.(r) <- item);
-  b.b_len <- r + 1
+      b.b_side.(r) <- item;
+      b.b_len <- r + 1
 
-(* [run]'s fill: up to [n] items of [stream], one pull each. *)
-let rec fill_from stream b n =
-  n = 0
+(* Items of [stream], one pull each, until [b] holds [stop] rows.  No
+   item is pulled once it does, so a fold never reaches past the
+   room. *)
+let rec pull_until stream b stop =
+  b.b_len = stop
   ||
   match stream () with
   | None -> false
   | Some item ->
       put b item;
-      fill_from stream b (n - 1)
+      pull_until stream b stop
+
+(* [run]'s fill: [n] more rows of [stream]. *)
+let fill_from stream b n = pull_until stream b (b.b_len + n)
 
 (* Move row [r] of [src] to row [d] of [dst], side item included. *)
 let move_row src r dst d =
@@ -350,15 +371,25 @@ let rec take_batch t sh =
       end
       else take_batch t sh
 
-(* A batch the queue refused (already counted there): charge each row
-   to its pid in [drops] and release its side items, so the producer
-   can refill it. *)
+(* The items [b]'s rows stand for: what the queue counts, in its drop
+   tally too. *)
+let items_of b =
+  let n = ref 0 in
+  for r = 0 to b.b_len - 1 do
+    n := !n + Row.count b.b_rows (r * width)
+  done;
+  !n
+
+(* A batch the queue refused (already counted there): charge each row's
+   items to its pid in [drops] and release its side items, so the
+   producer can refill it. *)
 let discard drops b =
   for r = 0 to b.b_len - 1 do
     let o = r * width in
     let pid = b.b_rows.(o + 1) in
     Hashtbl.replace drops pid
-      (1 + Option.value ~default:0 (Hashtbl.find_opt drops pid));
+      (Row.count b.b_rows o
+      + Option.value ~default:0 (Hashtbl.find_opt drops pid));
     if b.b_rows.(o) = Row.tag_item then b.b_side.(r) <- no_item
   done;
   b.b_len <- 0
@@ -384,21 +415,20 @@ let produce t fill drops =
   in
   let flush s =
     let b = cur.(s) in
-    let items = b.b_len in
-    if items > 0 then
+    if b.b_len > 0 then
       match
         Spsc.push t.shard_arr.(s).sh_queue ~drop_when_full:t.cfg.drop_when_full
-          b ~items
+          b ~items:(items_of b)
       with
       | Spsc.Pushed -> cur.(s) <- no_batch
       | Spsc.Dropped -> discard drops b
   in
   (* Route rows [from, b_len) of shard [s]'s batch; the shard of the
-     last of them, else [s]. *)
+     last of them, else [s].  With one shard every row stays. *)
   let route s from =
     let b = cur.(s) in
-    let kept = ref from and last = ref s in
-    for r = from to b.b_len - 1 do
+    let kept = ref (if n = 1 then b.b_len else from) and last = ref s in
+    for r = !kept to b.b_len - 1 do
       let d = shard_index t b.b_rows.((r * width) + 1) in
       if d = s then begin
         if !kept <> r then move_row b r b !kept;
@@ -441,7 +471,10 @@ let produce t fill drops =
    batch until closed, walking each batch's rows in order and handing
    it back for reuse.  A consumer failure aborts its queue first, so the
    producer can never block against it, then propagates through the
-   pool join; the batch it was draining is not handed back. *)
+   pool join; the batch it was draining is not handed back.  An
+   injected fault counts items, not rows: one that lands inside a
+   counted row processes the row's first items, which leaves the
+   tracker's clock at the row's seq. *)
 exception Injected_fault of int
 
 let inject_fault t ~shard ~after_items =
@@ -458,15 +491,19 @@ let consume t sh =
     let rec go () =
       match Spsc.pop q with
       | None -> ()
-      | Some (b, items) ->
+      | Some (b, _) ->
           sh.sh_batches <- sh.sh_batches + 1;
-          for r = 0 to items - 1 do
+          for r = 0 to b.b_len - 1 do
             if t.fault_after >= 0 && t.fault_shard = sh.sh_id then begin
-              if t.fault_after = 0 then begin
+              let o = r * width in
+              let n = Row.count b.b_rows o in
+              if t.fault_after < n then begin
+                let first = t.fault_after in
                 t.fault_after <- -1;
+                if first > 0 then process_other t sh b.b_rows o first;
                 raise (Injected_fault sh.sh_id)
               end;
-              t.fault_after <- t.fault_after - 1
+              t.fault_after <- t.fault_after - n
             end;
             process_row t sh b r
           done;

@@ -17,16 +17,28 @@
     record ({!Pift_trace.Row}) — with the rare non-event items kept in
     a side array at their row index.  {!Ingest.run}'s fill decodes
     [PIFTBIN1] records straight into them; {!run} copies each item of
-    a {!stream} into one.  A full batch moves through the shard's
-    {!Spsc} queue as one value;
+    a {!stream} into one.
+
+    Algorithm 1 reads nothing of a non-memory instruction but its
+    count and clock, so a run of them travels as one {e counted row}:
+    a non-memory event joins the batch's last row when that row is a
+    non-memory row of the same pid, else it starts a row of count 1.
+    Both inputs fold by this one rule, so they build identical
+    batches.  Everything the engine counts stays counted in items: the
+    stats, the queues' drop tallies, {!inject_fault} and
+    {!Ingest.run}'s segment budgets.
+
+    A full batch moves through the shard's {!Spsc} queue as one value;
     the consumer walks its rows in order (non-event items in place),
     hands each event row's ints straight to the tracker's per-kind
-    Algorithm 1 step ({!Pift_core.Tracker.on_load}, [on_store],
-    [on_other]) with the one {!Pift_util.Range.t} a load or store
-    needs ({!Pift_trace.Row.range}, which refuses a bad range before
-    the tenant is touched) — no [Pift_trace.Event.t], no access box —
-    clears each side slot it consumes and hands the batch back through
-    the shard's atomic free list.  Batches
+    Algorithm 1 step ({!Pift_core.Tracker.on_load}, [on_store], and
+    [on_other] once per counted row) with the one {!Pift_util.Range.t}
+    a load or store needs ({!Pift_trace.Row.range}, which refuses a bad
+    range before the tenant is touched) — no [Pift_trace.Event.t], no
+    access box — resyncs the shard's occupancy only after rows that can
+    move the store (stores, sources, untaints), clears each side slot
+    it consumes and hands the batch back through the shard's atomic
+    free list.  Batches
     are made lazily inside {!run}, never more than
     [queue_capacity + 2] per shard (queued, filling, draining), and
     reused across runs and segments: a steady-state run allocates no
@@ -82,15 +94,19 @@ type batch = {
           length is the batch's capacity in rows *)
   mutable b_len : int;  (** rows written *)
 }
-(** A column batch, the unit the shard queues carry. *)
+(** A column batch, the unit the shard queues carry.  A row stands for
+    one item, or for [n] non-memory events when it is a counted row. *)
 
 type fill = batch -> int -> bool
 (** [fill b n] writes up to [n >= 1] more rows of the stream into [b],
     from row [b.b_len] on, advancing [b_len] as it writes each one.
-    Event rows carry the event; any other item is a [Row.tag_item] row
-    with the item's pid, and the item itself in [b_side] at the same
-    index.  It returns [false] once the stream has ended — the rows it
-    wrote on that call still count — and is not called again.  Rows
+    Event rows carry the event, and a non-memory event folds into the
+    last row by the rule above, writing no row; any other item is a
+    [Row.tag_item] row with the item's pid, and the item itself in
+    [b_side] at the same index.  The room is in rows, so a call may
+    consume more items than [n]; it reads nothing once it has written
+    [n] rows.  It returns [false] once the stream has ended — the rows
+    it wrote on that call still count — and is not called again.  Rows
     written before a fill raises count too: the engine delivers them,
     as it would the items pulled before a failing pull. *)
 
@@ -108,7 +124,7 @@ val create :
     [shards + 1] workers (slot 0 is the ingest producer).  [policy]
     configures every tenant tracker.  [queue_capacity]
     (default 64) bounds each shard queue in {e batches} of [batch]
-    (default 128) items.  [pid_range] (default [2{^20}]) is the width
+    (default 128) rows.  [pid_range] (default [2{^20}]) is the width
     of the contiguous pid blocks mapped to one shard.
     [drop_when_full:true] switches backpressure from blocking the
     producer to dropping batches (counted per shard, surfaced in
@@ -126,16 +142,18 @@ val run_fill : t -> fill -> unit
     each shard's rows, and its batch boundaries, follow stream order.
     Fresh queues per run; on any failure (producer or consumer) the
     queues are closed/aborted so no domain wedges, and the first
-    exception re-raises here after all workers drain.  Tenants are
+    exception re-raises here after all workers drain.  A batch is
+    queued with the count of the items its rows stand for.  Tenants are
     created on first touch and survive across runs until evicted.
     Items the dropping policy discards are added to their tenants'
     [ts_dropped] once the workers have joined (creating the tenant if
     none is resident). *)
 
 val run : t -> stream -> unit
-(** {!run_fill} over a fill that pulls [stream] one item per row — for
-    the recorder, the tests and item-at-a-time callers.  [stream] is
-    not pulled again once it returns [None]. *)
+(** {!run_fill} over a fill that pulls [stream] one item at a time and
+    folds non-memory events as {!Ingest.fill} does — for the recorder,
+    the tests and item-at-a-time callers.  [stream] is not pulled again
+    once it returns [None]. *)
 
 val shutdown : t -> unit
 (** Join the pool domains.  Idempotent; {!run} refuses afterwards
@@ -246,7 +264,9 @@ exception Injected_fault of int
 val inject_fault : t -> shard:int -> after_items:int -> unit
 (** Arm (engine-idle) a one-shot fault: during the next {!run}, the
     consumer of [shard] raises {!Injected_fault} after processing
-    [after_items] more items.  This drives the production failure path
+    [after_items] more items.  A fault that lands inside a counted row
+    processes the row's first items, with the tracker's clock at the
+    row's seq.  This drives the production failure path
     — the dying consumer aborts its queue so the producer cannot block
     against it, every queue closes, and {!run} re-raises the fault
     after the pool drains.  The engine survives: control-plane calls and

@@ -243,24 +243,43 @@ let merge sources : Engine.stream =
 
 let width = Row.width
 
-(* Emit row [r] of [b], the next record of source [s] (read from [rd]):
-   count it, map an event's pid into the tenant's block, put a marker's
-   item beside its row. *)
-let emit s rd (b : Engine.batch) r =
+(* Emit the record decoded into row [b_len] of [b], the next record of
+   source [s] (read from [rd]): count it, take it from [budget], map an
+   event's pid into the tenant's block, put a marker's item beside its
+   row.  A non-memory event joins the batch's last row instead when that
+   row counts the same engine pid's non-memory events ([Engine.run]'s
+   per-item path folds by the same rule), and the slot it was decoded
+   into stays free. *)
+let emit s rd (b : Engine.batch) budget =
   s.src_emitted <- s.src_emitted + 1;
-  let o = r * width in
-  if b.b_rows.(o) = Row.tag_item then begin
-    b.b_rows.(o + 1) <- s.src_pid;
-    b.b_side.(r) <- marker_item s (Trace_io.row_marker rd)
+  decr budget;
+  let r = b.b_len in
+  let rows = b.b_rows and o = r * width in
+  let tag = rows.(o) in
+  if tag = Row.tag_item then begin
+    rows.(o + 1) <- s.src_pid;
+    b.b_side.(r) <- marker_item s (Trace_io.row_marker rd);
+    b.b_len <- r + 1
   end
-  else b.b_rows.(o + 1) <- engine_pid s b.b_rows.(o + 1);
-  b.b_len <- r + 1
+  else begin
+    let pid = engine_pid s rows.(o + 1) in
+    if
+      not
+        (tag = Row.tag_other && r > 0
+        && Row.fold rows (o - width) ~pid ~seq:rows.(o + 2) ~k:rows.(o + 3))
+    then begin
+      rows.(o + 1) <- pid;
+      b.b_len <- r + 1
+    end
+  end
 
-(* The schedule's heads are rows of [heads], one per source.  Once a
-   pick has emitted a source's head, its next records are decoded
-   straight into the batch while they stay in the round's window; the
-   first one past it is copied back as the source's new head. *)
-let fill sources : Engine.fill =
+(* [fill], emitting while [budget] (in items) lasts.  The schedule's
+   heads are rows of [heads], one per source.  Once a pick has emitted a
+   source's head, its next records are decoded straight into the batch
+   while they stay in the round's window; the first one past it is
+   copied back as the source's new head.  A record that folds leaves
+   its row free for the next one. *)
+let fill_budget sources budget : Engine.fill =
   let srcs = Array.of_list sources in
   let n = Array.length srcs in
   let readers = Array.map reader_of srcs in
@@ -274,15 +293,15 @@ let fill sources : Engine.fill =
   fun b room ->
     let stop = b.b_len + room in
     let more = ref true in
-    while !more && b.b_len < stop do
+    while !more && b.b_len < stop && !budget > 0 do
       let i = pick sc read in
       if i < 0 then more := false
       else begin
         let s = srcs.(i) and rd = readers.(i) in
         Row.blit heads (i * width) b.b_rows (b.b_len * width);
-        emit s rd b b.b_len;
+        emit s rd b budget;
         let serving = ref true in
-        while !serving && b.b_len < stop do
+        while !serving && b.b_len < stop && !budget > 0 do
           let o = b.b_len * width in
           if not (Trace_io.read_row rd b.b_rows o) then begin
             sc.wins.(i) <- ended;
@@ -291,7 +310,7 @@ let fill sources : Engine.fill =
           end
           else begin
             let win = b.b_rows.(o + 2) asr window_bits in
-            if win <= sc.w then emit s rd b b.b_len
+            if win <= sc.w then emit s rd b budget
             else begin
               Row.blit b.b_rows o heads (i * width);
               sc.wins.(i) <- win;
@@ -304,6 +323,8 @@ let fill sources : Engine.fill =
     done;
     !more
 
+let fill sources = fill_budget sources (ref max_int)
+
 let run ?segment ?on_idle engine sources =
   let idle () = match on_idle with Some f -> f () | None -> () in
   Fun.protect
@@ -313,26 +334,25 @@ let run ?segment ?on_idle engine sources =
         (fun s ->
           Engine.register_tenant engine ~pid:s.src_pid ~name:s.src_name ())
         sources;
-      let fill = fill sources in
       match segment with
       | None ->
-          Engine.run_fill engine fill;
+          Engine.run_fill engine (fill sources);
           idle ()
       | Some n ->
           if n <= 0 then invalid_arg "Ingest.run: segment must be positive";
           (* Per-segment budgets over the one schedule: each
-             [Engine.run_fill] takes at most [n] rows and joins the
+             [Engine.run_fill] takes at most [n] items and joins the
              pool, so [on_idle] always observes a fully quiescent engine
              — the only state a snapshot may capture.  A spent budget
-             ends the run without reading further. *)
+             ends the run without reading further; the budget counts
+             items, so a counted row never reaches past it. *)
           let exhausted = ref false in
           let budget = ref 0 in
-          let bounded (b : Engine.batch) room =
+          let fill = fill_budget sources budget in
+          let bounded b room =
             !budget > 0
             &&
-            let before = b.b_len in
-            let more = fill b (min room !budget) in
-            budget := !budget - (b.b_len - before);
+            let more = fill b room in
             if not more then exhausted := true;
             more
           in

@@ -77,18 +77,22 @@ val fill : source list -> Engine.fill
     [src_next] — is pulled through [src_next], one item per row.  Along
     the way each event row's pid is remapped into its tenant's block as
     {!to_engine_item} does, with the same refusal, and a marker's item
-    goes into the batch's side array.  Once a pick has emitted a
-    source's head, its next records go straight into the batch while
-    they stay in the round's window; the first one past it is held as
-    the source's head.  A call decodes no record beyond its room, so a
-    run that stops after a full call has read nothing it did not
-    emit. *)
+    goes into the batch's side array.  A non-memory event whose engine
+    pid is that of the batch's last row, itself a counted non-memory
+    row, joins that row ({!Pift_trace.Row.fold}) instead of taking one
+    of its own — the rule {!Engine.run} folds its stream by.  Once a
+    pick has emitted a source's head, its next records go straight into
+    the batch while they stay in the round's window; the first one past
+    it is held as the source's head.  The room counts rows, not items:
+    a call decodes no record once it has written its room, so a run
+    that stops after a full call has read nothing it did not emit. *)
 
 val merge : source list -> Engine.stream
 (** The schedule as a pull stream, one item per pull: each source is
     read through its [src_next] and each item remapped by
     {!to_engine_item}.  It emits the items {!fill} writes, in the same
-    order, with the same cursors after each. *)
+    order, with the same cursors after each; a counted row of {!fill}
+    stands for that many consecutive items of the stream. *)
 
 val cursor : source -> int
 (** Ingest cursor: items emitted to the engine so far (plus any
@@ -113,7 +117,8 @@ val run :
     {!Engine.run_fill} the sources' {!fill}.  Sources are closed on the
     way out, also on failure.
 
-    With [segment:n], the stream is drained in budgets of [n] items:
+    With [segment:n], the stream is drained in budgets of [n] items
+    (not rows: a counted row never reaches past a budget):
     after each segment the engine is fully idle (pool joined, queues
     drained) and [on_idle] is called — the snapshot hook.  [on_idle]
     also runs once after the final (possibly short) segment, so a

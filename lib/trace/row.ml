@@ -21,7 +21,7 @@ let set_event rows o (e : Event.t) =
   | Event.Other ->
       rows.(o) <- tag_other;
       rows.(o + 4) <- 0;
-      rows.(o + 5) <- 0
+      rows.(o + 5) <- 1
 
 let set_item rows o ~pid ~seq =
   rows.(o) <- tag_item;
@@ -30,6 +30,17 @@ let set_item rows o ~pid ~seq =
   rows.(o + 3) <- 0;
   rows.(o + 4) <- 0;
   rows.(o + 5) <- 0
+
+let count rows o = if rows.(o) = tag_other then rows.(o + 5) else 1
+
+let fold rows o ~pid ~seq ~k =
+  if rows.(o) = tag_other && rows.(o + 1) = pid then begin
+    if seq > rows.(o + 2) then rows.(o + 2) <- seq;
+    rows.(o + 3) <- k;
+    rows.(o + 5) <- rows.(o + 5) + 1;
+    true
+  end
+  else false
 
 let range rows o = Range.of_len rows.(o + 4) rows.(o + 5)
 

@@ -1989,30 +1989,58 @@ let test_batch rows =
     b_len = 0;
   }
 
+(* Row [r] of [b] as its item and the count of items it stands for; a
+   counted row's event is the run's with the largest seq and last k. *)
 let row_item (b : Engine.batch) r =
   let o = r * Row.width in
-  if b.Engine.b_rows.(o) = Row.tag_item then b.Engine.b_side.(r)
-  else Engine.I_event (Row.event b.Engine.b_rows o)
+  ( (if b.Engine.b_rows.(o) = Row.tag_item then b.Engine.b_side.(r)
+     else Engine.I_event (Row.event b.Engine.b_rows o)),
+    Row.count b.Engine.b_rows o )
 
-(* [Ingest.fill] driven by hand, [batch] rows a call: every item, and
-   the cursors after each call with the number of items so far. *)
+(* The reference fold: the rows a fill writes for [items], [room] rows a
+   call, each call into an emptied batch.  A non-memory event joins the
+   row before it when that row is a non-memory run of the same pid in
+   the same call; a call that has written [room] rows ends before the
+   next item, so a full batch starts the next call. *)
+let fold_rows ~room items =
+  let rows = ref [] and used = ref 0 in
+  List.iter
+    (fun item ->
+      if !used = room then used := 0;
+      match (item, !rows) with
+      | ( Engine.I_event ({ Pift_trace.Event.access = Other; _ } as e),
+          (Engine.I_event ({ Pift_trace.Event.access = Other; _ } as last), n)
+          :: rest )
+        when !used > 0 && last.Pift_trace.Event.pid = e.Pift_trace.Event.pid ->
+          let seq = max last.Pift_trace.Event.seq e.Pift_trace.Event.seq in
+          rows := (Engine.I_event { e with Pift_trace.Event.seq }, n + 1) :: rest
+      | _ ->
+          rows := (item, 1) :: !rows;
+          incr used)
+    items;
+  List.rev !rows
+
+(* [Ingest.fill] driven by hand, [batch] rows a call: every row with its
+   count, and the cursors after each call with the number of items so
+   far. *)
 let fill_run ~batch srcs =
   let fill = Ingest.fill (Array.to_list srcs) in
   let b = test_batch batch in
-  let items = ref [] and cuts = ref [] and n = ref 0 in
+  let rows = ref [] and cuts = ref [] and n = ref 0 in
   let rec go () =
     b.Engine.b_len <- 0;
     let more = fill b batch in
     for r = 0 to b.Engine.b_len - 1 do
-      items := row_item b r :: !items
+      let row = row_item b r in
+      rows := row :: !rows;
+      n := !n + snd row
     done;
-    n := !n + b.Engine.b_len;
     cuts := (!n, cursors srcs) :: !cuts;
     if more then go ()
   in
   go ();
   Array.iter Ingest.close srcs;
-  (List.rev !items, List.rev !cuts)
+  (List.rev !rows, List.rev !cuts)
 
 (* The per-item path [Ingest.run] took before it filled rows: the
    merged stream in per-segment budgets through [Engine.run]. *)
@@ -2072,7 +2100,7 @@ let fill_matches_items c =
         if k = 0 then Array.make (List.length c.fc_specs) 0
         else snd (List.nth merged (k - 1))
       in
-      let items, cuts = fill_run ~batch:c.fc_batch (fresh ()) in
+      let rows, cuts = fill_run ~batch:c.fc_batch (fresh ()) in
       let want_idles, want_tenants, want_st, want_shards =
         engine_outcome c ~drop:false fresh item_path_run
       in
@@ -2086,7 +2114,8 @@ let fill_matches_items c =
       let want_of pid =
         List.find_opt (fun ts -> ts.Engine.ts_pid = pid) want_tenants
       in
-      if items <> List.map fst merged then Error "fill items <> merge items"
+      if rows <> fold_rows ~room:c.fc_batch (List.map fst merged) then
+        Error "fill rows <> the reference fold of the merge items"
       else if
         List.exists (fun (k, cur) -> k > total || cur <> cursors_at k) cuts
       then Error "cursors after a fill call <> merge cursors"
@@ -2379,12 +2408,16 @@ let read_item_outcome path : outcome =
       Trace_io.close_reader r;
       (List.rev !items, failure)
 
-let fill_outcome path : outcome =
+(* The rows a fill of [fill_room] rows a call wrote, and the failure
+   that ended them. *)
+let fill_room = 4
+
+let fill_outcome path =
   match Ingest.of_file ~pid:mutant_pid path with
   | exception Failure m -> ([], Some m)
   | s ->
       let fill = Ingest.fill [ s ] in
-      let room = 4 in
+      let room = fill_room in
       let b = test_batch room in
       let items = ref [] in
       let collect () =
@@ -2414,13 +2447,14 @@ let check_mutant ~what ~clean ~failed path bytes =
     with e ->
       Alcotest.failf "%s: %s escaped the decoder" what (Printexc.to_string e)
   in
-  let ((_, want_failure) as want) = outcome read_item_outcome in
+  let ((items, want_failure) as want) = outcome read_item_outcome in
   let got = outcome fill_outcome in
-  if got <> want then
+  if got <> (fold_rows ~room:fill_room items, want_failure) then
     Alcotest.failf "%s: fill path %s, read_item %s" what
       (match got with
-      | items, None -> Printf.sprintf "decoded %d items" (List.length items)
-      | items, Some m -> Printf.sprintf "failed after %d items: %s" (List.length items) m)
+      | rows, None -> Printf.sprintf "decoded %d rows" (List.length rows)
+      | rows, Some m ->
+          Printf.sprintf "failed after %d rows: %s" (List.length rows) m)
       (match want with
       | items, None -> Printf.sprintf "decoded %d items" (List.length items)
       | items, Some m -> Printf.sprintf "failed after %d items: %s" (List.length items) m);
@@ -2477,6 +2511,643 @@ let test_decoder_mutations () =
     (Printf.sprintf "mutants both decode (%d) and fail (%d)" !clean !failed)
     true
     (!clean > 0 && !failed > 0)
+
+(* --- counted rows ----------------------------------------------------------- *)
+
+(* A run of one pid's non-memory instructions travels as one counted
+   row.  These pin where runs fold and where they split, and that every
+   count the engine keeps stays in items. *)
+
+let ev seq pid access = { Pift_trace.Event.seq; k = seq; pid; access }
+
+let counted_recording ?(markers = [||]) events =
+  let trace = Pift_trace.Trace.create () in
+  List.iter (Pift_trace.Trace.add trace) events;
+  { Recorded.name = "counted"; trace; markers; pid = 7; bytecodes = 0 }
+
+(* The rows [Ingest.fill] writes, [room] a call, each call into an
+   emptied batch: (tag, pid, seq, k, count) per row, one list per
+   call. *)
+let fill_calls ~room srcs =
+  let fill = Ingest.fill srcs and b = test_batch room in
+  let rec go acc =
+    b.Engine.b_len <- 0;
+    let more = fill b room in
+    let rows = b.Engine.b_rows in
+    let call =
+      List.init b.Engine.b_len (fun r ->
+          let o = r * Row.width in
+          (rows.(o), rows.(o + 1), rows.(o + 2), rows.(o + 3), Row.count rows o))
+    in
+    if more then go (call :: acc) else List.rev (call :: acc)
+  in
+  go []
+
+let t_other = Row.tag_other
+and t_load = Row.tag_load
+and t_store = Row.tag_store
+let r8 = Range.of_len 64 8
+
+let test_fold_batch_room () =
+  let p = Ingest.tenant_pid 0 in
+  let other s = ev s 7 Pift_trace.Event.Other in
+  let r =
+    counted_recording
+      [
+        ev 1 7 (Pift_trace.Event.Load r8); other 2; other 3; other 4; other 5;
+        ev 6 7 (Pift_trace.Event.Store r8); other 7; other 8; other 9;
+      ]
+  in
+  checkb "a full batch splits the run" true
+    (fill_calls ~room:2 [ Ingest.of_recorded ~pid:p r ]
+    = [
+        [ (t_load, p, 1, 1, 1); (t_other, p, 2, 2, 1) ];
+        [ (t_other, p, 5, 5, 3); (t_store, p, 6, 6, 1) ];
+        [ (t_other, p, 9, 9, 3) ];
+      ])
+
+(* A run that crosses a window boundary stays one row while its source
+   keeps the schedule; another tenant's row in between splits it. *)
+let test_fold_window_boundary () =
+  let w = window in
+  let p0 = Ingest.tenant_pid 0 and p1 = Ingest.tenant_pid 1 in
+  let run () =
+    counted_recording
+      (List.map
+         (fun s -> ev s 7 Pift_trace.Event.Other)
+         [ w - 2; w - 1; w; w + 1 ])
+  in
+  checkb "one source: one row" true
+    (fill_calls ~room:128 [ Ingest.of_recorded ~pid:p0 (run ()) ]
+    = [ [ (t_other, p0, w + 1, w + 1, 4) ] ]);
+  let other = counted_recording [ ev (w - 1) 7 (Pift_trace.Event.Load r8) ] in
+  checkb "a row of window w - 1 splits it" true
+    (fill_calls ~room:128
+       [ Ingest.of_recorded ~pid:p0 (run ()); Ingest.of_recorded ~pid:p1 other ]
+    = [
+        [
+          (t_other, p0, w - 1, w - 1, 2);
+          (t_load, p1, w - 1, w - 1, 1);
+          (t_other, p0, w + 1, w + 1, 2);
+        ];
+      ])
+
+(* Another pid of the same tenant, or a marker, ends a run: a fold needs
+   the same engine pid in the row before. *)
+let test_fold_pid_change () =
+  let p = Ingest.tenant_pid 0 in
+  let other s pid = ev s pid Pift_trace.Event.Other in
+  let r =
+    counted_recording
+      ~markers:[| (6, Recorded.Sink { kind = "K"; ranges = [ r8 ] }) |]
+      [
+        other 1 7; other 2 7; other 3 8; other 4 8; other 5 7; other 6 7;
+        other 7 7;
+      ]
+  in
+  checkb "pid changes and a marker split the run" true
+    (fill_calls ~room:128 [ Ingest.of_recorded ~pid:p r ]
+    = [
+        [
+          (t_other, p, 2, 2, 2);
+          (t_other, p + 1, 4, 4, 2);
+          (t_other, p, 6, 6, 2);
+          (Row.tag_item, p, 6, 0, 1);
+          (t_other, p, 7, 7, 1);
+        ];
+      ])
+
+(* Segment budgets count items: a run of ten folds only up to each
+   budget, and at every [on_idle] the cursor and the engine's items
+   agree exactly. *)
+let test_fold_segment_budget () =
+  let p = Ingest.tenant_pid 0 in
+  let r =
+    counted_recording
+      (List.init 10 (fun i -> ev (i + 1) 7 Pift_trace.Event.Other)
+      @ [ ev 11 7 (Pift_trace.Event.Load r8) ])
+  in
+  Engine.with_engine ~shards:2 (fun eng ->
+      let s = Ingest.of_recorded ~pid:p r in
+      let seen = ref [] in
+      Ingest.run ~segment:4
+        ~on_idle:(fun () ->
+          seen := (Ingest.cursor s, (Engine.stats eng).Engine.st_items) :: !seen)
+        eng [ s ];
+      checkb "cursors and items at each idle" true
+        (List.rev !seen = [ (4, 4); (8, 8); (11, 11) ]);
+      checki "events" 11
+        (Option.get (Engine.snapshot_tenant eng ~pid:p)).Engine.ts_stats
+          .Tracker.events)
+
+(* An injected fault counts items, so it can land inside a counted row:
+   the row's first items are processed, the rest are not. *)
+let test_fold_fault_inside_row () =
+  let p = Ingest.tenant_pid 0 in
+  let others from n =
+    List.init n (fun i ->
+        Engine.I_event (ev (from + i) p Pift_trace.Event.Other))
+  in
+  Engine.with_engine ~shards:1 (fun eng ->
+      Engine.inject_fault eng ~shard:0 ~after_items:4;
+      (match Engine.run eng (stream_of_list (others 1 10)) with
+      | () -> Alcotest.fail "the fault did not fire"
+      | exception Engine.Injected_fault 0 -> ());
+      let events () =
+        (Option.get (Engine.snapshot_tenant eng ~pid:p)).Engine.ts_stats
+          .Tracker.events
+      in
+      checki "items before the fault" 4 (Engine.stats eng).Engine.st_items;
+      checki "events before the fault" 4 (events ());
+      Engine.run eng (stream_of_list (others 11 3));
+      checki "items after another run" 7 (Engine.stats eng).Engine.st_items;
+      checki "events after another run" 7 (events ()))
+
+(* Dropping charges a refused batch's items, not its rows: processed
+   plus dropped is every item, and the tenants' drops sum to the
+   engine's. *)
+let test_fold_drop_counts_items () =
+  let rng = Rng.create 26 in
+  let items = ref [] in
+  for i = 0 to 399 do
+    let pid = Ingest.tenant_pid (i mod 3) in
+    for j = 0 to Rng.int_in rng 0 39 do
+      let access =
+        if j = 0 then Pift_trace.Event.Load r8 else Pift_trace.Event.Other
+      in
+      items := Engine.I_event (ev i pid access) :: !items
+    done
+  done;
+  let items = List.rev !items in
+  Engine.with_engine ~shards:2 ~queue_capacity:1 ~batch:2 ~drop_when_full:true
+    (fun eng ->
+      Engine.run eng (stream_of_list items);
+      let st = Engine.stats eng in
+      let tenant_drops =
+        List.fold_left
+          (fun acc pid ->
+            let ts = Option.get (Engine.snapshot_tenant eng ~pid) in
+            acc + ts.Engine.ts_dropped)
+          0 (Engine.tenants eng)
+      in
+      checki "processed + dropped = items" (List.length items)
+        (st.Engine.st_items + st.Engine.st_dropped);
+      checki "tenant drops sum to the engine's" st.Engine.st_dropped
+        tenant_drops)
+
+(* Every reader writes a non-memory event as a counted row of 1 —
+   binary, text and in-memory alike — and a fill folds the three the
+   same way. *)
+let test_fold_readers_count_one () =
+  let p = Ingest.tenant_pid 0 in
+  let r =
+    counted_recording
+      ~markers:[| (2, Recorded.Source { kind = "K"; range = r8 }) |]
+      (List.init 9 (fun i ->
+           ev (i + 1) 7
+             (if i mod 4 = 3 then Pift_trace.Event.Store r8
+              else Pift_trace.Event.Other)))
+  in
+  let counts rd =
+    let row = Array.make Row.width 0 and acc = ref [] in
+    while Trace_io.read_row rd row 0 do
+      if row.(0) = Row.tag_other then acc := row.(5) :: !acc
+    done;
+    List.rev !acc
+  in
+  let header = { Trace_io.h_name = "counted"; h_pid = 7; h_bytecodes = 0 } in
+  checkb "in memory: counts of 1" true
+    (List.for_all (( = ) 1)
+       (counts (Trace_io.of_items header (Recorded.items r))));
+  let memory = fill_calls ~room:128 [ Ingest.of_recorded ~pid:p r ] in
+  List.iter
+    (fun format ->
+      with_tmp ~suffix:".pift" (fun path ->
+          Trace_io.save ~format r path;
+          let what = Trace_io.format_to_string format in
+          checkb (what ^ ": counts of 1") true
+            (List.for_all (( = ) 1) (Trace_io.with_reader path counts));
+          let s = Ingest.of_file ~pid:p path in
+          let rows = fill_calls ~room:128 [ s ] in
+          Ingest.close s;
+          checkb (what ^ ": the rows of the in-memory fill") true
+            (rows = memory)))
+    [ Trace_io.Text; Trace_io.Binary ];
+  checki "the fill folded" 7 (List.length (List.hd memory))
+
+(* The sidecar probes a window's label sets lazily, at the first thing
+   that reads or changes them.  Between the opening load and the first
+   in-window store, a source on a label that already exists, over the
+   very bytes the load read, must stay out of the window; an untaint of
+   those bytes must not take the load's label out of it.  Both are what
+   an opening that probed at once decided. *)
+let test_provenance_lazy_probe_source () =
+  let p = Provenance.create () in
+  let t = Tracker.create ~policy:(Policy.make ~ni:8 ~nt:2 ()) ~prov:p () in
+  Tracker.taint_source ~kind:"A" t ~pid:1 (Range.of_len 0 16);
+  Tracker.taint_source ~kind:"B" t ~pid:1 (Range.of_len 100 16);
+  let observe seq access =
+    Tracker.observe t { Pift_trace.Event.seq; k = seq; pid = 1; access }
+  in
+  observe 1 (Pift_trace.Event.Load (Range.of_len 4 4));
+  Tracker.taint_source ~kind:"B" t ~pid:1 (Range.of_len 4 4);
+  observe 2 (Pift_trace.Event.Store (Range.of_len 200 4));
+  checkb "the store carries the opener's labels only" true
+    (Provenance.labels_of p ~pid:1 (Range.of_len 200 4) = [ "A" ]);
+  checkb "the source itself landed" true
+    (Provenance.labels_of p ~pid:1 (Range.of_len 4 4) = [ "A"; "B" ]);
+  observe 3 (Pift_trace.Event.Load (Range.of_len 100 4));
+  Tracker.untaint_range t ~pid:1 (Range.of_len 100 16);
+  observe 4 (Pift_trace.Event.Store (Range.of_len 300 4));
+  checkb "an untaint after the load keeps its label in" true
+    (Provenance.labels_of p ~pid:1 (Range.of_len 300 4) = [ "B" ])
+
+(* [probes] counts each opening's label visits when the window opens,
+   whether or not anything ever resolves it: three openings over two
+   labels cost six, and the store that resolves the last adds none. *)
+let test_provenance_lazy_probe_counts () =
+  let p = Provenance.create () in
+  let t = Tracker.create ~policy:(Policy.make ~ni:8 ~nt:2 ()) ~prov:p () in
+  Tracker.taint_source ~kind:"A" t ~pid:1 (Range.of_len 0 16);
+  Tracker.taint_source ~kind:"B" t ~pid:1 (Range.of_len 100 16);
+  let before = Provenance.probes p in
+  for seq = 1 to 3 do
+    Tracker.observe t
+      {
+        Pift_trace.Event.seq;
+        k = seq;
+        pid = 1;
+        access = Pift_trace.Event.Load (Range.of_len 4 4);
+      }
+  done;
+  checki "three openings, two labels" 6 (Provenance.probes p - before);
+  Tracker.observe t
+    {
+      Pift_trace.Event.seq = 4;
+      k = 4;
+      pid = 1;
+      access = Pift_trace.Event.Store (Range.of_len 200 4);
+    };
+  checki "resolving adds no probe" 6 (Provenance.probes p - before)
+
+(* A snapshot taken while a window waits for its probe: the persisted
+   window names the labels its load hit, the PIFTSNAP1 bytes equal a
+   second snapshot's (taken once the first resolved it), and a tenant
+   restored from it propagates exactly those labels. *)
+let test_provenance_lazy_probe_persist () =
+  let pid = Ingest.tenant_pid 0 in
+  let event seq access =
+    Engine.I_event { Pift_trace.Event.seq; k = seq; pid; access }
+  in
+  let items =
+    [
+      Engine.I_source { pid; kind = "A"; range = Range.of_len 0 16 };
+      Engine.I_source { pid; kind = "B"; range = Range.of_len 100 16 };
+      Engine.I_source { pid; kind = "C"; range = Range.of_len 300 16 };
+      event 1 (Pift_trace.Event.Load (Range.of_len 8 100));
+      event 2 Pift_trace.Event.Other;
+    ]
+  in
+  with_tmp ~suffix:".piftsnap" (fun first ->
+      with_tmp ~suffix:".piftsnap" (fun second ->
+          Engine.with_engine ~with_origins:true (fun eng ->
+              Engine.run eng (stream_of_list items);
+              Pift_service.Snapshot.save eng first;
+              Pift_service.Snapshot.save eng second;
+              checks "PIFTSNAP1 bytes, pending then resolved"
+                (read_file first) (read_file second);
+              let tp = Option.get (Engine.persist_tenant eng ~pid) in
+              (match tp.Engine.tp_state.Tracker.p_prov with
+              | Some { Provenance.ps_windows = [ w ]; _ } ->
+                  checkb "persisted window labels" true
+                    (w.Provenance.pw_labels = [ "A"; "B" ]);
+                  checki "persisted opener seq" 1 w.Provenance.pw_opener_seq
+              | _ -> Alcotest.fail "expected one persisted window"));
+          Engine.with_engine ~with_origins:true (fun eng ->
+              Pift_service.Snapshot.restore_tenants eng
+                (Pift_service.Snapshot.load first);
+              Engine.run eng
+                (stream_of_list
+                   [ event 3 (Pift_trace.Event.Store (Range.of_len 500 4)) ]);
+              checkb "restored window propagates its labels" true
+                ((Engine.query_sink eng ~pid [ Range.of_len 500 4 ]).Engine.v_origins
+                = [ "A"; "B" ]))))
+
+(* --- the oracle through the engine ----------------------------------------- *)
+
+(* Three runs of one multi-tenant stream must agree: the naive
+   [Reference] model of Algorithm 1, a [Tracker] per tenant, and
+   [Ingest.run] through the sharded engine — at 1 and 3 shards, with and
+   without segment budgets, and resumed from a snapshot at another shard
+   count.  Taint bytes, range counts and sink verdicts are compared
+   against all three; origin sets and stats, which [Reference] does not
+   keep, against the tracker.  The streams carry long non-memory runs
+   (which the engine counts in one row), fork-child pids, and sources
+   and sinks landing inside those runs. *)
+
+module Reference = Pift_core.Reference
+module Snapshot = Pift_service.Snapshot
+
+type oracle_case = {
+  oc_ni : int;
+  oc_nt : int;
+  oc_recs : Recorded.t list;
+  oc_binary : bool;  (* served from PIFTBIN1 files, else in memory *)
+  oc_segment : int;
+  oc_cut : int;  (* the segment after which the snapshot is taken *)
+}
+
+(* One tenant: a source at seq 0, then blocks of non-memory runs (up to
+   300 instructions, some seqs shared), loads and stores over a small
+   address space, and markers — a run may have a source or sink marker
+   at one of its seqs, so the marker lands inside it.  An eighth of the
+   blocks run in a forked child.  Draws are sequenced with [let] and
+   loops: argument, tuple and record field evaluation order is
+   unspecified, and a case must depend on the seed alone. *)
+let gen_oracle_recording rng i =
+  let main = 40 + i in
+  let trace = Pift_trace.Trace.create () in
+  let markers =
+    ref [ (0, Recorded.Source { kind = "K0"; range = Range.of_len 0 48 }) ]
+  in
+  let seq = ref 0 and ks = Hashtbl.create 2 in
+  let event pid access =
+    let k = 1 + Option.value ~default:0 (Hashtbl.find_opt ks pid) in
+    Hashtbl.replace ks pid k;
+    Pift_trace.Trace.add trace { Pift_trace.Event.seq = !seq; k; pid; access }
+  in
+  let marker () =
+    let kind = Printf.sprintf "K%d" (Rng.int rng 3) in
+    let m =
+      if Rng.bool rng then Recorded.Source { kind; range = Prop.gen_range rng }
+      else Recorded.Sink { kind; ranges = [ Prop.gen_range rng ] }
+    in
+    markers := (!seq, m) :: !markers
+  in
+  for _ = 1 to Rng.int_in rng 1 14 do
+    let pid = if Rng.int rng 8 = 0 then main + 1 + Rng.int rng 3 else main in
+    match Rng.int rng 4 with
+    | 0 ->
+        let len = Rng.int_in rng 1 300 in
+        let at = Rng.int rng 300 in
+        for j = 0 to len - 1 do
+          seq := !seq + Rng.int rng 2;
+          if j = at then marker ();
+          event pid Pift_trace.Event.Other
+        done
+    | 1 | 2 ->
+        for _ = 1 to Rng.int_in rng 1 12 do
+          incr seq;
+          let r = Prop.gen_range rng in
+          let load = Rng.bool rng in
+          event pid
+            (if load then Pift_trace.Event.Load r else Pift_trace.Event.Store r)
+        done
+    | _ -> marker ()
+  done;
+  {
+    Recorded.name = Printf.sprintf "oracle%d" i;
+    trace;
+    markers = Array.of_list (List.rev !markers);
+    pid = main;
+    bytecodes = 0;
+  }
+
+let gen_oracle_case rng =
+  let oc_ni = Rng.int_in rng 1 16 in
+  let oc_nt = Rng.int_in rng 1 4 in
+  let tenants = Rng.int_in rng 1 4 in
+  let recs = ref [] in
+  for i = 0 to tenants - 1 do
+    recs := gen_oracle_recording rng i :: !recs
+  done;
+  let oc_binary = Rng.bool rng in
+  let oc_segment = Rng.int_in rng 1 400 in
+  let oc_cut = Rng.int_in rng 1 3 in
+  { oc_ni; oc_nt; oc_recs = List.rev !recs; oc_binary; oc_segment; oc_cut }
+
+let oracle_case_to_string c =
+  Printf.sprintf "ni %d nt %d, %s, segment %d, cut after %d: %s" c.oc_ni
+    c.oc_nt
+    (if c.oc_binary then "binary" else "memory")
+    c.oc_segment c.oc_cut
+    (String.concat " | "
+       (List.map
+          (fun (r : Recorded.t) ->
+            Printf.sprintf "%d events, %d markers"
+              (Pift_trace.Trace.length r.Recorded.trace)
+              (Array.length r.Recorded.markers))
+          c.oc_recs))
+
+(* What a run leaves of one engine tenant, that is of one pid:
+   (kind, flagged, origins) per sink, live tainted bytes and ranges,
+   and the tracker's stats. *)
+type oracle_tenant = {
+  ot_verdicts : (string * bool * string list) list;
+  ot_bytes : int;
+  ot_ranges : int;
+  ot_stats : Tracker.stats option;  (* [None] from [Reference] *)
+}
+
+(* Replay [r]'s items on one model per pid, as the engine keeps one
+   tenant per pid: [make] builds a pid's model, [event] feeds it,
+   [source] and [sink] run on the main pid's.  Each pid's result, by
+   offset from the main pid. *)
+let replay_per_pid (r : Recorded.t) ~make ~event ~source ~sink ~result =
+  let main = r.Recorded.pid in
+  let models = Hashtbl.create 2 and verdicts = ref [] in
+  let model pid =
+    match Hashtbl.find_opt models pid with
+    | Some m -> m
+    | None ->
+        let m = make () in
+        Hashtbl.add models pid m;
+        m
+  in
+  let next = Recorded.items r in
+  let rec go () =
+    match next () with
+    | None -> ()
+    | Some (Recorded.Item_event e) ->
+        event (model e.Pift_trace.Event.pid) e;
+        go ()
+    | Some (Recorded.Item_marker (_, Recorded.Source { kind; range })) ->
+        source (model main) ~pid:main kind range;
+        go ()
+    | Some (Recorded.Item_marker (_, Recorded.Sink { kind; ranges })) ->
+        verdicts := sink (model main) ~pid:main kind ranges :: !verdicts;
+        go ()
+  in
+  go ();
+  List.sort compare
+    (Hashtbl.fold
+       (fun pid m acc ->
+         let v = if pid = main then List.rev !verdicts else [] in
+         (pid - main, result m ~pid v) :: acc)
+       models [])
+
+let reference_tenants policy r =
+  replay_per_pid r
+    ~make:(fun () -> Reference.create policy)
+    ~event:Reference.observe
+    ~source:(fun m ~pid _ range -> Reference.taint_source m ~pid range)
+    ~sink:(fun m ~pid kind ranges ->
+      (kind, List.exists (fun x -> Reference.is_tainted m ~pid x) ranges, []))
+    ~result:(fun m ~pid:_ verdicts ->
+      {
+        ot_verdicts = verdicts;
+        ot_bytes = Reference.tainted_bytes m;
+        ot_ranges = Reference.range_count m;
+        ot_stats = None;
+      })
+
+let tracker_tenants policy r =
+  replay_per_pid r
+    ~make:(fun () -> Tracker.create ~policy ~prov:(Provenance.create ()) ())
+    ~event:Tracker.observe
+    ~source:(fun t ~pid kind range -> Tracker.taint_source ~kind t ~pid range)
+    ~sink:(fun t ~pid kind ranges ->
+      ( kind,
+        List.exists (fun x -> Tracker.is_tainted t ~pid x) ranges,
+        List.sort_uniq String.compare
+          (List.concat_map (fun x -> Tracker.origins_of t ~pid x) ranges) ))
+    ~result:(fun t ~pid:_ verdicts ->
+      {
+        ot_verdicts = verdicts;
+        ot_bytes = Tracker.current_tainted_bytes t;
+        ot_ranges = Tracker.current_ranges t;
+        ot_stats = Some (Tracker.stats t);
+      })
+
+(* Fresh sources over the case's recordings (or their files). *)
+let oracle_sources c paths =
+  List.mapi
+    (fun i r ->
+      let pid = Ingest.tenant_pid i in
+      match paths with
+      | [] -> Ingest.of_recorded ~pid r
+      | _ -> Ingest.of_file ~pid (List.nth paths i))
+    c.oc_recs
+
+(* Each source's resident tenants, by offset from its pid. *)
+let engine_tenants eng srcs =
+  List.map
+    (fun (s : Ingest.source) ->
+      let base = s.Ingest.src_pid in
+      List.filter_map
+        (fun pid ->
+          if pid < base || pid - base >= 1 lsl 20 then None
+          else
+            Option.map
+              (fun (ts : Engine.tenant_snapshot) ->
+                ( pid - base,
+                  {
+                    ot_verdicts =
+                      List.map
+                        (fun (v : Engine.verdict) ->
+                          (v.Engine.v_kind, v.Engine.v_flagged, v.Engine.v_origins))
+                        ts.Engine.ts_verdicts;
+                    ot_bytes = ts.Engine.ts_tainted_bytes;
+                    ot_ranges = ts.Engine.ts_ranges;
+                    ot_stats = Some ts.Engine.ts_stats;
+                  } ))
+              (Engine.snapshot_tenant eng ~pid))
+        (Engine.tenants eng))
+    srcs
+
+let oracle_engine_run c paths ~shards ~segment =
+  let policy = Policy.make ~ni:c.oc_ni ~nt:c.oc_nt () in
+  Engine.with_engine ~shards ~policy ~with_origins:true (fun eng ->
+      let srcs = oracle_sources c paths in
+      Ingest.run ?segment eng srcs;
+      engine_tenants eng srcs)
+
+(* Serve at 3 shards in segments, snapshot after the [oc_cut]-th, and
+   serve the rest at 1 shard from the snapshot: restored tenants, fresh
+   sources skipped to the snapshot's cursors. *)
+let oracle_restored_run c paths =
+  let policy = Policy.make ~ni:c.oc_ni ~nt:c.oc_nt () in
+  let snap =
+    Engine.with_engine ~shards:3 ~policy ~with_origins:true (fun eng ->
+        let srcs = oracle_sources c paths in
+        let idles = ref 0 and snap = ref None in
+        Ingest.run ~segment:c.oc_segment
+          ~on_idle:(fun () ->
+            incr idles;
+            if !idles = c.oc_cut || Option.is_none !snap then
+              snap :=
+                Some
+                  (Snapshot.of_engine
+                     ~sources:(Snapshot.source_entries srcs)
+                     eng))
+          eng srcs;
+        Option.get !snap)
+  in
+  Engine.with_engine ~shards:1 ~policy ~with_origins:true (fun eng ->
+      Snapshot.restore_tenants eng snap;
+      let srcs = oracle_sources c paths in
+      List.iter2
+        (fun s (se : Snapshot.source_entry) ->
+          Ingest.skip s se.Snapshot.se_cursor)
+        srcs snap.Snapshot.sources;
+      Ingest.run eng srcs;
+      engine_tenants eng srcs)
+
+let oracle_matches c =
+  let policy = Policy.make ~ni:c.oc_ni ~nt:c.oc_nt () in
+  let paths =
+    if c.oc_binary then
+      List.map
+        (fun r ->
+          let path = Filename.temp_file "pift_oracle" ".pift" in
+          Trace_io.save ~format:Trace_io.Binary r path;
+          path)
+        c.oc_recs
+    else []
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove paths)
+    (fun () ->
+      let reference = List.map (reference_tenants policy) c.oc_recs in
+      let tracker = List.map (tracker_tenants policy) c.oc_recs in
+      let strip (offset, t) =
+        ( offset,
+          {
+            t with
+            ot_verdicts = List.map (fun (k, f, _) -> (k, f, [])) t.ot_verdicts;
+            ot_stats = None;
+          } )
+      in
+      let runs =
+        ( "restored at 1 shard from a 3-shard snapshot",
+          oracle_restored_run c paths )
+        :: List.concat_map
+             (fun shards ->
+               List.map
+                 (fun segment ->
+                   ( Printf.sprintf "%d shard(s)%s" shards
+                       (match segment with
+                       | None -> ""
+                       | Some n -> Printf.sprintf ", segment %d" n),
+                     oracle_engine_run c paths ~shards ~segment ))
+                 [ None; Some c.oc_segment ])
+             [ 1; 3 ]
+      in
+      if List.map (List.map strip) tracker <> reference then
+        Error "tracker <> Reference (verdicts, bytes or ranges)"
+      else
+        match List.find_opt (fun (_, got) -> got <> tracker) runs with
+        | Some (what, _) -> Error ("engine, " ^ what ^ " <> tracker")
+        | None -> Ok ())
+
+let test_engine_oracle () =
+  Prop.check_gen ~name:"Reference = Tracker = engine" ~count:40
+    ~gen:gen_oracle_case
+    ~shrink:(fun c ->
+      List.map
+        (fun recs -> { c with oc_recs = recs })
+        (Prop.shrink_candidates c.oc_recs))
+    ~to_string:oracle_case_to_string oracle_matches
 
 let () =
   Alcotest.run "pift service"
@@ -2570,6 +3241,12 @@ let () =
           Alcotest.test_case "probes follow the tracker's decisions" `Quick
             test_provenance_probes_follow_decisions;
           Alcotest.test_case "release_pid" `Quick test_provenance_release_pid;
+          Alcotest.test_case "lazy probe: a later source or untaint" `Quick
+            test_provenance_lazy_probe_source;
+          Alcotest.test_case "lazy probe: probes count at opening" `Quick
+            test_provenance_lazy_probe_counts;
+          Alcotest.test_case "lazy probe: a pending window persists" `Quick
+            test_provenance_lazy_probe_persist;
         ] );
       ( "ingest merge",
         [
@@ -2588,6 +3265,27 @@ let () =
         [
           Alcotest.test_case "fill path = per-item view" `Quick
             test_fill_matches_items;
+        ] );
+      ( "counted rows",
+        [
+          Alcotest.test_case "a full batch splits a run" `Quick
+            test_fold_batch_room;
+          Alcotest.test_case "window boundaries" `Quick test_fold_window_boundary;
+          Alcotest.test_case "a pid change or a marker ends a run" `Quick
+            test_fold_pid_change;
+          Alcotest.test_case "segment budgets count items" `Quick
+            test_fold_segment_budget;
+          Alcotest.test_case "a fault inside a counted row" `Quick
+            test_fold_fault_inside_row;
+          Alcotest.test_case "drops count items" `Quick
+            test_fold_drop_counts_items;
+          Alcotest.test_case "every reader writes counts of 1" `Quick
+            test_fold_readers_count_one;
+        ] );
+      ( "engine oracle",
+        [
+          Alcotest.test_case "Reference = Tracker = engine, 1 and 3 shards"
+            `Quick test_engine_oracle;
         ] );
       ( "streaming readers",
         [
