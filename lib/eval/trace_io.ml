@@ -301,12 +301,66 @@ let text_open ic =
   in
   ({ h_name; h_pid; h_bytecodes }, next_item)
 
+(* --- block decoding ------------------------------------------------------ *)
+
+type stop = Full | Past | Marker | Ended
+
+type block = {
+  mutable bk_rows : int array;
+  mutable bk_next : int;
+  mutable bk_end : int;
+  mutable bk_budget : int;
+  mutable bk_bound : int;
+  mutable bk_shift : int;
+}
+
+let block () =
+  {
+    bk_rows = [||];
+    bk_next = 0;
+    bk_end = 0;
+    bk_budget = 0;
+    bk_bound = max_int;
+    bk_shift = 0;
+  }
+
+let width = Row.width
+
+(* The record just decoded into the row at [o] = [bk_next], its pid
+   already shifted: [Past] if its seq is past the bound (left there,
+   not counted); otherwise it takes an item of the budget, and a
+   non-memory record joins the row before it (at [o > 0]) when that
+   row counts the same pid's non-memory records ([Row.fold]'s rule, inline here so
+   the decode loop makes no call for it), leaving its own row free.
+   [Full] means go on. *)
+let[@inline] place bk rows o =
+  let seq = rows.(o + 2) in
+  if seq > bk.bk_bound then Past
+  else begin
+    bk.bk_budget <- bk.bk_budget - 1;
+    let tag = rows.(o) and p = o - width in
+    if
+      tag = Row.tag_other && o > 0
+      && rows.(p) = Row.tag_other
+      && rows.(p + 1) = rows.(o + 1)
+    then begin
+      if seq > rows.(p + 2) then rows.(p + 2) <- seq;
+      rows.(p + 3) <- rows.(o + 3);
+      rows.(p + 5) <- rows.(p + 5) + 1;
+      Full
+    end
+    else begin
+      bk.bk_next <- o + width;
+      if tag = Row.tag_item then Marker else Full
+    end
+  end
+
 (* --- binary parsing ------------------------------------------------------ *)
 
 (* Pull-side decoder state: the record cursor plus the delta baselines.
-   The decode helpers are top-level functions over this record, so
-   decoding an event record allocates nothing: it writes a row.  A
-   marker record allocates its value. *)
+   The decode loop is a top-level function over this record and the
+   block, so decoding an event record allocates nothing: it writes a
+   row.  A marker record allocates its value. *)
 type bin_reader = {
   br_c : Wire.cursor;
   br_pid : int;  (* the header pid, the pid of every marker row *)
@@ -318,25 +372,76 @@ type bin_reader = {
 
 let no_marker = Recorded.Sink { kind = ""; ranges = [] }
 
-let br_seq br =
-  br.br_prev_seq <- br.br_prev_seq + Wire.svarint br.br_c;
-  br.br_prev_seq
+let[@inline] byte_at buf i = Char.code (Bytes.unsafe_get buf i)
 
-(* A range's fields: the start lands in [br_prev_lo], the length is
-   returned.  A pair [Range.of_len] would refuse fails with its message,
-   without building the range. *)
-let br_lo_len br =
-  br.br_prev_lo <- br.br_prev_lo + Wire.svarint br.br_c;
-  let lo = br.br_prev_lo and len = Wire.varint br.br_c in
-  if len <= 0 || lo < 0 || lo + len - 1 < lo then begin
-    try ignore (Range.of_len lo len)
-    with Invalid_argument msg -> Wire.fail br.br_c msg
-  end;
-  len
+(* [Wire.next]'s and [Wire.varint]'s common cases, taken here so that
+   the decode loop calls into [Wire] only for what they leave: a longer
+   or unbuffered length, a multi-byte field, end of stream and every
+   failure. *)
+let[@inline] frame (c : Wire.cursor) =
+  let lo = c.lo in
+  let len = if lo < c.hi then byte_at c.buf lo else 0 in
+  if len > 0 && len < 0x80 && lo + 1 + len <= c.hi then begin
+    c.record <- c.record + 1;
+    c.pos <- lo + 2;
+    c.limit <- lo + 1 + len;
+    c.lo <- lo + 1 + len;
+    byte_at c.buf (lo + 1)
+  end
+  else Wire.next c
+
+let[@inline] field (c : Wire.cursor) =
+  let pos = c.pos in
+  let b =
+    if pos < c.limit then byte_at c.buf pos else 0x80
+  in
+  if b < 0x80 then begin
+    c.pos <- pos + 1;
+    b
+  end
+  else Wire.varint c
+
+(* Zigzag decoding (0, 1, 2, 3 → 0, -1, 1, -2). *)
+let[@inline] unzigzag z = (z lsr 1) lxor -(z land 1)
+
+let[@inline] sfield c = unzigzag (field c)
+
+let[@inline] finish (c : Wire.cursor) = if c.pos <> c.limit then Wire.finish c
+
+(* A range start and length [Range.of_len] would refuse fail with its
+   message, without building the range. *)
+let range_fail c lo len =
+  try ignore (Range.of_len lo len) with Invalid_argument msg -> Wire.fail c msg
+
+let[@inline] check_range c lo len =
+  if len <= 0 || lo < 0 || lo + len - 1 < lo then range_fail c lo len
 
 let br_range br =
-  let len = br_lo_len br in
-  Range.of_len br.br_prev_lo len
+  let c = br.br_c in
+  br.br_prev_lo <- br.br_prev_lo + sfield c;
+  let lo = br.br_prev_lo and len = field c in
+  check_range c lo len;
+  Range.of_len lo len
+
+(* A marker record's fields, after its tag: its value goes to
+   [br_marker] and its seq is returned.  Any other tag fails. *)
+let bin_marker br tag =
+  let c = br.br_c in
+  let len = Wire.remaining c + 1 in
+  if tag <> tag_source && tag <> tag_sink then Wire.unknown_tag c tag;
+  br.br_prev_seq <- br.br_prev_seq + sfield c;
+  let kind = Wire.string c "truncated kind" in
+  if tag = tag_source then begin
+    let range = br_range br in
+    br.br_marker <- Recorded.Source { kind; range }
+  end
+  else begin
+    let nranges = field c in
+    if nranges < 0 || nranges > len then Wire.fail c "implausible range count";
+    let ranges = List.init nranges (fun _ -> br_range br) in
+    br.br_marker <- Recorded.Sink { kind; ranges }
+  end;
+  br.br_prev_seq
 
 (* Magic + header, eagerly; the returned reader is positioned at the
    first record. *)
@@ -358,75 +463,81 @@ let bin_open ic =
       br_marker = no_marker;
     } )
 
-(* The PIFTBIN1 decoder body: the next record into the row at [o] of
-   [rows] (the [Row] layout; the binary tags of load, store and other
-   are [Row]'s, and an "other" record is a counted row of 1).  A marker
-   becomes a [Row.tag_item] row carrying the header pid, its value left
-   in [br_marker].  [false] only on EOF exactly at a record boundary;
-   anything else fails with the record number. *)
-let bin_row br rows o =
-  let c = br.br_c in
-  match Wire.next c with
-  | -1 -> false
-  | tag ->
+(* The PIFTBIN1 decoder: records into consecutive rows of the block
+   (the [Row] layout; the binary tags of load, store and other are
+   [Row]'s, and an "other" record is a counted row of 1) until a stop
+   of {!read_rows}.  A marker becomes a [Row.tag_item] row carrying the
+   header pid, its value left in [br_marker].  [Ended] only on EOF
+   exactly at a record boundary; anything else fails with the record
+   number.  A record is placed only once all its fields and its length
+   have checked out, so a failure leaves the rows before it whole. *)
+let rec bin_rows br bk =
+  let o = bk.bk_next in
+  if o >= bk.bk_end || bk.bk_budget <= 0 then Full
+  else begin
+    let c = br.br_c and rows = bk.bk_rows in
+    let tag = frame c in
+    if tag < 0 then Ended
+    else begin
       if tag <= tag_other then begin
-        let seq = br_seq br in
-        br.br_prev_k <- br.br_prev_k + Wire.svarint c;
-        let pid = Wire.varint c in
-        rows.(o) <- tag;
-        rows.(o + 1) <- pid;
-        rows.(o + 2) <- seq;
-        rows.(o + 3) <- br.br_prev_k;
+        let seq = br.br_prev_seq + sfield c in
+        br.br_prev_seq <- seq;
+        let k = br.br_prev_k + sfield c in
+        br.br_prev_k <- k;
+        let pid = field c in
         if tag = tag_other then begin
           rows.(o + 4) <- 0;
           rows.(o + 5) <- 1
         end
         else begin
-          let len = br_lo_len br in
-          rows.(o + 4) <- br.br_prev_lo;
+          let lo = br.br_prev_lo + sfield c in
+          br.br_prev_lo <- lo;
+          let len = field c in
+          check_range c lo len;
+          rows.(o + 4) <- lo;
           rows.(o + 5) <- len
-        end
+        end;
+        finish c;
+        rows.(o) <- tag;
+        rows.(o + 1) <- pid + bk.bk_shift;
+        rows.(o + 2) <- seq;
+        rows.(o + 3) <- k
       end
-      else if tag = tag_source then begin
-        let seq = br_seq br in
-        let kind = Wire.string c "truncated kind" in
-        let range = br_range br in
-        br.br_marker <- Recorded.Source { kind; range };
-        Row.set_item rows o ~pid:br.br_pid ~seq
-      end
-      else if tag = tag_sink then begin
-        let len = Wire.remaining c + 1 in
-        let seq = br_seq br in
-        let kind = Wire.string c "truncated kind" in
-        let nranges = Wire.varint c in
-        if nranges < 0 || nranges > len then
-          Wire.fail c "implausible range count";
-        let ranges = List.init nranges (fun _ -> br_range br) in
-        br.br_marker <- Recorded.Sink { kind; ranges };
-        Row.set_item rows o ~pid:br.br_pid ~seq
-      end
-      else Wire.unknown_tag c tag;
-      Wire.finish c;
-      true
+      else begin
+        let seq = bin_marker br tag in
+        finish c;
+        Row.set_item rows o ~pid:(br.br_pid + bk.bk_shift) ~seq
+      end;
+      match place bk rows o with Full -> bin_rows br bk | stop -> stop
+    end
+  end
 
 (* Any other item pull — a text trace's parsed lines, an in-memory
-   stream — writes its items as rows one at a time. *)
+   stream — writes its items as rows one at a time, placed as a binary
+   record is. *)
 type item_rows = {
   it_next : unit -> Recorded.item option;
   it_pid : int;  (* the pid of every marker row *)
   mutable it_marker : Recorded.marker;  (* of the last marker row *)
 }
 
-let items_row it rows o =
-  match it.it_next () with
-  | None -> false
-  | Some (Recorded.Item_event e) ->
-      Row.set_event rows o e;
-      true
-  | Some (Recorded.Item_marker (seq, m)) ->
-      it.it_marker <- m;
-      Row.set_item rows o ~pid:it.it_pid ~seq;
-      true
+let rec items_rows it bk =
+  let o = bk.bk_next in
+  if o >= bk.bk_end || bk.bk_budget <= 0 then Full
+  else begin
+    let rows = bk.bk_rows in
+    match it.it_next () with
+    | None -> Ended
+    | Some item -> (
+        (match item with
+        | Recorded.Item_event e ->
+            Row.set_event rows o e;
+            rows.(o + 1) <- rows.(o + 1) + bk.bk_shift
+        | Recorded.Item_marker (seq, m) ->
+            it.it_marker <- m;
+            Row.set_item rows o ~pid:(it.it_pid + bk.bk_shift) ~seq);
+        match place bk rows o with Full -> items_rows it bk | stop -> stop)
+  end
 
 (* --- format autodetection ------------------------------------------------- *)
 
@@ -455,12 +566,21 @@ type reader = {
   r_header : header;
   r_decoder : decoder;
   r_ic : in_channel option;  (* [None] for {!of_items} *)
-  r_row : int array;  (* [read_item]'s row *)
+  r_row : int array;  (* one row, for {!read_row} and {!read_item} *)
+  r_block : block;  (* over [r_row] *)
   mutable r_closed : bool;
 }
 
 let make_reader r_header r_decoder r_ic =
-  { r_header; r_decoder; r_ic; r_row = Array.make Row.width 0; r_closed = false }
+  let r_row = Array.make width 0 in
+  {
+    r_header;
+    r_decoder;
+    r_ic;
+    r_row;
+    r_block = { (block ()) with bk_rows = r_row };
+    r_closed = false;
+  }
 
 let item_rows it_pid it_next = Items { it_next; it_pid; it_marker = no_marker }
 
@@ -482,17 +602,33 @@ let open_reader path =
 
 let of_items h next = make_reader h (item_rows h.h_pid next) None
 
-let read_row r rows o =
+let read_rows r bk =
   match r.r_decoder with
-  | Bin br -> bin_row br rows o
-  | Items it -> items_row it rows o
+  | Bin br -> bin_rows br bk
+  | Items it -> items_rows it bk
+
+(* One record into [r_row]: at row 0 nothing folds, and the block
+   keeps no bound and no shift. *)
+let read_own_row r =
+  let bk = r.r_block in
+  bk.bk_next <- 0;
+  bk.bk_end <- width;
+  bk.bk_budget <- 1;
+  read_rows r bk <> Ended
+
+let read_row r rows o =
+  read_own_row r
+  && begin
+       Array.blit r.r_row 0 rows o width;
+       true
+     end
 
 let row_marker r =
   match r.r_decoder with Bin br -> br.br_marker | Items it -> it.it_marker
 
 let read_item r =
   let row = r.r_row in
-  if not (read_row r row 0) then None
+  if not (read_own_row r) then None
   else if row.(0) = Row.tag_item then
     Some (Recorded.Item_marker (row.(2), row_marker r))
   else Some (Recorded.Item_event (Row.event row 0))

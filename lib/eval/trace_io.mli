@@ -34,7 +34,7 @@
     rejected with the failing record's number.  The binary decoder
     builds no closure per record (its error continuations run only on
     the failure path) and writes an event record into an int row (see
-    {!read_row}), so it allocates nothing for one.  That is a property
+    {!read_rows}), so it allocates nothing for one.  That is a property
     of the decoder, not of the format: the bytes above and the
     positioned error messages are the contract.
 
@@ -74,20 +74,35 @@ val detect_format : string -> format
     resident memory is one buffered chunk (binary) or one line (text)
     per tenant, whatever the trace length.
 
-    {b Rows.}  A reader's unit is one record decoded into a
-    {!Pift_trace.Row}: six ints, tag, pid, seq, k, lo, len.  A
-    [PIFTBIN1] reader decodes the varints straight into the caller's
-    row and allocates nothing for an event record; the service's fill
-    path hands it the engine's column batch.  A non-memory event
-    becomes a counted [Row.tag_other] row of 1.  A marker becomes a
+    {b Rows.}  A reader decodes records into {!Pift_trace.Row}s: six
+    ints, tag, pid, seq, k, lo, len.  A non-memory event becomes a
+    counted [Row.tag_other] row of 1.  A marker becomes a
     [Row.tag_item] row with the header pid and its seq, and its value
-    stays readable through {!row_marker} until the reader's next record.
-    The text reader and {!of_items} parse or pull an item and write it
-    as a row, more slowly.  {!read_item} is a thin wrapper: one
-    {!read_row} into the reader's own row, then the
-    {!Recorded.item} built from it.  Both run the same decoder, so they
-    deliver the same records and fail with the same positioned
-    message. *)
+    stays readable through {!row_marker} until the reader's next
+    record.
+
+    {b Blocks.}  {!read_rows} decodes a whole run of records in one
+    call, into consecutive rows of a {!block}: the service's fill path
+    hands it the engine's column batch, one call per stretch of one
+    source.  On the way it folds each non-memory record into the row
+    before it (not at offset 0) when that row counts the same pid's
+    non-memory records
+    ([Row.fold]'s rule), adds the block's pid shift to every row, and
+    stops at the first of: no row room, no items left in the budget, a
+    record past the seq bound, a marker written, or the end of the
+    stream.  For [PIFTBIN1] the loop, with the record layer's
+    one-byte length and one-byte field cases, lives in this module's
+    compilation unit: under [-opaque] (dune's dev profile) no call
+    inlines across modules, and a call per field was most of the
+    decode cost.  Longer lengths and fields, refills and every
+    positioned failure stay in {!Pift_util.Wire}.  An event record
+    allocates nothing.  The text reader and {!of_items} parse or pull
+    one item per row, more slowly, under the same stops.
+
+    {!read_row} is the one-row case of the same call and {!read_item}
+    builds a {!Recorded.item} from it, so every entry point runs one
+    decoder: they deliver the same records and fail with the same
+    positioned message. *)
 
 type header = { h_name : string; h_pid : int; h_bytecodes : int }
 
@@ -106,17 +121,62 @@ val of_items : header -> (unit -> Recorded.item option) -> reader
     {!read_row} writes each pulled item as a row, marker rows with
     [h_pid].  Holds no file; {!close_reader} only marks it closed. *)
 
+type stop =
+  | Full  (** no row room left, or no items left in the budget *)
+  | Past
+      (** the record at [bk_next] has a seq past [bk_bound]: it is
+          decoded there, the reader has moved past it, and it is not
+          counted *)
+  | Marker  (** the last row written, before [bk_next], is a marker *)
+  | Ended  (** clean end of stream: nothing more will be read *)
+
+type block = {
+  mutable bk_rows : int array;  (** where the rows go *)
+  mutable bk_next : int;
+      (** offset of the next row to write; advanced past each row
+          written *)
+  mutable bk_end : int;  (** rows are written at offsets below this *)
+  mutable bk_budget : int;
+      (** items left; each record placed takes one, folded or not *)
+  mutable bk_bound : int;  (** the largest seq to place *)
+  mutable bk_shift : int;  (** added to every row's pid *)
+}
+(** One {!read_rows} call's rows, limits and progress, in int offsets
+    into [bk_rows] (row [r] is at [r * Row.width]).  The caller sets
+    the fields and reads [bk_next] and [bk_budget] back; a block is
+    reused across calls. *)
+
+val block : unit -> block
+(** An empty block: no rows, no bound ([max_int]), no shift. *)
+
+val read_rows : reader -> block -> stop
+(** Decode records, in file order, into consecutive rows of the block
+    from [bk_next] on, until one of the stops.  Before each record it
+    checks [bk_next < bk_end] and [bk_budget > 0] ([Full]).  A decoded
+    record whose seq is past [bk_bound] is left at [bk_next]
+    ([Past]).  Otherwise it takes an item of the budget; a non-memory
+    record joins the row before it under the fold rule above (its own
+    ints stay at [bk_next], a free row), any other record advances
+    [bk_next], and a marker ends the call ([Marker]).  Malformed or
+    truncated input raises [Failure] with the
+    line (text) or record (binary) position, with [bk_next] and
+    [bk_budget] covering every record before it, so the caller can
+    deliver the rows decoded before the failure.  The failing record
+    may have written part of its row. *)
+
 val read_row : reader -> int array -> int -> bool
 (** [read_row r rows o] decodes the next record, in file order, into
-    the row at [o] of [rows].  [false] at a clean end of stream, and
-    the row is left as it was.  Malformed or truncated input raises
-    [Failure] with the line (text) or record (binary) position; records
-    before the corruption have already been delivered, so an ingester
-    can account for partial streams.  A failing record may have
-    written part of the row. *)
+    the row at [o] of [rows], as recorded: {!read_rows} into the
+    reader's own one-row block (row 0: no fold; no bound, no shift),
+    then copied to [o].  [false] at a clean end of stream, and the row
+    is left as it was.  Malformed or truncated input raises [Failure]
+    with the line (text) or record (binary) position, and the row is
+    left as it was; records before the corruption have already been
+    delivered, so an ingester can account for partial streams. *)
 
 val row_marker : reader -> Recorded.marker
-(** The value of the last [Row.tag_item] row {!read_row} wrote. *)
+(** The value of the last [Row.tag_item] row {!read_rows} or
+    {!read_row} wrote. *)
 
 val read_item : reader -> Recorded.item option
 (** Next item in file order — the replay interleaving the writers emit

@@ -16,6 +16,12 @@ type item =
 
 type stream = unit -> item option
 
+type side =
+  | S_source of { pid : int; kind : string; range : Range.t }
+  | S_sink of { pid : int; kind : string; ranges : Range.t list }
+  | S_untaint of { pid : int; range : Range.t }
+  | S_evict of { pid : int }
+
 type verdict = { v_kind : string; v_flagged : bool; v_origins : string list }
 
 (* One tenant = one pid = one private tracker stack (store + optional
@@ -37,23 +43,23 @@ type tenant = {
    seq, k, lo, len — the Fig. 5 record, flat, except that a run of one
    pid's non-memory instructions is one counted row.  The rare
    non-event items have tag [Row.tag_item] and travel in [b_side] at
-   their row index; every other side slot holds [no_item].  Batches are
-   made lazily by the producer, handed back by the consumer once drained
-   (through the shard's [sh_free]), and reused across runs, so the
-   steady state allocates none and queues no pointer into the minor
-   heap.  The producer writes [b_len] before the push and not again
+   their row index, as [side] values, which have no event case; every
+   other side slot holds [no_side].  Batches are made lazily by the
+   producer, handed back by the consumer once drained (through the
+   shard's [sh_free]), and reused across runs, so the steady state
+   allocates none and queues no pointer into the minor heap.  The producer writes [b_len] before the push and not again
    until the batch comes back, so the consumer reads it after the
    pop. *)
-type batch = { b_rows : int array; b_side : item array; mutable b_len : int }
+type batch = { b_rows : int array; b_side : side array; mutable b_len : int }
 
 type fill = batch -> int -> bool
 
 let width = Row.width
-let no_item = I_evict { pid = min_int }
+let no_side = S_evict { pid = min_int }
 let no_batch = { b_rows = [||]; b_side = [||]; b_len = 0 }
 
 let make_batch n =
-  { b_rows = Array.make (n * width) 0; b_side = Array.make n no_item; b_len = 0 }
+  { b_rows = Array.make (n * width) 0; b_side = Array.make n no_side; b_len = 0 }
 
 type shard = {
   sh_id : int;
@@ -242,25 +248,20 @@ let sink_verdict t tn ~pid ~kind ranges =
   in
   { v_kind = kind; v_flagged = flagged; v_origins = origins }
 
-let process_item t sh = function
-  | I_event e ->
-      sh.sh_events <- sh.sh_events + 1;
-      let tn = tenant_of t sh e.Event.pid in
-      Tracker.observe tn.tn_tracker e;
-      sync_bytes sh tn
-  | I_source { pid; kind; range } ->
+let process_side t sh = function
+  | S_source { pid; kind; range } ->
       let tn = tenant_of t sh pid in
       Tracker.taint_source ~kind tn.tn_tracker ~pid range;
       sync_bytes sh tn
-  | I_sink { pid; kind; ranges } ->
+  | S_sink { pid; kind; ranges } ->
       let tn = tenant_of t sh pid in
       tn.tn_verdicts_rev <-
         sink_verdict t tn ~pid ~kind ranges :: tn.tn_verdicts_rev
-  | I_untaint { pid; range } ->
+  | S_untaint { pid; range } ->
       let tn = tenant_of t sh pid in
       Tracker.untaint_range tn.tn_tracker ~pid range;
       sync_bytes sh tn
-  | I_evict { pid } -> (
+  | S_evict { pid } -> (
       match Hashtbl.find_opt sh.sh_tenants pid with
       | None -> ()
       | Some tn -> evict_local sh tn)
@@ -287,9 +288,9 @@ let process_row t sh b r =
   else begin
     sh.sh_items <- sh.sh_items + 1;
     if tag = Row.tag_item then begin
-      let item = b.b_side.(r) in
-      b.b_side.(r) <- no_item;
-      process_item t sh item
+      let side = b.b_side.(r) in
+      b.b_side.(r) <- no_side;
+      process_side t sh side
     end
     else begin
       let range = Row.range rows o in
@@ -305,11 +306,12 @@ let process_row t sh b r =
     end
   end
 
-let pid_of_item = function
-  | I_event e -> e.Event.pid
-  | I_source { pid; _ } | I_sink { pid; _ } | I_untaint { pid; _ }
-  | I_evict { pid } ->
-      pid
+(* A non-event item's row, its value beside it. *)
+let put_side b pid side =
+  let r = b.b_len in
+  Row.set_item b.b_rows (r * width) ~pid ~seq:0;
+  b.b_side.(r) <- side;
+  b.b_len <- r + 1
 
 (* Append one streamed item to [b]: a non-memory event joins the last
    row when that row counts the same pid's non-memory events (as
@@ -323,10 +325,12 @@ let put b item =
   | I_event e ->
       Row.set_event b.b_rows (r * width) e;
       b.b_len <- r + 1
-  | I_source _ | I_sink _ | I_untaint _ | I_evict _ ->
-      Row.set_item b.b_rows (r * width) ~pid:(pid_of_item item) ~seq:0;
-      b.b_side.(r) <- item;
-      b.b_len <- r + 1
+  | I_source { pid; kind; range } ->
+      put_side b pid (S_source { pid; kind; range })
+  | I_sink { pid; kind; ranges } ->
+      put_side b pid (S_sink { pid; kind; ranges })
+  | I_untaint { pid; range } -> put_side b pid (S_untaint { pid; range })
+  | I_evict { pid } -> put_side b pid (S_evict { pid })
 
 (* Items of [stream], one pull each, until [b] holds [stop] rows.  No
    item is pulled once it does, so a fold never reaches past the
@@ -348,7 +352,7 @@ let move_row src r dst d =
   Row.blit src.b_rows (r * width) dst.b_rows (d * width);
   if src.b_rows.(r * width) = Row.tag_item then begin
     dst.b_side.(d) <- src.b_side.(r);
-    src.b_side.(r) <- no_item
+    src.b_side.(r) <- no_side
   end
 
 (* [sh_free] is a lock-free stack: the consumer pushes each drained
@@ -371,8 +375,8 @@ let rec take_batch t sh =
       end
       else take_batch t sh
 
-(* The items [b]'s rows stand for: what the queue counts, in its drop
-   tally too. *)
+(* The items [b]'s rows stand for: what the queue's drop tally counts
+   when it refuses [b]. *)
 let items_of b =
   let n = ref 0 in
   for r = 0 to b.b_len - 1 do
@@ -390,7 +394,7 @@ let discard drops b =
     Hashtbl.replace drops pid
       (Row.count b.b_rows o
       + Option.value ~default:0 (Hashtbl.find_opt drops pid));
-    if b.b_rows.(o) = Row.tag_item then b.b_side.(r) <- no_item
+    if b.b_rows.(o) = Row.tag_item then b.b_side.(r) <- no_side
   done;
   b.b_len <- 0
 
@@ -491,7 +495,7 @@ let consume t sh =
     let rec go () =
       match Spsc.pop q with
       | None -> ()
-      | Some (b, _) ->
+      | Some b ->
           sh.sh_batches <- sh.sh_batches + 1;
           for r = 0 to b.b_len - 1 do
             if t.fault_after >= 0 && t.fault_shard = sh.sh_id then begin

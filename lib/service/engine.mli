@@ -86,10 +86,18 @@ type item =
 type stream = unit -> item option
 (** Pull stream of interleaved multi-tenant items ([None] = end). *)
 
+type side =
+  | S_source of { pid : int; kind : string; range : Pift_util.Range.t }
+  | S_sink of { pid : int; kind : string; ranges : Pift_util.Range.t list }
+  | S_untaint of { pid : int; range : Pift_util.Range.t }
+  | S_evict of { pid : int }
+(** A non-event item as it travels beside its row: the {!item}s other
+    than [I_event], whose events always travel as rows. *)
+
 type batch = {
   b_rows : int array;
       (** row [r] is the {!Pift_trace.Row} at [r * Row.width] *)
-  b_side : item array;
+  b_side : side array;
       (** the item of each [Row.tag_item] row, at its row index; its
           length is the batch's capacity in rows *)
   mutable b_len : int;  (** rows written *)
@@ -102,8 +110,8 @@ type fill = batch -> int -> bool
     from row [b.b_len] on, advancing [b_len] as it writes each one.
     Event rows carry the event, and a non-memory event folds into the
     last row by the rule above, writing no row; any other item is a
-    [Row.tag_item] row with the item's pid, and the item itself in
-    [b_side] at the same index.  The room is in rows, so a call may
+    [Row.tag_item] row with the item's pid, and the item itself, as a
+    {!side}, in [b_side] at the same index.  The room is in rows, so a call may
     consume more items than [n]; it reads nothing once it has written
     [n] rows.  It returns [false] once the stream has ended — the rows
     it wrote on that call still count — and is not called again.  Rows
@@ -143,7 +151,8 @@ val run_fill : t -> fill -> unit
     Fresh queues per run; on any failure (producer or consumer) the
     queues are closed/aborted so no domain wedges, and the first
     exception re-raises here after all workers drain.  A batch is
-    queued with the count of the items its rows stand for.  Tenants are
+    pushed with the count of the items its rows stand for, which the
+    queue's drop tally counts if it refuses the batch.  Tenants are
     created on first touch and survive across runs until evicted.
     Items the dropping policy discards are added to their tenants'
     [ts_dropped] once the workers have joined (creating the tenant if

@@ -117,12 +117,20 @@ let refuse s pid =
        s.src_emitted pid s.src_orig_pid
        (s.src_orig_pid + pid_block))
 
-(* An event's pid in the engine: [src_pid] plus its offset from the
-   recorded main pid. *)
+(* What [s]'s recorded pids are shifted by: the engine pid of each is
+   [src_pid] plus its offset from the recorded main pid. *)
+let shift s = s.src_pid - s.src_orig_pid
+
+(* Whether an engine pid of [s] lies outside its tenant's block.  The
+   offset is the recorded pid's, in wrapping arithmetic too. *)
+let outside s pid =
+  let offset = pid - s.src_pid in
+  offset < 0 || offset >= pid_block
+
 let engine_pid s pid =
-  let offset = pid - s.src_orig_pid in
-  if offset < 0 || offset >= pid_block then refuse s pid;
-  offset + s.src_pid
+  let e = pid + shift s in
+  if outside s e then refuse s pid;
+  e
 
 let marker_item s = function
   | Recorded.Source { kind; range } ->
@@ -243,47 +251,82 @@ let merge sources : Engine.stream =
 
 let width = Row.width
 
-(* Emit the record decoded into row [b_len] of [b], the next record of
-   source [s] (read from [rd]): count it, take it from [budget], map an
-   event's pid into the tenant's block, put a marker's item beside its
-   row.  A non-memory event joins the batch's last row instead when that
-   row counts the same engine pid's non-memory events ([Engine.run]'s
-   per-item path folds by the same rule), and the slot it was decoded
-   into stays free. *)
+let marker_side s = function
+  | Recorded.Source { kind; range } ->
+      Engine.S_source { pid = s.src_pid; kind; range }
+  | Recorded.Sink { kind; ranges } ->
+      Engine.S_sink { pid = s.src_pid; kind; ranges }
+
+(* Emit [s]'s head, already in row [b_len] of [b] with its pid shifted
+   (read from [rd]): count it, take it from [budget], check its pid,
+   put a marker's item beside its row.  A non-memory event joins the
+   batch's last row instead when that row counts the same engine pid's
+   non-memory events ([Engine.run]'s per-item path folds by the same
+   rule), and the slot it was in stays free. *)
 let emit s rd (b : Engine.batch) budget =
   s.src_emitted <- s.src_emitted + 1;
   decr budget;
   let r = b.b_len in
   let rows = b.b_rows and o = r * width in
-  let tag = rows.(o) in
+  let tag = rows.(o) and pid = rows.(o + 1) in
   if tag = Row.tag_item then begin
     rows.(o + 1) <- s.src_pid;
-    b.b_side.(r) <- marker_item s (Trace_io.row_marker rd);
+    b.b_side.(r) <- marker_side s (Trace_io.row_marker rd);
     b.b_len <- r + 1
   end
   else begin
-    let pid = engine_pid s rows.(o + 1) in
+    if outside s pid then refuse s (pid - shift s);
     if
       not
         (tag = Row.tag_other && r > 0
         && Row.fold rows (o - width) ~pid ~seq:rows.(o + 2) ~k:rows.(o + 3))
-    then begin
-      rows.(o + 1) <- pid;
-      b.b_len <- r + 1
-    end
+    then b.b_len <- r + 1
   end
 
+(* After a decode call of [s]'s records from row [first] of [b], with
+   [bk] where the call left it: advance [b_len], the cursor and
+   [budget] by what it placed, and check the new event rows' pids.  A
+   row outside the tenant's block is refused with the cursor of its
+   first item, as the per-record path refused it, and the rows before
+   it stay delivered.  A record folds only into a row of its own engine
+   pid, whose first item was checked, so only each row's first item
+   needs the check.  A marker row gets [src_pid], as [emit] gives it. *)
+let account s (b : Engine.batch) (bk : Trace_io.block) first budget =
+  s.src_emitted <- s.src_emitted + !budget - bk.bk_budget;
+  budget := bk.bk_budget;
+  b.b_len <- bk.bk_next / width;
+  let rows = b.b_rows in
+  for r = first to b.b_len - 1 do
+    let o = r * width in
+    let pid = rows.(o + 1) in
+    if rows.(o) = Row.tag_item then rows.(o + 1) <- s.src_pid
+    else if outside s pid then begin
+      let later = ref 0 in
+      for r' = r to b.b_len - 1 do
+        later := !later + Row.count rows (r' * width)
+      done;
+      s.src_emitted <- s.src_emitted - !later + 1;
+      b.b_len <- r;
+      refuse s (pid - shift s)
+    end
+  done
+
+(* The largest seq of window [w]. *)
+let window_end w = (w lsl window_bits) lor ((1 lsl window_bits) - 1)
+
 (* [fill], emitting while [budget] (in items) lasts.  The schedule's
-   heads are rows of [heads], one per source.  Once a pick has emitted a
-   source's head, its next records are decoded straight into the batch
-   while they stay in the round's window; the first one past it is
-   copied back as the source's new head.  A record that folds leaves
-   its row free for the next one. *)
+   heads are rows of [heads], one per source, with the pids as
+   recorded.  Once a pick has emitted a source's head, its next records
+   are decoded straight into the batch by one [Trace_io.read_rows]
+   call per stretch, bounded by the round's window; a marker ends a
+   call, and the first record past the window is copied back as the
+   source's new head. *)
 let fill_budget sources budget : Engine.fill =
   let srcs = Array.of_list sources in
   let n = Array.length srcs in
   let readers = Array.map reader_of srcs in
   let heads = Array.make (n * width) 0 in
+  let bk = Trace_io.block () in
   let sc = schedule n in
   let read i =
     if Trace_io.read_row readers.(i) heads (i * width) then
@@ -298,26 +341,41 @@ let fill_budget sources budget : Engine.fill =
       if i < 0 then more := false
       else begin
         let s = srcs.(i) and rd = readers.(i) in
-        Row.blit heads (i * width) b.b_rows (b.b_len * width);
+        let o = b.b_len * width in
+        Row.blit heads (i * width) b.b_rows o;
+        b.b_rows.(o + 1) <- b.b_rows.(o + 1) + shift s;
         emit s rd b budget;
+        bk.bk_shift <- shift s;
+        bk.bk_bound <- window_end sc.w;
         let serving = ref true in
         while !serving && b.b_len < stop && !budget > 0 do
-          let o = b.b_len * width in
-          if not (Trace_io.read_row rd b.b_rows o) then begin
-            sc.wins.(i) <- ended;
-            sc.pending <- false;
-            serving := false
-          end
-          else begin
-            let win = b.b_rows.(o + 2) asr window_bits in
-            if win <= sc.w then emit s rd b budget
-            else begin
-              Row.blit b.b_rows o heads (i * width);
-              sc.wins.(i) <- win;
-              sc.pending <- false;
-              serving := false
-            end
-          end
+          let first = b.b_len in
+          if bk.bk_rows != b.b_rows then bk.bk_rows <- b.b_rows;
+          bk.bk_next <- first * width;
+          bk.bk_end <- stop * width;
+          bk.bk_budget <- !budget;
+          match Trace_io.read_rows rd bk with
+          | exception e ->
+              account s b bk first budget;
+              raise e
+          | stopped -> (
+              account s b bk first budget;
+              match stopped with
+              | Trace_io.Full -> ()
+              | Trace_io.Marker ->
+                  b.b_side.(b.b_len - 1) <-
+                    marker_side s (Trace_io.row_marker rd)
+              | Trace_io.Past ->
+                  let h = i * width in
+                  Row.blit b.b_rows bk.bk_next heads h;
+                  heads.(h + 1) <- heads.(h + 1) - shift s;
+                  sc.wins.(i) <- heads.(h + 2) asr window_bits;
+                  sc.pending <- false;
+                  serving := false
+              | Trace_io.Ended ->
+                  sc.wins.(i) <- ended;
+                  sc.pending <- false;
+                  serving := false)
         done
       end
     done;

@@ -70,22 +70,26 @@ val window_bits : int
 
 val fill : source list -> Engine.fill
 (** The schedule as an {!Engine.fill}: each call writes up to its room
-    of rows into the engine's batch.  A source opened by {!of_file} is
-    decoded straight into the batch rows ({!Pift_eval.Trace_io.read_row})
-    while its [src_next] is still the one {!of_file} made; any other —
-    {!of_recorded}, a hand-built record, a copy with a wrapped
-    [src_next] — is pulled through [src_next], one item per row.  Along
-    the way each event row's pid is remapped into its tenant's block as
-    {!to_engine_item} does, with the same refusal, and a marker's item
-    goes into the batch's side array.  A non-memory event whose engine
+    of rows into the engine's batch.  Once a pick has emitted a source's
+    head, one {!Pift_eval.Trace_io.read_rows} call decodes the source's
+    next records straight into the batch, bounded by the round's window:
+    the first record past it is held as the source's head, and a marker
+    ends the call, its item going into the batch's side array before
+    the next call.  A source opened by {!of_file} is decoded from its
+    file while its [src_next] is still the one {!of_file} made; any
+    other — {!of_recorded}, a hand-built record, a copy with a wrapped
+    [src_next] — is pulled through [src_next], one item per row, by the
+    same call.  The decoder adds the tenant's pid shift to every row,
+    and after each call one pass over the new rows applies
+    {!to_engine_item}'s refusal, with the same message and item number;
+    the rows before a refused one, and the rows decoded before a
+    decoder failure, are delivered.  A non-memory event whose engine
     pid is that of the batch's last row, itself a counted non-memory
-    row, joins that row ({!Pift_trace.Row.fold}) instead of taking one
-    of its own — the rule {!Engine.run} folds its stream by.  Once a
-    pick has emitted a source's head, its next records go straight into
-    the batch while they stay in the round's window; the first one past
-    it is held as the source's head.  The room counts rows, not items:
-    a call decodes no record once it has written its room, so a run
-    that stops after a full call has read nothing it did not emit. *)
+    row, joins that row ({!Pift_trace.Row.fold}'s rule) instead of
+    taking one of its own — the rule {!Engine.run} folds its stream by.
+    The room counts rows, not items: a call decodes no record once it
+    has written its room, so a run that stops after a full call has
+    read nothing it did not emit. *)
 
 val merge : source list -> Engine.stream
 (** The schedule as a pull stream, one item per pull: each source is

@@ -1,7 +1,8 @@
 (* Bounded single-producer single-consumer batch queue: the link between
    the engine's ingest front (pool slot 0) and one shard consumer.  The
-   unit of transfer is a batch value plus its item count, so the mutex
-   is taken once per batch, not per event.
+   unit of transfer is a batch value, so the mutex is taken once per
+   batch, not per event.  A push names the batch's item count, which
+   only a drop needs.
 
    The queue is a fixed ring of [capacity] slots, so a push allocates
    nothing.  A slot that is not queued holds the [empty] value given to
@@ -37,7 +38,6 @@ type 'b t = {
   not_empty : Condition.t;
   empty : 'b;  (* fills every slot that holds no queued batch *)
   slots : 'b array;  (* ring of queued batches *)
-  counts : int array;  (* items in the batch of the same slot *)
   mutable head : int;  (* slot of the oldest queued batch *)
   mutable len : int;  (* queued batches *)
   mutable closed : bool;  (* producer finished *)
@@ -58,7 +58,6 @@ let create ~capacity ~empty =
     not_empty = Condition.create ();
     empty;
     slots = Array.make capacity empty;
-    counts = Array.make capacity 0;
     head = 0;
     len = 0;
     closed = false;
@@ -90,7 +89,6 @@ let push t ~drop_when_full batch ~items =
     else begin
       let slot = (t.head + t.len) mod capacity t in
       t.slots.(slot) <- batch;
-      t.counts.(slot) <- items;
       t.len <- t.len + 1;
       if t.len > t.max_depth then t.max_depth <- t.len;
       if t.consumer_parked && (drop_when_full || 2 * t.len >= capacity t)
@@ -134,7 +132,7 @@ let pop t =
         t.producer_parked <- false;
         Condition.signal t.not_full
       end;
-      Some (b, t.counts.(slot))
+      Some b
     end
     else if t.closed then None
     else begin

@@ -1,8 +1,9 @@
 (** Bounded single-producer single-consumer batch queue — the channel
     between the engine's ingest front and one shard consumer.
 
-    The transfer unit is one batch value plus its item count: one mutex
-    round-trip amortised over the whole batch.  Capacity is counted in
+    The transfer unit is one batch value: one mutex round-trip
+    amortised over the whole batch.  A push also names the batch's item
+    count, which only the drop tally reads.  Capacity is counted in
     batches.  The queue is a fixed ring, so {!push} allocates nothing;
     it moves the batch value itself, never a copy.
 
@@ -59,9 +60,9 @@ val abort : 'b t -> unit
     everyone, make every subsequent push drop and every pop return
     [None]. *)
 
-val pop : 'b t -> ('b * int) option
-(** Consumer side: the oldest batch, returned with its item count;
-    [None] once closed-and-drained (or aborted).  On an empty queue it
+val pop : 'b t -> 'b option
+(** Consumer side: the oldest batch; [None] once closed-and-drained (or
+    aborted).  On an empty queue it
     parks until a push crosses the watermark (see {b Wakeups}), or
     until {!close} or {!abort}. *)
 

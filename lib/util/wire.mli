@@ -48,10 +48,30 @@ val emit : writer -> unit
 
 (** {1 Reading records} *)
 
-type cursor
+type cursor = {
+  ic : in_channel;
+  what : string;  (** the format's error prefix *)
+  mutable buf : Bytes.t;
+  mutable lo : int;  (** next unread byte of [buf] *)
+  mutable hi : int;  (** end of the valid bytes of [buf] *)
+  mutable eof : bool;
+  mutable record : int;  (** [0] in the header, then [1], [2], ... *)
+  mutable pos : int;  (** next undecoded byte of the current payload *)
+  mutable limit : int;  (** end of the current payload *)
+}
 (** A chunked reader over an open channel (16 KiB refills, grown for
     larger records; the caller keeps and closes the channel), the
-    record number, and the current record's payload bounds. *)
+    record number, and the current record's payload bounds.
+
+    The record is concrete so that a format's hot loop can take the
+    common cases in its own compilation unit.  A one-byte length [len]
+    (in [1..127]) at [lo] whose payload is buffered
+    ([lo + 1 + len <= hi]) frames the record as {!next} does: bump
+    [record], tag at [lo + 1], fields from [pos = lo + 2] up to
+    [limit = lo + 1 + len], and [lo] at [limit].  A byte below [0x80]
+    at [pos < limit] is a whole field.  Everything else — refills,
+    longer lengths and fields, end of stream, and every failure — goes
+    through the functions below. *)
 
 val open_cursor : what:string -> magic:string -> in_channel -> cursor
 (** Check that the stream starts with [magic] (["bad magic"], or

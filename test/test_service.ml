@@ -92,9 +92,9 @@ let spawn_consumer q got =
   Domain.spawn (fun () ->
       let rec go acc =
         match Spsc.pop q with
-        | Some (b, items) ->
+        | Some b ->
             Atomic.incr got;
-            go ((b.(0), items) :: acc)
+            go (b.(0) :: acc)
         | None -> List.rev acc
       in
       go [])
@@ -112,8 +112,8 @@ let test_spsc_fifo () =
   let drained = ref [] in
   let rec drain () =
     match Spsc.pop q with
-    | Some (b, items) ->
-        drained := !drained @ Array.to_list (Array.sub b 0 items);
+    | Some b ->
+        drained := !drained @ Array.to_list (Array.sub b 0 2);
         drain ()
     | None -> ()
   in
@@ -129,7 +129,7 @@ let test_spsc_ring_wraps () =
   let popped = ref [] in
   let pop () =
     match Spsc.pop q with
-    | Some (b, items) -> popped := (b.(0), items) :: !popped
+    | Some b -> popped := b.(0) :: !popped
     | None -> Alcotest.fail "pop returned None with batches queued"
   in
   for i = 0 to 9 do
@@ -140,8 +140,8 @@ let test_spsc_ring_wraps () =
   for _ = 1 to Spsc.length q do
     pop ()
   done;
-  checkb "fifo across the wrap, counts travel with their batch" true
-    (List.rev !popped = List.init 10 (fun i -> (i, i + 1)));
+  checkb "fifo across the wrap" true
+    (List.rev !popped = List.init 10 Fun.id);
   checki "max depth is the capacity" 3 (Spsc.max_depth q)
 
 let test_spsc_drop_when_full () =
@@ -153,7 +153,7 @@ let test_spsc_drop_when_full () =
     (Spsc.push q ~drop_when_full:true [| 2; 3; 0; 0 |] ~items:2 = Spsc.Dropped);
   checki "dropped counts items" 2 (Spsc.dropped q);
   (* the queued batch is still intact *)
-  checkb "survivor delivered" true (Spsc.pop q = Some ([| 1 |], 1));
+  checkb "survivor delivered" true (Spsc.pop q = Some [| 1 |]);
   (* At any capacity drop mode never waits: it queues up to the
      capacity and drops exactly the pushes that find the ring full. *)
   List.iter
@@ -190,9 +190,9 @@ let test_spsc_blocks_when_full () =
   in
   Unix.sleepf 0.05;
   checkb "producer blocked on the full queue" false (Atomic.get pushed);
-  checkb "first batch popped" true (Spsc.pop q = Some ([| 1 |], 1));
+  checkb "first batch popped" true (Spsc.pop q = Some [| 1 |]);
   checkb "blocked push then lands" true (Domain.join producer = Spsc.Pushed);
-  checkb "second batch popped" true (Spsc.pop q = Some ([| 2 |], 1));
+  checkb "second batch popped" true (Spsc.pop q = Some [| 2 |]);
   checki "nothing dropped" 0 (Spsc.dropped q)
 
 let test_spsc_abort () =
@@ -226,7 +226,7 @@ let test_spsc_close_wakes_parked_consumer () =
       push_blocking q 1 ~items:4;
       Spsc.close q;
       checkb "close drains the partly filled ring" true
-        (Domain.join consumer = [ (0, 3); (1, 4) ]))
+        (Domain.join consumer = [ 0; 1 ]))
 
 (* Filling half the ring wakes a parked consumer without [close]; in
    drop mode a single push does. *)
@@ -304,11 +304,9 @@ let test_spsc_two_domain_stress () =
                   let rec go k =
                     match Spsc.pop q with
                     | None -> Ok k
-                    | Some (b, m) ->
-                        if k >= n || b.(0) <> k || m <> items.(k) then
-                          Error
-                            (Printf.sprintf "batch %d: got %d (%d items)" k
-                               b.(0) m)
+                    | Some b ->
+                        if k >= n || b.(0) <> k then
+                          Error (Printf.sprintf "batch %d: got %d" k b.(0))
                         else begin
                           if consumer_pauses.(k) > 0. then
                             Unix.sleepf consumer_pauses.(k);
@@ -822,17 +820,18 @@ let test_fill_alloc_budget () =
             true (per_item <= 2.)))
 
 (* A drained batch goes back to its shard's free list, so it outlives
-   the run: its side slots must not keep the run's items reachable. *)
+   the run: its side slots must not keep the run's items reachable.
+   [Engine.run] carries a non-event item as a [side] value that shares
+   the item's range, so the range is what is watched. *)
 let test_drained_batches_release_items () =
   let pid = Ingest.tenant_pid 0 in
   let weak = Weak.create 1 in
   Engine.with_engine ~shards:1 ~batch:4 ~queue_capacity:1 (fun eng ->
-      (let item =
-         Engine.I_untaint
-           { pid; range = Range.of_len (Sys.opaque_identity 64) 8 }
-       in
-       Weak.set weak 0 (Some item);
-       Engine.run eng (stream_of_list [ Engine.I_evict { pid }; item ]));
+      (let range = Range.of_len (Sys.opaque_identity 64) 8 in
+       Weak.set weak 0 (Some range);
+       Engine.run eng
+         (stream_of_list
+            [ Engine.I_evict { pid }; Engine.I_untaint { pid; range } ]));
       Gc.full_major ();
       checkb "side item collected after the run" false (Weak.check weak 0);
       checki "both items processed" 2 (Engine.stats eng).Engine.st_items)
@@ -1985,15 +1984,21 @@ let with_fill_inputs c f =
 let test_batch rows =
   {
     Engine.b_rows = Array.make (rows * Row.width) 0;
-    b_side = Array.make rows (Engine.I_evict { pid = 0 });
+    b_side = Array.make rows (Engine.S_evict { pid = 0 });
     b_len = 0;
   }
+
+let item_of_side = function
+  | Engine.S_source { pid; kind; range } -> Engine.I_source { pid; kind; range }
+  | Engine.S_sink { pid; kind; ranges } -> Engine.I_sink { pid; kind; ranges }
+  | Engine.S_untaint { pid; range } -> Engine.I_untaint { pid; range }
+  | Engine.S_evict { pid } -> Engine.I_evict { pid }
 
 (* Row [r] of [b] as its item and the count of items it stands for; a
    counted row's event is the run's with the largest seq and last k. *)
 let row_item (b : Engine.batch) r =
   let o = r * Row.width in
-  ( (if b.Engine.b_rows.(o) = Row.tag_item then b.Engine.b_side.(r)
+  ( (if b.Engine.b_rows.(o) = Row.tag_item then item_of_side b.Engine.b_side.(r)
      else Engine.I_event (Row.event b.Engine.b_rows o)),
     Row.count b.Engine.b_rows o )
 
@@ -3149,6 +3154,552 @@ let test_engine_oracle () =
         (Prop.shrink_candidates c.oc_recs))
     ~to_string:oracle_case_to_string oracle_matches
 
+(* --- block decode ------------------------------------------------------- *)
+
+(* [Trace_io.read_rows] decodes a run of records in one call.  Each case
+   runs a sequence of calls on one reader and checks them against the
+   per-record reading the fill path made before: [read_row] one record
+   at a time, then the bound, the fold ([Row.fold]) and the stops,
+   written out here.  The random property also checks whole files
+   against the same reading over the recording's own items
+   ([Trace_io.of_items]), which shares no decoder with the file. *)
+
+type block_call = {
+  bc_first : int;  (* rows, not offsets *)
+  bc_room : int;
+  bc_budget : int;
+  bc_bound : int;
+  bc_shift : int;
+}
+
+let call ?(first = 0) ?(room = 64) ?(budget = 1000) ?(bound = max_int)
+    ?(shift = 0) () =
+  {
+    bc_first = first;
+    bc_room = room;
+    bc_budget = budget;
+    bc_bound = bound;
+    bc_shift = shift;
+  }
+
+let block_call_to_string c =
+  Printf.sprintf
+    "{first %d; room %d; budget %d; bound %d; shift %d}" c.bc_first c.bc_room
+    c.bc_budget c.bc_bound c.bc_shift
+
+(* What a call returns and leaves: its stop or failure, [bk_next] and
+   [bk_budget] after it. *)
+type call_result = (Trace_io.stop, string) result * int * int
+
+(* Each record is decoded into the row at [next], as the fill path
+   decoded it; a record that folds leaves its data in that free row. *)
+let per_record rd rows c : call_result =
+  let w = Row.width in
+  let next = ref (c.bc_first * w) and budget = ref c.bc_budget in
+  let rec go () =
+    let o = !next in
+    if o >= (c.bc_first + c.bc_room) * w || !budget <= 0 then Trace_io.Full
+    else if not (Trace_io.read_row rd rows o) then Trace_io.Ended
+    else begin
+      rows.(o + 1) <- rows.(o + 1) + c.bc_shift;
+      if rows.(o + 2) > c.bc_bound then Trace_io.Past
+      else begin
+        decr budget;
+        if
+          rows.(o) = Row.tag_other
+          && o > 0
+          && Row.fold rows (o - w) ~pid:rows.(o + 1) ~seq:rows.(o + 2)
+               ~k:rows.(o + 3)
+        then go ()
+        else begin
+          next := o + w;
+          if rows.(o) = Row.tag_item then Trace_io.Marker else go ()
+        end
+      end
+    end
+  in
+  let stop = try Ok (go ()) with Failure m -> Error m in
+  (stop, !next, !budget)
+
+let block_read rd rows c : call_result =
+  let w = Row.width and bk = Trace_io.block () in
+  bk.Trace_io.bk_rows <- rows;
+  bk.bk_next <- c.bc_first * w;
+  bk.bk_end <- (c.bc_first + c.bc_room) * w;
+  bk.bk_budget <- c.bc_budget;
+  bk.bk_bound <- c.bc_bound;
+  bk.bk_shift <- c.bc_shift;
+  let stop = try Ok (Trace_io.read_rows rd bk) with Failure m -> Error m in
+  (stop, bk.bk_next, bk.bk_budget)
+
+let stop_to_string = function
+  | Ok Trace_io.Full -> "Full"
+  | Ok Trace_io.Past -> "Past"
+  | Ok Trace_io.Marker -> "Marker"
+  | Ok Trace_io.Ended -> "Ended"
+  | Error m -> "failed: " ^ m
+
+(* Per call: its result, the rows of the array (all of them, or after a
+   failure those before [bk_next]: the failing record may have written
+   part of its row) and the value of a marker it stopped at.  Calls
+   stop after a failure or the end of the stream; opening failures are
+   the outcome too. *)
+type block_trace = {
+  bt_open : string option;
+  bt_calls : (call_result * int list * Recorded.marker option) list;
+}
+
+let block_outcome_of read ?(preset = [||]) open_ calls =
+  match open_ () with
+  | exception Failure m -> { bt_open = Some m; bt_calls = [] }
+  | rd ->
+      let w = Row.width in
+      let size =
+        w
+        * List.fold_left
+            (fun m c -> max m (c.bc_first + c.bc_room + 1))
+            1 calls
+      in
+      let rows = Array.make (max size (Array.length preset)) (-1) in
+      Array.blit preset 0 rows 0 (Array.length preset);
+      let rec go acc = function
+        | [] -> List.rev acc
+        | c :: rest ->
+            let ((stop, next, _) as r) = read rd rows c in
+            let marker =
+              if stop = Ok Trace_io.Marker then Some (Trace_io.row_marker rd)
+              else None
+            in
+            let rows =
+              match stop with
+              | Error _ -> Array.to_list (Array.sub rows 0 next)
+              | Ok _ -> Array.to_list rows
+            in
+            let acc = (r, rows, marker) :: acc in
+            (match stop with
+            | Ok (Trace_io.Full | Trace_io.Past | Trace_io.Marker) ->
+                go acc rest
+            | Ok Trace_io.Ended | Error _ -> List.rev acc)
+      in
+      let calls = go [] calls in
+      Trace_io.close_reader rd;
+      { bt_open = None; bt_calls = calls }
+
+let block_outcome read ?preset path calls =
+  block_outcome_of read ?preset (fun () -> Trace_io.open_reader path) calls
+
+let block_trace_to_string t =
+  match t.bt_open with
+  | Some m -> "open failed: " ^ m
+  | None ->
+      String.concat "; "
+        (List.map
+           (fun ((stop, next, budget), _, _) ->
+             Printf.sprintf "%s next %d budget %d" (stop_to_string stop)
+               (next / Row.width) budget)
+           t.bt_calls)
+
+(* The block calls' outcome, checked against the per-record reading. *)
+let check_block ~what ?preset path calls =
+  let want = block_outcome per_record ?preset path calls
+  and got = block_outcome block_read ?preset path calls in
+  if got <> want then
+    Alcotest.failf "%s: read_rows %s, per record %s" what
+      (block_trace_to_string got) (block_trace_to_string want);
+  List.map
+    (fun ((stop, next, budget), rows, _) ->
+      (stop, next / Row.width, budget, rows))
+    got.bt_calls
+
+let with_trace ?(format = Trace_io.Binary) r f =
+  with_tmp ~suffix:".pift" (fun path ->
+      Trace_io.save ~format r path;
+      f path)
+
+let formats = [ Trace_io.Binary; Trace_io.Text ]
+let loads n = List.init n (fun i -> ev (i + 1) 7 (Pift_trace.Event.Load r8))
+let others ?(pid = 7) seqs =
+  List.map (fun s -> ev s pid Pift_trace.Event.Other) seqs
+
+(* The row at [r] of a call's rows. *)
+let row_at rows r = List.filteri (fun i _ -> i / Row.width = r) rows
+
+let test_block_seq_bound () =
+  List.iter
+    (fun format ->
+      with_trace ~format (counted_recording (loads 10)) (fun path ->
+          (match check_block ~what:"bound 5" path [ call ~bound:5 () ] with
+          | [ (Ok Trace_io.Past, 5, 995, rows) ] ->
+              checki "the record on the bound is placed" 5
+                (List.nth (row_at rows 4) 2);
+              checki "the first one past it is held" 6
+                (List.nth (row_at rows 5) 2)
+          | _ -> Alcotest.fail "bound 5: expected Past after 5 rows");
+          (match check_block ~what:"bound 0" path [ call ~bound:0 () ] with
+          | [ (Ok Trace_io.Past, 0, 1000, _) ] -> ()
+          | _ -> Alcotest.fail "bound 0: expected Past at once");
+          match
+            check_block ~what:"bound 10, then on" path
+              [ call ~bound:10 (); call ~first:10 () ]
+          with
+          | [ (Ok Trace_io.Ended, 10, 990, _) ] -> ()
+          | _ -> Alcotest.fail "bound 10: expected the whole stream"))
+    formats
+
+let test_block_budget_and_room () =
+  List.iter
+    (fun format ->
+      with_trace ~format (counted_recording (loads 4)) (fun path ->
+          match
+            check_block ~what:"budget 1" path
+              [
+                call ~budget:1 ();
+                call ~first:1 ~budget:1 ();
+                call ~first:2 ~room:1 ();
+              ]
+          with
+          | [
+              (Ok Trace_io.Full, 1, 0, _);
+              (Ok Trace_io.Full, 2, 0, _);
+              (Ok Trace_io.Full, 3, 999, _);
+            ] ->
+              ()
+          | _ -> Alcotest.fail "budget 1 / room 1: one record a call");
+      (* Room for one row: the records that fold into the row before
+         [first] take no room, the first that does not fold takes it. *)
+      with_trace ~format
+        (counted_recording
+           (others [ 1; 2; 3; 4 ]
+           @ [ ev 5 7 (Pift_trace.Event.Load r8) ]
+           @ others [ 6 ]))
+        (fun path ->
+          let preset = [| Row.tag_other; 7; 0; 0; 0; 1 |] in
+          match
+            check_block ~what:"room 1" ~preset path [ call ~first:1 ~room:1 () ]
+          with
+          | [ (Ok Trace_io.Full, 2, 995, rows) ] ->
+              checkb "four folds, then the load's row" true
+                (row_at rows 0 = [ Row.tag_other; 7; 4; 4; 0; 5 ]
+                && List.hd (row_at rows 1) = Row.tag_load)
+          | _ -> Alcotest.fail "room 1: expected Full after the load"))
+    formats
+
+let test_block_marker_in_run () =
+  let r =
+    counted_recording
+      ~markers:[| (3, Recorded.Source { kind = "K"; range = r8 }) |]
+      (others [ 1; 2; 3; 4; 5; 6 ])
+  in
+  List.iter
+    (fun format ->
+      with_trace ~format r (fun path ->
+          match
+            check_block ~what:"marker in a run" path
+              [ call (); call ~first:2 () ]
+          with
+          | [
+              (Ok Trace_io.Marker, 2, _, first);
+              (Ok Trace_io.Ended, 3, _, rows);
+            ] ->
+              checkb "the run before the marker, then the marker" true
+                (row_at first 0 = [ Row.tag_other; 7; 3; 3; 0; 3 ]
+                && List.hd (row_at first 1) = Row.tag_item);
+              checkb "the run after it starts a row of its own" true
+                (row_at rows 2 = [ Row.tag_other; 7; 6; 6; 0; 3 ])
+          | _ -> Alcotest.fail "expected Marker, then Ended");
+      with_trace ~format r (fun path ->
+          checkb "fill = per-item view" true
+            (fill_outcome path
+            = (let items, failure = read_item_outcome path in
+               (fold_rows ~room:fill_room items, failure)));
+          (* A copy of the source that counts pid 6 as the recorded main
+             pid: its events land one above [src_pid], its marker on
+             [src_pid] itself. *)
+          let p = Ingest.tenant_pid 0 in
+          let s = Ingest.of_file ~pid:p path in
+          let rows = fill_calls ~room:8 [ { s with Ingest.src_orig_pid = 6 } ] in
+          Ingest.close s;
+          checkb "marker rows carry src_pid" true
+            (rows
+            = [
+                [
+                  (t_other, p + 1, 3, 3, 3);
+                  (Row.tag_item, p, 3, 0, 1);
+                  (t_other, p + 1, 6, 6, 3);
+                ];
+              ])))
+    formats
+
+(* The head [Ingest] emits is the row before the call's first: a run
+   folds into it when it counts the same engine pid, and not when it is
+   another tenant's. *)
+let test_block_fold_into_head () =
+  let shift = Ingest.tenant_pid 0 - 7 in
+  with_trace (counted_recording (others [ 1; 2; 3 ])) (fun path ->
+      (match
+         check_block ~what:"head row" path
+           ~preset:[| Row.tag_other; 7 + shift; 0; 0; 0; 1 |]
+           [ call ~first:1 ~shift () ]
+       with
+      | [ (Ok Trace_io.Ended, 1, _, rows) ] ->
+          checkb "the run joins the head row" true
+            (row_at rows 0 = [ Row.tag_other; 7 + shift; 3; 3; 0; 4 ])
+      | _ -> Alcotest.fail "head row: expected one row");
+      match
+        check_block ~what:"another tenant's row" path
+          ~preset:[| Row.tag_other; Ingest.tenant_pid 1; 0; 0; 0; 1 |]
+          [ call ~first:1 ~shift () ]
+      with
+      | [ (Ok Trace_io.Ended, 2, _, rows) ] ->
+          checkb "the run starts its own row" true
+            (row_at rows 1 = [ Row.tag_other; 7 + shift; 3; 3; 0; 3 ])
+      | _ -> Alcotest.fail "another tenant's row: expected two rows");
+  let src i =
+    Ingest.of_recorded ~pid:(Ingest.tenant_pid i)
+      (counted_recording (others [ 1; 2; 3; 4 ]))
+  in
+  let a = Ingest.tenant_pid 0 and b = Ingest.tenant_pid 1 in
+  checkb "through Ingest.fill: one row per tenant" true
+    (fill_calls ~room:8 [ src 0; src 1 ]
+    = [ [ (t_other, a, 4, 4, 4); (t_other, b, 4, 4, 4) ] ])
+
+(* A pid outside the tenant's block in the middle of a run that folds:
+   refused with the per-item path's message and item number, the rows
+   before it delivered. *)
+let test_block_pid_outside_in_run () =
+  let outside = 7 + (1 lsl 20) in
+  let r =
+    counted_recording
+      (others [ 1; 2; 3 ] @ others ~pid:outside [ 4; 5 ] @ others [ 6; 7 ])
+  in
+  List.iter
+    (fun format ->
+      with_trace ~format r (fun path ->
+          let rows, failure = fill_outcome path in
+          let want_items, want_failure = read_item_outcome path in
+          checkb "fill = per-item view" true
+            ((rows, failure)
+            = (fold_rows ~room:fill_room want_items, want_failure));
+          checkb "the run before it delivered" true
+            (List.map snd rows = [ 3 ]);
+          Alcotest.(check (option string))
+            "refusal" (Some
+              (Printf.sprintf
+                 "Ingest: %s: item 4: event pid %d is outside the tenant's pid \
+                  block [7, %d)"
+                 path outside outside))
+            failure))
+    formats
+
+(* A record that fails in the middle of a call: every row before it is
+   delivered, and the failure is the per-record reading's. *)
+let test_block_failure_mid_call () =
+  let r = counted_recording (loads 6 @ others [ 7; 8; 9 ] @ loads 3) in
+  with_trace r (fun path ->
+      let bytes = read_file path in
+      List.iter
+        (fun cut ->
+          with_tmp ~suffix:".pift" (fun cut_path ->
+              Out_channel.with_open_bin cut_path (fun oc ->
+                  Out_channel.output_string oc (String.sub bytes 0 cut));
+              (match
+                 check_block ~what:(Printf.sprintf "cut to %d" cut) cut_path
+                   [ call () ]
+               with
+              | [ (Error m, next, _, _) ] ->
+                  checkb "positioned" true (String.sub m 0 10 = "Trace_io: ");
+                  checkb "the rows before it delivered" true (next > 0)
+              | _ -> Alcotest.fail "expected a failure");
+              checkb "fill = per-item view" true
+                (fill_outcome cut_path
+                = (let items, failure = read_item_outcome cut_path in
+                   (fold_rows ~room:fill_room items, failure)))))
+        (List.map (fun n -> String.length bytes - n) [ 1; 9; 20 ]))
+
+(* The decode loop frames a record with a one-byte length and reads a
+   field below [0x80] itself, leaving the rest to [Wire].  Hand-made
+   records with a one-byte length whose fields leave those cases (a
+   field running past the payload, trailing bytes, a bad range) fail
+   with the record layer's messages, and a well-formed one decodes to
+   its values.  Each file is a header (pid 1), a one-byte "other"
+   record, the record, and another "other". *)
+let test_block_one_byte_records () =
+  let other = "\x04\x02\x02\x02\x01" in
+  let record_2 msg = "Trace_io: record 2: " ^ msg in
+  List.iter
+    (fun (record, want) ->
+      with_tmp ~suffix:".pift" (fun path ->
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc
+                ("PIFTBIN1\x01x\x01\x00" ^ other ^ record ^ other));
+          let got =
+            match
+              check_block ~what:(String.escaped record) path [ call () ]
+            with
+            | [ (Error m, 1, _, _) ] -> Error m
+            | [ (Ok Trace_io.Ended, 3, _, rows) ] -> Ok (row_at rows 1)
+            | _ -> Error "unexpected stop"
+          in
+          checkb (String.escaped record) true (got = want)))
+    [
+      ("\x06\x00\x02\x02\x01\x7e\x04", Ok [ Row.tag_load; 1; 2; 2; 63; 4 ]);
+      ("\x04\x02\x02\x82\x01", Error (record_2 "truncated record payload"));
+      ("\x04\x02\x02\x02\x81", Error (record_2 "truncated record payload"));
+      ( "\x05\x02\x02\x02\x01\x00",
+        Error (record_2 "trailing bytes in record") );
+      ( "\x06\x00\x02\x02\x01\x00\x84",
+        Error (record_2 "truncated record payload") );
+      ( "\x06\x01\x02\x02\x01\x80\x04",
+        Error (record_2 "truncated record payload") );
+      ( "\x06\x00\x02\x02\x01\x00\x00",
+        Error (record_2 "Range.of_len: non-positive length") );
+      ( "\x06\x00\x02\x02\x01\x7f\x7f",
+        Error (record_2 "Range.make: negative address") );
+    ]
+
+(* Random traces, both formats, some cut or bit-flipped, through random
+   sequences of calls: the block decoder = the per-record reading. *)
+let gen_block_case rng =
+  let range () = Range.of_len (Rng.int rng 256) (1 + Rng.int rng 8) in
+  let n = Rng.int_in rng 0 40 in
+  let seq = ref 0 in
+  let events =
+    List.init n (fun _ ->
+        seq := !seq + Rng.int_in rng 0 2;
+        let pid = if Rng.int rng 5 = 0 then 8 else 7 in
+        let access =
+          match Rng.int rng 5 with
+          | 0 -> Pift_trace.Event.Load (range ())
+          | 1 -> Pift_trace.Event.Store (range ())
+          | _ -> Pift_trace.Event.Other
+        in
+        { (ev !seq pid access) with k = Rng.int rng 300 })
+  in
+  let markers =
+    Array.init (Rng.int rng 4) (fun i ->
+        let s = Rng.int rng (!seq + 2) in
+        if i mod 2 = 0 then (s, Recorded.Source { kind = "K"; range = r8 })
+        else (s, Recorded.Sink { kind = "K"; ranges = [ r8 ] }))
+  in
+  Array.sort compare markers;
+  let format = if Rng.bool rng then Trace_io.Binary else Trace_io.Text in
+  let mutate =
+    match Rng.int rng 4 with
+    | 0 -> `Cut (Rng.int rng 1000)
+    | 1 -> `Flip (Rng.int rng 8000)
+    | _ -> `None
+  in
+  let bound = ref 0 and first = ref (Rng.int rng 2) in
+  let calls =
+    List.init (Rng.int_in rng 1 12) (fun _ ->
+        bound := !bound + Rng.int rng 6;
+        let c =
+          call ~first:!first ~room:(Rng.int_in rng 1 5)
+            ~budget:(Rng.int_in rng 1 8)
+            ~bound:(if Rng.int rng 4 = 0 then max_int else !bound)
+            ~shift:(Rng.int rng 3) ()
+        in
+        first := !first + Rng.int rng 3;
+        c)
+  in
+  (counted_recording ~markers events, format, mutate, calls)
+
+let block_case_to_string (r, format, mutate, calls) =
+  Printf.sprintf "%s, %d events, %d markers, %s; calls %s"
+    (Trace_io.format_to_string format)
+    (Pift_trace.Trace.length r.Recorded.trace)
+    (Array.length r.Recorded.markers)
+    (match mutate with
+    | `Cut n -> Printf.sprintf "cut to %d bytes" n
+    | `Flip b -> Printf.sprintf "bit %d flipped" b
+    | `None -> "whole")
+    (String.concat " " (List.map block_call_to_string calls))
+
+let test_block_property () =
+  Prop.check_gen ~name:"block decode = per-record reading" ~count:300
+    ~gen:gen_block_case ~shrink:(fun _ -> []) ~to_string:block_case_to_string
+    (fun (r, format, mutate, calls) ->
+      with_trace ~format r (fun path ->
+          let bytes = read_file path in
+          let bytes =
+            match mutate with
+            | `Cut n -> String.sub bytes 0 (min n (String.length bytes))
+            | `Flip b when String.length bytes > 0 ->
+                flip bytes (b mod (8 * String.length bytes))
+            | _ -> bytes
+          in
+          Out_channel.with_open_bin path (fun oc ->
+              Out_channel.output_string oc bytes);
+          let preset = [| Row.tag_other; 7; 0; 0; 0; 1 |] in
+          let want = block_outcome per_record ~preset path calls
+          and got = block_outcome block_read ~preset path calls in
+          let recorded () =
+            match mutate with
+            | `None ->
+                let h =
+                  {
+                    Trace_io.h_name = r.Recorded.name;
+                    h_pid = r.pid;
+                    h_bytecodes = r.bytecodes;
+                  }
+                in
+                block_outcome_of per_record ~preset
+                  (fun () -> Trace_io.of_items h (Recorded.items r))
+                  calls
+            | `Cut _ | `Flip _ -> got
+          in
+          if got <> want then
+            Error
+              (Printf.sprintf "read_rows %s, per record %s"
+                 (block_trace_to_string got)
+                 (block_trace_to_string want))
+          else if got <> recorded () then
+            Error
+              (Printf.sprintf "read_rows %s, the recording's items %s"
+                 (block_trace_to_string got)
+                 (block_trace_to_string (recorded ())))
+          else Ok ()))
+
+(* The block decoder allocates nothing per event record: decoding twice
+   the records in 128-row calls costs no more minor words than once, up
+   to a constant.  One word per record would be 60 000. *)
+let test_block_allocates_nothing () =
+  let words n =
+    with_trace
+      (counted_recording
+         (List.init n (fun i ->
+              ev (i + 1) 7
+                (match i mod 3 with
+                | 0 -> Pift_trace.Event.Load (Range.of_len (64 * (i mod 97)) 8)
+                | 1 -> Pift_trace.Event.Store (Range.of_len (64 * (i mod 89)) 4)
+                | _ -> Pift_trace.Event.Other))))
+      (fun path ->
+        Trace_io.with_reader path (fun rd ->
+            let bk = Trace_io.block ()
+            and rows = Array.make (128 * Row.width) 0 in
+            bk.Trace_io.bk_rows <- rows;
+            let decoded = ref 0 in
+            let w =
+              minor_words_of (fun () ->
+                  let go = ref true in
+                  while !go do
+                    bk.bk_next <- 0;
+                    bk.bk_end <- Array.length rows;
+                    bk.bk_budget <- max_int;
+                    go := Trace_io.read_rows rd bk <> Trace_io.Ended;
+                    decoded := !decoded + (bk.bk_next / Row.width)
+                  done)
+            in
+            checkb "every record decoded" true (!decoded > n / 2);
+            w))
+  in
+  let once = words 60_000 and twice = words 120_000 in
+  checkb
+    (Printf.sprintf "%.0f minor words for 60k records, %.0f for 120k" once
+       twice)
+    true
+    (twice -. once <= 256.)
+
 let () =
   Alcotest.run "pift service"
     [
@@ -3299,5 +3850,26 @@ let () =
             test_truncated_binary_positioned_error;
           Alcotest.test_case "binary trace: 10-byte varint refused" `Quick
             test_binary_ten_byte_varint;
+        ] );
+      ( "block decode",
+        [
+          Alcotest.test_case "block decode = per-record reading" `Quick
+            test_block_property;
+          Alcotest.test_case "a seq bound on a record" `Quick
+            test_block_seq_bound;
+          Alcotest.test_case "budget of 1, room of 1" `Quick
+            test_block_budget_and_room;
+          Alcotest.test_case "a marker inside a non-memory run" `Quick
+            test_block_marker_in_run;
+          Alcotest.test_case "fold into the head row, not another tenant's"
+            `Quick test_block_fold_into_head;
+          Alcotest.test_case "pid outside the block inside a run" `Quick
+            test_block_pid_outside_in_run;
+          Alcotest.test_case "a failure mid-call delivers the rows before it"
+            `Quick test_block_failure_mid_call;
+          Alcotest.test_case "one-byte records: values and messages" `Quick
+            test_block_one_byte_records;
+          Alcotest.test_case "allocates nothing per event record" `Quick
+            test_block_allocates_nothing;
         ] );
     ]
