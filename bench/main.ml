@@ -200,33 +200,43 @@ let run_microbenchmarks () =
 let write_obs_snapshot () =
   let module Obs = Pift_obs in
   let phases = Obs.Profile.create () in
-  let registry = Obs.Registry.create () in
   let recorded =
     Obs.Profile.span (Some phases) "record" (fun () ->
-        Recorded.record ~metrics:registry
+        Recorded.record
           (Pift_workloads.Malware.lgroot_sized ~rounds:2 ~payload_chars:256))
   in
-  let _replay =
+  let store = Pift_core.Store.create () in
+  let replay =
     Obs.Profile.span (Some phases) "replay" (fun () ->
-        Recorded.replay ~policy:Policy.default ~metrics:registry recorded)
+        Recorded.replay ~store ~policy:Policy.default recorded)
   in
-  Obs.Profile.span (Some phases) "hw-model" (fun () ->
-      let storage = Storage.create ~metrics:registry () in
-      ignore
-        (Recorded.replay
-           ~store:(Pift_core.Store.of_storage storage)
-           ~policy:Policy.default recorded);
-      let st = Storage.stats storage in
-      let trace = recorded.Recorded.trace in
-      Pift_core.Hw_model.observe ~metrics:registry
-        (Pift_core.Hw_model.estimate ~total_insns:(Trace.length trace)
-           ~loads:(Trace.loads trace) ~stores:(Trace.stores trace)
-           ~secondary_hits:st.Storage.secondary_hits ()));
+  let storage, hw =
+    Obs.Profile.span (Some phases) "hw-model" (fun () ->
+        let storage = Storage.create () in
+        ignore
+          (Recorded.replay
+             ~store:(Pift_core.Store.of_storage storage)
+             ~policy:Policy.default recorded);
+        let st = Storage.stats storage in
+        let trace = recorded.Recorded.trace in
+        ( storage,
+          Pift_core.Hw_model.estimate ~total_insns:(Trace.length trace)
+            ~loads:(Trace.loads trace) ~stores:(Trace.stores trace)
+            ~secondary_hits:st.Storage.secondary_hits () ))
+  in
+  let samples =
+    Pift_eval.Metrics.samples
+      [
+        Recording { recorded; mode = Pift_dalvik.Vm.Interpreter };
+        Replay { recorded; replay; store };
+        Range_cache storage;
+        Hw hw;
+      ]
+  in
   let oc = open_out "BENCH_obs.json" in
   Obs.Sink.write_jsonl oc
     (Obs.Sink.snapshot_to_json ~run:"bench:lgroot-2x256"
-       ~spans:(Obs.Profile.folded phases)
-       (Obs.Registry.snapshot registry));
+       ~spans:(Obs.Profile.folded phases) samples);
   close_out oc;
   print_endline "wrote BENCH_obs.json"
 

@@ -93,11 +93,6 @@ let metrics_format =
   in
   Arg.(value & opt fmt Jsonl & info [ "metrics-format" ] ~docv:"FORMAT" ~doc)
 
-(* Fresh registry when --metrics-out was given; [None] leaves every
-   instrumented hot path on its no-op branch. *)
-let registry_of metrics_out =
-  Option.map (fun _ -> Obs.Registry.create ()) metrics_out
-
 (* --- flight-recorder options --- *)
 
 let trace_out =
@@ -285,8 +280,7 @@ let step_cell view _done total =
   Obs.Progress.set_total view total;
   Obs.Progress.step view
 
-let write_metrics ~out ~format ~run ~spans registry =
-  let samples = Obs.Registry.snapshot registry in
+let write_metrics ~out ~format ~run ~spans samples =
   let emit oc =
     match format with
     | Jsonl ->
@@ -334,7 +328,6 @@ let run_app name ni nt untaint verbose jit explain prov prov_out metrics_out
     metrics_format trace_out telemetry_out telemetry_every profile_out top =
   let app = find_app name in
   let policy = policy_of ni nt untaint in
-  let metrics = registry_of metrics_out in
   let rings = rings_of trace_out ~slots:1 in
   let flight = if Array.length rings > 0 then Some rings.(0) else None in
   let telems =
@@ -357,11 +350,12 @@ let run_app name ni nt untaint verbose jit explain prov prov_out metrics_out
   let phase name f = time_phase phases flight name f in
   let recorded =
     phase "record" (fun () ->
-        Recorded.record ~mode:(mode_of jit) ?metrics ?flight ?profile app)
+        Recorded.record ~mode:(mode_of jit) ?flight ?profile app)
   in
+  let store = Pift_core.Store.create () in
   let replay =
     phase "replay" (fun () ->
-        Recorded.replay ~policy ?metrics ?telemetry ?profile recorded)
+        Recorded.replay ~store ~policy ?telemetry ?profile recorded)
   in
   (match flight with
   | None -> ()
@@ -373,34 +367,38 @@ let run_app name ni nt untaint verbose jit explain prov prov_out metrics_out
   let dift = phase "full-dift" (fun () -> Recorded.replay_dift recorded) in
   (* Replay once more against the hardware range cache so the snapshot
      carries pift_storage_* hits and the modelled stall cycles.  The
-     tracker side runs un-instrumented: tracker counters must equal the
-     software replay's stats.  The pass stays off the trace, so a trace
-     is the same with or without --metrics-out. *)
-  (match metrics with
-  | None -> ()
-  | Some registry ->
-      time_phase phases None "hw-model" (fun () ->
-          let storage =
-            Pift_core.Storage.create ~metrics:registry ()
-          in
-          let hw_store = Pift_core.Store.of_storage storage in
-          (* The hardware pass owns a storage model worth watching: bind
-             its occupancy as an extra telemetry source (the replay
-             rebinds its tracker sources to this pass's tracker). *)
-          (match telemetry with
-          | None -> ()
-          | Some te ->
-              Obs.Telemetry.set_source te ~name:"storage_occupancy"
-                (fun () -> float_of_int (Pift_core.Storage.occupancy storage)));
-          ignore (Recorded.replay ~store:hw_store ~policy ?telemetry recorded);
-          let st = Pift_core.Storage.stats storage in
-          let trace = recorded.Recorded.trace in
-          Pift_core.Hw_model.observe ~metrics:registry
-            (Pift_core.Hw_model.estimate
-               ~total_insns:(Pift_trace.Trace.length trace)
-               ~loads:(Pift_trace.Trace.loads trace)
-               ~stores:(Pift_trace.Trace.stores trace)
-               ~secondary_hits:st.Pift_core.Storage.secondary_hits ())));
+     pass stays off the trace, so a trace is the same with or without
+     --metrics-out. *)
+  let hw_parts =
+    match metrics_out with
+    | None -> []
+    | Some _ ->
+        time_phase phases None "hw-model" (fun () ->
+            let storage = Pift_core.Storage.create () in
+            let hw_store = Pift_core.Store.of_storage storage in
+            (* The hardware pass owns a storage model worth watching: bind
+               its occupancy as an extra telemetry source (the replay
+               rebinds its tracker sources to this pass's tracker). *)
+            (match telemetry with
+            | None -> ()
+            | Some te ->
+                Obs.Telemetry.set_source te ~name:"storage_occupancy"
+                  (fun () ->
+                    float_of_int (Pift_core.Storage.occupancy storage)));
+            ignore
+              (Recorded.replay ~store:hw_store ~policy ?telemetry recorded);
+            let st = Pift_core.Storage.stats storage in
+            let trace = recorded.Recorded.trace in
+            [
+              Pift_eval.Metrics.Range_cache storage;
+              Pift_eval.Metrics.Hw
+                (Pift_core.Hw_model.estimate
+                   ~total_insns:(Pift_trace.Trace.length trace)
+                   ~loads:(Pift_trace.Trace.loads trace)
+                   ~stores:(Pift_trace.Trace.stores trace)
+                   ~secondary_hits:st.Pift_core.Storage.secondary_hits ());
+            ])
+  in
   Printf.printf "app:        %s (%s, labelled %s)\n" app.App.name
     app.App.category
     (if app.App.leaky then "leaky" else "benign");
@@ -458,11 +456,15 @@ let run_app name ni nt untaint verbose jit explain prov prov_out metrics_out
               (List.length ranges))
       recorded.Recorded.markers
   end;
-  (match (metrics, metrics_out) with
-  | Some registry, Some out ->
+  (match metrics_out with
+  | Some out ->
       write_metrics ~out ~format:metrics_format ~run:app.App.name
-        ~spans:(Obs.Profile.folded phases) registry
-  | _ -> ());
+        ~spans:(Obs.Profile.folded phases)
+        (Pift_eval.Metrics.samples
+           (Recording { recorded; mode = mode_of jit }
+           :: Replay { recorded; replay; store }
+           :: hw_parts))
+  | None -> ());
   Obs.Progress.finish view;
   (match telemetry_out with
   | Some out -> write_telemetry ~out ~run:app.App.name telems
@@ -507,7 +509,6 @@ let sweep subset_only jobs metrics_out metrics_format trace_out prov
     if subset_only then Pift_workloads.Droidbench.subset48
     else Pift_workloads.Droidbench.all
   in
-  let metrics = registry_of metrics_out in
   let rings = rings_of trace_out ~slots:jobs in
   let telems =
     telems_of ~out:telemetry_out ~top ~every:telemetry_every ~slots:jobs
@@ -525,7 +526,7 @@ let sweep subset_only jobs metrics_out metrics_format trace_out prov
   let phase name f = time_phase phases None name f in
   let sweep =
     phase "sweep" (fun () ->
-        Pift_eval.Accuracy.sweep ?metrics ~rings ~telems ~profiles
+        Pift_eval.Accuracy.sweep ~rings ~telems ~profiles
           ~on_cell:(step_cell view) ~jobs ~with_origins:prov apps)
   in
   Obs.Progress.finish view;
@@ -550,11 +551,12 @@ let sweep subset_only jobs metrics_out metrics_format trace_out prov
       Printf.eprintf "attribution: wrote %s (%d true-positive sinks)\n" out
         (List.length at.Pift_eval.Accuracy.at_rows)
   | None -> ());
-  (match (metrics, metrics_out) with
-  | Some registry, Some out ->
+  (match metrics_out with
+  | Some out ->
       write_metrics ~out ~format:metrics_format ~run:"sweep"
-        ~spans:(Obs.Profile.folded phases) registry
-  | _ -> ());
+        ~spans:(Obs.Profile.folded phases)
+        (Pift_eval.Metrics.samples [ Sweep sweep ])
+  | None -> ());
   (match telemetry_out with
   | Some out -> write_telemetry ~out ~run:"sweep" telems
   | None -> ());

@@ -49,30 +49,6 @@ let estimate ?(costs = default_costs) ~total_insns ~loads ~stores
        else float_of_int total_insns /. float_of_int memory_insns);
   }
 
-let observe ~metrics r =
-  let module Gauge = Pift_obs.Metric.Gauge in
-  let g help name = Pift_obs.Registry.gauge metrics ~help name in
-  Gauge.set
-    (g "instructions in the modelled trace" "pift_hw_total_insns")
-    r.total_insns;
-  Gauge.set
-    (g "loads + stores PIFT inspects" "pift_hw_pift_events")
-    r.pift_events;
-  Gauge.set_float
-    (g "modelled CPU stall cycles from slow-path lookups (Fig. 17)"
-       "pift_hw_stall_cycles")
-    r.pift_stall_cycles;
-  Gauge.set_float
-    (g "PIFT overhead over untracked execution, percent"
-       "pift_hw_overhead_pct")
-    r.pift_overhead_pct;
-  Gauge.set_float
-    (g "inline software DIFT overhead, percent" "pift_hw_sw_dift_overhead_pct")
-    r.sw_dift_overhead_pct;
-  Gauge.set_float
-    (g "instructions per PIFT-processed event" "pift_hw_event_reduction")
-    r.event_reduction
-
 let pp_report ppf r =
   Format.fprintf ppf
     "@[<v>instructions: %d (memory: %d, %.1fx event reduction)@,\

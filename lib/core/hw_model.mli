@@ -39,8 +39,4 @@ val estimate :
   unit ->
   report
 
-val observe : metrics:Pift_obs.Registry.t -> report -> unit
-(** Export the report into a registry as [pift_hw_*] gauges (event
-    reduction, modelled stall cycles, overhead percentages). *)
-
 val pp_report : Format.formatter -> report -> unit

@@ -21,14 +21,13 @@ type t
 
 val create :
   ?entries:int -> ?eviction:eviction -> ?granularity:int option ->
-  ?metrics:Pift_obs.Registry.t -> unit -> t
+  unit -> t
 (** [entries] defaults to 2730 (32 KiB of 12-byte entries).
     [granularity] is [None] for arbitrary ranges, or [Some r] for
     [2^r]-byte block tagging.  The per-process secondary store in main
-    memory is an exact {!Store_flat} set.  With [metrics],
-    [pift_storage_*] counters (lookups, primary/secondary hits,
-    insertions, evictions, drops, writebacks) and an occupancy gauge
-    mirror {!stats} live. *)
+    memory is an exact {!Store_flat} set.  The model counts its own
+    traffic: read {!stats} and {!occupancy} when a run ends (the
+    [pift_storage_*] metrics are built from them). *)
 
 val insert : t -> pid:int -> Pift_util.Range.t -> unit
 val remove : t -> pid:int -> Pift_util.Range.t -> unit

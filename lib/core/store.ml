@@ -9,6 +9,7 @@ type t = {
   ranges : pid:int -> Range.t list;
   release_pid : pid:int -> unit;
   dump : unit -> (int * Range.t list) list;
+  merges : unit -> int;
 }
 
 let create () =
@@ -51,16 +52,23 @@ let create () =
      made the old Hashtbl.fold quadratic-ish on multi-PID replays. *)
   let total_bytes = ref 0 in
   let total_count = ref 0 in
+  (* Applies [op] and returns how much it changed the range count. *)
   let mutate op pid r =
     let s = set pid in
     let bytes = Store_flat.total_bytes s and count = Store_flat.cardinal s in
     op s r;
+    let grown = Store_flat.cardinal s - count in
     total_bytes := !total_bytes + Store_flat.total_bytes s - bytes;
-    total_count := !total_count + Store_flat.cardinal s - count
+    total_count := !total_count + grown;
+    grown
   in
+  (* An add that did not raise the range count coalesced into (or was
+     covered by) a range already held. *)
+  let merges = ref 0 in
   {
-    add = (fun ~pid r -> mutate Store_flat.add pid r);
-    remove = (fun ~pid r -> mutate Store_flat.remove pid r);
+    add =
+      (fun ~pid r -> if mutate Store_flat.add pid r <= 0 then incr merges);
+    remove = (fun ~pid r -> ignore (mutate Store_flat.remove pid r));
     overlaps = (fun ~pid r -> Store_flat.mem_overlap (peek pid) r);
     tainted_bytes = (fun () -> !total_bytes);
     range_count = (fun () -> !total_count);
@@ -89,44 +97,7 @@ let create () =
                | [] -> acc
                | rs -> (pid, rs) :: acc)
              sets []));
-  }
-
-let with_metrics registry inner =
-  let module Counter = Pift_obs.Metric.Counter in
-  let module Gauge = Pift_obs.Metric.Gauge in
-  let c help name = Pift_obs.Registry.counter registry ~help name in
-  let adds = c "range insertions into the taint store" "pift_store_add_ops_total" in
-  let removes = c "range removals from the taint store" "pift_store_remove_ops_total" in
-  let merges =
-    c "insertions coalesced into an existing range"
-      "pift_store_merge_ops_total"
-  in
-  let ranges_gauge =
-    Pift_obs.Registry.gauge registry ~help:"distinct ranges held by the store"
-      "pift_store_ranges"
-  in
-  let sync () = Gauge.set ranges_gauge (inner.range_count ()) in
-  {
-    inner with
-    add =
-      (fun ~pid r ->
-        let before = inner.range_count () in
-        inner.add ~pid r;
-        Counter.incr adds;
-        (* A merge (or full overlap) is an insertion that did not grow the
-           range count — the coalescing path of a set's add / the
-           range-cache update of Storage.insert. *)
-        if inner.range_count () <= before then Counter.incr merges;
-        sync ());
-    remove =
-      (fun ~pid r ->
-        inner.remove ~pid r;
-        Counter.incr removes;
-        sync ());
-    release_pid =
-      (fun ~pid ->
-        inner.release_pid ~pid;
-        sync ());
+    merges = (fun () -> !merges);
   }
 
 (* Store operations bracketed as "store" profiler regions, so folded
@@ -158,4 +129,5 @@ let of_storage storage =
        of truth; snapshotting it would silently persist a partial
        state, so it refuses instead. *)
     dump = (fun () -> failwith "Store.of_storage: dump unsupported");
+    merges = (fun () -> failwith "Store.of_storage: merges not counted");
   }

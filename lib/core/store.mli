@@ -5,9 +5,10 @@
     interval set per process ({!create}), while the hardware model backs
     it with the {!Storage} range cache (bounded, lossy under the drop
     policy; {!of_storage}).  The tracker is written once against this
-    record of operations, so wrappers ({!with_metrics}, {!with_profile},
-    timing shims)
-    substitute into it field by field. *)
+    record of operations, so wrappers ({!with_profile}, timing shims)
+    substitute into it field by field.  The store pushes nothing to
+    observers: callers read [tainted_bytes], [range_count] and [merges]
+    when a run ends. *)
 
 type t = {
   add : pid:int -> Pift_util.Range.t -> unit;
@@ -29,6 +30,10 @@ type t = {
           (same [overlaps]/[ranges]/counters).  Raises [Failure] on
           {!of_storage} stores: the range cache is lossy, so persisting
           it would silently drop state. *)
+  merges : unit -> int;
+      (** [add]s that did not raise [range_count]: coalesced into, or
+          covered by, ranges already held.  Raises [Failure] on
+          {!of_storage} stores, which do not count them. *)
 }
 
 val create : unit -> t
@@ -55,12 +60,6 @@ val create : unit -> t
 val of_storage : Storage.t -> t
 (** State held in a hardware range cache; behaviour (and possible false
     negatives) follow the cache's eviction policy. *)
-
-val with_metrics : Pift_obs.Registry.t -> t -> t
-(** The same store, with [pift_store_*] add/remove/merge counters and a
-    range-count gauge updated on every mutation.  Merge detection reads
-    the (O(1), incrementally tracked) range count around each
-    insertion, so wrap only when observing. *)
 
 val with_profile : Pift_obs.Profile.t -> t -> t
 (** The same store, with every [add], [remove] and [overlaps] call

@@ -34,9 +34,10 @@ val create :
     The tracker pushes nothing to observers.  Its counters ({!stats},
     {!current_tainted_bytes}, {!current_ranges}, {!window_used}) are
     its whole observation surface; callers read them when they need
-    them — {!Pift_eval.Recorded.replay} publishes metrics and binds
-    telemetry sources over them, and store-level profiling wraps the
-    {!Store.t} ({!Store.with_profile}). *)
+    them — {!Pift_eval.Metrics.samples} builds the [pift_tracker_*]
+    metrics from them when a replay ends, {!Pift_eval.Recorded.replay}
+    binds telemetry sources over them, and store-level profiling wraps
+    the {!Store.t} ({!Store.with_profile}). *)
 
 val policy : t -> Policy.t
 

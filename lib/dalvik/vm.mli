@@ -26,16 +26,13 @@ type mode =
 val create :
   ?mode:mode ->
   ?natives:(string * Pift_runtime.Env.native) list ->
-  ?metrics:Pift_obs.Registry.t ->
   ?flight:Pift_obs.Flight.t ->
   ?profile:Pift_obs.Profile.t ->
   Pift_runtime.Env.t ->
   Program.t ->
   t
 (** [natives] defaults to {!Pift_runtime.Api.registry}; [mode] to
-    [Interpreter].  With [metrics], the VM counts dispatched bytecodes
-    (labelled by execution mode) and translation-fragment cache
-    hits/misses as [pift_vm_*].  With [flight], {!run} brackets the
+    [Interpreter].  With [flight], {!run} brackets the
     whole execution in a ["vm-run"] span and stamps a ["vm-uncaught"]
     instant when an exception escapes the entry method.  With [profile],
     {!run} is attributed to a ["vm"] region with every fragment
@@ -54,6 +51,12 @@ val call : t -> string -> int list -> int
     {!Thrown} on an uncaught exception, [Failure] on an unknown method. *)
 
 val bytecodes_executed : t -> int
+
+val frag_cache_hits : t -> int
+(** Fragment fetches the translation cache served. *)
+
+val frag_cache_misses : t -> int
+(** Fragments translated on a cache miss. *)
 
 val read_vreg : t -> fp:int -> int -> int
 (** Direct frame-slot read (inspection). *)

@@ -20,6 +20,7 @@ type sweep = {
   nis : int list;
   nts : int list;
   cells : ((int * int) * confusion) list;
+  trace_insns : int list;
 }
 
 let classify ~leaky ~flagged c =
@@ -203,42 +204,16 @@ let attribution_json at =
 let default_nis = List.init 20 (fun i -> i + 1)
 let default_nts = List.init 10 (fun i -> i + 1)
 
-(* Per-worker sweep meters, resolved once per registry so the replay loop
-   pays one counter write per replay. *)
-type meters = {
-  m_apps : Pift_obs.Metric.Counter.t;
-  m_replays : Pift_obs.Metric.Counter.t;
-  m_insns : Pift_obs.Metric.Histogram.t;
-}
-
-let meters_of registry =
-  {
-    m_apps =
-      Pift_obs.Registry.counter registry ~help:"apps recorded by the sweep"
-        "pift_sweep_apps_total";
-    m_replays =
-      Pift_obs.Registry.counter registry
-        ~help:"tracker replays across the NIxNT grid"
-        "pift_sweep_replays_total";
-    m_insns =
-      Pift_obs.Registry.histogram registry
-        ~help:"instructions per recorded app trace" "pift_sweep_trace_insns";
-  }
-
 (* Recording runs on the pool (each app builds its own VM, trace, and
    heap), and the NIxNT grid then replays one cell per work item against
-   the shared read-only recordings.  Each worker slot owns a private
-   metrics registry — merged into the caller's registry afterwards in
-   slot order — so the counters stay lock-free and the merged snapshot
-   is identical whatever the schedule.  Cells come back sorted by
+   the shared read-only recordings.  Cells come back sorted by
    (ni, nt): the Hashtbl.fold order of the old implementation leaked
    hashing order into the result, which both broke run-to-run
    reproducibility and made parallel merges order-dependent. *)
 let sweep ?(nis = default_nis) ?(nts = default_nts) ?progress
-    ?on_cell ?metrics ?(rings = [||]) ?(telems = [||]) ?(profiles = [||])
+    ?on_cell ?(rings = [||]) ?(telems = [||]) ?(profiles = [||])
     ?(jobs = 1) ?(with_origins = false) apps =
   Pift_par.Pool.with_pool ~jobs ~rings ~profiles (fun pool ->
-      let slots = Pift_par.Pool.jobs pool in
       let ring worker =
         if worker < Array.length rings then Some rings.(worker) else None
       in
@@ -253,13 +228,6 @@ let sweep ?(nis = default_nis) ?(nts = default_nts) ?progress
         if worker < Array.length profiles then Some profiles.(worker)
         else None
       in
-      let worker_registries =
-        match metrics with
-        | None -> [||]
-        | Some _ ->
-            Array.init slots (fun _ -> Pift_obs.Registry.create ())
-      in
-      let worker_meters = Array.map meters_of worker_registries in
       let apps_arr = Array.of_list apps in
       let n = Array.length apps_arr in
       let recorded_count = Atomic.make 0 in
@@ -281,12 +249,6 @@ let sweep ?(nis = default_nis) ?(nts = default_nts) ?progress
             (match span with
             | None -> ()
             | Some (r, name) -> Pift_obs.Flight.end_ r name);
-            if worker_meters <> [||] then begin
-              let m = worker_meters.(worker) in
-              Pift_obs.Metric.Counter.incr m.m_apps;
-              Pift_obs.Metric.Histogram.observe m.m_insns
-                (Pift_trace.Trace.length recorded.Recorded.trace)
-            end;
             (match progress with
             | None -> ()
             | Some f ->
@@ -327,9 +289,6 @@ let sweep ?(nis = default_nis) ?(nts = default_nts) ?progress
                   Recorded.replay ?telemetry:(telem worker)
                     ?profile:(profile worker) ~with_origins ~policy recorded
                 in
-                if worker_meters <> [||] then
-                  Pift_obs.Metric.Counter.incr
-                    worker_meters.(worker).m_replays;
                 let st = replay.Recorded.stats in
                 if st.Pift_core.Tracker.max_tainted_bytes > !peak_bytes then
                   peak_bytes := st.Pift_core.Tracker.max_tainted_bytes;
@@ -361,18 +320,18 @@ let sweep ?(nis = default_nis) ?(nts = default_nts) ?progress
             !c)
           points
       in
-      (match metrics with
-      | None -> ()
-      | Some registry ->
-          Array.iter
-            (fun wr -> Pift_obs.Registry.merge ~into:registry wr)
-            worker_registries);
       let cells =
         List.sort
           (fun (a, _) (b, _) -> compare (a : int * int) b)
           (Array.to_list (Array.map2 (fun p c -> (p, c)) points confusions))
       in
-      { apps = n; nis; nts; cells })
+      let trace_insns =
+        Array.to_list
+          (Array.map
+             (fun r -> Pift_trace.Trace.length r.Recorded.trace)
+             recordings)
+      in
+      { apps = n; nis; nts; cells; trace_insns })
 
 let cell sweep ~ni ~nt =
   match List.assoc_opt (ni, nt) sweep.cells with

@@ -18,6 +18,8 @@ type sweep = {
   nts : int list;
   cells : ((int * int) * confusion) list;
       (** keyed by (ni, nt), sorted ascending by key *)
+  trace_insns : int list;
+      (** instructions in each app's recorded trace, in app order *)
 }
 
 val evaluate :
@@ -87,7 +89,6 @@ val sweep :
   ?nts:int list ->
   ?progress:(int -> int -> unit) ->
   ?on_cell:(int -> int -> unit) ->
-  ?metrics:Pift_obs.Registry.t ->
   ?rings:Pift_obs.Flight.t array ->
   ?telems:Pift_obs.Telemetry.t array ->
   ?profiles:Pift_obs.Profile.t array ->
@@ -99,10 +100,10 @@ val sweep :
     combinations).  Each app is executed once and replayed per cell.
     [progress done total] is called per app recorded, [on_cell done
     total] per grid cell finished (both under a lock when parallel, in
-    completion order — the hook behind the live progress line).  With
-    [metrics], [pift_sweep_*] counters track recorded apps and grid
-    replays, and a log2 histogram collects per-app trace lengths.
-    [rings] (one flight-recorder ring per worker slot, also handed to
+    completion order — the hook behind the live progress line).  The
+    result carries what the [pift_sweep_*] metrics are built from
+    ({!Metrics.samples}): the app count, the cells and the per-app
+    trace lengths.  [rings] (one flight-recorder ring per worker slot, also handed to
     the pool for chunk spans) adds a ["record:<app>"] span per
     recording and, per grid cell, a ["cell(ni,nt)"] span plus
     ["max_tainted_bytes"]/["max_ranges"] counter samples — one sample
@@ -115,10 +116,10 @@ val sweep :
     handed to the pool) attributes wall time to
     [pool;replay;store] (and [pool;record;vm;cpu]) folded
     stacks.  Both follow the per-slot single-writer discipline; neither
-    changes cells, metrics, or stdout.  [jobs]
+    changes the result or stdout.  [jobs]
     (default 1) sizes the [Pift_par] domain pool the recordings and
-    grid cells run on; the result — cells and merged metrics both — is
-    identical for every [jobs] value and with tracing on or off.
+    grid cells run on; the result is identical for every [jobs] value
+    and with tracing on or off.
     [with_origins] (default off) threads the provenance sidecar through
     every grid replay; verdicts are
     byte-identical with it on or off, so the sweep result is too — the

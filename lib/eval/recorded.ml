@@ -19,12 +19,14 @@ type t = {
   markers : (int * marker) array;
   pid : int;
   bytecodes : int;
+  frag_hits : int;
+  frag_misses : int;
 }
 
-let record ?mode ?metrics ?flight ?profile (app : App.t) =
+let record ?mode ?flight ?profile (app : App.t) =
   Pift_obs.Profile.span profile "record" @@ fun () ->
   let trace = Trace.create () in
-  let env = Env.create ?metrics ~sink:(Trace.sink trace) () in
+  let env = Env.create ~sink:(Trace.sink trace) () in
   let markers = ref [] in
   let seq () = Cpu.global_seq env.Env.cpu in
   let stamp name =
@@ -40,7 +42,7 @@ let record ?mode ?metrics ?flight ?profile (app : App.t) =
       markers := (seq (), Sink { kind; ranges }) :: !markers);
   let natives = Pift_runtime.Api.registry @ app.App.natives in
   let vm =
-    Vm.create ?mode ~natives ?metrics ?flight ?profile env (app.App.program ())
+    Vm.create ?mode ~natives ?flight ?profile env (app.App.program ())
   in
   (match Vm.run vm with `Ok | `Uncaught _ -> ());
   {
@@ -49,6 +51,8 @@ let record ?mode ?metrics ?flight ?profile (app : App.t) =
     markers = Array.of_list (List.rev !markers);
     pid = Env.pid env;
     bytecodes = Vm.bytecodes_executed vm;
+    frag_hits = Vm.frag_cache_hits vm;
+    frag_misses = Vm.frag_cache_misses vm;
   }
 
 type verdict = { kind : string; flagged : bool }
@@ -118,71 +122,16 @@ let items t =
     end
     else None
 
-(* The tracker's [pift_tracker_*] metrics, read off its own counters
-   when a replay ends.  The cells are registered when the replay starts,
-   so they sit between the store's cells and any later pass's in the
-   snapshot.  A recording runs one VM process, so every window the
-   tracker opened belongs to [pid]. *)
-let tracker_metrics registry =
-  let module Counter = Pift_obs.Metric.Counter in
-  let module Gauge = Pift_obs.Metric.Gauge in
-  let c help name = Pift_obs.Registry.counter registry ~help name in
-  let g help name = Pift_obs.Registry.gauge registry ~help name in
-  let window_opens =
-    Pift_obs.Registry.counter_family registry
-      ~help:"tainting windows opened or restarted, per process" ~label:"pid"
-      "pift_tracker_window_opens_total"
-  in
-  let ranges = g "distinct tainted ranges" "pift_tracker_ranges" in
-  let tainted_bytes =
-    g "currently tainted bytes across processes (Fig. 15)"
-      "pift_tracker_tainted_bytes"
-  in
-  let untaint_ops =
-    c "store ranges untainted (Fig. 16)" "pift_tracker_untaint_ops_total"
-  in
-  let taint_ops =
-    c "store ranges tainted by propagation (Fig. 16)"
-      "pift_tracker_taint_ops_total"
-  in
-  let tainted_loads =
-    c "queries that hit and opened a window" "pift_tracker_tainted_loads_total"
-  in
-  let lookups = c "load-time taint queries" "pift_tracker_lookups_total" in
-  let events = c "instruction events observed" "pift_tracker_events_total" in
-  fun tracker ~pid ->
-    let s = Tracker.stats tracker in
-    Counter.add events s.Tracker.events;
-    Counter.add lookups s.Tracker.lookups;
-    Counter.add tainted_loads s.Tracker.tainted_loads;
-    Counter.add taint_ops s.Tracker.taint_ops;
-    Counter.add untaint_ops s.Tracker.untaint_ops;
-    (* A gauge snapshots its peak too: the high-water mark, then the
-       live value. *)
-    Gauge.set tainted_bytes s.Tracker.max_tainted_bytes;
-    Gauge.set tainted_bytes (Tracker.current_tainted_bytes tracker);
-    Gauge.set ranges s.Tracker.max_ranges;
-    Gauge.set ranges (Tracker.current_ranges tracker);
-    if s.Tracker.tainted_loads > 0 then
-      Counter.add (window_opens (string_of_int pid)) s.Tracker.tainted_loads
-
-let replay ?store ?metrics ?telemetry ?profile ?(with_origins = false) ~policy
-    t =
+let replay ?store ?telemetry ?profile ?(with_origins = false) ~policy t =
   Pift_obs.Profile.span profile "replay" @@ fun () ->
   let store =
     match store with Some store -> store | None -> Store.create ()
-  in
-  let store =
-    match metrics with
-    | Some registry -> Store.with_metrics registry store
-    | None -> store
   in
   let store =
     match profile with
     | Some p -> Store.with_profile p store
     | None -> store
   in
-  let publish = Option.map tracker_metrics metrics in
   (* Sink-time origin sets must be captured at the sink check (later
      untainting can erase them), hence the [origin_verdict] list rather
      than a final query. *)
@@ -233,7 +182,6 @@ let replay ?store ?metrics ?telemetry ?profile ?(with_origins = false) ~policy
         end
   in
   interleave t ~observe ~on_marker;
-  Option.iter (fun publish -> publish tracker ~pid:t.pid) publish;
   let verdicts = List.rev !verdicts in
   {
     verdicts;

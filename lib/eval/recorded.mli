@@ -21,16 +21,22 @@ type t = {
       (** (global seq at occurrence, marker), in order *)
   pid : int;
   bytecodes : int;
+  frag_hits : int;
+      (** fragment fetches the VM's translation cache served; 0 when
+          decoded *)
+  frag_misses : int;  (** fragments the VM translated; 0 when decoded *)
 }
 
 val record :
-  ?mode:Pift_dalvik.Vm.mode -> ?metrics:Pift_obs.Registry.t ->
+  ?mode:Pift_dalvik.Vm.mode ->
   ?flight:Pift_obs.Flight.t -> ?profile:Pift_obs.Profile.t ->
   Pift_workloads.App.t -> t
 (** Execute the app and capture everything.  An uncaught application
     exception terminates the run but still yields the recording.
-    [mode] selects interpreter or JIT execution (default interpreter);
-    [metrics] instruments the CPU and VM of the recording run; [flight]
+    [mode] selects interpreter or JIT execution (default interpreter).
+    The recording keeps the run's counts: the trace holds the
+    instructions retired, and [bytecodes], [frag_hits] and
+    [frag_misses] are read off the VM when it stops.  [flight]
     stamps one ["source"]/["sink-check"] instant per marker as the
     Manager fires and passes through to the VM's ["vm-run"] span;
     [profile] attributes the run to a ["record"] region with the VM's
@@ -83,22 +89,18 @@ type replay = {
 
 val replay :
   ?store:Pift_core.Store.t ->
-  ?metrics:Pift_obs.Registry.t ->
   ?telemetry:Pift_obs.Telemetry.t -> ?profile:Pift_obs.Profile.t ->
   ?with_origins:bool ->
   policy:Pift_core.Policy.t -> t -> replay
 (** Run Algorithm 1 over the recording.  [store] defaults to a fresh
     {!Pift_core.Store.create}; pass one to replay against another
-    {!Pift_core.Store.t} (a range-cache model, a wrapped store).
+    {!Pift_core.Store.t} (a range-cache model, a wrapped store), or to
+    read its counters once the replay ends ({!Metrics.samples} builds
+    the [pift_store_*] and [pift_tracker_*] metrics from that store and
+    [stats]).
 
-    The replay observes the tracker from outside; none of these
+    The replay observes the tracker from outside; neither of these
     changes verdicts, stats or stdout:
-    - [metrics] wraps the store with {!Pift_core.Store.with_metrics}
-      ([pift_store_*]) and, when the replay ends, publishes the
-      tracker's [pift_tracker_*] counters from its {!Pift_core.Tracker.stats},
-      the [pift_tracker_tainted_bytes]/[pift_tracker_ranges] gauges
-      (peak and final value), and
-      [pift_tracker_window_opens_total{pid}] under the recording's pid.
     - [telemetry] binds the ["tainted_bytes"], ["ranges"] and
       ["window_used"] sources to the tracker's live counters (replacing
       a previous replay's bindings on a shared instance) and is bumped

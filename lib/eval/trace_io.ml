@@ -670,4 +670,6 @@ let load ?profile path =
     markers = Array.of_list (List.rev !markers);
     pid = h.h_pid;
     bytecodes = h.h_bytecodes;
+    frag_hits = 0;
+    frag_misses = 0;
   }

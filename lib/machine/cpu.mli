@@ -14,11 +14,12 @@
 type t
 
 val create :
-  ?pid:int -> ?metrics:Pift_obs.Registry.t ->
+  ?pid:int ->
   sink:(Pift_arm.Insn.t -> Pift_trace.Event.t -> unit) -> Memory.t -> t
-(** A CPU with zeroed registers.  [pid] defaults to 1.  With [metrics],
-    [pift_cpu_*] counters track instructions retired and the load/store
-    mix; without it the retire path stays untouched. *)
+(** A CPU with zeroed registers.  [pid] defaults to 1.  Instructions
+    retired and their load/store mix are counted by whoever the sink
+    feeds ({!Pift_trace.Trace.length}/[loads]/[stores] of a
+    recording). *)
 
 val memory : t -> Memory.t
 

@@ -3,7 +3,7 @@
    writer, so recording needs no locks.  [enter]/[leave] cost two clock
    reads plus a hashtable probe at [leave]; the [t option] wrappers keep
    un-profiled runs on a no-op branch, the same discipline as
-   [?metrics]/[?flight] elsewhere.
+   [?flight] elsewhere.
 
    Attribution rule: a region's *self* time is its wall time minus the
    wall time of the regions entered beneath it, so sibling totals are

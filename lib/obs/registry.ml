@@ -1,141 +1,9 @@
-module Counter = Metric.Counter
-module Gauge = Metric.Gauge
-module Histogram = Metric.Histogram
-
 type kind = Counter_kind | Gauge_kind | Histogram_kind
 
 let kind_to_string = function
   | Counter_kind -> "counter"
   | Gauge_kind -> "gauge"
   | Histogram_kind -> "histogram"
-
-type cell =
-  | Counter_cell of Counter.t
-  | Gauge_cell of Gauge.t
-  | Histogram_cell of Histogram.t
-
-type entry = {
-  e_name : string;
-  e_help : string;
-  e_kind : kind;
-  e_label : string option;  (* family label key; [None] = single cell *)
-  e_cells : (string, cell) Hashtbl.t;  (* label value -> cell; "" if plain *)
-  mutable e_values_rev : string list;  (* label values in insertion order *)
-}
-
-type t = {
-  entries : (string, entry) Hashtbl.t;
-  mutable names_rev : string list;
-}
-
-let create () = { entries = Hashtbl.create 32; names_rev = [] }
-
-let entry t ~name ~help ~kind ~label =
-  match Hashtbl.find_opt t.entries name with
-  | Some e ->
-      if e.e_kind <> kind then
-        invalid_arg
-          (Printf.sprintf "Registry: %s already registered as a %s" name
-             (kind_to_string e.e_kind));
-      if e.e_label <> label then
-        invalid_arg
-          (Printf.sprintf "Registry: %s label mismatch" name);
-      e
-  | None ->
-      let e =
-        {
-          e_name = name;
-          e_help = help;
-          e_kind = kind;
-          e_label = label;
-          e_cells = Hashtbl.create 4;
-          e_values_rev = [];
-        }
-      in
-      Hashtbl.add t.entries name e;
-      t.names_rev <- name :: t.names_rev;
-      e
-
-let cell e ~value ~make =
-  match Hashtbl.find_opt e.e_cells value with
-  | Some c -> c
-  | None ->
-      let c = make () in
-      Hashtbl.add e.e_cells value c;
-      e.e_values_rev <- value :: e.e_values_rev;
-      c
-
-let plain t ~name ~help ~kind ~make =
-  let e = entry t ~name ~help ~kind ~label:None in
-  cell e ~value:"" ~make
-
-let counter t ?(help = "") name =
-  match
-    plain t ~name ~help ~kind:Counter_kind ~make:(fun () ->
-        Counter_cell (Counter.create ()))
-  with
-  | Counter_cell c -> c
-  | Gauge_cell _ | Histogram_cell _ -> assert false
-
-let gauge t ?(help = "") name =
-  match
-    plain t ~name ~help ~kind:Gauge_kind ~make:(fun () ->
-        Gauge_cell (Gauge.create ()))
-  with
-  | Gauge_cell g -> g
-  | Counter_cell _ | Histogram_cell _ -> assert false
-
-let histogram t ?(help = "") name =
-  match
-    plain t ~name ~help ~kind:Histogram_kind ~make:(fun () ->
-        Histogram_cell (Histogram.create ()))
-  with
-  | Histogram_cell h -> h
-  | Counter_cell _ | Gauge_cell _ -> assert false
-
-let counter_family t ?(help = "") ~label name =
-  let e = entry t ~name ~help ~kind:Counter_kind ~label:(Some label) in
-  fun value ->
-    match
-      cell e ~value ~make:(fun () -> Counter_cell (Counter.create ()))
-    with
-    | Counter_cell c -> c
-    | Gauge_cell _ | Histogram_cell _ -> assert false
-
-let gauge_family t ?(help = "") ~label name =
-  let e = entry t ~name ~help ~kind:Gauge_kind ~label:(Some label) in
-  fun value ->
-    match cell e ~value ~make:(fun () -> Gauge_cell (Gauge.create ())) with
-    | Gauge_cell g -> g
-    | Counter_cell _ | Histogram_cell _ -> assert false
-
-(* --- merging ----------------------------------------------------------- *)
-
-let merge ~into src =
-  List.iter
-    (fun name ->
-      let se = Hashtbl.find src.entries name in
-      let de =
-        entry into ~name ~help:se.e_help ~kind:se.e_kind ~label:se.e_label
-      in
-      List.iter
-        (fun value ->
-          let make () =
-            match se.e_kind with
-            | Counter_kind -> Counter_cell (Counter.create ())
-            | Gauge_kind -> Gauge_cell (Gauge.create ())
-            | Histogram_kind -> Histogram_cell (Histogram.create ())
-          in
-          match (Hashtbl.find se.e_cells value, cell de ~value ~make) with
-          | Counter_cell s, Counter_cell d -> Counter.merge_into ~into:d s
-          | Gauge_cell s, Gauge_cell d -> Gauge.merge_into ~into:d s
-          | Histogram_cell s, Histogram_cell d ->
-              Histogram.merge_into ~into:d s
-          | _ -> assert false (* [entry] checked the kinds agree *))
-        (List.rev se.e_values_rev))
-    (List.rev src.names_rev)
-
-(* --- snapshots --------------------------------------------------------- *)
 
 type point =
   | P_counter of int
@@ -154,53 +22,28 @@ type sample = {
   s_points : ((string * string) list * point) list;
 }
 
-let point_of_cell = function
-  | Counter_cell c -> P_counter (Counter.value c)
-  | Gauge_cell g -> P_gauge { value = Gauge.value g; peak = Gauge.peak g }
-  | Histogram_cell h ->
-      P_histogram
-        {
-          count = Histogram.count h;
-          sum = Histogram.sum h;
-          vmax = Histogram.max_value h;
-          buckets = Histogram.nonzero_buckets h;
-        }
+(* Bucket b >= 1 holds [2^(b-1), 2^b - 1]: b is the bit length of v. *)
+let bucket_of v =
+  let b = ref 0 and x = ref (max v 0) in
+  while !x > 0 do
+    incr b;
+    x := !x lsr 1
+  done;
+  !b
 
-let snapshot t =
-  List.rev_map
-    (fun name ->
-      let e = Hashtbl.find t.entries name in
-      let labels value =
-        match e.e_label with
-        | None -> []
-        | Some key -> [ (key, value) ]
-      in
-      let points =
-        List.rev_map
-          (fun value ->
-            (labels value, point_of_cell (Hashtbl.find e.e_cells value)))
-          e.e_values_rev
-      in
-      {
-        s_name = e.e_name;
-        s_help = e.e_help;
-        s_kind = e.e_kind;
-        s_points = points;
-      })
-    t.names_rev
-
-let find_counter t name =
-  match Hashtbl.find_opt t.entries name with
-  | Some { e_label = None; e_cells; _ } -> (
-      match Hashtbl.find_opt e_cells "" with
-      | Some (Counter_cell c) -> Some (Counter.value c)
-      | Some (Gauge_cell _ | Histogram_cell _) | None -> None)
-  | Some _ | None -> None
-
-let find_gauge t name =
-  match Hashtbl.find_opt t.entries name with
-  | Some { e_label = None; e_cells; _ } -> (
-      match Hashtbl.find_opt e_cells "" with
-      | Some (Gauge_cell g) -> Some (Gauge.value g)
-      | Some (Counter_cell _ | Histogram_cell _) | None -> None)
-  | Some _ | None -> None
+let log2_histogram vs =
+  (* 62 power-of-two buckets cover every positive OCaml int. *)
+  let counts = Array.make 63 0 in
+  List.iter (fun v -> counts.(bucket_of v) <- counts.(bucket_of v) + 1) vs;
+  let buckets = ref [] in
+  for b = Array.length counts - 1 downto 0 do
+    if counts.(b) > 0 then
+      buckets := ((if b = 0 then 0 else (1 lsl b) - 1), counts.(b)) :: !buckets
+  done;
+  P_histogram
+    {
+      count = List.length vs;
+      sum = List.fold_left ( + ) 0 vs;
+      vmax = List.fold_left max 0 vs;
+      buckets = !buckets;
+    }

@@ -1,52 +1,12 @@
-(** Named-metric registry: the single handle a run threads through the
-    tracker, VM, CPU, and hardware model.
-
-    Registration is idempotent — asking twice for the same name returns
-    the same cell, so independent subsystems can share a metric — and
-    conflicting re-registration (same name, different kind or label key)
-    raises.  Families ([counter_family], [gauge_family]) attach one label
-    key (e.g. [pid]) and materialise cells per label value on first use.
-
-    A {!snapshot} is a point-in-time, immutable copy of every metric in
-    registration order; the {!Sink} module renders snapshots as JSON
-    Lines, Prometheus text exposition, or a human summary. *)
-
-type t
-
-val create : unit -> t
+(** The metrics snapshot a run reports: a list of named samples, built
+    as values at the end of the run from the counters its parts kept
+    ({!Pift_eval.Metrics.samples}), and rendered by the {!Sink} module
+    as JSON Lines, Prometheus text exposition, or a human summary. *)
 
 type kind = Counter_kind | Gauge_kind | Histogram_kind
 
 val kind_to_string : kind -> string
 (** ["counter"], ["gauge"], or ["histogram"] — the exposition names. *)
-
-val counter : t -> ?help:string -> string -> Metric.Counter.t
-val gauge : t -> ?help:string -> string -> Metric.Gauge.t
-val histogram : t -> ?help:string -> string -> Metric.Histogram.t
-
-val counter_family :
-  t -> ?help:string -> label:string -> string -> string -> Metric.Counter.t
-(** [counter_family t ~label name] is a lookup function from label value
-    to counter cell.  Partial-apply it once and keep the closure on the
-    instrumented object; full application is a hashtable probe. *)
-
-val gauge_family :
-  t -> ?help:string -> label:string -> string -> string -> Metric.Gauge.t
-
-val merge : into:t -> t -> unit
-(** Fold every metric of the source registry into [into], matching by
-    name (and label value for families): counters and histograms add,
-    gauges keep the maximum of value and peak (see
-    {!Metric.Gauge.merge_into}).  Metrics missing from [into] are
-    registered in the source's registration order, so merging
-    per-worker registries worker 0 first yields the same snapshot
-    order as a serial run.  Raises [Invalid_argument] if a name is
-    already registered in [into] with a different kind or label key.
-    This is the aggregation rule behind [Pift_par]-driven sweeps: each
-    worker domain owns a private registry (no locks on the hot path)
-    and the driver merges them after the parallel region. *)
-
-(** {2 Snapshots} *)
 
 type point =
   | P_counter of int
@@ -63,14 +23,12 @@ type sample = {
   s_help : string;
   s_kind : kind;
   s_points : ((string * string) list * point) list;
-      (** one per label value, in first-use order; labels empty for
-          plain metrics *)
+      (** one per label value; labels empty for plain metrics *)
 }
 
-val snapshot : t -> sample list
-(** All metrics in registration order. *)
-
-val find_counter : t -> string -> int option
-(** Current value of a plain (unlabelled) counter, for assertions. *)
-
-val find_gauge : t -> string -> float option
+val log2_histogram : int list -> point
+(** The log2-bucketed histogram of the observations: bucket 0 counts
+    values <= 0 (upper bound 0), and bucket [b >= 1] counts values in
+    [\[2^(b-1), 2^b - 1\]].  Only non-empty buckets are listed, lowest
+    first, each with its inclusive upper bound.  [vmax] is 0 for no
+    positive observation. *)

@@ -12,8 +12,7 @@
     order — [map pool ~f xs] equals [Array.map f xs] element for
     element, whatever the schedule.  Determinism of the *result* is the
     caller's to keep: [f] must not mutate shared state, or must confine
-    mutation to per-worker structures (see [map_slots] and
-    [Pift_obs.Registry.merge]). *)
+    mutation to per-worker structures (see [map_slots]). *)
 
 type t
 
@@ -64,7 +63,7 @@ val map_slots :
   t -> ?chunk:int -> f:(worker:int -> int -> 'a -> 'b) -> 'a array -> 'b array
 (** The primitive: [f ~worker i x] computes the result for input index
     [i], on worker slot [worker] (in [0 .. jobs-1]).  The slot index
-    lets callers keep per-worker accumulators (metrics registries,
+    lets callers keep per-worker accumulators (flight rings, profilers,
     scratch buffers) without locking the hot path.  [chunk] is the
     number of consecutive indices claimed per scheduling step (default
     1 — right for coarse items like grid-cell replays).  Results land

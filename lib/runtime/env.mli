@@ -14,10 +14,10 @@ type native = t -> args:int array -> arg_addrs:int array -> unit
     slot ({!Tcb.retval_offset}) by executed stores. *)
 
 val create :
-  ?pid:int -> ?metrics:Pift_obs.Registry.t ->
+  ?pid:int ->
   sink:(Pift_arm.Insn.t -> Pift_trace.Event.t -> unit) -> unit -> t
 (** Fresh memory, CPU (with [r6] pointing at the process TCB), heap and
-    manager.  [metrics] is handed to {!Pift_machine.Cpu.create}. *)
+    manager. *)
 
 val pid : t -> int
 

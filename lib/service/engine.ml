@@ -375,18 +375,8 @@ let rec take_batch t sh =
       end
       else take_batch t sh
 
-(* The items [b]'s rows stand for: what the queue's drop tally counts
-   when it refuses [b]. *)
-let items_of b =
-  let n = ref 0 in
-  for r = 0 to b.b_len - 1 do
-    n := !n + Row.count b.b_rows (r * width)
-  done;
-  !n
-
-(* A batch the queue refused (already counted there): charge each row's
-   items to its pid in [drops] and release its side items, so the
-   producer can refill it. *)
+(* A batch the queue refused: charge each row's items to its pid in
+   [drops] and release its side items, so the producer can refill it. *)
 let discard drops b =
   for r = 0 to b.b_len - 1 do
     let o = r * width in
@@ -422,7 +412,7 @@ let produce t fill drops =
     if b.b_len > 0 then
       match
         Spsc.push t.shard_arr.(s).sh_queue ~drop_when_full:t.cfg.drop_when_full
-          b ~items:(items_of b)
+          b
       with
       | Spsc.Pushed -> cur.(s) <- no_batch
       | Spsc.Dropped -> discard drops b
@@ -531,17 +521,19 @@ let run_fill t fill =
   let drops = Hashtbl.create 8 in
   Fun.protect
     ~finally:(fun () ->
-      (* Fold the run's queue tallies into the shard totals, and its
-         losses into their tenants, whether the run succeeded or not. *)
+      (* Fold the run's queue depths into the shard totals, and its
+         losses into their shards and tenants (a batch holds only its
+         shard's rows), whether the run succeeded or not. *)
       Array.iter
         (fun sh ->
-          let q = sh.sh_queue in
-          sh.sh_dropped <- sh.sh_dropped + Spsc.dropped q;
-          sh.sh_max_queue_depth <- max sh.sh_max_queue_depth (Spsc.max_depth q))
+          sh.sh_max_queue_depth <-
+            max sh.sh_max_queue_depth (Spsc.max_depth sh.sh_queue))
         t.shard_arr;
       Hashtbl.iter
         (fun pid n ->
-          let tn = tenant_of t (shard_of t pid) pid in
+          let sh = shard_of t pid in
+          sh.sh_dropped <- sh.sh_dropped + n;
+          let tn = tenant_of t sh pid in
           tn.tn_dropped <- tn.tn_dropped + n)
         drops)
     (fun () ->

@@ -150,13 +150,12 @@ val run_fill : t -> fill -> unit
     each shard's rows, and its batch boundaries, follow stream order.
     Fresh queues per run; on any failure (producer or consumer) the
     queues are closed/aborted so no domain wedges, and the first
-    exception re-raises here after all workers drain.  A batch is
-    pushed with the count of the items its rows stand for, which the
-    queue's drop tally counts if it refuses the batch.  Tenants are
+    exception re-raises here after all workers drain.  Tenants are
     created on first touch and survive across runs until evicted.
-    Items the dropping policy discards are added to their tenants'
-    [ts_dropped] once the workers have joined (creating the tenant if
-    none is resident). *)
+    Items the dropping policy discards (the items a refused batch's
+    rows stand for) are added to their tenants' [ts_dropped] and their
+    shards' [ss_dropped] once the workers have joined (creating the
+    tenant if none is resident). *)
 
 val run : t -> stream -> unit
 (** {!run_fill} over a fill that pulls [stream] one item at a time and

@@ -1,8 +1,7 @@
 (* Bounded single-producer single-consumer batch queue: the link between
    the engine's ingest front (pool slot 0) and one shard consumer.  The
    unit of transfer is a batch value, so the mutex is taken once per
-   batch, not per event.  A push names the batch's item count, which
-   only a drop needs.
+   batch, not per event.
 
    The queue is a fixed ring of [capacity] slots, so a push allocates
    nothing.  A slot that is not queued holds the [empty] value given to
@@ -13,9 +12,8 @@
    Backpressure is the producer's choice per push: block until the
    consumer frees a slot (the default, deterministic — nothing is ever
    lost, the producer just runs at the slowest shard's pace), or drop
-   the batch and count its items ([dropped] is folded into the shard's
-   counters after each run and read through [Engine.stats]).  A dropped
-   batch stays with the producer.
+   the batch.  A dropped batch stays with the producer, which accounts
+   for its items.
 
    [abort] is the failure path: a consumer that dies mid-stream aborts
    its queue so the producer cannot block forever against a reader that
@@ -42,7 +40,6 @@ type 'b t = {
   mutable len : int;  (* queued batches *)
   mutable closed : bool;  (* producer finished *)
   mutable aborted : bool;  (* consumer died *)
-  mutable dropped : int;  (* items (not batches) dropped *)
   mutable max_depth : int;  (* peak queued batches *)
   mutable consumer_parked : bool;  (* waiting on [not_empty], unsignalled *)
   mutable producer_parked : bool;  (* waiting on [not_full], unsignalled *)
@@ -62,7 +59,6 @@ let create ~capacity ~empty =
     len = 0;
     closed = false;
     aborted = false;
-    dropped = 0;
     max_depth = 0;
     consumer_parked = false;
     producer_parked = false;
@@ -70,7 +66,7 @@ let create ~capacity ~empty =
 
 let capacity t = Array.length t.slots
 
-let push t ~drop_when_full batch ~items =
+let push t ~drop_when_full batch =
   Mutex.lock t.mu;
   if t.closed then begin
     Mutex.unlock t.mu;
@@ -82,10 +78,7 @@ let push t ~drop_when_full batch ~items =
       Condition.wait t.not_full t.mu
     done;
   let result =
-    if t.aborted || t.len >= capacity t then begin
-      t.dropped <- t.dropped + items;
-      Dropped
-    end
+    if t.aborted || t.len >= capacity t then Dropped
     else begin
       let slot = (t.head + t.len) mod capacity t in
       t.slots.(slot) <- batch;
@@ -152,5 +145,4 @@ let locked t f =
   v
 
 let length t = locked t (fun () -> t.len)
-let dropped t = locked t (fun () -> t.dropped)
 let max_depth t = locked t (fun () -> t.max_depth)

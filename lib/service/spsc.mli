@@ -2,8 +2,7 @@
     between the engine's ingest front and one shard consumer.
 
     The transfer unit is one batch value: one mutex round-trip
-    amortised over the whole batch.  A push also names the batch's item
-    count, which only the drop tally reads.  Capacity is counted in
+    amortised over the whole batch.  Capacity is counted in
     batches.  The queue is a fixed ring, so {!push} allocates nothing;
     it moves the batch value itself, never a copy.
 
@@ -19,8 +18,8 @@
 
     Backpressure policy is chosen per {!push}: blocking (default;
     deterministic, the producer runs at the slowest consumer's pace) or
-    dropping (the batch is refused and its {e items} counted in
-    {!dropped} — folded into the shard's counters and read through
+    dropping (the batch is refused and stays with the producer, which
+    charges its items to their tenants — read through
     [Engine.stats]).
 
     {b Wakeups.}  The consumer parks only on an empty queue, the
@@ -41,12 +40,12 @@ val create : capacity:int -> empty:'b -> 'b t
 
 type push_result = Pushed | Dropped
 
-val push : 'b t -> drop_when_full:bool -> 'b -> items:int -> push_result
-(** Producer side: queue a batch holding [items] items.  With
+val push : 'b t -> drop_when_full:bool -> 'b -> push_result
+(** Producer side: queue a batch.  With
     [drop_when_full:false], blocks while the queue is at capacity
     (until the consumer has drained it to half, or the queue is
     aborted).  With [drop_when_full:true], never blocks: a full queue
-    drops the batch and adds [items] to {!dropped}.  After {!abort}, every push drops —
+    drops the batch.  After {!abort}, every push drops —
     a dead consumer must not wedge the producer.  A [Dropped] batch was
     not taken: the producer still owns it and may refill it.  Raises
     [Invalid_argument] after {!close}. *)
@@ -68,9 +67,6 @@ val pop : 'b t -> 'b option
 
 val length : 'b t -> int
 (** Batches currently queued. *)
-
-val dropped : 'b t -> int
-(** Items discarded by non-blocking pushes (and pushes after abort). *)
 
 val max_depth : 'b t -> int
 (** Peak queued batches — how close the producer came to blocking. *)

@@ -126,6 +126,7 @@ let bytemap_store () : Pift_core.Store.t =
         |> List.sort compare
         |> List.filter_map (fun pid ->
                match ranges pid with [] -> None | rs -> Some (pid, rs)));
+    merges = (fun () -> failwith "bytemap store: merges unused");
   }
 
 (* --- byte mutations ------------------------------------------------------ *)

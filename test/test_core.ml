@@ -1079,85 +1079,56 @@ let test_storage_context_switch () =
   checkb "still visible via secondary" true (Storage.lookup s ~pid:1 (r 0 9));
   checkb "pid 2 too" true (Storage.lookup s ~pid:2 (r 20 29))
 
-(* Eviction paths under a live metrics registry: capacity pressure
+(* Eviction paths, read off the model's own counters: capacity pressure
    under Lru_writeback must count evictions and writebacks (and keep
    evicted state reachable through secondary hits + promotion), Drop
-   must count drops and lose the range, and the occupancy gauge must
-   track valid primary entries. *)
-let storage_counter registry name =
-  match Pift_obs.Registry.find_counter registry name with
-  | Some v -> v
-  | None -> Alcotest.failf "counter %s not registered" name
-
+   must count drops and lose the range, and the occupancy must track
+   valid primary entries. *)
 let test_storage_lru_eviction_metrics () =
-  let registry = Pift_obs.Registry.create () in
-  let s =
-    Storage.create ~entries:2 ~eviction:Storage.Lru_writeback
-      ~metrics:registry ()
-  in
+  let s = Storage.create ~entries:2 ~eviction:Storage.Lru_writeback () in
+  let stat f = f (Storage.stats s) in
+  let evictions (st : Storage.stats) = st.Storage.evictions
+  and writebacks (st : Storage.stats) = st.Storage.writebacks
+  and secondary_hits (st : Storage.stats) = st.Storage.secondary_hits in
   Storage.insert s ~pid:1 (r 0 9);
   Storage.insert s ~pid:1 (r 20 29);
-  checkb "no eviction while capacity lasts" true
-    (storage_counter registry "pift_storage_evictions_total" = 0);
+  checkb "no eviction while capacity lasts" true (stat evictions = 0);
   (* touch the first entry so the second is least recently used *)
   checkb "primary hit" true (Storage.lookup s ~pid:1 (r 0 0));
   Storage.insert s ~pid:1 (r 40 49);
-  checki "one eviction"
-    1 (storage_counter registry "pift_storage_evictions_total");
-  checki "eviction wrote back"
-    1 (storage_counter registry "pift_storage_writebacks_total");
-  checkb "occupancy gauge full" true
-    (Pift_obs.Registry.find_gauge registry "pift_storage_occupancy"
-    = Some 2.0);
+  checki "one eviction" 1 (stat evictions);
+  checki "eviction wrote back" 1 (stat writebacks);
+  checkb "occupancy full" true (Storage.occupancy s = 2);
   (* the evicted range is only in secondary storage now: a lookup is
      a secondary hit and promotes it back, evicting the next LRU *)
   checkb "evicted range still reachable" true
     (Storage.lookup s ~pid:1 (r 20 29));
-  checki "secondary hit counted"
-    1 (storage_counter registry "pift_storage_secondary_hits_total");
-  checki "promotion evicted the next LRU"
-    2 (storage_counter registry "pift_storage_evictions_total");
-  checki "second writeback"
-    2 (storage_counter registry "pift_storage_writebacks_total");
-  checki "promotion is an insertion"
-    4 (storage_counter registry "pift_storage_insertions_total");
+  checki "secondary hit counted" 1 (stat secondary_hits);
+  checki "promotion evicted the next LRU" 2 (stat evictions);
+  checki "second writeback" 2 (stat writebacks);
+  checki "promotion is an insertion" 4
+    (stat (fun st -> st.Storage.insertions));
   (* the newly-evicted range went through the same cycle *)
   checkb "second evicted range still reachable" true
     (Storage.lookup s ~pid:1 (r 0 9));
-  checki "second secondary hit"
-    2 (storage_counter registry "pift_storage_secondary_hits_total");
-  checki "drops never fire under Lru_writeback"
-    0 (storage_counter registry "pift_storage_drops_total");
-  (* counters mirror stats exactly *)
-  let st = Storage.stats s in
-  checki "stats/evictions agree" st.Storage.evictions
-    (storage_counter registry "pift_storage_evictions_total");
-  checki "stats/writebacks agree" st.Storage.writebacks
-    (storage_counter registry "pift_storage_writebacks_total");
-  checki "stats/secondary agree" st.Storage.secondary_hits
-    (storage_counter registry "pift_storage_secondary_hits_total");
-  checki "stats/lookups agree" st.Storage.lookups
-    (storage_counter registry "pift_storage_lookups_total")
+  checki "second secondary hit" 2 (stat secondary_hits);
+  checki "drops never fire under Lru_writeback" 0
+    (stat (fun st -> st.Storage.drops));
+  checki "every lookup counted" 3 (stat (fun st -> st.Storage.lookups))
 
 let test_storage_drop_metrics () =
-  let registry = Pift_obs.Registry.create () in
-  let s =
-    Storage.create ~entries:2 ~eviction:Storage.Drop ~metrics:registry ()
-  in
+  let s = Storage.create ~entries:2 ~eviction:Storage.Drop () in
+  let stat f = f (Storage.stats s) in
   Storage.insert s ~pid:1 (r 0 9);
   Storage.insert s ~pid:1 (r 20 29);
   Storage.insert s ~pid:1 (r 40 49);
-  checki "one drop" 1 (storage_counter registry "pift_storage_drops_total");
-  checki "no evictions under Drop" 0
-    (storage_counter registry "pift_storage_evictions_total");
-  checki "no writebacks under Drop" 0
-    (storage_counter registry "pift_storage_writebacks_total");
+  checki "one drop" 1 (stat (fun st -> st.Storage.drops));
+  checki "no evictions under Drop" 0 (stat (fun st -> st.Storage.evictions));
+  checki "no writebacks under Drop" 0 (stat (fun st -> st.Storage.writebacks));
   checkb "dropped range is lost" false (Storage.lookup s ~pid:1 (r 40 49));
   checkb "no secondary rescue under Drop" true
-    (storage_counter registry "pift_storage_secondary_hits_total" = 0);
-  checkb "occupancy gauge stays at capacity" true
-    (Pift_obs.Registry.find_gauge registry "pift_storage_occupancy"
-    = Some 2.0);
+    (stat (fun st -> st.Storage.secondary_hits) = 0);
+  checkb "occupancy stays at capacity" true (Storage.occupancy s = 2);
   checkb "resident ranges survive" true
     (Storage.lookup s ~pid:1 (r 0 9) && Storage.lookup s ~pid:1 (r 20 29))
 

@@ -200,28 +200,24 @@ let test_series_monotonic () =
   checkb "ops recorded" true (List.length ops > 2)
 
 (* Figs. 15/16 end where the replay's counters end: the last bytes
-   sample is the final occupancy (read off the replay's published
-   gauge), the bytes curve peaks at [max_tainted_bytes], and the ops
+   sample is the final occupancy (read off the replay's store), the
+   bytes curve peaks at [max_tainted_bytes], and the ops
    curve steps by one per op up to [taint_ops + untaint_ops].  The apps
    are small enough that neither curve is downsampled. *)
 let test_series_endpoints () =
   List.iter
     (fun name ->
       let r = Recorded.record (Option.get (Droidbench.find name)) in
-      let registry = Pift_obs.Registry.create () in
+      let store = Pift_core.Store.create () in
       let s =
-        (Recorded.replay ~metrics:registry ~policy:(Policy.make ~ni:13 ~nt:3 ())
-           r)
+        (Recorded.replay ~store ~policy:(Policy.make ~ni:13 ~nt:3 ()) r)
           .Recorded.stats
       in
       let bytes, ops = Overhead.series r ~ni:13 ~nt:3 in
       let check what = checki (name ^ ": " ^ what) in
       let last pts = snd (List.nth pts (List.length pts - 1)) in
       check "last bytes sample is the final occupancy"
-        (int_of_float
-           (Option.get
-              (Pift_obs.Registry.find_gauge registry
-                 "pift_tracker_tainted_bytes")))
+        (store.Pift_core.Store.tainted_bytes ())
         (last bytes);
       check "bytes curve peaks at max_tainted_bytes"
         s.Tracker.max_tainted_bytes
@@ -653,6 +649,8 @@ let recorded_of_prov_case c =
     markers = Array.of_list markers;
     pid = 1;
     bytecodes = 0;
+    frag_hits = 0;
+    frag_misses = 0;
   }
 
 let prov_graph_prop c =

@@ -451,6 +451,8 @@ let test_trace_io_adversarial_kinds () =
       markers = Array.of_list markers;
       pid = 7;
       bytecodes = 1;
+      frag_hits = 0;
+      frag_misses = 0;
     }
   in
   let path = Filename.temp_file "pift" ".trace" in
@@ -603,6 +605,8 @@ let gen_recorded rng =
     markers = Array.of_list (List.rev !markers);
     pid = 1 + Rng.int rng 5;
     bytecodes = Rng.int rng 1000;
+    frag_hits = 0;
+    frag_misses = 0;
   }
 
 (* Everything a trace file holds: header, events, markers. *)

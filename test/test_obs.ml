@@ -1,8 +1,7 @@
-(* Tests for Pift_obs: metric primitives, registry snapshots, span
-   nesting, sink golden outputs, and the guarantee that instrumenting a
-   replay does not perturb the legacy Tracker.stats record. *)
+(* Tests for Pift_obs: snapshot samples, span nesting, sink golden
+   outputs, and the guarantee that a run's metrics are its own counters:
+   the tracker cells of the snapshot equal the replay's Tracker.stats. *)
 
-module Metric = Pift_obs.Metric
 module Registry = Pift_obs.Registry
 module Profile = Pift_obs.Profile
 module Json = Pift_obs.Json
@@ -17,74 +16,109 @@ let checks = Alcotest.(check string)
 
 (* --- registry ------------------------------------------------------------ *)
 
+let counter ?(help = "") name v =
+  {
+    Registry.s_name = name;
+    s_help = help;
+    s_kind = Registry.Counter_kind;
+    s_points = [ ([], Registry.P_counter v) ];
+  }
+
+let family ?(help = "") ~label name points =
+  {
+    Registry.s_name = name;
+    s_help = help;
+    s_kind = Registry.Counter_kind;
+    s_points =
+      List.map (fun (v, n) -> ([ (label, v) ], Registry.P_counter n)) points;
+  }
+
+(* Every kind of point, a family without points (a per-pid counter of a
+   run that opened no window) and an empty help survive the JSONL
+   encoder and decoder unchanged, in order. *)
 let test_registry_round_trip () =
-  let reg = Registry.create () in
-  let c = Registry.counter reg ~help:"events seen" "app_events_total" in
-  Metric.Counter.incr c;
-  Metric.Counter.add c 2;
-  let g = Registry.gauge reg ~help:"live bytes" "app_bytes" in
-  Metric.Gauge.set g 7;
-  Metric.Gauge.set g 4;
-  let per =
-    Registry.counter_family reg ~help:"per pid" ~label:"pid" "app_ops_total"
+  let samples =
+    [
+      counter ~help:"events seen" "app_events_total" 4;
+      {
+        Registry.s_name = "app_bytes";
+        s_help = "live bytes";
+        s_kind = Registry.Gauge_kind;
+        s_points = [ ([], Registry.P_gauge { value = 4.; peak = 7. }) ];
+      };
+      {
+        Registry.s_name = "app_sizes";
+        s_help = "";
+        s_kind = Registry.Histogram_kind;
+        s_points = [ ([], Registry.log2_histogram [ 0; 3; 1000 ]) ];
+      };
+      family ~help:"per pid" ~label:"pid" "app_ops_total"
+        [ ("1", 2); ("2", 1) ];
+      family ~help:"per pid" ~label:"pid" "app_windows_total" [];
+    ]
   in
-  Metric.Counter.incr (per "1");
-  Metric.Counter.incr (per "2");
-  Metric.Counter.incr (per "1");
-  (* registration is idempotent: same name returns the same cell *)
-  Metric.Counter.incr (Registry.counter reg "app_events_total");
-  checki "counter via find" 4
-    (Option.get (Registry.find_counter reg "app_events_total"));
-  Alcotest.(check (float 1e-9))
-    "gauge via find" 4.
-    (Option.get (Registry.find_gauge reg "app_bytes"));
-  (* conflicting re-registration raises *)
-  checkb "kind conflict raises" true
-    (try
-       ignore (Registry.gauge reg "app_events_total");
-       false
-     with Invalid_argument _ -> true);
-  match Registry.snapshot reg with
-  | [ events; bytes; ops ] ->
-      checks "first sample" "app_events_total" events.Registry.s_name;
-      checks "help kept" "events seen" events.Registry.s_help;
-      (match events.Registry.s_points with
-      | [ ([], Registry.P_counter 4) ] -> ()
-      | _ -> Alcotest.fail "unexpected counter points");
-      (match bytes.Registry.s_points with
-      | [ ([], Registry.P_gauge { value = 4.; peak = 7. }) ] -> ()
-      | _ -> Alcotest.fail "unexpected gauge point");
-      (match ops.Registry.s_points with
-      | [
-       ([ ("pid", "1") ], Registry.P_counter 2);
-       ([ ("pid", "2") ], Registry.P_counter 1);
-      ] ->
-          ()
-      | _ -> Alcotest.fail "unexpected family points")
-  | l -> Alcotest.failf "expected 3 samples, got %d" (List.length l)
+  let line = Json.to_string (Sink.snapshot_to_json ~run:"rt" samples) in
+  checkb "samples survive" true
+    (Sink.samples_of_json (Json.of_string line) = samples);
+  checks "a family without points renders its header only"
+    "# HELP app_windows_total per pid\n# TYPE app_windows_total counter\n"
+    (Format.asprintf "%a"
+       (fun ppf () -> Sink.prometheus [ List.nth samples 4 ] ppf ())
+       ())
 
 (* --- histogram bucket boundaries ----------------------------------------- *)
 
+let histogram vs =
+  match Registry.log2_histogram vs with
+  | Registry.P_histogram { count; sum; vmax; buckets } ->
+      (count, sum, vmax, buckets)
+  | Registry.P_counter _ | Registry.P_gauge _ ->
+      Alcotest.fail "not a histogram"
+
 let test_histogram_buckets () =
-  checki "bucket of 0" 0 (Metric.Histogram.bucket_of 0);
-  checki "bucket of -5" 0 (Metric.Histogram.bucket_of (-5));
-  checki "bucket of 1" 1 (Metric.Histogram.bucket_of 1);
-  checki "bucket of 2" 2 (Metric.Histogram.bucket_of 2);
-  checki "bucket of 3" 2 (Metric.Histogram.bucket_of 3);
-  checki "bucket of 4" 3 (Metric.Histogram.bucket_of 4);
-  checki "bucket of 7" 3 (Metric.Histogram.bucket_of 7);
-  checki "bucket of 8" 4 (Metric.Histogram.bucket_of 8);
-  checki "lower bound of 3" 4 (Metric.Histogram.lower_bound 3);
-  checki "upper bound of 3" 7 (Metric.Histogram.upper_bound 3);
-  let h = Metric.Histogram.create () in
-  List.iter (Metric.Histogram.observe h) [ 1; 2; 3; 4; 7; 8 ];
-  checki "count" 6 (Metric.Histogram.count h);
-  checki "sum" 25 (Metric.Histogram.sum h);
-  checki "max" 8 (Metric.Histogram.max_value h);
-  Alcotest.(check (list (pair int int)))
-    "nonzero buckets"
+  let buckets vs =
+    let _, _, _, b = histogram vs in
+    b
+  in
+  let bucket_list = Alcotest.(list (pair int int)) in
+  Alcotest.check bucket_list "0 and below share bucket 0" [ (0, 2) ]
+    (buckets [ 0; -5 ]);
+  Alcotest.check bucket_list "1 | 2 3 | 4 7 | 8: upper bounds 1, 3, 7, 15"
     [ (1, 1); (3, 2); (7, 2); (15, 1) ]
-    (Metric.Histogram.nonzero_buckets h)
+    (buckets [ 1; 2; 3; 4; 7; 8 ]);
+  let count, sum, vmax, _ = histogram [ 1; 2; 3; 4; 7; 8 ] in
+  checki "count" 6 count;
+  checki "sum" 25 sum;
+  checki "max" 8 vmax;
+  checkb "no observation" true (histogram [] = (0, 0, 0, []))
+
+let test_merge_histogram_boundaries () =
+  (* values straddling a power-of-two edge (7 | 8, 15 | 16), recorded by
+     two workers: the histogram of their pooled observations is the
+     cell-wise sum of the two, not a re-bucketing of the sums *)
+  let a = [ 7; 8 ] and b = [ 1; 7; 16 ] in
+  let ca, sa, ma, ba = histogram a and cb, sb, mb, bb = histogram b in
+  let count, sum, vmax, buckets = histogram (a @ b) in
+  checki "counts add" (ca + cb) count;
+  checki "counts" 5 count;
+  checki "sums add" (sa + sb) sum;
+  checki "sums" 39 sum;
+  checki "max of maxes" (max ma mb) vmax;
+  checki "max" 16 vmax;
+  let add_cells xs ys =
+    List.fold_left
+      (fun acc (ub, n) ->
+        let m = Option.value ~default:0 (List.assoc_opt ub acc) in
+        (ub, m + n) :: List.remove_assoc ub acc)
+      xs ys
+    |> List.sort compare
+  in
+  let bucket_list = Alcotest.(list (pair int int)) in
+  Alcotest.check bucket_list "buckets add cell-wise" (add_cells ba bb)
+    buckets;
+  Alcotest.check bucket_list "buckets"
+    [ (1, 1); (7, 2); (15, 1); (31, 1) ]
+    buckets
 
 (* --- spans --------------------------------------------------------------- *)
 
@@ -142,29 +176,31 @@ let test_span_nesting () =
 
 (* --- sinks --------------------------------------------------------------- *)
 
-let golden_registry () =
-  let reg = Registry.create () in
-  let c = Registry.counter reg ~help:"events seen" "app_events_total" in
-  Metric.Counter.add c 3;
-  let g = Registry.gauge reg ~help:"live bytes" "app_bytes" in
-  Metric.Gauge.set g 7;
-  Metric.Gauge.set g 4;
-  let h = Registry.histogram reg ~help:"payload sizes" "app_sizes" in
-  Metric.Histogram.observe h 1;
-  Metric.Histogram.observe h 5;
-  let per =
-    Registry.counter_family reg ~help:"per pid" ~label:"pid" "app_ops_total"
-  in
-  Metric.Counter.add (per "1") 2;
-  Metric.Counter.incr (per "2");
-  reg
+let golden_samples =
+  [
+    counter ~help:"events seen" "app_events_total" 3;
+    {
+      Registry.s_name = "app_bytes";
+      s_help = "live bytes";
+      s_kind = Registry.Gauge_kind;
+      s_points = [ ([], Registry.P_gauge { value = 4.; peak = 7. }) ];
+    };
+    {
+      Registry.s_name = "app_sizes";
+      s_help = "payload sizes";
+      s_kind = Registry.Histogram_kind;
+      s_points = [ ([], Registry.log2_histogram [ 1; 5 ]) ];
+    };
+    family ~help:"per pid" ~label:"pid" "app_ops_total"
+      [ ("1", 2); ("2", 1) ];
+  ]
 
 let golden_spans = [ ("run", 0.125); ("run;replay", 0.125) ]
 
 let test_jsonl_golden () =
   let json =
     Sink.snapshot_to_json ~run:"golden" ~spans:golden_spans
-      (Registry.snapshot (golden_registry ()))
+      golden_samples
   in
   checks "jsonl line"
     ("{\"run\":\"golden\",\"metrics\":["
@@ -185,14 +221,14 @@ let test_jsonl_golden () =
   let reparsed = Json.of_string (Json.to_string json) in
   checks "run survives" "golden" (Sink.run_of_json reparsed);
   checkb "samples survive" true
-    (Sink.samples_of_json reparsed = Registry.snapshot (golden_registry ()));
+    (Sink.samples_of_json reparsed = golden_samples);
   checkb "spans survive" true (Sink.spans_of_json reparsed = golden_spans)
 
 let test_prometheus_golden () =
   let rendered =
     Format.asprintf "%a"
       (fun ppf () ->
-        Sink.prometheus (Registry.snapshot (golden_registry ())) ppf ())
+        Sink.prometheus golden_samples ppf ())
       ()
   in
   checks "prometheus exposition"
@@ -221,16 +257,19 @@ let test_prometheus_label_escaping () =
   (* Exactly backslash, double quote, and newline are escaped; tabs and
      other bytes pass through raw.  %S-style OCaml escaping would mangle
      the tab into \t, which Prometheus parsers reject. *)
-  let reg = Registry.create () in
-  let per = Registry.counter_family reg ~label:"kind" "esc_total" in
-  Metric.Counter.incr (per "back\\slash");
-  Metric.Counter.incr (per "quo\"te");
-  Metric.Counter.incr (per "new\nline");
-  Metric.Counter.incr (per "tab\there");
+  let samples =
+    [
+      family ~label:"kind" "esc_total"
+        [
+          ("back\\slash", 1);
+          ("quo\"te", 1);
+          ("new\nline", 1);
+          ("tab\there", 1);
+        ];
+    ]
+  in
   let rendered =
-    Format.asprintf "%a"
-      (fun ppf () -> Sink.prometheus (Registry.snapshot reg) ppf ())
-      ()
+    Format.asprintf "%a" (fun ppf () -> Sink.prometheus samples ppf ()) ()
   in
   let contains needle =
     let n = String.length needle and h = String.length rendered in
@@ -246,73 +285,10 @@ let test_prometheus_label_escaping () =
   checkb "tab passes through raw" true
     (contains "esc_total{kind=\"tab\there\"} 1")
 
-(* --- registry merge edge cases ------------------------------------------- *)
-
-let test_merge_empty_sides () =
-  (* empty source into a populated target: nothing moves *)
-  let into = golden_registry () in
-  let before = Registry.snapshot into in
-  Registry.merge ~into (Registry.create ());
-  checkb "empty source is identity" true (Registry.snapshot into = before);
-  (* populated source into an empty target: everything lands, in the
-     source's registration order *)
-  let into = Registry.create () in
-  Registry.merge ~into (golden_registry ());
-  checkb "empty target adopts the source" true
-    (Registry.snapshot into = Registry.snapshot (golden_registry ()))
-
-let test_merge_histogram_boundaries () =
-  (* values straddling a power-of-two bucket edge must merge bucket by
-     bucket, not by re-bucketing the sum *)
-  let mk vs =
-    let reg = Registry.create () in
-    let h = Registry.histogram reg "m_sizes" in
-    List.iter (Metric.Histogram.observe h) vs;
-    reg
-  in
-  let into = mk [ 7; 8 ] in
-  (* upper edge of bucket 3, lower edge of bucket 4 *)
-  Registry.merge ~into (mk [ 1; 7; 16 ]);
-  match Registry.snapshot into with
-  | [
-   {
-     Registry.s_points =
-       [ ([], Registry.P_histogram { count; sum; vmax; buckets }) ];
-     _;
-   };
-  ] ->
-      checki "counts add" 5 count;
-      checki "sums add" 39 sum;
-      checki "max of maxes" 16 vmax;
-      Alcotest.(check (list (pair int int)))
-        "buckets add cell-wise"
-        [ (1, 1); (7, 2); (15, 1); (31, 1) ]
-        buckets
-  | _ -> Alcotest.fail "unexpected snapshot shape"
-
-let test_merge_four_domain_gauge_max () =
-  (* the sweep merges one registry per worker slot; a high-water gauge
-     must surface the global maximum whichever slot saw it *)
-  let slot v peak =
-    let reg = Registry.create () in
-    let g = Registry.gauge reg "m_bytes" in
-    Metric.Gauge.set g peak;
-    Metric.Gauge.set g v;
-    reg
-  in
-  let into = slot 3 5 in
-  List.iter (Registry.merge ~into) [ slot 2 9; slot 4 4; slot 1 7 ];
-  match Registry.snapshot into with
-  | [ { Registry.s_points = [ ([], Registry.P_gauge { value; peak }) ]; _ } ]
-    ->
-      Alcotest.(check (float 1e-9)) "value is the slot max" 4. value;
-      Alcotest.(check (float 1e-9)) "peak is the global high-water" 9. peak
-  | _ -> Alcotest.fail "unexpected snapshot shape"
-
-(* --- instrumentation must not perturb results ---------------------------- *)
+(* --- the snapshot reads the run's own counters --------------------------- *)
 
 (* Final occupancy of a recording's replay, read off a tracker fed the
-   recording's items — independent of the metrics publish path. *)
+   recording's items — independent of the snapshot builder. *)
 let final_occupancy recorded =
   let t = Tracker.create ~policy:Policy.default () in
   let next = Recorded.items recorded in
@@ -336,18 +312,19 @@ let test_metrics_do_not_change_stats () =
       let app = Option.get (Pift_workloads.Droidbench.find name) in
       let recorded = Recorded.record app in
       let plain = Recorded.replay ~policy:Policy.default recorded in
-      let registry = Registry.create () in
-      let metered =
-        Recorded.replay ~metrics:registry ~policy:Policy.default recorded
-      in
+      let store = Pift_core.Store.create () in
+      let metered = Recorded.replay ~store ~policy:Policy.default recorded in
       let check what = Alcotest.(check int) (name ^ ": " ^ what) in
       checkb (name ^ ": stats identical") true
         (plain.Recorded.stats = metered.Recorded.stats);
       checkb (name ^ ": verdicts identical") true
         (plain.Recorded.verdicts = metered.Recorded.verdicts);
-      (* and the registry agrees with the stats record, cell by cell *)
+      (* and the snapshot agrees with the stats record, cell by cell *)
       let s = metered.Recorded.stats in
-      let samples = Registry.snapshot registry in
+      let samples =
+        Pift_eval.Metrics.samples
+          [ Replay { recorded; replay = metered; store } ]
+      in
       let point metric labels =
         match
           List.find_opt (fun sm -> sm.Registry.s_name = metric) samples
@@ -395,6 +372,11 @@ let () =
           Alcotest.test_case "round trip" `Quick test_registry_round_trip;
           Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
         ] );
+      ( "merge",
+        [
+          Alcotest.test_case "histogram bucket boundaries" `Quick
+            test_merge_histogram_boundaries;
+        ] );
       ("span", [ Alcotest.test_case "nesting" `Quick test_span_nesting ]);
       ( "sink",
         [
@@ -402,14 +384,6 @@ let () =
           Alcotest.test_case "prometheus golden" `Quick test_prometheus_golden;
           Alcotest.test_case "prometheus label escaping" `Quick
             test_prometheus_label_escaping;
-        ] );
-      ( "merge",
-        [
-          Alcotest.test_case "empty sides" `Quick test_merge_empty_sides;
-          Alcotest.test_case "histogram bucket boundaries" `Quick
-            test_merge_histogram_boundaries;
-          Alcotest.test_case "four-domain gauge max" `Quick
-            test_merge_four_domain_gauge_max;
         ] );
       ( "replay",
         [

@@ -82,8 +82,8 @@ let wait_until q ~what cond =
     Unix.sleepf 0.001
   done
 
-let push_blocking q i ~items =
-  match Spsc.push q ~drop_when_full:false [| i |] ~items with
+let push_blocking q i =
+  match Spsc.push q ~drop_when_full:false [| i |] with
   | Spsc.Pushed -> ()
   | Spsc.Dropped -> Alcotest.fail "blocking push dropped"
 
@@ -102,7 +102,7 @@ let spawn_consumer q got =
 let test_spsc_fifo () =
   let q = spsc ~capacity:4 in
   for i = 0 to 3 do
-    match Spsc.push q ~drop_when_full:false [| i; i + 10; -1 |] ~items:2 with
+    match Spsc.push q ~drop_when_full:false [| i; i + 10; -1 |] with
     | Spsc.Pushed -> ()
     | Spsc.Dropped -> Alcotest.fail "push dropped below capacity"
   done;
@@ -133,7 +133,7 @@ let test_spsc_ring_wraps () =
     | None -> Alcotest.fail "pop returned None with batches queued"
   in
   for i = 0 to 9 do
-    ignore (Spsc.push q ~drop_when_full:false [| i |] ~items:(i + 1));
+    ignore (Spsc.push q ~drop_when_full:false [| i |]);
     if Spsc.length q = 3 then pop ()
   done;
   Spsc.close q;
@@ -147,11 +147,9 @@ let test_spsc_ring_wraps () =
 let test_spsc_drop_when_full () =
   let q = spsc ~capacity:1 in
   checkb "first push fits" true
-    (Spsc.push q ~drop_when_full:true [| 1 |] ~items:1 = Spsc.Pushed);
-  (* [dropped] counts the fill count, not the array length *)
+    (Spsc.push q ~drop_when_full:true [| 1 |] = Spsc.Pushed);
   checkb "second push drops" true
-    (Spsc.push q ~drop_when_full:true [| 2; 3; 0; 0 |] ~items:2 = Spsc.Dropped);
-  checki "dropped counts items" 2 (Spsc.dropped q);
+    (Spsc.push q ~drop_when_full:true [| 2; 3; 0; 0 |] = Spsc.Dropped);
   (* the queued batch is still intact *)
   checkb "survivor delivered" true (Spsc.pop q = Some [| 1 |]);
   (* At any capacity drop mode never waits: it queues up to the
@@ -162,7 +160,7 @@ let test_spsc_drop_when_full () =
       within q (fun () ->
           let results =
             List.init (capacity + 3) (fun i ->
-                Spsc.push q ~drop_when_full:true [| i |] ~items:2)
+                Spsc.push q ~drop_when_full:true [| i |])
           in
           checkb
             (Printf.sprintf "capacity %d: pushed up to full, then dropped"
@@ -171,20 +169,19 @@ let test_spsc_drop_when_full () =
             (results
             = List.init (capacity + 3) (fun i ->
                   if i < capacity then Spsc.Pushed else Spsc.Dropped));
-          checki "dropped items" 6 (Spsc.dropped q);
           ignore (Spsc.pop q);
           checkb "a freed slot takes the next push" true
-            (Spsc.push q ~drop_when_full:true [| 9 |] ~items:1 = Spsc.Pushed)))
+            (Spsc.push q ~drop_when_full:true [| 9 |] = Spsc.Pushed)))
     [ 1; 2; 3; 5; 64 ]
 
 (* A blocking push waits for the consumer instead of dropping. *)
 let test_spsc_blocks_when_full () =
   let q = spsc ~capacity:1 in
-  ignore (Spsc.push q ~drop_when_full:false [| 1 |] ~items:1);
+  ignore (Spsc.push q ~drop_when_full:false [| 1 |]);
   let pushed = Atomic.make false in
   let producer =
     Domain.spawn (fun () ->
-        let r = Spsc.push q ~drop_when_full:false [| 2 |] ~items:1 in
+        let r = Spsc.push q ~drop_when_full:false [| 2 |] in
         Atomic.set pushed true;
         r)
   in
@@ -192,18 +189,16 @@ let test_spsc_blocks_when_full () =
   checkb "producer blocked on the full queue" false (Atomic.get pushed);
   checkb "first batch popped" true (Spsc.pop q = Some [| 1 |]);
   checkb "blocked push then lands" true (Domain.join producer = Spsc.Pushed);
-  checkb "second batch popped" true (Spsc.pop q = Some [| 2 |]);
-  checki "nothing dropped" 0 (Spsc.dropped q)
+  checkb "second batch popped" true (Spsc.pop q = Some [| 2 |])
 
 let test_spsc_abort () =
   let q = spsc ~capacity:1 in
-  ignore (Spsc.push q ~drop_when_full:false [| 1 |] ~items:1);
+  ignore (Spsc.push q ~drop_when_full:false [| 1 |]);
   Spsc.abort q;
   (* a blocked producer would have been woken; pushes now drop *)
   checkb "push after abort drops" true
-    (Spsc.push q ~drop_when_full:false [| 2; 0 |] ~items:1 = Spsc.Dropped);
+    (Spsc.push q ~drop_when_full:false [| 2; 0 |] = Spsc.Dropped);
   checkb "pop after abort is None" true (Spsc.pop q = None);
-  checki "aborted pushes counted" 1 (Spsc.dropped q);
   checki "queued batch discarded" 0 (Spsc.length q)
 
 let test_spsc_close_rejects_push () =
@@ -211,7 +206,7 @@ let test_spsc_close_rejects_push () =
   Spsc.close q;
   checkb "push after close raises" true
     (try
-       ignore (Spsc.push q ~drop_when_full:false [| 1 |] ~items:1);
+       ignore (Spsc.push q ~drop_when_full:false [| 1 |]);
        false
      with Invalid_argument _ -> true)
 
@@ -222,8 +217,8 @@ let test_spsc_close_wakes_parked_consumer () =
   within q (fun () ->
       let consumer = spawn_consumer q (Atomic.make 0) in
       Unix.sleepf 0.05 (* let it park *);
-      push_blocking q 0 ~items:3;
-      push_blocking q 1 ~items:4;
+      push_blocking q 0;
+      push_blocking q 1;
       Spsc.close q;
       checkb "close drains the partly filled ring" true
         (Domain.join consumer = [ 0; 1 ]))
@@ -239,7 +234,7 @@ let test_spsc_watermark_wakes_consumer () =
           let consumer = spawn_consumer q got in
           Unix.sleepf 0.05;
           for i = 1 to pushes do
-            ignore (Spsc.push q ~drop_when_full [| i |] ~items:1)
+            ignore (Spsc.push q ~drop_when_full [| i |])
           done;
           wait_until q
             ~what:(Printf.sprintf "%d batches (drop_when_full %b)" pushes
@@ -256,12 +251,12 @@ let test_spsc_parked_producer () =
   let q = spsc ~capacity:4 in
   within q (fun () ->
       for i = 0 to 3 do
-        push_blocking q i ~items:1
+        push_blocking q i
       done;
       let landed = Atomic.make false in
       let producer =
         Domain.spawn (fun () ->
-            push_blocking q 4 ~items:1;
+            push_blocking q 4;
             Atomic.set landed true)
       in
       Unix.sleepf 0.05;
@@ -273,18 +268,17 @@ let test_spsc_parked_producer () =
       checki "depth" 3 (Spsc.length q));
   let q = spsc ~capacity:2 in
   within q (fun () ->
-      push_blocking q 0 ~items:1;
-      push_blocking q 1 ~items:1;
+      push_blocking q 0;
+      push_blocking q 1;
       let producer =
-        Domain.spawn (fun () -> Spsc.push q ~drop_when_full:false [| 2 |] ~items:5)
+        Domain.spawn (fun () -> Spsc.push q ~drop_when_full:false [| 2 |])
       in
       Unix.sleepf 0.05;
       Spsc.abort q;
       checkb "abort releases the parked producer with Dropped" true
-        (Domain.join producer = Spsc.Dropped);
-      checki "its items counted as dropped" 5 (Spsc.dropped q))
+        (Domain.join producer = Spsc.Dropped))
 
-(* Two domains, random batch counts and sizes, both sides pausing at
+(* Two domains, random batch counts, both sides pausing at
    random so each parks on the other: every batch arrives exactly once,
    in FIFO order, at every capacity. *)
 let test_spsc_two_domain_stress () =
@@ -293,7 +287,6 @@ let test_spsc_two_domain_stress () =
       for run = 1 to 3 do
         let rng = Rng.create ((capacity * 100) + run) in
         let n = Rng.int_in rng 0 3000 in
-        let items = Array.init n (fun _ -> Rng.int_in rng 1 9) in
         let pause () = if Rng.int rng 64 = 0 then 0.0002 else 0. in
         let producer_pauses = Array.init n (fun _ -> pause ()) in
         let consumer_pauses = Array.init n (fun _ -> pause ()) in
@@ -317,7 +310,7 @@ let test_spsc_two_domain_stress () =
             in
             for k = 0 to n - 1 do
               if producer_pauses.(k) > 0. then Unix.sleepf producer_pauses.(k);
-              push_blocking q k ~items:items.(k)
+              push_blocking q k
             done;
             Spsc.close q;
             match Domain.join consumer with
@@ -801,6 +794,8 @@ let test_fill_alloc_budget () =
             else (seq, Recorded.Sink { kind = "K"; ranges = [ Range.of_len 64 8 ] }));
       pid = 1;
       bytecodes = 0;
+      frag_hits = 0;
+      frag_misses = 0;
     }
   in
   let path = Filename.temp_file "pift_fill_alloc" ".pift" in
@@ -853,6 +848,8 @@ let tiny_recording =
       |];
     pid = 1;
     bytecodes = 0;
+    frag_hits = 0;
+    frag_misses = 0;
   }
 
 (* An event pid outside [orig, orig + 2^20) would be remapped into the
@@ -865,7 +862,15 @@ let test_pid_outside_block () =
   let recording name events markers =
     let trace = Pift_trace.Trace.create () in
     List.iter (Pift_trace.Trace.add trace) events;
-    { Recorded.name; trace; markers; pid = 1; bytecodes = 0 }
+    {
+      Recorded.name;
+      trace;
+      markers;
+      pid = 1;
+      bytecodes = 0;
+      frag_hits = 0;
+      frag_misses = 0;
+    }
   in
   let overflow = 1 + (1 lsl 20) in
   let a =
@@ -1948,6 +1953,8 @@ let fill_recording i items =
     markers = Array.of_list (List.rev !markers);
     pid = synth_orig_pid;
     bytecodes = 0;
+    frag_hits = 0;
+    frag_misses = 0;
   }
 
 (* [f] gets a maker of fresh sources over the case's inputs. *)
@@ -2528,7 +2535,15 @@ let ev seq pid access = { Pift_trace.Event.seq; k = seq; pid; access }
 let counted_recording ?(markers = [||]) events =
   let trace = Pift_trace.Trace.create () in
   List.iter (Pift_trace.Trace.add trace) events;
-  { Recorded.name = "counted"; trace; markers; pid = 7; bytecodes = 0 }
+  {
+    Recorded.name = "counted";
+    trace;
+    markers;
+    pid = 7;
+    bytecodes = 0;
+    frag_hits = 0;
+    frag_misses = 0;
+  }
 
 (* The rows [Ingest.fill] writes, [room] a call, each call into an
    emptied batch: (tag, pid, seq, k, count) per row, one list per
@@ -2916,6 +2931,8 @@ let gen_oracle_recording rng i =
     markers = Array.of_list (List.rev !markers);
     pid = main;
     bytecodes = 0;
+    frag_hits = 0;
+    frag_misses = 0;
   }
 
 let gen_oracle_case rng =

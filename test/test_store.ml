@@ -318,6 +318,7 @@ let range_set_store () : Store.t =
     ranges = (fun ~pid -> RS.ranges (get pid));
     release_pid = (fun ~pid -> Hashtbl.remove sets pid);
     dump = (fun () -> failwith "range_set_store: dump unused");
+    merges = (fun () -> failwith "range_set_store: merges unused");
   }
 
 let test_sweep_byte_identical () =
@@ -358,6 +359,10 @@ let test_sweep_byte_identical () =
       nis;
       nts;
       cells = List.map (fun k -> (k, cell k)) (List.sort compare keys);
+      trace_insns =
+        List.map
+          (fun (_, r) -> Pift_trace.Trace.length r.Recorded.trace)
+          recorded;
     }
   in
   checkb "confusion cells identical" true
