@@ -1,6 +1,6 @@
 (* Benchmark harness.
 
-   Part 1 — Bechamel microbenchmarks of the core machinery: range-set
+   Part 1 — Bechamel microbenchmarks of the core machinery: taint-set
    operations, the PIFT tracker's per-event cost vs. the full-DIFT
    baseline (the paper's "loads and stores are an order of magnitude less
    frequent" argument in cost form), the hardware range-cache lookup, and
@@ -14,7 +14,6 @@ open Bechamel
 open Toolkit
 module Range = Pift_util.Range
 module Rng = Pift_util.Rng
-module Range_set = Pift_core.Range_set
 module Tracker = Pift_core.Tracker
 module Policy = Pift_core.Policy
 module Storage = Pift_core.Storage
@@ -40,26 +39,6 @@ let event_slice n =
   Array.init len (fun i -> Trace.get r.Recorded.trace i)
 
 (* --- microbenchmarks --------------------------------------------------- *)
-
-let test_range_set_add =
-  let ranges = random_ranges 512 in
-  Test.make ~name:"range_set/add-512"
-    (Staged.stage (fun () ->
-         ignore
-           (Array.fold_left (fun s r -> Range_set.add s r) Range_set.empty
-              ranges)))
-
-let test_range_set_query =
-  let ranges = random_ranges 512 in
-  let set = Array.fold_left Range_set.add Range_set.empty ranges in
-  let queries = random_ranges 512 in
-  Test.make ~name:"range_set/query-512"
-    (Staged.stage (fun () ->
-         let hits = ref 0 in
-         Array.iter
-           (fun q -> if Range_set.mem_overlap set q then incr hits)
-           queries;
-         ignore !hits))
 
 let test_store_flat_add =
   let ranges = random_ranges 512 in
@@ -160,8 +139,6 @@ let test_trace_io =
 
 let tests =
   [
-    test_range_set_add;
-    test_range_set_query;
     test_store_flat_add;
     test_store_flat_query;
     test_tracker_observe;
@@ -215,7 +192,7 @@ let write_obs_snapshot () =
         let storage = Storage.create () in
         ignore
           (Recorded.replay
-             ~store:(Pift_core.Store.of_storage storage)
+             ~store:(Pift_core.Storage.store storage)
              ~policy:Policy.default recorded);
         let st = Storage.stats storage in
         let trace = recorded.Recorded.trace in

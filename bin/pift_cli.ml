@@ -375,7 +375,7 @@ let run_app name ni nt untaint verbose jit explain prov prov_out metrics_out
     | Some _ ->
         time_phase phases None "hw-model" (fun () ->
             let storage = Pift_core.Storage.create () in
-            let hw_store = Pift_core.Store.of_storage storage in
+            let hw_store = Pift_core.Storage.store storage in
             (* The hardware pass owns a storage model worth watching: bind
                its occupancy as an extra telemetry source (the replay
                rebinds its tracker sources to this pass's tracker). *)

@@ -11,24 +11,6 @@ type slot = {
 }
 
 type stats = {
-  lookups : int;
-  hits : int;
-  secondary_hits : int;
-  insertions : int;
-  evictions : int;
-  drops : int;
-  writebacks : int;
-  max_occupancy : int;
-}
-
-type t = {
-  slots : slot array;
-  eviction : eviction;
-  granularity : int option;
-  (* Secondary storage in main memory, per process. *)
-  secondary : (int, Store_flat.t) Hashtbl.t;
-  mutable clock : int;
-  mutable occupancy : int;
   mutable lookups : int;
   mutable hits : int;
   mutable secondary_hits : int;
@@ -37,6 +19,24 @@ type t = {
   mutable drops : int;
   mutable writebacks : int;
   mutable max_occupancy : int;
+}
+
+type t = {
+  slots : slot array;
+  (* No slot at or above [top] is valid: [free_slot] always takes the
+     lowest free slot, so every scan can stop at [top]. *)
+  mutable top : int;
+  eviction : eviction;
+  granularity : int option;
+  (* Secondary storage in main memory, per process. *)
+  secondary : Store.t;
+  (* What the model holds, per process: the valid primary entries plus
+     the secondary set.  Evictions, promotions and context switches only
+     move bytes between the two, so they leave it as it is. *)
+  view : Store.t;
+  mutable clock : int;
+  mutable occupancy : int;
+  st : stats;
 }
 
 let create ?(entries = 2730) ?(eviction = Lru_writeback)
@@ -50,19 +50,24 @@ let create ?(entries = 2730) ?(eviction = Lru_writeback)
     slots =
       Array.init entries (fun _ ->
           { pid = 0; lo = 0; hi = 0; valid = false; stamp = 0 });
+    top = 0;
     eviction;
     granularity;
-    secondary = Hashtbl.create 4;
+    secondary = Store.create ();
+    view = Store.create ();
     clock = 0;
     occupancy = 0;
-    lookups = 0;
-    hits = 0;
-    secondary_hits = 0;
-    insertions = 0;
-    evictions = 0;
-    drops = 0;
-    writebacks = 0;
-    max_occupancy = 0;
+    st =
+      {
+        lookups = 0;
+        hits = 0;
+        secondary_hits = 0;
+        insertions = 0;
+        evictions = 0;
+        drops = 0;
+        writebacks = 0;
+        max_occupancy = 0;
+      };
   }
 
 let align t r =
@@ -74,223 +79,195 @@ let align t r =
       let hi = ((Range.hi r / block) + 1) * block - 1 in
       Range.make lo hi
 
-let secondary_set t pid =
-  match Hashtbl.find_opt t.secondary pid with
-  | Some s -> s
-  | None ->
-      let s = Store_flat.create () in
-      Hashtbl.add t.secondary pid s;
-      s
-
 let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
-(* Find a free slot, evicting if necessary.  Returns [None] when the
-   entry had to be dropped. *)
+let writeback t s =
+  t.secondary.add ~pid:s.pid (Range.make s.lo s.hi);
+  t.st.writebacks <- t.st.writebacks + 1;
+  s.valid <- false
+
+(* The lowest free slot, evicting the least recently used entry when
+   none is free; -1 when a full [Drop] cache loses the entry. *)
 let free_slot t =
-  let free = ref None in
-  Array.iter
-    (fun s -> if (not s.valid) && !free = None then free := Some s)
-    t.slots;
-  match !free with
-  | Some s -> Some s
-  | None -> (
-      match t.eviction with
-      | Drop ->
-          t.drops <- t.drops + 1;
-          None
-      | Lru_writeback ->
-          let victim =
-            Array.fold_left
-              (fun acc s ->
-                match acc with
-                | None -> Some s
-                | Some best -> if s.stamp < best.stamp then Some s else acc)
-              None t.slots
-          in
-          let s = Option.get victim in
-          let set = secondary_set t s.pid in
-          Store_flat.add set (Range.make s.lo s.hi);
-          t.evictions <- t.evictions + 1;
-          t.writebacks <- t.writebacks + 1;
-          s.valid <- false;
-          t.occupancy <- t.occupancy - 1;
-          Some s)
-
-let fill slot ~pid ~lo ~hi ~stamp =
-  slot.pid <- pid;
-  slot.lo <- lo;
-  slot.hi <- hi;
-  slot.stamp <- stamp;
-  slot.valid <- true
-
-let insert t ~pid r =
-  let r = align t r in
-  t.insertions <- t.insertions + 1;
-  (* Merge with an existing overlapping-or-adjacent entry when possible
-     (the range-cache update of Tiwari et al. [17]); otherwise allocate. *)
-  let merged = ref false in
-  Array.iter
-    (fun s ->
-      if
-        (not !merged) && s.valid && s.pid = pid
-        &&
-        let e = Range.make s.lo s.hi in
-        Range.overlaps e r || Range.adjacent e r
-      then begin
-        s.lo <- min s.lo (Range.lo r);
-        s.hi <- max s.hi (Range.hi r);
-        s.stamp <- tick t;
-        merged := true
-      end)
-    t.slots;
-  if not !merged then
-    match free_slot t with
-    | None -> ()
-    | Some slot ->
-        fill slot ~pid ~lo:(Range.lo r) ~hi:(Range.hi r) ~stamp:(tick t);
-        t.occupancy <- t.occupancy + 1;
-        if t.occupancy > t.max_occupancy then t.max_occupancy <- t.occupancy
-
-let remove t ~pid r =
-  let r = align t r in
-  (* Trim every overlapping primary entry; a middle cut leaves two pieces,
-     the second of which needs a fresh slot. *)
-  let pending = ref [] in
-  Array.iter
-    (fun s ->
-      if s.valid && s.pid = pid && Range.overlaps (Range.make s.lo s.hi) r
-      then begin
-        let pieces = Range.subtract (Range.make s.lo s.hi) r in
-        match pieces with
-        | [] ->
-            s.valid <- false;
-            t.occupancy <- t.occupancy - 1
-        | [ p ] ->
-            s.lo <- Range.lo p;
-            s.hi <- Range.hi p
-        | p1 :: rest ->
-            s.lo <- Range.lo p1;
-            s.hi <- Range.hi p1;
-            pending := rest @ !pending
-      end)
-    t.slots;
-  List.iter (fun p -> insert t ~pid p) !pending;
-  (* Secondary storage is exact. *)
-  match Hashtbl.find_opt t.secondary pid with
-  | Some set -> Store_flat.remove set r
-  | None -> ()
-
-let primary_lookup t ~pid r =
-  let hit = ref false in
-  Array.iter
-    (fun s ->
-      if s.valid && s.pid = pid && Range.overlaps (Range.make s.lo s.hi) r
-      then begin
-        s.stamp <- tick t;
-        hit := true
-      end)
-    t.slots;
-  !hit
-
-let lookup t ~pid r =
-  let r = align t r in
-  t.lookups <- t.lookups + 1;
-  if primary_lookup t ~pid r then begin
-    t.hits <- t.hits + 1;
-    true
+  let i = ref 0 in
+  while !i < t.top && t.slots.(!i).valid do
+    incr i
+  done;
+  if !i < Array.length t.slots then begin
+    if !i = t.top then t.top <- !i + 1;
+    !i
   end
   else
     match t.eviction with
-    | Drop -> false
-    | Lru_writeback -> (
-        match Hashtbl.find_opt t.secondary pid with
-        | Some set when Store_flat.mem_overlap set r ->
-            t.secondary_hits <- t.secondary_hits + 1;
-            (* Promote: hardware refetches the matching range. *)
-            let promoted =
-              List.find_opt
-                (fun p -> Range.overlaps p r)
-                (Store_flat.ranges set)
-            in
-            (match promoted with
-            | Some p ->
-                Store_flat.remove set p;
-                insert t ~pid p
-            | None -> ());
-            true
-        | Some _ | None -> false)
+    | Drop ->
+        t.st.drops <- t.st.drops + 1;
+        -1
+    | Lru_writeback ->
+        let v = ref 0 in
+        for j = 1 to t.top - 1 do
+          if t.slots.(j).stamp < t.slots.(!v).stamp then v := j
+        done;
+        writeback t t.slots.(!v);
+        t.st.evictions <- t.st.evictions + 1;
+        t.occupancy <- t.occupancy - 1;
+        !v
+
+(* Merge [lo, hi] into the first entry of [pid] it overlaps or touches
+   (the range-cache update of Tiwari et al. [17]), else allocate one.
+   False when the entry was dropped. *)
+let place t ~pid lo hi =
+  t.st.insertions <- t.st.insertions + 1;
+  let i = ref 0 in
+  while
+    !i < t.top
+    &&
+    let s = t.slots.(!i) in
+    not (s.valid && s.pid = pid && s.lo <= hi + 1 && lo <= s.hi + 1)
+  do
+    incr i
+  done;
+  if !i < t.top then begin
+    let s = t.slots.(!i) in
+    if lo < s.lo then s.lo <- lo;
+    if hi > s.hi then s.hi <- hi;
+    s.stamp <- tick t;
+    true
+  end
+  else
+    let i = free_slot t in
+    i >= 0
+    && begin
+         let s = t.slots.(i) in
+         s.pid <- pid;
+         s.lo <- lo;
+         s.hi <- hi;
+         s.stamp <- tick t;
+         s.valid <- true;
+         t.occupancy <- t.occupancy + 1;
+         if t.occupancy > t.st.max_occupancy then
+           t.st.max_occupancy <- t.occupancy;
+         true
+       end
+
+let insert t ~pid r =
+  let r = align t r in
+  if place t ~pid (Range.lo r) (Range.hi r) then t.view.add ~pid r
+
+(* A trimmed piece the cache could not re-place is gone, except where
+   another entry or the secondary set still covers it. *)
+let forget t ~pid p =
+  t.view.remove ~pid p;
+  for i = 0 to t.top - 1 do
+    let s = t.slots.(i) in
+    if s.valid && s.pid = pid && s.lo <= Range.hi p && Range.lo p <= s.hi
+    then t.view.add ~pid (Range.make s.lo s.hi)
+  done;
+  List.iter
+    (fun q -> if Range.overlaps p q then t.view.add ~pid q)
+    (t.secondary.ranges ~pid)
+
+let remove t ~pid r =
+  let r = align t r in
+  let lo = Range.lo r and hi = Range.hi r in
+  t.view.remove ~pid r;
+  (* Trim every overlapping primary entry; a middle cut leaves two pieces,
+     the second of which needs a fresh slot. *)
+  let pending = ref [] in
+  for i = 0 to t.top - 1 do
+    let s = t.slots.(i) in
+    if s.valid && s.pid = pid && s.lo <= hi && lo <= s.hi then
+      if s.lo >= lo && s.hi <= hi then begin
+        s.valid <- false;
+        t.occupancy <- t.occupancy - 1
+      end
+      else if s.lo >= lo then s.lo <- hi + 1
+      else begin
+        if s.hi > hi then pending := Range.make (hi + 1) s.hi :: !pending;
+        s.hi <- lo - 1
+      end
+  done;
+  let lost = ref [] in
+  List.iter
+    (fun p ->
+      if not (place t ~pid (Range.lo p) (Range.hi p)) then lost := p :: !lost)
+    !pending;
+  (* Secondary storage is exact. *)
+  t.secondary.remove ~pid r;
+  List.iter (forget t ~pid) !lost
+
+let lookup t ~pid r =
+  let r = align t r in
+  let lo = Range.lo r and hi = Range.hi r in
+  t.st.lookups <- t.st.lookups + 1;
+  let hit = ref false in
+  for i = 0 to t.top - 1 do
+    let s = t.slots.(i) in
+    if s.valid && s.pid = pid && s.lo <= hi && lo <= s.hi then begin
+      s.stamp <- tick t;
+      hit := true
+    end
+  done;
+  if !hit then t.st.hits <- t.st.hits + 1;
+  !hit
+  ||
+  match t.eviction with
+  | Drop -> false
+  | Lru_writeback ->
+      t.secondary.overlaps ~pid r
+      && begin
+           t.st.secondary_hits <- t.st.secondary_hits + 1;
+           (* Promote: hardware refetches the matching range. *)
+           let p =
+             List.find (fun p -> Range.overlaps p r) (t.secondary.ranges ~pid)
+           in
+           t.secondary.remove ~pid p;
+           ignore (place t ~pid (Range.lo p) (Range.hi p));
+           true
+         end
 
 let release_pid t ~pid =
   (* Tenant eviction: invalidate the pid's primary entries (keeping the
      occupancy honest) and drop its secondary set outright — no
      writeback, the state is being discarded, not displaced. *)
-  Array.iter
-    (fun s ->
-      if s.valid && s.pid = pid then begin
-        s.valid <- false;
-        t.occupancy <- t.occupancy - 1
-      end)
-    t.slots;
-  Hashtbl.remove t.secondary pid
+  for i = 0 to t.top - 1 do
+    let s = t.slots.(i) in
+    if s.valid && s.pid = pid then begin
+      s.valid <- false;
+      t.occupancy <- t.occupancy - 1
+    end
+  done;
+  t.secondary.release_pid ~pid;
+  t.view.release_pid ~pid
 
 let context_switch t =
-  Array.iter
-    (fun s ->
-      if s.valid then begin
-        let set = secondary_set t s.pid in
-        Store_flat.add set (Range.make s.lo s.hi);
-        t.writebacks <- t.writebacks + 1;
-        s.valid <- false
-      end)
-    t.slots;
-  t.occupancy <- 0
+  for i = 0 to t.top - 1 do
+    if t.slots.(i).valid then writeback t t.slots.(i)
+  done;
+  t.occupancy <- 0;
+  t.top <- 0
 
 let occupancy t = t.occupancy
+let tainted_bytes t = t.view.tainted_bytes ()
+let range_count t = t.view.range_count ()
+let ranges t ~pid = t.view.ranges ~pid
 
-(* Exact union across (possibly overlapping) primary entries plus the
-   secondary store. *)
-let union_set t =
-  let set = ref Range_set.empty in
-  Array.iter
-    (fun s ->
-      if s.valid then set := Range_set.add !set (Range.make s.lo s.hi))
-    t.slots;
-  Hashtbl.iter
-    (fun _ sec ->
-      List.iter
-        (fun r -> set := Range_set.add !set r)
-        (Store_flat.ranges sec))
-    t.secondary;
-  !set
+(* A copy: the caller's snapshot does not move with later traffic. *)
+let stats t = { t.st with lookups = t.st.lookups }
 
-let tainted_bytes t = Range_set.total_bytes (union_set t)
-let range_count t = Range_set.cardinal (union_set t)
-
-let ranges t ~pid =
-  let set = ref Range_set.empty in
-  Array.iter
-    (fun s ->
-      if s.valid && s.pid = pid then
-        set := Range_set.add !set (Range.make s.lo s.hi))
-    t.slots;
-  (match Hashtbl.find_opt t.secondary pid with
-  | Some sec ->
-      List.iter
-        (fun r -> set := Range_set.add !set r)
-        (Store_flat.ranges sec)
-  | None -> ());
-  Range_set.ranges !set
-
-let stats t =
+let store t =
   {
-    lookups = t.lookups;
-    hits = t.hits;
-    secondary_hits = t.secondary_hits;
-    insertions = t.insertions;
-    evictions = t.evictions;
-    drops = t.drops;
-    writebacks = t.writebacks;
-    max_occupancy = t.max_occupancy;
+    Store.add = insert t;
+    remove = remove t;
+    overlaps = lookup t;
+    tainted_bytes = t.view.tainted_bytes;
+    range_count = t.view.range_count;
+    ranges = t.view.ranges;
+    release_pid = release_pid t;
+    (* The range cache is lossy (drop policy) and not a durable source
+       of truth; snapshotting it would silently persist a partial
+       state, so it refuses instead. *)
+    dump = (fun () -> failwith "Storage.store: dump unsupported");
+    merges = (fun () -> failwith "Storage.store: merges not counted");
   }

@@ -24,10 +24,12 @@ val create :
   unit -> t
 (** [entries] defaults to 2730 (32 KiB of 12-byte entries).
     [granularity] is [None] for arbitrary ranges, or [Some r] for
-    [2^r]-byte block tagging.  The per-process secondary store in main
-    memory is an exact {!Store_flat} set.  The model counts its own
-    traffic: read {!stats} and {!occupancy} when a run ends (the
-    [pift_storage_*] metrics are built from them). *)
+    [2^r]-byte block tagging.  The secondary store in main memory is an
+    exact {!Store.create} store.  A second one keeps the model's view:
+    per pid, the bytes its valid entries and its secondary set hold.
+    The model counts its own traffic: read {!stats} and {!occupancy}
+    when a run ends (the [pift_storage_*] metrics are built from
+    them). *)
 
 val insert : t -> pid:int -> Pift_util.Range.t -> unit
 val remove : t -> pid:int -> Pift_util.Range.t -> unit
@@ -48,19 +50,33 @@ val release_pid : t -> pid:int -> unit
     re-registered pid starts clean. *)
 
 val occupancy : t -> int
-val tainted_bytes : t -> int
-val range_count : t -> int
-val ranges : t -> pid:int -> Pift_util.Range.t list
 
-type stats = {
-  lookups : int;
-  hits : int;  (** primary-cache hits *)
-  secondary_hits : int;  (** slow-path hits (Lru_writeback only) *)
-  insertions : int;
-  evictions : int;
-  drops : int;  (** entries lost under [Drop] *)
-  writebacks : int;
-  max_occupancy : int;
+val tainted_bytes : t -> int
+(** Bytes held, summed per pid like {!Store.create}'s: two pids holding
+    the same address count it twice.  O(1): read from the view. *)
+
+val range_count : t -> int
+(** Maximal ranges held, summed per pid.  O(1). *)
+
+val ranges : t -> pid:int -> Pift_util.Range.t list
+(** The pid's view as canonical maximal ranges. *)
+
+type stats = private {
+  mutable lookups : int;
+  mutable hits : int;  (** primary-cache hits *)
+  mutable secondary_hits : int;  (** slow-path hits (Lru_writeback only) *)
+  mutable insertions : int;
+  mutable evictions : int;
+  mutable drops : int;  (** entries lost under [Drop] *)
+  mutable writebacks : int;
+  mutable max_occupancy : int;
 }
 
 val stats : t -> stats
+(** A copy of the model's counters, taken now. *)
+
+val store : t -> Store.t
+(** The tracker's taint state held in this cache: [add] is {!insert},
+    [overlaps] is {!lookup}, so verdicts (and possible false negatives)
+    follow the eviction policy.  [dump] and [merges] raise [Failure]:
+    the cache is lossy, so persisting it would silently drop state. *)

@@ -115,19 +115,3 @@ let with_profile profile inner =
     remove = (fun ~pid r -> region (fun () -> inner.remove ~pid r));
     overlaps = (fun ~pid r -> region (fun () -> inner.overlaps ~pid r));
   }
-
-let of_storage storage =
-  {
-    add = (fun ~pid r -> Storage.insert storage ~pid r);
-    remove = (fun ~pid r -> Storage.remove storage ~pid r);
-    overlaps = (fun ~pid r -> Storage.lookup storage ~pid r);
-    tainted_bytes = (fun () -> Storage.tainted_bytes storage);
-    range_count = (fun () -> Storage.range_count storage);
-    ranges = (fun ~pid -> Storage.ranges storage ~pid);
-    release_pid = (fun ~pid -> Storage.release_pid storage ~pid);
-    (* The range cache is lossy (drop policy) and not a durable source
-       of truth; snapshotting it would silently persist a partial
-       state, so it refuses instead. *)
-    dump = (fun () -> failwith "Store.of_storage: dump unsupported");
-    merges = (fun () -> failwith "Store.of_storage: merges not counted");
-  }

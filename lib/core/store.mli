@@ -4,11 +4,12 @@
     software model backs it with one exact, unbounded {!Store_flat}
     interval set per process ({!create}), while the hardware model backs
     it with the {!Storage} range cache (bounded, lossy under the drop
-    policy; {!of_storage}).  The tracker is written once against this
+    policy; [Storage.store]).  The tracker is written once against this
     record of operations, so wrappers ({!with_profile}, timing shims)
-    substitute into it field by field.  The store pushes nothing to
-    observers: callers read [tainted_bytes], [range_count] and [merges]
-    when a run ends. *)
+    substitute into it field by field; it stays a record because
+    benchmark harnesses build their own.  The store
+    pushes nothing to observers: callers read [tainted_bytes],
+    [range_count] and [merges] when a run ends. *)
 
 type t = {
   add : pid:int -> Pift_util.Range.t -> unit;
@@ -28,19 +29,19 @@ type t = {
           across Hashtbl orders.  Replaying [add] over a
           dump into a fresh store reproduces the original semantically
           (same [overlaps]/[ranges]/counters).  Raises [Failure] on
-          {!of_storage} stores: the range cache is lossy, so persisting
-          it would silently drop state. *)
+          [Storage.store] stores: the range cache is lossy, so
+          persisting it would silently drop state. *)
   merges : unit -> int;
       (** [add]s that did not raise [range_count]: coalesced into, or
           covered by, ranges already held.  Raises [Failure] on
-          {!of_storage} stores, which do not count them. *)
+          [Storage.store] stores, which do not count them. *)
 }
 
 val create : unit -> t
 (** Exact per-process taint state — the software reference the paper's
     trace-driven evaluation uses: one {!Store_flat} set per PID, proven
-    equal to the {!Store_bytemap} oracle by the differential property
-    suite.
+    equal to a per-byte oracle by the differential property suite in
+    [test/].
 
     Read paths ([overlaps], [ranges]) are observably pure: querying a
     PID the store has never seen allocates nothing and leaves
@@ -56,10 +57,6 @@ val create : unit -> t
     update the cache too (two separate fields), so a store, reads
     included, belongs to one domain at a time: two domains querying
     it at once could pair one PID with another's set. *)
-
-val of_storage : Storage.t -> t
-(** State held in a hardware range cache; behaviour (and possible false
-    negatives) follow the cache's eviction policy. *)
 
 val with_profile : Pift_obs.Profile.t -> t -> t
 (** The same store, with every [add], [remove] and [overlaps] call

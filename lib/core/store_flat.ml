@@ -2,10 +2,10 @@ module Range = Pift_util.Range
 
 (* Invariant: entries [0 .. len) are sorted by [lo], pairwise disjoint
    and non-adjacent (so both [lo] and [hi] are strictly increasing and
-   the set is the canonical list of maximal closed ranges — the same
-   canonical form {!Range_set} keeps).  [bytes] mirrors the entries so
-   [total_bytes] is O(1).  Growth doubles the parallel arrays; removal
-   splices in place, so there are never tombstones to skip on lookup. *)
+   the set is the canonical list of maximal closed ranges).  [bytes]
+   mirrors the entries so [total_bytes] is O(1).  Growth doubles the
+   parallel arrays; removal splices in place, so there are never
+   tombstones to skip on lookup. *)
 type t = {
   mutable lo : int array;
   mutable hi : int array;

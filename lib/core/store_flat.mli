@@ -1,14 +1,14 @@
-(** Imperative flat taint set — the one taint-set implementation
-    behind {!Store}, {!Storage}'s secondary store, {!Provenance} and the
-    full-DIFT baseline.
+(** Imperative flat taint set — the library's one interval set, behind
+    {!Store} (and through it {!Storage}'s secondary store and view),
+    {!Provenance} and the full-DIFT baseline.
 
     A sorted interval array (parallel [lo]/[hi] int arrays) holding the
-    canonical maximal disjoint closed ranges, exactly like {!Range_set}
-    but mutable and allocation-free on the hot path: overlap queries are
+    canonical maximal disjoint closed ranges, mutable and
+    allocation-free on the hot path: overlap queries are
     a binary search over a flat array, insertion coalesces in place, and
     removal splices without tombstones.  Capacity grows by amortised
     doubling.  The property suite in [test/test_store.ml] proves it
-    equal to the {!Store_bytemap} oracle. *)
+    equal to a per-byte bitmap oracle kept in [test/]. *)
 
 type t
 

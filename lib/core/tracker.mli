@@ -138,8 +138,8 @@ type persisted = {
 
 val persist : t -> persisted
 (** Deterministic: identical tracker states persist identically,
-    whatever the Hashtbl order.  Raises [Failure] on an
-    {!Store.of_storage}-backed tracker (lossy range cache). *)
+    whatever the Hashtbl order.  Raises [Failure] on a
+    {!Storage.store}-backed tracker (lossy range cache). *)
 
 val restore : t -> persisted -> unit
 (** Rebuild persisted state into a freshly created tracker with the

@@ -195,7 +195,7 @@ let hw ppf =
   let storage =
     Storage.create ~entries:2730 ~eviction:Storage.Lru_writeback ()
   in
-  let store = Store.of_storage storage in
+  let store = Storage.store storage in
   let replay = Recorded.replay ~store ~policy:Policy.default recorded in
   let s = Storage.stats storage in
   Format.fprintf ppf
@@ -228,7 +228,7 @@ let ablation_storage ppf =
   let run entries eviction name =
     let storage = Storage.create ~entries ~eviction () in
     let replay =
-      Recorded.replay ~store:(Store.of_storage storage) ~policy:Policy.default
+      Recorded.replay ~store:(Storage.store storage) ~policy:Policy.default
         recorded
     in
     let s = Storage.stats storage in
@@ -265,7 +265,7 @@ let ablation_granularity ppf =
         let recorded = Recorded.record app in
         let storage = Storage.create ~entries:8192 ~granularity () in
         let replay =
-          Recorded.replay ~store:(Store.of_storage storage)
+          Recorded.replay ~store:(Storage.store storage)
             ~policy:Policy.default recorded
         in
         max_bytes :=
@@ -375,7 +375,7 @@ let multiproc ppf =
     Tracker.create ~policy:Policy.default ~store:(Store.create ()) ()
   in
   let storage = Storage.create ~entries:64 () in
-  let hw = Tracker.create ~policy:Policy.default ~store:(Store.of_storage storage) () in
+  let hw = Tracker.create ~policy:Policy.default ~store:(Storage.store storage) () in
   let env = Pift_runtime.Env.create ~sink:(fun _ e ->
       Tracker.observe tracker e;
       Tracker.observe hw e) () in

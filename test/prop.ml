@@ -86,7 +86,7 @@ let gen_ops rng n =
 
 (* --- the oracle store ---------------------------------------------------- *)
 
-(* A {!Pift_core.Store.t} over per-pid {!Pift_core.Store_bytemap} sets:
+(* A {!Pift_core.Store.t} over per-pid {!Store_bytemap} sets:
    the trivially correct per-byte oracle behind the same record the
    tracker runs against, so store-level cases and whole-tracker
    replays can be checked against it.  Totals are re-summed over every
@@ -94,7 +94,7 @@ let gen_ops rng n =
    incremental bookkeeping.  Dense from address 0: keep addresses
    small. *)
 let bytemap_store () : Pift_core.Store.t =
-  let module B = Pift_core.Store_bytemap in
+  let module B = Store_bytemap in
   let sets : (int, B.t) Hashtbl.t = Hashtbl.create 4 in
   let set pid =
     match Hashtbl.find_opt sets pid with

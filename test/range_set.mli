@@ -1,10 +1,12 @@
-(** The tainted-address state R of Algorithm 1: a set of disjoint,
-    coalesced byte ranges with O(log n) overlap queries.
+(** A persistent set of disjoint, coalesced byte ranges: the tainted
+    state R of Algorithm 1 written the plain functional way, over a
+    [Map].  Ranges that overlap or touch are merged on insertion, so the
+    set is always a canonical list of maximal disjoint ranges.
 
-    Ranges that overlap or touch are merged on insertion, so the set is
-    always a canonical list of maximal disjoint ranges.  [cardinal] and
-    [total_bytes] are O(1) — the overhead evaluation queries them on every
-    event (Figs. 14–19). *)
+    Test oracle only, kept independent of {!Pift_core.Store_flat}: the
+    end-to-end sweep in [test_store] replays whole traces against a
+    per-pid [Range_set] store, and [test_core]'s per-label origins model
+    keeps one per (pid, label). *)
 
 type t
 

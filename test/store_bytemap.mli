@@ -1,12 +1,13 @@
-(** Trivially-correct bytemap taint set — the test oracle for {!Store_flat}.
+(** Trivially-correct bytemap taint set — the test oracle for
+    {!Pift_core.Store_flat}.
 
     One bit per byte address in a dense growable bitmap; every operation
     is a per-byte loop.  Too slow (and too dense) for real traces, but
     impossible to get subtly wrong at range boundaries — which is the
     point: the differential property suite replays the same operation
-    sequences through {!Store_flat} and this oracle and demands
-    identical answers.  Testing only; no library configuration reaches
-    it. *)
+    sequences through [Store_flat] and this oracle and demands
+    identical answers.  It lives beside the tests, out of the
+    library. *)
 
 type t
 

@@ -3,7 +3,6 @@
 
 module Range = Pift_util.Range
 module Policy = Pift_core.Policy
-module Range_set = Pift_core.Range_set
 module Tracker = Pift_core.Tracker
 module Reference = Pift_core.Reference
 module Storage = Pift_core.Storage
@@ -77,15 +76,16 @@ let test_range_set_remove () =
   checki "multi-cut bytes" 4 (Range_set.total_bytes s5)
 
 (* Differential property: Range_set vs a per-byte Hashtbl model. *)
+let range_gen =
+  QCheck2.Gen.(
+    let* lo = int_range 0 120 in
+    let* len = int_range 1 24 in
+    return (Range.of_len lo len))
+
 let op_gen =
   QCheck2.Gen.(
-    let range_g =
-      let* lo = int_range 0 120 in
-      let* len = int_range 1 24 in
-      return (Range.of_len lo len)
-    in
     let* op = int_range 0 2 in
-    let* range = range_g in
+    let* range = range_gen in
     return (op, range))
 
 let prop_range_set_model =
@@ -1144,12 +1144,44 @@ let test_store_backends () =
       checki (name "bytes across pids") 15 (sets.Store.tainted_bytes ());
       checki (name "count") 2 (sets.Store.range_count ());
       sets.Store.remove ~pid:1 (r 0 9);
-      checki (name "bytes after remove") 5 (sets.Store.tainted_bytes ()))
+      checki (name "bytes after remove") 5 (sets.Store.tainted_bytes ());
+      (* each pid is its own address space: bytes two pids both hold
+         count once per pid *)
+      sets.Store.release_pid ~pid:2;
+      sets.Store.add ~pid:1 (r 0 9);
+      sets.Store.add ~pid:2 (r 0 19);
+      checki (name "overlapping pids: bytes") 30
+        (sets.Store.tainted_bytes ());
+      checki (name "overlapping pids: count") 2 (sets.Store.range_count ()))
     [
       ("flat", Store.create ());
       ("bytemap", Prop.bytemap_store ());
-      ("range cache", Store.of_storage (Storage.create ()));
+      ("range cache", Storage.store (Storage.create ()));
     ]
+
+let test_storage_dropped_piece () =
+  (* a middle cut needs a second slot; a full Drop cache loses the
+     right-hand piece, and the totals say so *)
+  let s = Storage.create ~entries:2 ~eviction:Storage.Drop () in
+  Storage.insert s ~pid:1 (r 0 99);
+  Storage.insert s ~pid:1 (r 200 209);
+  Storage.remove s ~pid:1 (r 40 49);
+  checki "bytes" 50 (Storage.tainted_bytes s);
+  checki "ranges" 2 (Storage.range_count s);
+  checki "one drop" 1 (Storage.stats s).Storage.drops;
+  checkb "held" true
+    (Storage.ranges s ~pid:1 = [ r 0 39; r 200 209 ]);
+  (* a lost piece stays held where the secondary set still covers it *)
+  let s = Storage.create ~entries:2 ~eviction:Storage.Drop () in
+  Storage.insert s ~pid:1 (r 0 99);
+  Storage.context_switch s;
+  Storage.insert s ~pid:1 (r 0 99);
+  Storage.insert s ~pid:1 (r 200 209);
+  Storage.remove s ~pid:1 (r 40 49);
+  checki "another drop" 1 (Storage.stats s).Storage.drops;
+  checkb "covered piece kept" true
+    (Storage.ranges s ~pid:1 = [ r 0 39; r 50 99; r 200 209 ]);
+  checki "bytes with the secondary set" 100 (Storage.tainted_bytes s)
 
 let test_hw_model () =
   let report =
@@ -1161,16 +1193,129 @@ let test_hw_model () =
   checkb "sw dift big" true (report.Hw_model.sw_dift_overhead_pct > 100.0);
   checkb "reduction" true (report.Hw_model.event_reduction > 6.0)
 
+(* Bounded caches shared by 2-3 pids: 1-8 entries, either eviction
+   policy, byte or 4-byte-block granularity.  Op kinds 0-3 add, 4-5
+   remove, 6-7 look up, 8 context switch, 9 release the pid.  Ranges
+   crowd into [0, 83] so that entries of one pid often overlap (an add
+   merges into the first entry it touches and may reach the next). *)
+let bounded_gen =
+  QCheck2.Gen.(
+    let range_gen =
+      let* lo = int_range 0 60 in
+      let* len = int_range 1 24 in
+      return (Range.of_len lo len)
+    in
+    let* pids = int_range 2 3 in
+    let* entries = int_range 1 8 in
+    let* eviction = oneofl [ Storage.Lru_writeback; Storage.Drop ] in
+    let* granularity = oneofl [ None; Some 2 ] in
+    let* ops =
+      list_size (int_range 1 60)
+        (triple (int_range 1 pids) (int_range 0 9) range_gen)
+    in
+    return (pids, entries, eviction, granularity, ops))
+
+(* The maximal runs of addresses in [0, 150] that [held] accepts. *)
+let runs held =
+  let acc = ref [] and start = ref (-1) in
+  for x = 0 to 151 do
+    if x <= 150 && held x then (if !start < 0 then start := x)
+    else if !start >= 0 then begin
+      acc := r !start (x - 1) :: !acc;
+      start := -1
+    end
+  done;
+  List.rev !acc
+
+(* What the cache says it holds, checked after every op.  Under
+   [Lru_writeback] nothing is lost, so totals, per-pid ranges and
+   lookups equal an exact store fed the same block-aligned ops.  [Drop]
+   lookups never search the secondary set, which only a context switch
+   fills; the test keeps its own copy of that set ([sec]: what the
+   per-byte lookups found at each switch, minus later removes), and each
+   pid's ranges must be the runs of bytes a per-byte lookup or [sec]
+   finds, the totals their per-pid sums. *)
+let bounded_view_agrees (pids, entries, eviction, granularity, ops) =
+  let cache = Storage.create ~entries ~eviction ~granularity () in
+  let exact = Store.create () and sec = Store.create () in
+  let align x =
+    match granularity with
+    | None -> x
+    | Some g ->
+        let b = 1 lsl g in
+        r (Range.lo x / b * b) (((Range.hi x / b) + 1) * b - 1)
+  in
+  let all = List.init pids (fun i -> i + 1) in
+  let sum f = List.fold_left (fun acc p -> acc + f p) 0 all in
+  let primary p =
+    runs (fun x -> Storage.lookup cache ~pid:p (Range.byte x))
+  in
+  List.for_all
+    (fun (pid, op, range) ->
+      let answered =
+        match op with
+        | 0 | 1 | 2 | 3 ->
+            Storage.insert cache ~pid range;
+            exact.Store.add ~pid (align range);
+            true
+        | 4 | 5 ->
+            Storage.remove cache ~pid range;
+            exact.Store.remove ~pid (align range);
+            sec.Store.remove ~pid (align range);
+            true
+        | 6 | 7 ->
+            Storage.lookup cache ~pid range
+            = exact.Store.overlaps ~pid (align range)
+            || eviction = Storage.Drop
+        | 8 ->
+            if eviction = Storage.Drop then
+              List.iter
+                (fun p -> List.iter (sec.Store.add ~pid:p) (primary p))
+                all;
+            Storage.context_switch cache;
+            true
+        | _ ->
+            Storage.release_pid cache ~pid;
+            exact.Store.release_pid ~pid;
+            sec.Store.release_pid ~pid;
+            true
+      in
+      answered
+      &&
+      match eviction with
+      | Storage.Lru_writeback ->
+          Storage.tainted_bytes cache = exact.Store.tainted_bytes ()
+          && Storage.range_count cache = exact.Store.range_count ()
+          && List.for_all
+               (fun p ->
+                 Storage.ranges cache ~pid:p = exact.Store.ranges ~pid:p)
+               all
+      | Storage.Drop ->
+          let held p =
+            runs (fun x ->
+                Storage.lookup cache ~pid:p (Range.byte x)
+                || sec.Store.overlaps ~pid:p (Range.byte x))
+          in
+          List.for_all (fun p -> Storage.ranges cache ~pid:p = held p) all
+          && Storage.tainted_bytes cache
+             = sum (fun p ->
+                   List.fold_left
+                     (fun acc x -> acc + Range.length x)
+                     0 (held p))
+          && Storage.range_count cache = sum (fun p -> List.length (held p)))
+    ops
+
 (* Differential property: an unbounded hardware cache answers overlap
-   queries exactly like the software range set. *)
+   queries exactly like the software range set; bounded ones report
+   what they hold ({!bounded_view_agrees}). *)
 let prop_storage_store_agreement =
   QCheck2.Test.make
     ~name:"unbounded range cache agrees with the exact range set"
-    ~count:200
-    QCheck2.Gen.(list_size (int_range 1 60) op_gen)
-    (fun ops ->
+    ~count:500
+    QCheck2.Gen.(pair (list_size (int_range 1 60) op_gen) bounded_gen)
+    (fun (ops, bounded) ->
       let exact = Store.create () in
-      let cache = Store.of_storage (Storage.create ~entries:4096 ()) in
+      let cache = Storage.store (Storage.create ~entries:4096 ()) in
       let ok = ref true in
       List.iter
         (fun (op, range) ->
@@ -1194,7 +1339,7 @@ let prop_storage_store_agreement =
           <> cache.Store.overlaps ~pid:1 (Range.byte x)
         then ok := false
       done;
-      !ok)
+      !ok && bounded_view_agrees bounded)
 
 let qsuite =
   List.map QCheck_alcotest.to_alcotest
@@ -1270,6 +1415,8 @@ let () =
           Alcotest.test_case "LRU eviction metrics" `Quick
             test_storage_lru_eviction_metrics;
           Alcotest.test_case "drop metrics" `Quick test_storage_drop_metrics;
+          Alcotest.test_case "dropped piece leaves the totals" `Quick
+            test_storage_dropped_piece;
         ] );
       ( "store & model",
         [

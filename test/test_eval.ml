@@ -740,7 +740,7 @@ let test_hw_backed_detection () =
   (* plenty of entries: same verdict as the exact store *)
   let storage = Storage.create ~entries:1024 () in
   let rep =
-    Recorded.replay ~store:(Store.of_storage storage) ~policy:Policy.default r
+    Recorded.replay ~store:(Storage.store storage) ~policy:Policy.default r
   in
   checkb "cache-backed detection" true rep.Recorded.flagged;
   let st = Storage.stats storage in
@@ -748,7 +748,7 @@ let test_hw_backed_detection () =
   (* a tiny drop-policy cache can lose the flow *)
   let tiny = Storage.create ~entries:2 ~eviction:Storage.Drop () in
   let rep2 =
-    Recorded.replay ~store:(Store.of_storage tiny) ~policy:Policy.default r
+    Recorded.replay ~store:(Storage.store tiny) ~policy:Policy.default r
   in
   let st2 = Storage.stats tiny in
   checkb "drops occurred or still flagged" true

@@ -17,7 +17,6 @@
 
 module Range = Pift_util.Range
 module Store_flat = Pift_core.Store_flat
-module Store_bytemap = Pift_core.Store_bytemap
 module Store = Pift_core.Store
 
 let checkb = Alcotest.(check bool)
@@ -305,7 +304,7 @@ let test_store_incremental_totals () =
    a separate implementation with its own per-byte differential in
    test_core. *)
 let range_set_store () : Store.t =
-  let module RS = Pift_core.Range_set in
+  let module RS = Range_set in
   let sets : (int, RS.t) Hashtbl.t = Hashtbl.create 4 in
   let get pid = Option.value (Hashtbl.find_opt sets pid) ~default:RS.empty in
   let sum f = Hashtbl.fold (fun _ s acc -> acc + f s) sets 0 in
