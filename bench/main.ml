@@ -176,19 +176,23 @@ let run_microbenchmarks () =
    `pift report BENCH_obs.json` renders it. *)
 let write_obs_snapshot () =
   let module Obs = Pift_obs in
-  let phases = Obs.Profile.create () in
+  let phases = Obs.Flight.create ~capacity:64 () in
+  let phase name f =
+    Obs.Flight.begin_ phases name;
+    Fun.protect ~finally:(fun () -> Obs.Flight.end_ phases name) f
+  in
   let recorded =
-    Obs.Profile.span (Some phases) "record" (fun () ->
+    phase "record" (fun () ->
         Recorded.record
           (Pift_workloads.Malware.lgroot_sized ~rounds:2 ~payload_chars:256))
   in
   let store = Pift_core.Store.create () in
   let replay =
-    Obs.Profile.span (Some phases) "replay" (fun () ->
+    phase "replay" (fun () ->
         Recorded.replay ~store ~policy:Policy.default recorded)
   in
   let storage, hw =
-    Obs.Profile.span (Some phases) "hw-model" (fun () ->
+    phase "hw-model" (fun () ->
         let storage = Storage.create () in
         ignore
           (Recorded.replay
@@ -213,7 +217,7 @@ let write_obs_snapshot () =
   let oc = open_out "BENCH_obs.json" in
   Obs.Sink.write_jsonl oc
     (Obs.Sink.snapshot_to_json ~run:"bench:lgroot-2x256"
-       ~spans:(Obs.Profile.folded phases) samples);
+       ~spans:(Obs.Profile.fold [| phases |]) samples);
   close_out oc;
   print_endline "wrote BENCH_obs.json"
 
@@ -459,78 +463,6 @@ let write_traceio_bench () =
     (ratio text_lr_s binary_lr_s)
     (if identical then "verdicts identical" else "VERDICTS DIVERGED");
   if not identical then exit 1
-
-(* Recording replay plain, with continuous telemetry and with the
-   overhead-attribution profiler, over the same recording (best-of-5).
-   Telemetry's per-event budget is an increment and a compare
-   (snapshots amortised over --telemetry-every events); the profiler's
-   is two clock reads per store operation.  Emitted as
-   BENCH_telemetry.json for the cross-commit trajectory. *)
-let write_telemetry_bench () =
-  let module Json = Pift_obs.Json in
-  let recorded = Lazy.force bench_trace in
-  let replay ?telemetry ?profile () =
-    ignore (Recorded.replay ~policy:Policy.default ?telemetry ?profile recorded)
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let rounds = 5 in
-  let best f =
-    ignore (time f);
-    (* warm-up *)
-    let b = ref infinity in
-    for _ = 1 to rounds do
-      let s = time f in
-      if s < !b then b := s
-    done;
-    !b
-  in
-  let off_s = best (fun () -> replay ()) in
-  let telem = Pift_obs.Telemetry.create () in
-  let telem_s =
-    best (fun () ->
-        Pift_obs.Telemetry.clear telem;
-        replay ~telemetry:telem ())
-  in
-  let profile = Pift_obs.Profile.create () in
-  let prof_s =
-    best (fun () ->
-        Pift_obs.Profile.reset profile;
-        replay ~profile ())
-  in
-  let n = Trace.length recorded.Recorded.trace in
-  let rate s = if s > 0. then float_of_int n /. s else 0. in
-  let pct on = if off_s > 0. then 100. *. (on -. off_s) /. off_s else 0. in
-  let json =
-    Json.Obj
-      [
-        ("bench", Json.String "replay-telemetry-profiler");
-        ("events", Json.Int n);
-        ("rounds", Json.Int rounds);
-        ("off_seconds", Json.Float off_s);
-        ("off_events_per_sec", Json.Float (rate off_s));
-        ("telemetry_on_seconds", Json.Float telem_s);
-        ("telemetry_on_events_per_sec", Json.Float (rate telem_s));
-        ("telemetry_overhead_pct", Json.Float (pct telem_s));
-        ("telemetry_snapshots", Json.Int (Pift_obs.Telemetry.taken telem));
-        ("profiler_on_seconds", Json.Float prof_s);
-        ("profiler_on_events_per_sec", Json.Float (rate prof_s));
-        ("profiler_overhead_pct", Json.Float (pct prof_s));
-        ( "profiler_regions",
-          Json.Int (List.length (Pift_obs.Profile.folded profile)) );
-      ]
-  in
-  let oc = open_out "BENCH_telemetry.json" in
-  output_string oc (Json.to_string json);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf
-    "wrote BENCH_telemetry.json (off %.0f ev/s; telemetry %.0f ev/s, %.1f%%; \
-     profiler %.0f ev/s, %.1f%%)\n"
-    (rate off_s) (rate telem_s) (pct telem_s) (rate prof_s) (pct prof_s)
 
 (* Tracker replay with the provenance sidecar off vs on, over the same
    event stream (best-of-5): the sidecar's budget is "option-guarded,
@@ -891,8 +823,6 @@ let () =
     write_prov_bench ()
   else if Array.length Sys.argv > 1 && Sys.argv.(1) = "traceio" then
     write_traceio_bench ()
-  else if Array.length Sys.argv > 1 && Sys.argv.(1) = "telemetry" then
-    write_telemetry_bench ()
   else if Array.length Sys.argv > 1 && Sys.argv.(1) = "service" then
     write_service_bench ()
   else if Array.length Sys.argv > 1 && Sys.argv.(1) = "snapshot" then
@@ -903,7 +833,6 @@ let () =
     write_par_bench ();
     write_store_bench ();
     write_traceio_bench ();
-    write_telemetry_bench ();
     write_prov_bench ();
     write_service_bench ();
     write_snapshot_bench ();

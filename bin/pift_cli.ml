@@ -104,12 +104,21 @@ let trace_out =
   in
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
 
-(* One ring per worker slot when --trace-out was given; [||] keeps every
+(* One ring per worker slot when --trace-out or --profile-out was given
+   (a profile is the fold of the rings' spans); [||] keeps every
    recording call on its no-op branch. *)
-let rings_of trace_out ~slots =
-  match trace_out with
-  | None -> [||]
-  | Some _ -> Array.init (max 1 slots) (fun _ -> Obs.Flight.create ())
+let rings_of ~trace_out ~profile_out ~slots =
+  if trace_out = None && profile_out = None then [||]
+  else Array.init (max 1 slots) (fun _ -> Obs.Flight.create ())
+
+let sum_rings f rings = Array.fold_left (fun acc r -> acc + f r) 0 rings
+
+(* The wrap-around notice both exports print: a wrapped ring lost its
+   oldest spans, so the file covers only what survived. *)
+let dropped_note rings =
+  match sum_rings Obs.Flight.dropped rings with
+  | 0 -> ""
+  | d -> Printf.sprintf ", %d dropped to wrap-around" d
 
 let write_trace ~out ~run rings =
   if Array.length rings > 0 then begin
@@ -117,24 +126,20 @@ let write_trace ~out ~run rings =
     Fun.protect
       ~finally:(fun () -> close_out oc)
       (fun () -> Obs.Chrome.write oc ~run rings);
-    let sum f = Array.fold_left (fun acc r -> acc + f r) 0 rings in
     (* stderr, not stdout: traced and untraced runs must keep
        byte-identical standard output. *)
     Printf.eprintf "trace: wrote %s (%d events across %d tracks%s)\n" out
-      (sum Obs.Flight.length) (Array.length rings)
-      (let d = sum Obs.Flight.dropped in
-       if d > 0 then Printf.sprintf ", %d dropped to wrap-around" d else "")
+      (sum_rings Obs.Flight.length rings)
+      (Array.length rings) (dropped_note rings)
   end
 
-(* Times one run-level phase into [phases] (the metrics snapshot's
-   spans) and, when [flight] is given, brackets it on that ring. *)
-let time_phase phases flight name f =
-  Obs.Profile.span (Some phases) name (fun () ->
-      match flight with
-      | None -> f ()
-      | Some r ->
-          Obs.Flight.begin_ r name;
-          Fun.protect ~finally:(fun () -> Obs.Flight.end_ r name) f)
+(* A run's phases go on a one-slot ring of their own: its fold is the
+   metrics snapshot's spans, with or without --trace-out. *)
+let phase_ring () = Obs.Flight.create ~capacity:64 ()
+
+let bracket ring name f =
+  Obs.Flight.begin_ ring name;
+  Fun.protect ~finally:(fun () -> Obs.Flight.end_ ring name) f
 
 (* --- telemetry / profiler / live-view options --- *)
 
@@ -163,10 +168,11 @@ let telemetry_every =
 
 let profile_out =
   let doc =
-    "Write an overhead-attribution profile to $(docv): folded stacks \
-     (self time per $(b,pool;replay;store)-style region path, \
-     flamegraph.pl/speedscope-compatible), summarized per subsystem by \
-     $(b,pift report).  Never touches stdout."
+    "Write an overhead-attribution profile to $(docv): the spans \
+     $(b,--trace-out) records, folded into stacks (self time per \
+     $(b,chunk;cell)-style phase path, flamegraph.pl/speedscope-compatible) \
+     and summarized per subsystem by $(b,pift report).  Never touches \
+     stdout."
   in
   Arg.(
     value & opt (some string) None & info [ "profile-out" ] ~docv:"FILE" ~doc)
@@ -193,11 +199,6 @@ let telems_of ~out ~top ~every ~slots =
   if out = None && not top then [||]
   else Array.init (max 1 slots) (fun _ -> Obs.Telemetry.create ~every ())
 
-let profiles_of profile_out ~slots =
-  match profile_out with
-  | None -> [||]
-  | Some _ -> Array.init (max 1 slots) (fun _ -> Obs.Profile.create ())
-
 let write_telemetry ~out ~run telems =
   if Array.length telems > 0 then begin
     (* One final reading per slot: short runs that never hit the cadence
@@ -219,15 +220,14 @@ let write_telemetry ~out ~run telems =
        else "")
   end
 
-let write_profile ~out profiles =
-  if Array.length profiles > 0 then begin
-    let rows = Obs.Profile.merged profiles in
-    let oc = open_out out in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (Obs.Profile.to_folded_string rows));
-    Printf.eprintf "profile:    wrote %s (%d stacks)\n" out (List.length rows)
-  end
+let write_profile ~out rings =
+  let rows = Obs.Profile.fold rings in
+  let oc = open_out out in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc (Obs.Profile.to_folded_string rows));
+  Printf.eprintf "profile:    wrote %s (%d stacks%s)\n" out (List.length rows)
+    (dropped_note rings)
 
 (* --- provenance options --- *)
 
@@ -328,16 +328,12 @@ let run_app name ni nt untaint verbose jit explain prov prov_out metrics_out
     metrics_format trace_out telemetry_out telemetry_every profile_out top =
   let app = find_app name in
   let policy = policy_of ni nt untaint in
-  let rings = rings_of trace_out ~slots:1 in
+  let rings = rings_of ~trace_out ~profile_out ~slots:1 in
   let flight = if Array.length rings > 0 then Some rings.(0) else None in
   let telems =
     telems_of ~out:telemetry_out ~top ~every:telemetry_every ~slots:1
   in
   let telemetry = if Array.length telems > 0 then Some telems.(0) else None in
-  let profiles = profiles_of profile_out ~slots:1 in
-  let profile =
-    if Array.length profiles > 0 then Some profiles.(0) else None
-  in
   let view =
     Obs.Progress.create
       ?enabled:(if top then None else Some false)
@@ -346,16 +342,18 @@ let run_app name ni nt untaint verbose jit explain prov prov_out metrics_out
   (* Per-phase spans; the recording stamps source/sink instants and VM
      spans, and the replay's peaks are sampled once it ends (per-event
      curves come from --telemetry-out --telemetry-every 1). *)
-  let phases = Obs.Profile.create () in
-  let phase name f = time_phase phases flight name f in
+  let phases = phase_ring () in
+  let phase name f =
+    bracket phases name (fun () ->
+        match flight with None -> f () | Some r -> bracket r name f)
+  in
   let recorded =
-    phase "record" (fun () ->
-        Recorded.record ~mode:(mode_of jit) ?flight ?profile app)
+    phase "record" (fun () -> Recorded.record ~mode:(mode_of jit) ?flight app)
   in
   let store = Pift_core.Store.create () in
   let replay =
     phase "replay" (fun () ->
-        Recorded.replay ~store ~policy ?telemetry ?profile recorded)
+        Recorded.replay ~store ~policy ?telemetry recorded)
   in
   (match flight with
   | None -> ()
@@ -373,7 +371,7 @@ let run_app name ni nt untaint verbose jit explain prov prov_out metrics_out
     match metrics_out with
     | None -> []
     | Some _ ->
-        time_phase phases None "hw-model" (fun () ->
+        bracket phases "hw-model" (fun () ->
             let storage = Pift_core.Storage.create () in
             let hw_store = Pift_core.Storage.store storage in
             (* The hardware pass owns a storage model worth watching: bind
@@ -459,7 +457,7 @@ let run_app name ni nt untaint verbose jit explain prov prov_out metrics_out
   (match metrics_out with
   | Some out ->
       write_metrics ~out ~format:metrics_format ~run:app.App.name
-        ~spans:(Obs.Profile.folded phases)
+        ~spans:(Obs.Profile.fold [| phases |])
         (Pift_eval.Metrics.samples
            (Recording { recorded; mode = mode_of jit }
            :: Replay { recorded; replay; store }
@@ -470,7 +468,7 @@ let run_app name ni nt untaint verbose jit explain prov prov_out metrics_out
   | Some out -> write_telemetry ~out ~run:app.App.name telems
   | None -> ());
   (match profile_out with
-  | Some out -> write_profile ~out profiles
+  | Some out -> write_profile ~out rings
   | None -> ());
   match trace_out with
   | Some out -> write_trace ~out ~run:app.App.name rings
@@ -509,11 +507,10 @@ let sweep subset_only jobs metrics_out metrics_format trace_out prov
     if subset_only then Pift_workloads.Droidbench.subset48
     else Pift_workloads.Droidbench.all
   in
-  let rings = rings_of trace_out ~slots:jobs in
+  let rings = rings_of ~trace_out ~profile_out ~slots:jobs in
   let telems =
     telems_of ~out:telemetry_out ~top ~every:telemetry_every ~slots:jobs
   in
-  let profiles = profiles_of profile_out ~slots:jobs in
   let view =
     Obs.Progress.create
       ?enabled:(if progress then Some true else None)
@@ -522,11 +519,11 @@ let sweep subset_only jobs metrics_out metrics_format trace_out prov
   in
   (* The sweep's phases stay off the rings: each ring's track holds its
      pool slot's cells. *)
-  let phases = Obs.Profile.create () in
-  let phase name f = time_phase phases None name f in
+  let phases = phase_ring () in
+  let phase name f = bracket phases name f in
   let sweep =
     phase "sweep" (fun () ->
-        Pift_eval.Accuracy.sweep ~rings ~telems ~profiles
+        Pift_eval.Accuracy.sweep ~rings ~telems
           ~on_cell:(step_cell view) ~jobs ~with_origins:prov apps)
   in
   Obs.Progress.finish view;
@@ -554,14 +551,14 @@ let sweep subset_only jobs metrics_out metrics_format trace_out prov
   (match metrics_out with
   | Some out ->
       write_metrics ~out ~format:metrics_format ~run:"sweep"
-        ~spans:(Obs.Profile.folded phases)
+        ~spans:(Obs.Profile.fold [| phases |])
         (Pift_eval.Metrics.samples [ Sweep sweep ])
   | None -> ());
   (match telemetry_out with
   | Some out -> write_telemetry ~out ~run:"sweep" telems
   | None -> ());
   (match profile_out with
-  | Some out -> write_profile ~out profiles
+  | Some out -> write_profile ~out rings
   | None -> ());
   match trace_out with
   | Some out -> write_trace ~out ~run:"sweep" rings
@@ -612,7 +609,7 @@ let experiment jobs trace_out ids =
         (fun (id, doc) -> Printf.printf "  %-22s %s\n" id doc)
         Pift_eval.Experiments.all
   | ids ->
-      let rings = rings_of trace_out ~slots:jobs in
+      let rings = rings_of ~trace_out ~profile_out:None ~slots:jobs in
       List.iter
         (fun id ->
           if String.equal id "all" then
@@ -742,15 +739,13 @@ let convert_cmd =
 
 let analyze_trace path ni nt untaint profile_out =
   input_errors @@ fun () ->
-  let profiles = profiles_of profile_out ~slots:1 in
-  let profile =
-    if Array.length profiles > 0 then Some profiles.(0) else None
-  in
   (* The one command where decode dominates: with --profile-out the
-     breakdown shows trace_io (parse) next to replay/tracker/store. *)
-  let recorded = Pift_eval.Trace_io.load ?profile path in
+     breakdown shows trace_io (parse) next to replay. *)
+  let phases = phase_ring () in
+  let phase name f = bracket phases name f in
+  let recorded = phase "trace_io" (fun () -> Pift_eval.Trace_io.load path) in
   let policy = policy_of ni nt untaint in
-  let replay = Recorded.replay ~policy ?profile recorded in
+  let replay = phase "replay" (fun () -> Recorded.replay ~policy recorded) in
   Printf.printf "trace:   %s (%d events)\n" recorded.Recorded.name
     (Pift_trace.Trace.length recorded.Recorded.trace);
   Printf.printf "policy:  %s\n" (Policy.to_string policy);
@@ -765,7 +760,7 @@ let analyze_trace path ni nt untaint profile_out =
     (if replay.Recorded.flagged then "LEAK DETECTED" else "no leak")
     s.Tracker.taint_ops s.Tracker.untaint_ops s.Tracker.max_tainted_bytes;
   match profile_out with
-  | Some out -> write_profile ~out profiles
+  | Some out -> write_profile ~out [| phases |]
   | None -> ()
 
 let analyze_trace_cmd =

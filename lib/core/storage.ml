@@ -211,21 +211,20 @@ let lookup t ~pid r =
   done;
   if !hit then t.st.hits <- t.st.hits + 1;
   !hit
-  ||
-  match t.eviction with
-  | Drop -> false
-  | Lru_writeback ->
-      t.secondary.overlaps ~pid r
-      && begin
-           t.st.secondary_hits <- t.st.secondary_hits + 1;
-           (* Promote: hardware refetches the matching range. *)
-           let p =
-             List.find (fun p -> Range.overlaps p r) (t.secondary.ranges ~pid)
-           in
-           t.secondary.remove ~pid p;
-           ignore (place t ~pid (Range.lo p) (Range.hi p));
-           true
-         end
+  || t.secondary.overlaps ~pid r
+     && begin
+          t.st.secondary_hits <- t.st.secondary_hits + 1;
+          (* Promote: hardware refetches the matching range.  The range
+             leaves the secondary set only if it is re-placed, which a
+             full [Drop] cache refuses. *)
+          let p =
+            List.find (fun p -> Range.overlaps p r) (t.secondary.ranges ~pid)
+          in
+          t.secondary.remove ~pid p;
+          if not (place t ~pid (Range.lo p) (Range.hi p)) then
+            t.secondary.add ~pid p;
+          true
+        end
 
 let release_pid t ~pid =
   (* Tenant eviction: invalidate the pid's primary entries (keeping the

@@ -35,9 +35,12 @@ val insert : t -> pid:int -> Pift_util.Range.t -> unit
 val remove : t -> pid:int -> Pift_util.Range.t -> unit
 
 val lookup : t -> pid:int -> Pift_util.Range.t -> bool
-(** Parallel range-overlap match; under [Lru_writeback] a primary miss
-    also searches the secondary store (counted as a slow lookup) and
-    promotes a hit back into the cache. *)
+(** Parallel range-overlap match; a primary miss also searches the
+    secondary store (counted as a slow lookup) and promotes the first
+    overlapping secondary range back into the cache.  Under [Drop] a
+    full cache cannot take it (counted as a drop): the range then stays
+    in the secondary store, so a read never loses state.  Only
+    {!context_switch} fills the secondary store under [Drop]. *)
 
 val context_switch : t -> unit
 (** Write all entries back to secondary storage (the paper's alternative
@@ -64,10 +67,12 @@ val ranges : t -> pid:int -> Pift_util.Range.t list
 type stats = private {
   mutable lookups : int;
   mutable hits : int;  (** primary-cache hits *)
-  mutable secondary_hits : int;  (** slow-path hits (Lru_writeback only) *)
+  mutable secondary_hits : int;  (** slow-path hits *)
   mutable insertions : int;
   mutable evictions : int;
-  mutable drops : int;  (** entries lost under [Drop] *)
+  mutable drops : int;
+      (** entries a full [Drop] cache could not place (a failed
+          promotion keeps its range in the secondary store) *)
   mutable writebacks : int;
   mutable max_occupancy : int;
 }

@@ -99,19 +99,3 @@ let create () =
              sets []));
     merges = (fun () -> !merges);
   }
-
-(* Store operations bracketed as "store" profiler regions, so folded
-   stacks separate interval-set cost from the caller's own logic. *)
-let with_profile profile inner =
-  let region f =
-    Pift_obs.Profile.enter profile "store";
-    let v = f () in
-    Pift_obs.Profile.leave profile;
-    v
-  in
-  {
-    inner with
-    add = (fun ~pid r -> region (fun () -> inner.add ~pid r));
-    remove = (fun ~pid r -> region (fun () -> inner.remove ~pid r));
-    overlaps = (fun ~pid r -> region (fun () -> inner.overlaps ~pid r));
-  }

@@ -5,9 +5,9 @@
     interval set per process ({!create}), while the hardware model backs
     it with the {!Storage} range cache (bounded, lossy under the drop
     policy; [Storage.store]).  The tracker is written once against this
-    record of operations, so wrappers ({!with_profile}, timing shims)
-    substitute into it field by field; it stays a record because
-    benchmark harnesses build their own.  The store
+    record of operations; it stays a record because benchmark harnesses
+    build their own (timing shims substitute into it field by field).
+    The store
     pushes nothing to observers: callers read [tainted_bytes],
     [range_count] and [merges] when a run ends. *)
 
@@ -57,8 +57,3 @@ val create : unit -> t
     update the cache too (two separate fields), so a store, reads
     included, belongs to one domain at a time: two domains querying
     it at once could pair one PID with another's set. *)
-
-val with_profile : Pift_obs.Profile.t -> t -> t
-(** The same store, with every [add], [remove] and [overlaps] call
-    attributed to a ["store"] profiler region nested under whatever
-    region the caller has open. *)

@@ -27,7 +27,6 @@ type t = {
   mutable frag_hits : int;
   mutable bytecodes : int;
   flight : Pift_obs.Flight.t option;
-  profile : Pift_obs.Profile.t option;
 }
 
 let code_base = 0x1000_0000
@@ -35,7 +34,7 @@ let entry_fp = 0x70f0_0000
 let statics_base = Layout.scratch_base + 0x10000
 
 let create ?(mode = Interpreter) ?(natives = Pift_runtime.Api.registry)
-    ?flight ?profile env program =
+    ?flight env program =
   let tbl = Hashtbl.create 32 in
   List.iter (fun (name, fn) -> Hashtbl.replace tbl name fn) natives;
   Cpu.set env.Env.cpu Reg.SP Layout.stack_base;
@@ -52,7 +51,6 @@ let create ?(mode = Interpreter) ?(natives = Pift_runtime.Api.registry)
     frag_hits = 0;
     bytecodes = 0;
     flight;
-    profile;
   }
 
 let env t = t.env
@@ -114,16 +112,7 @@ let cached_fragment t (m : Method.t) ~pc ~key resolved =
       Hashtbl.add t.frag_cache cache_key f;
       f
 
-(* Fragment execution is the simulated-hardware share of a recording;
-   attributing it as "cpu" under the VM's "vm" region separates dispatch
-   and translation cost from raw instruction replay. *)
-let run_frag t frag =
-  match t.profile with
-  | None -> Cpu.run t.env.Env.cpu frag
-  | Some p ->
-      Pift_obs.Profile.enter p "cpu";
-      Cpu.run t.env.Env.cpu frag;
-      Pift_obs.Profile.leave p
+let run_frag t frag = Cpu.run t.env.Env.cpu frag
 
 (* Field resolution through the receiver's runtime class (quickening). *)
 let field_offset t ~fp obj_vreg field =
@@ -325,14 +314,13 @@ let run t =
   | None -> ()
   | Some f -> Pift_obs.Flight.begin_ f "vm-run");
   let result =
-    Pift_obs.Profile.span t.profile "vm" (fun () ->
-        match call t (Program.entry t.program) [] with
-        | (_ : int) -> `Ok
-        | exception Thrown obj ->
-            (match t.flight with
-            | None -> ()
-            | Some f -> Pift_obs.Flight.instant f "vm-uncaught");
-            `Uncaught obj)
+    match call t (Program.entry t.program) [] with
+    | (_ : int) -> `Ok
+    | exception Thrown obj ->
+        (match t.flight with
+        | None -> ()
+        | Some f -> Pift_obs.Flight.instant f "vm-uncaught");
+        `Uncaught obj
   in
   (match t.flight with
   | None -> ()

@@ -27,17 +27,15 @@ val create :
   ?mode:mode ->
   ?natives:(string * Pift_runtime.Env.native) list ->
   ?flight:Pift_obs.Flight.t ->
-  ?profile:Pift_obs.Profile.t ->
   Pift_runtime.Env.t ->
   Program.t ->
   t
 (** [natives] defaults to {!Pift_runtime.Api.registry}; [mode] to
     [Interpreter].  With [flight], {!run} brackets the
     whole execution in a ["vm-run"] span and stamps a ["vm-uncaught"]
-    instant when an exception escapes the entry method.  With [profile],
-    {!run} is attributed to a ["vm"] region with every fragment
-    execution nested beneath it as ["cpu"], so VM self time is dispatch
-    plus translation and ["cpu"] is raw instruction replay. *)
+    instant when an exception escapes the entry method; a folded
+    profile ({!Pift_obs.Profile.fold}) of that ring attributes the
+    execution to ["vm-run"]. *)
 
 val env : t -> Pift_runtime.Env.t
 

@@ -211,22 +211,18 @@ let default_nts = List.init 10 (fun i -> i + 1)
    hashing order into the result, which both broke run-to-run
    reproducibility and made parallel merges order-dependent. *)
 let sweep ?(nis = default_nis) ?(nts = default_nts) ?progress
-    ?on_cell ?(rings = [||]) ?(telems = [||]) ?(profiles = [||])
-    ?(jobs = 1) ?(with_origins = false) apps =
-  Pift_par.Pool.with_pool ~jobs ~rings ~profiles (fun pool ->
+    ?on_cell ?(rings = [||]) ?(telems = [||]) ?(jobs = 1)
+    ?(with_origins = false) apps =
+  Pift_par.Pool.with_pool ~jobs ~rings (fun pool ->
       let ring worker =
         if worker < Array.length rings then Some rings.(worker) else None
       in
-      (* Telemetry and profiler instances follow the same per-slot
-         single-writer discipline as rings: each worker only ever touches
-         its own slot's instance, so the hot path stays lock-free and the
-         merged series/stacks are combined after the parallel region. *)
+      (* Telemetry instances follow the same per-slot single-writer
+         discipline as rings: each worker only ever touches its own
+         slot's instance, so the hot path stays lock-free and the merged
+         series are combined after the parallel region. *)
       let telem worker =
         if worker < Array.length telems then Some telems.(worker) else None
-      in
-      let profile worker =
-        if worker < Array.length profiles then Some profiles.(worker)
-        else None
       in
       let apps_arr = Array.of_list apps in
       let n = Array.length apps_arr in
@@ -245,7 +241,7 @@ let sweep ?(nis = default_nis) ?(nts = default_nts) ?progress
                   (r, name))
                 (ring worker)
             in
-            let recorded = Recorded.record ?profile:(profile worker) app in
+            let recorded = Recorded.record app in
             (match span with
             | None -> ()
             | Some (r, name) -> Pift_obs.Flight.end_ r name);
@@ -286,8 +282,8 @@ let sweep ?(nis = default_nis) ?(nts = default_nts) ?progress
             Array.iteri
               (fun i recorded ->
                 let replay =
-                  Recorded.replay ?telemetry:(telem worker)
-                    ?profile:(profile worker) ~with_origins ~policy recorded
+                  Recorded.replay ?telemetry:(telem worker) ~with_origins
+                    ~policy recorded
                 in
                 let st = replay.Recorded.stats in
                 if st.Pift_core.Tracker.max_tainted_bytes > !peak_bytes then

@@ -91,7 +91,6 @@ val sweep :
   ?on_cell:(int -> int -> unit) ->
   ?rings:Pift_obs.Flight.t array ->
   ?telems:Pift_obs.Telemetry.t array ->
-  ?profiles:Pift_obs.Profile.t array ->
   ?jobs:int ->
   ?with_origins:bool ->
   Pift_workloads.App.t list ->
@@ -107,16 +106,15 @@ val sweep :
     the pool for chunk spans) adds a ["record:<app>"] span per
     recording and, per grid cell, a ["cell(ni,nt)"] span plus
     ["max_tainted_bytes"]/["max_ranges"] counter samples — one sample
-    per cell, not per event, so rings never flood mid-sweep.  [telems]
+    per cell, not per event, so rings never flood mid-sweep; folded
+    ({!Pift_obs.Profile.fold}) they give the [chunk;record],
+    [chunk;cell] and [chunk] stacks.  [telems]
     (one {!Pift_obs.Telemetry} instance per worker slot) threads the
     continuous-telemetry ring through every grid replay: each cell's
     replay re-binds the snapshot sources on its slot's instance, and
     snapshots fire on the event-count / wall-clock cadence across the
-    whole sweep.  [profiles] (one {!Pift_obs.Profile} per slot, also
-    handed to the pool) attributes wall time to
-    [pool;replay;store] (and [pool;record;vm;cpu]) folded
-    stacks.  Both follow the per-slot single-writer discipline; neither
-    changes the result or stdout.  [jobs]
+    whole sweep.  Both follow the per-slot single-writer discipline;
+    neither changes the result or stdout.  [jobs]
     (default 1) sizes the [Pift_par] domain pool the recordings and
     grid cells run on; the result is identical for every [jobs] value
     and with tracing on or off.

@@ -23,8 +23,7 @@ type t = {
   frag_misses : int;
 }
 
-let record ?mode ?flight ?profile (app : App.t) =
-  Pift_obs.Profile.span profile "record" @@ fun () ->
+let record ?mode ?flight (app : App.t) =
   let trace = Trace.create () in
   let env = Env.create ~sink:(Trace.sink trace) () in
   let markers = ref [] in
@@ -42,7 +41,7 @@ let record ?mode ?flight ?profile (app : App.t) =
       markers := (seq (), Sink { kind; ranges }) :: !markers);
   let natives = Pift_runtime.Api.registry @ app.App.natives in
   let vm =
-    Vm.create ?mode ~natives ?flight ?profile env (app.App.program ())
+    Vm.create ?mode ~natives ?flight env (app.App.program ())
   in
   (match Vm.run vm with `Ok | `Uncaught _ -> ());
   {
@@ -122,15 +121,9 @@ let items t =
     end
     else None
 
-let replay ?store ?telemetry ?profile ?(with_origins = false) ~policy t =
-  Pift_obs.Profile.span profile "replay" @@ fun () ->
+let replay ?store ?telemetry ?(with_origins = false) ~policy t =
   let store =
     match store with Some store -> store | None -> Store.create ()
-  in
-  let store =
-    match profile with
-    | Some p -> Store.with_profile p store
-    | None -> store
   in
   (* Sink-time origin sets must be captured at the sink check (later
      untainting can erase them), hence the [origin_verdict] list rather

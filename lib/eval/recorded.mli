@@ -29,8 +29,7 @@ type t = {
 
 val record :
   ?mode:Pift_dalvik.Vm.mode ->
-  ?flight:Pift_obs.Flight.t -> ?profile:Pift_obs.Profile.t ->
-  Pift_workloads.App.t -> t
+  ?flight:Pift_obs.Flight.t -> Pift_workloads.App.t -> t
 (** Execute the app and capture everything.  An uncaught application
     exception terminates the run but still yields the recording.
     [mode] selects interpreter or JIT execution (default interpreter).
@@ -38,9 +37,7 @@ val record :
     instructions retired, and [bytecodes], [frag_hits] and
     [frag_misses] are read off the VM when it stops.  [flight]
     stamps one ["source"]/["sink-check"] instant per marker as the
-    Manager fires and passes through to the VM's ["vm-run"] span;
-    [profile] attributes the run to a ["record"] region with the VM's
-    ["vm"]/["cpu"] regions nested beneath it. *)
+    Manager fires and passes through to the VM's ["vm-run"] span. *)
 
 val interleave :
   t ->
@@ -89,7 +86,7 @@ type replay = {
 
 val replay :
   ?store:Pift_core.Store.t ->
-  ?telemetry:Pift_obs.Telemetry.t -> ?profile:Pift_obs.Profile.t ->
+  ?telemetry:Pift_obs.Telemetry.t ->
   ?with_origins:bool ->
   policy:Pift_core.Policy.t -> t -> replay
 (** Run Algorithm 1 over the recording.  [store] defaults to a fresh
@@ -99,15 +96,13 @@ val replay :
     the [pift_store_*] and [pift_tracker_*] metrics from that store and
     [stats]).
 
-    The replay observes the tracker from outside; neither of these
-    changes verdicts, stats or stdout:
-    - [telemetry] binds the ["tainted_bytes"], ["ranges"] and
-      ["window_used"] sources to the tracker's live counters (replacing
-      a previous replay's bindings on a shared instance) and is bumped
-      once per event.
-    - [profile] wraps the whole replay in a ["replay"] region, with
-      store operations nested beneath it as ["store"]
-      ({!Pift_core.Store.with_profile}).
+    [telemetry] observes the tracker from outside and changes no
+    verdict, stat or stdout: it binds the ["tainted_bytes"],
+    ["ranges"] and ["window_used"] sources to the tracker's live
+    counters (replacing a previous replay's bindings on a shared
+    instance) and is bumped once per event.  The replay opens no span
+    of its own; callers that want it on a profile bracket it on their
+    flight ring ({!Pift_obs.Profile.fold}).
 
     [with_origins] (default off) threads a {!Pift_core.Provenance}
     sidecar through the tracker and fills [origins];

@@ -647,8 +647,7 @@ let with_reader path f =
 
 (* The whole-trace loader is the streaming reader, drained.  A decoded
    event has no instruction, so the recording is built with [Trace.add]. *)
-let load ?profile path =
-  Pift_obs.Profile.span profile "trace_io" @@ fun () ->
+let load path =
   with_reader path @@ fun r ->
   let trace = Trace.create () in
   let markers = ref [] in

@@ -55,13 +55,11 @@ val save : ?format:format -> Recorded.t -> string -> unit
 (** [save recording path] — writes the file, overwriting.  [format]
     defaults to [Text]. *)
 
-val load : ?profile:Pift_obs.Profile.t -> string -> Recorded.t
+val load : string -> Recorded.t
 (** Drains a {!reader} into a recording whose trace has no instructions
     ({!Pift_trace.Trace.add}).  Autodetects the format from the magic
     bytes.  Raises [Failure] with a line number (text) or record number
-    (binary) on malformed input.  With [profile], the whole parse is
-    attributed to a ["trace_io"] region, so decode cost shows up in the
-    overhead breakdown next to tracker and store time. *)
+    (binary) on malformed input. *)
 
 val detect_format : string -> format
 (** Peeks at the magic bytes; files too short to be binary (or with any

@@ -36,41 +36,25 @@ let base ~name ~ph ~tid ~ts rest =
      ]
     @ rest)
 
-(* One track's events, with the B/E imbalance a wrapped ring can leave
-   repaired: an [End] with no open span (its [Begin] was overwritten) is
-   dropped, and spans still open when the ring stops are closed at the
-   track's final timestamp — so every emitted track is balanced by
-   construction, whatever survived the wrap. *)
+(* One track's events.  The B/E imbalance a wrapped ring can leave is
+   repaired by [Flight.iter_balanced], so every emitted track is balanced
+   by construction, whatever survived the wrap. *)
 let events_of_track tid ring =
   let out = ref [] in
-  let emit j = out := j :: !out in
-  let open_rev = ref [] in
-  let last_ts = ref 0. in
-  Flight.iter
+  Flight.iter_balanced
     (fun (e : Flight.event) ->
-      last_ts := e.Flight.ts;
-      match e.Flight.kind with
-      | Flight.Begin ->
-          open_rev := e.Flight.name :: !open_rev;
-          emit (base ~name:e.Flight.name ~ph:"B" ~tid ~ts:e.Flight.ts [])
-      | Flight.End -> (
-          match !open_rev with
-          | [] -> ()  (* matching Begin lost to wrap-around *)
-          | name :: rest ->
-              open_rev := rest;
-              emit (base ~name ~ph:"E" ~tid ~ts:e.Flight.ts []))
-      | Flight.Instant ->
-          emit
-            (base ~name:e.Flight.name ~ph:"i" ~tid ~ts:e.Flight.ts
-               [ ("s", Json.String "t") ])
-      | Flight.Sample ->
-          emit
-            (base ~name:e.Flight.name ~ph:"C" ~tid ~ts:e.Flight.ts
-               [ ("args", Json.Obj [ ("value", Json.Float e.Flight.value) ]) ]))
+      let name = e.Flight.name and ts = e.Flight.ts in
+      let ev =
+        match e.Flight.kind with
+        | Flight.Begin -> base ~name ~ph:"B" ~tid ~ts []
+        | Flight.End -> base ~name ~ph:"E" ~tid ~ts []
+        | Flight.Instant -> base ~name ~ph:"i" ~tid ~ts [ ("s", Json.String "t") ]
+        | Flight.Sample ->
+            base ~name ~ph:"C" ~tid ~ts
+              [ ("args", Json.Obj [ ("value", Json.Float e.Flight.value) ]) ]
+      in
+      out := ev :: !out)
     ring;
-  List.iter
-    (fun name -> emit (base ~name ~ph:"E" ~tid ~ts:!last_ts []))
-    !open_rev;
   List.rev !out
 
 let json ?(run = "pift") rings =
@@ -293,6 +277,26 @@ let spans_of_trace j =
     events;
   (List.rev !closed, busy)
 
+(* Closed spans grouped by phase: (phase, spans, total ms, max ms),
+   largest total first. *)
+let phase_rows closed =
+  let phases = Hashtbl.create 8 in
+  List.iter
+    (fun sp ->
+      let key = phase_of sp.sp_name in
+      let n, total, mx =
+        Option.value ~default:(0, 0., 0.) (Hashtbl.find_opt phases key)
+      in
+      Hashtbl.replace phases key (n + 1, total +. sp.sp_ms, max mx sp.sp_ms))
+    closed;
+  List.map
+    (fun (key, (n, total, mx)) -> (key, n, total, mx))
+    (List.sort
+       (fun (_, (_, a, _)) (_, (_, b, _)) -> compare (b : float) a)
+       (Hashtbl.fold (fun k v acc -> (k, v) :: acc) phases []))
+
+let phase_table j = phase_rows (fst (spans_of_trace j))
+
 let bounds_of_trace j =
   let events =
     Option.value ~default:[]
@@ -365,26 +369,12 @@ let summarize j ppf () =
        history is gone; raise the ring capacity@,"
       dropped by_track
   end;
-  (* per-phase totals *)
-  let phases = Hashtbl.create 8 in
-  List.iter
-    (fun sp ->
-      let key = phase_of sp.sp_name in
-      let n, total, mx =
-        Option.value ~default:(0, 0., 0.) (Hashtbl.find_opt phases key)
-      in
-      Hashtbl.replace phases key (n + 1, total +. sp.sp_ms, max mx sp.sp_ms))
-    closed;
-  let rows =
-    List.sort
-      (fun (_, (_, a, _)) (_, (_, b, _)) -> compare (b : float) a)
-      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) phases [])
-  in
+  let rows = phase_rows closed in
   if rows <> [] then begin
     Format.fprintf ppf "@,%-16s %8s %12s %12s %12s@," "phase" "spans"
       "total ms" "mean ms" "max ms";
     List.iter
-      (fun (key, (n, total, mx)) ->
+      (fun (key, n, total, mx) ->
         Format.fprintf ppf "%-16s %8d %12.2f %12.3f %12.3f@," key n total
           (total /. float_of_int n)
           mx)

@@ -43,6 +43,15 @@ val validate : Json.t -> (check, string) result
     non-negative and non-decreasing per [tid], and [B]/[E] nest and
     balance on every track. *)
 
+val phase_of : string -> string
+(** A span name's phase: everything before the first ['('] or [':']
+    (["cell(13,3)"] -> ["cell"], ["record:LGRoot"] -> ["record"]). *)
+
+val phase_table : Json.t -> (string * int * float * float) list
+(** The trace's closed spans grouped by {!phase_of}: (phase, spans,
+    total ms, max ms), largest total first — the phase table of
+    {!summarize}. *)
+
 val summarize : Json.t -> Format.formatter -> unit -> unit
 (** Human summary for [pift report]: track/event counts, per-phase time
     (span names grouped up to the first ['('] or [':']), per-worker

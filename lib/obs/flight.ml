@@ -92,6 +92,30 @@ let iter f t =
         }
     done
 
+(* The repair rules every span consumer shares (Chrome export, profile
+   fold): a wrap can overwrite a span's Begin and leave its End, or the
+   ring can stop with spans open. *)
+let iter_balanced f t =
+  let open_ = ref [] and last_ts = ref 0. in
+  iter
+    (fun e ->
+      last_ts := e.ts;
+      match e.kind with
+      | Begin ->
+          open_ := e.name :: !open_;
+          f e
+      | End -> (
+          match !open_ with
+          | [] -> ()  (* matching Begin lost to wrap-around *)
+          | name :: rest ->
+              open_ := rest;
+              f { e with name })
+      | Instant | Sample -> f e)
+    t;
+  List.iter
+    (fun name -> f { kind = End; name; ts = !last_ts; value = 0. })
+    !open_
+
 let events t =
   let acc = ref [] in
   iter (fun e -> acc := e :: !acc) t;

@@ -62,5 +62,13 @@ val clear : t -> unit
 val iter : (event -> unit) -> t -> unit
 (** Oldest surviving event first. *)
 
+val iter_balanced : (event -> unit) -> t -> unit
+(** {!iter} with the span halves a wrap can strand repaired, so every
+    span it yields is balanced: an [End] whose [Begin] was overwritten
+    is skipped, an [End] carries the name of the span it closes, and
+    spans still open when the ring stops are closed, innermost first,
+    at the ring's last timestamp.  {!Chrome.json} and {!Profile.fold}
+    both read rings through it. *)
+
 val events : t -> event list
 (** The held events, oldest first. *)

@@ -1,88 +1,62 @@
-(* Overhead-attribution profiler: hierarchical timed regions folded into
-   flamegraph-style stacks.  One instance per worker slot, single
-   writer, so recording needs no locks.  [enter]/[leave] cost two clock
-   reads plus a hashtable probe at [leave]; the [t option] wrappers keep
-   un-profiled runs on a no-op branch, the same discipline as
-   [?flight] elsewhere.
+(* Overhead attribution from the flight rings: the Begin/End pairs the
+   rings already hold are folded into flamegraph-style stacks, so there
+   is one region recorder and profiling costs what tracing costs.
 
-   Attribution rule: a region's *self* time is its wall time minus the
-   wall time of the regions entered beneath it, so sibling totals are
-   additive and a folded stack sums to the instrumented wall clock.
-   Paths are semicolon-joined region names ("pool;replay;store"),
-   the folded-stack format flamegraph.pl and speedscope consume. *)
+   Attribution rule: a span's *self* time is its wall time minus the
+   wall time of the spans inside it, so sibling totals are additive and
+   a folded stack sums to the spanned wall clock.  Paths are
+   semicolon-joined phase names ("chunk;cell"), the folded-stack format
+   flamegraph.pl and speedscope consume. *)
 
 type frame = {
-  f_path : string;  (* folded path including this region *)
+  f_path : string;  (* folded path including this span *)
   f_start : float;
-  mutable f_child : float;  (* seconds spent in entered sub-regions *)
+  mutable f_child : float;  (* seconds spent in spans inside this one *)
 }
 
-type t = {
-  mutable stack : frame list;
-  totals : (string, float ref) Hashtbl.t;  (* path -> self seconds *)
-  mutable order_rev : string list;  (* paths in first-completion order *)
-}
-
-let create () = { stack = []; totals = Hashtbl.create 16; order_rev = [] }
-
-let now = Unix.gettimeofday
-
-let enter t name =
-  let path =
-    match t.stack with [] -> name | f :: _ -> f.f_path ^ ";" ^ name
-  in
-  t.stack <- { f_path = path; f_start = now (); f_child = 0. } :: t.stack
-
-let leave t =
-  match t.stack with
-  | [] -> ()
-  | f :: rest ->
-      let elapsed = now () -. f.f_start in
-      let self = Float.max 0. (elapsed -. f.f_child) in
-      (match rest with
-      | [] -> ()
-      | parent :: _ -> parent.f_child <- parent.f_child +. elapsed);
-      (match Hashtbl.find_opt t.totals f.f_path with
-      | Some r -> r := !r +. self
-      | None ->
-          Hashtbl.add t.totals f.f_path (ref self);
-          t.order_rev <- f.f_path :: t.order_rev);
-      t.stack <- rest
-
-let span p name f =
-  match p with
-  | None -> f ()
-  | Some t ->
-      enter t name;
-      Fun.protect ~finally:(fun () -> leave t) f
-
-let reset t =
-  t.stack <- [];
-  Hashtbl.reset t.totals;
-  t.order_rev <- []
-
-let folded t =
-  List.rev_map (fun path -> (path, !(Hashtbl.find t.totals path))) t.order_rev
-
-(* Sum self times by path across worker slots.  Paths keep slot 0's
-   first-completion order, then each later slot's new paths, so the
-   merged ordering is schedule-independent enough for stable reports
-   (the numbers themselves are wall-clock and never byte-stable). *)
-let merged ts =
+(* Weights summed by key, keys in first-seen order. *)
+let sum_in_order pairs =
   let totals = Hashtbl.create 16 in
   let order_rev = ref [] in
+  List.iter
+    (fun (key, v) ->
+      match Hashtbl.find_opt totals key with
+      | Some r -> r := !r +. v
+      | None ->
+          Hashtbl.add totals key (ref v);
+          order_rev := key :: !order_rev)
+    pairs;
+  List.rev_map (fun key -> (key, !(Hashtbl.find totals key))) !order_rev
+
+(* Each ring's completed spans in completion order, slot by slot, so
+   paths keep slot 0's first-completion order, then each later slot's
+   new paths. *)
+let fold rings =
+  let done_rev = ref [] in
   Array.iter
-    (fun t ->
-      List.iter
-        (fun (path, v) ->
-          match Hashtbl.find_opt totals path with
-          | Some r -> r := !r +. v
-          | None ->
-              Hashtbl.add totals path (ref v);
-              order_rev := path :: !order_rev)
-        (folded t))
-    ts;
-  List.rev_map (fun path -> (path, !(Hashtbl.find totals path))) !order_rev
+    (fun ring ->
+      let stack = ref [] in
+      Flight.iter_balanced
+        (fun (e : Flight.event) ->
+          match (e.Flight.kind, !stack) with
+          | Flight.Begin, open_ ->
+              let name = Chrome.phase_of e.Flight.name in
+              let f_path =
+                match open_ with [] -> name | f :: _ -> f.f_path ^ ";" ^ name
+              in
+              stack := { f_path; f_start = e.Flight.ts; f_child = 0. } :: open_
+          | Flight.End, f :: rest ->
+              let elapsed = e.Flight.ts -. f.f_start in
+              (match rest with
+              | [] -> ()
+              | parent :: _ -> parent.f_child <- parent.f_child +. elapsed);
+              done_rev :=
+                (f.f_path, Float.max 0. (elapsed -. f.f_child)) :: !done_rev;
+              stack := rest
+          | (Flight.End | Flight.Instant | Flight.Sample), _ -> ())
+        ring)
+    rings;
+  sum_in_order (List.rev !done_rev)
 
 (* --- folded-stack text format ------------------------------------------ *)
 
@@ -163,28 +137,15 @@ let leaf path =
   | None -> path
   | Some i -> String.sub path (i + 1) (String.length path - i - 1)
 
-(* Group self time by region name (the last path segment): every
-   appearance of e.g. "store" contributes to one subsystem row whatever
+(* Group self time by phase name (the last path segment): every
+   appearance of e.g. "record" contributes to one subsystem row whatever
    it was nested under. *)
 let breakdown rows =
-  let totals = Hashtbl.create 8 in
-  let order_rev = ref [] in
-  List.iter
-    (fun (path, v) ->
-      let key = leaf path in
-      match Hashtbl.find_opt totals key with
-      | Some r -> r := !r +. v
-      | None ->
-          Hashtbl.add totals key (ref v);
-          order_rev := key :: !order_rev)
-    rows;
-  let total =
-    List.fold_left (fun acc (_, v) -> acc +. v) 0. rows
-  in
+  let total = List.fold_left (fun acc (_, v) -> acc +. v) 0. rows in
   let by_share =
     List.sort
       (fun (_, a) (_, b) -> compare (b : float) a)
-      (List.rev_map (fun key -> (key, !(Hashtbl.find totals key))) !order_rev)
+      (sum_in_order (List.map (fun (path, v) -> (leaf path, v)) rows))
   in
   List.map
     (fun (key, v) ->

@@ -1,42 +1,22 @@
-(** Overhead-attribution profiler: hierarchical timed regions folded
-    into flamegraph-compatible stacks.
+(** Overhead attribution: the Begin/End spans of per-slot flight rings
+    ({!Flight}) folded into flamegraph-compatible stacks.
 
-    Hot paths bracket themselves with {!enter}/{!leave} (or the
-    [option]-gated {!span}); each completed region accumulates its
-    *self* time — wall time minus the time of the regions entered
-    beneath it — under its semicolon-joined path
-    (["pool;replay;store"]).  Self times are additive: a folded
-    stack sums to the instrumented wall clock, which is what makes the
-    per-subsystem percentage breakdown meaningful.
+    The rings are the only region recorder, so a profile holds exactly
+    the spans a [--trace-out] timeline shows: per-chunk, per-cell and
+    per-phase accounting, not a region per call.  Each span contributes
+    its *self* time — wall time minus the time of the spans inside it —
+    under its semicolon-joined path (["chunk;cell"]).  Self times are
+    additive: a folded stack sums to the spanned wall clock, which is
+    what makes the per-subsystem percentage breakdown meaningful. *)
 
-    One instance per worker slot, single writer, no locks; merge the
-    slots with {!merged} after a parallel region. *)
-
-type t
-
-val create : unit -> t
-
-val enter : t -> string -> unit
-(** Open a region named [name] under the currently open region. *)
-
-val leave : t -> unit
-(** Close the innermost open region and attribute its self time.
-    No-op when nothing is open. *)
-
-val span : t option -> string -> (unit -> 'a) -> 'a
-(** [span (Some t) name f] brackets [f] with {!enter}/{!leave} (closing
-    on exceptions too); [span None name f] is just [f ()] — the no-op
-    branch un-profiled runs stay on. *)
-
-val reset : t -> unit
-
-val folded : t -> (string * float) list
-(** Completed regions as (folded path, self seconds), in
-    first-completion order.  Regions still open contribute nothing. *)
-
-val merged : t array -> (string * float) list
-(** Per-slot results summed by path — slot 0's ordering first, later
-    slots' new paths appended. *)
+val fold : Flight.t array -> (string * float) list
+(** (folded path, self seconds) over every ring's spans.  Span names
+    are grouped by {!Chrome.phase_of} (["cell(3,4)"] -> ["cell"]), so
+    a path names phases, not instances.  Rings are read through
+    {!Flight.iter_balanced}, the repair {!Chrome.json} applies to a
+    wrapped ring.  Paths come in first-completion order: slot 0's
+    first, then each later slot's new paths; equal paths of different
+    slots are summed. *)
 
 val to_folded_string : (string * float) list -> string
 (** One ["path µs"] line per region (self time in integer

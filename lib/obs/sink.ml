@@ -37,7 +37,7 @@ let json_of_sample (s : R.sample) =
 (* Spans arrive as folded profile rows (path, self seconds) and are
    nested by path: a node's first row places it, in row order, and its
    seconds are its own self time plus its descendants', which is the
-   wall time of a [Profile.span]-timed region. *)
+   wall time of the ring span the row was folded from. *)
 type span = {
   sp_name : string;
   mutable sp_self : float;

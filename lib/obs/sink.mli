@@ -6,7 +6,7 @@ val snapshot_to_json :
   ?run:string -> ?spans:(string * float) list -> Registry.sample list -> Json.t
 (** One self-contained snapshot object: [{"run", "metrics", "spans"}].
     [run] is omitted when empty.  [spans] are folded profile rows
-    ({!Profile.folded}: path, self seconds), written as a tree nested by
+    ({!Profile.fold}: path, self seconds), written as a tree nested by
     path in which each span's [seconds] is its self time plus its
     descendants'. *)
 

@@ -20,8 +20,6 @@ type t = {
   mutable domains : unit Domain.t list;
   rings : Pift_obs.Flight.t array;
       (* flight-recorder ring per worker slot; [||] = tracing off *)
-  profiles : Pift_obs.Profile.t array;
-      (* overhead profiler per worker slot; [||] = profiling off *)
 }
 
 let default_jobs () = Domain.recommended_domain_count ()
@@ -55,14 +53,13 @@ let worker_loop t ~worker =
     end
   done
 
-let create ?jobs ?(rings = [||]) ?(profiles = [||]) () =
+let create ?jobs ?(rings = [||]) () =
   let jobs =
     match jobs with None -> default_jobs () | Some j -> max 1 j
   in
   let t =
     {
       rings;
-      profiles;
       jobs;
       mu = Mutex.create ();
       work_ready = Condition.create ();
@@ -90,8 +87,8 @@ let shutdown t =
   List.iter Domain.join t.domains;
   t.domains <- []
 
-let with_pool ?jobs ?rings ?profiles f =
-  let t = create ?jobs ?rings ?profiles () in
+let with_pool ?jobs ?rings f =
+  let t = create ?jobs ?rings () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 (* Publish [job], run our share as worker 0, join the pool, re-raise the
@@ -135,10 +132,6 @@ let map_slots t ?(chunk = 1) ~f xs =
       let ring =
         if worker < Array.length t.rings then Some t.rings.(worker) else None
       in
-      let profile =
-        if worker < Array.length t.profiles then Some t.profiles.(worker)
-        else None
-      in
       let continue_ = ref true in
       while !continue_ do
         let start = Atomic.fetch_and_add cursor chunk in
@@ -147,15 +140,9 @@ let map_slots t ?(chunk = 1) ~f xs =
           (match ring with
           | Some r -> Pift_obs.Flight.begin_ r "chunk"
           | None -> ());
-          (match profile with
-          | Some p -> Pift_obs.Profile.enter p "pool"
-          | None -> ());
           for i = start to min n (start + chunk) - 1 do
             out.(i) <- Some (f ~worker i xs.(i))
           done;
-          (match profile with
-          | Some p -> Pift_obs.Profile.leave p
-          | None -> ());
           match ring with
           | Some r -> Pift_obs.Flight.end_ r "chunk"
           | None -> ()

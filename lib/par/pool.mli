@@ -19,9 +19,7 @@ type t
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — what [--jobs] defaults to. *)
 
-val create :
-  ?jobs:int -> ?rings:Pift_obs.Flight.t array ->
-  ?profiles:Pift_obs.Profile.t array -> unit -> t
+val create : ?jobs:int -> ?rings:Pift_obs.Flight.t array -> unit -> t
 (** Spawn a pool of [jobs] workers (default {!default_jobs}, clamped to
     at least 1).  The pool holds [jobs - 1] blocked domains until
     {!shutdown}.
@@ -29,12 +27,9 @@ val create :
     [?rings] attaches one flight-recorder ring per worker slot (index =
     slot); when present, [map_slots] stamps a ["chunk"] span around each
     claimed chunk on the claiming worker's ring, so a merged timeline
-    shows the actual schedule.  [?profiles] likewise attaches one
-    overhead profiler per slot; each claimed chunk runs inside a ["pool"]
-    region on the claiming worker's profiler, so per-item regions (the
-    replay/tracker/store stack) nest under pool scheduling in the folded
-    stacks.  Slots beyond either array's length (and the default [[||]])
-    record nothing. *)
+    shows the actual schedule and a folded profile ({!Pift_obs.Profile.fold})
+    nests per-item spans under ["chunk"].  Slots beyond the array's
+    length (and the default [[||]]) record nothing. *)
 
 val jobs : t -> int
 (** Worker count, including the calling domain (slot 0). *)
@@ -42,9 +37,7 @@ val jobs : t -> int
 val shutdown : t -> unit
 (** Join the worker domains.  Idempotent; the pool is unusable after. *)
 
-val with_pool :
-  ?jobs:int -> ?rings:Pift_obs.Flight.t array ->
-  ?profiles:Pift_obs.Profile.t array -> (t -> 'a) -> 'a
+val with_pool : ?jobs:int -> ?rings:Pift_obs.Flight.t array -> (t -> 'a) -> 'a
 (** [create], run, and [shutdown] (also on exception). *)
 
 val run_job : t -> (worker:int -> unit) -> unit
@@ -63,7 +56,7 @@ val map_slots :
   t -> ?chunk:int -> f:(worker:int -> int -> 'a -> 'b) -> 'a array -> 'b array
 (** The primitive: [f ~worker i x] computes the result for input index
     [i], on worker slot [worker] (in [0 .. jobs-1]).  The slot index
-    lets callers keep per-worker accumulators (flight rings, profilers,
+    lets callers keep per-worker accumulators (flight rings, telemetry,
     scratch buffers) without locking the hot path.  [chunk] is the
     number of consecutive indices claimed per scheduling step (default
     1 — right for coarse items like grid-cell replays).  Results land

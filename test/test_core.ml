@@ -1132,6 +1132,33 @@ let test_storage_drop_metrics () =
   checkb "resident ranges survive" true
     (Storage.lookup s ~pid:1 (r 0 9) && Storage.lookup s ~pid:1 (r 20 29))
 
+let test_storage_drop_context_switch () =
+  (* a context switch fills the secondary set under Drop too, and a
+     lookup must read it there, as the totals do *)
+  let s = Storage.create ~entries:2 ~eviction:Storage.Drop () in
+  let secondary_hits () = (Storage.stats s).Storage.secondary_hits in
+  Storage.insert s ~pid:1 (r 0 99);
+  Storage.context_switch s;
+  checkb "secondary hit under Drop" true (Storage.lookup s ~pid:1 (r 10 19));
+  checki "one range" 1 (List.length (Storage.ranges s ~pid:1));
+  checki "bytes" 100 (Storage.tainted_bytes s);
+  checki "slow lookup counted" 1 (secondary_hits ());
+  checkb "promoted: a primary hit next" true
+    (Storage.lookup s ~pid:1 (r 10 19));
+  checki "no second slow lookup" 1 (secondary_hits ());
+  checki "promotion took a slot" 1 (Storage.occupancy s);
+  (* a full cache cannot take the range back: it stays secondary *)
+  let s = Storage.create ~entries:2 ~eviction:Storage.Drop () in
+  Storage.insert s ~pid:1 (r 0 99);
+  Storage.context_switch s;
+  Storage.insert s ~pid:1 (r 200 209);
+  Storage.insert s ~pid:1 (r 300 309);
+  checkb "hit with a full cache" true (Storage.lookup s ~pid:1 (r 10 19));
+  checkb "still held after the refused promotion" true
+    (Storage.lookup s ~pid:1 (r 10 19));
+  checki "both reads slow" 2 (Storage.stats s).Storage.secondary_hits;
+  checki "bytes kept" 120 (Storage.tainted_bytes s)
+
 let test_store_backends () =
   (* the same Store.t contract from the production store, the bytemap
      oracle and the range-cache model *)
@@ -1229,12 +1256,15 @@ let runs held =
 
 (* What the cache says it holds, checked after every op.  Under
    [Lru_writeback] nothing is lost, so totals, per-pid ranges and
-   lookups equal an exact store fed the same block-aligned ops.  [Drop]
-   lookups never search the secondary set, which only a context switch
-   fills; the test keeps its own copy of that set ([sec]: what the
-   per-byte lookups found at each switch, minus later removes), and each
-   pid's ranges must be the runs of bytes a per-byte lookup or [sec]
-   finds, the totals their per-pid sums. *)
+   lookups equal an exact store fed the same block-aligned ops.  Under
+   [Drop] only a context switch fills the secondary set, and the test
+   keeps its own copy of it ([sec]): what the per-byte lookups found at
+   each switch, minus later removes and releases, minus each range a
+   lookup promoted (a slow hit the cache could place moves the first
+   overlapping secondary range into a slot).  A lookup must answer what
+   the primary entries and [sec] held before it; each pid's ranges must
+   be the runs of bytes a per-byte lookup or [sec] finds, the totals
+   their per-pid sums. *)
 let bounded_view_agrees (pids, entries, eviction, granularity, ops) =
   let cache = Storage.create ~entries ~eviction ~granularity () in
   let exact = Store.create () and sec = Store.create () in
@@ -1247,8 +1277,23 @@ let bounded_view_agrees (pids, entries, eviction, granularity, ops) =
   in
   let all = List.init pids (fun i -> i + 1) in
   let sum f = List.fold_left (fun acc p -> acc + f p) 0 all in
-  let primary p =
-    runs (fun x -> Storage.lookup cache ~pid:p (Range.byte x))
+  let look pid x =
+    let before = Storage.stats cache in
+    let hit = Storage.lookup cache ~pid x in
+    let after = Storage.stats cache in
+    if
+      eviction = Storage.Drop
+      && after.Storage.secondary_hits > before.Storage.secondary_hits
+      && after.Storage.drops = before.Storage.drops
+    then
+      Option.iter (sec.Store.remove ~pid)
+        (List.find_opt (Range.overlaps (align x)) (sec.Store.ranges ~pid));
+    hit
+  in
+  let primary p = runs (fun x -> look p (Range.byte x)) in
+  let held p =
+    runs (fun x ->
+        look p (Range.byte x) || sec.Store.overlaps ~pid:p (Range.byte x))
   in
   List.for_all
     (fun (pid, op, range) ->
@@ -1263,10 +1308,15 @@ let bounded_view_agrees (pids, entries, eviction, granularity, ops) =
             exact.Store.remove ~pid (align range);
             sec.Store.remove ~pid (align range);
             true
-        | 6 | 7 ->
-            Storage.lookup cache ~pid range
-            = exact.Store.overlaps ~pid (align range)
-            || eviction = Storage.Drop
+        | 6 | 7 -> (
+            match eviction with
+            | Storage.Lru_writeback ->
+                Storage.lookup cache ~pid range
+                = exact.Store.overlaps ~pid (align range)
+            | Storage.Drop ->
+                let before = held pid in
+                look pid range
+                = List.exists (Range.overlaps (align range)) before)
         | 8 ->
             if eviction = Storage.Drop then
               List.iter
@@ -1291,11 +1341,6 @@ let bounded_view_agrees (pids, entries, eviction, granularity, ops) =
                  Storage.ranges cache ~pid:p = exact.Store.ranges ~pid:p)
                all
       | Storage.Drop ->
-          let held p =
-            runs (fun x ->
-                Storage.lookup cache ~pid:p (Range.byte x)
-                || sec.Store.overlaps ~pid:p (Range.byte x))
-          in
           List.for_all (fun p -> Storage.ranges cache ~pid:p = held p) all
           && Storage.tainted_bytes cache
              = sum (fun p ->
@@ -1417,6 +1462,8 @@ let () =
           Alcotest.test_case "drop metrics" `Quick test_storage_drop_metrics;
           Alcotest.test_case "dropped piece leaves the totals" `Quick
             test_storage_dropped_piece;
+          Alcotest.test_case "drop context switch" `Quick
+            test_storage_drop_context_switch;
         ] );
       ( "store & model",
         [

@@ -4,6 +4,7 @@
 
 module Registry = Pift_obs.Registry
 module Profile = Pift_obs.Profile
+module Flight = Pift_obs.Flight
 module Json = Pift_obs.Json
 module Sink = Pift_obs.Sink
 module Policy = Pift_core.Policy
@@ -122,25 +123,30 @@ let test_merge_histogram_boundaries () =
 
 (* --- spans --------------------------------------------------------------- *)
 
-(* Snapshot spans are [Profile]-timed regions, nested by path. *)
+(* Snapshot spans are a phase ring's spans, folded and nested by path.
+   Phases are bracketed the way the CLI brackets them: the End goes in
+   on the way out, exceptions included. *)
 let test_span_nesting () =
-  let p = Profile.create () in
+  let ring = Flight.create ~capacity:64 () in
+  let span name f =
+    Flight.begin_ ring name;
+    Fun.protect ~finally:(fun () -> Flight.end_ ring name) f
+  in
   let v =
-    Profile.span (Some p) "outer" (fun () ->
-        ignore (Profile.span (Some p) "a" (fun () -> 1));
-        ignore (Profile.span (Some p) "b" (fun () -> 2));
+    span "outer" (fun () ->
+        ignore (span "a" (fun () -> 1));
+        ignore (span "b" (fun () -> 2));
         42)
   in
   checki "span returns f's value" 42 v;
   (* a raising body is still timed and filed *)
-  (try Profile.span (Some p) "boom" (fun () -> failwith "boom")
-   with Failure _ -> ());
+  (try span "boom" (fun () -> failwith "boom") with Failure _ -> ());
   let field conv name j = Option.get (Option.bind (Json.member name j) conv) in
   let str = field Json.to_str and num = field Json.to_float in
   let children = field Json.to_list "children" in
   let spans =
     field Json.to_list "spans"
-      (Sink.snapshot_to_json ~spans:(Profile.folded p) [])
+      (Sink.snapshot_to_json ~spans:(Profile.fold [| ring |]) [])
   in
   Alcotest.(check (list string))
     "roots in order, raising one filed" [ "outer"; "boom" ]

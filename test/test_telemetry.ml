@@ -1,10 +1,11 @@
 (* Tests for the continuous-telemetry layer: snapshot rings and their
-   cadence, the overhead-attribution profiler's folded stacks, the
+   cadence, the profile fold of flight rings, the
    report --diff comparison engine, the live progress view's modes,
    and the guarantee that none of it perturbs replay results. *)
 
 module Telemetry = Pift_obs.Telemetry
 module Profile = Pift_obs.Profile
+module Flight = Pift_obs.Flight
 module Diff = Pift_obs.Diff
 module Progress = Pift_obs.Progress
 module Json = Pift_obs.Json
@@ -156,63 +157,86 @@ let spin () =
   done;
   ignore (Sys.opaque_identity !x)
 
+(* Brackets [f] on [ring] the way the CLI brackets its phases: the End
+   goes in on the way out, exceptions included. *)
+let span ring name f =
+  Flight.begin_ ring name;
+  Fun.protect ~finally:(fun () -> Flight.end_ ring name) f
+
 let test_profile_nesting () =
-  let p = Profile.create () in
-  Profile.enter p "replay";
+  let ring = Flight.create () in
+  Flight.begin_ ring "replay";
   spin ();
-  Profile.enter p "tracker";
+  Flight.begin_ ring "tracker";
   spin ();
-  Profile.leave p;
+  Flight.end_ ring "tracker";
   spin ();
-  Profile.leave p;
-  let folded = Profile.folded p in
+  Flight.end_ ring "replay";
+  let folded = Profile.fold [| ring |] in
   let weight path = List.assoc path folded in
   checkb "self times are positive" true
     (weight "replay" > 0. && weight "replay;tracker" > 0.);
   checki "two regions" 2 (List.length folded);
-  (* leave with nothing open is a no-op, not an exception *)
-  Profile.leave p;
-  checki "unbalanced leave ignored" 2 (List.length (Profile.folded p));
-  Profile.reset p;
-  checki "reset empties" 0 (List.length (Profile.folded p))
+  (match Flight.events ring with
+  | first :: _ as evs ->
+      let last = List.nth evs (List.length evs - 1) in
+      checkf "self times add up to the outer span"
+        (last.Flight.ts -. first.Flight.ts)
+        (weight "replay" +. weight "replay;tracker")
+  | [] -> Alcotest.fail "empty ring");
+  (* an End with nothing open is dropped, not an exception *)
+  Flight.end_ ring "replay";
+  checki "unbalanced end ignored" 2 (List.length (Profile.fold [| ring |]));
+  Flight.clear ring;
+  checki "cleared ring folds to nothing" 0
+    (List.length (Profile.fold [| ring |]))
 
 let test_profile_span () =
-  checki "span None is just f" 7 (Profile.span None "x" (fun () -> 7));
-  let p = Profile.create () in
+  let off = Flight.create ~capacity:0 () in
+  checki "span on a disabled ring is just f" 7 (span off "x" (fun () -> 7));
+  checki "a disabled ring folds to nothing" 0
+    (List.length (Profile.fold [| off |]));
+  let ring = Flight.create () in
   checkb "span closes on exceptions" true
-    (try
-       Profile.span (Some p) "boom" (fun () -> failwith "boom")
-     with Failure _ -> true);
+    (try span ring "boom" (fun () -> failwith "boom") with Failure _ -> true);
   checkb "raising region still attributed" true
-    (List.mem_assoc "boom" (Profile.folded p));
+    (List.mem_assoc "boom" (Profile.fold [| ring |]));
   (* and the stack is balanced afterwards: a sibling lands at top level *)
-  ignore (Profile.span (Some p) "after" (fun () -> ()));
+  span ring "after" (fun () -> ());
   checkb "sibling not nested under the raiser" true
-    (List.mem_assoc "after" (Profile.folded p))
+    (List.mem_assoc "after" (Profile.fold [| ring |]))
 
 let test_profile_merge_and_folded_string () =
-  let a = Profile.create () and b = Profile.create () in
-  ignore (Profile.span (Some a) "pool" (fun () -> spin ()));
-  ignore (Profile.span (Some b) "pool" (fun () -> spin ()));
-  ignore (Profile.span (Some b) "io" (fun () -> spin ()));
-  let merged = Profile.merged [| a; b |] in
+  let a = Flight.create () and b = Flight.create () in
+  span a "chunk" spin;
+  span b "chunk" spin;
+  span b "io" spin;
+  let merged = Profile.fold [| a; b |] in
   (match merged with
   | (p0, w) :: _ ->
-      checks "slot 0 order first" "pool" p0;
-      checkb "weights summed" true
-        (w > List.assoc "pool" (Profile.folded a) -. 1e-9
-        && w > List.assoc "pool" (Profile.folded b) -. 1e-9)
+      checks "slot 0 order first" "chunk" p0;
+      checkf "weights summed"
+        (List.assoc "chunk" (Profile.fold [| a |])
+        +. List.assoc "chunk" (Profile.fold [| b |]))
+        w
   | [] -> Alcotest.fail "empty merge");
   checkb "later slot's new path appended" true (List.mem_assoc "io" merged);
+  (* names are grouped into phases, as the trace summary groups them *)
+  let c = Flight.create () in
+  span c "cell(1,2)" (fun () -> span c "record:A" spin);
+  span c "cell(3,4)" spin;
+  Alcotest.(check (list string))
+    "phases, not instances" [ "cell;record"; "cell" ]
+    (List.map fst (Profile.fold [| c |]));
   (* folded text round trip at µs precision *)
-  let stacks = [ ("pool;replay;tracker", 0.000123); ("trace_io", 0.002) ] in
+  let stacks = [ ("chunk;cell;record", 0.000123); ("trace_io", 0.002) ] in
   let text = Profile.to_folded_string stacks in
-  checks "flamegraph lines" "pool;replay;tracker 123\ntrace_io 2000\n" text;
+  checks "flamegraph lines" "chunk;cell;record 123\ntrace_io 2000\n" text;
   checkb "sniffs as folded" true (Profile.looks_like_folded text);
   checkb "json does not sniff as folded" true
     (not (Profile.looks_like_folded "{\"run\":\"x\"}"));
   (match Profile.parse_folded text with
-  | [ ("pool;replay;tracker", w1); ("trace_io", w2) ] ->
+  | [ ("chunk;cell;record", w1); ("trace_io", w2) ] ->
       checkf "µs back to seconds" 0.000123 w1;
       checkf "second line too" 0.002 w2
   | _ -> Alcotest.fail "parse_folded mismatch");
@@ -221,6 +245,58 @@ let test_profile_merge_and_folded_string () =
        ignore (Profile.parse_folded "no trailing integer here");
        false
      with Profile.Malformed _ -> true)
+
+(* The profile and the trace are two views of the same spans: for every
+   phase, the fold's inclusive time (self plus descendants) is the total
+   the trace summary reconstructs, wrapped rings included. *)
+let test_profile_agrees_with_trace () =
+  let full = Flight.create () in
+  span full "chunk" (fun () ->
+      span full "record:A" spin;
+      span full "cell(1,1)" (fun () ->
+          spin ();
+          span full "cell(2,1)" spin));
+  Flight.instant full "source";
+  span full "chunk" (fun () -> span full "cell(1,2)" spin);
+  Flight.sample full "max_ranges" 3.;
+  (* Nine events into five slots: the first chunk's Begin is lost (its
+     End is dropped) and the second chunk is still open at the end. *)
+  let wrapped = Flight.create ~capacity:5 () in
+  Flight.begin_ wrapped "chunk";
+  span wrapped "cell(1,1)" spin;
+  span wrapped "cell(2,1)" spin;
+  Flight.end_ wrapped "chunk";
+  Flight.begin_ wrapped "chunk";
+  spin ();
+  span wrapped "record:B" spin;
+  checki "ring wrapped" 4 (Flight.dropped wrapped);
+  Alcotest.(check (list string))
+    "lost Begin dropped, open span closed" [ "chunk;record"; "chunk" ]
+    (List.map fst (Profile.fold [| wrapped |]));
+  let rings = [| full; wrapped |] in
+  let folded = Profile.fold rings in
+  let inclusive path =
+    List.fold_left
+      (fun acc (q, self) ->
+        if q = path || String.starts_with ~prefix:(path ^ ";") q then
+          acc +. self
+        else acc)
+      0. folded
+  in
+  let phase_total phase =
+    List.fold_left
+      (fun acc (path, _) ->
+        if Profile.leaf path = phase then acc +. inclusive path else acc)
+      0. folded
+  in
+  let table = Pift_obs.Chrome.phase_table (Pift_obs.Chrome.json rings) in
+  Alcotest.(check (list string))
+    "same phases" [ "cell"; "chunk"; "record" ]
+    (List.sort compare (List.map (fun (p, _, _, _) -> p) table));
+  List.iter
+    (fun (phase, _, total_ms, _) ->
+      checkf phase (total_ms /. 1000.) (phase_total phase))
+    table
 
 let test_profile_breakdown () =
   let stacks =
@@ -436,9 +512,13 @@ let test_replay_unperturbed () =
   let recorded = Recorded.record app in
   let plain = Recorded.replay ~policy:Policy.default recorded in
   let telemetry = Telemetry.create ~every:1 () in
-  let profile = Profile.create () in
+  let ring = Flight.create () in
+  let traced =
+    span ring "record" (fun () -> Recorded.record ~flight:ring app)
+  in
   let observed =
-    Recorded.replay ~telemetry ~profile ~policy:Policy.default recorded
+    span ring "replay" (fun () ->
+        Recorded.replay ~telemetry ~policy:Policy.default traced)
   in
   checkb "stats identical" true (plain.Recorded.stats = observed.Recorded.stats);
   checkb "verdicts identical" true
@@ -448,10 +528,9 @@ let test_replay_unperturbed () =
     (List.mem_assoc "tainted_bytes" (Telemetry.latest telemetry));
   checkb "window_used source registered" true
     (List.mem_assoc "window_used" (Telemetry.latest telemetry));
-  checkb "profiler saw the store" true
-    (List.exists
-       (fun (path, _) -> Profile.leaf path = "store")
-       (Profile.folded profile))
+  Alcotest.(check (list string))
+    "the replay's ring spans fold" [ "record;vm-run"; "record"; "replay" ]
+    (List.map fst (Profile.fold [| ring |]))
 
 let () =
   Alcotest.run "pift_telemetry"
@@ -473,6 +552,8 @@ let () =
           Alcotest.test_case "merge + folded text" `Quick
             test_profile_merge_and_folded_string;
           Alcotest.test_case "breakdown" `Quick test_profile_breakdown;
+          Alcotest.test_case "fold agrees with the trace" `Quick
+            test_profile_agrees_with_trace;
         ] );
       ( "diff",
         [
