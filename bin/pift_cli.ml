@@ -1307,8 +1307,8 @@ let serve files shards isolated prov ni nt untaint batch queue drop
     let m = snap.Service.Snapshot.manifest in
     let mprov = m.Service.Snapshot.m_with_origins in
     Service.Engine.with_engine ~shards ~policy:m.Service.Snapshot.m_policy
-      ~queue_capacity:queue ~batch ~pid_range:m.Service.Snapshot.m_pid_range
-      ~drop_when_full:drop ~with_origins:mprov (fun eng ->
+      ~queue_capacity:queue ~batch ~drop_when_full:drop ~with_origins:mprov
+      (fun eng ->
         Service.Snapshot.restore_tenants eng snap;
         let sources =
           List.map
@@ -1493,7 +1493,7 @@ let restore_run path shards =
   in
   let prov = m.Service.Snapshot.m_with_origins in
   Service.Engine.with_engine ~shards ~policy:m.Service.Snapshot.m_policy
-    ~pid_range:m.Service.Snapshot.m_pid_range ~with_origins:prov (fun eng ->
+    ~with_origins:prov (fun eng ->
       Service.Snapshot.restore_tenants eng snap;
       print_tenant_blocks eng ~prov
         (List.map

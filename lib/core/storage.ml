@@ -28,8 +28,8 @@ type t = {
   mutable top : int;
   eviction : eviction;
   granularity : int option;
-  (* Secondary storage in main memory, per process. *)
-  secondary : Store.t;
+  (* Secondary storage in main memory: an exact set per process. *)
+  secondary : (int, Store_flat.t) Hashtbl.t;
   (* What the model holds, per process: the valid primary entries plus
      the secondary set.  Evictions, promotions and context switches only
      move bytes between the two, so they leave it as it is. *)
@@ -53,7 +53,7 @@ let create ?(entries = 2730) ?(eviction = Lru_writeback)
     top = 0;
     eviction;
     granularity;
-    secondary = Store.create ();
+    secondary = Hashtbl.create 4;
     view = Store.create ();
     clock = 0;
     occupancy = 0;
@@ -84,7 +84,15 @@ let tick t =
   t.clock
 
 let writeback t s =
-  t.secondary.add ~pid:s.pid (Range.make s.lo s.hi);
+  let set =
+    match Hashtbl.find_opt t.secondary s.pid with
+    | Some set -> set
+    | None ->
+        let set = Store_flat.create () in
+        Hashtbl.add t.secondary s.pid set;
+        set
+  in
+  Store_flat.add set (Range.make s.lo s.hi);
   t.st.writebacks <- t.st.writebacks + 1;
   s.valid <- false
 
@@ -164,9 +172,12 @@ let forget t ~pid p =
     if s.valid && s.pid = pid && s.lo <= Range.hi p && Range.lo p <= s.hi
     then t.view.add ~pid (Range.make s.lo s.hi)
   done;
-  List.iter
-    (fun q -> if Range.overlaps p q then t.view.add ~pid q)
-    (t.secondary.ranges ~pid)
+  Option.iter
+    (fun set ->
+      List.iter
+        (fun q -> if Range.overlaps p q then t.view.add ~pid q)
+        (Store_flat.ranges set))
+    (Hashtbl.find_opt t.secondary pid)
 
 let remove t ~pid r =
   let r = align t r in
@@ -194,7 +205,9 @@ let remove t ~pid r =
       if not (place t ~pid (Range.lo p) (Range.hi p)) then lost := p :: !lost)
     !pending;
   (* Secondary storage is exact. *)
-  t.secondary.remove ~pid r;
+  Option.iter
+    (fun set -> Store_flat.remove set r)
+    (Hashtbl.find_opt t.secondary pid);
   List.iter (forget t ~pid) !lost
 
 let lookup t ~pid r =
@@ -211,20 +224,21 @@ let lookup t ~pid r =
   done;
   if !hit then t.st.hits <- t.st.hits + 1;
   !hit
-  || t.secondary.overlaps ~pid r
-     && begin
+  ||
+  match Hashtbl.find_opt t.secondary pid with
+  | None -> false
+  | Some set -> (
+      match Store_flat.first_overlap set r with
+      | None -> false
+      | Some p ->
           t.st.secondary_hits <- t.st.secondary_hits + 1;
           (* Promote: hardware refetches the matching range.  The range
              leaves the secondary set only if it is re-placed, which a
              full [Drop] cache refuses. *)
-          let p =
-            List.find (fun p -> Range.overlaps p r) (t.secondary.ranges ~pid)
-          in
-          t.secondary.remove ~pid p;
+          Store_flat.remove set p;
           if not (place t ~pid (Range.lo p) (Range.hi p)) then
-            t.secondary.add ~pid p;
-          true
-        end
+            Store_flat.add set p;
+          true)
 
 let release_pid t ~pid =
   (* Tenant eviction: invalidate the pid's primary entries (keeping the
@@ -237,7 +251,7 @@ let release_pid t ~pid =
       t.occupancy <- t.occupancy - 1
     end
   done;
-  t.secondary.release_pid ~pid;
+  Hashtbl.remove t.secondary pid;
   t.view.release_pid ~pid
 
 let context_switch t =

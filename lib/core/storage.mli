@@ -24,9 +24,10 @@ val create :
   unit -> t
 (** [entries] defaults to 2730 (32 KiB of 12-byte entries).
     [granularity] is [None] for arbitrary ranges, or [Some r] for
-    [2^r]-byte block tagging.  The secondary store in main memory is an
-    exact {!Store.create} store.  A second one keeps the model's view:
-    per pid, the bytes its valid entries and its secondary set hold.
+    [2^r]-byte block tagging.  The secondary store in main memory is
+    exact: one {!Store_flat} set per pid.  A {!Store.create} store
+    keeps the model's view: per pid, the bytes its valid entries and
+    its secondary set hold.
     The model counts its own traffic: read {!stats} and {!occupancy}
     when a run ends (the [pift_storage_*] metrics are built from
     them). *)
@@ -36,8 +37,10 @@ val remove : t -> pid:int -> Pift_util.Range.t -> unit
 
 val lookup : t -> pid:int -> Pift_util.Range.t -> bool
 (** Parallel range-overlap match; a primary miss also searches the
-    secondary store (counted as a slow lookup) and promotes the first
-    overlapping secondary range back into the cache.  Under [Drop] a
+    secondary store (counted as a slow lookup) and promotes the lowest
+    overlapping secondary range back into the cache
+    ({!Store_flat.first_overlap}: no list of the pid's ranges is
+    built).  Under [Drop] a
     full cache cannot take it (counted as a drop): the range then stays
     in the secondary store, so a read never loses state.  Only
     {!context_switch} fills the secondary store under [Drop]. *)

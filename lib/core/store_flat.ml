@@ -146,6 +146,12 @@ let covers t r =
   let j = first_lo_gt t (Range.lo r) - 1 in
   j >= 0 && t.hi.(j) >= Range.hi r
 
+let first_overlap t r =
+  let i = first_hi_ge t (Range.lo r) in
+  if i < t.len && t.lo.(i) <= Range.hi r then
+    Some (Range.make t.lo.(i) t.hi.(i))
+  else None
+
 let ranges t =
   List.init t.len (fun k -> Range.make t.lo.(k) t.hi.(k))
 

@@ -1,6 +1,6 @@
 (** Imperative flat taint set — the library's one interval set, behind
-    {!Store} (and through it {!Storage}'s secondary store and view),
-    {!Provenance} and the full-DIFT baseline.
+    {!Store} (and through it {!Storage}'s view), {!Storage}'s per-pid
+    secondary sets, {!Provenance} and the full-DIFT baseline.
 
     A sorted interval array (parallel [lo]/[hi] int arrays) holding the
     canonical maximal disjoint closed ranges, mutable and
@@ -29,6 +29,9 @@ val overlaps : t -> lo:int -> hi:int -> bool
 (** [mem_overlap] of the range [\[lo, hi\]], without building it. *)
 
 val covers : t -> Pift_util.Range.t -> bool
+
+val first_overlap : t -> Pift_util.Range.t -> Pift_util.Range.t option
+(** The lowest held range that overlaps the argument.  O(log n). *)
 
 val cardinal : t -> int
 (** O(1). *)

@@ -62,7 +62,8 @@ let recording (r : Recorded.t) mode =
   ]
 
 (* A replay adds one range per source marker and one per propagation,
-   and removes one per untaint; nothing else mutates its store. *)
+   and removes one per untaint ([pift_tracker_untaint_ops_total]);
+   nothing else mutates its store. *)
 let replay (r : Recorded.t) (rp : Recorded.replay) (store : Store.t) =
   let s = rp.Recorded.stats in
   let sources =
@@ -71,16 +72,11 @@ let replay (r : Recorded.t) (rp : Recorded.replay) (store : Store.t) =
         match m with Recorded.Source _ -> n + 1 | Recorded.Sink _ -> n)
       0 r.Recorded.markers
   in
-  let ranges = store.Store.range_count () in
   [
     counter "range insertions into the taint store" "pift_store_add_ops_total"
       (s.Tracker.taint_ops + sources);
-    counter "range removals from the taint store" "pift_store_remove_ops_total"
-      s.Tracker.untaint_ops;
     counter "insertions coalesced into an existing range"
       "pift_store_merge_ops_total" (store.Store.merges ());
-    int_gauge "distinct ranges held by the store" "pift_store_ranges"
-      ~peak:s.Tracker.max_ranges ranges;
     (* A recording runs one VM process: every window is [r]'s pid's. *)
     sample R.Counter_kind "tainting windows opened or restarted, per process"
       "pift_tracker_window_opens_total"
@@ -91,7 +87,7 @@ let replay (r : Recorded.t) (rp : Recorded.replay) (store : Store.t) =
          ]
        else []);
     int_gauge "distinct tainted ranges" "pift_tracker_ranges"
-      ~peak:s.Tracker.max_ranges ranges;
+      ~peak:s.Tracker.max_ranges (store.Store.range_count ());
     int_gauge "currently tainted bytes across processes (Fig. 15)"
       "pift_tracker_tainted_bytes" ~peak:s.Tracker.max_tainted_bytes
       (store.Store.tainted_bytes ());
@@ -129,8 +125,6 @@ let range_cache storage =
 
 let hw (h : Hw_model.report) =
   [
-    once "instructions in the modelled trace" "pift_hw_total_insns"
-      (float_of_int h.Hw_model.total_insns);
     once "loads + stores PIFT inspects" "pift_hw_pift_events"
       (float_of_int h.Hw_model.pift_events);
     once "modelled CPU stall cycles from slow-path lookups (Fig. 17)"

@@ -11,16 +11,12 @@ type item =
   | I_event of Event.t
   | I_source of { pid : int; kind : string; range : Range.t }
   | I_sink of { pid : int; kind : string; ranges : Range.t list }
-  | I_untaint of { pid : int; range : Range.t }
-  | I_evict of { pid : int }
 
 type stream = unit -> item option
 
 type side =
   | S_source of { pid : int; kind : string; range : Range.t }
   | S_sink of { pid : int; kind : string; ranges : Range.t list }
-  | S_untaint of { pid : int; range : Range.t }
-  | S_evict of { pid : int }
 
 type verdict = { v_kind : string; v_flagged : bool; v_origins : string list }
 
@@ -34,7 +30,6 @@ type tenant = {
   mutable tn_name : string;
   tn_tracker : Tracker.t;
   mutable tn_verdicts_rev : verdict list;
-  mutable tn_bytes : int;  (* last synced store occupancy, bytes *)
   mutable tn_dropped : int;  (* items lost to the dropping policy *)
 }
 
@@ -55,7 +50,7 @@ type batch = { b_rows : int array; b_side : side array; mutable b_len : int }
 type fill = batch -> int -> bool
 
 let width = Row.width
-let no_side = S_evict { pid = min_int }
+let no_side = S_sink { pid = min_int; kind = ""; ranges = [] }
 let no_batch = { b_rows = [||]; b_side = [||]; b_len = 0 }
 
 let make_batch n =
@@ -66,7 +61,8 @@ type shard = {
   sh_tenants : (int, tenant) Hashtbl.t;
   (* The tenant [tenant_of] found last, or [no_tenant]: the ingest
      schedule serves a tenant a window of seqs at a time, so the
-     consumer hashes once per tenant switch, not per row. *)
+     consumer hashes once per tenant switch, not per row.  Tenants are
+     never removed, so the cache never goes stale. *)
   mutable sh_last : tenant;
   mutable sh_queue : batch Spsc.t;  (* fresh per run *)
   (* Drained batches on their way back from the consumer to the
@@ -77,10 +73,8 @@ type shard = {
   mutable sh_items : int;
   mutable sh_events : int;
   mutable sh_batches : int;
-  mutable sh_evictions : int;
   mutable sh_dropped : int;
   mutable sh_max_queue_depth : int;
-  mutable sh_bytes : int;  (* live occupancy across this shard's tenants *)
 }
 
 type config = {
@@ -88,7 +82,6 @@ type config = {
   policy : Policy.t;
   queue_capacity : int;
   batch : int;
-  pid_range : int;
   drop_when_full : bool;
   with_origins : bool;
 }
@@ -115,7 +108,6 @@ let no_tenant =
     tn_name = "";
     tn_tracker = Tracker.create ();
     tn_verdicts_rev = [];
-    tn_bytes = 0;
     tn_dropped = 0;
   }
 
@@ -129,30 +121,18 @@ let make_shard id =
     sh_items = 0;
     sh_events = 0;
     sh_batches = 0;
-    sh_evictions = 0;
     sh_dropped = 0;
     sh_max_queue_depth = 0;
-    sh_bytes = 0;
   }
 
 let create ?(shards = 1) ?(policy = Policy.default) ?(queue_capacity = 64)
-    ?(batch = 128) ?(pid_range = 1 lsl 20) ?(drop_when_full = false)
-    ?(with_origins = false) () =
+    ?(batch = 128) ?(drop_when_full = false) ?(with_origins = false) () =
   if shards <= 0 then invalid_arg "Engine.create: shards must be positive";
   if queue_capacity <= 0 then
     invalid_arg "Engine.create: queue_capacity must be positive";
   if batch <= 0 then invalid_arg "Engine.create: batch must be positive";
-  if pid_range <= 0 then invalid_arg "Engine.create: pid_range must be positive";
   let cfg =
-    {
-      shards;
-      policy;
-      queue_capacity;
-      batch;
-      pid_range;
-      drop_when_full;
-      with_origins;
-    }
+    { shards; policy; queue_capacity; batch; drop_when_full; with_origins }
   in
   {
     cfg;
@@ -167,8 +147,11 @@ let create ?(shards = 1) ?(policy = Policy.default) ?(queue_capacity = 64)
 
 let shards t = t.cfg.shards
 let policy t = t.cfg.policy
-let pid_range t = t.cfg.pid_range
 let with_origins t = t.cfg.with_origins
+
+(* A tenant's pid block: [Ingest] places tenant [i] at [(i + 1) *
+   pid_range] and refuses a recorded pid that would leave the block. *)
+let pid_range = 1 lsl 20
 
 (* PID-range partitioning: pids land on shards in contiguous blocks of
    [pid_range], so one process's whole address space of pids-it-spawns
@@ -180,7 +163,7 @@ let shard_index t pid =
   let n = t.cfg.shards in
   if n = 1 then 0
   else
-    let s = pid / t.cfg.pid_range mod n in
+    let s = pid / pid_range mod n in
     if s < 0 then s + n else s
 
 let shard_of t pid = t.shard_arr.(shard_index t pid)
@@ -196,7 +179,6 @@ let new_tenant t sh pid =
       tn_name = Printf.sprintf "pid-%d" pid;
       tn_tracker = tracker;
       tn_verdicts_rev = [];
-      tn_bytes = 0;
       tn_dropped = 0;
     }
   in
@@ -216,24 +198,6 @@ let tenant_of t sh pid =
     tn
   end
 
-(* Occupancy delta after any op that can move the tenant's store: the
-   shard's [sh_bytes] is a running sum of per-tenant live bytes, so
-   eviction can subtract a tenant's exact contribution and return it to
-   the remaining tenants' baseline. *)
-let sync_bytes sh tn =
-  let now = Tracker.current_tainted_bytes tn.tn_tracker in
-  if now <> tn.tn_bytes then begin
-    sh.sh_bytes <- sh.sh_bytes + now - tn.tn_bytes;
-    tn.tn_bytes <- now
-  end
-
-let evict_local sh tn =
-  Tracker.release_pid tn.tn_tracker ~pid:tn.tn_pid;
-  sh.sh_bytes <- sh.sh_bytes - tn.tn_bytes;
-  Hashtbl.remove sh.sh_tenants tn.tn_pid;
-  if sh.sh_last == tn then sh.sh_last <- no_tenant;
-  sh.sh_evictions <- sh.sh_evictions + 1
-
 let sink_verdict t tn ~pid ~kind ranges =
   let flagged =
     List.exists (fun r -> Tracker.is_tainted tn.tn_tracker ~pid r) ranges
@@ -251,20 +215,11 @@ let sink_verdict t tn ~pid ~kind ranges =
 let process_side t sh = function
   | S_source { pid; kind; range } ->
       let tn = tenant_of t sh pid in
-      Tracker.taint_source ~kind tn.tn_tracker ~pid range;
-      sync_bytes sh tn
+      Tracker.taint_source ~kind tn.tn_tracker ~pid range
   | S_sink { pid; kind; ranges } ->
       let tn = tenant_of t sh pid in
       tn.tn_verdicts_rev <-
         sink_verdict t tn ~pid ~kind ranges :: tn.tn_verdicts_rev
-  | S_untaint { pid; range } ->
-      let tn = tenant_of t sh pid in
-      Tracker.untaint_range tn.tn_tracker ~pid range;
-      sync_bytes sh tn
-  | S_evict { pid } -> (
-      match Hashtbl.find_opt sh.sh_tenants pid with
-      | None -> ()
-      | Some tn -> evict_local sh tn)
 
 (* [n] items of the counted row at [o]: all of them, or the first ones
    when an injected fault lands inside the row. *)
@@ -278,9 +233,7 @@ let process_other t sh rows o n =
    for its tag as plain ints (and, for a load or store, the one range
    [Row.range] builds and validates before the tenant is touched), so
    no [Event.t] is built; a side item is taken out of its slot first,
-   so a drained batch keeps no item reachable.  Only a store, a source
-   or an untaint can move the store, so only they resync the
-   occupancy; an eviction subtracts the tenant's bytes itself. *)
+   so a drained batch keeps no item reachable. *)
 let process_row t sh b r =
   let rows = b.b_rows and o = r * width in
   let tag = rows.(o) in
@@ -299,10 +252,7 @@ let process_row t sh b r =
       let tn = tenant_of t sh pid in
       if tag = Row.tag_load then
         Tracker.on_load tn.tn_tracker ~pid ~seq ~k range
-      else begin
-        Tracker.on_store tn.tn_tracker ~pid ~seq ~k range;
-        sync_bytes sh tn
-      end
+      else Tracker.on_store tn.tn_tracker ~pid ~seq ~k range
     end
   end
 
@@ -329,8 +279,6 @@ let put b item =
       put_side b pid (S_source { pid; kind; range })
   | I_sink { pid; kind; ranges } ->
       put_side b pid (S_sink { pid; kind; ranges })
-  | I_untaint { pid; range } -> put_side b pid (S_untaint { pid; range })
-  | I_evict { pid } -> put_side b pid (S_evict { pid })
 
 (* Items of [stream], one pull each, until [b] holds [stop] rows.  No
    item is pulled once it does, so a fold never reaches past the
@@ -549,47 +497,21 @@ let shutdown t =
     Pool.shutdown t.pool
   end
 
-let with_engine ?shards ?policy ?queue_capacity ?batch ?pid_range
-    ?drop_when_full ?with_origins f =
+let with_engine ?shards ?policy ?queue_capacity ?batch ?drop_when_full
+    ?with_origins f =
   let t =
-    create ?shards ?policy ?queue_capacity ?batch ?pid_range ?drop_when_full
-      ?with_origins ()
+    create ?shards ?policy ?queue_capacity ?batch ?drop_when_full ?with_origins
+      ()
   in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-(* --- control plane (engine idle: between runs, from the owning thread) *)
+(* --- tenants (engine idle: between runs, from the owning thread) ------- *)
 
 let find_tenant t pid = Hashtbl.find_opt (shard_of t pid).sh_tenants pid
 
 let register_tenant t ~pid ?name () =
   let tn = tenant_of t (shard_of t pid) pid in
   match name with Some n -> tn.tn_name <- n | None -> ()
-
-let register_source t ~pid ?(kind = "source") range =
-  let sh = shard_of t pid in
-  let tn = tenant_of t sh pid in
-  Tracker.taint_source ~kind tn.tn_tracker ~pid range;
-  sync_bytes sh tn
-
-let query_sink t ~pid ?(kind = "sink") ranges =
-  match find_tenant t pid with
-  | None -> { v_kind = kind; v_flagged = false; v_origins = [] }
-  | Some tn -> sink_verdict t tn ~pid ~kind ranges
-
-let untaint_range t ~pid range =
-  match find_tenant t pid with
-  | None -> ()
-  | Some tn ->
-      let sh = shard_of t pid in
-      Tracker.untaint_range tn.tn_tracker ~pid range;
-      sync_bytes sh tn
-
-let evict_tenant t ~pid =
-  match find_tenant t pid with
-  | None -> false
-  | Some tn ->
-      evict_local (shard_of t pid) tn;
-      true
 
 type tenant_snapshot = {
   ts_pid : int;
@@ -651,9 +573,7 @@ let persist_tenants t = List.filter_map (fun pid -> persist_tenant t ~pid) (tena
 (* Rebuilding a tenant routes it to whatever shard the *current* config
    maps its pid to — a snapshot taken at 4 shards restores cleanly into
    a 1-shard engine, because shard placement never leaks into tenant
-   state.  [sync_bytes] folds the restored occupancy into the shard's
-   [sh_bytes], so a restore immediately followed by an eviction returns
-   it to the survivors' baseline (the restore-then-evict test). *)
+   state. *)
 let restore_tenant t tp =
   let sh = shard_of t tp.tp_pid in
   if Hashtbl.mem sh.sh_tenants tp.tp_pid then
@@ -663,8 +583,7 @@ let restore_tenant t tp =
   let tn = tenant_of t sh tp.tp_pid in
   tn.tn_name <- tp.tp_name;
   tn.tn_verdicts_rev <- List.rev tp.tp_verdicts;
-  Tracker.restore tn.tn_tracker tp.tp_state;
-  sync_bytes sh tn
+  Tracker.restore tn.tn_tracker tp.tp_state
 
 type shard_stats = {
   ss_shard : int;
@@ -674,8 +593,6 @@ type shard_stats = {
   ss_dropped : int;
   ss_max_queue_depth : int;
   ss_tenants : int;
-  ss_evictions : int;
-  ss_tainted_bytes : int;
 }
 
 type stats = {
@@ -684,9 +601,7 @@ type stats = {
   st_events : int;
   st_batches : int;
   st_dropped : int;
-  st_evictions : int;
   st_tenants : int;
-  st_tainted_bytes : int;
 }
 
 let stats t =
@@ -702,8 +617,6 @@ let stats t =
              ss_dropped = sh.sh_dropped;
              ss_max_queue_depth = sh.sh_max_queue_depth;
              ss_tenants = Hashtbl.length sh.sh_tenants;
-             ss_evictions = sh.sh_evictions;
-             ss_tainted_bytes = sh.sh_bytes;
            })
          t.shard_arr)
   in
@@ -715,9 +628,7 @@ let stats t =
         st_events = acc.st_events + ss.ss_events;
         st_batches = acc.st_batches + ss.ss_batches;
         st_dropped = acc.st_dropped + ss.ss_dropped;
-        st_evictions = acc.st_evictions + ss.ss_evictions;
         st_tenants = acc.st_tenants + ss.ss_tenants;
-        st_tainted_bytes = acc.st_tainted_bytes + ss.ss_tainted_bytes;
       })
     {
       st_shards = per_shard;
@@ -725,8 +636,6 @@ let stats t =
       st_events = 0;
       st_batches = 0;
       st_dropped = 0;
-      st_evictions = 0;
       st_tenants = 0;
-      st_tainted_bytes = 0;
     }
     per_shard

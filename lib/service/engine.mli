@@ -7,9 +7,9 @@
     consumer drains during a {!run}.
 
     {b Observation.}  Shards keep plain counters (items, events,
-    batches, evictions, drops, peak queue depth, live tainted bytes)
-    and nothing pushes them anywhere: {!stats} and {!snapshot_tenant}
-    are the only reads, taken while the engine is idle.
+    batches, drops, peak queue depth) and nothing pushes them anywhere:
+    {!stats} and {!snapshot_tenant} are the only reads, taken while the
+    engine is idle.
 
     {b Queues.}  The producer does not queue item values.  Its input
     writes rows straight into a preallocated {e column batch} (a
@@ -35,11 +35,9 @@
     [on_other] once per counted row) with the one {!Pift_util.Range.t}
     a load or store needs ({!Pift_trace.Row.range}, which refuses a bad
     range before the tenant is touched) — no [Pift_trace.Event.t], no
-    access box — resyncs the shard's occupancy only after rows that can
-    move the store (stores, sources, untaints), clears each side slot
-    it consumes and hands the batch back through the shard's atomic
-    free list.  Batches
-    are made lazily inside {!run}, never more than
+    access box — clears each side slot it consumes and hands the batch
+    back through the shard's atomic free list.  Batches are made lazily
+    inside {!run}, never more than
     [queue_capacity + 2] per shard (queued, filling, draining), and
     reused across runs and segments: a steady-state run allocates no
     batch and no queued item survives a minor collection.  A batch the
@@ -47,7 +45,8 @@
     rows' tenants and refilled; a consumer that dies keeps the batch it
     was draining and the producer makes a fresh one.
 
-    {b Sharding.}  Pids are partitioned by contiguous range:
+    {b Sharding.}  Pids are partitioned by contiguous {!pid_range}
+    blocks:
     [shard_of pid = ((pid / pid_range) mod shards + shards) mod shards]
     with OCaml's truncating [/] and [mod], so a negative pid still lands
     on a shard in [0, shards) (it is the [ts_shard] of
@@ -56,7 +55,8 @@
     tenants are found through a table keyed by pid, behind a one-entry
     cache of the last tenant found: the {!Ingest} schedule serves a
     tenant up to a window of seqs at a time, so the consumer hashes
-    once per tenant switch.  Eviction clears the cache.
+    once per tenant switch.  A tenant, once created, stays resident
+    for the engine's life.
 
     {b Determinism.}  Because every tenant owns a private tracker and
     items of one pid are routed to one shard through a FIFO queue in
@@ -67,8 +67,8 @@
 
     {b Concurrency contract.}  {!run} is the only concurrent region:
     slot 0 produces, slots 1..shards consume, and the pool join fences
-    all shard state before returning.  Every other function (the
-    control plane below, {!stats}, {!snapshot_tenant}, and
+    all shard state before returning.  Every other function
+    ({!register_tenant}, {!stats}, {!snapshot_tenant}, and
     {!Snapshot}'s save and restore) must be called while the engine is
     idle — between runs, from the owning domain. *)
 
@@ -80,8 +80,6 @@ type item =
       (** in-band source registration *)
   | I_sink of { pid : int; kind : string; ranges : Pift_util.Range.t list }
       (** in-band sink query; the verdict lands in the tenant's log *)
-  | I_untaint of { pid : int; range : Pift_util.Range.t }
-  | I_evict of { pid : int }  (** in-band tenant eviction *)
 
 type stream = unit -> item option
 (** Pull stream of interleaved multi-tenant items ([None] = end). *)
@@ -89,8 +87,6 @@ type stream = unit -> item option
 type side =
   | S_source of { pid : int; kind : string; range : Pift_util.Range.t }
   | S_sink of { pid : int; kind : string; ranges : Pift_util.Range.t list }
-  | S_untaint of { pid : int; range : Pift_util.Range.t }
-  | S_evict of { pid : int }
 (** A non-event item as it travels beside its row: the {!item}s other
     than [I_event], whose events always travel as rows. *)
 
@@ -118,12 +114,16 @@ type fill = batch -> int -> bool
     written before a fill raises count too: the engine delivers them,
     as it would the items pulled before a failing pull. *)
 
+val pid_range : int
+(** [2{^20}]: the width of the contiguous pid blocks mapped to one
+    shard, and of the block {!Ingest.tenant_pid} gives each tenant.
+    Snapshots record it in their manifest. *)
+
 val create :
   ?shards:int ->
   ?policy:Pift_core.Policy.t ->
   ?queue_capacity:int ->
   ?batch:int ->
-  ?pid_range:int ->
   ?drop_when_full:bool ->
   ?with_origins:bool ->
   unit ->
@@ -132,14 +132,12 @@ val create :
     [shards + 1] workers (slot 0 is the ingest producer).  [policy]
     configures every tenant tracker.  [queue_capacity]
     (default 64) bounds each shard queue in {e batches} of [batch]
-    (default 128) rows.  [pid_range] (default [2{^20}]) is the width
-    of the contiguous pid blocks mapped to one shard.
-    [drop_when_full:true] switches backpressure from blocking the
+    (default 128) rows.  [drop_when_full:true] switches backpressure from blocking the
     producer to dropping batches (counted per shard, surfaced in
     {!stats}, and per tenant in {!snapshot_tenant}'s [ts_dropped]).  [with_origins] threads a provenance sidecar through
     every tenant so sink verdicts carry origin sets.  Raises
-    [Invalid_argument] unless [shards], [queue_capacity], [batch] and
-    [pid_range] are positive. *)
+    [Invalid_argument] unless [shards], [queue_capacity] and [batch]
+    are positive. *)
 
 val run_fill : t -> fill -> unit
 (** Drain a stream given as a {!fill} to completion: route every row to
@@ -151,7 +149,7 @@ val run_fill : t -> fill -> unit
     Fresh queues per run; on any failure (producer or consumer) the
     queues are closed/aborted so no domain wedges, and the first
     exception re-raises here after all workers drain.  Tenants are
-    created on first touch and survive across runs until evicted.
+    created on first touch and survive across runs.
     Items the dropping policy discards (the items a refused batch's
     rows stand for) are added to their tenants' [ts_dropped] and their
     shards' [ss_dropped] once the workers have joined (creating the
@@ -172,14 +170,13 @@ val with_engine :
   ?policy:Pift_core.Policy.t ->
   ?queue_capacity:int ->
   ?batch:int ->
-  ?pid_range:int ->
   ?drop_when_full:bool ->
   ?with_origins:bool ->
   (t -> 'a) ->
   'a
 (** [create], run [f], and {!shutdown} (also on exception). *)
 
-(** {1 Control plane}
+(** {1 Tenants}
 
     Engine-idle only (see the concurrency contract above). *)
 
@@ -187,30 +184,11 @@ val register_tenant : t -> pid:int -> ?name:string -> unit -> unit
 (** Pre-create (or rename) the tenant for [pid].  Tenants are otherwise
     auto-created on first touch with name ["pid-<pid>"]. *)
 
-val register_source :
-  t -> pid:int -> ?kind:string -> Pift_util.Range.t -> unit
-(** Out-of-band source registration, applied directly to the tenant's
-    tracker (not counted as a stream item). *)
-
 type verdict = {
   v_kind : string;
   v_flagged : bool;
   v_origins : string list;  (** sorted; [[]] without [with_origins] *)
 }
-
-val query_sink :
-  t -> pid:int -> ?kind:string -> Pift_util.Range.t list -> verdict
-(** Pure sink query: computes the verdict without appending it to the
-    tenant's log.  An unknown pid is clean. *)
-
-val untaint_range : t -> pid:int -> Pift_util.Range.t -> unit
-(** Out-of-band untaint; no-op for an unknown pid. *)
-
-val evict_tenant : t -> pid:int -> bool
-(** Release the tenant's store, provenance, and window state, subtract
-    its bytes from the shard's occupancy, and forget it.  Returns
-    [false] if the pid was not resident.  A later touch of the same pid
-    starts a clean tenant. *)
 
 type tenant_snapshot = {
   ts_pid : int;
@@ -257,10 +235,8 @@ val restore_tenant : t -> tenant_persisted -> unit
     and tracker behaviour as the persisted one.  The tenant lands on
     whatever shard the {e current} config routes its pid to, so a
     snapshot restores cleanly into an engine with a different shard
-    count.  The restored occupancy is folded into the shard's
-    [ss_tainted_bytes] (so a subsequent eviction returns it to the
-    survivors' baseline).  Raises [Invalid_argument] if the pid is
-    already resident — restore into fresh or evicted slots only. *)
+    count.  Raises [Invalid_argument] if the pid is already
+    resident. *)
 
 (** {1 Fault injection}
 
@@ -277,7 +253,7 @@ val inject_fault : t -> shard:int -> after_items:int -> unit
     row's seq.  This drives the production failure path
     — the dying consumer aborts its queue so the producer cannot block
     against it, every queue closes, and {!run} re-raises the fault
-    after the pool drains.  The engine survives: control-plane calls and
+    after the pool drains.  The engine survives: idle-time calls and
     further runs still work, exactly like any consumer death. *)
 
 type shard_stats = {
@@ -288,8 +264,6 @@ type shard_stats = {
   ss_dropped : int;  (** items lost to the dropping policy, all runs *)
   ss_max_queue_depth : int;  (** peak queued batches, all runs *)
   ss_tenants : int;
-  ss_evictions : int;
-  ss_tainted_bytes : int;  (** live occupancy across resident tenants *)
 }
 
 type stats = {
@@ -298,9 +272,7 @@ type stats = {
   st_events : int;
   st_batches : int;
   st_dropped : int;
-  st_evictions : int;
   st_tenants : int;
-  st_tainted_bytes : int;
 }
 
 val stats : t -> stats
@@ -309,5 +281,4 @@ val stats : t -> stats
 
 val shards : t -> int
 val policy : t -> Pift_core.Policy.t
-val pid_range : t -> int
 val with_origins : t -> bool

@@ -8,8 +8,8 @@ type source = {
   src_path : string option;  (* None for in-memory recordings *)
   src_pid : int;  (* pid the engine sees *)
   src_orig_pid : int;  (* pid recorded in the trace *)
+  src_reader : Trace_io.reader;
   src_next : unit -> Recorded.item option;
-  src_close : unit -> unit;
   (* Ingest cursor: items handed to the engine (or skipped on resume).
      Counted at emission time, not at head prefetch — the schedule
      holds one prefetched head per source, and a snapshot must record
@@ -17,74 +17,36 @@ type source = {
   mutable src_emitted : int;
 }
 
-(* The width of a tenant's pid block, [Engine.create]'s default
-   [pid_range]. *)
-let pid_block = 1 lsl 20
-
-let tenant_pid ?(pid_range = pid_block) i =
+let tenant_pid i =
   if i < 0 then invalid_arg "Ingest.tenant_pid: index must be non-negative";
-  (i + 1) * pid_range
+  (i + 1) * Engine.pid_range
 
-(* The readers of the open [of_file] sources, each with its source's
-   [src_next].  The fill path decodes a source's rows straight from its
-   reader while the source's [src_next] is still that closure; any other
-   source — a recording, a hand-built stream, a wrapper around a file
-   source's [src_next] — is read through [src_next], one item per row.
-   So the source stays the plain record callers build and copy.  An
-   entry leaves when its source is closed. *)
-let file_readers : ((unit -> Recorded.item option) * Trace_io.reader) list Atomic.t =
-  Atomic.make []
-
-let rec update_readers f =
-  let old = Atomic.get file_readers in
-  if not (Atomic.compare_and_set file_readers old (f old)) then update_readers f
-
-let of_recorded ~pid (r : Recorded.t) =
-  {
-    src_name = r.Recorded.name;
-    src_path = None;
-    src_pid = pid;
-    src_orig_pid = r.Recorded.pid;
-    src_next = Recorded.items r;
-    src_close = ignore;
-    src_emitted = 0;
-  }
-
-let of_file ~pid path =
-  let r = Trace_io.open_reader path in
+(* A source over [r], named and pid-tagged by its header. *)
+let of_reader ~pid ?path r =
   let h = Trace_io.reader_header r in
-  let next () = Trace_io.read_item r in
-  update_readers (List.cons (next, r));
   {
     src_name = h.Trace_io.h_name;
-    src_path = Some path;
+    src_path = path;
     src_pid = pid;
     src_orig_pid = h.Trace_io.h_pid;
-    src_next = next;
-    src_close =
-      (fun () ->
-        update_readers (List.filter (fun (_, r') -> r' != r));
-        Trace_io.close_reader r);
+    src_reader = r;
+    src_next = (fun () -> Trace_io.read_item r);
     src_emitted = 0;
   }
 
-let close s = s.src_close ()
-let cursor s = s.src_emitted
+let of_recorded ~pid (r : Recorded.t) =
+  of_reader ~pid
+    (Trace_io.of_items
+       {
+         Trace_io.h_name = r.Recorded.name;
+         h_pid = r.Recorded.pid;
+         h_bytecodes = r.Recorded.bytecodes;
+       }
+       (Recorded.items r))
 
-(* The reader the fill path decodes [s]'s rows from. *)
-let reader_of s =
-  match
-    List.find_opt (fun (next, _) -> next == s.src_next) (Atomic.get file_readers)
-  with
-  | Some (_, r) -> r
-  | None ->
-      Trace_io.of_items
-        {
-          Trace_io.h_name = s.src_name;
-          h_pid = s.src_orig_pid;
-          h_bytecodes = 0;
-        }
-        s.src_next
+let of_file ~pid path = of_reader ~pid ~path (Trace_io.open_reader path)
+let close s = Trace_io.close_reader s.src_reader
+let cursor s = s.src_emitted
 
 (* Resume: discard the items a previous run already consumed (per its
    snapshot cursor), so the next emission is the first unseen item.
@@ -92,7 +54,7 @@ let reader_of s =
    snapshot and restart is corruption, not a clean resume. *)
 let skip s n =
   if n < 0 then invalid_arg "Ingest.skip: negative cursor";
-  let r = reader_of s and row = Array.make Row.width 0 in
+  let r = s.src_reader and row = Array.make Row.width 0 in
   for _ = 1 to n do
     if Trace_io.read_row r row 0 then s.src_emitted <- s.src_emitted + 1
     else
@@ -115,7 +77,7 @@ let refuse s pid =
         [%d, %d)"
        (Option.value s.src_path ~default:s.src_name)
        s.src_emitted pid s.src_orig_pid
-       (s.src_orig_pid + pid_block))
+       (s.src_orig_pid + Engine.pid_range))
 
 (* What [s]'s recorded pids are shifted by: the engine pid of each is
    [src_pid] plus its offset from the recorded main pid. *)
@@ -125,7 +87,7 @@ let shift s = s.src_pid - s.src_orig_pid
    offset is the recorded pid's, in wrapping arithmetic too. *)
 let outside s pid =
   let offset = pid - s.src_pid in
-  offset < 0 || offset >= pid_block
+  offset < 0 || offset >= Engine.pid_range
 
 let engine_pid s pid =
   let e = pid + shift s in
@@ -324,7 +286,7 @@ let window_end w = (w lsl window_bits) lor ((1 lsl window_bits) - 1)
 let fill_budget sources budget : Engine.fill =
   let srcs = Array.of_list sources in
   let n = Array.length srcs in
-  let readers = Array.map reader_of srcs in
+  let readers = Array.map (fun s -> s.src_reader) srcs in
   let heads = Array.make (n * width) 0 in
   let bk = Trace_io.block () in
   let sc = schedule n in

@@ -1,10 +1,10 @@
 (** Ingest front: turn recordings and trace files into tenant sources,
     interleave them deterministically, and feed the engine.
 
-    A {!source} binds one trace stream to one engine pid.  Pids come
+    A {!source} binds one trace reader to one engine pid.  Pids come
     from {!tenant_pid}, which places tenant [i] at the start of its own
-    [pid_range] block so the engine's range partitioning spreads
-    tenants round-robin across shards.  Events are remapped into the
+    {!Engine.pid_range} block so the engine's range partitioning
+    spreads tenants round-robin across shards.  Events are remapped into the
     tenant's block preserving their offset from the recorded main pid,
     so forked child processes stay distinct. *)
 
@@ -13,31 +13,37 @@ type source = {
   src_path : string option;  (** trace file, [None] for in-memory *)
   src_pid : int;  (** pid the engine sees *)
   src_orig_pid : int;  (** pid recorded in the trace *)
+  src_reader : Pift_eval.Trace_io.reader;
+      (** what {!fill}, {!skip} and {!close} read and release *)
   src_next : unit -> Pift_eval.Recorded.item option;
-  src_close : unit -> unit;
+      (** the per-item view {!merge} pulls:
+          {!Pift_eval.Trace_io.read_item} on [src_reader] *)
   mutable src_emitted : int;  (** read via {!cursor} *)
 }
+(** A copy with another [src_next] (a timing wrapper, say) shares the
+    reader: {!merge} pulls the copy's [src_next], {!fill} decodes the
+    reader itself. *)
 
-val tenant_pid : ?pid_range:int -> int -> int
-(** [(i + 1) * pid_range] (default [pid_range] matches
-    {!Engine.create}): the engine pid for tenant index [i >= 0]. *)
+val tenant_pid : int -> int
+(** [(i + 1) * Engine.pid_range]: the engine pid for tenant index
+    [i >= 0]. *)
 
 val of_recorded : pid:int -> Pift_eval.Recorded.t -> source
-(** In-memory recording as a source (no close needed). *)
+(** In-memory recording as a source: its reader is
+    {!Pift_eval.Trace_io.of_items} over {!Pift_eval.Recorded.items}. *)
 
 val of_file : pid:int -> string -> source
 (** Open [path] with {!Pift_eval.Trace_io.open_reader} — text or binary,
-    streamed record-at-a-time, never materialised.  [src_next] is
-    {!Pift_eval.Trace_io.read_item} on the reader; {!fill} and {!skip}
-    read its rows directly.  {!close} (or {!run}) releases the
-    channel. *)
+    streamed record-at-a-time, never materialised.  {!close} (or
+    {!run}) releases the channel. *)
 
 val close : source -> unit
+(** Close the source's reader.  Idempotent. *)
 
 val to_engine_item : source -> Pift_eval.Recorded.item -> Engine.item
 (** Remap one recorded item onto the source's engine pid.  An event
-    whose pid is not in [[src_orig_pid, src_orig_pid + 2{^20})] — the
-    block {!tenant_pid} spaces tenants by — would land in another
+    whose pid is not in [[src_orig_pid, src_orig_pid + Engine.pid_range)]
+    — the block {!tenant_pid} spaces tenants by — would land in another
     tenant's taint state: it raises [Failure] naming the source (its
     path, else its name), the item number ({!cursor}, which {!fill} and
     {!merge} have already advanced past the item) and the pid. *)
@@ -75,11 +81,9 @@ val fill : source list -> Engine.fill
     next records straight into the batch, bounded by the round's window:
     the first record past it is held as the source's head, and a marker
     ends the call, its item going into the batch's side array before
-    the next call.  A source opened by {!of_file} is decoded from its
-    file while its [src_next] is still the one {!of_file} made; any
-    other — {!of_recorded}, a hand-built record, a copy with a wrapped
-    [src_next] — is pulled through [src_next], one item per row, by the
-    same call.  The decoder adds the tenant's pid shift to every row,
+    the next call.  Each source is decoded from its [src_reader]: a file
+    reader's [PIFTBIN1] records in a block, any other reader one item
+    per row, by the same call.  The decoder adds the tenant's pid shift to every row,
     and after each call one pass over the new rows applies
     {!to_engine_item}'s refusal, with the same message and item number;
     the rows before a refused one, and the rows decoded before a

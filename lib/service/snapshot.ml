@@ -529,7 +529,7 @@ let of_engine ?(sources = []) eng =
     manifest =
       {
         m_shards = Engine.shards eng;
-        m_pid_range = Engine.pid_range eng;
+        m_pid_range = Engine.pid_range;
         m_with_origins = Engine.with_origins eng;
         m_policy = Engine.policy eng;
         m_sources = List.length sources;
@@ -544,9 +544,15 @@ let save ?sources eng path = write path (of_engine ?sources eng)
 (* Restores are strict about config compatibility: a tenant persisted
    under one policy/origins mode restored into an engine with
    another would silently diverge from the uninterrupted run — the one
-   thing a durability layer must never do. *)
+   thing a durability layer must never do.  The pid block width is no
+   engine setting but a constant, so a manifest with another one is bad
+   input: a [Failure], as corrupt bytes are. *)
 let restore_tenants eng t =
   let m = t.manifest in
+  if m.m_pid_range <> Engine.pid_range then
+    failwith
+      (Printf.sprintf "Snapshot: manifest pid_range %d, expected %d"
+         m.m_pid_range Engine.pid_range);
   if Engine.policy eng <> m.m_policy then
     invalid_arg
       (Printf.sprintf "Snapshot.restore_tenants: engine policy %s <> snapshot %s"
@@ -554,6 +560,4 @@ let restore_tenants eng t =
          (Policy.to_string m.m_policy));
   if Engine.with_origins eng <> m.m_with_origins then
     invalid_arg "Snapshot.restore_tenants: origins mode mismatch";
-  if Engine.pid_range eng <> m.m_pid_range then
-    invalid_arg "Snapshot.restore_tenants: pid_range mismatch";
   List.iter (Engine.restore_tenant eng) t.tenants

@@ -20,7 +20,7 @@
     recovery always finds a complete file.
 
     Restore contract: an engine built from the manifest's policy /
-    origins mode / pid_range (the shard count is free — see
+    origins mode (the shard count is free — see
     {!Engine.restore_tenant}) with every tenant restored and every
     source re-opened and {!Ingest.skip}ped to its cursor resumes to
     byte-identical verdicts, origins, and stats versus the
@@ -32,6 +32,8 @@
 type manifest = {
   m_shards : int;  (** shard count at snapshot time (informational) *)
   m_pid_range : int;
+      (** {!Engine.pid_range} when written; a restore refuses any
+          other value *)
   m_with_origins : bool;
   m_policy : Pift_core.Policy.t;
   m_sources : int;  (** expected source records *)
@@ -91,7 +93,10 @@ val save : ?sources:source_entry list -> Engine.t -> string -> unit
 val restore_tenants : Engine.t -> t -> unit
 (** Restore every tenant record into [eng] via
     {!Engine.restore_tenant}.  Raises [Invalid_argument] if the
-    engine's policy, origins mode, or pid_range disagree with
-    the manifest — a mismatched restore would silently diverge from
-    the uninterrupted run, which a durability layer must never do.
+    engine's policy or origins mode disagree with the manifest — a
+    mismatched restore would silently diverge from the uninterrupted
+    run, which a durability layer must never do.  A manifest whose
+    [m_pid_range] is not {!Engine.pid_range} places its tenants' pids
+    in blocks this engine does not route by: that input is refused
+    with [Failure "Snapshot: manifest pid_range N, expected 1048576"].
     The shard count may differ. *)

@@ -892,8 +892,8 @@ let test_heap_merge_snapshot_repersists () =
            (fun pw -> pw.Provenance.pw_labels <> [])
            (prov tp).Provenance.ps_windows)
        snap.Snapshot.tenants);
-  Engine.with_engine ~shards:2 ~policy:m.Snapshot.m_policy
-    ~pid_range:m.Snapshot.m_pid_range ~with_origins:true (fun eng ->
+  Engine.with_engine ~shards:2 ~policy:m.Snapshot.m_policy ~with_origins:true
+    (fun eng ->
       Snapshot.restore_tenants eng snap;
       let again = Engine.persist_tenants eng in
       checki "tenant records" (List.length snap.Snapshot.tenants)
@@ -1084,37 +1084,26 @@ let test_pinned_decoder_outcomes () =
                 (Printf.sprintf "Snapshot: record %d: varint overflow" record)))
         capped_snapshot_flips)
 
-(* --- restore / evict occupancy -------------------------------------------- *)
+(* --- restore one tenant -------------------------------------------------- *)
 
-let test_restore_then_evict_gauge () =
+(* One persisted tenant restored into a fresh engine is the tenant it
+   was, and a second restore of its pid is refused. *)
+let test_restore_tenant_identity () =
   run_engine ~shards:2 (fun eng sources ->
       Ingest.run eng sources;
       let pid0 = Ingest.tenant_pid 0 in
-      let full = (Engine.stats eng).Engine.st_tainted_bytes in
       let ts_before = Option.get (Engine.snapshot_tenant eng ~pid:pid0) in
       let tp0 = Option.get (Engine.persist_tenant eng ~pid:pid0) in
-      checkb "evicted" true (Engine.evict_tenant eng ~pid:pid0);
-      let survivors = (Engine.stats eng).Engine.st_tainted_bytes in
-      checki "eviction released the tenant's bytes"
-        (full - ts_before.Engine.ts_tainted_bytes)
-        survivors;
-      (* restore the persisted tenant: occupancy returns in full *)
-      Engine.restore_tenant eng tp0;
-      checki "gauge after restore" full
-        (Engine.stats eng).Engine.st_tainted_bytes;
-      let ts_after = Option.get (Engine.snapshot_tenant eng ~pid:pid0) in
-      checkb "restored tenant equals pre-evict snapshot" true
-        (tenant_equal ts_before ts_after);
-      (* restoring over a resident pid is refused *)
-      (match Engine.restore_tenant eng tp0 with
-      | () -> Alcotest.fail "double restore must be refused"
-      | exception Invalid_argument _ -> ());
-      (* evicting the restored tenant lands exactly back on the
-         survivors' baseline — the restored occupancy was folded into
-         the shard occupancy, not leaked beside it *)
-      checkb "evicted again" true (Engine.evict_tenant eng ~pid:pid0);
-      checki "gauge back at survivors' baseline" survivors
-        (Engine.stats eng).Engine.st_tainted_bytes)
+      Engine.with_engine ~shards:2 ~with_origins:true (fun fresh ->
+          Engine.restore_tenant fresh tp0;
+          let ts_after = Option.get (Engine.snapshot_tenant fresh ~pid:pid0) in
+          checkb "restored tenant equals the persisted one" true
+            (tenant_equal ts_before ts_after);
+          checkb "only that tenant is resident" true
+            (Engine.tenants fresh = [ pid0 ]);
+          match Engine.restore_tenant fresh tp0 with
+          | () -> Alcotest.fail "double restore must be refused"
+          | exception Invalid_argument _ -> ()))
 
 (* --- restore guard rails --------------------------------------------------- *)
 
@@ -1138,9 +1127,27 @@ let test_restore_config_mismatch () =
   refuse ~what:"origins" (fun () ->
       Engine.with_engine ~shards:2 ~with_origins:false (fun eng ->
           Snapshot.restore_tenants eng snap));
-  refuse ~what:"pid_range" (fun () ->
-      Engine.with_engine ~shards:2 ~with_origins:true ~pid_range:4096
-        (fun eng -> Snapshot.restore_tenants eng snap))
+  (* The pid block width is a constant, not engine config: a manifest
+     that records another one is bad input, refused as a [Failure]
+     before any tenant lands, also after a trip through the file. *)
+  let foreign =
+    {
+      snap with
+      Snapshot.manifest = { snap.Snapshot.manifest with Snapshot.m_pid_range = 4096 };
+    }
+  in
+  with_tmp ~suffix:".piftsnap" (fun path ->
+      Snapshot.write path foreign;
+      let loaded = Snapshot.load path in
+      checki "the manifest keeps its pid_range" 4096
+        loaded.Snapshot.manifest.Snapshot.m_pid_range;
+      Engine.with_engine ~shards:2 ~with_origins:true (fun eng ->
+          Alcotest.check_raises "foreign pid_range refused"
+            (Failure "Snapshot: manifest pid_range 4096, expected 1048576")
+            (fun () -> Snapshot.restore_tenants eng loaded);
+          checkb "no tenant restored" true (Engine.tenants eng = [])));
+  checki "a fresh snapshot records the constant" Engine.pid_range
+    snap.Snapshot.manifest.Snapshot.m_pid_range
 
 let test_skip_past_end_fails () =
   let r = List.hd (Lazy.force recordings) in
@@ -1216,8 +1223,8 @@ let () =
         ] );
       ( "lifecycle",
         [
-          Alcotest.test_case "restore-then-evict returns gauge to baseline"
-            `Quick test_restore_then_evict_gauge;
+          Alcotest.test_case "restore equals the persisted tenant, once"
+            `Quick test_restore_tenant_identity;
           Alcotest.test_case "mismatched restore is refused" `Quick
             test_restore_config_mismatch;
           Alcotest.test_case "skip past end of trace fails" `Quick

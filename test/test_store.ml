@@ -33,8 +33,8 @@ let state_to_string ~bytes ~count ~ranges =
 
 (* Fold the sequence through both sets at once; after each op the
    oracle (trivially correct byte-level semantics) and the flat set
-   must report the same overlap verdict, tainted-byte total, range
-   count, and sorted canonical range list. *)
+   must report the same overlap verdict and first overlapping range,
+   tainted-byte total, range count, and sorted canonical range list. *)
 let differential ops =
   let flat = Store_flat.create () and oracle = Store_bytemap.create () in
   let verdict_to_string = function
@@ -56,6 +56,17 @@ let differential ops =
               Store_bytemap.remove oracle r;
               (None, None)
           | Prop.Overlaps r ->
+              let first = Store_flat.first_overlap flat r
+              and want_first =
+                List.find_opt (Range.overlaps r) (Store_bytemap.ranges oracle)
+              in
+              if first <> want_first then
+                raise
+                  (Diverged
+                     (Printf.sprintf "op %d (%s): first overlap %s, oracle %s"
+                        i (Prop.op_to_string op)
+                        (ranges_to_string (Option.to_list first))
+                        (ranges_to_string (Option.to_list want_first))));
               ( Some (Store_flat.mem_overlap flat r),
                 Some (Store_bytemap.mem_overlap oracle r) )
         in
