@@ -104,21 +104,13 @@ let trace_out =
   in
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
 
-(* One ring per worker slot when --trace-out or --profile-out was given
-   (a profile is the fold of the rings' spans); [||] keeps every
+(* One ring per worker slot when --trace-out was given; [||] keeps every
    recording call on its no-op branch. *)
-let rings_of ~trace_out ~profile_out ~slots =
-  if trace_out = None && profile_out = None then [||]
+let rings_of ~trace_out ~slots =
+  if trace_out = None then [||]
   else Array.init (max 1 slots) (fun _ -> Obs.Flight.create ())
 
 let sum_rings f rings = Array.fold_left (fun acc r -> acc + f r) 0 rings
-
-(* The wrap-around notice both exports print: a wrapped ring lost its
-   oldest spans, so the file covers only what survived. *)
-let dropped_note rings =
-  match sum_rings Obs.Flight.dropped rings with
-  | 0 -> ""
-  | d -> Printf.sprintf ", %d dropped to wrap-around" d
 
 let write_trace ~out ~run rings =
   if Array.length rings > 0 then begin
@@ -130,7 +122,12 @@ let write_trace ~out ~run rings =
        byte-identical standard output. *)
     Printf.eprintf "trace: wrote %s (%d events across %d tracks%s)\n" out
       (sum_rings Obs.Flight.length rings)
-      (Array.length rings) (dropped_note rings)
+      (Array.length rings)
+      (* a wrapped ring lost its oldest spans: the file covers only what
+         survived *)
+      (match sum_rings Obs.Flight.dropped rings with
+      | 0 -> ""
+      | d -> Printf.sprintf ", %d dropped to wrap-around" d)
   end
 
 (* A run's phases go on a one-slot ring of their own: its fold is the
@@ -141,7 +138,7 @@ let bracket ring name f =
   Obs.Flight.begin_ ring name;
   Fun.protect ~finally:(fun () -> Obs.Flight.end_ ring name) f
 
-(* --- telemetry / profiler / live-view options --- *)
+(* --- telemetry / live-view options --- *)
 
 let telemetry_out =
   let doc =
@@ -166,26 +163,6 @@ let telemetry_every =
     & opt int Obs.Telemetry.default_every
     & info [ "telemetry-every" ] ~docv:"N" ~doc)
 
-let profile_out =
-  let doc =
-    "Write an overhead-attribution profile to $(docv): the spans \
-     $(b,--trace-out) records, folded into stacks (self time per \
-     $(b,chunk;cell)-style phase path, flamegraph.pl/speedscope-compatible) \
-     and summarized per subsystem by $(b,pift report).  Never touches \
-     stdout."
-  in
-  Arg.(
-    value & opt (some string) None & info [ "profile-out" ] ~docv:"FILE" ~doc)
-
-let top_flag =
-  let doc =
-    "Add per-worker lines to the live progress view on stderr: events, \
-     tainted bytes, snapshot-ring health per slot.  Needs a terminal \
-     (off one, only $(b,--progress)'s log lines appear) and implies \
-     telemetry recording; stdout is untouched."
-  in
-  Arg.(value & flag & info [ "top" ] ~doc)
-
 let progress_flag =
   let doc =
     "Report progress even when stderr is not a terminal: degrades the \
@@ -193,10 +170,10 @@ let progress_flag =
   in
   Arg.(value & flag & info [ "progress" ] ~doc)
 
-(* One telemetry instance per worker slot when --telemetry-out or --top
-   was given; [||] keeps Tracker.observe's bump on its no-op branch. *)
-let telems_of ~out ~top ~every ~slots =
-  if out = None && not top then [||]
+(* One telemetry instance per worker slot when --telemetry-out was
+   given; [||] keeps Tracker.observe's bump on its no-op branch. *)
+let telems_of ~out ~every ~slots =
+  if out = None then [||]
   else Array.init (max 1 slots) (fun _ -> Obs.Telemetry.create ~every ())
 
 let write_telemetry ~out ~run telems =
@@ -219,15 +196,6 @@ let write_telemetry ~out ~run telems =
          Printf.sprintf ", %d dropped to wrap-around" dropped
        else "")
   end
-
-let write_profile ~out rings =
-  let rows = Obs.Profile.fold rings in
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Obs.Profile.to_folded_string rows));
-  Printf.eprintf "profile:    wrote %s (%d stacks%s)\n" out (List.length rows)
-    (dropped_note rings)
 
 (* --- provenance options --- *)
 
@@ -325,20 +293,13 @@ let list_apps_cmd =
 (* --- run-app --- *)
 
 let run_app name ni nt untaint verbose jit explain prov prov_out metrics_out
-    metrics_format trace_out telemetry_out telemetry_every profile_out top =
+    metrics_format trace_out telemetry_out telemetry_every =
   let app = find_app name in
   let policy = policy_of ni nt untaint in
-  let rings = rings_of ~trace_out ~profile_out ~slots:1 in
+  let rings = rings_of ~trace_out ~slots:1 in
   let flight = if Array.length rings > 0 then Some rings.(0) else None in
-  let telems =
-    telems_of ~out:telemetry_out ~top ~every:telemetry_every ~slots:1
-  in
+  let telems = telems_of ~out:telemetry_out ~every:telemetry_every ~slots:1 in
   let telemetry = if Array.length telems > 0 then Some telems.(0) else None in
-  let view =
-    Obs.Progress.create
-      ?enabled:(if top then None else Some false)
-      ~telems ~rings ~label:app.App.name ~total:0 ()
-  in
   (* Per-phase spans; the recording stamps source/sink instants and VM
      spans, and the replay's peaks are sampled once it ends (per-event
      curves come from --telemetry-out --telemetry-every 1). *)
@@ -463,12 +424,8 @@ let run_app name ni nt untaint verbose jit explain prov prov_out metrics_out
            :: Replay { recorded; replay; store }
            :: hw_parts))
   | None -> ());
-  Obs.Progress.finish view;
   (match telemetry_out with
   | Some out -> write_telemetry ~out ~run:app.App.name telems
-  | None -> ());
-  (match profile_out with
-  | Some out -> write_profile ~out rings
   | None -> ());
   match trace_out with
   | Some out -> write_trace ~out ~run:app.App.name rings
@@ -497,25 +454,24 @@ let run_app_cmd =
     Term.(
       const run_app $ app_arg $ ni $ nt $ untaint $ verbose $ jit $ explain
       $ prov_flag $ prov_out $ metrics_out $ metrics_format
-      $ trace_out $ telemetry_out $ telemetry_every $ profile_out $ top_flag)
+      $ trace_out $ telemetry_out $ telemetry_every)
 
 (* --- sweep --- *)
 
 let sweep subset_only jobs metrics_out metrics_format trace_out prov
-    prov_out telemetry_out telemetry_every profile_out top progress =
+    prov_out telemetry_out telemetry_every progress =
   let apps =
     if subset_only then Pift_workloads.Droidbench.subset48
     else Pift_workloads.Droidbench.all
   in
-  let rings = rings_of ~trace_out ~profile_out ~slots:jobs in
+  let rings = rings_of ~trace_out ~slots:jobs in
   let telems =
-    telems_of ~out:telemetry_out ~top ~every:telemetry_every ~slots:jobs
+    telems_of ~out:telemetry_out ~every:telemetry_every ~slots:jobs
   in
   let view =
     Obs.Progress.create
       ?enabled:(if progress then Some true else None)
-      ~telems:(if top then telems else [||])
-      ~rings ~label:"cells" ~total:0 ()
+      ~label:"cells" ~total:0 ()
   in
   (* The sweep's phases stay off the rings: each ring's track holds its
      pool slot's cells. *)
@@ -557,9 +513,6 @@ let sweep subset_only jobs metrics_out metrics_format trace_out prov
   (match telemetry_out with
   | Some out -> write_telemetry ~out ~run:"sweep" telems
   | None -> ());
-  (match profile_out with
-  | Some out -> write_profile ~out rings
-  | None -> ());
   match trace_out with
   | Some out -> write_trace ~out ~run:"sweep" rings
   | None -> ()
@@ -596,8 +549,7 @@ let sweep_cmd =
     Term.(
       const sweep $ subset $ jobs $ metrics_out
       $ metrics_format $ trace_out $ prov $ prov_out $ telemetry_out
-      $ telemetry_every $ profile_out $ top_flag
-      $ progress_flag)
+      $ telemetry_every $ progress_flag)
 
 (* --- experiment --- *)
 
@@ -609,7 +561,7 @@ let experiment jobs trace_out ids =
         (fun (id, doc) -> Printf.printf "  %-22s %s\n" id doc)
         Pift_eval.Experiments.all
   | ids ->
-      let rings = rings_of ~trace_out ~profile_out:None ~slots:jobs in
+      let rings = rings_of ~trace_out ~slots:jobs in
       List.iter
         (fun id ->
           if String.equal id "all" then
@@ -737,10 +689,10 @@ let convert_cmd =
           byte-identical output.")
     Term.(const convert $ input $ output $ format)
 
-let analyze_trace path ni nt untaint profile_out =
+let analyze_trace path ni nt untaint trace_out =
   input_errors @@ fun () ->
-  (* The one command where decode dominates: with --profile-out the
-     breakdown shows trace_io (parse) next to replay. *)
+  (* The one command where decode dominates: with --trace-out the
+     report's self time shows trace_io (parse) next to replay. *)
   let phases = phase_ring () in
   let phase name f = bracket phases name f in
   let recorded = phase "trace_io" (fun () -> Pift_eval.Trace_io.load path) in
@@ -759,8 +711,8 @@ let analyze_trace path ni nt untaint profile_out =
     "verdict: %s (%d taint ops, %d untaint ops, max %d tainted bytes)\n"
     (if replay.Recorded.flagged then "LEAK DETECTED" else "no leak")
     s.Tracker.taint_ops s.Tracker.untaint_ops s.Tracker.max_tainted_bytes;
-  match profile_out with
-  | Some out -> write_profile ~out [| phases |]
+  match trace_out with
+  | Some out -> write_trace ~out ~run:recorded.Recorded.name [| phases |]
   | None -> ()
 
 let analyze_trace_cmd =
@@ -773,7 +725,7 @@ let analyze_trace_cmd =
   Cmd.v
     (Cmd.info "analyze-trace"
        ~doc:"Run the PIFT analysis over a previously recorded trace file.")
-    Term.(const analyze_trace $ path $ ni $ nt $ untaint $ profile_out)
+    Term.(const analyze_trace $ path $ ni $ nt $ untaint $ trace_out)
 
 (* --- why --- *)
 
@@ -926,15 +878,6 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* A --profile-out export is folded-stack text, not JSON; sniffed on raw
-   content like DOT and rendered as the subsystem breakdown. *)
-let report_folded path content =
-  match Obs.Profile.parse_folded content with
-  | rows -> Obs.Profile.render ~source:path rows Format.std_formatter ()
-  | exception Obs.Profile.Malformed msg ->
-      Printf.eprintf "%s: %s\n" path msg;
-      exit 2
-
 (* Parse every non-empty line of a metrics/bench/telemetry file; a
    single-object file diffs as that object, a multi-line file as a list
    (paired per line by the diff walk). *)
@@ -982,8 +925,6 @@ let report_diff ~baseline ~current ~max_ratio ~min_abs =
 let report_one path =
   let content = read_file path in
   if Obs.Sink.looks_like_dot content then report_dot path content
-  else if Obs.Profile.looks_like_folded content then
-    report_folded path content
   else begin
     let telemetry_lines = ref [] in
     let rendered = ref 0 in
@@ -1092,11 +1033,9 @@ let report_cmd =
           ~doc:
             "JSONL metrics file from --metrics-out, a Chrome trace JSON \
              from --trace-out, a telemetry series from --telemetry-out, \
-             a folded-stack profile from --profile-out, a provenance \
-             export from --prov-out or $(b,why) (flow-graph JSON, \
-             attribution JSON, or Graphviz DOT) — sniffed per line (DOT \
-             and folded stacks by raw content).  With $(b,--diff), the \
-             baseline file.")
+             a provenance export from --prov-out or $(b,why) (flow-graph \
+             JSON, attribution JSON, or Graphviz DOT) — sniffed per line \
+             (DOT by raw content).  With $(b,--diff), the baseline file.")
   in
   let second =
     Arg.(
@@ -1143,10 +1082,10 @@ let report_cmd =
        ~doc:
          "Render the snapshots of a previous run: metrics (span timings, \
           counters, gauges, histograms), flight-recorder trace summaries \
-          (per-phase time, worker utilization, slowest spans), telemetry \
-          time series (sparkline per metric), overhead-attribution \
-          profiles (per-subsystem share), or provenance exports (per-sink \
-          flow and attribution summaries).  With $(b,--diff), compare two \
+          (per-phase time, worker utilization, slowest spans, self time \
+          per subsystem and hottest stacks), telemetry time series \
+          (sparkline per metric), or provenance exports (per-sink flow \
+          and attribution summaries).  With $(b,--diff), compare two \
           metrics/bench files and gate on regressions.")
     Term.(const report $ path $ second $ diff $ max_ratio $ min_abs)
 

@@ -173,10 +173,7 @@ let forget t ~pid p =
     then t.view.add ~pid (Range.make s.lo s.hi)
   done;
   Option.iter
-    (fun set ->
-      List.iter
-        (fun q -> if Range.overlaps p q then t.view.add ~pid q)
-        (Store_flat.ranges set))
+    (fun set -> Store_flat.iter_overlaps (t.view.add ~pid) set p)
     (Hashtbl.find_opt t.secondary pid)
 
 let remove t ~pid r =

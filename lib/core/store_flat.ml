@@ -152,6 +152,14 @@ let first_overlap t r =
     Some (Range.make t.lo.(i) t.hi.(i))
   else None
 
+let iter_overlaps f t r =
+  let h = Range.hi r in
+  let i = ref (first_hi_ge t (Range.lo r)) in
+  while !i < t.len && t.lo.(!i) <= h do
+    f (Range.make t.lo.(!i) t.hi.(!i));
+    incr i
+  done
+
 let ranges t =
   List.init t.len (fun k -> Range.make t.lo.(k) t.hi.(k))
 

@@ -33,6 +33,13 @@ val covers : t -> Pift_util.Range.t -> bool
 val first_overlap : t -> Pift_util.Range.t -> Pift_util.Range.t option
 (** The lowest held range that overlaps the argument.  O(log n). *)
 
+val iter_overlaps :
+  (Pift_util.Range.t -> unit) -> t -> Pift_util.Range.t -> unit
+(** [iter_overlaps f t r] calls [f] on every held range that overlaps
+    [r], in increasing address order: a binary search to the first,
+    then a scan that stops past [Range.hi r].  [f] must not modify
+    [t]. *)
+
 val cardinal : t -> int
 (** O(1). *)
 

@@ -99,7 +99,8 @@ let write oc ?run rings =
   output_string oc (Json.to_string (json ?run rings));
   output_char oc '\n'
 
-(* --- validation --------------------------------------------------------- *)
+
+(* --- decoding ----------------------------------------------------------- *)
 
 type check = {
   c_tracks : int;
@@ -109,6 +110,7 @@ type check = {
   c_samples : int;
   c_flows : int;
   c_counter_names : string list;
+  c_timeline : (int * Flight.event list) list;
 }
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt
@@ -128,27 +130,38 @@ let get_float what j name =
   | Some f -> f
   | None -> fail "%s: missing number %S" what name
 
-let validate_exn j =
+type track = {
+  mutable last_ts : float;
+  mutable depth : int;  (* open B/E spans *)
+  mutable events_rev : Flight.event list;
+}
+
+(* One pass checks the structure and decodes each track back into the
+   ring events it was written from (timestamps in seconds again); also
+   returns the wall clock in µs, first to last timestamped event. *)
+let decode j =
   let events =
     match Option.bind (Json.member "traceEvents" j) Json.to_list with
     | Some l -> l
     | None -> fail "trace: missing traceEvents array"
   in
-  (* per-tid running state: (last ts, open B/E depth) *)
-  let tids : (int, float ref * int ref) Hashtbl.t = Hashtbl.create 8 in
-  let state tid =
-    match Hashtbl.find_opt tids tid with
-    | Some s -> s
+  let tracks : (int, track) Hashtbl.t = Hashtbl.create 8 in
+  let order_rev = ref [] in
+  let track tid =
+    match Hashtbl.find_opt tracks tid with
+    | Some tr -> tr
     | None ->
-        let s = (ref (-1.), ref 0) in
-        Hashtbl.add tids tid s;
-        s
+        let tr = { last_ts = -1.; depth = 0; events_rev = [] } in
+        Hashtbl.add tracks tid tr;
+        order_rev := tid :: !order_rev;
+        tr
   in
   let named_tracks = ref 0 in
   let n_events = ref 0 and n_spans = ref 0 in
   let n_instants = ref 0 and n_samples = ref 0 in
   let n_flows = ref 0 in
   let counters = Hashtbl.create 8 in
+  let bounds = ref None in
   List.iteri
     (fun i ev ->
       let what = Printf.sprintf "traceEvents[%d]" i in
@@ -163,22 +176,44 @@ let validate_exn j =
         incr n_events;
         let ts = get_float what ev "ts" in
         if ts < 0. then fail "%s: negative ts %g" what ts;
-        let last_ts, depth = state tid in
-        if ts < !last_ts then
+        let tr = track tid in
+        if ts < tr.last_ts then
           fail "%s: ts %g goes backwards on tid %d (last %g)" what ts tid
-            !last_ts;
-        last_ts := ts;
+            tr.last_ts;
+        tr.last_ts <- ts;
+        bounds :=
+          Some
+            (match !bounds with
+            | None -> (ts, ts)
+            | Some (lo, hi) -> (Float.min lo ts, Float.max hi ts));
+        let name () =
+          Option.value ~default:""
+            (Option.bind (Json.member "name" ev) Json.to_str)
+        in
+        let push kind name value =
+          tr.events_rev <-
+            { Flight.kind; name; ts = ts /. 1e6; value } :: tr.events_rev
+        in
         match ph with
         | "B" ->
-            ignore (get_str what ev "name");
-            incr depth;
+            push Flight.Begin (get_str what ev "name") 0.;
+            tr.depth <- tr.depth + 1;
             incr n_spans
         | "E" ->
-            if !depth <= 0 then fail "%s: E without open B on tid %d" what tid;
-            decr depth
-        | "i" -> incr n_instants
+            if tr.depth <= 0 then
+              fail "%s: E without open B on tid %d" what tid;
+            push Flight.End (name ()) 0.;
+            tr.depth <- tr.depth - 1
+        | "i" ->
+            push Flight.Instant (name ()) 0.;
+            incr n_instants
         | "C" ->
-            Hashtbl.replace counters (get_str what ev "name") ();
+            let name = get_str what ev "name" in
+            Hashtbl.replace counters name ();
+            push Flight.Sample name
+              (Option.value ~default:0.
+                 (Option.bind (Json.member "args" ev) (fun args ->
+                      Option.bind (Json.member "value" args) Json.to_float)));
             incr n_samples
         | "s" | "t" | "f" ->
             (* flow events (provenance edges) bind by name + id *)
@@ -189,139 +224,95 @@ let validate_exn j =
       end)
     events;
   Hashtbl.iter
-    (fun tid (_, depth) ->
-      if !depth <> 0 then fail "tid %d: %d unclosed B span(s)" tid !depth)
-    tids;
-  {
-    c_tracks = !named_tracks;
-    c_events = !n_events;
-    c_spans = !n_spans;
-    c_instants = !n_instants;
-    c_samples = !n_samples;
-    c_flows = !n_flows;
-    c_counter_names =
-      List.sort String.compare
-        (Hashtbl.fold (fun k () acc -> k :: acc) counters []);
-  }
+    (fun tid tr ->
+      if tr.depth <> 0 then fail "tid %d: %d unclosed B span(s)" tid tr.depth)
+    tracks;
+  let check =
+    {
+      c_tracks = !named_tracks;
+      c_events = !n_events;
+      c_spans = !n_spans;
+      c_instants = !n_instants;
+      c_samples = !n_samples;
+      c_flows = !n_flows;
+      c_counter_names =
+        List.sort String.compare
+          (Hashtbl.fold (fun k () acc -> k :: acc) counters []);
+      c_timeline =
+        List.rev_map
+          (fun tid -> (tid, List.rev (Hashtbl.find tracks tid).events_rev))
+          !order_rev;
+    }
+  in
+  let wall_us = match !bounds with Some (lo, hi) -> hi -. lo | None -> 0. in
+  (check, wall_us)
 
 let validate j =
-  match validate_exn j with
-  | check -> Ok check
+  match decode j with
+  | check, _ -> Ok check
   | exception Invalid msg -> Error msg
 
 (* --- summary ------------------------------------------------------------ *)
 
-(* Group span names into phases: everything before the first '(' or ':'
-   ("cell(13,3)" -> "cell", "record:LGRoot" -> "record"). *)
-let phase_of name =
-  let cut = ref (String.length name) in
-  String.iteri
-    (fun i c -> if (c = '(' || c = ':') && i < !cut then cut := i)
-    name;
-  String.sub name 0 !cut
-
-type closed_span = { sp_name : string; sp_tid : int; sp_ms : float }
-
-(* Reconstruct completed spans per tid; also per-tid busy time (sum of
-   top-level span durations) for the utilization table. *)
-let spans_of_trace j =
-  let events =
-    Option.value ~default:[]
-      (Option.bind (Json.member "traceEvents" j) Json.to_list)
-  in
-  let stacks : (int, (string * float) list ref) Hashtbl.t = Hashtbl.create 8 in
-  let stack tid =
-    match Hashtbl.find_opt stacks tid with
-    | Some s -> s
-    | None ->
-        let s = ref [] in
-        Hashtbl.add stacks tid s;
-        s
-  in
-  let busy : (int, float ref) Hashtbl.t = Hashtbl.create 8 in
-  let closed = ref [] in
-  List.iter
-    (fun ev ->
-      match Option.bind (Json.member "ph" ev) Json.to_str with
-      | Some "B" ->
-          let tid = Option.value ~default:0 (Option.bind (Json.member "tid" ev) Json.to_int) in
-          let ts = Option.value ~default:0. (Option.bind (Json.member "ts" ev) Json.to_float) in
-          let name =
-            Option.value ~default:"?"
-              (Option.bind (Json.member "name" ev) Json.to_str)
-          in
-          let s = stack tid in
-          s := (name, ts) :: !s
-      | Some "E" -> (
-          let tid = Option.value ~default:0 (Option.bind (Json.member "tid" ev) Json.to_int) in
-          let ts = Option.value ~default:0. (Option.bind (Json.member "ts" ev) Json.to_float) in
-          let s = stack tid in
-          match !s with
-          | [] -> ()
-          | (name, t0) :: rest ->
-              s := rest;
-              let ms = (ts -. t0) /. 1000. in
-              closed := { sp_name = name; sp_tid = tid; sp_ms = ms } :: !closed;
-              if rest = [] then begin
-                let b =
-                  match Hashtbl.find_opt busy tid with
-                  | Some b -> b
-                  | None ->
-                      let b = ref 0. in
-                      Hashtbl.add busy tid b;
-                      b
-                in
-                b := !b +. ms
-              end)
-      | _ -> ())
-    events;
-  (List.rev !closed, busy)
-
-(* Closed spans grouped by phase: (phase, spans, total ms, max ms),
+(* Spans grouped by phase: (phase, spans, total ms, max ms, self ms),
    largest total first. *)
-let phase_rows closed =
+let phase_rows spans =
   let phases = Hashtbl.create 8 in
   List.iter
-    (fun sp ->
-      let key = phase_of sp.sp_name in
-      let n, total, mx =
-        Option.value ~default:(0, 0., 0.) (Hashtbl.find_opt phases key)
+    (fun (sp : Profile.span) ->
+      let key = Profile.phase_of sp.Profile.sp_name in
+      let ms = 1000. *. sp.Profile.sp_elapsed in
+      let n, total, mx, self =
+        Option.value ~default:(0, 0., 0., 0.) (Hashtbl.find_opt phases key)
       in
-      Hashtbl.replace phases key (n + 1, total +. sp.sp_ms, max mx sp.sp_ms))
-    closed;
+      Hashtbl.replace phases key
+        (n + 1, total +. ms, max mx ms, self +. (1000. *. sp.Profile.sp_self)))
+    spans;
   List.map
-    (fun (key, (n, total, mx)) -> (key, n, total, mx))
+    (fun (key, (n, total, mx, self)) -> (key, n, total, mx, self))
     (List.sort
-       (fun (_, (_, a, _)) (_, (_, b, _)) -> compare (b : float) a)
+       (fun (_, (_, a, _, _)) (_, (_, b, _, _)) -> compare (b : float) a)
        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) phases []))
 
-let phase_table j = phase_rows (fst (spans_of_trace j))
+let top8 l = List.filteri (fun i _ -> i < 8) l
 
-let bounds_of_trace j =
-  let events =
-    Option.value ~default:[]
-      (Option.bind (Json.member "traceEvents" j) Json.to_list)
-  in
-  List.fold_left
-    (fun acc ev ->
-      match
-        ( Option.bind (Json.member "ph" ev) Json.to_str,
-          Option.bind (Json.member "ts" ev) Json.to_float )
-      with
-      | Some "M", _ | _, None -> acc
-      | _, Some ts -> (
-          match acc with
-          | None -> Some (ts, ts)
-          | Some (lo, hi) -> Some (min lo ts, max hi ts)))
-    None events
+(* Self time per subsystem and the hottest folded stacks: the view of
+   the same spans {!Profile.fold} gives a live run. *)
+let self_time ppf phases spans =
+  let rows = Profile.rows spans in
+  if rows <> [] then begin
+    let total = List.fold_left (fun acc (_, s) -> acc +. s) 0. rows in
+    Format.fprintf ppf "@,self time (%d stacks, %.1f ms attributed):@,"
+      (List.length rows) (1000. *. total);
+    Format.fprintf ppf "%-20s %12s %8s@," "subsystem" "self ms" "share";
+    List.iter
+      (fun (key, _, _, _, self) ->
+        Format.fprintf ppf "%-20s %12.2f %7.1f%%@," key self
+          (if total > 0. then self /. (10. *. total) else 0.))
+      (List.stable_sort
+         (fun (_, _, _, _, a) (_, _, _, _, b) -> compare (b : float) a)
+         phases);
+    Format.fprintf ppf "@,hottest stacks (self time):@,";
+    List.iter
+      (fun (path, seconds) ->
+        Format.fprintf ppf "  %-44s %10.2f ms@," path (1000. *. seconds))
+      (top8
+         (List.stable_sort (fun (_, a) (_, b) -> compare (b : float) a) rows))
+  end
 
 let summarize j ppf () =
-  let check = validate_exn j in
-  let closed, busy = spans_of_trace j in
-  let wall_ms =
-    match bounds_of_trace j with
-    | Some (lo, hi) -> (hi -. lo) /. 1000.
-    | None -> 0.
+  let check, wall_us = decode j in
+  let wall_ms = wall_us /. 1000. in
+  (* One span walk per track feeds every table below. *)
+  let walked =
+    List.map
+      (fun (tid, events) ->
+        (tid, Profile.spans (fun f -> List.iter f events)))
+      check.c_timeline
+  in
+  let closed =
+    List.concat_map (fun (tid, spans) -> List.map (fun sp -> (tid, sp)) spans)
+      walked
   in
   let dropped =
     Option.value ~default:0
@@ -369,42 +360,57 @@ let summarize j ppf () =
        history is gone; raise the ring capacity@,"
       dropped by_track
   end;
-  let rows = phase_rows closed in
-  if rows <> [] then begin
+  let phases = phase_rows (List.map snd closed) in
+  if phases <> [] then begin
     Format.fprintf ppf "@,%-16s %8s %12s %12s %12s@," "phase" "spans"
       "total ms" "mean ms" "max ms";
     List.iter
-      (fun (key, n, total, mx) ->
+      (fun (key, n, total, mx, _) ->
         Format.fprintf ppf "%-16s %8d %12.2f %12.3f %12.3f@," key n total
           (total /. float_of_int n)
           mx)
-      rows
+      phases
   end;
-  (* per-worker utilization *)
-  let tids =
-    List.sort compare (Hashtbl.fold (fun tid _ acc -> tid :: acc) busy [])
+  (* per-worker utilization: busy time is the sum of top-level spans *)
+  let busy =
+    List.filter_map
+      (fun (tid, spans) ->
+        match
+          List.filter (fun (sp : Profile.span) -> sp.Profile.sp_depth = 0) spans
+        with
+        | [] -> None
+        | top ->
+            Some
+              ( tid,
+                List.fold_left
+                  (fun acc (sp : Profile.span) ->
+                    acc +. (1000. *. sp.Profile.sp_elapsed))
+                  0. top ))
+      walked
   in
-  if tids <> [] then begin
+  if busy <> [] then begin
     Format.fprintf ppf "@,%-10s %12s %12s@," "worker" "busy ms" "utilization";
     List.iter
-      (fun tid ->
-        let b = !(Hashtbl.find busy tid) in
+      (fun (tid, b) ->
         Format.fprintf ppf "%-10d %12.2f %11.1f%%@," tid b
           (if wall_ms > 0. then 100. *. b /. wall_ms else 0.))
-      tids
+      (List.sort compare busy)
   end;
   (* slowest spans *)
   let slowest =
-    List.filteri
-      (fun i _ -> i < 8)
-      (List.sort (fun a b -> compare b.sp_ms a.sp_ms) closed)
+    top8
+      (List.stable_sort
+         (fun (_, (a : Profile.span)) (_, (b : Profile.span)) ->
+           compare b.Profile.sp_elapsed a.Profile.sp_elapsed)
+         closed)
   in
   if slowest <> [] then begin
     Format.fprintf ppf "@,slowest spans:@,";
     List.iter
-      (fun sp ->
-        Format.fprintf ppf "  %-28s worker %d %10.3f ms@," sp.sp_name
-          sp.sp_tid sp.sp_ms)
+      (fun (tid, (sp : Profile.span)) ->
+        Format.fprintf ppf "  %-28s worker %d %10.3f ms@," sp.Profile.sp_name
+          tid (1000. *. sp.Profile.sp_elapsed))
       slowest
   end;
+  self_time ppf phases (List.concat_map snd walked);
   Format.fprintf ppf "@]@."

@@ -34,27 +34,25 @@ type check = {
   c_samples : int;  (** counter samples *)
   c_flows : int;  (** flow events ([s]/[t]/[f] — provenance edges) *)
   c_counter_names : string list;  (** distinct counter tracks, sorted *)
+  c_timeline : (int * Flight.event list) list;
+      (** each [tid]'s [B]/[E]/[i]/[C] records decoded back into the
+          ring events they were written from (timestamps in seconds),
+          tracks in order of first appearance *)
 }
 
 val validate : Json.t -> (check, string) result
-(** Structural check used by tests and CI: [traceEvents] is present,
-    every event carries [ph]/[pid]/[tid] (plus [name]/[ts] where the
-    phase requires them, and [id] for flow phases), timestamps are
-    non-negative and non-decreasing per [tid], and [B]/[E] nest and
-    balance on every track. *)
-
-val phase_of : string -> string
-(** A span name's phase: everything before the first ['('] or [':']
-    (["cell(13,3)"] -> ["cell"], ["record:LGRoot"] -> ["record"]). *)
-
-val phase_table : Json.t -> (string * int * float * float) list
-(** The trace's closed spans grouped by {!phase_of}: (phase, spans,
-    total ms, max ms), largest total first — the phase table of
-    {!summarize}. *)
+(** Structural check used by tests, CI and [pift report]: [traceEvents]
+    is present, every event carries [ph]/[pid]/[tid] (plus [name]/[ts]
+    where the phase requires them, and [id] for flow phases),
+    timestamps are non-negative and non-decreasing per [tid], and
+    [B]/[E] nest and balance on every track — so every [c_timeline]
+    track is balanced. *)
 
 val summarize : Json.t -> Format.formatter -> unit -> unit
 (** Human summary for [pift report]: track/event counts, per-phase time
-    (span names grouped up to the first ['('] or [':']), per-worker
-    busy-time utilization, and the slowest spans.
+    (span names grouped by {!Profile.phase_of}), per-worker busy-time
+    utilization, the slowest spans, and self time per subsystem with the
+    hottest folded stacks.  One {!Profile.spans} walk per decoded track
+    feeds every table, the walk {!Profile.fold} runs over live rings.
 
     @raise Invalid on a malformed trace (same checks as {!validate}). *)

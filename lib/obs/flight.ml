@@ -72,12 +72,7 @@ let instant t name = record t Instant name 0.
 let sample t name value = record t Sample name value
 
 let length t = min t.next t.cap
-let written t = t.next
 let dropped t = max 0 (t.next - t.cap)
-
-let clear t =
-  t.next <- 0;
-  t.last_ts <- 0.
 
 let iter f t =
   if t.cap > 0 then

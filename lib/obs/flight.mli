@@ -51,13 +51,8 @@ val sample : t -> string -> float -> unit
 val length : t -> int
 (** Events currently held, [<= capacity]. *)
 
-val written : t -> int
-(** Events ever recorded (including overwritten ones). *)
-
 val dropped : t -> int
-(** Events lost to wrap-around: [written - length] when full. *)
-
-val clear : t -> unit
+(** Events lost to wrap-around: events ever recorded minus {!length}. *)
 
 val iter : (event -> unit) -> t -> unit
 (** Oldest surviving event first. *)

@@ -26,7 +26,6 @@ type t = {
   mutable taken : int;
   mutable events : int;
   mutable since : int;  (* events since the last snapshot *)
-  mutable on_snapshot : (unit -> unit) option;
 }
 
 let default_capacity = 1024
@@ -45,10 +44,7 @@ let create ?(capacity = default_capacity) ?(every = default_every) () =
     taken = 0;
     events = 0;
     since = 0;
-    on_snapshot = None;
   }
-
-let capacity t = t.cap
 
 (* Replace-by-name: a sweep builds one tracker per grid cell against the
    same per-slot telemetry, so re-registering "tainted_bytes" must
@@ -59,8 +55,6 @@ let set_source t ~name f =
       t.source_order_rev <- name :: t.source_order_rev;
     Hashtbl.replace t.sources name f
   end
-
-let on_snapshot t f = t.on_snapshot <- Some f
 
 let sample_now t =
   if t.cap > 0 then begin
@@ -73,8 +67,7 @@ let sample_now t =
     t.ring.(t.taken mod t.cap) <-
       { sn_seq = t.taken; sn_ts = ts; sn_events = t.events; sn_values = values };
     t.taken <- t.taken + 1;
-    t.since <- 0;
-    match t.on_snapshot with None -> () | Some f -> f ()
+    t.since <- 0
   end
 
 let bump t =
@@ -85,7 +78,6 @@ let bump t =
   end
 
 let taken t = t.taken
-let events t = t.events
 let length t = min t.taken t.cap
 let dropped t = max 0 (t.taken - t.cap)
 
@@ -94,15 +86,6 @@ let snapshots t =
   else
     List.init (length t) (fun i ->
         t.ring.((max 0 (t.taken - t.cap) + i) mod t.cap))
-
-let latest t =
-  if t.taken = 0 || t.cap = 0 then []
-  else t.ring.((t.taken - 1) mod t.cap).sn_values
-
-let clear t =
-  t.taken <- 0;
-  t.events <- 0;
-  t.since <- 0
 
 (* Interleave per-slot snapshots onto the common time axis; ties break
    by slot then sequence so the merged order is deterministic for a
@@ -289,7 +272,8 @@ let sparkline ?(width = 44) values =
       done;
       Buffer.contents buf
 
-let render_file f ppf () =
+let render_json_lines lines ppf () =
+  let f = of_json_lines lines in
   Format.fprintf ppf "== telemetry%s ==@."
     (if String.equal f.f_run "" then ""
      else Printf.sprintf " (%s)" f.f_run);
@@ -325,5 +309,3 @@ let render_file f ppf () =
   end
   else Format.fprintf ppf "(no snapshot values)@,";
   Format.fprintf ppf "@]@."
-
-let render_json_lines lines ppf () = render_file (of_json_lines lines) ppf ()

@@ -35,18 +35,12 @@ val create : ?capacity:int -> ?every:int -> unit -> t
     the event trigger, leaving only {!sample_now}) sets the snapshot
     cadence. *)
 
-val capacity : t -> int
-
 val set_source : t -> name:string -> (unit -> float) -> unit
 (** Register (or {e replace}) the source read as [name] on every
     snapshot.  Replacement matters: a sweep builds a tracker per grid
     cell against the same per-slot telemetry, and each must rebind
     ["tainted_bytes"] to its own store rather than accumulate
     duplicates. *)
-
-val on_snapshot : t -> (unit -> unit) -> unit
-(** Hook called after each snapshot is taken — how the {!Progress} view
-    repaints mid-run without polling. *)
 
 val bump : t -> unit
 (** Count one event; takes a snapshot when the cadence says so.  The
@@ -59,18 +53,12 @@ val sample_now : t -> unit
 val taken : t -> int
 (** Snapshots ever taken (including overwritten ones). *)
 
-val events : t -> int
 val length : t -> int
 val dropped : t -> int
 (** Snapshots lost to ring wrap-around. *)
 
 val snapshots : t -> snapshot list
 (** Surviving snapshots, oldest first. *)
-
-val latest : t -> (string * float) list
-(** The newest snapshot's values; [[]] before the first snapshot. *)
-
-val clear : t -> unit
 
 val merged : t array -> (int * snapshot) list
 (** Per-slot snapshots interleaved on the common time axis as
@@ -104,9 +92,7 @@ val sparkline : ?width:int -> float list -> string
 (** Eight-level Unicode sparkline, downsampled to at most [width]
     (default 44) cells. *)
 
-val render_file : file -> Format.formatter -> unit -> unit
-
 val render_json_lines : Json.t list -> Format.formatter -> unit -> unit
-(** {!of_json_lines} + {!render_file}: per-metric min/max/last summary
+(** {!of_json_lines}, rendered: per-metric min/max/last summary
     rows with sparklines, plus a ring-health warning when snapshots
     were dropped. *)

@@ -20,7 +20,6 @@ let test_ring_basic () =
   Flight.sample r "c" 3.;
   Flight.end_ r "a";
   checki "length" 3 (Flight.length r);
-  checki "written" 3 (Flight.written r);
   checki "dropped" 0 (Flight.dropped r);
   (match Flight.events r with
   | [ e1; e2; e3 ] ->
@@ -33,9 +32,7 @@ let test_ring_basic () =
       checkb "ts monotonic" true
         (e1.Flight.ts <= e2.Flight.ts && e2.Flight.ts <= e3.Flight.ts);
       checkb "ts non-negative" true (e1.Flight.ts >= 0.)
-  | l -> Alcotest.failf "expected 3 events, got %d" (List.length l));
-  Flight.clear r;
-  checki "cleared" 0 (Flight.length r)
+  | l -> Alcotest.failf "expected 3 events, got %d" (List.length l))
 
 let test_ring_wrap_keeps_newest () =
   let r = Flight.create ~capacity:4 () in
@@ -43,8 +40,7 @@ let test_ring_wrap_keeps_newest () =
     Flight.sample r "n" (float_of_int i)
   done;
   checki "length capped" 4 (Flight.length r);
-  checki "written counts all" 10 (Flight.written r);
-  checki "dropped = written - capacity" 6 (Flight.dropped r);
+  checki "dropped = recorded - capacity" 6 (Flight.dropped r);
   let values = List.map (fun e -> e.Flight.value) (Flight.events r) in
   checkb "newest 4 survive, oldest first" true (values = [ 7.; 8.; 9.; 10. ])
 
@@ -56,7 +52,7 @@ let test_ring_capacity_zero_noop () =
   Flight.sample r "c" 1.;
   checki "capacity" 0 (Flight.capacity r);
   checki "length" 0 (Flight.length r);
-  checki "written" 0 (Flight.written r);
+  checki "dropped" 0 (Flight.dropped r);
   checkb "no events" true (Flight.events r = [])
 
 (* --- per-ring tracks ---------------------------------------------------- *)
@@ -209,7 +205,7 @@ let test_sweep_identical_with_tracing () =
   checkb "cells identical with tracing on" true
     (plain.Accuracy.cells = traced.Accuracy.cells);
   checkb "rings actually recorded" true
-    (Array.exists (fun r -> Flight.written r > 0) rings);
+    (Array.exists (fun r -> Flight.length r > 0) rings);
   (* and the recorded rings export to a valid trace *)
   match Chrome.validate (Chrome.json rings) with
   | Ok c -> checkb "has cell spans" true (c.Chrome.c_spans > 0)

@@ -33,8 +33,9 @@ let state_to_string ~bytes ~count ~ranges =
 
 (* Fold the sequence through both sets at once; after each op the
    oracle (trivially correct byte-level semantics) and the flat set
-   must report the same overlap verdict and first overlapping range,
-   tainted-byte total, range count, and sorted canonical range list. *)
+   must report the same overlap verdict, first overlapping range and
+   list of overlapping ranges, tainted-byte total, range count, and
+   sorted canonical range list. *)
 let differential ops =
   let flat = Store_flat.create () and oracle = Store_bytemap.create () in
   let verdict_to_string = function
@@ -67,6 +68,18 @@ let differential ops =
                         i (Prop.op_to_string op)
                         (ranges_to_string (Option.to_list first))
                         (ranges_to_string (Option.to_list want_first))));
+              let all = ref [] in
+              Store_flat.iter_overlaps (fun q -> all := q :: !all) flat r;
+              let want_all =
+                List.filter (Range.overlaps r) (Store_bytemap.ranges oracle)
+              in
+              if List.rev !all <> want_all then
+                raise
+                  (Diverged
+                     (Printf.sprintf "op %d (%s): overlaps %s, oracle %s" i
+                        (Prop.op_to_string op)
+                        (ranges_to_string (List.rev !all))
+                        (ranges_to_string want_all)));
               ( Some (Store_flat.mem_overlap flat r),
                 Some (Store_bytemap.mem_overlap oracle r) )
         in

@@ -1,11 +1,13 @@
 (* Tests for the continuous-telemetry layer: snapshot rings and their
-   cadence, the profile fold of flight rings, the
-   report --diff comparison engine, the live progress view's modes,
-   and the guarantee that none of it perturbs replay results. *)
+   cadence, the profile fold of flight rings and the trace report's
+   walk of the same spans, the report --diff comparison engine, the
+   live progress view's modes, and the guarantee that none of it
+   perturbs replay results. *)
 
 module Telemetry = Pift_obs.Telemetry
 module Profile = Pift_obs.Profile
 module Flight = Pift_obs.Flight
+module Chrome = Pift_obs.Chrome
 module Diff = Pift_obs.Diff
 module Progress = Pift_obs.Progress
 module Json = Pift_obs.Json
@@ -24,6 +26,12 @@ let contains haystack needle =
 
 (* --- telemetry ring ------------------------------------------------------ *)
 
+(* The newest snapshot's values; [] before the first snapshot. *)
+let latest t =
+  match List.rev (Telemetry.snapshots t) with
+  | sn :: _ -> sn.Telemetry.sn_values
+  | [] -> []
+
 let test_cadence () =
   let t = Telemetry.create ~every:10 () in
   let live = ref 0. in
@@ -32,13 +40,15 @@ let test_cadence () =
     live := float_of_int i;
     Telemetry.bump t
   done;
-  checki "events counted" 35 (Telemetry.events t);
   checki "snapshots on the every-N cadence" 3 (Telemetry.taken t);
   checki "nothing dropped" 0 (Telemetry.dropped t);
-  checkf "latest reads the live source" 30. (List.assoc "x" (Telemetry.latest t));
+  checkf "latest reads the live source" 30. (List.assoc "x" (latest t));
   Telemetry.sample_now t;
   checki "sample_now takes one more" 4 (Telemetry.taken t);
-  checkf "final reading" 35. (List.assoc "x" (Telemetry.latest t));
+  checkf "final reading" 35. (List.assoc "x" (latest t));
+  (match List.rev (Telemetry.snapshots t) with
+  | last :: _ -> checki "events counted" 35 last.Telemetry.sn_events
+  | [] -> Alcotest.fail "no snapshots");
   (match Telemetry.snapshots t with
   | first :: _ ->
       checki "sequence starts at zero" 0 first.Telemetry.sn_seq;
@@ -71,10 +81,7 @@ let test_ring_overflow () =
   checki "overflow surfaced as dropped" 6 (Telemetry.dropped t);
   (match Telemetry.snapshots t with
   | first :: _ -> checki "survivors are the newest" 6 first.Telemetry.sn_seq
-  | [] -> Alcotest.fail "no snapshots");
-  Telemetry.clear t;
-  checki "clear resets events" 0 (Telemetry.events t);
-  checki "clear resets dropped" 0 (Telemetry.dropped t)
+  | [] -> Alcotest.fail "no snapshots")
 
 let test_capacity_zero_off () =
   let t = Telemetry.create ~capacity:0 ~every:1 () in
@@ -85,7 +92,7 @@ let test_capacity_zero_off () =
   Telemetry.sample_now t;
   checki "capacity 0 records nothing" 0 (Telemetry.taken t);
   checki "and keeps nothing" 0 (Telemetry.length t);
-  checkb "latest empty" true (Telemetry.latest t = [])
+  checkb "no snapshots" true (Telemetry.snapshots t = [])
 
 let test_merged_and_jsonl () =
   let slots = [| Telemetry.create ~every:0 (); Telemetry.create ~every:0 () |] in
@@ -187,9 +194,8 @@ let test_profile_nesting () =
   (* an End with nothing open is dropped, not an exception *)
   Flight.end_ ring "replay";
   checki "unbalanced end ignored" 2 (List.length (Profile.fold [| ring |]));
-  Flight.clear ring;
-  checki "cleared ring folds to nothing" 0
-    (List.length (Profile.fold [| ring |]))
+  checki "an empty ring folds to nothing" 0
+    (List.length (Profile.fold [| Flight.create () |]))
 
 let test_profile_span () =
   let off = Flight.create ~capacity:0 () in
@@ -206,7 +212,7 @@ let test_profile_span () =
   checkb "sibling not nested under the raiser" true
     (List.mem_assoc "after" (Profile.fold [| ring |]))
 
-let test_profile_merge_and_folded_string () =
+let test_profile_merge () =
   let a = Flight.create () and b = Flight.create () in
   span a "chunk" spin;
   span b "chunk" spin;
@@ -227,28 +233,12 @@ let test_profile_merge_and_folded_string () =
   span c "cell(3,4)" spin;
   Alcotest.(check (list string))
     "phases, not instances" [ "cell;record"; "cell" ]
-    (List.map fst (Profile.fold [| c |]));
-  (* folded text round trip at µs precision *)
-  let stacks = [ ("chunk;cell;record", 0.000123); ("trace_io", 0.002) ] in
-  let text = Profile.to_folded_string stacks in
-  checks "flamegraph lines" "chunk;cell;record 123\ntrace_io 2000\n" text;
-  checkb "sniffs as folded" true (Profile.looks_like_folded text);
-  checkb "json does not sniff as folded" true
-    (not (Profile.looks_like_folded "{\"run\":\"x\"}"));
-  (match Profile.parse_folded text with
-  | [ ("chunk;cell;record", w1); ("trace_io", w2) ] ->
-      checkf "µs back to seconds" 0.000123 w1;
-      checkf "second line too" 0.002 w2
-  | _ -> Alcotest.fail "parse_folded mismatch");
-  checkb "garbage raises Malformed" true
-    (try
-       ignore (Profile.parse_folded "no trailing integer here");
-       false
-     with Profile.Malformed _ -> true)
+    (List.map fst (Profile.fold [| c |]))
 
-(* The profile and the trace are two views of the same spans: for every
-   phase, the fold's inclusive time (self plus descendants) is the total
-   the trace summary reconstructs, wrapped rings included. *)
+(* The rings and the trace file they export hold the same spans: the
+   report's decode of [Chrome.json], walked by [Profile.spans], gives
+   the fold rows [Profile.fold] gives over the rings, and the same
+   per-phase totals, wrapped rings included. *)
 let test_profile_agrees_with_trace () =
   let full = Flight.create () in
   span full "chunk" (fun () ->
@@ -274,48 +264,96 @@ let test_profile_agrees_with_trace () =
     "lost Begin dropped, open span closed" [ "chunk;record"; "chunk" ]
     (List.map fst (Profile.fold [| wrapped |]));
   let rings = [| full; wrapped |] in
-  let folded = Profile.fold rings in
-  let inclusive path =
-    List.fold_left
-      (fun acc (q, self) ->
-        if q = path || String.starts_with ~prefix:(path ^ ";") q then
-          acc +. self
-        else acc)
-      0. folded
+  let live =
+    List.concat_map
+      (fun r -> Profile.spans (fun f -> Flight.iter_balanced f r))
+      (Array.to_list rings)
   in
-  let phase_total phase =
-    List.fold_left
-      (fun acc (path, _) ->
-        if Profile.leaf path = phase then acc +. inclusive path else acc)
-      0. folded
+  let decoded =
+    match
+      Chrome.validate (Json.of_string (Json.to_string (Chrome.json rings)))
+    with
+    | Error msg -> Alcotest.failf "exported trace invalid: %s" msg
+    | Ok c ->
+        Alcotest.(check (list int))
+          "one track per ring" [ 0; 1 ]
+          (List.map fst c.Chrome.c_timeline);
+        List.concat_map
+          (fun (_, events) -> Profile.spans (fun f -> List.iter f events))
+          c.Chrome.c_timeline
   in
-  let table = Pift_obs.Chrome.phase_table (Pift_obs.Chrome.json rings) in
+  let close = Alcotest.(check (float 1e-9)) in
+  let folded = Profile.fold rings and walked = Profile.rows decoded in
   Alcotest.(check (list string))
-    "same phases" [ "cell"; "chunk"; "record" ]
-    (List.sort compare (List.map (fun (p, _, _, _) -> p) table));
-  List.iter
-    (fun (phase, _, total_ms, _) ->
-      checkf phase (total_ms /. 1000.) (phase_total phase))
-    table
+    "same stacks, same order" (List.map fst folded) (List.map fst walked);
+  List.iter2 (fun (path, a) (_, b) -> close path a b) folded walked;
+  let phase_totals spans =
+    List.map
+      (fun phase ->
+        List.fold_left
+          (fun acc (sp : Profile.span) ->
+            if Profile.phase_of sp.Profile.sp_name = phase then
+              acc +. sp.Profile.sp_elapsed
+            else acc)
+          0. spans)
+      [ "cell"; "chunk"; "record" ]
+  in
+  List.iter2 (close "phase total") (phase_totals live) (phase_totals decoded);
+  checkb "every phase spanned" true
+    (List.for_all (fun t -> t > 0.) (phase_totals decoded))
 
+(* The report's self-time section over a hand-made trace with exact
+   timestamps: per-subsystem shares and their order. *)
 let test_profile_breakdown () =
-  let stacks =
-    [ ("pool;replay;tracker", 0.3); ("pool;replay;tracker;store", 0.1);
-      ("pool;replay", 0.4); ("trace_io", 0.2) ]
+  let ev ph name ts =
+    Json.Obj
+      [
+        ("name", Json.String name); ("ph", Json.String ph); ("pid", Json.Int 1);
+        ("tid", Json.Int 0); ("ts", Json.Float ts);
+      ]
   in
-  let rows = Profile.breakdown stacks in
-  let pct name =
-    let _, _, p = List.find (fun (n, _, _) -> n = name) rows in
-    p
+  (* self µs: store 100, tracker 300, replay 400, pool 0, trace_io 200 *)
+  let trace =
+    Json.Obj
+      [
+        ( "traceEvents",
+          Json.List
+            [
+              ev "B" "pool" 0.; ev "B" "replay" 0.; ev "B" "tracker" 0.;
+              ev "B" "store" 0.; ev "E" "store" 100.; ev "E" "tracker" 400.;
+              ev "E" "replay" 800.; ev "E" "pool" 800.;
+              ev "B" "trace_io" 800.; ev "E" "trace_io" 1000.;
+            ] );
+      ]
   in
-  checkf "replay share" 40. (pct "replay");
-  checkf "tracker share" 30. (pct "tracker");
-  checkf "store share" 10. (pct "store");
-  checkf "trace_io share" 20. (pct "trace_io");
-  (match rows with
-  | (first, _, _) :: _ -> checks "sorted by share" "replay" first
-  | [] -> Alcotest.fail "empty breakdown");
-  checks "leaf of a path" "store" (Profile.leaf "pool;replay;tracker;store")
+  let text =
+    Format.asprintf "%a" (fun ppf () -> Chrome.summarize trace ppf ()) ()
+  in
+  let lines = String.split_on_char '\n' text in
+  let rec after_header = function
+    | l :: rest when String.starts_with ~prefix:"subsystem" l -> rest
+    | _ :: rest -> after_header rest
+    | [] -> Alcotest.fail "no subsystem table"
+  in
+  let rec table = function
+    | l :: rest when l <> "" -> l :: table rest
+    | _ -> []
+  in
+  let shares =
+    List.map
+      (fun l ->
+        match List.filter (( <> ) "") (String.split_on_char ' ' l) with
+        | [ name; _; share ] -> (name, share)
+        | _ -> Alcotest.failf "subsystem row %S" l)
+      (table (after_header lines))
+  in
+  Alcotest.(check (list (pair string string)))
+    "shares, largest first"
+    [ ("replay", "40.0%"); ("tracker", "30.0%"); ("trace_io", "20.0%");
+      ("store", "10.0%"); ("pool", "0.0%") ]
+    shares;
+  checkb "hottest stack listed" true
+    (contains text "pool;replay;tracker;store")
 
 (* --- report --diff ------------------------------------------------------- *)
 
@@ -439,20 +477,16 @@ let captured f =
   in
   (read out, read err)
 
-let test_top_disabled_is_silent () =
-  let telems = [| Telemetry.create ~every:1 () |] in
+let test_disabled_is_silent () =
   let out, err =
     captured (fun () ->
-        let top =
-          Progress.create ~enabled:false ~telems ~label:"unit" ~total:0 ()
-        in
-        Progress.set_total top 10;
+        let p = Progress.create ~enabled:false ~label:"unit" ~total:0 () in
+        Progress.set_total p 10;
         for _ = 1 to 10 do
-          Telemetry.bump telems.(0);
-          Progress.step top
+          Progress.step p
         done;
-        Progress.finish top;
-        Progress.finish top (* idempotent *))
+        Progress.finish p;
+        Progress.finish p (* idempotent *))
   in
   checks "stdout" "" out;
   checks "stderr" "" err
@@ -474,36 +508,29 @@ let test_progress_off_tty () =
   checks "stderr" "" err
 
 (* Forced on off a terminal, the view logs a line every 25 steps and at
-   the end, with or without telemetry slots, and never paints a frame. *)
+   the end, and never paints a frame. *)
 let test_progress_log_mode () =
-  List.iter
-    (fun slots ->
-      let telems = Array.init slots (fun _ -> Telemetry.create ~every:1 ()) in
-      let out, err =
-        captured (fun () ->
-            let p =
-              Progress.create ~enabled:true ~telems ~label:"unit" ~total:60 ()
-            in
-            for _ = 1 to 60 do
-              Array.iter Telemetry.bump telems;
-              Progress.step p
-            done;
-            Progress.finish p)
-      in
-      checks "stdout" "" out;
-      let counts =
-        List.map
-          (fun line ->
-            match String.split_on_char ' ' line with
-            | label :: count :: _ -> label ^ " " ^ count
-            | _ -> line)
-          (List.filter (( <> ) "") (String.split_on_char '\n' err))
-      in
-      Alcotest.(check (list string))
-        (Printf.sprintf "%d slots: lines at 25, 50, 60" slots)
-        [ "unit: 25/60"; "unit: 50/60"; "unit: 60/60" ]
-        counts)
-    [ 0; 2 ]
+  let out, err =
+    captured (fun () ->
+        let p = Progress.create ~enabled:true ~label:"unit" ~total:60 () in
+        for _ = 1 to 60 do
+          Progress.step p
+        done;
+        Progress.finish p)
+  in
+  checks "stdout" "" out;
+  let counts =
+    List.map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | label :: count :: _ -> label ^ " " ^ count
+        | _ -> line)
+      (List.filter (( <> ) "") (String.split_on_char '\n' err))
+  in
+  Alcotest.(check (list string))
+    "lines at 25, 50, 60"
+    [ "unit: 25/60"; "unit: 50/60"; "unit: 60/60" ]
+    counts
 
 (* --- replay results must not move ---------------------------------------- *)
 
@@ -525,9 +552,9 @@ let test_replay_unperturbed () =
     (plain.Recorded.verdicts = observed.Recorded.verdicts);
   checkb "telemetry actually sampled" true (Telemetry.taken telemetry > 0);
   checkb "tracker sources registered" true
-    (List.mem_assoc "tainted_bytes" (Telemetry.latest telemetry));
+    (List.mem_assoc "tainted_bytes" (latest telemetry));
   checkb "window_used source registered" true
-    (List.mem_assoc "window_used" (Telemetry.latest telemetry));
+    (List.mem_assoc "window_used" (latest telemetry));
   Alcotest.(check (list string))
     "the replay's ring spans fold" [ "record;vm-run"; "record"; "replay" ]
     (List.map fst (Profile.fold [| ring |]))
@@ -549,8 +576,8 @@ let () =
         [
           Alcotest.test_case "nesting self time" `Quick test_profile_nesting;
           Alcotest.test_case "span gating" `Quick test_profile_span;
-          Alcotest.test_case "merge + folded text" `Quick
-            test_profile_merge_and_folded_string;
+          Alcotest.test_case "merge + phase grouping" `Quick
+            test_profile_merge;
           Alcotest.test_case "breakdown" `Quick test_profile_breakdown;
           Alcotest.test_case "fold agrees with the trace" `Quick
             test_profile_agrees_with_trace;
@@ -568,7 +595,8 @@ let () =
         ] );
       ( "live view",
         [
-          Alcotest.test_case "top disabled" `Quick test_top_disabled_is_silent;
+          Alcotest.test_case "disabled is silent" `Quick
+            test_disabled_is_silent;
           Alcotest.test_case "progress off tty" `Quick test_progress_off_tty;
           Alcotest.test_case "progress log mode" `Quick test_progress_log_mode;
         ] );
