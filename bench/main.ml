@@ -35,8 +35,7 @@ let bench_trace =
 
 let event_slice n =
   let r = Lazy.force bench_trace in
-  let len = min n (Trace.length r.Recorded.trace) in
-  Array.init len (fun i -> Trace.get r.Recorded.trace i)
+  Array.of_seq (Seq.take n (Trace.to_seq r.Recorded.trace))
 
 (* --- microbenchmarks --------------------------------------------------- *)
 
@@ -285,10 +284,7 @@ let write_store_bench () =
   let module Store_flat = Pift_core.Store_flat in
   let module Accuracy = Pift_eval.Accuracy in
   let recorded = Lazy.force bench_trace in
-  let events =
-    Array.init (Trace.length recorded.Recorded.trace) (fun i ->
-        Trace.get recorded.Recorded.trace i)
-  in
+  let events = Array.of_seq (Trace.to_seq recorded.Recorded.trace) in
   let replay () =
     let t = Tracker.create ~policy:Policy.default ~store:(Store.create ()) () in
     Tracker.taint_source t ~pid:1 (Range.of_len 0x4000_0000 32);
@@ -474,10 +470,7 @@ let write_prov_bench () =
   let module Json = Pift_obs.Json in
   let module Provenance = Pift_core.Provenance in
   let recorded = Lazy.force bench_trace in
-  let events =
-    Array.init (Trace.length recorded.Recorded.trace) (fun i ->
-        Trace.get recorded.Recorded.trace i)
-  in
+  let events = Array.of_seq (Trace.to_seq recorded.Recorded.trace) in
   let sources =
     [
       ("IMEI", Range.of_len 0x4000_0000 32);

@@ -20,9 +20,9 @@ module Sset = Set.Make (String)
    place, so once the hit arrays have grown to the pid's label count a
    window costs no allocation.  A label registered while the window is
    open is probed after the window, so it does not join it.  The
-   window's sets stay valid for its lifetime: only [release_pid] drops a
-   pid's sets, and it drops the whole record.  The sidecar never
-   decides a window; it only records what {!Tracker} decided. *)
+   window's sets stay valid for its lifetime: nothing drops a pid's
+   sets.  The sidecar never decides a window; it only records what
+   {!Tracker} decided. *)
 type proc = {
   mutable labels : string array;
   mutable sets : Store_flat.t array;
@@ -59,8 +59,7 @@ type propagation = {
    label lookups, untainting) touch only the probed pid's label sets:
    per-event cost tracks that process's label count, not the tenant
    population.  [cached] is [procs]'s record for [cached_pid], or
-   [absent] when it has none, as in {!Store.create}; [release_pid]
-   re-resolves it. *)
+   [absent] when it has none, as in {!Store.create}. *)
 type t = {
   procs : (int, proc) Hashtbl.t;
   mutable cached_pid : int;
@@ -252,10 +251,6 @@ let tainted_bytes t ~label =
       let i = find_label p label in
       if i >= 0 then acc + Store_flat.total_bytes p.sets.(i) else acc)
     t.procs 0
-
-let release_pid t ~pid =
-  Hashtbl.remove t.procs pid;
-  if pid = t.cached_pid then t.cached <- absent
 
 let entries t =
   List.sort

@@ -31,9 +31,8 @@
     Until then the sets are as they were at the opening, so the probe
     finds exactly what an eager one would have.  A one-entry cache
     of the last process looked up sits in front of the pid table, as in
-    {!Store.create} and {!Tracker}; {!release_pid} clears it, and reads
-    move it too, so a sidecar, reads included, belongs to one domain at
-    a time.  So {!window_opened}, {!store_tainted} and {!untaint_range}
+    {!Store.create} and {!Tracker}; reads move it too, so a sidecar,
+    reads included, belongs to one domain at a time.  So {!window_opened}, {!store_tainted} and {!untaint_range}
     hash nothing while one process runs, need no sort, and allocate
     nothing once the window arrays have grown to the process's label
     count.  The scan paths (window probes, label lookups and
@@ -65,11 +64,6 @@ val untaint_range : t -> pid:int -> Pift_util.Range.t -> unit
 (** The range is dropped from every label of the process: the tracker
     calls this for {!Tracker.untaint_range} and for every out-of-window
     store it actually untainted. *)
-
-val release_pid : t -> pid:int -> unit
-(** Tenant eviction: drop [pid]'s record — every label set and its
-    window.  The pid can be re-registered later and starts from a
-    clean slate. *)
 
 val window_opened : t -> pid:int -> seq:int -> Pift_util.Range.t -> unit
 (** The tracker opened (or restarted) [pid]'s window with a tainted load

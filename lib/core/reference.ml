@@ -32,15 +32,6 @@ let taint_source t ~pid r =
 let untaint t ~pid r =
   iter_bytes r (fun a -> Hashtbl.remove t.bytes (pid, a))
 
-let release_pid t ~pid =
-  Hashtbl.remove t.windows pid;
-  let mine =
-    Hashtbl.fold
-      (fun (p, a) () acc -> if p = pid then a :: acc else acc)
-      t.bytes []
-  in
-  List.iter (fun a -> Hashtbl.remove t.bytes (pid, a)) mine
-
 let is_tainted t ~pid r =
   let hit = ref false in
   iter_bytes r (fun a -> if Hashtbl.mem t.bytes (pid, a) then hit := true);

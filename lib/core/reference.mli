@@ -10,9 +10,6 @@ type t
 val create : Policy.t -> t
 val taint_source : t -> pid:int -> Pift_util.Range.t -> unit
 val observe : t -> Pift_trace.Event.t -> unit
-val release_pid : t -> pid:int -> unit
-(** Forget the pid's window and bytes: seen again, it starts clean. *)
-
 val is_tainted : t -> pid:int -> Pift_util.Range.t -> bool
 val tainted_bytes : t -> int
 val range_count : t -> int

@@ -19,7 +19,7 @@ type t = {
   windows : (int, window) Hashtbl.t;
   (* One-entry cache beside [windows], as in {!Store.create}:
      [cached_window] is the window of [cached_pid], or [no_window] when
-     that pid has none.  [release_pid] and [restore] re-resolve it. *)
+     that pid has none.  [restore] re-resolves it. *)
   mutable cached_pid : int;
   mutable cached_window : window;
   mutable taint_ops : int;
@@ -88,8 +88,7 @@ let window_used t ~pid = (find_window t pid).nt_used
 
 (* Peaks are refreshed after every store mutation that can raise one of
    them: an add can raise both, and a remove that cuts a hole in a range
-   splits it in two, raising the range count.  [release_pid] drops whole
-   pids and raises neither. *)
+   splits it in two, raising the range count. *)
 let update_peaks t =
   let bytes = t.store.Store.tainted_bytes () in
   let count = t.store.Store.range_count () in
@@ -109,16 +108,6 @@ let untaint_range t ~pid r =
   | Some p -> Provenance.untaint_range p ~pid r);
   t.store.Store.remove ~pid r;
   update_peaks t
-
-(* Tenant eviction for a long-lived tracker: the pid's window, taint
-   state and provenance sidecar state are all dropped. *)
-let release_pid t ~pid =
-  Hashtbl.remove t.windows pid;
-  recache t;
-  (match t.prov with
-  | None -> ()
-  | Some p -> Provenance.release_pid p ~pid);
-  t.store.Store.release_pid ~pid
 
 let current_tainted_bytes t = t.store.Store.tainted_bytes ()
 let current_ranges t = t.store.Store.range_count ()

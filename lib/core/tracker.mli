@@ -8,8 +8,8 @@
     Windows are per-process, measured on the per-process instruction
     counter.  The tracker caches the last pid it looked up together
     with that pid's window (or the fact that it has none), so a run of
-    events from one process resolves its window once;
-    {!release_pid} and {!restore} re-resolve the cached pid.  Queries
+    events from one process resolves its window once; {!restore}
+    re-resolves the cached pid.  Queries
     ({!is_tainted}, {!window_used}) move the cache too, so a tracker,
     reads included, belongs to one domain at a time.
 
@@ -47,13 +47,6 @@ val taint_source : ?kind:string -> t -> pid:int -> Pift_util.Range.t -> unit
 
 val untaint_range : t -> pid:int -> Pift_util.Range.t -> unit
 (** Software-level removal (e.g. buffer freed and cleared). *)
-
-val release_pid : t -> pid:int -> unit
-(** Tenant eviction: drop the pid's window, its store state and (when
-    present) its provenance state, so {!current_tainted_bytes} returns
-    to the remaining tenants' baseline.  A released pid starts clean if
-    seen again.  Peak stats ([max_tainted_bytes]/[max_ranges]) keep
-    their high-water marks. *)
 
 val current_tainted_bytes : t -> int
 (** Live store occupancy in bytes (not the peak) — the engine's
@@ -95,8 +88,9 @@ val on_store : t -> pid:int -> seq:int -> k:int -> Pift_util.Range.t -> unit
 val on_other : t -> seq:int -> n:int -> unit
 (** [n >= 1] instructions with no memory access, [seq] the largest of
     their seqs: they only count.  Algorithm 1 reads nothing else of
-    them, so the service engine hands it a whole run of one pid's
-    non-memory instructions as one counted row ({!Pift_trace.Row}): the
+    them, so the service engine and {!Pift_eval.Recorded.replay} hand
+    it a whole run of one pid's non-memory instructions as one counted
+    row ({!Pift_trace.Row}): the
     tracker ends in the state [n] calls with [~n:1] at the run's seqs
     would leave. *)
 

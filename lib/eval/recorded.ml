@@ -1,5 +1,6 @@
 module Range = Pift_util.Range
 module Trace = Pift_trace.Trace
+module Row = Pift_trace.Row
 module Cpu = Pift_machine.Cpu
 module Env = Pift_runtime.Env
 module Manager = Pift_runtime.Manager
@@ -44,6 +45,7 @@ let record ?mode ?flight (app : App.t) =
     Vm.create ?mode ~natives ?flight env (app.App.program ())
   in
   (match Vm.run vm with `Ok | `Uncaught _ -> ());
+  Trace.trim trace;
   {
     name = app.App.name;
     trace;
@@ -69,25 +71,33 @@ type replay = {
   origins : origin_verdict list;
 }
 
+(* [until seq] calls [on_marker] for every marker not yet fired whose
+   timestamp is at most [seq], in order; between markers it is one
+   compare. *)
+let markers_until t ~on_marker =
+  let mi = ref 0 and n = Array.length t.markers in
+  let due = ref (if n > 0 then fst t.markers.(0) else max_int) in
+  fun seq ->
+    if seq >= !due then begin
+      while !mi < n && fst t.markers.(!mi) <= seq do
+        let mseq, m = t.markers.(!mi) in
+        on_marker mseq m;
+        incr mi
+      done;
+      due := if !mi < n then fst t.markers.(!mi) else max_int
+    end
+
 (* Walk events and markers in global-sequence order, calling [on_marker]
    for every marker once all events up to its timestamp have been fed. *)
 let interleave t ~observe ~on_marker =
-  let mi = ref 0 in
-  let n = Array.length t.markers in
-  let apply_until seq =
-    while !mi < n && fst t.markers.(!mi) <= seq do
-      let mseq, m = t.markers.(!mi) in
-      on_marker mseq m;
-      incr mi
-    done
-  in
-  apply_until 0;
+  let until = markers_until t ~on_marker in
+  until 0;
   Trace.iter
     (fun e ->
       observe e;
-      apply_until e.Pift_trace.Event.seq)
+      until e.Pift_trace.Event.seq)
     t.trace;
-  apply_until max_int
+  until max_int
 
 type item = Item_event of Pift_trace.Event.t | Item_marker of int * marker
 
@@ -98,9 +108,8 @@ type item = Item_event of Pift_trace.Event.t | Item_marker of int * marker
    writers serialize them.  The engine's ingest front merges several of
    these streams without materialising any of them. *)
 let items t =
-  let mi = ref 0 and ei = ref 0 in
+  let mi = ref 0 and events = ref (Trace.to_seq t.trace) in
   let nm = Array.length t.markers in
-  let ne = Trace.length t.trace in
   let last_seq = ref 0 in
   fun () ->
     if !mi < nm && fst t.markers.(!mi) <= !last_seq then begin
@@ -108,18 +117,19 @@ let items t =
       incr mi;
       Some (Item_marker (mseq, m))
     end
-    else if !ei < ne then begin
-      let e = Trace.get t.trace !ei in
-      incr ei;
-      last_seq := e.Pift_trace.Event.seq;
-      Some (Item_event e)
-    end
-    else if !mi < nm then begin
-      let mseq, m = t.markers.(!mi) in
-      incr mi;
-      Some (Item_marker (mseq, m))
-    end
-    else None
+    else
+      match !events () with
+      | Seq.Cons (e, rest) ->
+          events := rest;
+          last_seq := e.Pift_trace.Event.seq;
+          Some (Item_event e)
+      | Seq.Nil ->
+          if !mi < nm then begin
+            let mseq, m = t.markers.(!mi) in
+            incr mi;
+            Some (Item_marker (mseq, m))
+          end
+          else None
 
 let replay ?store ?telemetry ?(with_origins = false) ~policy t =
   let store =
@@ -135,9 +145,9 @@ let replay ?store ?telemetry ?(with_origins = false) ~policy t =
   (* Telemetry sources read the tracker's live counters; they replace any
      previous replay's bindings on a shared per-slot instance (a sweep
      replays every cell against the same one). *)
-  let observe =
+  let bump =
     match telemetry with
-    | None -> Tracker.observe tracker
+    | None -> None
     | Some te ->
         let module Telemetry = Pift_obs.Telemetry in
         let source name f =
@@ -148,9 +158,11 @@ let replay ?store ?telemetry ?(with_origins = false) ~policy t =
         source "ranges" (fun () -> Tracker.current_ranges tracker);
         source "window_used" (fun () ->
             Tracker.window_used tracker ~pid:t.pid);
-        fun e ->
-          Telemetry.bump te;
-          Tracker.observe tracker e
+        Some
+          (fun n ->
+            for _ = 1 to n do
+              Telemetry.bump te
+            done)
   in
   let verdicts = ref [] in
   let origin_verdicts = ref [] in
@@ -174,7 +186,33 @@ let replay ?store ?telemetry ?(with_origins = false) ~policy t =
             :: !origin_verdicts
         end
   in
-  interleave t ~observe ~on_marker;
+  (* Algorithm 1 straight from the rows: one [on_other ~n] per counted
+     row and the interned range per load or store, so the walk builds
+     no event.  A marker fires after the row that holds its seq, which
+     for a counted row can be after instructions that follow it; that
+     is safe because [on_other] only moves the tracker's event count and
+     clock, and no marker operation reads either.  Telemetry still
+     counts events, so its snapshots land at the same counts. *)
+  let until = markers_until t ~on_marker in
+  until 0;
+  Trace.iter_rows
+    (fun rows o ->
+      let tag = rows.(o) and seq = rows.(o + 2) in
+      if tag = Row.tag_other then begin
+        let n = rows.(o + 5) in
+        (match bump with None -> () | Some bump -> bump n);
+        Tracker.on_other tracker ~seq ~n
+      end
+      else begin
+        (match bump with None -> () | Some bump -> bump 1);
+        let pid = rows.(o + 1) and k = rows.(o + 3) in
+        let r = Trace.range t.trace rows o in
+        if tag = Row.tag_load then Tracker.on_load tracker ~pid ~seq ~k r
+        else Tracker.on_store tracker ~pid ~seq ~k r
+      end;
+      until seq)
+    t.trace;
+  until max_int;
   let verdicts = List.rev !verdicts in
   {
     verdicts;

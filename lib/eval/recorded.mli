@@ -44,11 +44,12 @@ val interleave :
   observe:(Pift_trace.Event.t -> unit) ->
   on_marker:(int -> marker -> unit) ->
   unit
-(** Walk the recording in replay order: every event in trace order, and
-    each marker, with its timestamp, once every event up to that
-    timestamp has been observed.  This is the one interleaving of events
-    and markers: {!replay} applies it, {!items} pulls it and the trace
-    writers serialize it. *)
+(** Walk the recording in replay order: every event in trace order,
+    rebuilt from its row, and each marker, with its timestamp, once
+    every event up to that timestamp has been observed.  This is the one
+    per-event interleaving of events and markers: {!items} pulls it and
+    the trace writers serialize it; {!replay} walks the rows instead,
+    with the same verdicts. *)
 
 type item =
   | Item_event of Pift_trace.Event.t
@@ -59,7 +60,7 @@ type item =
 val items : t -> unit -> item option
 (** Pull stream over the recording in replay order: markers surface
     after the last event at-or-before their timestamp, exactly where
-    {!replay} applies them and where the trace writers serialize them.
+    {!interleave} fires them and where the trace writers serialize them.
     [None] once exhausted.  Feeding the items of a recording to a
     tracker one at a time is equivalent to {!replay} — the
     interleaving-aware path multi-tenant ingestion is built on. *)
@@ -89,7 +90,14 @@ val replay :
   ?telemetry:Pift_obs.Telemetry.t ->
   ?with_origins:bool ->
   policy:Pift_core.Policy.t -> t -> replay
-(** Run Algorithm 1 over the recording.  [store] defaults to a fresh
+(** Run Algorithm 1 over the recording, straight from its rows
+    ({!Pift_trace.Trace.iter_rows}): the tracker's [on_load]/[on_store]
+    get the row's interned range and a counted row is one [on_other ~n],
+    so the walk allocates nothing per event.  A marker fires after the
+    row that holds its seq; verdicts, origins and stats equal those of
+    {!interleave} feeding {!Pift_core.Tracker.observe}, because a
+    counted row only moves the tracker's event count and clock, which
+    no marker reads.  [store] defaults to a fresh
     {!Pift_core.Store.create}; pass one to replay against another
     {!Pift_core.Store.t} (a range-cache model, a wrapped store), or to
     read its counters once the replay ends ({!Metrics.samples} builds

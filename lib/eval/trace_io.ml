@@ -662,6 +662,7 @@ let load path =
         drain ()
   in
   drain ();
+  Trace.trim trace;
   let h = reader_header r in
   {
     Recorded.name = h.h_name;

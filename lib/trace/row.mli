@@ -1,6 +1,7 @@
-(** The Fig. 5 record as six ints: how the trace decoders hand events to
-    the service engine's column batches, and how those batches carry
-    them to the shard consumers, without a box per event.
+(** The Fig. 5 record as six ints: the format a recording ({!Trace})
+    keeps its events in, how the trace decoders hand events to the
+    service engine's column batches, and how those batches carry them
+    to the shard consumers, without a box per event.
 
     Row [o] of an [int array] is the six ints from index [o]:
 
@@ -20,7 +21,19 @@
 
     A [tag_item] row stands for something that is not an event: a trace
     marker, or a service item.  Its owner keeps that value beside the
-    rows; the row gives only its pid and seq. *)
+    rows; the row gives only its pid and seq.
+
+    A recording folds losslessly: an [Other] event joins the last row
+    only when that row is a [tag_other] row of the same pid and the
+    event's seq and k are each exactly one past the row's, so the run's
+    events are the row's seq and k counted back.  A recording's load or
+    store row keeps, in place of [lo], the index of its range in the
+    trace's intern table ({!Trace.range}).  A replay over a recording's
+    rows fires a marker after the row that holds its seq, which for a
+    counted row can come after instructions recorded after the marker;
+    that is safe because a counted row only moves the tracker's event
+    count and clock, which no marker operation (source, sink check)
+    reads. *)
 
 val width : int
 (** [6]. *)

@@ -1,35 +1,131 @@
 module Insn = Pift_arm.Insn
+module Range = Pift_util.Range
 
-(* Events live in fixed-size chunks, so appending never copies and a
-   trace holds at most one partly filled chunk.  [insns] keeps the
-   instructions [sink] stored, chunk for chunk beside [events]; it stays
-   [[||]] while the trace holds only decoded events. *)
+(* Rows live in fixed-size chunks of [chunk_rows] rows, so appending
+   never copies; [trim] cuts the last, partly filled chunk to its rows
+   once a recording ends, so the many short recordings of a sweep do
+   not each keep a mostly empty chunk.  [insns] keeps the instructions
+   [sink] stored, one per event, in chunks of the same shape; it stays
+   [[||]] while the trace holds only decoded events.
+
+   A memory row's column 4 is the index of its range in [ranges], the
+   trace's intern table of distinct ranges, and column 5 its length; a
+   [Row.tag_other] row keeps 0 and its count there. *)
 let chunk_bits = 12
-let chunk_mask = (1 lsl chunk_bits) - 1
+let chunk_rows = 1 lsl chunk_bits
+let chunk_mask = chunk_rows - 1
+let width = Row.width
+
+module Intern = Hashtbl.Make (struct
+  type t = Range.t
+
+  let equal (a : t) (b : t) = a.lo = b.lo && a.hi = b.hi
+  let hash (r : t) = ((r.lo * 0x9E3779B1) + r.hi) land max_int
+end)
 
 type t = {
-  mutable events : Event.t array array;
+  mutable rows : int array array;
+  mutable nrows : int;
   mutable insns : Insn.t array array;
   mutable len : int;
   mutable loads : int;
   mutable stores : int;
+  intern : int Intern.t;
+  mutable ranges : Range.t array;
 }
 
-let dummy = { Event.seq = 0; k = 0; pid = 0; access = Event.Other }
-let create () = { events = [||]; insns = [||]; len = 0; loads = 0; stores = 0 }
+let create () =
+  {
+    rows = [||];
+    nrows = 0;
+    insns = [||];
+    len = 0;
+    loads = 0;
+    stores = 0;
+    intern = Intern.create 64;
+    ranges = [||];
+  }
 
-let with_chunk chunks fill =
-  Array.append chunks [| Array.make (chunk_mask + 1) fill |]
+(* Element [i] of [w] slots has no room in [chunks] yet. *)
+let[@inline] full chunks i w =
+  let c = i lsr chunk_bits in
+  c = Array.length chunks || (i land chunk_mask) * w = Array.length chunks.(c)
 
-let push t e =
-  let c = t.len lsr chunk_bits in
-  if c = Array.length t.events then t.events <- with_chunk t.events dummy;
-  t.events.(c).(t.len land chunk_mask) <- e;
-  t.len <- t.len + 1;
-  if Event.is_load e then t.loads <- t.loads + 1
-  else if Event.is_store e then t.stores <- t.stores + 1
+(* Room for element [i] of [w] slots in [chunks]: a new chunk, or a
+   trimmed last chunk grown back to full size. *)
+let room chunks i w fill =
+  let c = i lsr chunk_bits in
+  let b = Array.make (chunk_rows * w) fill in
+  if c = Array.length chunks then Array.append chunks [| b |]
+  else begin
+    Array.blit chunks.(c) 0 b 0 (Array.length chunks.(c));
+    chunks.(c) <- b;
+    chunks
+  end
 
-let has_insns t = Array.length t.insns = Array.length t.events
+(* Cut the chunk holding element [n - 1] to its first [n] elements. *)
+let cut chunks n w =
+  if n > 0 then begin
+    let c = (n - 1) lsr chunk_bits in
+    let used = (((n - 1) land chunk_mask) + 1) * w in
+    if used < Array.length chunks.(c) then
+      chunks.(c) <- Array.sub chunks.(c) 0 used
+  end
+
+let intern t r =
+  match Intern.find t.intern r with
+  | i -> i
+  | exception Not_found ->
+      let i = Intern.length t.intern in
+      if i = Array.length t.ranges then begin
+        let b = Array.make (max 16 (2 * i)) r in
+        Array.blit t.ranges 0 b 0 i;
+        t.ranges <- b
+      end;
+      t.ranges.(i) <- r;
+      Intern.add t.intern r i;
+      i
+
+(* The recording's fold, stricter than [Row.fold]: a non-memory event
+   joins the last row only when it is the next instruction of that
+   row's run (seq and k each one past the row's), so every event of a
+   counted row can be rebuilt from its last. *)
+let folds t ~pid ~seq ~k =
+  t.nrows > 0
+  &&
+  let r = t.nrows - 1 in
+  let rows = t.rows.(r lsr chunk_bits) and o = (r land chunk_mask) * width in
+  rows.(o) = Row.tag_other
+  && seq = rows.(o + 2) + 1
+  && k = rows.(o + 3) + 1
+  && Row.fold rows o ~pid ~seq ~k
+
+let new_row t (e : Event.t) tag c4 c5 =
+  let r = t.nrows in
+  if full t.rows r width then t.rows <- room t.rows r width 0;
+  let rows = t.rows.(r lsr chunk_bits) and o = (r land chunk_mask) * width in
+  rows.(o) <- tag;
+  rows.(o + 1) <- e.pid;
+  rows.(o + 2) <- e.seq;
+  rows.(o + 3) <- e.k;
+  rows.(o + 4) <- c4;
+  rows.(o + 5) <- c5;
+  t.nrows <- r + 1
+
+let push t (e : Event.t) =
+  (match e.access with
+  | Event.Other ->
+      if not (folds t ~pid:e.pid ~seq:e.seq ~k:e.k) then
+        new_row t e Row.tag_other 0 1
+  | Event.Load r ->
+      new_row t e Row.tag_load (intern t r) (Range.length r);
+      t.loads <- t.loads + 1
+  | Event.Store r ->
+      new_row t e Row.tag_store (intern t r) (Range.length r);
+      t.stores <- t.stores + 1);
+  t.len <- t.len + 1
+
+let has_insns t = t.len = 0 || Array.length t.insns > 0
 
 let add t e =
   if Array.length t.insns > 0 then
@@ -39,38 +135,75 @@ let add t e =
 let sink t insn e =
   if not (has_insns t) then
     invalid_arg "Trace.sink: this trace holds decoded events (use Trace.add)";
-  let c = t.len lsr chunk_bits in
-  if c = Array.length t.insns then t.insns <- with_chunk t.insns Insn.Nop;
-  t.insns.(c).(t.len land chunk_mask) <- insn;
+  if full t.insns t.len 1 then t.insns <- room t.insns t.len 1 Insn.Nop;
+  t.insns.(t.len lsr chunk_bits).(t.len land chunk_mask) <- insn;
   push t e
 
+let trim t =
+  cut t.rows t.nrows width;
+  if Array.length t.insns > 0 then cut t.insns t.len 1
+
 let length t = t.len
+let loads t = t.loads
+let stores t = t.stores
+let rows t = t.nrows
+let range t rows o = t.ranges.(rows.(o + 4))
+
+let iter_rows f t =
+  for c = 0 to Array.length t.rows - 1 do
+    let rows = t.rows.(c) in
+    for o = 0 to min chunk_mask (t.nrows - 1 - (c lsl chunk_bits)) do
+      f rows (o * width)
+    done
+  done
+
+(* Event [j] (from 0) of the row at [o]: a counted row of [n] holds the
+   run that ends at its seq and k. *)
+let event t rows o j =
+  let tag = rows.(o) in
+  let back = Row.count rows o - 1 - j in
+  {
+    Event.seq = rows.(o + 2) - back;
+    k = rows.(o + 3) - back;
+    pid = rows.(o + 1);
+    access =
+      (if tag = Row.tag_other then Event.Other
+       else if tag = Row.tag_load then Event.Load (range t rows o)
+       else Event.Store (range t rows o));
+  }
+
+let iter f t =
+  iter_rows
+    (fun rows o ->
+      for j = 0 to Row.count rows o - 1 do
+        f (event t rows o j)
+      done)
+    t
+
+let to_seq t =
+  let rec from r j () =
+    if r = t.nrows then Seq.Nil
+    else
+      let rows = t.rows.(r lsr chunk_bits) in
+      let o = (r land chunk_mask) * width in
+      let next =
+        if j + 1 = Row.count rows o then from (r + 1) 0 else from r (j + 1)
+      in
+      Seq.Cons (event t rows o j, next)
+  in
+  from 0 0
 
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Trace.get: out of bounds";
-  t.events.(i lsr chunk_bits).(i land chunk_mask)
+  fst (Option.get (Seq.uncons (Seq.drop i (to_seq t))))
 
 (* On a decoded trace, [t.insns] is empty and the access itself raises. *)
 let insn t i =
   if i < 0 || i >= t.len then invalid_arg "Trace.insn: out of bounds";
   t.insns.(i lsr chunk_bits).(i land chunk_mask)
 
-let iter f t =
-  Array.iteri
-    (fun c events ->
-      for o = 0 to min chunk_mask (t.len - 1 - (c lsl chunk_bits)) do
-        f events.(o)
-      done)
-    t.events
-
-let replay t consumers =
-  iter (fun e -> List.iter (fun c -> c e) consumers) t
-
-let loads t = t.loads
-let stores t = t.stores
-
 let pids t =
   let module Iset = Set.Make (Int) in
   let set = ref Iset.empty in
-  iter (fun e -> set := Iset.add e.Event.pid !set) t;
+  iter_rows (fun rows o -> set := Iset.add rows.(o + 1) !set) t;
   Iset.elements !set

@@ -272,9 +272,9 @@ let test_tracker_ten_event_counts () =
 
 (* Differential property: Tracker vs the naive Reference on random event
    streams over three interleaved pids, each with its own instruction
-   counter [k], with random sources, [release_pid]s and persist/restore
-   round trips.  The pid switches and releases exercise the tracker's
-   and the store's one-entry pid caches; a restore lands in a fresh
+   counter [k], with random sources and persist/restore round trips.
+   The pid switches exercise the tracker's and the store's one-entry pid
+   caches; a restore lands in a fresh
    tracker whose caches were primed by queries first. *)
 let ref_pids = [| 1; 7; 1 lsl 20 |]
 
@@ -285,11 +285,11 @@ let events_gen =
       let* len = int_range 1 8 in
       return (Range.of_len lo len)
     in
-    (* kinds: 0–6 load, 7–13 store, 14–16 other, 17 source, 18 release,
-       19 persist + restore *)
+    (* kinds: 0–6 load, 7–13 store, 14–16 other, 17 source, 18 persist +
+       restore *)
     let event_g =
       let* pid = int_range 0 (Array.length ref_pids - 1) in
-      let* kind = int_range 0 19 in
+      let* kind = int_range 0 18 in
       let* range = range_g in
       return (ref_pids.(pid), kind, range)
     in
@@ -352,10 +352,6 @@ let prop_tracker_reference =
           else if kind = 17 then begin
             Tracker.taint_source !tracker ~pid range;
             Reference.taint_source reference ~pid range
-          end
-          else if kind = 18 then begin
-            Tracker.release_pid !tracker ~pid;
-            Reference.release_pid reference ~pid
           end
           else begin
             let fresh = Tracker.create ~policy () in
@@ -518,8 +514,7 @@ let test_provenance_label_sets () =
     [ r 200 203; r 211 212; r 213 213; r 220 223; r 224 300 ]
 
 (* Per-step union property: a tracker carrying the sidecar, fed random
-   multi-pid streams of labelled sources, loads, stores, untaints and
-   releases.  After every step, for every pid, the per-label sets union
+   multi-pid streams of labelled sources, loads, stores and untaints.  After every step, for every pid, the per-label sets union
    to exactly the tracker's ranges and [origins_of] is non-empty iff
    [is_tainted] on every probe block.  Midway the pair is persisted and
    restored into a fresh tracker and sidecar; from then on both runs
@@ -529,7 +524,6 @@ type pop =
   | P_load of int * Range.t
   | P_store of int * Range.t
   | P_untaint of int * Range.t
-  | P_release of int
 
 type pcase = { pc_policy : Policy.t; pc_ops : pop list }
 
@@ -540,7 +534,6 @@ let pop_to_string = function
   | P_store (pid, r) -> Printf.sprintf "store p%d %s" pid (Range.to_string r)
   | P_untaint (pid, r) ->
       Printf.sprintf "untaint p%d %s" pid (Range.to_string r)
-  | P_release pid -> Printf.sprintf "release p%d" pid
 
 let prov_pids = [ 1; 2; 3 ]
 let prov_labels = [| "IMEI"; "GPS"; "SMS" |]
@@ -555,14 +548,13 @@ let gen_pcase rng =
   let pc_policy = Policy.make ~untaint ~ni ~nt () in
   let gen_pop () =
     let pid = 1 + Rng.int rng 3 in
-    match Rng.int rng 20 with
+    match Rng.int rng 19 with
     | 0 | 1 | 2 ->
         let label = prov_labels.(Rng.int rng (Array.length prov_labels)) in
         P_source (pid, label, Prop.gen_range rng)
     | 3 | 4 | 5 | 6 | 7 | 8 -> P_load (pid, Prop.gen_range rng)
     | 9 | 10 | 11 | 12 | 13 | 14 | 15 | 16 -> P_store (pid, Prop.gen_range rng)
-    | 17 | 18 -> P_untaint (pid, Prop.gen_range rng)
-    | _ -> P_release pid
+    | _ -> P_untaint (pid, Prop.gen_range rng)
   in
   let rec go n acc =
     if n = 0 then List.rev acc else go (n - 1) (gen_pop () :: acc)
@@ -614,7 +606,6 @@ let prop_provenance_union { pc_policy; pc_ops } =
   let apply (tr, _) seq = function
     | P_source (pid, label, r) -> Tracker.taint_source ~kind:label tr ~pid r
     | P_untaint (pid, r) -> Tracker.untaint_range tr ~pid r
-    | P_release pid -> Tracker.release_pid tr ~pid
     | (P_load (pid, r) | P_store (pid, r)) as op ->
         let k = Hashtbl.find ks pid in
         let access =
@@ -639,7 +630,7 @@ let prop_provenance_union { pc_policy; pc_ops } =
         | P_load (pid, _) | P_store (pid, _) ->
             Hashtbl.replace ks pid
               (1 + Option.value ~default:0 (Hashtbl.find_opt ks pid))
-        | P_source _ | P_untaint _ | P_release _ -> ());
+        | P_source _ | P_untaint _ -> ());
         apply a seq op;
         Option.iter (fun b -> apply b seq op) restored;
         let fail who msg =
@@ -763,10 +754,6 @@ module Origins_model = struct
     else if t.policy.Policy.untaint && overlapping t pid r <> [] then
       untaint t ~pid r
 
-  let release t ~pid =
-    Hashtbl.remove t.windows pid;
-    List.iter (fun l -> Hashtbl.remove t.sets (pid, l)) (labels t pid)
-
   let entries t =
     List.sort compare
       (Hashtbl.fold (fun key s acc -> (key, Range_set.ranges s) :: acc) t.sets [])
@@ -789,9 +776,6 @@ let prop_origins_oracle { pc_policy; pc_ops } =
     | P_untaint (pid, r) ->
         Tracker.untaint_range tr ~pid r;
         Origins_model.untaint m ~pid r
-    | P_release pid ->
-        Tracker.release_pid tr ~pid;
-        Origins_model.release m ~pid
     | P_load (pid, r) ->
         let k = next_k pid in
         Tracker.observe tr { Event.seq; k; pid; access = Event.Load r };
@@ -866,32 +850,6 @@ let test_origins_mid_window_label () =
   Tracker.observe tp (ev 1 (Event.Store (r 300 303)) 4);
   checkb "the next opening picks the label up" true
     (Tracker.origins_of tp ~pid:1 (r 300 303) = [ "GPS"; "IMEI" ])
-
-(* Releasing the pid whose window is open drops the window with its
-   labels; another pid's open window is untouched, and the released
-   pid starts again from its new sources alone. *)
-let test_origins_release_open_pid () =
-  let p = Provenance.create () in
-  let tp = Tracker.create ~policy:(Policy.make ~ni:8 ~nt:3 ()) ~prov:p () in
-  List.iter
-    (fun pid ->
-      Tracker.taint_source ~kind:"IMEI" tp ~pid (r 0 15);
-      Tracker.observe tp (ev pid (Event.Load (r 0 3)) 1))
-    [ 1; 2 ];
-  Tracker.release_pid tp ~pid:1;
-  Tracker.observe tp (ev 1 (Event.Store (r 200 203)) 2);
-  Tracker.observe tp (ev 2 (Event.Store (r 200 203)) 2);
-  checkb "released pid: the store is not tainted" true
-    (Tracker.origins_of tp ~pid:1 (r 200 203) = []);
-  checkb "other pid keeps its window" true
-    (Tracker.origins_of tp ~pid:2 (r 200 203) = [ "IMEI" ]);
-  checkb "released pid has no entries" true
-    (List.for_all (fun ((pid, _), _) -> pid = 2) (Provenance.entries p));
-  Tracker.taint_source ~kind:"SMS" tp ~pid:1 (r 100 115);
-  Tracker.observe tp (ev 1 (Event.Load (r 0 115)) 3);
-  Tracker.observe tp (ev 1 (Event.Store (r 300 303)) 4);
-  checkb "re-registered pid carries its new label only" true
-    (Tracker.origins_of tp ~pid:1 (r 300 303) = [ "SMS" ])
 
 (* A window persisted while open keeps its labels through a restore:
    the restored pair's next in-window store carries them, exactly as
@@ -1435,8 +1393,6 @@ let () =
             test_origins_oracle;
           Alcotest.test_case "label registered mid-window stays out" `Quick
             test_origins_mid_window_label;
-          Alcotest.test_case "release_pid of the open pid" `Quick
-            test_origins_release_open_pid;
           Alcotest.test_case "in-window store after a restore" `Quick
             test_origins_store_after_restore;
           Alcotest.test_case "replay allocates <= 0.5 words per event" `Quick

@@ -754,6 +754,63 @@ let test_hw_backed_detection () =
   checkb "drops occurred or still flagged" true
     (st2.Storage.drops > 0 || rep2.Recorded.flagged)
 
+(* --- the recording's own format ------------------------------------------ *)
+
+let lgroot5 =
+  lazy (Recorded.record (Malware.lgroot_sized ~rounds:5 ~payload_chars:1024))
+
+(* Rows with interned ranges: a recording holds about 35 bytes per event
+   (about 70 as one boxed event per instruction), its instructions
+   included. *)
+let test_recording_footprint () =
+  let r = Lazy.force lgroot5 in
+  let n = Pift_trace.Trace.length r.Recorded.trace in
+  let bytes =
+    Obj.reachable_words (Obj.repr r.Recorded.trace) * (Sys.word_size / 8)
+  in
+  let per_event = float_of_int bytes /. float_of_int n in
+  checkb (Printf.sprintf "%.1f bytes per event <= 40" per_event) true
+    (per_event <= 40.)
+
+(* The row walk builds no event and no range: a whole replay allocates
+   a few closures, the tracker and the store's growth. *)
+let test_replay_allocation () =
+  let r = Lazy.force lgroot5 in
+  let n = Pift_trace.Trace.length r.Recorded.trace in
+  ignore (Recorded.replay ~policy:Policy.default r);
+  let before = Gc.minor_words () in
+  ignore (Recorded.replay ~policy:Policy.default r);
+  let per_event = (Gc.minor_words () -. before) /. float_of_int n in
+  checkb (Printf.sprintf "%.4f minor words per event <= 0.2" per_event) true
+    (per_event <= 0.2)
+
+(* The trace writers rebuild every event from its row; these digests pin
+   the files [record-trace] writes, in both formats. *)
+let test_saved_bytes_pinned () =
+  List.iter
+    (fun (app, format, digest) ->
+      let r = Recorded.record app in
+      let path = Filename.temp_file "pift-pinned" ".pift" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Pift_eval.Trace_io.save ~format r path;
+          Alcotest.(check string)
+            (Printf.sprintf "%s (%s)" app.App.name
+               (Pift_eval.Trace_io.format_to_string format))
+            digest
+            (Digest.to_hex (Digest.file path))))
+    [
+      (app "DirectLeak1", Pift_eval.Trace_io.Text,
+        "dff260d0d15b02c920b13cf4835c7233");
+      (app "DirectLeak1", Pift_eval.Trace_io.Binary,
+        "f75782628146d66af104dd7647b5e841");
+      (Malware.lgroot, Pift_eval.Trace_io.Text,
+        "f43c1b084a2d745657e127843f8d5b21");
+      (Malware.lgroot, Pift_eval.Trace_io.Binary,
+        "de5824d3a227df07b572e95a0da279b8");
+    ]
+
 let () =
   Alcotest.run "pift_eval"
     [
@@ -761,6 +818,12 @@ let () =
         [
           Alcotest.test_case "structure" `Quick test_recording_structure;
           Alcotest.test_case "determinism" `Quick test_replay_deterministic;
+          Alcotest.test_case "recording <= 40 bytes per event" `Quick
+            test_recording_footprint;
+          Alcotest.test_case "replay <= 0.2 minor words per event" `Quick
+            test_replay_allocation;
+          Alcotest.test_case "saved trace bytes pinned" `Quick
+            test_saved_bytes_pinned;
         ] );
       ( "accuracy",
         [

@@ -1242,21 +1242,6 @@ let test_storage_release_pid () =
   checkb "pid 2 intact" true
     (Storage.lookup st ~pid:2 (Range.of_len 100 4))
 
-let test_tracker_release_pid () =
-  let prov = Provenance.create () in
-  let tracker = Tracker.create ~prov () in
-  Tracker.taint_source ~kind:"IMEI" tracker ~pid:7 (Range.of_len 0 8);
-  Tracker.taint_source ~kind:"GPS" tracker ~pid:8 (Range.of_len 64 4);
-  checki "live bytes" 12 (Tracker.current_tainted_bytes tracker);
-  Tracker.release_pid tracker ~pid:7;
-  checki "bytes after release" 4 (Tracker.current_tainted_bytes tracker);
-  checki "ranges after release" 1 (Tracker.current_ranges tracker);
-  checkb "origins gone" true (Tracker.origins_of tracker ~pid:7 (Range.of_len 0 8) = []);
-  checkb "other pid keeps origins" true
-    (Tracker.origins_of tracker ~pid:8 (Range.of_len 64 4) = [ "GPS" ]);
-  (* peaks are high-water marks and survive the release *)
-  checki "peak bytes" 12 (Tracker.stats tracker).Tracker.max_tainted_bytes
-
 (* --- provenance per-pid index (satellite: no cross-pid scans) ------------- *)
 
 let test_provenance_scans_stay_per_pid () =
@@ -1308,17 +1293,6 @@ let test_provenance_probes_follow_decisions () =
     (Provenance.probes p - before);
   observe 3 3 (Pift_trace.Event.Load (Range.of_len (500 * 64) 4));
   checki "tainted load probes the pid's labels" 2 (Provenance.probes p - before)
-
-let test_provenance_release_pid () =
-  let p = Provenance.create () in
-  Provenance.taint_source p ~pid:1 ~label:"a" (Range.of_len 0 8);
-  Provenance.taint_source p ~pid:2 ~label:"b" (Range.of_len 0 8);
-  Provenance.release_pid p ~pid:1;
-  checkb "pid 1 labels gone" true
-    (Provenance.labels_of p ~pid:1 (Range.of_len 0 8) = []);
-  checkb "pid 2 intact" true
-    (Provenance.labels_of p ~pid:2 (Range.of_len 0 8) = [ "b" ]);
-  checki "pid 1 bytes" 0 (Provenance.tainted_bytes p ~label:"a")
 
 (* --- ingest merge order ---------------------------------------------------- *)
 
@@ -3543,7 +3517,6 @@ let () =
         [
           Alcotest.test_case "store" `Quick test_store_release_pid;
           Alcotest.test_case "storage" `Quick test_storage_release_pid;
-          Alcotest.test_case "tracker" `Quick test_tracker_release_pid;
         ] );
       ( "provenance index",
         [
@@ -3551,7 +3524,6 @@ let () =
             test_provenance_scans_stay_per_pid;
           Alcotest.test_case "probes follow the tracker's decisions" `Quick
             test_provenance_probes_follow_decisions;
-          Alcotest.test_case "release_pid" `Quick test_provenance_release_pid;
           Alcotest.test_case "lazy probe: a later source or untaint" `Quick
             test_provenance_lazy_probe_source;
           Alcotest.test_case "lazy probe: probes count at opening" `Quick

@@ -45,16 +45,35 @@ let test_trace_storage () =
   let seen = ref 0 in
   Trace.iter (fun _ -> incr seen) t;
   checki "iter visits all" 4 !seen;
-  let a = ref 0 and b = ref 0 in
-  Trace.replay t [ (fun _ -> incr a); (fun _ -> incr b) ];
-  checki "replay consumer 1" 4 !a;
-  checki "replay consumer 2" 4 !b;
   (* growth beyond the initial capacity *)
   let big = Trace.create () in
   for i = 1 to 5000 do
     Trace.add big (other i)
   done;
-  checki "grows" 5000 (Trace.length big)
+  checki "grows" 5000 (Trace.length big);
+  checki "one consecutive run is one row" 1 (Trace.rows big);
+  (* rows over several chunks: no two events fold *)
+  let events =
+    List.init 20_000 (fun i ->
+        if i mod 2 = 0 then load ~pid:(1 + (i mod 3)) i (i mod 64) 4
+        else other ~pid:(1 + (i mod 3)) i)
+  in
+  let t = of_list events in
+  checki "rows" 20_000 (Trace.rows t);
+  let seen = ref [] in
+  Trace.iter (fun e -> seen := e :: !seen) t;
+  checkb "iter across chunks" true (List.rev !seen = events);
+  checkb "to_seq across chunks" true (List.of_seq (Trace.to_seq t) = events);
+  checkb "get across chunks" true
+    (List.for_all
+       (fun i -> Trace.get t i = List.nth events i)
+       [ 0; 4095; 4096; 8191; 8192; 19_999 ]);
+  (* a trimmed trace reads the same and still grows *)
+  Trace.trim t;
+  let more = List.init 5000 (fun i -> store (20_000 + i) 8 4) in
+  List.iter (Trace.add t) more;
+  checkb "trimmed, then grown" true
+    (List.of_seq (Trace.to_seq t) = events @ more)
 
 (* [sink] keeps each instruction beside its event, also across chunks;
    [add] keeps none, and a trace is one kind or the other. *)
@@ -81,18 +100,24 @@ let test_trace_instructions () =
       if e.Event.k <> !seen then Alcotest.failf "iter: event %d out of order" !seen)
     recorded;
   checki "iter visits every chunk" 9000 !seen;
+  Trace.trim recorded;
+  Trace.sink recorded (insn 9001) (other 9001);
+  checkb "instructions survive a trim" true
+    (List.for_all
+       (fun i -> Trace.insn recorded (i - 1) = insn i)
+       [ 1; 4096; 8193; 9000; 9001 ]);
   let invalid what f =
     match f () with
     | () -> Alcotest.failf "%s accepted" what
     | exception Invalid_argument _ -> ()
   in
-  invalid "add to a recorded trace" (fun () -> Trace.add recorded (other 9001));
+  invalid "add to a recorded trace" (fun () -> Trace.add recorded (other 9002));
   let decoded = of_list [ load 1 0 4; other 2 ] in
   checkb "decoded" false (Trace.has_insns decoded);
   invalid "insn of a decoded trace" (fun () -> ignore (Trace.insn decoded 0));
   invalid "sink into a decoded trace" (fun () ->
       Trace.sink decoded Insn.Nop (other 3));
-  invalid "insn out of bounds" (fun () -> ignore (Trace.insn recorded 9000))
+  invalid "insn out of bounds" (fun () -> ignore (Trace.insn recorded 9001))
 
 let test_pids () =
   let t = of_list [ load ~pid:3 1 0 4; load ~pid:1 2 0 4; other ~pid:3 3 ] in
@@ -211,6 +236,151 @@ let prop_distance_naive =
       Hashtbl.fold (fun d n ok -> ok && Histogram.count h d = n) naive true
       && Histogram.total h = Hashtbl.fold (fun _ n acc -> acc + n) naive 0)
 
+(* Round trip through the rows: random streams of non-memory runs (with
+   and without consecutive seq and k, so some fold into one counted row
+   and some may not), pid switches, and loads and stores drawn from a
+   small pool of ranges so they reuse interned ones.  [iter], [to_seq]
+   and [get] must give back exactly the events added, and the counts
+   must agree with the list. *)
+let range_pool =
+  Array.init 6 (fun i -> Range.of_len (8 * (i mod 3)) (1 + (i / 3 * 3)))
+
+let events_gen =
+  QCheck2.Gen.(
+    let step_g =
+      let* pid = frequency [ (6, return 0); (1, int_range 1 2) ] in
+      let* kind = int_range 0 9 in
+      let* dseq =
+        frequency [ (8, return 1); (1, return 0); (1, int_range 2 5) ]
+      in
+      let* dk = frequency [ (8, return 1); (1, int_range 2 5) ] in
+      let* range = int_range 0 (Array.length range_pool - 1) in
+      return (pid, kind, dseq, dk, range)
+    in
+    let* steps = list_size (int_range 0 300) step_g in
+    let seq = ref 0 and ks = Array.make 3 0 in
+    return
+      (List.map
+         (fun (pid, kind, dseq, dk, range) ->
+           seq := !seq + dseq;
+           ks.(pid) <- ks.(pid) + dk;
+           let access =
+             if kind < 6 then Event.Other
+             else if kind < 8 then Event.Load range_pool.(range)
+             else Event.Store range_pool.(range)
+           in
+           { Event.seq = !seq; k = ks.(pid); pid = pid + 1; access })
+         steps))
+
+let print_events events =
+  String.concat "; "
+    (List.map
+       (fun (e : Event.t) ->
+         Printf.sprintf "%s@%d/k%d/p%d"
+           (match e.access with
+           | Event.Other -> "O"
+           | Event.Load r -> "L" ^ Range.to_string r
+           | Event.Store r -> "S" ^ Range.to_string r)
+           e.seq e.k e.pid)
+       events)
+
+let prop_round_trip =
+  QCheck2.Test.make ~name:"rows give back the events added" ~count:500
+    ~print:print_events events_gen (fun events ->
+      let t = of_list events in
+      let iterated = ref [] in
+      Trace.iter (fun e -> iterated := e :: !iterated) t;
+      let n = List.length events in
+      List.rev !iterated = events
+      && List.of_seq (Trace.to_seq t) = events
+      && List.init n (Trace.get t) = events
+      && Trace.length t = n
+      && Trace.loads t = List.length (List.filter Event.is_load events)
+      && Trace.stores t = List.length (List.filter Event.is_store events)
+      && Trace.rows t <= n)
+
+(* [Recorded.replay] walks the rows (one [on_other ~n] per counted row,
+   markers after the row that holds their seq); [Recorded.interleave]
+   feeding [Tracker.observe] is the per-event walk.  Markers land at
+   random seqs, inside counted runs too, and must leave verdicts,
+   origins and stats equal. *)
+module Recorded = Pift_eval.Recorded
+module Tracker = Pift_core.Tracker
+module Policy = Pift_core.Policy
+
+let replay_gen =
+  QCheck2.Gen.(
+    let* events = events_gen in
+    let last = List.fold_left (fun _ (e : Event.t) -> e.seq) 0 events in
+    let marker_g =
+      let* seq = int_range 0 (last + 1) in
+      let* source = bool in
+      let* a = int_range 0 (Array.length range_pool - 1) in
+      let* b = int_range 0 (Array.length range_pool - 1) in
+      let* kind = oneofl [ "IMEI"; "GPS" ] in
+      return
+        ( seq,
+          if source then Recorded.Source { kind; range = range_pool.(a) }
+          else
+            Recorded.Sink { kind; ranges = [ range_pool.(a); range_pool.(b) ] }
+        )
+    in
+    let* markers = list_size (int_range 0 12) marker_g in
+    let* ni = int_range 1 8 in
+    let* nt = int_range 1 4 in
+    let* untaint = bool in
+    let markers = List.stable_sort (fun (a, _) (b, _) -> compare a b) markers in
+    return (events, markers, Policy.make ~untaint ~ni ~nt ()))
+
+let prop_replay_rows =
+  QCheck2.Test.make ~name:"row replay = per-event observe walk" ~count:500
+    ~print:(fun (events, markers, policy) ->
+      Printf.sprintf "%s; markers at [%s]; %s" (print_events events)
+        (String.concat "; " (List.map (fun (s, _) -> string_of_int s) markers))
+        (Policy.to_string policy))
+    replay_gen
+    (fun (events, markers, policy) ->
+      let r =
+        {
+          Recorded.name = "prop";
+          trace = of_list events;
+          markers = Array.of_list markers;
+          pid = 1;
+          bytecodes = 0;
+          frag_hits = 0;
+          frag_misses = 0;
+        }
+      in
+      let rows = Recorded.replay ~with_origins:true ~policy r in
+      let prov = Pift_core.Provenance.create () in
+      let tracker = Tracker.create ~policy ~prov () in
+      let verdicts = ref [] and origins = ref [] in
+      Recorded.interleave r ~observe:(Tracker.observe tracker)
+        ~on_marker:(fun _ -> function
+          | Recorded.Source { kind; range } ->
+              Tracker.taint_source ~kind tracker ~pid:1 range
+          | Recorded.Sink { kind; ranges } ->
+              let flagged =
+                List.exists
+                  (fun q -> Tracker.is_tainted tracker ~pid:1 q)
+                  ranges
+              in
+              verdicts := { Recorded.kind; flagged } :: !verdicts;
+              origins :=
+                {
+                  Recorded.ov_kind = kind;
+                  ov_flagged = flagged;
+                  ov_origins =
+                    List.sort_uniq String.compare
+                      (List.concat_map
+                         (fun q -> Tracker.origins_of tracker ~pid:1 q)
+                         ranges);
+                }
+                :: !origins);
+      rows.Recorded.verdicts = List.rev !verdicts
+      && rows.Recorded.origins = List.rev !origins
+      && rows.Recorded.stats = Tracker.stats tracker)
+
 let () =
   Alcotest.run "pift_trace"
     [
@@ -237,5 +407,9 @@ let () =
             test_per_pid_isolation;
         ] );
       ( "properties",
-        [ QCheck_alcotest.to_alcotest prop_distance_naive ] );
+        [
+          QCheck_alcotest.to_alcotest prop_distance_naive;
+          QCheck_alcotest.to_alcotest prop_round_trip;
+          QCheck_alcotest.to_alcotest prop_replay_rows;
+        ] );
     ]
