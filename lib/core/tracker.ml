@@ -30,6 +30,9 @@ type t = {
   mutable max_ranges : int;
   mutable events : int;
   mutable last_time : int;
+  (* 1 + the largest NT budget used any in-window store found, 0 before
+     one; see [depth] in the interface. *)
+  mutable depth : int;
   prov : Provenance.t option;
 }
 
@@ -56,6 +59,7 @@ let create ?(policy = Policy.default) ?(store = Store.create ()) ?prov () =
     max_ranges = 0;
     events = 0;
     last_time = 0;
+    depth = 0;
   }
 
 let policy t = t.policy
@@ -150,12 +154,19 @@ let[@inline] on_load t ~pid ~seq ~k r =
     | Some p -> Provenance.window_opened p ~pid ~seq r
   end
 
+(* The budget test of lines 16–23, [nt_used < NT], made only for an
+   in-window store; it also keeps the window depth ([depth]). *)
+let[@inline] under_budget t w =
+  let used = w.nt_used in
+  if used >= t.depth then t.depth <- used + 1;
+  used < t.policy.Policy.nt
+
 (* Lines 16–23: taint inside the window, up to NT times; otherwise
    untaint (if enabled). *)
 let[@inline] on_store t ~pid ~seq ~k r =
   tick t ~n:1 seq;
   let w = window t pid in
-  if k <= w.ltlt + t.policy.Policy.ni && w.nt_used < t.policy.Policy.nt then begin
+  if k <= w.ltlt + t.policy.Policy.ni && under_budget t w then begin
     t.store.Store.add ~pid r;
     (match t.prov with
     | None -> ()
@@ -178,6 +189,8 @@ let observe t (e : Event.t) =
   | Event.Load r -> on_load t ~pid:e.pid ~seq:e.seq ~k:e.k r
   | Event.Store r -> on_store t ~pid:e.pid ~seq:e.seq ~k:e.k r
   | Event.Other -> on_other t ~seq:e.seq ~n:1
+
+let depth t = t.depth
 
 let stats t =
   {

@@ -112,6 +112,23 @@ type stats = {
 
 val stats : t -> stats
 
+val depth : t -> int
+(** Window depth: 1 + the largest NT budget used ([window_used] before
+    the step) that any in-window store found, or [0] when no store fell
+    in a window.  It is in no {!stats} and no {!persisted} record, and
+    counts from {!create}.
+
+    A run at NT with depth [d <= NT] gives the same verdicts, origins
+    and stats at every NT' in [\[d, NT\]].  NT enters Algorithm 1 only
+    in the store's budget test [nt_used < NT] (lines 16–23), made for
+    in-window stores.  By induction over the steps, both runs reach
+    each step in the same state: every in-window store of the NT run
+    saw [nt_used <= d - 1 < NT'], and also [< NT], so both take the
+    taint branch there; every other step reads no NT.  Same branches
+    give the same store, windows, sidecar and counters.  At NT' =
+    [d - 1] the store that set the depth fails the test, so the rule
+    stops at [d]. *)
+
 (** {1 Persistence}
 
     Structural snapshot for the service durability layer

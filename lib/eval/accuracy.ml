@@ -20,6 +20,7 @@ type sweep = {
   nis : int list;
   nts : int list;
   cells : ((int * int) * confusion) list;
+  replays : int;
   trace_insns : int list;
 }
 
@@ -204,9 +205,25 @@ let attribution_json at =
 let default_nis = List.init 20 (fun i -> i + 1)
 let default_nts = List.init 10 (fun i -> i + 1)
 
+(* One NI column over every recording, transposed from the per-recording
+   column walks: per distinct NT, ascending, the recordings' replays. *)
+let column ?telemetry ?with_origins ~ni ~nts recordings =
+  let walks =
+    Array.map
+      (fun r ->
+        let c = Recorded.replay_column ?telemetry ?with_origins ~ni ~nts r in
+        (Array.of_list c.Recorded.answers, c.Recorded.replays))
+      recordings
+  in
+  let nts = List.sort_uniq compare nts in
+  ( List.mapi
+      (fun j nt -> (nt, Array.map (fun (answers, _) -> snd answers.(j)) walks))
+      nts,
+    Array.fold_left (fun acc (_, n) -> acc + n) 0 walks )
+
 (* Recording runs on the pool (each app builds its own VM, trace, and
-   heap), and the NIxNT grid then replays one cell per work item against
-   the shared read-only recordings.  Cells come back sorted by
+   heap), and the NIxNT grid then walks one NI column per work item
+   against the shared read-only recordings.  Cells come back sorted by
    (ni, nt): the Hashtbl.fold order of the old implementation leaked
    hashing order into the result, which both broke run-to-run
    reproducibility and made parallel merges order-dependent. *)
@@ -228,11 +245,15 @@ let sweep ?(nis = default_nis) ?(nts = default_nts) ?progress
       let n = Array.length apps_arr in
       let recorded_count = Atomic.make 0 in
       let progress_mu = Mutex.create () in
+      let locked f =
+        Mutex.lock progress_mu;
+        Fun.protect ~finally:(fun () -> Mutex.unlock progress_mu) f
+      in
       let recordings =
         Pift_par.Pool.map_slots pool
           ~f:(fun ~worker _ (app : App.t) ->
             (* Span names are built off the hot path (once per app /
-               cell); events themselves stay allocation-free. *)
+               column); events themselves stay allocation-free. *)
             let span =
               Option.map
                 (fun r ->
@@ -249,77 +270,73 @@ let sweep ?(nis = default_nis) ?(nts = default_nts) ?progress
             | None -> ()
             | Some f ->
                 let done_ = 1 + Atomic.fetch_and_add recorded_count 1 in
-                Mutex.lock progress_mu;
-                Fun.protect
-                  ~finally:(fun () -> Mutex.unlock progress_mu)
-                  (fun () -> f done_ n));
+                locked (fun () -> f done_ n));
             recorded)
           apps_arr
       in
-      let points =
-        Array.of_list
-          (List.concat_map
-             (fun ni -> List.map (fun nt -> (ni, nt)) nts)
-             nis)
+      let columns = Array.of_list (List.sort_uniq compare nis) in
+      let total_cells =
+        Array.length columns * List.length (List.sort_uniq compare nts)
       in
-      let total_cells = Array.length points in
       let cells_done = Atomic.make 0 in
-      let confusions =
+      let walked =
         Pift_par.Pool.map_slots pool
-          ~f:(fun ~worker _ (ni, nt) ->
+          ~f:(fun ~worker _ ni ->
             let ring = ring worker in
             let span_name =
               match ring with
               | None -> ""
               | Some r ->
-                  let name = Printf.sprintf "cell(%d,%d)" ni nt in
+                  let name = Printf.sprintf "column(%d)" ni in
                   Pift_obs.Flight.begin_ r name;
                   name
             in
-            let policy = Policy.make ~ni ~nt () in
-            let c = ref empty in
-            let peak_bytes = ref 0 and peak_ranges = ref 0 in
-            Array.iteri
-              (fun i recorded ->
-                let replay =
-                  Recorded.replay ?telemetry:(telem worker) ~with_origins
-                    ~policy recorded
-                in
-                let st = replay.Recorded.stats in
-                if st.Pift_core.Tracker.max_tainted_bytes > !peak_bytes then
-                  peak_bytes := st.Pift_core.Tracker.max_tainted_bytes;
-                if st.Pift_core.Tracker.max_ranges > !peak_ranges then
-                  peak_ranges := st.Pift_core.Tracker.max_ranges;
-                c :=
-                  classify ~leaky:apps_arr.(i).App.leaky
-                    ~flagged:replay.Recorded.flagged !c)
-              recordings;
+            let answers, runs =
+              column ?telemetry:(telem worker) ~with_origins ~ni ~nts
+                recordings
+            in
+            let cells =
+              List.map
+                (fun (nt, replays) ->
+                  let c = ref empty in
+                  let peak_bytes = ref 0 and peak_ranges = ref 0 in
+                  Array.iteri
+                    (fun i (replay : Recorded.replay) ->
+                      let st = replay.Recorded.stats in
+                      peak_bytes :=
+                        max !peak_bytes st.Pift_core.Tracker.max_tainted_bytes;
+                      peak_ranges :=
+                        max !peak_ranges st.Pift_core.Tracker.max_ranges;
+                      c :=
+                        classify ~leaky:apps_arr.(i).App.leaky
+                          ~flagged:replay.Recorded.flagged !c)
+                    replays;
+                  (match ring with
+                  | None -> ()
+                  | Some r ->
+                      (* Per-cell counter tracks: the worst replay's peak
+                         tainted footprint, sampled once per cell so a
+                         200-cell sweep cannot flood the ring. *)
+                      Pift_obs.Flight.sample r "max_tainted_bytes"
+                        (float_of_int !peak_bytes);
+                      Pift_obs.Flight.sample r "max_ranges"
+                        (float_of_int !peak_ranges));
+                  ((ni, nt), !c))
+                answers
+            in
             (match ring with
             | None -> ()
-            | Some r ->
-                (* Per-cell counter tracks: the worst replay's peak
-                   tainted footprint, sampled once per finished cell so
-                   a 200-cell sweep cannot flood the ring. *)
-                Pift_obs.Flight.sample r "max_tainted_bytes"
-                  (float_of_int !peak_bytes);
-                Pift_obs.Flight.sample r "max_ranges"
-                  (float_of_int !peak_ranges);
-                Pift_obs.Flight.end_ r span_name);
+            | Some r -> Pift_obs.Flight.end_ r span_name);
             (match on_cell with
             | None -> ()
             | Some f ->
-                let done_ = 1 + Atomic.fetch_and_add cells_done 1 in
-                Mutex.lock progress_mu;
-                Fun.protect
-                  ~finally:(fun () -> Mutex.unlock progress_mu)
-                  (fun () -> f done_ total_cells));
-            !c)
-          points
-      in
-      let cells =
-        List.sort
-          (fun (a, _) (b, _) -> compare (a : int * int) b)
-          (Array.to_list (Array.map2 (fun p c -> (p, c)) points confusions))
+                locked (fun () ->
+                    List.iter
+                      (fun _ ->
+                        f (1 + Atomic.fetch_and_add cells_done 1) total_cells)
+                      cells));
+            (cells, runs))
+          columns
       in
       let trace_insns =
         Array.to_list
@@ -327,7 +344,14 @@ let sweep ?(nis = default_nis) ?(nts = default_nts) ?progress
              (fun r -> Pift_trace.Trace.length r.Recorded.trace)
              recordings)
       in
-      { apps = n; nis; nts; cells; trace_insns })
+      {
+        apps = n;
+        nis;
+        nts;
+        cells = List.concat_map fst (Array.to_list walked);
+        replays = Array.fold_left (fun acc (_, r) -> acc + r) 0 walked;
+        trace_insns;
+      })
 
 let cell sweep ~ni ~nt =
   match List.assoc_opt (ni, nt) sweep.cells with

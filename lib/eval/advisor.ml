@@ -16,13 +16,14 @@ type candidate = {
   overtaint_cost : int;
 }
 
-let evaluate corpus ~policy =
+(* The candidate of one policy, from each recording's replay at it, in
+   corpus order. *)
+let candidate corpus ~policy replays =
   let fns = ref [] and fps = ref [] and cost = ref 0 in
-  List.iter
-    (fun { recording; leaky } ->
-      let replay = Recorded.replay ~policy recording in
-      cost :=
-        !cost + replay.Recorded.stats.Tracker.max_tainted_bytes;
+  List.iteri
+    (fun i { recording; leaky } ->
+      let replay : Recorded.replay = replays.(i) in
+      cost := !cost + replay.Recorded.stats.Tracker.max_tainted_bytes;
       match (leaky, replay.Recorded.flagged) with
       | true, false -> fns := recording.Recorded.name :: !fns
       | false, true -> fps := recording.Recorded.name :: !fps
@@ -35,23 +36,25 @@ let evaluate corpus ~policy =
     overtaint_cost = !cost;
   }
 
+let evaluate corpus ~policy =
+  candidate corpus ~policy
+    (Array.of_list
+       (List.map (fun l -> Recorded.replay ~policy l.recording) corpus))
+
 let recommend ?(max_ni = 20) ?(max_nt = 10) corpus =
+  let recordings = Array.of_list (List.map (fun l -> l.recording) corpus) in
+  let nts = List.init max_nt succ in
+  let key c = (c.overtaint_cost, c.policy.Policy.ni, c.policy.Policy.nt) in
   let best = ref None in
   for ni = 1 to max_ni do
-    for nt = 1 to max_nt do
-      let candidate = evaluate corpus ~policy:(Policy.make ~ni ~nt ()) in
-      if candidate.false_negatives = [] && candidate.false_positives = []
-      then
-        match !best with
-        | None -> best := Some candidate
-        | Some b ->
-            let key c =
-              ( c.overtaint_cost,
-                c.policy.Policy.ni,
-                c.policy.Policy.nt )
-            in
-            if key candidate < key b then best := Some candidate
-    done
+    List.iter
+      (fun (nt, replays) ->
+        let c = candidate corpus ~policy:(Policy.make ~ni ~nt ()) replays in
+        if c.false_negatives = [] && c.false_positives = [] then
+          match !best with
+          | Some b when key b <= key c -> ()
+          | _ -> best := Some c)
+      (fst (Accuracy.column ~ni ~nts recordings))
   done;
   !best
 

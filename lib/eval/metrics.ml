@@ -137,14 +137,15 @@ let hw (h : Hw_model.report) =
       h.Hw_model.event_reduction;
   ]
 
-(* Every app is replayed once per grid cell. *)
+(* An app is replayed once per window depth its NI columns meet, not
+   once per cell (Accuracy.column). *)
 let sweep (sw : Accuracy.sweep) =
   [
     sample R.Histogram_kind "instructions per recorded app trace"
       "pift_sweep_trace_insns"
       [ ([], R.log2_histogram sw.Accuracy.trace_insns) ];
     counter "tracker replays across the NIxNT grid" "pift_sweep_replays_total"
-      (sw.Accuracy.apps * List.length sw.Accuracy.cells);
+      sw.Accuracy.replays;
     counter "apps recorded by the sweep" "pift_sweep_apps_total"
       sw.Accuracy.apps;
   ]

@@ -131,7 +131,8 @@ let items t =
           end
           else None
 
-let replay ?store ?telemetry ?(with_origins = false) ~policy t =
+(* [replay] and the window depth its tracker ended at. *)
+let run ?store ?telemetry ?(with_origins = false) ~policy t =
   let store =
     match store with Some store -> store | None -> Store.create ()
   in
@@ -214,12 +215,36 @@ let replay ?store ?telemetry ?(with_origins = false) ~policy t =
     t.trace;
   until max_int;
   let verdicts = List.rev !verdicts in
-  {
-    verdicts;
-    flagged = List.exists (fun (v : verdict) -> v.flagged) verdicts;
-    stats = Tracker.stats tracker;
-    origins = List.rev !origin_verdicts;
-  }
+  ( {
+      verdicts;
+      flagged = List.exists (fun (v : verdict) -> v.flagged) verdicts;
+      stats = Tracker.stats tracker;
+      origins = List.rev !origin_verdicts;
+    },
+    Tracker.depth tracker )
+
+let replay ?store ?telemetry ?with_origins ~policy t =
+  fst (run ?store ?telemetry ?with_origins ~policy t)
+
+type column = { answers : (int * replay) list; replays : int }
+
+(* Largest NT first: a replay at NT whose depth is d answers every
+   listed NT' in [min d NT, NT] (Tracker.depth), and the next replay
+   runs at the largest NT' still unanswered. *)
+let replay_column ?telemetry ?with_origins ~ni ~nts t =
+  let rec walk answers replays = function
+    | [] -> { answers; replays }
+    | nt :: _ as pending ->
+        let policy = Pift_core.Policy.make ~ni ~nt () in
+        let rp, depth = run ?telemetry ?with_origins ~policy t in
+        let floor = min depth nt in
+        let rec answer answers = function
+          | nt' :: rest when nt' >= floor -> answer ((nt', rp) :: answers) rest
+          | rest -> walk answers (replays + 1) rest
+        in
+        answer answers pending
+  in
+  walk [] 0 (List.sort_uniq (fun a b -> compare b a) nts)
 
 type dift_replay = {
   dift_verdicts : verdict list;

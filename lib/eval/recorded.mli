@@ -116,6 +116,29 @@ val replay :
     sidecar through the tracker and fills [origins];
     verdicts and stats are byte-identical with it on or off. *)
 
+type column = {
+  answers : (int * replay) list;
+      (** (NT, replay at (ni, NT)) for every distinct listed NT,
+          ascending *)
+  replays : int;  (** replays run, at most the distinct NTs' count *)
+}
+
+val replay_column :
+  ?telemetry:Pift_obs.Telemetry.t ->
+  ?with_origins:bool ->
+  ni:int ->
+  nts:int list ->
+  t ->
+  column
+(** {!replay} at [Policy.make ~ni ~nt ()] for every NT in [nts] (in any
+    order, duplicates allowed), sharing replays along the NT axis.  It
+    replays the largest NT first; a replay at NT whose tracker ends at
+    window depth [d] ({!Pift_core.Tracker.depth}) answers every listed
+    NT' in [\[min d NT, NT\]] with the same verdicts, origins and
+    stats, and the next replay runs at the largest NT' still
+    unanswered.  [telemetry] and [with_origins] pass to every replay
+    run. *)
+
 type dift_replay = {
   dift_verdicts : verdict list;
   dift_flagged : bool;

@@ -46,7 +46,7 @@ let create ?(capacity = default_capacity) ?(every = default_every) () =
     since = 0;
   }
 
-(* Replace-by-name: a sweep builds one tracker per grid cell against the
+(* Replace-by-name: a sweep builds one tracker per replay against the
    same per-slot telemetry, so re-registering "tainted_bytes" must
    rebind the closure to the newest store, not grow a duplicate. *)
 let set_source t ~name f =

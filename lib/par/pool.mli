@@ -6,8 +6,8 @@
     parallel code paths are the same code.
 
     Work is distributed by chunked self-scheduling: workers pull chunk
-    indices from an atomic counter, so an expensive item (a high-NI×NT
-    grid cell, say) never stalls the others behind a static partition.
+    indices from an atomic counter, so an expensive item (a high-NI
+    grid column, say) never stalls the others behind a static partition.
     Results are always slotted by input index, never by completion
     order — [map pool ~f xs] equals [Array.map f xs] element for
     element, whatever the schedule.  Determinism of the *result* is the

@@ -366,6 +366,92 @@ let prop_tracker_reference =
         events;
       agree ())
 
+(* The NT-sharing rule behind [Tracker.depth]: a run at (ni, nt) whose
+   depth d is at most nt gives the same sink verdicts, origin sets and
+   stats at every nt' in [d, nt], and each run's verdicts agree with the
+   Reference model's at its own NT.  The streams interleave three pids,
+   each with its own sources (two labels), sinks and instruction
+   counter. *)
+let sharing_gen =
+  QCheck2.Gen.(
+    let range_g =
+      let* lo = int_range 0 60 in
+      let* len = int_range 1 8 in
+      return (Range.of_len lo len)
+    in
+    (* kinds: 0–6 load, 7–14 store, 15–16 other, 17–18 source, 19 sink *)
+    let op_g =
+      let* pid = int_range 0 (Array.length ref_pids - 1) in
+      let* kind = int_range 0 19 in
+      let* range = range_g in
+      let* label = oneofl [ "IMEI"; "GPS" ] in
+      return (ref_pids.(pid), kind, range, label)
+    in
+    quad (int_range 1 8) (int_range 1 8) bool
+      (list_size (int_range 1 200) op_g))
+
+(* Sink checks (verdict, origins), stats and depth of the tracker, and
+   the Reference model's verdicts, over one stream. *)
+let run_sharing ~policy ops =
+  let tracker =
+    Tracker.create ~policy ~prov:(Pift_core.Provenance.create ()) ()
+  in
+  let model = Reference.create policy in
+  Array.iter
+    (fun pid ->
+      Tracker.taint_source ~kind:"IMEI" tracker ~pid (r 0 10);
+      Reference.taint_source model ~pid (r 0 10))
+    ref_pids;
+  let ks = Hashtbl.create 3 in
+  let checks = ref [] and expected = ref [] in
+  List.iteri
+    (fun i (pid, kind, range, label) ->
+      if kind <= 16 then begin
+        let k = 1 + Option.value ~default:0 (Hashtbl.find_opt ks pid) in
+        Hashtbl.replace ks pid k;
+        let access =
+          if kind <= 6 then Event.Load range
+          else if kind <= 14 then Event.Store range
+          else Event.Other
+        in
+        let e = { Event.seq = i + 1; k; pid; access } in
+        Tracker.observe tracker e;
+        Reference.observe model e
+      end
+      else if kind <= 18 then begin
+        Tracker.taint_source ~kind:label tracker ~pid range;
+        Reference.taint_source model ~pid range
+      end
+      else begin
+        checks :=
+          ( Tracker.is_tainted tracker ~pid range,
+            Tracker.origins_of tracker ~pid range )
+          :: !checks;
+        expected := Reference.is_tainted model ~pid range :: !expected
+      end)
+    ops;
+  ( List.rev !checks,
+    Tracker.stats tracker,
+    Tracker.depth tracker,
+    List.rev !expected )
+
+let prop_nt_sharing =
+  QCheck2.Test.make
+    ~name:"a run at NT answers every NT' from its depth up" ~count:300
+    sharing_gen
+    (fun (ni, nt, untaint, ops) ->
+      let at nt = run_sharing ~policy:(Policy.make ~untaint ~ni ~nt ()) ops in
+      let checks, stats, depth, expected = at nt in
+      let from = max 1 depth in
+      List.map fst checks = expected
+      && (depth > nt
+         || List.for_all
+              (fun nt' ->
+                let checks', stats', _, expected' = at nt' in
+                checks' = checks && stats' = stats
+                && List.map fst checks' = expected')
+              (List.init (nt - from + 1) (( + ) from))))
+
 (* --- Provenance ------------------------------------------------------------ *)
 
 module Provenance = Pift_core.Provenance
@@ -1348,7 +1434,7 @@ let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_range_set_model; prop_tracker_reference;
-      prop_storage_store_agreement;
+      prop_storage_store_agreement; prop_nt_sharing;
     ]
 
 let () =

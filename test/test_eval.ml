@@ -373,6 +373,111 @@ let test_advisor () =
   checkb "evasion cannot be covered" true
     (Pift_eval.Advisor.recommend impossible = None)
 
+(* --- The grid's columns against a replay per cell --------------------------------- *)
+
+(* Leaky and clean DroidBench apps whose minimal windows span the grid,
+   plus a small LGRoot whose high-NI cells make taint explode. *)
+let grid_corpus =
+  lazy
+    (List.filter_map Droidbench.find
+       [
+         "DirectLeak1"; "StringConcat1"; "BatchLeak1"; "Loop1";
+         "LocationLeak1"; "ImplicitFlow2"; "BenignConstant1";
+         "BenignOverwrite1";
+       ]
+    @ [ Malware.lgroot_sized ~rounds:1 ~payload_chars:64 ])
+
+(* The explosion cells (NI 13–20) over every NT, from an unsorted [nts]
+   with a repeat: the sweep's columns must give every cell exactly what
+   [Accuracy.evaluate], a replay of each app per cell, gives, at one
+   and two jobs alike. *)
+let test_sweep_matches_per_cell () =
+  let apps = Lazy.force grid_corpus in
+  let nis = [ 20; 13; 16; 14; 19; 15; 18; 17 ]
+  and nts = [ 7; 3; 10; 1; 3; 9; 2; 8; 5; 4; 6 ] in
+  let keys =
+    List.concat_map
+      (fun ni -> List.map (fun nt -> (ni, nt)) (List.sort_uniq compare nts))
+      (List.sort compare nis)
+  in
+  let expected =
+    List.map
+      (fun (ni, nt) ->
+        ((ni, nt), Accuracy.evaluate ~policy:(Policy.make ~ni ~nt ()) apps))
+      keys
+  in
+  let one = Accuracy.sweep ~nis ~nts ~jobs:1 apps in
+  let two = Accuracy.sweep ~nis ~nts ~jobs:2 apps in
+  List.iter
+    (fun (sweep, jobs) ->
+      List.iter2
+        (fun ((ni, nt), want) (key, got) ->
+          checkb (Printf.sprintf "jobs %d: key (%d,%d)" jobs ni nt) true
+            (key = (ni, nt));
+          checkb (Printf.sprintf "jobs %d: cell (%d,%d)" jobs ni nt) true
+            (got = want))
+        expected sweep.Accuracy.cells;
+      checki (Printf.sprintf "jobs %d: cells" jobs) (List.length keys)
+        (List.length sweep.Accuracy.cells))
+    [ (one, 1); (two, 2) ];
+  checki "replays independent of jobs" one.Accuracy.replays
+    two.Accuracy.replays;
+  (* Below the confusion counts: every replay a column hands out equals
+     the cell's own replay, stats included. *)
+  let recordings = Array.of_list (List.map Recorded.record apps) in
+  List.iter
+    (fun ni ->
+      List.iter
+        (fun (nt, replays) ->
+          let policy = Policy.make ~ni ~nt () in
+          Array.iteri
+            (fun i got ->
+              checkb
+                (Printf.sprintf "(%d,%d) %s: column replay = own replay" ni nt
+                   recordings.(i).Recorded.name)
+                true
+                (got = Recorded.replay ~policy recordings.(i)))
+            replays)
+        (fst (Accuracy.column ~ni ~nts recordings)))
+    nis;
+  checkb "columns share replays" true
+    (one.Accuracy.replays < List.length apps * List.length keys)
+
+(* [Advisor.recommend] walks the same columns; a search that evaluates
+   every cell on its own must pick the same candidate. *)
+let test_advisor_matches_per_cell () =
+  let module Advisor = Pift_eval.Advisor in
+  let corpus = Advisor.of_apps (Lazy.force grid_corpus) in
+  let key (c : Advisor.candidate) =
+    (c.Advisor.overtaint_cost, c.Advisor.policy.Policy.ni,
+     c.Advisor.policy.Policy.nt)
+  in
+  let brute ~max_ni ~max_nt =
+    let best = ref None in
+    for ni = 1 to max_ni do
+      for nt = 1 to max_nt do
+        let c = Advisor.evaluate corpus ~policy:(Policy.make ~ni ~nt ()) in
+        if c.Advisor.false_negatives = [] && c.Advisor.false_positives = []
+        then
+          match !best with
+          | Some b when key b <= key c -> ()
+          | _ -> best := Some c
+      done
+    done;
+    !best
+  in
+  List.iter
+    (fun (max_ni, max_nt) ->
+      let want = brute ~max_ni ~max_nt in
+      checkb
+        (Printf.sprintf "grid %dx%d: recommend = per-cell search" max_ni
+           max_nt)
+        true
+        (Advisor.recommend ~max_ni ~max_nt corpus = want);
+      checkb (Printf.sprintf "grid %dx%d: found one" max_ni max_nt) true
+        (want <> None))
+    [ (20, 10); (20, 3) ]
+
 (* --- Flow explanation ------------------------------------------------------------ *)
 
 let test_explain_reaches_source () =
@@ -834,6 +939,8 @@ let () =
           Alcotest.test_case "NI thresholds" `Quick test_detection_thresholds;
           Alcotest.test_case "NT thresholds" `Quick test_nt_thresholds;
           Alcotest.test_case "malware 7/7" `Quick test_malware_detection;
+          Alcotest.test_case "sweep = a replay per cell" `Quick
+            test_sweep_matches_per_cell;
         ] );
       ( "overhead",
         [
@@ -877,6 +984,8 @@ let () =
           Alcotest.test_case "explain clean & direct" `Quick
             test_explain_clean_and_direct;
           Alcotest.test_case "advisor" `Quick test_advisor;
+          Alcotest.test_case "advisor = a search per cell" `Quick
+            test_advisor_matches_per_cell;
         ] );
       ( "hardware",
         [ Alcotest.test_case "cache-backed" `Quick test_hw_backed_detection ] );

@@ -211,6 +211,35 @@ let test_sweep_identical_with_tracing () =
   | Ok c -> checkb "has cell spans" true (c.Chrome.c_spans > 0)
   | Error msg -> Alcotest.failf "sweep trace invalid: %s" msg
 
+(* A traced sweep keeps its counter tracks fed: one max_tainted_bytes
+   and one max_ranges sample per grid cell (repeats in [nts] count once)
+   and one column span per NI, across the worker rings. *)
+let test_sweep_samples_per_cell () =
+  let module Accuracy = Pift_eval.Accuracy in
+  let apps =
+    List.filteri (fun i _ -> i < 6) Pift_workloads.Droidbench.subset48
+  in
+  let nis = [ 13; 1; 4 ] and nts = [ 3; 1; 2; 3 ] in
+  let rings = Array.init 2 (fun _ -> Flight.create ()) in
+  let sweep = Accuracy.sweep ~nis ~nts ~rings ~jobs:2 apps in
+  let count kind name =
+    Array.fold_left
+      (fun acc ring ->
+        List.fold_left
+          (fun acc (e : Flight.event) ->
+            if e.Flight.kind = kind && name e.Flight.name then acc + 1 else acc)
+          acc (Flight.events ring))
+      0 rings
+  in
+  let cells = List.length sweep.Accuracy.cells in
+  checki "cells" 9 cells;
+  checki "one max_tainted_bytes sample per cell" cells
+    (count Flight.Sample (String.equal "max_tainted_bytes"));
+  checki "one max_ranges sample per cell" cells
+    (count Flight.Sample (String.equal "max_ranges"));
+  checki "one column span per NI" 3
+    (count Flight.Begin (fun n -> Pift_obs.Profile.phase_of n = "column"))
+
 let () =
   Alcotest.run "pift_flight"
     [
@@ -247,5 +276,7 @@ let () =
         [
           Alcotest.test_case "results identical with tracing on" `Quick
             test_sweep_identical_with_tracing;
+          Alcotest.test_case "one counter sample per cell" `Quick
+            test_sweep_samples_per_cell;
         ] );
     ]

@@ -382,6 +382,7 @@ let test_sweep_byte_identical () =
       nis;
       nts;
       cells = List.map (fun k -> (k, cell k)) (List.sort compare keys);
+      replays = sweep.Accuracy.replays;
       trace_insns =
         List.map
           (fun (_, r) -> Pift_trace.Trace.length r.Recorded.trace)

@@ -381,6 +381,50 @@ let prop_replay_rows =
       && rows.Recorded.origins = List.rev !origins
       && rows.Recorded.stats = Tracker.stats tracker)
 
+(* [Recorded.replay_column] shares replays along the NT axis
+   (Tracker.depth): for an unsorted [nts] with repeats it must answer
+   every distinct NT, ascending, with exactly what a replay of its own
+   at (ni, NT) gives — verdicts, origins and stats — and run at most
+   one replay per distinct NT. *)
+let column_gen =
+  QCheck2.Gen.(
+    let* events, markers, policy = replay_gen in
+    let* nts = list_size (int_range 1 10) (int_range 1 8) in
+    return (events, markers, policy.Policy.ni, nts))
+
+let prop_replay_column =
+  QCheck2.Test.make ~name:"NT column walk = one replay per NT" ~count:500
+    ~print:(fun (events, markers, ni, nts) ->
+      Printf.sprintf "%s; markers at [%s]; ni %d; nts [%s]"
+        (print_events events)
+        (String.concat "; " (List.map (fun (s, _) -> string_of_int s) markers))
+        ni
+        (String.concat "; " (List.map string_of_int nts)))
+    column_gen
+    (fun (events, markers, ni, nts) ->
+      let r =
+        {
+          Recorded.name = "prop";
+          trace = of_list events;
+          markers = Array.of_list markers;
+          pid = 1;
+          bytecodes = 0;
+          frag_hits = 0;
+          frag_misses = 0;
+        }
+      in
+      let column = Recorded.replay_column ~with_origins:true ~ni ~nts r in
+      let distinct = List.sort_uniq compare nts in
+      List.map fst column.Recorded.answers = distinct
+      && List.for_all
+           (fun (nt, got) ->
+             got
+             = Recorded.replay ~with_origins:true
+                 ~policy:(Policy.make ~ni ~nt ()) r)
+           column.Recorded.answers
+      && column.Recorded.replays >= 1
+      && column.Recorded.replays <= List.length distinct)
+
 let () =
   Alcotest.run "pift_trace"
     [
@@ -411,5 +455,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_distance_naive;
           QCheck_alcotest.to_alcotest prop_round_trip;
           QCheck_alcotest.to_alcotest prop_replay_rows;
+          QCheck_alcotest.to_alcotest prop_replay_column;
         ] );
     ]
