@@ -443,10 +443,9 @@ let bin_marker br tag =
   end;
   br.br_prev_seq
 
-(* Magic + header, eagerly; the returned reader is positioned at the
-   first record. *)
-let bin_open ic =
-  let c = Wire.open_cursor ~what:"Trace_io" ~magic:binary_magic ic in
+(* The header, eagerly, from a cursor past the magic; the returned
+   reader is positioned at the first record. *)
+let bin_open c =
   let name_len = Wire.header_varint c in
   if name_len < 0 || name_len > Wire.max_record_payload then
     Wire.fail c "implausible name length";
@@ -541,42 +540,42 @@ let rec items_rows it bk =
 
 (* --- format autodetection ------------------------------------------------- *)
 
-let detect_channel ic =
-  let mlen = String.length binary_magic in
-  let fmt =
-    if in_channel_length ic < mlen then Text
-    else begin
-      seek_in ic 0;
-      if String.equal (really_input_string ic mlen) binary_magic then Binary
-      else Text
-    end
-  in
-  seek_in ic 0;
-  fmt
+(* The magic is checked by the binary cursor's first refill. *)
+let binary_cursor fd =
+  Wire.open_cursor_opt ~what:"Trace_io" ~magic:binary_magic fd
 
 let detect_format path =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> detect_channel ic)
+  Wire.with_file path @@ fun fd ->
+  match binary_cursor fd with Some _ -> Binary | None -> Text
 
 (* --- streaming readers --------------------------------------------------- *)
 
 type decoder = Bin of bin_reader | Items of item_rows
 
+(* What a reader closes: a binary trace's descriptor, read by its
+   cursor, or a text trace's channel, read line by line. *)
+type file = Fd of Unix.file_descr | Channel of in_channel | No_file
+
+let close_file = function
+  | Fd fd -> Wire.close_file fd
+  | Channel ic -> close_in_noerr ic
+  | No_file -> ()
+
 type reader = {
   r_header : header;
   r_decoder : decoder;
-  r_ic : in_channel option;  (* [None] for {!of_items} *)
+  r_file : file;
   r_row : int array;  (* one row, for {!read_row} and {!read_item} *)
   r_block : block;  (* over [r_row] *)
   mutable r_closed : bool;
 }
 
-let make_reader r_header r_decoder r_ic =
+let make_reader r_header r_decoder r_file =
   let r_row = Array.make width 0 in
   {
     r_header;
     r_decoder;
-    r_ic;
+    r_file;
     r_row;
     r_block = { (block ()) with bk_rows = r_row };
     r_closed = false;
@@ -584,23 +583,34 @@ let make_reader r_header r_decoder r_ic =
 
 let item_rows it_pid it_next = Items { it_next; it_pid; it_marker = no_marker }
 
+(* A text trace reads its bytes again, from the start, through a
+   channel on the same descriptor. *)
+let text_channel fd =
+  (try ignore (Unix.lseek fd 0 Unix.SEEK_SET)
+   with Unix.Unix_error (e, _, _) ->
+     raise (Sys_error (Unix.error_message e)));
+  Unix.in_channel_of_descr fd
+
 let open_reader path =
-  let ic = open_in_bin path in
+  let fd = Wire.open_file path in
+  let file = ref (Fd fd) in
   match
-    match detect_channel ic with
-    | Binary ->
-        let h, br = bin_open ic in
+    match binary_cursor fd with
+    | Some c ->
+        let h, br = bin_open c in
         (h, Bin br)
-    | Text ->
+    | None ->
+        let ic = text_channel fd in
+        file := Channel ic;
         let h, next = text_open ic in
         (h, item_rows h.h_pid next)
   with
-  | h, decoder -> make_reader h decoder (Some ic)
+  | h, decoder -> make_reader h decoder !file
   | exception e ->
-      close_in_noerr ic;
+      close_file !file;
       raise e
 
-let of_items h next = make_reader h (item_rows h.h_pid next) None
+let of_items h next = make_reader h (item_rows h.h_pid next) No_file
 
 let read_rows r bk =
   match r.r_decoder with
@@ -638,7 +648,7 @@ let reader_header r = r.r_header
 let close_reader r =
   if not r.r_closed then begin
     r.r_closed <- true;
-    Option.iter close_in_noerr r.r_ic
+    close_file r.r_file
   end
 
 let with_reader path f =

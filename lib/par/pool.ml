@@ -17,7 +17,7 @@ type t = {
   mutable running : int;  (* workers still inside the current job *)
   mutable failed : exn option;  (* first exception, re-raised by caller *)
   mutable stop : bool;
-  mutable domains : unit Domain.t list;
+  mutable domains : unit Domain.t list;  (* [] until the first parallel job *)
   rings : Pift_obs.Flight.t array;
       (* flight-recorder ring per worker slot; [||] = tracing off *)
 }
@@ -57,25 +57,33 @@ let create ?jobs ?(rings = [||]) () =
   let jobs =
     match jobs with None -> default_jobs () | Some j -> max 1 j
   in
-  let t =
-    {
-      rings;
-      jobs;
-      mu = Mutex.create ();
-      work_ready = Condition.create ();
-      work_done = Condition.create ();
-      pending = None;
-      epoch = 0;
-      running = 0;
-      failed = None;
-      stop = false;
-      domains = [];
-    }
-  in
-  t.domains <-
-    List.init (jobs - 1) (fun i ->
-        Domain.spawn (fun () -> worker_loop t ~worker:(i + 1)));
-  t
+  {
+    rings;
+    jobs;
+    mu = Mutex.create ();
+    work_ready = Condition.create ();
+    work_done = Condition.create ();
+    pending = None;
+    epoch = 0;
+    running = 0;
+    failed = None;
+    stop = false;
+    domains = [];
+  }
+
+(* The worker domains are spawned by the first parallel job, not by
+   [create].  While a second domain exists, Linux makes every growth of
+   the process's file-descriptor table (at 64, 128, 256, ... open fds)
+   wait for an RCU grace period, 15-44 ms each on a 2-vCPU VM, so a
+   pool created before its caller opens files would tax every open.
+   A new worker has seen epoch 0 and no job is published yet, so it
+   waits for the one [run_job] is about to publish.  Spawned one at a
+   time, so a failed spawn leaves the ones before it joinable and the
+   next job spawns the rest. *)
+let spawn_workers t =
+  for worker = List.length t.domains + 1 to t.jobs - 1 do
+    t.domains <- Domain.spawn (fun () -> worker_loop t ~worker) :: t.domains
+  done
 
 let jobs t = t.jobs
 
@@ -100,6 +108,7 @@ let run_job t job =
     (try job ~worker:0 with exn -> t.failed <- Some exn)
   end
   else begin
+    spawn_workers t;
     Mutex.lock t.mu;
     t.failed <- None;
     t.pending <- Some job;

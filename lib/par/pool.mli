@@ -1,6 +1,7 @@
 (** Fixed-size domain pool for embarrassingly parallel evaluation work.
 
-    The pool spawns [jobs - 1] worker domains once at {!create}; the
+    The pool spawns [jobs - 1] worker domains once, at its first job
+    ({!run_job}, {!map_slots} and the rest), not at {!create}; the
     calling domain is worker 0 and always participates, so [jobs = 1]
     never spawns a domain and runs everything inline — the serial and
     parallel code paths are the same code.
@@ -20,9 +21,13 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — what [--jobs] defaults to. *)
 
 val create : ?jobs:int -> ?rings:Pift_obs.Flight.t array -> unit -> t
-(** Spawn a pool of [jobs] workers (default {!default_jobs}, clamped to
-    at least 1).  The pool holds [jobs - 1] blocked domains until
-    {!shutdown}.
+(** A pool of [jobs] workers (default {!default_jobs}, clamped to at
+    least 1).  It spawns no domain: the first job spawns [jobs - 1],
+    which then wait between jobs until {!shutdown}.  Until then the
+    process keeps one thread, so the caller can open files first: on
+    Linux, every growth of a shared file-descriptor table (at 64, 128,
+    256, ... open fds) waits for an RCU grace period, milliseconds
+    each.
 
     [?rings] attaches one flight-recorder ring per worker slot (index =
     slot); when present, [map_slots] stamps a ["chunk"] span around each
@@ -35,7 +40,9 @@ val jobs : t -> int
 (** Worker count, including the calling domain (slot 0). *)
 
 val shutdown : t -> unit
-(** Join the worker domains.  Idempotent; the pool is unusable after. *)
+(** Join the worker domains spawned so far (none if no job ran).
+    Idempotent; a later {!run_job} (or [map_slots] over a non-empty
+    array) raises [Invalid_argument]. *)
 
 val with_pool : ?jobs:int -> ?rings:Pift_obs.Flight.t array -> (t -> 'a) -> 'a
 (** [create], run, and [shutdown] (also on exception). *)

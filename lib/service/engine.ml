@@ -137,7 +137,9 @@ let create ?(shards = 1) ?(policy = Policy.default) ?(queue_capacity = 64)
   {
     cfg;
     (* One pool slot per shard consumer plus slot 0 for the ingest
-       producer; [Pool.run_job] hands each role exactly one call. *)
+       producer; [Pool.run_job] hands each role exactly one call.  The
+       domains are spawned by the first run, after the caller's
+       readers are open. *)
     pool = Pool.create ~jobs:(shards + 1) ();
     shard_arr = Array.init shards make_shard;
     closed = false;

@@ -128,8 +128,13 @@ val create :
   ?with_origins:bool ->
   unit ->
   t
-(** [shards] (default 1) sets the shard count and spawns a pool of
-    [shards + 1] workers (slot 0 is the ingest producer).  [policy]
+(** [shards] (default 1) sets the shard count and creates a pool of
+    [shards + 1] workers (slot 0 is the ingest producer).  The pool
+    spawns its [shards] domains at the first {!run_fill}, so [create]
+    starts no thread: a caller that opens its trace readers after
+    [create] opens them in a one-thread process, where a growing
+    file-descriptor table costs no RCU wait ({!Pift_par.Pool.create}).
+    An engine that never runs starts no domain at all.  [policy]
     configures every tenant tracker.  [queue_capacity]
     (default 64) bounds each shard queue in {e batches} of [batch]
     (default 128) rows.  [drop_when_full:true] switches backpressure from blocking the
@@ -162,8 +167,8 @@ val run : t -> stream -> unit
     once it returns [None]. *)
 
 val shutdown : t -> unit
-(** Join the pool domains.  Idempotent; {!run} refuses afterwards
-    (idle-time reads still work). *)
+(** Join the pool domains, if a run spawned them.  Idempotent; {!run}
+    refuses afterwards (idle-time reads still work). *)
 
 val with_engine :
   ?shards:int ->
@@ -174,7 +179,9 @@ val with_engine :
   ?with_origins:bool ->
   (t -> 'a) ->
   'a
-(** [create], run [f], and {!shutdown} (also on exception). *)
+(** [create], run [f], and {!shutdown} (also on exception).  [f]
+    starts before the engine has spawned any domain: open readers
+    there, before the first run. *)
 
 (** {1 Tenants}
 

@@ -35,7 +35,7 @@ val of_recorded : pid:int -> Pift_eval.Recorded.t -> source
 val of_file : pid:int -> string -> source
 (** Open [path] with {!Pift_eval.Trace_io.open_reader} — text or binary,
     streamed record-at-a-time, never materialised.  {!close} (or
-    {!run}) releases the channel. *)
+    {!run}) releases the file. *)
 
 val close : source -> unit
 (** Close the source's reader.  Idempotent. *)

@@ -435,19 +435,16 @@ let read_tenant c : Engine.tenant_persisted =
 (* Magic and version byte, then [f] over the cursor at the first
    record. *)
 let with_cursor path f =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let c = Wire.open_cursor ~what:"Snapshot" ~magic ic in
-      (match Wire.header_byte c with
-      | -1 -> Wire.fail c "bad magic (truncated)"
-      | v when Char.chr v = version -> ()
-      | v ->
-          Wire.fail c
-            (Printf.sprintf "unsupported snapshot version %C (want %C)"
-               (Char.chr v) version));
-      f c)
+  Wire.with_file path @@ fun fd ->
+  let c = Wire.open_cursor ~what:"Snapshot" ~magic fd in
+  (match Wire.header_byte c with
+  | -1 -> Wire.fail c "bad magic (truncated)"
+  | v when Char.chr v = version -> ()
+  | v ->
+      Wire.fail c
+        (Printf.sprintf "unsupported snapshot version %C (want %C)"
+           (Char.chr v) version));
+  f c
 
 (* One record per step until EOF exactly at a record boundary.
    Anything else — truncation, unknown tags, trailing bytes — fails

@@ -39,16 +39,19 @@ let emit w =
   Buffer.output_buffer w.oc w.payload;
   Buffer.clear w.payload
 
-(* The record cursor: a chunked channel reader (records average tens
-   of bytes, so decoding straight from a large refill buffer, grown in
-   place for oversized records, beats per-field channel calls by a wide
-   margin), the record number and the current payload's bounds.  A
-   record's payload is buffered whole before its fields are read, so
-   they decode in place between [pos] and [limit].  The decoders are
-   top-level functions over this record and [fail] runs only on the
-   failure path, so decoding allocates nothing. *)
+(* The record cursor: a chunked reader over a file descriptor (records
+   average tens of bytes, so decoding straight from a large refill
+   buffer, grown in place for oversized records, beats per-field
+   channel calls by a wide margin), the record number and the current
+   payload's bounds.  A record's payload is buffered whole before its
+   fields are read, so they decode in place between [pos] and [limit].
+   The decoders are top-level functions over this record and [fail]
+   runs only on the failure path, so decoding allocates nothing.  The
+   cursor reads the descriptor itself, not through an [in_channel]: a
+   channel carries its own 64 KiB buffer, which the cursor's would only
+   copy out of, and a service holds one cursor per open tenant. *)
 type cursor = {
-  ic : in_channel;
+  fd : Unix.file_descr;
   what : string;  (* the format's error prefix *)
   mutable buf : Bytes.t;
   mutable lo : int;  (* next unread byte *)
@@ -59,13 +62,27 @@ type cursor = {
   mutable limit : int;
 }
 
+(* What [open_in_bin] and [input] raise, so that callers see the
+   errors a channel gave them. *)
+let open_file path =
+  try Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0
+  with Unix.Unix_error (e, _, _) ->
+    raise (Sys_error (path ^ ": " ^ Unix.error_message e))
+
+let rec read fd buf o n =
+  match Unix.read fd buf o n with
+  | n -> n
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read fd buf o n
+  | exception Unix.Unix_error (e, _, _) ->
+      raise (Sys_error (Unix.error_message e))
+
 let refill c =
   if not c.eof then begin
     let live = c.hi - c.lo in
     if live > 0 && c.lo > 0 then Bytes.blit c.buf c.lo c.buf 0 live;
     c.lo <- 0;
     c.hi <- live;
-    let n = input c.ic c.buf c.hi (Bytes.length c.buf - c.hi) in
+    let n = read c.fd c.buf c.hi (Bytes.length c.buf - c.hi) in
     if n = 0 then c.eof <- true else c.hi <- c.hi + n
   end
 
@@ -87,10 +104,12 @@ let has c n =
 
 let fail c msg = failwith (Printf.sprintf "%s: record %d: %s" c.what c.record msg)
 
-let open_cursor ~what ~magic ic =
+(* Whether the stream starts with [magic]; the cursor moves past it
+   when it does.  The first refill reads it. *)
+let start ~what ~magic fd =
   let c =
     {
-      ic;
+      fd;
       what;
       buf = Bytes.create 16384;
       lo = 0;
@@ -102,11 +121,26 @@ let open_cursor ~what ~magic ic =
     }
   in
   let n = String.length magic in
-  if not (has c n) then fail c "bad magic (truncated)";
-  if not (String.equal (Bytes.sub_string c.buf c.lo n) magic) then
-    fail c "bad magic";
-  c.lo <- c.lo + n;
-  c
+  let found = has c n && String.equal (Bytes.sub_string c.buf 0 n) magic in
+  if found then c.lo <- n;
+  (c, found)
+
+let open_cursor ~what ~magic fd =
+  match start ~what ~magic fd with
+  | c, true -> c
+  | c, false ->
+      fail c
+        (if c.hi < String.length magic then "bad magic (truncated)"
+         else "bad magic")
+
+let open_cursor_opt ~what ~magic fd =
+  match start ~what ~magic fd with c, true -> Some c | _, false -> None
+
+let close_file fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+let with_file path f =
+  let fd = open_file path in
+  Fun.protect ~finally:(fun () -> close_file fd) (fun () -> f fd)
 
 let truncated_payload = "truncated record payload"
 

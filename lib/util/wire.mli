@@ -49,7 +49,7 @@ val emit : writer -> unit
 (** {1 Reading records} *)
 
 type cursor = {
-  ic : in_channel;
+  fd : Unix.file_descr;
   what : string;  (** the format's error prefix *)
   mutable buf : Bytes.t;
   mutable lo : int;  (** next unread byte of [buf] *)
@@ -59,9 +59,11 @@ type cursor = {
   mutable pos : int;  (** next undecoded byte of the current payload *)
   mutable limit : int;  (** end of the current payload *)
 }
-(** A chunked reader over an open channel (16 KiB refills, grown for
-    larger records; the caller keeps and closes the channel), the
-    record number, and the current record's payload bounds.
+(** A chunked reader over an open file descriptor ([Unix.read] into
+    its own buffer, 16 KiB refills, grown for larger records; the
+    caller keeps and closes the descriptor), the record number, and the
+    current record's payload bounds.  No [in_channel] sits underneath:
+    a channel's 64 KiB buffer would only be copied out of.
 
     The record is concrete so that a format's hot loop can take the
     common cases in its own compilation unit.  A one-byte length [len]
@@ -71,12 +73,29 @@ type cursor = {
     [limit = lo + 1 + len], and [lo] at [limit].  A byte below [0x80]
     at [pos < limit] is a whole field.  Everything else — refills,
     longer lengths and fields, end of stream, and every failure — goes
-    through the functions below. *)
+    through the functions below.  A read error raises [Sys_error]
+    with the system's message, as [input] does; [EINTR] is retried. *)
 
-val open_cursor : what:string -> magic:string -> in_channel -> cursor
+val open_file : string -> Unix.file_descr
+(** Open [path] read-only, close-on-exec.  Failure raises the
+    [Sys_error "<path>: <message>"] that [open_in_bin] raises. *)
+
+val close_file : Unix.file_descr -> unit
+(** Close, ignoring errors (as [close_in_noerr]). *)
+
+val with_file : string -> (Unix.file_descr -> 'a) -> 'a
+(** {!open_file}, apply, and always {!close_file}. *)
+
+val open_cursor : what:string -> magic:string -> Unix.file_descr -> cursor
 (** Check that the stream starts with [magic] (["bad magic"], or
     ["bad magic (truncated)"] when it is shorter) and position the
-    cursor after it, in the header (record 0). *)
+    cursor after it, in the header (record 0).  The magic is read by
+    the cursor's first refill. *)
+
+val open_cursor_opt :
+  what:string -> magic:string -> Unix.file_descr -> cursor option
+(** {!open_cursor}, but [None] instead of the failure.  The bytes the
+    check read are gone from the descriptor either way. *)
 
 val fail : cursor -> string -> 'a
 (** Raise the positioned [Failure] for the current record. *)

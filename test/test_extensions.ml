@@ -735,6 +735,120 @@ let test_trace_io_corrupt_binary () =
         (Trace.length recorded.Recorded.trace)
         (Trace.length (Trace_io.load path).Recorded.trace))
 
+(* --- file descriptors ------------------------------------------------------ *)
+
+(* Every open, failed or not, must give its descriptor back: the
+   entry count of [/proc/self/fd] is the same before and after each
+   case (unchecked where that directory does not exist). *)
+let open_fds () =
+  if Sys.file_exists "/proc/self/fd" then
+    Some (Array.length (Sys.readdir "/proc/self/fd"))
+  else None
+
+let keeps_fds what f =
+  let before = open_fds () in
+  f ();
+  match (before, open_fds ()) with
+  | Some b, Some a -> checki (what ^ ": open descriptors") b a
+  | _ -> ()
+
+let fails_with what ~prefix f =
+  keeps_fds what (fun () ->
+      match f () with
+      | _ -> Alcotest.fail (what ^ ": accepted")
+      | exception Failure m ->
+          checkb
+            (Printf.sprintf "%s: %S starts with %S" what m prefix)
+            true
+            (String.starts_with ~prefix m))
+
+let fixture name = Filename.concat (Filename.dirname Sys.executable_name) name
+
+let read_all path = In_channel.with_open_bin path In_channel.input_all
+
+(* [f] on a temporary file holding [bytes]. *)
+let with_bytes bytes f =
+  let path = Filename.temp_file "pift_fd" ".pift" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+      f path)
+
+let drain path =
+  Trace_io.with_reader path (fun r ->
+      let rec go n = match Trace_io.read_item r with None -> n | Some _ -> go (n + 1) in
+      go 0)
+
+let test_fd_hygiene_bad_input () =
+  let cases =
+    [
+      ("empty file", "", Trace_io.Text, "Trace_io: line 1: empty file");
+      ( "bad magic",
+        "PIFTBIN!\005abc",
+        Trace_io.Text,
+        "Trace_io: line 1: bad magic" );
+      ( "magic only",
+        "PIFTBIN1",
+        Trace_io.Binary,
+        "Trace_io: record 0: truncated varint" );
+      ( "truncated header",
+        "PIFTBIN1\005ab",
+        Trace_io.Binary,
+        "Trace_io: record 0: truncated header" );
+    ]
+  in
+  List.iter
+    (fun (what, bytes, format, prefix) ->
+      with_bytes bytes (fun path ->
+          fails_with what ~prefix (fun () -> Trace_io.open_reader path);
+          fails_with (what ^ ", load") ~prefix (fun () -> Trace_io.load path);
+          keeps_fds (what ^ ", detect_format") (fun () ->
+              checkb (what ^ ": format") true
+                (Trace_io.detect_format path = format))))
+    cases;
+  (* A record cut short fails while draining, and [with_reader] still
+     closes the file. *)
+  let whole = read_all (fixture "mutation_fixture.pift") in
+  with_bytes (String.sub whole 0 100) (fun path ->
+      fails_with "cut record" ~prefix:"Trace_io: record 10: truncated record"
+        (fun () -> drain path));
+  (* An open failure is the [Sys_error] [open_in_bin] raises. *)
+  let missing = Filename.concat (Filename.get_temp_dir_name ()) "pift-no-such.pift" in
+  let message f = match f () with _ -> "" | exception Sys_error m -> m in
+  keeps_fds "missing file" (fun () ->
+      Alcotest.(check string)
+        "missing file: Sys_error" (message (fun () -> close_in (open_in_bin missing)))
+        (message (fun () -> Trace_io.open_reader missing)))
+
+let test_fd_hygiene_valid () =
+  List.iter
+    (fun (name, format) ->
+      let path = fixture name in
+      keeps_fds name (fun () ->
+          checkb (name ^ ": format") true (Trace_io.detect_format path = format);
+          let r = Trace_io.open_reader path in
+          checkb (name ^ ": first item") true (Trace_io.read_item r <> None);
+          Trace_io.close_reader r;
+          Trace_io.close_reader r);
+      keeps_fds (name ^ ", drained") (fun () ->
+          checkb (name ^ ": items") true (drain path > 0)))
+    [
+      ("mutation_fixture.pift", Trace_io.Binary);
+      ("mutation_fixture_text.pift", Trace_io.Text);
+    ]
+
+let test_fd_hygiene_snapshot () =
+  let whole = read_all (fixture "heap_merge_mid_run.piftsnap") in
+  with_bytes (String.sub whole 0 100) (fun path ->
+      fails_with "cut snapshot" ~prefix:"Snapshot: record 4: truncated snapshot"
+        (fun () -> Pift_service.Snapshot.load path));
+  with_bytes "PIFTSNAQ" (fun path ->
+      fails_with "snapshot bad magic" ~prefix:"Snapshot: record 0: bad magic"
+        (fun () -> Pift_service.Snapshot.load path));
+  with_bytes whole (fun path ->
+      keeps_fds "whole snapshot" (fun () -> ignore (Pift_service.Snapshot.load path)))
+
 let () =
   Alcotest.run "pift_extensions"
     [
@@ -790,5 +904,14 @@ let () =
             test_trace_io_zero_length_record;
           Alcotest.test_case "corrupt binary rejected with record" `Quick
             test_trace_io_corrupt_binary;
+        ] );
+      ( "fds",
+        [
+          Alcotest.test_case "bad input closes its file" `Quick
+            test_fd_hygiene_bad_input;
+          Alcotest.test_case "valid traces, close twice" `Quick
+            test_fd_hygiene_valid;
+          Alcotest.test_case "cut snapshot closes its file" `Quick
+            test_fd_hygiene_snapshot;
         ] );
     ]

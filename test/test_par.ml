@@ -114,6 +114,97 @@ let test_map_slots_worker_bounds () =
       checkb "results by input index" true
         (out = Array.init 64 (fun i -> 2 * i)))
 
+(* --- lazy spawn ----------------------------------------------------------- *)
+
+(* Threads of this process, where [/proc/self/task] exists.  These
+   cases run first, before any other case has spawned a domain, so a
+   count can only fall through a thread still exiting. *)
+let threads () =
+  if Sys.file_exists "/proc/self/task" then
+    Some (Array.length (Sys.readdir "/proc/self/task"))
+  else None
+
+let check_no_new_thread what before =
+  match (before, threads ()) with
+  | Some b, Some a ->
+      checkb (Printf.sprintf "%s: no thread started (%d -> %d)" what b a) true
+        (a <= b)
+  | _ -> ()
+
+let test_pool_never_run () =
+  let before = threads () in
+  let p = Pool.create ~jobs:3 () in
+  check_no_new_thread "create" before;
+  checki "jobs" 3 (Pool.jobs p);
+  let t0 = Unix.gettimeofday () in
+  Pool.shutdown p;
+  Pool.shutdown p;
+  checkb "shutdown returns at once" true (Unix.gettimeofday () -. t0 < 1.0);
+  checkb "empty map needs no job" true (Pool.map p ~f:succ [||] = [||])
+
+let test_pool_first_job_raises () =
+  let jobs = 3 in
+  Pool.with_pool ~jobs (fun p ->
+      (* Slot 0 raises at once; the others finish later, one of them
+         raising too.  The first failure re-raises only once both have
+         counted themselves out. *)
+      let drained = Atomic.make 0 in
+      (match
+         Pool.run_job p (fun ~worker ->
+             if worker = 0 then raise (Boom 0);
+             Unix.sleepf 0.02;
+             Atomic.incr drained;
+             if worker = 1 then raise (Boom 1))
+       with
+      | () -> Alcotest.fail "exception swallowed"
+      | exception Boom w -> checki "first failure" 0 w);
+      checki "every worker drained" (jobs - 1) (Atomic.get drained);
+      let calls = Array.make jobs 0 in
+      Pool.run_job p (fun ~worker -> calls.(worker) <- calls.(worker) + 1);
+      checkb "second job: one call per slot" true
+        (calls = Array.make jobs 1))
+
+let test_pool_after_shutdown () =
+  List.iter
+    (fun (jobs, warm) ->
+      let p = Pool.create ~jobs () in
+      if warm then Pool.run_job p (fun ~worker:_ -> ());
+      Pool.shutdown p;
+      checkb
+        (Printf.sprintf "jobs %d, %s: run_job refused" jobs
+           (if warm then "after a job" else "never run"))
+        true
+        (match Pool.run_job p (fun ~worker:_ -> ()) with
+        | () -> false
+        | exception Invalid_argument _ -> true))
+    [ (1, false); (2, false); (2, true) ]
+
+module Engine = Pift_service.Engine
+
+let test_engine_without_run () =
+  let before = threads () in
+  let eng = Engine.create ~shards:2 () in
+  check_no_new_thread "Engine.create" before;
+  Engine.register_tenant eng ~pid:Engine.pid_range ~name:"idle" ();
+  let st = Engine.stats eng in
+  checki "shards" 2 (List.length st.Engine.st_shards);
+  checki "tenants" 1 st.Engine.st_tenants;
+  checki "items" 0 st.Engine.st_items;
+  (match Engine.snapshot_tenant eng ~pid:Engine.pid_range with
+  | Some ts ->
+      checks "name" "idle" ts.Engine.ts_name;
+      checki "no verdicts" 0 (List.length ts.Engine.ts_verdicts);
+      checki "no events" 0 ts.Engine.ts_stats.Pift_core.Tracker.events
+  | None -> Alcotest.fail "registered tenant missing");
+  check_no_new_thread "idle reads" before;
+  Engine.shutdown eng;
+  Engine.shutdown eng;
+  checki "stats after shutdown" 1 (Engine.stats eng).Engine.st_tenants;
+  checkb "run refused after shutdown" true
+    (match Engine.run eng (fun () -> None) with
+    | () -> false
+    | exception Invalid_argument _ -> true)
+
 (* --- sweep determinism (serial vs parallel) ------------------------------ *)
 
 let test_sweep_parallel_deterministic () =
@@ -140,6 +231,18 @@ let test_sweep_parallel_deterministic () =
 let () =
   Alcotest.run "pift_par"
     [
+      (* First: the thread counts assume no earlier case spawned. *)
+      ( "lazy spawn",
+        [
+          Alcotest.test_case "never-run pool shuts down" `Quick
+            test_pool_never_run;
+          Alcotest.test_case "first job raises, pool reusable" `Quick
+            test_pool_first_job_raises;
+          Alcotest.test_case "run_job after shutdown" `Quick
+            test_pool_after_shutdown;
+          Alcotest.test_case "engine without a run" `Quick
+            test_engine_without_run;
+        ] );
       ( "pool",
         [
           Alcotest.test_case "map = Array.map" `Quick

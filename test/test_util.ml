@@ -238,8 +238,8 @@ let wire_decode bytes f =
     (fun () ->
       Out_channel.with_open_bin path (fun oc ->
           output_string oc ("WIRETEST" ^ bytes));
-      In_channel.with_open_bin path (fun ic ->
-          match f (Wire.open_cursor ~what:"Wire" ~magic:"WIRETEST" ic) with
+      Wire.with_file path (fun fd ->
+          match f (Wire.open_cursor ~what:"Wire" ~magic:"WIRETEST" fd) with
           | v -> Ok v
           | exception Failure m -> Error m))
 
@@ -271,8 +271,8 @@ let test_wire_round_trip () =
               Wire.add_string b (string_of_int v);
               Wire.emit w)
             values);
-      In_channel.with_open_bin path (fun ic ->
-          let c = Wire.open_cursor ~what:"Wire" ~magic:"WIRETEST" ic in
+      Wire.with_file path (fun fd ->
+          let c = Wire.open_cursor ~what:"Wire" ~magic:"WIRETEST" fd in
           List.iter
             (fun v ->
               checki "tag" 7 (Wire.next c);
