@@ -33,6 +33,11 @@ type t = {
   (* 1 + the largest NT budget used any in-window store found, 0 before
      one; see [depth] in the interface. *)
   mutable depth : int;
+  (* The largest gap [k - ltlt] of a store that passed the window test
+     (0 before one) and the smallest of one that failed it ([max_int]
+     before one); see [ni_band] in the interface. *)
+  mutable g_in : int;
+  mutable g_out : int;
   prov : Provenance.t option;
 }
 
@@ -60,6 +65,8 @@ let create ?(policy = Policy.default) ?(store = Store.create ()) ?prov () =
     events = 0;
     last_time = 0;
     depth = 0;
+    g_in = 0;
+    g_out = max_int;
   }
 
 let policy t = t.policy
@@ -154,6 +161,18 @@ let[@inline] on_load t ~pid ~seq ~k r =
     | Some p -> Provenance.window_opened p ~pid ~seq r
   end
 
+(* The window test of lines 16–23, [k - ltlt <= NI]; it also keeps the
+   NI band's two gaps ([ni_band]). *)
+let[@inline] in_window t gap =
+  if gap <= t.policy.Policy.ni then begin
+    if gap > t.g_in then t.g_in <- gap;
+    true
+  end
+  else begin
+    if gap < t.g_out then t.g_out <- gap;
+    false
+  end
+
 (* The budget test of lines 16–23, [nt_used < NT], made only for an
    in-window store; it also keeps the window depth ([depth]). *)
 let[@inline] under_budget t w =
@@ -166,7 +185,7 @@ let[@inline] under_budget t w =
 let[@inline] on_store t ~pid ~seq ~k r =
   tick t ~n:1 seq;
   let w = window t pid in
-  if k <= w.ltlt + t.policy.Policy.ni && under_budget t w then begin
+  if in_window t (k - w.ltlt) && under_budget t w then begin
     t.store.Store.add ~pid r;
     (match t.prov with
     | None -> ()
@@ -191,6 +210,7 @@ let observe t (e : Event.t) =
   | Event.Other -> on_other t ~seq:e.seq ~n:1
 
 let depth t = t.depth
+let ni_band t = (max 1 t.g_in, t.g_out - 1)
 
 let stats t =
   {

@@ -1,4 +1,5 @@
 module Policy = Pift_core.Policy
+module Tracker = Pift_core.Tracker
 module App = Pift_workloads.App
 
 type confusion = { tp : int; fp : int; tn : int; fn : int }
@@ -205,28 +206,14 @@ let attribution_json at =
 let default_nis = List.init 20 (fun i -> i + 1)
 let default_nts = List.init 10 (fun i -> i + 1)
 
-(* One NI column over every recording, transposed from the per-recording
-   column walks: per distinct NT, ascending, the recordings' replays. *)
-let column ?telemetry ?with_origins ~ni ~nts recordings =
-  let walks =
-    Array.map
-      (fun r ->
-        let c = Recorded.replay_column ?telemetry ?with_origins ~ni ~nts r in
-        (Array.of_list c.Recorded.answers, c.Recorded.replays))
-      recordings
-  in
-  let nts = List.sort_uniq compare nts in
-  ( List.mapi
-      (fun j nt -> (nt, Array.map (fun (answers, _) -> snd answers.(j)) walks))
-      nts,
-    Array.fold_left (fun acc (_, n) -> acc + n) 0 walks )
-
 (* Recording runs on the pool (each app builds its own VM, trace, and
-   heap), and the NIxNT grid then walks one NI column per work item
-   against the shared read-only recordings.  Cells come back sorted by
-   (ni, nt): the Hashtbl.fold order of the old implementation leaked
-   hashing order into the result, which both broke run-to-run
-   reproducibility and made parallel merges order-dependent. *)
+   heap).  The NIxNT grid then runs on the same pool as one work item
+   per (recording, NI band), longest recording first, each a
+   Recorded.replay_grid over the shared read-only recording.  A band's
+   cells are known once its last walk is in: that walk's worker samples
+   and reports them.  The cells themselves are built after the pool
+   from the walks, sorted by (ni, nt), so no schedule reaches the
+   result. *)
 let sweep ?(nis = default_nis) ?(nts = default_nts) ?progress
     ?on_cell ?(rings = [||]) ?(telems = [||]) ?(jobs = 1)
     ?(with_origins = false) apps =
@@ -253,7 +240,7 @@ let sweep ?(nis = default_nis) ?(nts = default_nts) ?progress
         Pift_par.Pool.map_slots pool
           ~f:(fun ~worker _ (app : App.t) ->
             (* Span names are built off the hot path (once per app /
-               column); events themselves stay allocation-free. *)
+               walk); events themselves stay allocation-free. *)
             let span =
               Option.map
                 (fun r ->
@@ -274,69 +261,105 @@ let sweep ?(nis = default_nis) ?(nts = default_nts) ?progress
             recorded)
           apps_arr
       in
-      let columns = Array.of_list (List.sort_uniq compare nis) in
+      let bands = Array.of_list (Recorded.ni_bands nis) in
+      let distinct_nts = List.sort_uniq compare nts in
       let total_cells =
-        Array.length columns * List.length (List.sort_uniq compare nts)
+        List.length (List.sort_uniq compare nis) * List.length distinct_nts
       in
+      (* [walks.(b).(i)]: recording [i]'s answers over band [b]. *)
+      let walks = Array.map (fun _ -> Array.make n [||]) bands in
+      let pending = Array.map (fun _ -> Atomic.make n) bands in
       let cells_done = Atomic.make 0 in
-      let walked =
+      (* Band [b]'s cells, ascending, each with every recording's
+         replay at it, in recording order. *)
+      let band_cells b =
+        List.mapi
+          (fun j key ->
+            (key, Array.map (fun answers -> snd answers.(j)) walks.(b)))
+          (List.concat_map
+             (fun ni -> List.map (fun nt -> (ni, nt)) distinct_nts)
+             bands.(b))
+      in
+      let length i = Pift_trace.Trace.length recordings.(i).Recorded.trace in
+      let items =
+        List.stable_sort
+          (fun i j -> compare (length j) (length i))
+          (List.init n Fun.id)
+        |> List.concat_map (fun i ->
+               List.rev (List.init (Array.length bands) (fun b -> (i, b))))
+        |> Array.of_list
+      in
+      let replays =
         Pift_par.Pool.map_slots pool
-          ~f:(fun ~worker _ ni ->
+          ~f:(fun ~worker _ (i, b) ->
             let ring = ring worker in
             let span_name =
               match ring with
               | None -> ""
               | Some r ->
-                  let name = Printf.sprintf "column(%d)" ni in
+                  let band = bands.(b) in
+                  let name =
+                    Printf.sprintf "grid:%s(%d-%d)" recordings.(i).Recorded.name
+                      (List.hd band)
+                      (List.nth band (List.length band - 1))
+                  in
                   Pift_obs.Flight.begin_ r name;
                   name
             in
-            let answers, runs =
-              column ?telemetry:(telem worker) ~with_origins ~ni ~nts
-                recordings
+            let g =
+              Recorded.replay_grid ?telemetry:(telem worker) ~with_origins
+                ~nis:bands.(b) ~nts recordings.(i)
             in
-            let cells =
-              List.map
-                (fun (nt, replays) ->
-                  let c = ref empty in
-                  let peak_bytes = ref 0 and peak_ranges = ref 0 in
-                  Array.iteri
-                    (fun i (replay : Recorded.replay) ->
-                      let st = replay.Recorded.stats in
-                      peak_bytes :=
-                        max !peak_bytes st.Pift_core.Tracker.max_tainted_bytes;
-                      peak_ranges :=
-                        max !peak_ranges st.Pift_core.Tracker.max_ranges;
-                      c :=
-                        classify ~leaky:apps_arr.(i).App.leaky
-                          ~flagged:replay.Recorded.flagged !c)
-                    replays;
-                  (match ring with
-                  | None -> ()
-                  | Some r ->
-                      (* Per-cell counter tracks: the worst replay's peak
-                         tainted footprint, sampled once per cell so a
-                         200-cell sweep cannot flood the ring. *)
+            walks.(b).(i) <- Array.of_list g.Recorded.answers;
+            (* The walk that completes its band reports the band's
+               cells; the atomic makes every other walk's answers
+               visible here. *)
+            if Atomic.fetch_and_add pending.(b) (-1) = 1 then begin
+              let cells = band_cells b in
+              (match ring with
+              | None -> ()
+              | Some r ->
+                  (* Per-cell counter tracks: the worst replay's peak
+                     tainted footprint, sampled once per cell so a
+                     200-cell sweep cannot flood the ring. *)
+                  List.iter
+                    (fun (_, replays) ->
+                      let peak f =
+                        float_of_int
+                          (Array.fold_left
+                             (fun acc (rp : Recorded.replay) ->
+                               max acc (f rp.Recorded.stats))
+                             0 replays)
+                      in
                       Pift_obs.Flight.sample r "max_tainted_bytes"
-                        (float_of_int !peak_bytes);
+                        (peak (fun st -> st.Tracker.max_tainted_bytes));
                       Pift_obs.Flight.sample r "max_ranges"
-                        (float_of_int !peak_ranges));
-                  ((ni, nt), !c))
-                answers
-            in
+                        (peak (fun st -> st.Tracker.max_ranges)))
+                    cells);
+              match on_cell with
+              | None -> ()
+              | Some f ->
+                  locked (fun () ->
+                      List.iter
+                        (fun _ ->
+                          f (1 + Atomic.fetch_and_add cells_done 1) total_cells)
+                        cells)
+            end;
             (match ring with
             | None -> ()
             | Some r -> Pift_obs.Flight.end_ r span_name);
-            (match on_cell with
-            | None -> ()
-            | Some f ->
-                locked (fun () ->
-                    List.iter
-                      (fun _ ->
-                        f (1 + Atomic.fetch_and_add cells_done 1) total_cells)
-                      cells));
-            (cells, runs))
-          columns
+            g.Recorded.replays)
+          items
+      in
+      let confusion replays =
+        let c = ref empty in
+        Array.iteri
+          (fun i (replay : Recorded.replay) ->
+            c :=
+              classify ~leaky:apps_arr.(i).App.leaky
+                ~flagged:replay.Recorded.flagged !c)
+          replays;
+        !c
       in
       let trace_insns =
         Array.to_list
@@ -348,8 +371,13 @@ let sweep ?(nis = default_nis) ?(nts = default_nts) ?progress
         apps = n;
         nis;
         nts;
-        cells = List.concat_map fst (Array.to_list walked);
-        replays = Array.fold_left (fun acc (_, r) -> acc + r) 0 walked;
+        cells =
+          List.concat
+            (List.init (Array.length bands) (fun b ->
+                 List.map
+                   (fun (key, replays) -> (key, confusion replays))
+                   (band_cells b)));
+        replays = Array.fold_left ( + ) 0 replays;
         trace_insns;
       })
 

@@ -19,8 +19,9 @@ type sweep = {
   cells : ((int * int) * confusion) list;
       (** one per distinct (ni, nt), sorted ascending by key *)
   replays : int;
-      (** tracker replays run, {!Recorded.replay_column}'s count summed
-          over every app and NI column; the same for every [jobs] *)
+      (** tracker replays run, {!Recorded.replay_grid}'s count summed
+          over every app and NI band ({!Recorded.ni_bands}); the same
+          for every [jobs] *)
   trace_insns : int list;
       (** instructions in each app's recorded trace, in app order *)
 }
@@ -87,21 +88,6 @@ val default_nis : int list
 val default_nts : int list
 (** NT = 1..10, the paper's Fig. 11 rows. *)
 
-val column :
-  ?telemetry:Pift_obs.Telemetry.t ->
-  ?with_origins:bool ->
-  ni:int ->
-  nts:int list ->
-  Recorded.t array ->
-  (int * Recorded.replay array) list * int
-(** One NI column of the grid over every recording: for each distinct
-    NT in [nts], ascending, each recording's replay at (ni, NT), in
-    recording order, and the replays run.  Each recording walks its
-    column with {!Recorded.replay_column}, so one replay answers every
-    NT at or above its window depth.  {!sweep} runs one column per pool
-    work item and {!Advisor.recommend} walks them in turn: this is the
-    grid's one loop. *)
-
 val sweep :
   ?nis:int list ->
   ?nts:int list ->
@@ -115,35 +101,38 @@ val sweep :
   sweep
 (** Full NI×NT grid (defaults NI=1..20, NT=1..10, the paper's 200
     combinations; duplicates in either list count once).  Each app is
-    executed once, and each NI is one pool work item walking its
-    {!column}, so an app is replayed once per window depth its column
-    meets, not once per cell.  [progress done total] is called per app
-    recorded (under a lock when parallel, in completion order).
-    [on_cell done total] is called per grid cell once its value is
-    known: a column's cells come in one burst, ascending by NT, on the
-    worker that walked the column, under the same lock — the hook
-    behind the live progress line.  The result carries what the
-    [pift_sweep_*] metrics are built from ({!Metrics.samples}): the app
-    count, the cells, the replays run and the per-app trace lengths.
-    [rings] (one flight-recorder ring per worker slot, also handed to
-    the pool for chunk spans) adds a ["record:<app>"] span per
-    recording and, per NI column, a ["column(ni)"] span holding one
-    ["max_tainted_bytes"]/["max_ranges"] counter sample per cell (the
-    largest peak over the apps) — samples per cell, not per event, so
-    rings never flood mid-sweep; folded ({!Pift_obs.Profile.fold}) they
-    give the [chunk;record], [chunk;column] and [chunk] stacks.
+    executed once, and each (recording, NI band) pair
+    ({!Recorded.ni_bands}) is one pool work item walking its band with
+    {!Recorded.replay_grid}, longest recording first, so an app is
+    replayed once per rectangle of the grid its band meets, not once
+    per cell.  [progress done total] is called per app recorded (under
+    a lock when parallel, in completion order).  [on_cell done total]
+    is called per grid cell once its value is known: a band's cells
+    come in one burst, ascending by (NI, NT), on the worker whose walk
+    completed the band, under the same lock — the hook behind the live
+    progress line.  The result carries what the [pift_sweep_*] metrics
+    are built from ({!Metrics.samples}): the app count, the cells, the
+    replays run and the per-app trace lengths.  [rings] (one
+    flight-recorder ring per worker slot, also handed to the pool for
+    chunk spans) adds a ["record:<app>"] span per recording and a
+    ["grid:<app>(lo-hi)"] span per walk of the NI band [lo..hi]; the
+    walk that completes a band also samples, inside its span, one
+    ["max_tainted_bytes"]/["max_ranges"] counter per cell of the band
+    (the largest peak over the apps) — samples per cell, not per event,
+    so rings never flood mid-sweep; folded ({!Pift_obs.Profile.fold})
+    they give the [chunk;record], [chunk;grid] and [chunk] stacks.
     [telems] (one {!Pift_obs.Telemetry} instance per worker slot)
     threads the continuous-telemetry ring through every replay run:
     each replay re-binds the snapshot sources on its slot's instance,
     and snapshots fire on the event-count / wall-clock cadence across
     the whole sweep.  Both follow the per-slot single-writer
     discipline; neither changes the result or stdout.  [jobs] (default
-    1) sizes the [Pift_par] domain pool the recordings and columns run
-    on; the result is identical for every [jobs] value and with tracing
-    on or off.  [with_origins] (default off) threads the provenance
-    sidecar through every replay; verdicts are byte-identical with it
-    on or off, so the sweep result is too — the flag only measures the
-    sidecar's cost under the full grid. *)
+    1) sizes the [Pift_par] domain pool the recordings and walks run
+    on; the result, the replay count included, is identical for every
+    [jobs] value and with tracing on or off.  [with_origins] (default
+    off) threads the provenance sidecar through every replay; verdicts
+    are byte-identical with it on or off, so the sweep result is too —
+    the flag only measures the sidecar's cost under the full grid. *)
 
 val cell : sweep -> ni:int -> nt:int -> confusion
 

@@ -42,20 +42,26 @@ let evaluate corpus ~policy =
        (List.map (fun l -> Recorded.replay ~policy l.recording) corpus))
 
 let recommend ?(max_ni = 20) ?(max_nt = 10) corpus =
-  let recordings = Array.of_list (List.map (fun l -> l.recording) corpus) in
-  let nts = List.init max_nt succ in
+  let nis = List.init max_ni succ and nts = List.init max_nt succ in
+  let walks =
+    Array.of_list
+      (List.map
+         (fun l ->
+           Array.of_list
+             (Recorded.replay_grid ~nis ~nts l.recording).Recorded.answers)
+         corpus)
+  in
   let key c = (c.overtaint_cost, c.policy.Policy.ni, c.policy.Policy.nt) in
   let best = ref None in
-  for ni = 1 to max_ni do
-    List.iter
-      (fun (nt, replays) ->
-        let c = candidate corpus ~policy:(Policy.make ~ni ~nt ()) replays in
-        if c.false_negatives = [] && c.false_positives = [] then
-          match !best with
-          | Some b when key b <= key c -> ()
-          | _ -> best := Some c)
-      (fst (Accuracy.column ~ni ~nts recordings))
-  done;
+  List.iteri
+    (fun j (ni, nt) ->
+      let replays = Array.map (fun answers -> snd answers.(j)) walks in
+      let c = candidate corpus ~policy:(Policy.make ~ni ~nt ()) replays in
+      if c.false_negatives = [] && c.false_positives = [] then
+        match !best with
+        | Some b when key b <= key c -> ()
+        | _ -> best := Some c)
+    (List.concat_map (fun ni -> List.map (fun nt -> (ni, nt)) nts) nis);
   !best
 
 let pp_candidate ppf c =

@@ -29,8 +29,8 @@ val recommend :
     (ties broken towards smaller NI, then smaller NT); [None] when no
     policy on the grid classifies the corpus perfectly.  The grid is
     NI = 1..[max_ni] by NT = 1..[max_nt] (defaults 20 and 10), walked
-    one NI column at a time with {!Accuracy.column}: a recording is
-    replayed once per window depth the column meets, and the result is
-    the one a replay per cell would give. *)
+    once per recording with {!Recorded.replay_grid}: a recording is
+    replayed once per rectangle of the grid the walk meets, and the
+    result is the one a replay per cell would give. *)
 
 val pp_candidate : Format.formatter -> candidate -> unit

@@ -103,7 +103,7 @@ let malware ppf =
 
 (* --- Overhead ----------------------------------------------------------- *)
 
-(* The 200-replay grid backs both Fig. 14 and Fig. 17; compute it once
+(* The 200-point grid backs both Fig. 14 and Fig. 17; compute it once
    (the first caller's job count — and rings, if tracing — drives the
    pool; the points are jobs-independent, so the memo stays coherent). *)
 let lgroot_grid =

@@ -137,8 +137,8 @@ let hw (h : Hw_model.report) =
       h.Hw_model.event_reduction;
   ]
 
-(* An app is replayed once per window depth its NI columns meet, not
-   once per cell (Accuracy.column). *)
+(* An app is replayed once per rectangle of the grid its NI bands
+   meet, not once per cell (Recorded.replay_grid). *)
 let sweep (sw : Accuracy.sweep) =
   [
     sample R.Histogram_kind "instructions per recorded app trace"

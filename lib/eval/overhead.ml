@@ -12,9 +12,7 @@ type point = {
   untaint_ops : int;
 }
 
-let measure ?(untaint = true) recorded ~ni ~nt =
-  let policy = Policy.make ~untaint ~ni ~nt () in
-  let replay = Recorded.replay ~policy recorded in
+let point ~untaint ((ni, nt), (replay : Recorded.replay)) =
   let s = replay.Recorded.stats in
   {
     ni;
@@ -26,43 +24,66 @@ let measure ?(untaint = true) recorded ~ni ~nt =
     untaint_ops = s.Tracker.untaint_ops;
   }
 
+let measure ?(untaint = true) recorded ~ni ~nt =
+  let policy = Policy.make ~untaint ~ni ~nt () in
+  point ~untaint ((ni, nt), Recorded.replay ~policy recorded)
+
 let default_nis = List.init 20 (fun i -> i + 1)
 let default_nts = List.init 10 (fun i -> i + 1)
 
-(* One grid point per work item; the recording is shared read-only, each
-   measure builds its own tracker, so cells are independent.  Results
-   come back in input order — the parallel grid is list-equal to the
-   serial one. *)
-(* Wrap one measurement in a named span and sample its peak footprint on
-   the worker's ring, when tracing is on.  Names are built per point —
-   off the hot path. *)
-let traced_measure rings ~worker ~name ?untaint recorded ~ni ~nt =
-  if worker >= Array.length rings then
-    measure ?untaint recorded ~ni ~nt
-  else begin
-    let r = rings.(worker) in
-    Pift_obs.Flight.begin_ r name;
-    let p = measure ?untaint recorded ~ni ~nt in
-    Pift_obs.Flight.sample r "max_tainted_bytes"
-      (float_of_int p.max_tainted_bytes);
-    Pift_obs.Flight.sample r "max_ranges" (float_of_int p.max_ranges);
-    Pift_obs.Flight.end_ r name;
-    p
-  end
+(* [walk ... u]: the points of [nis] x [nts] at the [u]th untaint
+   setting of [untaints], ascending by (ni, nt).  One work item per
+   (untaint setting, NI band), highest band first since high NIs cost
+   most, walks its band with Recorded.replay_grid against the shared
+   read-only recording; with tracing on, the walk is a span named
+   [name untaint lo hi] holding one pair of samples per point. *)
+let walk ~rings ~jobs ~name ~untaints recorded ~nis ~nts =
+  let bands = List.rev (Recorded.ni_bands nis) in
+  let items =
+    Array.of_list
+      (List.concat_map
+         (fun untaint -> List.map (fun band -> (untaint, band)) bands)
+         untaints)
+  in
+  let walks =
+    Pift_par.Pool.with_pool ~jobs ~rings (fun pool ->
+        Pift_par.Pool.map_slots pool
+          ~f:(fun ~worker _ (untaint, band) ->
+            let grid () =
+              List.map (point ~untaint)
+                (Recorded.replay_grid ~untaint ~nis:band ~nts recorded)
+                  .Recorded.answers
+            in
+            if worker >= Array.length rings then grid ()
+            else begin
+              let r = rings.(worker) in
+              let name =
+                name untaint (List.hd band)
+                  (List.nth band (List.length band - 1))
+              in
+              Pift_obs.Flight.begin_ r name;
+              let points = grid () in
+              List.iter
+                (fun p ->
+                  Pift_obs.Flight.sample r "max_tainted_bytes"
+                    (float_of_int p.max_tainted_bytes);
+                  Pift_obs.Flight.sample r "max_ranges"
+                    (float_of_int p.max_ranges))
+                points;
+              Pift_obs.Flight.end_ r name;
+              points
+            end)
+          items)
+  in
+  let nb = List.length bands in
+  fun u ->
+    List.concat (List.init nb (fun b -> walks.((u * nb) + nb - 1 - b)))
 
 let grid ?(nis = default_nis) ?(nts = default_nts) ?(rings = [||])
     ?(jobs = 1) recorded =
-  let points =
-    Array.of_list
-      (List.concat_map (fun ni -> List.map (fun nt -> (ni, nt)) nts) nis)
-  in
-  Pift_par.Pool.with_pool ~jobs ~rings (fun pool ->
-      Array.to_list
-        (Pift_par.Pool.map_slots pool
-           ~f:(fun ~worker _ (ni, nt) ->
-             let name = Printf.sprintf "cell(%d,%d)" ni nt in
-             traced_measure rings ~worker ~name recorded ~ni ~nt)
-           points))
+  walk ~rings ~jobs
+    ~name:(fun _ lo hi -> Printf.sprintf "grid(%d-%d)" lo hi)
+    ~untaints:[ true ] recorded ~nis ~nts 0
 
 (* Figs. 15/16 read the tracker after every item of the recording.  An
    item changes occupancy at most once and the op count by at most one,
@@ -101,18 +122,15 @@ let series recorded ~ni ~nt =
   (Series.downsample bytes 72, Series.downsample ops 72)
 
 let untaint_effect ?(rings = [||]) ?(jobs = 1) recorded ~nis ~nt =
-  Pift_par.Pool.with_pool ~jobs ~rings (fun pool ->
-      Array.to_list
-        (Pift_par.Pool.map_slots pool
-           ~f:(fun ~worker _ ni ->
-             ( ni,
-               traced_measure rings ~worker
-                 ~name:(Printf.sprintf "untaint-on(%d,%d)" ni nt)
-                 ~untaint:true recorded ~ni ~nt,
-               traced_measure rings ~worker
-                 ~name:(Printf.sprintf "untaint-off(%d,%d)" ni nt)
-                 ~untaint:false recorded ~ni ~nt ))
-           (Array.of_list nis)))
+  let points =
+    walk ~rings ~jobs
+      ~name:(fun untaint lo hi ->
+        Printf.sprintf "untaint-%s(%d-%d,%d)"
+          (if untaint then "on" else "off")
+          lo hi nt)
+      ~untaints:[ true; false ] recorded ~nis ~nts:[ nt ]
+  in
+  List.map2 (fun on off -> (on.ni, on, off)) (points 0) (points 1)
 
 let render_grid ~title ~metric points ppf () =
   let nis = List.sort_uniq Int.compare (List.map (fun p -> p.ni) points) in

@@ -22,10 +22,14 @@ val grid :
   ?jobs:int ->
   Recorded.t ->
   point list
-(** Fig. 14 and Fig. 17 sweeps (defaults NI=1..20 × NT=1..10).  [jobs]
-    (default 1) replays grid points on a [Pift_par] domain pool; the
-    point list is identical for every [jobs] value.  [rings] (one per
-    worker slot) stamps a ["cell(ni,nt)"] span plus
+(** Fig. 14 and Fig. 17 sweeps (defaults NI=1..20 × NT=1..10), one
+    point per distinct (ni, nt), ascending.  Each NI band
+    ({!Recorded.ni_bands}) is one work item on a [Pift_par] pool of
+    [jobs] (default 1) domains, walking its band with
+    {!Recorded.replay_grid}, so the recording is replayed once per
+    rectangle of the grid, not once per point; the point list is
+    identical for every [jobs] value.  [rings] (one per worker slot)
+    stamps a ["grid(lo-hi)"] span per walk, holding
     ["max_tainted_bytes"]/["max_ranges"] samples per point. *)
 
 val series :
@@ -47,9 +51,11 @@ val untaint_effect :
   nis:int list ->
   nt:int ->
   (int * point * point) list
-(** Fig. 18/19: per NI, the (untainting-on, untainting-off) pair.
-    [jobs] and [rings] as in {!grid} (span names
-    ["untaint-on(ni,nt)"]/["untaint-off(ni,nt)"]). *)
+(** Fig. 18/19: per distinct NI, ascending, the (untainting-on,
+    untainting-off) pair, both walked over [nis] × [[nt]] as in
+    {!grid}.  [jobs] and [rings]
+    as in {!grid} (span names ["untaint-on(lo-hi,nt)"] and
+    ["untaint-off(lo-hi,nt)"]). *)
 
 val render_grid :
   title:string ->

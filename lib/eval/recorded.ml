@@ -131,7 +131,7 @@ let items t =
           end
           else None
 
-(* [replay] and the window depth its tracker ended at. *)
+(* [replay], and the window depth and NI band its tracker ended at. *)
 let run ?store ?telemetry ?(with_origins = false) ~policy t =
   let store =
     match store with Some store -> store | None -> Store.create ()
@@ -221,30 +221,73 @@ let run ?store ?telemetry ?(with_origins = false) ~policy t =
       stats = Tracker.stats tracker;
       origins = List.rev !origin_verdicts;
     },
-    Tracker.depth tracker )
+    Tracker.depth tracker,
+    Tracker.ni_band tracker )
 
 let replay ?store ?telemetry ?with_origins ~policy t =
-  fst (run ?store ?telemetry ?with_origins ~policy t)
+  let rp, _, _ = run ?store ?telemetry ?with_origins ~policy t in
+  rp
 
-type column = { answers : (int * replay) list; replays : int }
+type grid = { answers : ((int * int) * replay) list; replays : int }
 
-(* Largest NT first: a replay at NT whose depth is d answers every
-   listed NT' in [min d NT, NT] (Tracker.depth), and the next replay
-   runs at the largest NT' still unanswered. *)
-let replay_column ?telemetry ?with_origins ~ni ~nts t =
-  let rec walk answers replays = function
-    | [] -> { answers; replays }
-    | nt :: _ as pending ->
-        let policy = Pift_core.Policy.make ~ni ~nt () in
-        let rp, depth = run ?telemetry ?with_origins ~policy t in
-        let floor = min depth nt in
-        let rec answer answers = function
-          | nt' :: rest when nt' >= floor -> answer ((nt', rp) :: answers) rest
-          | rest -> walk answers (replays + 1) rest
-        in
-        answer answers pending
+(* Largest cell first, NI before NT: a replay at (NI, NT) whose band is
+   [lo, hi] and depth d answers every listed cell of [lo, hi] x
+   [min d NT, NT] not yet answered (Tracker.ni_band), and the next
+   replay runs at the largest cell still unanswered.  Every cell after
+   the one just replayed, in this order, is answered, so the scan goes
+   on from it. *)
+let replay_grid ?telemetry ?with_origins ?untaint ~nis ~nts t =
+  let nis = Array.of_list (List.sort_uniq compare nis)
+  and nts = Array.of_list (List.sort_uniq compare nts) in
+  let cells = Array.map (fun _ -> Array.map (fun _ -> None) nts) nis in
+  let rec walk replays i j =
+    if i < 0 then replays
+    else if j < 0 then walk replays (i - 1) (Array.length nts - 1)
+    else if Option.is_some cells.(i).(j) then walk replays i (j - 1)
+    else begin
+      let ni = nis.(i) and nt = nts.(j) in
+      let policy = Pift_core.Policy.make ?untaint ~ni ~nt () in
+      let rp, depth, (lo, hi) = run ?telemetry ?with_origins ~policy t in
+      let floor = min depth nt in
+      Array.iteri
+        (fun i' ni' ->
+          Array.iteri
+            (fun j' nt' ->
+              if
+                lo <= ni' && ni' <= hi && floor <= nt' && nt' <= nt
+                && Option.is_none cells.(i').(j')
+              then cells.(i').(j') <- Some rp)
+            nts)
+        nis;
+      walk (replays + 1) i (j - 1)
+    end
   in
-  walk [] 0 (List.sort_uniq (fun a b -> compare b a) nts)
+  let replays = walk 0 (Array.length nis - 1) (Array.length nts - 1) in
+  let answers =
+    List.concat
+      (Array.to_list
+         (Array.mapi
+            (fun i ni ->
+              Array.to_list
+                (Array.mapi
+                   (fun j nt -> ((ni, nt), Option.get cells.(i).(j)))
+                   nts))
+            nis))
+  in
+  { answers; replays }
+
+(* Cut where LGRoot-like recordings change cost: their taint explodes
+   above NI 13, so a band there holds few NIs but many replays. *)
+let band_cuts = [ 10; 14; 17 ]
+
+let ni_bands nis =
+  let rec cut nis = function
+    | [] -> [ nis ]
+    | c :: cs ->
+        let lo, hi = List.partition (fun ni -> ni <= c) nis in
+        lo :: cut hi cs
+  in
+  List.filter (( <> ) []) (cut (List.sort_uniq compare nis) band_cuts)
 
 type dift_replay = {
   dift_verdicts : verdict list;

@@ -116,28 +116,40 @@ val replay :
     sidecar through the tracker and fills [origins];
     verdicts and stats are byte-identical with it on or off. *)
 
-type column = {
-  answers : (int * replay) list;
-      (** (NT, replay at (ni, NT)) for every distinct listed NT,
-          ascending *)
-  replays : int;  (** replays run, at most the distinct NTs' count *)
+type grid = {
+  answers : ((int * int) * replay) list;
+      (** ((NI, NT), replay at (NI, NT)) for every distinct listed cell,
+          ascending by (NI, NT) *)
+  replays : int;  (** replays run, at most the distinct cells' count *)
 }
 
-val replay_column :
+val replay_grid :
   ?telemetry:Pift_obs.Telemetry.t ->
   ?with_origins:bool ->
-  ni:int ->
+  ?untaint:bool ->
+  nis:int list ->
   nts:int list ->
   t ->
-  column
-(** {!replay} at [Policy.make ~ni ~nt ()] for every NT in [nts] (in any
-    order, duplicates allowed), sharing replays along the NT axis.  It
-    replays the largest NT first; a replay at NT whose tracker ends at
-    window depth [d] ({!Pift_core.Tracker.depth}) answers every listed
-    NT' in [\[min d NT, NT\]] with the same verdicts, origins and
-    stats, and the next replay runs at the largest NT' still
-    unanswered.  [telemetry] and [with_origins] pass to every replay
-    run. *)
+  grid
+(** {!replay} at [Policy.make ?untaint ~ni ~nt ()] for every cell of
+    [nis] × [nts] (each in any order, duplicates allowed), sharing
+    replays over rectangles of the grid.  It replays the largest cell
+    first (largest NI, then largest NT); a replay at (NI, NT) whose
+    tracker ends with NI band [(lo, hi)] ({!Pift_core.Tracker.ni_band})
+    and window depth [d] ({!Pift_core.Tracker.depth}) answers every
+    listed cell in [\[lo, hi\] × \[min d NT, NT\]] with the same
+    verdicts, origins and stats, and the next replay runs at the
+    largest cell still unanswered.  [telemetry] and [with_origins] pass
+    to every replay run. *)
+
+val ni_bands : int list -> int list list
+(** The distinct NIs of the list, ascending, cut into the bands a pool
+    walks as separate {!replay_grid}s: NI up to 10, 11–14, 15–17 and
+    18 up, empty bands left out.  One walk's replays form a chain, and
+    on a recording whose taint explodes at high NI (LGRoot) most of
+    them fall above NI 10, so the cuts split that chain where its cost
+    lies.  They depend on the NI values alone, so the replays a pool
+    runs are the same at every job count. *)
 
 type dift_replay = {
   dift_verdicts : verdict list;

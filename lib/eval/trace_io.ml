@@ -274,11 +274,11 @@ let text_item n line =
 
 (* Streaming text front: parse magic + header eagerly, then one item per
    pull.  Nothing is accumulated — memory is one line. *)
-let text_open ic =
+let text_open line =
   let line_no = ref 0 in
   let next () =
     incr line_no;
-    input_line ic
+    match line () with Some l -> l | None -> raise End_of_file
   in
   (match next () with
   | l when String.equal l magic -> ()
@@ -540,26 +540,23 @@ let rec items_rows it bk =
 
 (* --- format autodetection ------------------------------------------------- *)
 
-(* The magic is checked by the binary cursor's first refill. *)
-let binary_cursor fd =
-  Wire.open_cursor_opt ~what:"Trace_io" ~magic:binary_magic fd
+(* The cursor, and whether the stream is a binary trace: its first
+   refill reads the magic.  A text trace reads on from the same cursor,
+   so no byte is read twice and a pipe works. *)
+let sniff fd = Wire.sniff ~what:"Trace_io" ~magic:binary_magic fd
 
 let detect_format path =
   Wire.with_file path @@ fun fd ->
-  match binary_cursor fd with Some _ -> Binary | None -> Text
+  if snd (sniff fd) then Binary else Text
 
 (* --- streaming readers --------------------------------------------------- *)
 
 type decoder = Bin of bin_reader | Items of item_rows
 
-(* What a reader closes: a binary trace's descriptor, read by its
-   cursor, or a text trace's channel, read line by line. *)
-type file = Fd of Unix.file_descr | Channel of in_channel | No_file
+(* What a reader closes: the descriptor its cursor reads. *)
+type file = Fd of Unix.file_descr | No_file
 
-let close_file = function
-  | Fd fd -> Wire.close_file fd
-  | Channel ic -> close_in_noerr ic
-  | No_file -> ()
+let close_file = function Fd fd -> Wire.close_file fd | No_file -> ()
 
 type reader = {
   r_header : header;
@@ -583,31 +580,20 @@ let make_reader r_header r_decoder r_file =
 
 let item_rows it_pid it_next = Items { it_next; it_pid; it_marker = no_marker }
 
-(* A text trace reads its bytes again, from the start, through a
-   channel on the same descriptor. *)
-let text_channel fd =
-  (try ignore (Unix.lseek fd 0 Unix.SEEK_SET)
-   with Unix.Unix_error (e, _, _) ->
-     raise (Sys_error (Unix.error_message e)));
-  Unix.in_channel_of_descr fd
-
 let open_reader path =
   let fd = Wire.open_file path in
-  let file = ref (Fd fd) in
   match
-    match binary_cursor fd with
-    | Some c ->
+    match sniff fd with
+    | c, true ->
         let h, br = bin_open c in
         (h, Bin br)
-    | None ->
-        let ic = text_channel fd in
-        file := Channel ic;
-        let h, next = text_open ic in
+    | c, false ->
+        let h, next = text_open (fun () -> Wire.line c) in
         (h, item_rows h.h_pid next)
   with
-  | h, decoder -> make_reader h decoder !file
+  | h, decoder -> make_reader h decoder (Fd fd)
   | exception e ->
-      close_file !file;
+      Wire.close_file fd;
       raise e
 
 let of_items h next = make_reader h (item_rows h.h_pid next) No_file

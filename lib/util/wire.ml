@@ -106,7 +106,7 @@ let fail c msg = failwith (Printf.sprintf "%s: record %d: %s" c.what c.record ms
 
 (* Whether the stream starts with [magic]; the cursor moves past it
    when it does.  The first refill reads it. *)
-let start ~what ~magic fd =
+let sniff ~what ~magic fd =
   let c =
     {
       fd;
@@ -126,15 +126,12 @@ let start ~what ~magic fd =
   (c, found)
 
 let open_cursor ~what ~magic fd =
-  match start ~what ~magic fd with
+  match sniff ~what ~magic fd with
   | c, true -> c
   | c, false ->
       fail c
         (if c.hi < String.length magic then "bad magic (truncated)"
          else "bad magic")
-
-let open_cursor_opt ~what ~magic fd =
-  match start ~what ~magic fd with c, true -> Some c | _, false -> None
 
 let close_file fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -181,6 +178,25 @@ let header_bytes c n truncated =
   let s = Bytes.sub_string c.buf c.lo n in
   c.lo <- c.lo + n;
   s
+
+(* [scan n]: [n] bytes from [lo] are scanned and none is a newline, so
+   look at the next, refilling (and growing) the buffer when it is not
+   buffered yet. *)
+let line c =
+  let rec scan n =
+    if c.lo + n < c.hi then
+      if Bytes.unsafe_get c.buf (c.lo + n) = '\n' then Some n else scan (n + 1)
+    else if has c (n + 1) then scan n
+    else None
+  in
+  let take n skip =
+    let s = Bytes.sub_string c.buf c.lo n in
+    c.lo <- c.lo + n + skip;
+    s
+  in
+  match scan 0 with
+  | Some n -> Some (take n 1)
+  | None -> if c.hi = c.lo then None else Some (take (c.hi - c.lo) 0)
 
 (* A one-byte length whose payload is already buffered, nearly every
    record, skips the checked read. *)

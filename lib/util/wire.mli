@@ -92,10 +92,12 @@ val open_cursor : what:string -> magic:string -> Unix.file_descr -> cursor
     cursor after it, in the header (record 0).  The magic is read by
     the cursor's first refill. *)
 
-val open_cursor_opt :
-  what:string -> magic:string -> Unix.file_descr -> cursor option
-(** {!open_cursor}, but [None] instead of the failure.  The bytes the
-    check read are gone from the descriptor either way. *)
+val sniff : what:string -> magic:string -> Unix.file_descr -> cursor * bool
+(** {!open_cursor} without the failure: the cursor, and whether the
+    stream starts with [magic].  When it does, the cursor stands after
+    the magic, in the header; when not, at the stream's first byte, so
+    the bytes the check read can still be decoded (as text, with
+    {!line}). *)
 
 val fail : cursor -> string -> 'a
 (** Raise the positioned [Failure] for the current record. *)
@@ -109,6 +111,14 @@ val header_varint : cursor -> int
 val header_bytes : cursor -> int -> string -> string
 (** [header_bytes c n truncated]: the next [n] header bytes; fails with
     [truncated] when the stream ends first. *)
+
+val line : cursor -> string option
+(** The next line of a text stream, without its ['\n'], reading on
+    from wherever the cursor stands (after {!sniff} found no magic,
+    the stream's first byte); the last line needs no newline.  [None]
+    at end of stream.  This is [input_line] on the cursor's own buffer,
+    so a text stream whose magic check already read it needs no seek
+    back, and reads from a pipe. *)
 
 val next : cursor -> int
 (** Frame the next record and return its tag byte, its fields ready to

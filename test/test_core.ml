@@ -4,7 +4,6 @@
 module Range = Pift_util.Range
 module Policy = Pift_core.Policy
 module Tracker = Pift_core.Tracker
-module Reference = Pift_core.Reference
 module Storage = Pift_core.Storage
 module Store = Pift_core.Store
 module Hw_model = Pift_core.Hw_model
@@ -390,20 +389,13 @@ let sharing_gen =
     quad (int_range 1 8) (int_range 1 8) bool
       (list_size (int_range 1 200) op_g))
 
-(* Sink checks (verdict, origins), stats and depth of the tracker, and
-   the Reference model's verdicts, over one stream. *)
-let run_sharing ~policy ops =
-  let tracker =
-    Tracker.create ~policy ~prov:(Pift_core.Provenance.create ()) ()
-  in
-  let model = Reference.create policy in
-  Array.iter
-    (fun pid ->
-      Tracker.taint_source ~kind:"IMEI" tracker ~pid (r 0 10);
-      Reference.taint_source model ~pid (r 0 10))
-    ref_pids;
+(* One stream through a tracker or the Reference model: [source] on
+   every pid, then the ops, each event ([observe]) with its pid's own
+   instruction counter; [check] answers each sink, in order. *)
+let run_ops ops ~source ~observe ~check =
+  Array.iter (fun pid -> source ~kind:"IMEI" ~pid (r 0 10)) ref_pids;
   let ks = Hashtbl.create 3 in
-  let checks = ref [] and expected = ref [] in
+  let checks = ref [] in
   List.iteri
     (fun i (pid, kind, range, label) ->
       if kind <= 16 then begin
@@ -414,43 +406,82 @@ let run_sharing ~policy ops =
           else if kind <= 14 then Event.Store range
           else Event.Other
         in
-        let e = { Event.seq = i + 1; k; pid; access } in
-        Tracker.observe tracker e;
-        Reference.observe model e
+        observe { Event.seq = i + 1; k; pid; access }
       end
-      else if kind <= 18 then begin
-        Tracker.taint_source ~kind:label tracker ~pid range;
-        Reference.taint_source model ~pid range
-      end
-      else begin
-        checks :=
-          ( Tracker.is_tainted tracker ~pid range,
-            Tracker.origins_of tracker ~pid range )
-          :: !checks;
-        expected := Reference.is_tainted model ~pid range :: !expected
-      end)
+      else if kind <= 18 then source ~kind:label ~pid range
+      else checks := check ~pid range :: !checks)
     ops;
-  ( List.rev !checks,
-    Tracker.stats tracker,
-    Tracker.depth tracker,
-    List.rev !expected )
+  List.rev !checks
+
+(* Sink checks (verdict, origins), stats, depth and NI band of the
+   tracker over one stream. *)
+let run_sharing ~policy ops =
+  let tracker =
+    Tracker.create ~policy ~prov:(Pift_core.Provenance.create ()) ()
+  in
+  let checks =
+    run_ops ops
+      ~source:(fun ~kind ~pid range ->
+        Tracker.taint_source ~kind tracker ~pid range)
+      ~observe:(Tracker.observe tracker)
+      ~check:(fun ~pid range ->
+        ( Tracker.is_tainted tracker ~pid range,
+          Tracker.origins_of tracker ~pid range ))
+  in
+  (checks, Tracker.stats tracker, Tracker.depth tracker,
+   Tracker.ni_band tracker)
+
+(* The Reference model's sink verdicts over the same stream. *)
+let reference_checks ~policy ops =
+  let model = Reference.create policy in
+  run_ops ops
+    ~source:(fun ~kind:_ ~pid range -> Reference.taint_source model ~pid range)
+    ~observe:(Reference.observe model)
+    ~check:(fun ~pid range -> Reference.is_tainted model ~pid range)
 
 let prop_nt_sharing =
   QCheck2.Test.make
     ~name:"a run at NT answers every NT' from its depth up" ~count:300
     sharing_gen
     (fun (ni, nt, untaint, ops) ->
-      let at nt = run_sharing ~policy:(Policy.make ~untaint ~ni ~nt ()) ops in
-      let checks, stats, depth, expected = at nt in
+      let policy nt = Policy.make ~untaint ~ni ~nt () in
+      let at nt = run_sharing ~policy:(policy nt) ops in
+      let checks, stats, depth, _ = at nt in
       let from = max 1 depth in
-      List.map fst checks = expected
+      List.map fst checks = reference_checks ~policy:(policy nt) ops
       && (depth > nt
          || List.for_all
               (fun nt' ->
-                let checks', stats', _, expected' = at nt' in
+                let checks', stats', _, _ = at nt' in
                 checks' = checks && stats' = stats
-                && List.map fst checks' = expected')
+                && List.map fst checks'
+                   = reference_checks ~policy:(policy nt') ops)
               (List.init (nt - from + 1) (( + ) from))))
+
+(* The rectangle rule behind [Tracker.ni_band]: a run at (NI, NT) with
+   band [lo, hi] and depth d gives the same sink checks, origins and
+   stats at every (NI', NT') in [lo, hi] x [min d NT, NT].  NI' stops
+   at 24 (three times the largest NI drawn): without a store failing
+   the window test the band has no finite upper end. *)
+let prop_ni_band =
+  QCheck2.Test.make
+    ~name:"a run at (NI, NT) answers its band x depth rectangle" ~count:300
+    sharing_gen
+    (fun (ni, nt, untaint, ops) ->
+      let at ni nt =
+        run_sharing ~policy:(Policy.make ~untaint ~ni ~nt ()) ops
+      in
+      let checks, stats, depth, (lo, hi) = at ni nt in
+      let range a b = List.init (b - a + 1) (( + ) a) in
+      lo <= ni && ni <= hi
+      && List.for_all
+           (fun ni' ->
+             List.for_all
+               (fun nt' ->
+                 let checks', stats', _, _ = at ni' nt' in
+                 checks' = checks && stats' = stats)
+               (range (max 1 (min depth nt)) nt))
+           (range lo (min hi 24)))
 
 (* --- Provenance ------------------------------------------------------------ *)
 
@@ -1434,7 +1465,7 @@ let qsuite =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_range_set_model; prop_tracker_reference;
-      prop_storage_store_agreement; prop_nt_sharing;
+      prop_storage_store_agreement; prop_nt_sharing; prop_ni_band;
     ]
 
 let () =

@@ -388,7 +388,7 @@ let grid_corpus =
     @ [ Malware.lgroot_sized ~rounds:1 ~payload_chars:64 ])
 
 (* The explosion cells (NI 13–20) over every NT, from an unsorted [nts]
-   with a repeat: the sweep's columns must give every cell exactly what
+   with a repeat: the sweep's walks must give every cell exactly what
    [Accuracy.evaluate], a replay of each app per cell, gives, at one
    and two jobs alike. *)
 let test_sweep_matches_per_cell () =
@@ -422,29 +422,127 @@ let test_sweep_matches_per_cell () =
     [ (one, 1); (two, 2) ];
   checki "replays independent of jobs" one.Accuracy.replays
     two.Accuracy.replays;
-  (* Below the confusion counts: every replay a column hands out equals
-     the cell's own replay, stats included. *)
-  let recordings = Array.of_list (List.map Recorded.record apps) in
+  (* Below the confusion counts: every replay a grid walk hands out
+     equals the cell's own replay, stats included. *)
+  let recordings = List.map Recorded.record apps in
   List.iter
-    (fun ni ->
+    (fun r ->
       List.iter
-        (fun (nt, replays) ->
-          let policy = Policy.make ~ni ~nt () in
-          Array.iteri
-            (fun i got ->
-              checkb
-                (Printf.sprintf "(%d,%d) %s: column replay = own replay" ni nt
-                   recordings.(i).Recorded.name)
-                true
-                (got = Recorded.replay ~policy recordings.(i)))
-            replays)
-        (fst (Accuracy.column ~ni ~nts recordings)))
-    nis;
-  checkb "columns share replays" true
+        (fun ((ni, nt), got) ->
+          checkb
+            (Printf.sprintf "(%d,%d) %s: grid replay = own replay" ni nt
+               r.Recorded.name)
+            true
+            (got = Recorded.replay ~policy:(Policy.make ~ni ~nt ()) r))
+        (Recorded.replay_grid ~nis ~nts r).Recorded.answers)
+    recordings;
+  checkb "walks share replays" true
     (one.Accuracy.replays < List.length apps * List.length keys)
 
-(* [Advisor.recommend] walks the same columns; a search that evaluates
-   every cell on its own must pick the same candidate. *)
+(* --- the oracle: Algorithm 1's pseudocode on the real corpus --------- *)
+
+(* Sink verdicts of [Reference], the literal transliteration of the
+   paper's pseudocode, fed the recording's events and markers in replay
+   order by [Recorded.interleave]. *)
+let reference_verdicts ~policy (r : Recorded.t) =
+  let model = Reference.create policy and pid = r.Recorded.pid in
+  let verdicts = ref [] in
+  Recorded.interleave r ~observe:(Reference.observe model)
+    ~on_marker:(fun _ -> function
+      | Recorded.Source { range; _ } -> Reference.taint_source model ~pid range
+      | Recorded.Sink { kind; ranges } ->
+          let flagged =
+            List.exists (fun x -> Reference.is_tainted model ~pid x) ranges
+          in
+          verdicts := { Recorded.kind; flagged } :: !verdicts);
+  List.rev !verdicts
+
+let classify ~leaky ~flagged (c : Accuracy.confusion) =
+  match (leaky, flagged) with
+  | true, true -> { c with Accuracy.tp = c.Accuracy.tp + 1 }
+  | true, false -> { c with Accuracy.fn = c.Accuracy.fn + 1 }
+  | false, true -> { c with Accuracy.fp = c.Accuracy.fp + 1 }
+  | false, false -> { c with Accuracy.tn = c.Accuracy.tn + 1 }
+
+(* Every DroidBench and extended app at every cell of the 20x10 grid:
+   the verdicts [Recorded.replay_grid] answers equal the pseudocode's,
+   and every cell of the sweep (NI-band walks on a two-domain pool)
+   equals the confusion built from the pseudocode's verdicts. *)
+let test_grid_matches_reference () =
+  let apps = Droidbench.all @ Pift_workloads.Extended.all in
+  let nis = Accuracy.default_nis and nts = Accuracy.default_nts in
+  let expected = Hashtbl.create 200 in
+  List.iter
+    (fun (app : App.t) ->
+      let r = Recorded.record app in
+      List.iter
+        (fun ((ni, nt), (got : Recorded.replay)) ->
+          let want = reference_verdicts ~policy:(Policy.make ~ni ~nt ()) r in
+          if got.Recorded.verdicts <> want then
+            Alcotest.failf "%s at (%d,%d): grid walk <> Reference" app.App.name
+              ni nt;
+          let c =
+            Option.value
+              (Hashtbl.find_opt expected (ni, nt))
+              ~default:{ Accuracy.tp = 0; fp = 0; tn = 0; fn = 0 }
+          in
+          Hashtbl.replace expected (ni, nt)
+            (classify ~leaky:app.App.leaky
+               ~flagged:
+                 (List.exists (fun (v : Recorded.verdict) -> v.flagged) want)
+               c))
+        (Recorded.replay_grid ~nis ~nts r).Recorded.answers)
+    apps;
+  let sweep = Accuracy.sweep ~jobs:2 apps in
+  checki "cells" (Hashtbl.length expected) (List.length sweep.Accuracy.cells);
+  List.iter
+    (fun ((ni, nt), got) ->
+      checkb
+        (Printf.sprintf "sweep cell (%d,%d) = Reference" ni nt)
+        true
+        (Hashtbl.find_opt expected (ni, nt) = Some got))
+    sweep.Accuracy.cells
+
+(* The malware at the paper's headline cell (13,3) and at each sample's
+   detection thresholds: the smallest NI that catches it at NT = 2 and
+   the smallest NT that catches it at NI = 3, with the cell just below
+   each.  The tracker's verdicts there equal the pseudocode's. *)
+let test_malware_matches_reference () =
+  List.iter
+    (fun (app : App.t) ->
+      let r = Recorded.record app in
+      (* The first cell of a grid walk's answers that flags the app. *)
+      let first ~nis ~nts =
+        fst
+          (List.find
+             (fun (_, (rp : Recorded.replay)) -> rp.Recorded.flagged)
+             (Recorded.replay_grid ~nis ~nts r).Recorded.answers)
+      in
+      let min_ni, _ = first ~nis:Accuracy.default_nis ~nts:[ 2 ]
+      and _, min_nt = first ~nis:[ 3 ] ~nts:Accuracy.default_nts in
+      List.iter
+        (fun (ni, nt) ->
+          if ni >= 1 && nt >= 1 then begin
+            let policy = Policy.make ~ni ~nt () in
+            checkb
+              (Printf.sprintf "%s at (%d,%d) = Reference" app.App.name ni nt)
+              true
+              ((Recorded.replay ~policy r).Recorded.verdicts
+              = reference_verdicts ~policy r)
+          end)
+        (List.sort_uniq compare
+           [
+             (13, 3);
+             (min_ni, 2);
+             (min_ni - 1, 2);
+             (3, min_nt);
+             (3, min_nt - 1);
+           ]))
+    Malware.all
+
+(* [Advisor.recommend] walks each recording's grid as the sweep does; a
+   search that evaluates every cell on its own must pick the same
+   candidate. *)
 let test_advisor_matches_per_cell () =
   let module Advisor = Pift_eval.Advisor in
   let corpus = Advisor.of_apps (Lazy.force grid_corpus) in
@@ -986,6 +1084,10 @@ let () =
           Alcotest.test_case "advisor" `Quick test_advisor;
           Alcotest.test_case "advisor = a search per cell" `Quick
             test_advisor_matches_per_cell;
+          Alcotest.test_case "grid = Reference, every app and cell" `Quick
+            test_grid_matches_reference;
+          Alcotest.test_case "malware = Reference at thresholds" `Quick
+            test_malware_matches_reference;
         ] );
       ( "hardware",
         [ Alcotest.test_case "cache-backed" `Quick test_hw_backed_detection ] );

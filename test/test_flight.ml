@@ -213,7 +213,8 @@ let test_sweep_identical_with_tracing () =
 
 (* A traced sweep keeps its counter tracks fed: one max_tainted_bytes
    and one max_ranges sample per grid cell (repeats in [nts] count once)
-   and one column span per NI, across the worker rings. *)
+   and one grid span per (recording, NI band) walk, across the worker
+   rings. *)
 let test_sweep_samples_per_cell () =
   let module Accuracy = Pift_eval.Accuracy in
   let apps =
@@ -237,8 +238,8 @@ let test_sweep_samples_per_cell () =
     (count Flight.Sample (String.equal "max_tainted_bytes"));
   checki "one max_ranges sample per cell" cells
     (count Flight.Sample (String.equal "max_ranges"));
-  checki "one column span per NI" 3
-    (count Flight.Begin (fun n -> Pift_obs.Profile.phase_of n = "column"))
+  checki "one grid span per walk (6 apps x 2 NI bands)" 12
+    (count Flight.Begin (fun n -> Pift_obs.Profile.phase_of n = "grid"))
 
 let () =
   Alcotest.run "pift_flight"

@@ -2587,7 +2587,6 @@ let test_provenance_lazy_probe_persist () =
    (which the engine counts in one row), fork-child pids, and sources
    and sinks landing inside those runs. *)
 
-module Reference = Pift_core.Reference
 module Snapshot = Pift_service.Snapshot
 
 type oracle_case = {

@@ -381,27 +381,28 @@ let prop_replay_rows =
       && rows.Recorded.origins = List.rev !origins
       && rows.Recorded.stats = Tracker.stats tracker)
 
-(* [Recorded.replay_column] shares replays along the NT axis
-   (Tracker.depth): for an unsorted [nts] with repeats it must answer
-   every distinct NT, ascending, with exactly what a replay of its own
-   at (ni, NT) gives — verdicts, origins and stats — and run at most
-   one replay per distinct NT. *)
-let column_gen =
+(* [Recorded.replay_grid] shares replays over rectangles of the grid
+   (Tracker.ni_band x Tracker.depth): for unsorted [nis] and [nts] with
+   repeats it must answer every distinct cell, ascending, with exactly
+   what a replay of its own at (NI, NT) gives — verdicts, origins and
+   stats — and run at most one replay per distinct cell. *)
+let grid_gen =
   QCheck2.Gen.(
     let* events, markers, policy = replay_gen in
-    let* nts = list_size (int_range 1 10) (int_range 1 8) in
-    return (events, markers, policy.Policy.ni, nts))
+    let* nis = list_size (int_range 1 8) (int_range 1 12) in
+    let* nts = list_size (int_range 1 6) (int_range 1 8) in
+    return (events, markers, policy.Policy.untaint, nis, nts))
 
-let prop_replay_column =
-  QCheck2.Test.make ~name:"NT column walk = one replay per NT" ~count:500
-    ~print:(fun (events, markers, ni, nts) ->
-      Printf.sprintf "%s; markers at [%s]; ni %d; nts [%s]"
+let prop_replay_grid =
+  QCheck2.Test.make ~name:"grid walk = one replay per cell" ~count:500
+    ~print:(fun (events, markers, untaint, nis, nts) ->
+      let ints l = String.concat "; " (List.map string_of_int l) in
+      Printf.sprintf "%s; markers at [%s]; untaint %b; nis [%s]; nts [%s]"
         (print_events events)
-        (String.concat "; " (List.map (fun (s, _) -> string_of_int s) markers))
-        ni
-        (String.concat "; " (List.map string_of_int nts)))
-    column_gen
-    (fun (events, markers, ni, nts) ->
+        (ints (List.map fst markers))
+        untaint (ints nis) (ints nts))
+    grid_gen
+    (fun (events, markers, untaint, nis, nts) ->
       let r =
         {
           Recorded.name = "prop";
@@ -413,17 +414,23 @@ let prop_replay_column =
           frag_misses = 0;
         }
       in
-      let column = Recorded.replay_column ~with_origins:true ~ni ~nts r in
-      let distinct = List.sort_uniq compare nts in
-      List.map fst column.Recorded.answers = distinct
+      let grid =
+        Recorded.replay_grid ~with_origins:true ~untaint ~nis ~nts r
+      in
+      let cells =
+        List.concat_map
+          (fun ni -> List.map (fun nt -> (ni, nt)) (List.sort_uniq compare nts))
+          (List.sort_uniq compare nis)
+      in
+      List.map fst grid.Recorded.answers = cells
       && List.for_all
-           (fun (nt, got) ->
+           (fun ((ni, nt), got) ->
              got
              = Recorded.replay ~with_origins:true
-                 ~policy:(Policy.make ~ni ~nt ()) r)
-           column.Recorded.answers
-      && column.Recorded.replays >= 1
-      && column.Recorded.replays <= List.length distinct)
+                 ~policy:(Policy.make ~untaint ~ni ~nt ()) r)
+           grid.Recorded.answers
+      && grid.Recorded.replays >= 1
+      && grid.Recorded.replays <= List.length cells)
 
 let () =
   Alcotest.run "pift_trace"
@@ -455,6 +462,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_distance_naive;
           QCheck_alcotest.to_alcotest prop_round_trip;
           QCheck_alcotest.to_alcotest prop_replay_rows;
-          QCheck_alcotest.to_alcotest prop_replay_column;
+          QCheck_alcotest.to_alcotest prop_replay_grid;
         ] );
     ]
