@@ -35,7 +35,10 @@ let bench_trace =
 
 let event_slice n =
   let r = Lazy.force bench_trace in
-  Array.of_seq (Seq.take n (Trace.to_seq r.Recorded.trace))
+  let events = ref [] in
+  Trace.iter (fun e -> events := e :: !events) r.Recorded.trace;
+  let events = Array.of_list (List.rev !events) in
+  Array.sub events 0 (min n (Array.length events))
 
 (* --- microbenchmarks --------------------------------------------------- *)
 
@@ -283,8 +286,7 @@ let write_store_bench () =
   let module Store = Pift_core.Store in
   let module Store_flat = Pift_core.Store_flat in
   let module Accuracy = Pift_eval.Accuracy in
-  let recorded = Lazy.force bench_trace in
-  let events = Array.of_seq (Trace.to_seq recorded.Recorded.trace) in
+  let events = event_slice max_int in
   let replay () =
     let t = Tracker.create ~policy:Policy.default ~store:(Store.create ()) () in
     Tracker.taint_source t ~pid:1 (Range.of_len 0x4000_0000 32);
@@ -470,7 +472,7 @@ let write_prov_bench () =
   let module Json = Pift_obs.Json in
   let module Provenance = Pift_core.Provenance in
   let recorded = Lazy.force bench_trace in
-  let events = Array.of_seq (Trace.to_seq recorded.Recorded.trace) in
+  let events = event_slice max_int in
   let sources =
     [
       ("IMEI", Range.of_len 0x4000_0000 32);

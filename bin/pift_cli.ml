@@ -640,19 +640,22 @@ let record_trace_cmd =
           markers (the paper's offline pipeline).")
     Term.(const record_trace $ app_arg $ output $ jit $ trace_format)
 
+(* The input is opened once, so a pipe converts as a file does. *)
 let convert input output format =
   input_errors @@ fun () ->
+  let module Trace_io = Pift_eval.Trace_io in
+  Trace_io.with_reader input @@ fun r ->
   let format =
     (* Default to the format the input is not in — the common use is
        shrinking an archived text trace (or inspecting a binary one). *)
     match format with
     | Some f -> f
     | None -> (
-        match Pift_eval.Trace_io.detect_format input with
-        | Pift_eval.Trace_io.Text -> Pift_eval.Trace_io.Binary
-        | Pift_eval.Trace_io.Binary -> Pift_eval.Trace_io.Text)
+        match Trace_io.reader_format r with
+        | Some Trace_io.Binary -> Trace_io.Text
+        | Some Trace_io.Text | None -> Trace_io.Binary)
   in
-  let recorded = Pift_eval.Trace_io.load input in
+  let recorded = Trace_io.drain r in
   Pift_eval.Trace_io.save ~format recorded output;
   Printf.printf "wrote %s (%s): %d events, %d markers\n" output
     (Pift_eval.Trace_io.format_to_string format)

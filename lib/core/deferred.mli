@@ -28,10 +28,12 @@ val taint_source : t -> pid:int -> Pift_util.Range.t -> unit
 (** Source registrations drain the buffer first (they come from software,
     which is already off the fast path). *)
 
-val observe : t -> Pift_trace.Event.t -> unit
-(** Append a memory event to the buffer (non-memory events are ignored —
-    the front end only forwards loads and stores, Fig. 5).  Overflow
-    drops the oldest buffered event. *)
+val push :
+  t -> load:bool -> pid:int -> seq:int -> k:int -> Pift_util.Range.t -> unit
+(** Append a load ([load]) or store to the buffer — the front end
+    forwards only loads and stores, Fig. 5 — as its ints and range: the
+    buffer is a ring of those, so it boxes nothing per access.
+    Overflow drops the oldest buffered access. *)
 
 val tick : t -> unit
 (** Background drain opportunity: consume up to [drain_batch] events. *)

@@ -33,11 +33,9 @@ type t = {
   (* 1 + the largest NT budget used any in-window store found, 0 before
      one; see [depth] in the interface. *)
   mutable depth : int;
-  (* The largest gap [k - ltlt] of a store that passed the window test
-     (0 before one) and the smallest of one that failed it ([max_int]
-     before one); see [ni_band] in the interface. *)
+  (* The largest gap [k - ltlt] of a store that passed the window test,
+     0 before one; see [ni_floor] in the interface. *)
   mutable g_in : int;
-  mutable g_out : int;
   prov : Provenance.t option;
 }
 
@@ -66,7 +64,6 @@ let create ?(policy = Policy.default) ?(store = Store.create ()) ?prov () =
     last_time = 0;
     depth = 0;
     g_in = 0;
-    g_out = max_int;
   }
 
 let policy t = t.policy
@@ -162,16 +159,13 @@ let[@inline] on_load t ~pid ~seq ~k r =
   end
 
 (* The window test of lines 16–23, [k - ltlt <= NI]; it also keeps the
-   NI band's two gaps ([ni_band]). *)
+   NI floor's gap ([ni_floor]). *)
 let[@inline] in_window t gap =
   if gap <= t.policy.Policy.ni then begin
     if gap > t.g_in then t.g_in <- gap;
     true
   end
-  else begin
-    if gap < t.g_out then t.g_out <- gap;
-    false
-  end
+  else false
 
 (* The budget test of lines 16–23, [nt_used < NT], made only for an
    in-window store; it also keeps the window depth ([depth]). *)
@@ -210,7 +204,7 @@ let observe t (e : Event.t) =
   | Event.Other -> on_other t ~seq:e.seq ~n:1
 
 let depth t = t.depth
-let ni_band t = (max 1 t.g_in, t.g_out - 1)
+let ni_floor t = max 1 t.g_in
 
 let stats t =
   {

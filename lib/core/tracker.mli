@@ -129,26 +129,23 @@ val depth : t -> int
     [d - 1] the store that set the depth fails the test, so the rule
     stops at [d]. *)
 
-val ni_band : t -> int * int
-(** NI band [(lo, hi)]: [lo] is [max 1 g_in] and [hi] is [g_out - 1],
-    where [g_in] is the largest gap [k - LTLT] of a store that passed
-    the window test ([0] when none did) and [g_out] the smallest gap of
-    one that failed it ([max_int] when none did).  Like {!depth}, it is
-    in no {!stats} and no {!persisted} record, and counts from
-    {!create}.
+val ni_floor : t -> int
+(** NI floor: [max 1 g_in], where [g_in] is the largest gap [k - LTLT]
+    of a store that passed the window test ([0] when none did).  Like
+    {!depth}, it is in no {!stats} and no {!persisted} record, and
+    counts from {!create}.
 
-    A run at (NI, NT) with band [(lo, hi)] and depth [d] gives the same
-    verdicts, origins and stats at every (NI', NT') in [\[lo, hi\] ×
+    A run at (NI, NT) with floor [lo] and depth [d] gives the same
+    verdicts, origins and stats at every (NI', NT') in [\[lo, NI\] ×
     \[min d NT, NT\]].  NI enters Algorithm 1 only in the store's
     window test [k - LTLT <= NI] (lines 16–23).  By induction over the
     steps, both runs reach each step in the same state, so a store sees
     the same gap in both: one that passed at NI has gap [<= g_in <=
-    NI'], one that failed has gap [>= g_out > NI'], so both runs take
-    the same window branch.  An in-window store then passes the budget
-    test at NT' exactly when it did at NT, by {!depth}'s argument, and
-    every other step reads neither NI nor NT.  The band is tight: at
-    NI' = [g_in - 1] the store that set [g_in] fails the test, and at
-    NI' = [g_out] the one that set [g_out] passes it. *)
+    NI'], one that failed has gap [> NI >= NI'], so both runs take the
+    same window branch.  An in-window store then passes the budget test
+    at NT' exactly when it did at NT, by {!depth}'s argument, and every
+    other step reads neither NI nor NT.  The floor is tight: at NI' =
+    [g_in - 1] the store that set [g_in] fails the test. *)
 
 (** {1 Persistence}
 

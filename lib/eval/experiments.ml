@@ -4,6 +4,7 @@ module Storage = Pift_core.Storage
 module Store = Pift_core.Store
 module Hw_model = Pift_core.Hw_model
 module Trace = Pift_trace.Trace
+module Row = Pift_trace.Row
 module App = Pift_workloads.App
 module Droidbench = Pift_workloads.Droidbench
 module Malware = Pift_workloads.Malware
@@ -434,12 +435,18 @@ let deferred_run recorded ~buffer_size ~drain_batch ~period =
         then flagged := true
   in
   let n = ref 0 in
-  let observe e =
-    Deferred.observe d e;
-    incr n;
-    if !n mod period = 0 then Deferred.tick d
+  let row rows o =
+    let tag = rows.(o) in
+    if tag <> Row.tag_other then
+      Deferred.push d ~load:(tag = Row.tag_load) ~pid:rows.(o + 1)
+        ~seq:rows.(o + 2) ~k:rows.(o + 3)
+        (Trace.range recorded.Recorded.trace rows o);
+    for _ = 1 to Row.count rows o do
+      incr n;
+      if !n mod period = 0 then Deferred.tick d
+    done
   in
-  Recorded.interleave recorded ~observe ~on_marker;
+  Recorded.walk recorded ~row ~marker:on_marker;
   (!flagged, Deferred.dropped d)
 
 let deferred ppf =

@@ -51,7 +51,9 @@ let provenance_replay ~policy (t : Recorded.t) =
               flagged := (check, kind, r, seq, labels) :: !flagged)
           ranges
   in
-  Recorded.interleave t ~observe:(Tracker.observe tracker) ~on_marker;
+  Recorded.walk t
+    ~row:(Recorded.track tracker t.Recorded.trace)
+    ~marker:on_marker;
   (!props, !sources, List.rev !flagged)
 
 let max_hops = 64

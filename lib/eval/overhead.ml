@@ -85,10 +85,11 @@ let grid ?(nis = default_nis) ?(nts = default_nts) ?(rings = [||])
     ~name:(fun _ lo hi -> Printf.sprintf "grid(%d-%d)" lo hi)
     ~untaints:[ true ] recorded ~nis ~nts 0
 
-(* Figs. 15/16 read the tracker after every item of the recording.  An
-   item changes occupancy at most once and the op count by at most one,
-   so sampling on change, stamped with the last event's seq, keeps every
-   step of both curves.  Both start from an implicit 0. *)
+(* Figs. 15/16 read the tracker after every row and marker of the
+   recording's walk.  A load, store or marker changes occupancy at most
+   once and the op count by at most one, and a counted row changes
+   neither, so sampling on change, stamped with the last event's seq,
+   keeps every step of both curves.  Both start from an implicit 0. *)
 let series recorded ~ni ~nt =
   let tracker = Tracker.create ~policy:(Policy.make ~ni ~nt ()) () in
   let bytes = Series.create ~name:"tainted bytes" () in
@@ -97,28 +98,23 @@ let series recorded ~ni ~nt =
     if value <> Option.value (Series.last_value s) ~default:0 then
       Series.record s ~time ~value
   in
-  let next = Recorded.items recorded in
-  let rec loop time =
-    match next () with
-    | None -> ()
-    | Some item ->
-        let time =
-          match item with
-          | Recorded.Item_event e ->
-              Tracker.observe tracker e;
-              e.Pift_trace.Event.seq
-          | Recorded.Item_marker (_, Recorded.Source { kind; range }) ->
-              Tracker.taint_source ~kind tracker ~pid:recorded.Recorded.pid
-                range;
-              time
-          | Recorded.Item_marker (_, Recorded.Sink _) -> time
-        in
-        let s = Tracker.stats tracker in
-        sample bytes ~time (Tracker.current_tainted_bytes tracker);
-        sample ops ~time (s.Tracker.taint_ops + s.Tracker.untaint_ops);
-        loop time
+  let time = ref 0 in
+  let sample_both () =
+    let s = Tracker.stats tracker in
+    sample bytes ~time:!time (Tracker.current_tainted_bytes tracker);
+    sample ops ~time:!time (s.Tracker.taint_ops + s.Tracker.untaint_ops)
   in
-  loop 0;
+  Recorded.walk recorded
+    ~row:(fun rows o ->
+      Recorded.track tracker recorded.Recorded.trace rows o;
+      time := rows.(o + 2);
+      sample_both ())
+    ~marker:(fun _ m ->
+      (match m with
+      | Recorded.Source { kind; range } ->
+          Tracker.taint_source ~kind tracker ~pid:recorded.Recorded.pid range
+      | Recorded.Sink _ -> ());
+      sample_both ());
   (Series.downsample bytes 72, Series.downsample ops 72)
 
 let untaint_effect ?(rings = [||]) ?(jobs = 1) recorded ~nis ~nt =

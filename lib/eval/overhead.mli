@@ -40,9 +40,9 @@ val series :
 (** Fig. 15 and Fig. 16: (tainted-bytes-over-time,
     cumulative-operations-over-time) samples for one parameter pair,
     time being the global instruction sequence number.  Built by
-    feeding the recording's {!Recorded.items} to a tracker and reading
-    its counters after each one; each curve is downsampled to at most
-    72 points. *)
+    walking the recording ({!Recorded.walk}) through a tracker and
+    reading its counters after each row and marker; each curve is
+    downsampled to at most 72 points. *)
 
 val untaint_effect :
   ?rings:Pift_obs.Flight.t array ->

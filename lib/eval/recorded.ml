@@ -71,67 +71,27 @@ type replay = {
   origins : origin_verdict list;
 }
 
-(* [until seq] calls [on_marker] for every marker not yet fired whose
-   timestamp is at most [seq], in order; between markers it is one
-   compare. *)
-let markers_until t ~on_marker =
-  let mi = ref 0 and n = Array.length t.markers in
-  let due = ref (if n > 0 then fst t.markers.(0) else max_int) in
-  fun seq ->
-    if seq >= !due then begin
-      while !mi < n && fst t.markers.(!mi) <= seq do
-        let mseq, m = t.markers.(!mi) in
-        on_marker mseq m;
-        incr mi
-      done;
-      due := if !mi < n then fst t.markers.(!mi) else max_int
-    end
-
-(* Walk events and markers in global-sequence order, calling [on_marker]
-   for every marker once all events up to its timestamp have been fed. *)
-let interleave t ~observe ~on_marker =
-  let until = markers_until t ~on_marker in
-  until 0;
-  Trace.iter
-    (fun e ->
-      observe e;
-      until e.Pift_trace.Event.seq)
-    t.trace;
-  until max_int
-
 type item = Item_event of Pift_trace.Event.t | Item_marker of int * marker
 
-(* Pull-stream twin of [interleave]: the same order, one item per call.
-   A marker is due once every event up to its timestamp has been
-   emitted, so markers between two events surface after the later one —
-   exactly where [interleave] fires [on_marker] and where the trace
-   writers serialize them.  The engine's ingest front merges several of
-   these streams without materialising any of them. *)
-let items t =
-  let mi = ref 0 and events = ref (Trace.to_seq t.trace) in
-  let nm = Array.length t.markers in
-  let last_seq = ref 0 in
-  fun () ->
-    if !mi < nm && fst t.markers.(!mi) <= !last_seq then begin
-      let mseq, m = t.markers.(!mi) in
-      incr mi;
-      Some (Item_marker (mseq, m))
-    end
-    else
-      match !events () with
-      | Seq.Cons (e, rest) ->
-          events := rest;
-          last_seq := e.Pift_trace.Event.seq;
-          Some (Item_event e)
-      | Seq.Nil ->
-          if !mi < nm then begin
-            let mseq, m = t.markers.(!mi) in
-            incr mi;
-            Some (Item_marker (mseq, m))
-          end
-          else None
+let walk t ~row ~marker =
+  Trace.walk t.trace
+    ~marks:(Array.map fst t.markers)
+    ~row
+    ~mark:(fun i ->
+      let seq, m = t.markers.(i) in
+      marker seq m)
 
-(* [replay], and the window depth and NI band its tracker ended at. *)
+let[@inline] track tracker trace rows o =
+  let tag = rows.(o) and seq = rows.(o + 2) in
+  if tag = Row.tag_other then Tracker.on_other tracker ~seq ~n:rows.(o + 5)
+  else begin
+    let pid = rows.(o + 1) and k = rows.(o + 3) in
+    let r = Trace.range trace rows o in
+    if tag = Row.tag_load then Tracker.on_load tracker ~pid ~seq ~k r
+    else Tracker.on_store tracker ~pid ~seq ~k r
+  end
+
+(* [replay], and the window depth and NI floor its tracker ended at. *)
 let run ?store ?telemetry ?(with_origins = false) ~policy t =
   let store =
     match store with Some store -> store | None -> Store.create ()
@@ -189,31 +149,13 @@ let run ?store ?telemetry ?(with_origins = false) ~policy t =
   in
   (* Algorithm 1 straight from the rows: one [on_other ~n] per counted
      row and the interned range per load or store, so the walk builds
-     no event.  A marker fires after the row that holds its seq, which
-     for a counted row can be after instructions that follow it; that
-     is safe because [on_other] only moves the tracker's event count and
-     clock, and no marker operation reads either.  Telemetry still
-     counts events, so its snapshots land at the same counts. *)
-  let until = markers_until t ~on_marker in
-  until 0;
-  Trace.iter_rows
-    (fun rows o ->
-      let tag = rows.(o) and seq = rows.(o + 2) in
-      if tag = Row.tag_other then begin
-        let n = rows.(o + 5) in
-        (match bump with None -> () | Some bump -> bump n);
-        Tracker.on_other tracker ~seq ~n
-      end
-      else begin
-        (match bump with None -> () | Some bump -> bump 1);
-        let pid = rows.(o + 1) and k = rows.(o + 3) in
-        let r = Trace.range t.trace rows o in
-        if tag = Row.tag_load then Tracker.on_load tracker ~pid ~seq ~k r
-        else Tracker.on_store tracker ~pid ~seq ~k r
-      end;
-      until seq)
-    t.trace;
-  until max_int;
+     no event.  Telemetry still counts events, so its snapshots land at
+     the same counts. *)
+  walk t
+    ~row:(fun rows o ->
+      (match bump with None -> () | Some bump -> bump (Row.count rows o));
+      track tracker t.trace rows o)
+    ~marker:on_marker;
   let verdicts = List.rev !verdicts in
   ( {
       verdicts;
@@ -222,7 +164,7 @@ let run ?store ?telemetry ?(with_origins = false) ~policy t =
       origins = List.rev !origin_verdicts;
     },
     Tracker.depth tracker,
-    Tracker.ni_band tracker )
+    Tracker.ni_floor tracker )
 
 let replay ?store ?telemetry ?with_origins ~policy t =
   let rp, _, _ = run ?store ?telemetry ?with_origins ~policy t in
@@ -230,12 +172,12 @@ let replay ?store ?telemetry ?with_origins ~policy t =
 
 type grid = { answers : ((int * int) * replay) list; replays : int }
 
-(* Largest cell first, NI before NT: a replay at (NI, NT) whose band is
-   [lo, hi] and depth d answers every listed cell of [lo, hi] x
-   [min d NT, NT] not yet answered (Tracker.ni_band), and the next
+(* Largest cell first, NI before NT: a replay at (NI, NT) whose NI
+   floor is [lo] and depth d answers every listed cell of [lo, NI] x
+   [min d NT, NT] not yet answered (Tracker.ni_floor), and the next
    replay runs at the largest cell still unanswered.  Every cell after
    the one just replayed, in this order, is answered, so the scan goes
-   on from it. *)
+   on from it, and no unanswered cell has an NI above the replay's. *)
 let replay_grid ?telemetry ?with_origins ?untaint ~nis ~nts t =
   let nis = Array.of_list (List.sort_uniq compare nis)
   and nts = Array.of_list (List.sort_uniq compare nts) in
@@ -247,14 +189,14 @@ let replay_grid ?telemetry ?with_origins ?untaint ~nis ~nts t =
     else begin
       let ni = nis.(i) and nt = nts.(j) in
       let policy = Pift_core.Policy.make ?untaint ~ni ~nt () in
-      let rp, depth, (lo, hi) = run ?telemetry ?with_origins ~policy t in
+      let rp, depth, lo = run ?telemetry ?with_origins ~policy t in
       let floor = min depth nt in
       Array.iteri
         (fun i' ni' ->
           Array.iteri
             (fun j' nt' ->
               if
-                lo <= ni' && ni' <= hi && floor <= nt' && nt' <= nt
+                lo <= ni' && floor <= nt' && nt' <= nt
                 && Option.is_none cells.(i').(j')
               then cells.(i').(j') <- Some rp)
             nts)
@@ -328,14 +270,17 @@ let replay_dift ?(with_origins = false) t =
             :: !origin_verdicts
         end
   in
-  (* [interleave] feeds the events in trace order, so event [!i] is the
+  (* The walk hands over the rows in trace order, so event [!i] is the
      one being observed. *)
   let i = ref 0 in
-  let observe e =
-    Full_dift.observe dift (Trace.insn t.trace !i) e;
-    incr i
-  in
-  interleave t ~observe ~on_marker;
+  walk t
+    ~row:(fun rows o ->
+      for j = 0 to Row.count rows o - 1 do
+        Full_dift.observe dift (Trace.insn t.trace !i)
+          (Trace.event t.trace rows o j);
+        incr i
+      done)
+    ~marker:on_marker;
   let dift_verdicts = List.rev !verdicts in
   {
     dift_verdicts;

@@ -39,31 +39,34 @@ val record :
     stamps one ["source"]/["sink-check"] instant per marker as the
     Manager fires and passes through to the VM's ["vm-run"] span. *)
 
-val interleave :
+val walk :
   t ->
-  observe:(Pift_trace.Event.t -> unit) ->
-  on_marker:(int -> marker -> unit) ->
+  row:(int array -> int -> unit) ->
+  marker:(int -> marker -> unit) ->
   unit
-(** Walk the recording in replay order: every event in trace order,
-    rebuilt from its row, and each marker, with its timestamp, once
-    every event up to that timestamp has been observed.  This is the one
-    per-event interleaving of events and markers: {!items} pulls it and
-    the trace writers serialize it; {!replay} walks the rows instead,
-    with the same verdicts. *)
+(** The one walk over a recording: its rows in trace order
+    ({!Pift_trace.Trace.walk}), and each marker, with its timestamp,
+    once the walk has passed that seq — after the first event whose seq
+    is at least the marker's (markers at or before seq 0 before the
+    first row, markers past the last event at the end).  A counted row
+    such an event falls inside is handed over in parts, each a counted
+    row in a scratch array [row] must not keep, so the order of events
+    and markers is exact.  Replay, the trace writers, the in-memory
+    service source and every experiment driver walk it. *)
 
 type item =
   | Item_event of Pift_trace.Event.t
   | Item_marker of int * marker  (** (global seq at occurrence, marker) *)
-(** One element of a recording viewed as a flat stream — the unit the
-    service engine ingests and {!Pift_eval.Trace_io} streams off disk. *)
+(** One record of a trace read one at a time — the unit the service
+    engine's per-item path ingests ({!Trace_io.read_item}). *)
 
-val items : t -> unit -> item option
-(** Pull stream over the recording in replay order: markers surface
-    after the last event at-or-before their timestamp, exactly where
-    {!interleave} fires them and where the trace writers serialize them.
-    [None] once exhausted.  Feeding the items of a recording to a
-    tracker one at a time is equivalent to {!replay} — the
-    interleaving-aware path multi-tenant ingestion is built on. *)
+val track :
+  Pift_core.Tracker.t -> Pift_trace.Trace.t -> int array -> int -> unit
+(** [track tracker trace rows o]: Algorithm 1's step for the row at [o]
+    of [rows], a row (or part) of [trace] as {!walk} or
+    {!Pift_trace.Trace.iter_rows} hands it over: [on_load]/[on_store]
+    with the row's interned range, or one [on_other ~n] for a counted
+    row. *)
 
 type verdict = { kind : string; flagged : bool }
 
@@ -91,13 +94,9 @@ val replay :
   ?with_origins:bool ->
   policy:Pift_core.Policy.t -> t -> replay
 (** Run Algorithm 1 over the recording, straight from its rows
-    ({!Pift_trace.Trace.iter_rows}): the tracker's [on_load]/[on_store]
-    get the row's interned range and a counted row is one [on_other ~n],
-    so the walk allocates nothing per event.  A marker fires after the
-    row that holds its seq; verdicts, origins and stats equal those of
-    {!interleave} feeding {!Pift_core.Tracker.observe}, because a
-    counted row only moves the tracker's event count and clock, which
-    no marker reads.  [store] defaults to a fresh
+    ({!walk}): the tracker's [on_load]/[on_store] get the row's interned
+    range and a counted row (or part of one) is one [on_other ~n], so
+    the walk allocates nothing per event.  [store] defaults to a fresh
     {!Pift_core.Store.create}; pass one to replay against another
     {!Pift_core.Store.t} (a range-cache model, a wrapped store), or to
     read its counters once the replay ends ({!Metrics.samples} builds
@@ -135,12 +134,13 @@ val replay_grid :
     [nis] × [nts] (each in any order, duplicates allowed), sharing
     replays over rectangles of the grid.  It replays the largest cell
     first (largest NI, then largest NT); a replay at (NI, NT) whose
-    tracker ends with NI band [(lo, hi)] ({!Pift_core.Tracker.ni_band})
-    and window depth [d] ({!Pift_core.Tracker.depth}) answers every
-    listed cell in [\[lo, hi\] × \[min d NT, NT\]] with the same
-    verdicts, origins and stats, and the next replay runs at the
-    largest cell still unanswered.  [telemetry] and [with_origins] pass
-    to every replay run. *)
+    tracker ends with NI floor [lo] ({!Pift_core.Tracker.ni_floor}) and
+    window depth [d] ({!Pift_core.Tracker.depth}) answers every listed
+    cell still unanswered in [\[lo, NI\] × \[min d NT, NT\]] with the
+    same verdicts, origins and stats, and the next replay runs at the
+    largest cell still unanswered; no such cell has an NI above the
+    replay's.  [telemetry] and [with_origins] pass to every replay
+    run. *)
 
 val ni_bands : int list -> int list list
 (** The distinct NIs of the list, ascending, cut into the bands a pool

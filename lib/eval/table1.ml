@@ -54,7 +54,7 @@ let min_ni trace ~taints ~check =
   let propagates ni =
     let tracker = Tracker.create ~policy:(Policy.make ~ni ~nt:10 ()) () in
     List.iter (fun r -> Tracker.taint_source tracker ~pid:1 r) (taints ());
-    Trace.iter (Tracker.observe tracker) trace;
+    Trace.iter_rows (Recorded.track tracker trace) trace;
     Tracker.is_tainted tracker ~pid:1 target
   in
   let rec search ni =

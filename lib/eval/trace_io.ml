@@ -11,11 +11,6 @@ type format = Text | Binary
 
 let format_to_string = function Text -> "text" | Binary -> "binary"
 
-let format_of_string = function
-  | "text" -> Some Text
-  | "binary" -> Some Binary
-  | _ -> None
-
 (* Marker kinds are user-controlled strings embedded in a
    space-separated record format.  A kind containing a space used to
    serialize fine and then fail on load — "unrecognised record" for SRC
@@ -37,17 +32,34 @@ let escape_kind kind =
   end
   else kind
 
+(* The recording's records in file order, as ints ({!Recorded.walk}):
+   each event of a counted row, seq and k counted back from the row's,
+   and a load or store with its interned range's start and length.
+   The writers and the in-memory reader expand a recording through
+   it, so none builds an event. *)
+let iter_records (t : Recorded.t) ~event ~marker =
+  Recorded.walk t
+    ~row:(fun rows o ->
+      let tag = rows.(o) and pid = rows.(o + 1) in
+      let seq = rows.(o + 2) and k = rows.(o + 3) in
+      if tag = Row.tag_other then
+        for back = rows.(o + 5) - 1 downto 0 do
+          event tag pid (seq - back) (k - back) 0 1
+        done
+      else
+        let r = Trace.range t.Recorded.trace rows o in
+        event tag pid seq k (Range.lo r) (Range.length r))
+    ~marker
+
 let write_range oc r =
   Printf.fprintf oc " %d %d" (Range.lo r) (Range.length r)
 
-(* Events and markers in [Recorded.interleave] order: each marker after
-   the last event at or before its timestamp. *)
 let to_channel (t : Recorded.t) oc =
   Printf.fprintf oc "%s\n" magic;
   Printf.fprintf oc "name %s\n" t.Recorded.name;
   Printf.fprintf oc "pid %d\n" t.Recorded.pid;
   Printf.fprintf oc "bytecodes %d\n" t.Recorded.bytecodes;
-  let on_marker mseq = function
+  let marker mseq = function
     | Recorded.Source { kind; range } ->
         Printf.fprintf oc "M %d SRC %s" mseq (escape_kind kind);
         write_range oc range;
@@ -57,19 +69,14 @@ let to_channel (t : Recorded.t) oc =
         List.iter (write_range oc) ranges;
         output_char oc '\n'
   in
-  let observe (e : Event.t) =
-    match e.access with
-    | Event.Load r ->
-        Printf.fprintf oc "L %d %d %d" e.seq e.k e.pid;
-        write_range oc r;
-        output_char oc '\n'
-    | Event.Store r ->
-        Printf.fprintf oc "S %d %d %d" e.seq e.k e.pid;
-        write_range oc r;
-        output_char oc '\n'
-    | Event.Other -> Printf.fprintf oc "O %d %d %d\n" e.seq e.k e.pid
+  let event tag pid seq k lo len =
+    if tag = Row.tag_other then Printf.fprintf oc "O %d %d %d\n" seq k pid
+    else
+      Printf.fprintf oc "%c %d %d %d %d %d\n"
+        (if tag = Row.tag_load then 'L' else 'S')
+        seq k pid lo len
   in
-  Recorded.interleave t ~observe ~on_marker
+  iter_records t ~event ~marker
 
 (* --- binary format ------------------------------------------------------ *)
 
@@ -122,44 +129,36 @@ let to_channel_binary (t : Recorded.t) oc =
     Wire.add_svarint payload (seq - !prev_seq);
     prev_seq := seq
   in
-  let add_range r =
-    Wire.add_svarint payload (Range.lo r - !prev_lo);
-    prev_lo := Range.lo r;
-    Wire.add_varint payload (Range.length r)
+  let add_range lo len =
+    Wire.add_svarint payload (lo - !prev_lo);
+    prev_lo := lo;
+    Wire.add_varint payload len
   in
-  let put_marker mseq = function
+  let marker mseq = function
     | Recorded.Source { kind; range } ->
         Buffer.add_char payload (Char.chr tag_source);
         add_seq mseq;
         Wire.add_string payload kind;
-        add_range range;
+        add_range (Range.lo range) (Range.length range);
         Wire.emit w
     | Recorded.Sink { kind; ranges } ->
         Buffer.add_char payload (Char.chr tag_sink);
         add_seq mseq;
         Wire.add_string payload kind;
         Wire.add_varint payload (List.length ranges);
-        List.iter add_range ranges;
+        List.iter (fun r -> add_range (Range.lo r) (Range.length r)) ranges;
         Wire.emit w
   in
-  let put_event (e : Event.t) =
-    let tag =
-      match e.Event.access with
-      | Event.Load _ -> tag_load
-      | Event.Store _ -> tag_store
-      | Event.Other -> tag_other
-    in
+  let event tag pid seq k lo len =
     Buffer.add_char payload (Char.chr tag);
-    add_seq e.Event.seq;
-    Wire.add_svarint payload (e.Event.k - !prev_k);
-    prev_k := e.Event.k;
-    Wire.add_varint payload e.Event.pid;
-    (match e.Event.access with
-    | Event.Load r | Event.Store r -> add_range r
-    | Event.Other -> ());
+    add_seq seq;
+    Wire.add_svarint payload (k - !prev_k);
+    prev_k := k;
+    Wire.add_varint payload pid;
+    if tag <> tag_other then add_range lo len;
     Wire.emit w
   in
-  Recorded.interleave t ~observe:put_event ~on_marker:put_marker
+  iter_records t ~event ~marker
 
 let save ?(format = Text) t path =
   let oc = open_out_bin path in
@@ -224,82 +223,6 @@ let rec parse_ranges n = function
       :: parse_ranges n rest
 
 type header = { h_name : string; h_pid : int; h_bytecodes : int }
-
-(* One record line to one stream item. *)
-let text_item n line =
-  match String.split_on_char ' ' line with
-  | [ "L"; seq; k; epid; lo; len ] ->
-      Recorded.Item_event
-        {
-          Event.seq = parse_int n seq;
-          k = parse_int n k;
-          pid = parse_int n epid;
-          access =
-            Event.Load
-              (range_of_len (fail_line n) (parse_int n lo) (parse_int n len));
-        }
-  | [ "S"; seq; k; epid; lo; len ] ->
-      Recorded.Item_event
-        {
-          Event.seq = parse_int n seq;
-          k = parse_int n k;
-          pid = parse_int n epid;
-          access =
-            Event.Store
-              (range_of_len (fail_line n) (parse_int n lo) (parse_int n len));
-        }
-  | [ "O"; seq; k; epid ] ->
-      Recorded.Item_event
-        {
-          Event.seq = parse_int n seq;
-          k = parse_int n k;
-          pid = parse_int n epid;
-          access = Event.Other;
-        }
-  | [ "M"; seq; "SRC"; kind; lo; len ] ->
-      Recorded.Item_marker
-        ( parse_int n seq,
-          Recorded.Source
-            {
-              kind = unescape_kind n kind;
-              range =
-                range_of_len (fail_line n) (parse_int n lo) (parse_int n len);
-            } )
-  | "M" :: seq :: "SNK" :: kind :: rest ->
-      Recorded.Item_marker
-        ( parse_int n seq,
-          Recorded.Sink
-            { kind = unescape_kind n kind; ranges = parse_ranges n rest } )
-  | _ -> fail_line n ("unrecognised record: " ^ line)
-
-(* Streaming text front: parse magic + header eagerly, then one item per
-   pull.  Nothing is accumulated — memory is one line. *)
-let text_open line =
-  let line_no = ref 0 in
-  let next () =
-    incr line_no;
-    match line () with Some l -> l | None -> raise End_of_file
-  in
-  (match next () with
-  | l when String.equal l magic -> ()
-  | _ -> fail_line !line_no "bad magic"
-  | exception End_of_file -> fail_line 1 "empty file");
-  let header key =
-    match String.split_on_char ' ' (next ()) with
-    | k :: rest when String.equal k key -> String.concat " " rest
-    | _ | (exception End_of_file) ->
-        fail_line !line_no ("expected header " ^ key)
-  in
-  let h_name = header "name" in
-  let h_pid = parse_int !line_no (header "pid") in
-  let h_bytecodes = parse_int !line_no (header "bytecodes") in
-  let rec next_item () =
-    match next () with
-    | exception End_of_file -> None
-    | "" -> next_item ()
-    | line -> Some (text_item !line_no line)
-  in
-  ({ h_name; h_pid; h_bytecodes }, next_item)
 
 (* --- block decoding ------------------------------------------------------ *)
 
@@ -413,8 +336,9 @@ let[@inline] finish (c : Wire.cursor) = if c.pos <> c.limit then Wire.finish c
 let range_fail c lo len =
   try ignore (Range.of_len lo len) with Invalid_argument msg -> Wire.fail c msg
 
-let[@inline] check_range c lo len =
-  if len <= 0 || lo < 0 || lo + len - 1 < lo then range_fail c lo len
+(* Exactly the ranges [Range.of_len] refuses. *)
+let[@inline] bad_range lo len = len <= 0 || lo < 0 || lo + len - 1 < lo
+let[@inline] check_range c lo len = if bad_range lo len then range_fail c lo len
 
 let br_range br =
   let c = br.br_c in
@@ -511,97 +435,203 @@ let rec bin_rows br bk =
     end
   end
 
-(* Any other item pull — a text trace's parsed lines, an in-memory
-   stream — writes its items as rows one at a time, placed as a binary
-   record is. *)
-type item_rows = {
-  it_next : unit -> Recorded.item option;
-  it_pid : int;  (* the pid of every marker row *)
-  mutable it_marker : Recorded.marker;  (* of the last marker row *)
+(* --- text parsing -------------------------------------------------------- *)
+
+(* Pull-side text decoder state: the line source, the number of the
+   last line read and the value of the last marker row. *)
+type text_reader = {
+  tr_line : unit -> string option;
+  tr_pid : int;  (* the header pid, the pid of every marker row *)
+  mutable tr_no : int;
+  mutable tr_marker : Recorded.marker;
 }
 
-let rec items_rows it bk =
+(* Magic and header eagerly; the returned reader is positioned at the
+   first record line. *)
+let text_open line =
+  let line_no = ref 0 in
+  let next () =
+    incr line_no;
+    match line () with Some l -> l | None -> raise End_of_file
+  in
+  (match next () with
+  | l when String.equal l magic -> ()
+  | _ -> fail_line !line_no "bad magic"
+  | exception End_of_file -> fail_line 1 "empty file");
+  let header key =
+    match String.split_on_char ' ' (next ()) with
+    | k :: rest when String.equal k key -> String.concat " " rest
+    | _ | (exception End_of_file) ->
+        fail_line !line_no ("expected header " ^ key)
+  in
+  let h_name = header "name" in
+  let h_pid = parse_int !line_no (header "pid") in
+  let h_bytecodes = parse_int !line_no (header "bytecodes") in
+  ( { h_name; h_pid; h_bytecodes },
+    { tr_line = line; tr_pid = h_pid; tr_no = !line_no; tr_marker = no_marker }
+  )
+
+let set_event rows o tag ~pid ~seq ~k ~lo ~len =
+  rows.(o) <- tag;
+  rows.(o + 1) <- pid;
+  rows.(o + 2) <- seq;
+  rows.(o + 3) <- k;
+  rows.(o + 4) <- lo;
+  rows.(o + 5) <- len
+
+(* One record line into the row at [o], its pid not shifted.  Fields
+   are checked from the last to the first, so a line with several bad
+   fields names the last of them. *)
+let text_row tr rows o line =
+  let n = tr.tr_no in
+  match String.split_on_char ' ' line with
+  | [ (("L" | "S") as t); seq; k; pid; lo; len ] ->
+      let len = parse_int n len in
+      let lo = parse_int n lo in
+      if bad_range lo len then ignore (range_of_len (fail_line n) lo len);
+      let pid = parse_int n pid in
+      let k = parse_int n k in
+      let tag = if t = "L" then Row.tag_load else Row.tag_store in
+      set_event rows o tag ~pid ~seq:(parse_int n seq) ~k ~lo ~len
+  | [ "O"; seq; k; pid ] ->
+      let pid = parse_int n pid in
+      let k = parse_int n k in
+      set_event rows o Row.tag_other ~pid ~seq:(parse_int n seq) ~k ~lo:0
+        ~len:1
+  | [ "M"; seq; "SRC"; kind; lo; len ] ->
+      let range =
+        range_of_len (fail_line n) (parse_int n lo) (parse_int n len)
+      in
+      let kind = unescape_kind n kind in
+      tr.tr_marker <- Recorded.Source { kind; range };
+      Row.set_item rows o ~pid:tr.tr_pid ~seq:(parse_int n seq)
+  | "M" :: seq :: "SNK" :: kind :: rest ->
+      let ranges = parse_ranges n rest in
+      let kind = unescape_kind n kind in
+      tr.tr_marker <- Recorded.Sink { kind; ranges };
+      Row.set_item rows o ~pid:tr.tr_pid ~seq:(parse_int n seq)
+  | _ -> fail_line n ("unrecognised record: " ^ line)
+
+(* The text decoder: record lines into consecutive rows of the block,
+   placed as a binary record is, until a stop of {!read_rows}.  Blank
+   lines are skipped. *)
+let rec text_rows tr bk =
   let o = bk.bk_next in
   if o >= bk.bk_end || bk.bk_budget <= 0 then Full
+  else
+    match tr.tr_line () with
+    | None -> Ended
+    | Some line -> (
+        tr.tr_no <- tr.tr_no + 1;
+        if line = "" then text_rows tr bk
+        else
+          let rows = bk.bk_rows in
+          text_row tr rows o line;
+          rows.(o + 1) <- rows.(o + 1) + bk.bk_shift;
+          match place bk rows o with Full -> text_rows tr bk | stop -> stop)
+
+(* --- in-memory rows ------------------------------------------------------ *)
+
+(* Rows already decoded, one per record, copied into the block and
+   placed as a decoded record is. *)
+type mem_reader = {
+  mr_rows : int array;
+  mr_markers : Recorded.marker array;  (* of the tag_item rows, in order *)
+  mutable mr_at : int;  (* offset of the next row *)
+  mutable mr_seen : int;  (* marker rows copied *)
+}
+
+let rec mem_rows m bk =
+  let o = bk.bk_next in
+  if o >= bk.bk_end || bk.bk_budget <= 0 then Full
+  else if m.mr_at >= Array.length m.mr_rows then Ended
   else begin
     let rows = bk.bk_rows in
-    match it.it_next () with
-    | None -> Ended
-    | Some item -> (
-        (match item with
-        | Recorded.Item_event e ->
-            Row.set_event rows o e;
-            rows.(o + 1) <- rows.(o + 1) + bk.bk_shift
-        | Recorded.Item_marker (seq, m) ->
-            it.it_marker <- m;
-            Row.set_item rows o ~pid:(it.it_pid + bk.bk_shift) ~seq);
-        match place bk rows o with Full -> items_rows it bk | stop -> stop)
+    Row.blit m.mr_rows m.mr_at rows o;
+    m.mr_at <- m.mr_at + width;
+    rows.(o + 1) <- rows.(o + 1) + bk.bk_shift;
+    if rows.(o) = Row.tag_item then m.mr_seen <- m.mr_seen + 1;
+    match place bk rows o with Full -> mem_rows m bk | stop -> stop
   end
-
-(* --- format autodetection ------------------------------------------------- *)
-
-(* The cursor, and whether the stream is a binary trace: its first
-   refill reads the magic.  A text trace reads on from the same cursor,
-   so no byte is read twice and a pipe works. *)
-let sniff fd = Wire.sniff ~what:"Trace_io" ~magic:binary_magic fd
-
-let detect_format path =
-  Wire.with_file path @@ fun fd ->
-  if snd (sniff fd) then Binary else Text
 
 (* --- streaming readers --------------------------------------------------- *)
 
-type decoder = Bin of bin_reader | Items of item_rows
-
-(* What a reader closes: the descriptor its cursor reads. *)
-type file = Fd of Unix.file_descr | No_file
-
-let close_file = function Fd fd -> Wire.close_file fd | No_file -> ()
+type decoder = Bin of bin_reader | Text of text_reader | Mem of mem_reader
 
 type reader = {
   r_header : header;
   r_decoder : decoder;
-  r_file : file;
+  r_fd : Unix.file_descr option;  (* what {!close_reader} closes *)
   r_row : int array;  (* one row, for {!read_row} and {!read_item} *)
   r_block : block;  (* over [r_row] *)
   mutable r_closed : bool;
 }
 
-let make_reader r_header r_decoder r_file =
+let make_reader r_header r_decoder r_fd =
   let r_row = Array.make width 0 in
   {
     r_header;
     r_decoder;
-    r_file;
+    r_fd;
     r_row;
     r_block = { (block ()) with bk_rows = r_row };
     r_closed = false;
   }
 
-let item_rows it_pid it_next = Items { it_next; it_pid; it_marker = no_marker }
-
+(* The cursor, and whether the stream is a binary trace: its first
+   refill reads the magic.  A text trace reads on from the same cursor,
+   so no byte is read twice and a pipe works. *)
 let open_reader path =
   let fd = Wire.open_file path in
   match
-    match sniff fd with
+    match Wire.sniff ~what:"Trace_io" ~magic:binary_magic fd with
     | c, true ->
         let h, br = bin_open c in
         (h, Bin br)
     | c, false ->
-        let h, next = text_open (fun () -> Wire.line c) in
-        (h, item_rows h.h_pid next)
+        let h, tr = text_open (fun () -> Wire.line c) in
+        (h, Text tr)
   with
-  | h, decoder -> make_reader h decoder (Fd fd)
+  | h, decoder -> make_reader h decoder (Some fd)
   | exception e ->
       Wire.close_file fd;
       raise e
 
-let of_items h next = make_reader h (item_rows h.h_pid next) No_file
+let reader_format r =
+  match r.r_decoder with
+  | Bin _ -> Some Binary
+  | Text _ -> Some Text
+  | Mem _ -> None
+
+let of_rows h rows markers =
+  make_reader h
+    (Mem { mr_rows = rows; mr_markers = markers; mr_at = 0; mr_seen = 0 })
+    None
+
+(* One row per event and per marker, in the walk's order. *)
+let of_recorded (t : Recorded.t) =
+  let rows =
+    Array.make
+      ((Trace.length t.trace + Array.length t.markers) * width)
+      0
+  in
+  let o = ref 0 in
+  iter_records t
+    ~event:(fun tag pid seq k lo len ->
+      set_event rows !o tag ~pid ~seq ~k ~lo ~len;
+      o := !o + width)
+    ~marker:(fun seq _ ->
+      Row.set_item rows !o ~pid:t.pid ~seq;
+      o := !o + width);
+  of_rows
+    { h_name = t.name; h_pid = t.pid; h_bytecodes = t.bytecodes }
+    rows (Array.map snd t.markers)
 
 let read_rows r bk =
   match r.r_decoder with
   | Bin br -> bin_rows br bk
-  | Items it -> items_rows it bk
+  | Text tr -> text_rows tr bk
+  | Mem m -> mem_rows m bk
 
 (* One record into [r_row]: at row 0 nothing folds, and the block
    keeps no bound and no shift. *)
@@ -615,12 +645,15 @@ let read_own_row r =
 let read_row r rows o =
   read_own_row r
   && begin
-       Array.blit r.r_row 0 rows o width;
+       Row.blit r.r_row 0 rows o;
        true
      end
 
 let row_marker r =
-  match r.r_decoder with Bin br -> br.br_marker | Items it -> it.it_marker
+  match r.r_decoder with
+  | Bin br -> br.br_marker
+  | Text tr -> tr.tr_marker
+  | Mem m -> m.mr_markers.(m.mr_seen - 1)
 
 let read_item r =
   let row = r.r_row in
@@ -634,30 +667,23 @@ let reader_header r = r.r_header
 let close_reader r =
   if not r.r_closed then begin
     r.r_closed <- true;
-    close_file r.r_file
+    Option.iter Wire.close_file r.r_fd
   end
 
 let with_reader path f =
   let r = open_reader path in
   Fun.protect ~finally:(fun () -> close_reader r) (fun () -> f r)
 
-(* The whole-trace loader is the streaming reader, drained.  A decoded
-   event has no instruction, so the recording is built with [Trace.add]. *)
-let load path =
-  with_reader path @@ fun r ->
-  let trace = Trace.create () in
-  let markers = ref [] in
-  let rec drain () =
-    match read_item r with
-    | None -> ()
-    | Some (Recorded.Item_event e) ->
-        Trace.add trace e;
-        drain ()
-    | Some (Recorded.Item_marker (seq, m)) ->
-        markers := (seq, m) :: !markers;
-        drain ()
-  in
-  drain ();
+(* A decoded event has no instruction, so each goes in with
+   [Trace.add]. *)
+let drain r =
+  let trace = Trace.create () and markers = ref [] in
+  let row = r.r_row in
+  while read_own_row r do
+    if row.(0) = Row.tag_item then
+      markers := (row.(2), row_marker r) :: !markers
+    else Trace.add trace row 0
+  done;
   Trace.trim trace;
   let h = reader_header r in
   {
@@ -669,3 +695,5 @@ let load path =
     frag_hits = 0;
     frag_misses = 0;
   }
+
+let load path = with_reader path drain

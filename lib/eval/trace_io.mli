@@ -49,21 +49,16 @@
 type format = Text | Binary
 
 val format_to_string : format -> string
-val format_of_string : string -> format option
 
 val save : ?format:format -> Recorded.t -> string -> unit
-(** [save recording path] — writes the file, overwriting.  [format]
-    defaults to [Text]. *)
+(** [save recording path] — writes the file, overwriting, its events
+    and markers in {!Recorded.walk}'s order.  [format] defaults to
+    [Text]. *)
 
 val load : string -> Recorded.t
-(** Drains a {!reader} into a recording whose trace has no instructions
-    ({!Pift_trace.Trace.add}).  Autodetects the format from the magic
-    bytes.  Raises [Failure] with a line number (text) or record number
-    (binary) on malformed input. *)
-
-val detect_format : string -> format
-(** Peeks at the magic bytes; files too short to be binary (or with any
-    other leading bytes) report [Text], whose parser owns the error. *)
+(** {!drain}s a reader over the file.  Autodetects the format from the
+    magic bytes.  Raises [Failure] with a line number (text) or record
+    number (binary) on malformed input. *)
 
 (** {1 Streaming readers}
 
@@ -94,8 +89,9 @@ val detect_format : string -> format
     inlines across modules, and a call per field was most of the
     decode cost.  Longer lengths and fields, refills and every
     positioned failure stay in {!Pift_util.Wire}.  An event record
-    allocates nothing.  The text reader and {!of_items} parse or pull
-    one item per row, more slowly, under the same stops.
+    allocates nothing.  The text reader parses one line per row and an
+    in-memory reader ({!of_rows}) copies one row per record, under the
+    same stops.
 
     {!read_row} is the one-row case of the same call and {!read_item}
     builds a {!Recorded.item} from it, so every entry point runs one
@@ -111,13 +107,24 @@ type reader
 val open_reader : string -> reader
 (** Autodetects the format and parses the header eagerly — a bad magic
     or truncated header raises the same positioned [Failure] as {!load}
-    (and the file is closed).  Records then come one {!read_row} or
-    {!read_item} at a time. *)
+    (and the file is closed).  The file is read once, front to back, so
+    a pipe works.  Records then come one {!read_row} or {!read_item} at
+    a time. *)
 
-val of_items : header -> (unit -> Recorded.item option) -> reader
-(** A reader over an item pull ([None] = end), e.g. {!Recorded.items}:
-    {!read_row} writes each pulled item as a row, marker rows with
-    [h_pid].  Holds no file; {!close_reader} only marks it closed. *)
+val reader_format : reader -> format option
+(** The format {!open_reader} found; [None] for an in-memory reader. *)
+
+val of_rows : header -> int array -> Recorded.marker array -> reader
+(** A reader over records already decoded, one {!Pift_trace.Row} per
+    record in file order: loads and stores with their own [lo] and
+    [len], [Row.tag_other] rows of 1, and [Row.tag_item] rows whose
+    values are the markers, in order.  Holds no file; {!close_reader}
+    only marks it closed. *)
+
+val of_recorded : Recorded.t -> reader
+(** {!of_rows} over the records a writer would save, in the same order
+    ({!Recorded.walk}), each marker row with the recording's pid: it
+    delivers what {!open_reader} on a {!save}d copy does. *)
 
 type stop =
   | Full  (** no row room left, or no items left in the budget *)
@@ -177,8 +184,8 @@ val row_marker : reader -> Recorded.marker
     {!read_row} wrote. *)
 
 val read_item : reader -> Recorded.item option
-(** Next item in file order — the replay interleaving the writers emit
-    ({!Recorded.items}): {!read_row} with the item built from the row.
+(** Next item in file order — the order the writers emit
+    ({!Recorded.walk}): {!read_row} with the item built from the row.
     [None] at a clean end of stream; failures as {!read_row}'s. *)
 
 val reader_header : reader -> header
@@ -188,3 +195,8 @@ val close_reader : reader -> unit
 
 val with_reader : string -> (reader -> 'a) -> 'a
 (** [with_reader path f] opens, applies [f], and always closes. *)
+
+val drain : reader -> Recorded.t
+(** Every remaining record of the reader, {!read_row} by row, into a
+    recording whose trace has no instructions
+    ({!Pift_trace.Trace.add}); failures as {!read_row}'s. *)

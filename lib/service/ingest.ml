@@ -34,15 +34,7 @@ let of_reader ~pid ?path r =
     src_emitted = 0;
   }
 
-let of_recorded ~pid (r : Recorded.t) =
-  of_reader ~pid
-    (Trace_io.of_items
-       {
-         Trace_io.h_name = r.Recorded.name;
-         h_pid = r.Recorded.pid;
-         h_bytecodes = r.Recorded.bytecodes;
-       }
-       (Recorded.items r))
+let of_recorded ~pid r = of_reader ~pid (Trace_io.of_recorded r)
 
 let of_file ~pid path = of_reader ~pid ~path (Trace_io.open_reader path)
 let close s = Trace_io.close_reader s.src_reader

@@ -30,7 +30,9 @@ val tenant_pid : int -> int
 
 val of_recorded : pid:int -> Pift_eval.Recorded.t -> source
 (** In-memory recording as a source: its reader is
-    {!Pift_eval.Trace_io.of_items} over {!Pift_eval.Recorded.items}. *)
+    {!Pift_eval.Trace_io.of_recorded}, one row per event and per marker
+    in {!Pift_eval.Recorded.walk}'s order, so it hands the engine the
+    same items and cursors as {!of_file} on a saved copy. *)
 
 val of_file : pid:int -> string -> source
 (** Open [path] with {!Pift_eval.Trace_io.open_reader} — text or binary,

@@ -28,12 +28,7 @@
     event's seq and k are each exactly one past the row's, so the run's
     events are the row's seq and k counted back.  A recording's load or
     store row keeps, in place of [lo], the index of its range in the
-    trace's intern table ({!Trace.range}).  A replay over a recording's
-    rows fires a marker after the row that holds its seq, which for a
-    counted row can come after instructions recorded after the marker;
-    that is safe because a counted row only moves the tracker's event
-    count and clock, which no marker operation (source, sink check)
-    reads. *)
+    trace's intern table ({!Trace.range}). *)
 
 val width : int
 (** [6]. *)

@@ -1,89 +1,59 @@
 module Histogram = Pift_util.Histogram
 
-(* Per-pid folding: [f state event] where state is created per process on
-   first sight. *)
+(* Per-pid folding over the load and store rows: [f state ~load k],
+   where state is created per process on first sight; the table of
+   final states is returned.  No statistic reads a counted row. *)
 let fold_per_pid ~init ~f trace =
   let states = Hashtbl.create 4 in
-  let visit e =
-    let pid = e.Event.pid in
-    let state =
-      match Hashtbl.find_opt states pid with
-      | Some s -> s
-      | None ->
-          let s = ref (init ()) in
-          Hashtbl.add states pid s;
-          s
-    in
-    state := f !state e
-  in
-  Trace.iter visit trace
+  Trace.iter_rows
+    (fun rows o ->
+      let tag = rows.(o) in
+      if tag <> Row.tag_other then begin
+        let pid = rows.(o + 1) in
+        let state =
+          match Hashtbl.find_opt states pid with
+          | Some s -> s
+          | None ->
+              let s = ref (init ()) in
+              Hashtbl.add states pid s;
+              s
+        in
+        state := f !state ~load:(tag = Row.tag_load) rows.(o + 3)
+      end)
+    trace;
+  states
 
-let load_store_distance trace =
+(* A histogram filled by a per-pid fold. *)
+let histogram ~init f trace =
   let h = Histogram.create () in
-  let f last_load e =
-    match e.Event.access with
-    | Event.Load _ -> Some e.Event.k
-    | Event.Store _ ->
-        (match last_load with
-        | Some k_l -> Histogram.add h (e.Event.k - k_l)
-        | None -> ());
-        last_load
-    | Event.Other -> last_load
-  in
-  fold_per_pid ~init:(fun () -> None) ~f trace;
+  ignore (fold_per_pid ~init ~f:(f (Histogram.add h)) trace);
   h
 
-let stores_between_loads trace =
-  let h = Histogram.create () in
-  let f (seen_load, count) e =
-    match e.Event.access with
-    | Event.Load _ ->
-        if seen_load then Histogram.add h count;
-        (true, 0)
-    | Event.Store _ -> (seen_load, count + 1)
-    | Event.Other -> (seen_load, count)
-  in
-  fold_per_pid ~init:(fun () -> (false, 0)) ~f trace;
-  h
+let load_store_distance =
+  histogram ~init:(fun () -> None) (fun add last ~load k ->
+      if load then Some k
+      else (Option.iter (fun k_l -> add (k - k_l)) last; last))
 
-let load_load_distance trace =
-  let h = Histogram.create () in
-  let f last_load e =
-    match e.Event.access with
-    | Event.Load _ ->
-        (match last_load with
-        | Some k_l -> Histogram.add h (e.Event.k - k_l)
-        | None -> ());
-        Some e.Event.k
-    | Event.Store _ | Event.Other -> last_load
-  in
-  fold_per_pid ~init:(fun () -> None) ~f trace;
-  h
+let stores_between_loads =
+  histogram ~init:(fun () -> (false, 0)) (fun add (seen_load, count) ~load _ ->
+      if not load then (seen_load, count + 1)
+      else (if seen_load then add count; (true, 0)))
+
+let load_load_distance =
+  histogram ~init:(fun () -> None) (fun add last ~load k ->
+      if load then (Option.iter (fun k_l -> add (k - k_l)) last; Some k)
+      else last)
 
 (* Per-pid sorted arrays of load and store counters, for window lookups. *)
 let memory_counters trace =
-  let tbl = Hashtbl.create 4 in
-  let visit e =
-    let entry =
-      match Hashtbl.find_opt tbl e.Event.pid with
-      | Some x -> x
-      | None ->
-          let x = (ref [], ref []) in
-          Hashtbl.add tbl e.Event.pid x;
-          x
-    in
-    let loads, stores = entry in
-    match e.Event.access with
-    | Event.Load _ -> loads := e.Event.k :: !loads
-    | Event.Store _ -> stores := e.Event.k :: !stores
-    | Event.Other -> ()
+  let f (loads, stores) ~load k =
+    if load then (k :: loads, stores) else (loads, k :: stores)
   in
-  Trace.iter visit trace;
+  let arr l = Array.of_list (List.rev l) in
   Hashtbl.fold
-    (fun _pid (loads, stores) acc ->
-      let arr l = Array.of_list (List.rev !l) in
-      (arr loads, arr stores) :: acc)
-    tbl []
+    (fun _pid { contents = loads, stores } acc -> (arr loads, arr stores) :: acc)
+    (fold_per_pid ~init:(fun () -> ([], [])) ~f trace)
+    []
 
 (* Index of the first element of sorted [a] strictly greater than [v]. *)
 let upper_bound a v =

@@ -100,37 +100,43 @@ let folds t ~pid ~seq ~k =
   && k = rows.(o + 3) + 1
   && Row.fold rows o ~pid ~seq ~k
 
-let new_row t (e : Event.t) tag c4 c5 =
+let new_row t tag pid seq k c4 c5 =
   let r = t.nrows in
   if full t.rows r width then t.rows <- room t.rows r width 0;
   let rows = t.rows.(r lsr chunk_bits) and o = (r land chunk_mask) * width in
   rows.(o) <- tag;
-  rows.(o + 1) <- e.pid;
-  rows.(o + 2) <- e.seq;
-  rows.(o + 3) <- e.k;
+  rows.(o + 1) <- pid;
+  rows.(o + 2) <- seq;
+  rows.(o + 3) <- k;
   rows.(o + 4) <- c4;
   rows.(o + 5) <- c5;
   t.nrows <- r + 1
 
-let push t (e : Event.t) =
-  (match e.access with
-  | Event.Other ->
-      if not (folds t ~pid:e.pid ~seq:e.seq ~k:e.k) then
-        new_row t e Row.tag_other 0 1
-  | Event.Load r ->
-      new_row t e Row.tag_load (intern t r) (Range.length r);
-      t.loads <- t.loads + 1
-  | Event.Store r ->
-      new_row t e Row.tag_store (intern t r) (Range.length r);
-      t.stores <- t.stores + 1);
+let push_other t ~pid ~seq ~k =
+  if not (folds t ~pid ~seq ~k) then new_row t Row.tag_other pid seq k 0 1;
   t.len <- t.len + 1
+
+let push_mem t tag ~pid ~seq ~k r =
+  new_row t tag pid seq k (intern t r) (Range.length r);
+  if tag = Row.tag_load then t.loads <- t.loads + 1
+  else t.stores <- t.stores + 1;
+  t.len <- t.len + 1
+
+let push t (e : Event.t) =
+  match e.access with
+  | Event.Other -> push_other t ~pid:e.pid ~seq:e.seq ~k:e.k
+  | Event.Load r -> push_mem t Row.tag_load ~pid:e.pid ~seq:e.seq ~k:e.k r
+  | Event.Store r -> push_mem t Row.tag_store ~pid:e.pid ~seq:e.seq ~k:e.k r
 
 let has_insns t = t.len = 0 || Array.length t.insns > 0
 
-let add t e =
+let add t rows o =
   if Array.length t.insns > 0 then
     invalid_arg "Trace.add: this trace records instructions (use Trace.sink)";
-  push t e
+  let tag = rows.(o) and pid = rows.(o + 1) in
+  let seq = rows.(o + 2) and k = rows.(o + 3) in
+  if tag = Row.tag_other then push_other t ~pid ~seq ~k
+  else push_mem t tag ~pid ~seq ~k (Row.range rows o)
 
 let sink t insn e =
   if not (has_insns t) then
@@ -146,16 +152,51 @@ let trim t =
 let length t = t.len
 let loads t = t.loads
 let stores t = t.stores
-let rows t = t.nrows
 let range t rows o = t.ranges.(rows.(o + 4))
 
-let iter_rows f t =
+(* Between marks, one compare per row.  A counted row the next mark's
+   seq falls inside goes to [row] in parts, through [part]: a run's
+   seqs and ks count up by one, so each part is a counted row of its
+   own, ending at the first event whose seq reaches the mark. *)
+let walk t ~marks ~row ~mark =
+  let nm = Array.length marks and mi = ref 0 in
+  let due = ref (if nm > 0 then marks.(0) else max_int) in
+  let fire upto =
+    while !mi < nm && marks.(!mi) <= upto do
+      mark !mi;
+      incr mi
+    done;
+    due := if !mi < nm then marks.(!mi) else max_int
+  in
+  let part = Array.make width 0 in
+  part.(0) <- Row.tag_other;
+  let rec split pid seq k n =
+    let last = if !due < seq then max !due (seq - n + 1) else seq in
+    part.(1) <- pid;
+    part.(2) <- last;
+    part.(3) <- k - (seq - last);
+    part.(5) <- n - (seq - last);
+    row part 0;
+    if last < seq then (fire last; split pid seq k (seq - last))
+  in
+  if !due <= 0 then fire 0;
   for c = 0 to Array.length t.rows - 1 do
     let rows = t.rows.(c) in
     for o = 0 to min chunk_mask (t.nrows - 1 - (c lsl chunk_bits)) do
-      f rows (o * width)
+      let o = o * width in
+      let seq = rows.(o + 2) in
+      if seq < !due then row rows o
+      else begin
+        if rows.(o) = Row.tag_other && !due < seq then
+          split rows.(o + 1) seq rows.(o + 3) rows.(o + 5)
+        else row rows o;
+        fire seq
+      end
     done
-  done
+  done;
+  fire max_int
+
+let iter_rows f t = walk t ~marks:[||] ~row:f ~mark:ignore
 
 (* Event [j] (from 0) of the row at [o]: a counted row of [n] holds the
    run that ends at its seq and k. *)
@@ -180,30 +221,7 @@ let iter f t =
       done)
     t
 
-let to_seq t =
-  let rec from r j () =
-    if r = t.nrows then Seq.Nil
-    else
-      let rows = t.rows.(r lsr chunk_bits) in
-      let o = (r land chunk_mask) * width in
-      let next =
-        if j + 1 = Row.count rows o then from (r + 1) 0 else from r (j + 1)
-      in
-      Seq.Cons (event t rows o j, next)
-  in
-  from 0 0
-
-let get t i =
-  if i < 0 || i >= t.len then invalid_arg "Trace.get: out of bounds";
-  fst (Option.get (Seq.uncons (Seq.drop i (to_seq t))))
-
 (* On a decoded trace, [t.insns] is empty and the access itself raises. *)
 let insn t i =
   if i < 0 || i >= t.len then invalid_arg "Trace.insn: out of bounds";
   t.insns.(i lsr chunk_bits).(i land chunk_mask)
-
-let pids t =
-  let module Iset = Set.Make (Int) in
-  let set = ref Iset.empty in
-  iter_rows (fun rows o -> set := Iset.add rows.(o + 1) !set) t;
-  Iset.elements !set

@@ -413,7 +413,7 @@ let run_ops ops ~source ~observe ~check =
     ops;
   List.rev !checks
 
-(* Sink checks (verdict, origins), stats, depth and NI band of the
+(* Sink checks (verdict, origins), stats, depth and NI floor of the
    tracker over one stream. *)
 let run_sharing ~policy ops =
   let tracker =
@@ -429,7 +429,7 @@ let run_sharing ~policy ops =
           Tracker.origins_of tracker ~pid range ))
   in
   (checks, Tracker.stats tracker, Tracker.depth tracker,
-   Tracker.ni_band tracker)
+   Tracker.ni_floor tracker)
 
 (* The Reference model's sink verdicts over the same stream. *)
 let reference_checks ~policy ops =
@@ -458,22 +458,47 @@ let prop_nt_sharing =
                    = reference_checks ~policy:(policy nt') ops)
               (List.init (nt - from + 1) (( + ) from))))
 
-(* The rectangle rule behind [Tracker.ni_band]: a run at (NI, NT) with
-   band [lo, hi] and depth d gives the same sink checks, origins and
-   stats at every (NI', NT') in [lo, hi] x [min d NT, NT].  NI' stops
-   at 24 (three times the largest NI drawn): without a store failing
-   the window test the band has no finite upper end. *)
+(* The largest gap [k - LTLT] of a store that passes the window test at
+   [ni], recomputed outside the tracker: a load opens its pid's window
+   when it finds taint, asked before the tracker takes it. *)
+let largest_passing_gap ~policy ops =
+  let tracker = Tracker.create ~policy () in
+  let ltlt = Hashtbl.create 3 and largest = ref 0 in
+  ignore
+    (run_ops ops
+       ~source:(fun ~kind ~pid range ->
+         Tracker.taint_source ~kind tracker ~pid range)
+       ~observe:(fun (e : Event.t) ->
+         (match e.access with
+         | Event.Load r when Tracker.is_tainted tracker ~pid:e.pid r ->
+             Hashtbl.replace ltlt e.pid e.k
+         | Event.Store _ -> (
+             match Hashtbl.find_opt ltlt e.pid with
+             | Some l when e.k - l <= policy.Policy.ni ->
+                 largest := max !largest (e.k - l)
+             | _ -> ())
+         | _ -> ());
+         Tracker.observe tracker e)
+       ~check:(fun ~pid range -> Tracker.is_tainted tracker ~pid range));
+  !largest
+
+(* The rectangle rule behind [Tracker.ni_floor]: a run at (NI, NT) with
+   floor lo and depth d gives the same sink checks, origins and stats at
+   every (NI', NT') in [lo, NI] x [min d NT, NT].  The floor is tight:
+   it is the largest passing gap, so at floor - 1 the store with that
+   gap fails the window test. *)
 let prop_ni_band =
   QCheck2.Test.make
     ~name:"a run at (NI, NT) answers its band x depth rectangle" ~count:300
     sharing_gen
     (fun (ni, nt, untaint, ops) ->
+      let policy = Policy.make ~untaint ~ni ~nt () in
       let at ni nt =
         run_sharing ~policy:(Policy.make ~untaint ~ni ~nt ()) ops
       in
-      let checks, stats, depth, (lo, hi) = at ni nt in
+      let checks, stats, depth, floor = at ni nt in
       let range a b = List.init (b - a + 1) (( + ) a) in
-      lo <= ni && ni <= hi
+      floor = max 1 (largest_passing_gap ~policy ops)
       && List.for_all
            (fun ni' ->
              List.for_all
@@ -481,7 +506,7 @@ let prop_ni_band =
                  let checks', stats', _, _ = at ni' nt' in
                  checks' = checks && stats' = stats)
                (range (max 1 (min depth nt)) nt))
-           (range lo (min hi 24)))
+           (range floor ni))
 
 (* --- Provenance ------------------------------------------------------------ *)
 
@@ -1053,6 +1078,13 @@ let test_provenance_replay_allocation () =
 
 module Deferred = Pift_core.Deferred
 
+(* What the front end forwards to the FIFO: loads and stores (Fig. 5). *)
+let defer d (e : Event.t) =
+  match e.access with
+  | Event.Other -> ()
+  | Event.Load r | Event.Store r ->
+      Deferred.push d ~load:(Event.is_load e) ~pid:e.pid ~seq:e.seq ~k:e.k r
+
 let test_deferred_equals_online () =
   (* with a big enough buffer, deferred check = online check *)
   let policy = Policy.make ~ni:3 ~nt:2 () in
@@ -1064,7 +1096,7 @@ let test_deferred_equals_online () =
   feed online events;
   let d = Deferred.create ~policy ~buffer_size:64 ~drain_batch:4 () in
   Deferred.taint_source d ~pid:1 (r 100 110);
-  List.iter (Deferred.observe d) events;
+  List.iter (defer d) events;
   checkb "events buffered" true (Deferred.buffered d > 0);
   List.iter
     (fun range ->
@@ -1082,7 +1114,7 @@ let test_deferred_overflow_drops () =
   Deferred.taint_source d ~pid:1 (r 100 110);
   (* three memory events into a 2-slot buffer: the tainted load (oldest)
      is dropped, so the in-window store is never tainted *)
-  List.iter (Deferred.observe d)
+  List.iter (defer d)
     [ load (r 100 101) 1; other 2; store (r 200 203) 3; store (r 210 211) 4 ];
   checki "one drop" 1 (Deferred.dropped d);
   checkb "taint missed (FN, not FP)" false (Deferred.check d ~pid:1 (r 200 203))
@@ -1092,7 +1124,7 @@ let test_deferred_tick () =
     Deferred.create ~policy:(Policy.make ~ni:3 ~nt:2 ()) ~buffer_size:64
       ~drain_batch:2 ()
   in
-  List.iter (Deferred.observe d)
+  List.iter (defer d)
     [ load (r 0 1) 1; store (r 10 11) 2; store (r 20 21) 3 ];
   checki "buffered 3" 3 (Deferred.buffered d);
   Deferred.tick d;

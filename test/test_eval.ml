@@ -443,11 +443,11 @@ let test_sweep_matches_per_cell () =
 
 (* Sink verdicts of [Reference], the literal transliteration of the
    paper's pseudocode, fed the recording's events and markers in replay
-   order by [Recorded.interleave]. *)
+   order by the per-event oracle [Per_event.interleave]. *)
 let reference_verdicts ~policy (r : Recorded.t) =
   let model = Reference.create policy and pid = r.Recorded.pid in
   let verdicts = ref [] in
-  Recorded.interleave r ~observe:(Reference.observe model)
+  Per_event.interleave r ~observe:(Reference.observe model)
     ~on_marker:(fun _ -> function
       | Recorded.Source { range; _ } -> Reference.taint_source model ~pid range
       | Recorded.Sink { kind; ranges } ->
@@ -833,7 +833,7 @@ let gen_prov_case rng =
 
 let recorded_of_prov_case c =
   let trace = Trace.create () in
-  List.iter (Trace.add trace) c.pc_events;
+  List.iter (Per_event.add trace) c.pc_events;
   let last_seq =
     List.fold_left (fun acc e -> max acc e.Event.seq) 0 c.pc_events
   in
@@ -993,7 +993,7 @@ let test_saved_bytes_pinned () =
   List.iter
     (fun (app, format, digest) ->
       let r = Recorded.record app in
-      let path = Filename.temp_file "pift-pinned" ".pift" in
+      let path = Tmp_file.path "pift-pinned" ".pift" in
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
         (fun () ->

@@ -323,7 +323,7 @@ let test_jit_shorter_traces_same_verdict () =
 let test_trace_io_roundtrip () =
   let app = Option.get (Pift_workloads.Droidbench.find "BatchLeak1") in
   let original = Recorded.record app in
-  let path = Filename.temp_file "pift" ".trace" in
+  let path = Tmp_file.path "pift" ".trace" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
@@ -357,7 +357,7 @@ let test_trace_io_roundtrip () =
 
 (* [Trace_io.load (save r)] in [format], through a temporary file. *)
 let reload format r =
-  let path = Filename.temp_file "pift" ".trace" in
+  let path = Tmp_file.path "pift" ".trace" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
@@ -377,10 +377,12 @@ let test_trace_io_events_exact () =
       checki (name ^ " events")
         (Trace.length original.Recorded.trace)
         (Trace.length loaded.Recorded.trace);
-      for i = 0 to Trace.length original.Recorded.trace - 1 do
-        if Trace.get original.Recorded.trace i <> Trace.get loaded.Recorded.trace i
-        then Alcotest.failf "%s: event %d differs after the round trip" name i
-      done;
+      let events (r : Recorded.t) =
+        let acc = ref [] in
+        Trace.iter (fun e -> acc := e :: !acc) r.trace;
+        List.rev !acc
+      in
+      checkb (name ^ " events equal") true (events original = events loaded);
       checkb (name ^ " markers equal") true
         (original.Recorded.markers = loaded.Recorded.markers))
     [ Trace_io.Text; Trace_io.Binary ]
@@ -419,7 +421,7 @@ let test_dift_refuses_decoded () =
 let test_trace_io_adversarial_kinds () =
   let module Event = Pift_trace.Event in
   let trace = Trace.create () in
-  Trace.add trace
+  Per_event.add trace
     {
       Event.seq = 1;
       k = 1;
@@ -455,7 +457,7 @@ let test_trace_io_adversarial_kinds () =
       frag_misses = 0;
     }
   in
-  let path = Filename.temp_file "pift" ".trace" in
+  let path = Tmp_file.path "pift" ".trace" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
@@ -477,7 +479,7 @@ let test_trace_io_adversarial_kinds () =
         (original.Recorded.markers = loaded.Recorded.markers))
 
 let test_trace_io_rejects_garbage () =
-  let path = Filename.temp_file "pift" ".trace" in
+  let path = Tmp_file.path "pift" ".trace" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
@@ -494,8 +496,8 @@ let test_trace_io_rejects_garbage () =
 let test_trace_io_binary_roundtrip () =
   let app = Option.get (Pift_workloads.Droidbench.find "BatchLeak1") in
   let original = Recorded.record app in
-  let text_path = Filename.temp_file "pift" ".trace" in
-  let bin_path = Filename.temp_file "pift" ".btrace" in
+  let text_path = Tmp_file.path "pift" ".trace" in
+  let bin_path = Tmp_file.path "pift" ".btrace" in
   Fun.protect
     ~finally:(fun () ->
       Sys.remove text_path;
@@ -503,10 +505,9 @@ let test_trace_io_binary_roundtrip () =
     (fun () ->
       Trace_io.save ~format:Trace_io.Text original text_path;
       Trace_io.save ~format:Trace_io.Binary original bin_path;
-      checkb "binary detected" true
-        (Trace_io.detect_format bin_path = Trace_io.Binary);
-      checkb "text detected" true
-        (Trace_io.detect_format text_path = Trace_io.Text);
+      let format path = Trace_io.with_reader path Trace_io.reader_format in
+      checkb "binary detected" true (format bin_path = Some Trace_io.Binary);
+      checkb "text detected" true (format text_path = Some Trace_io.Text);
       let from_text = Trace_io.load text_path in
       let from_bin = Trace_io.load bin_path in
       Alcotest.(check string) "name" from_text.Recorded.name
@@ -556,10 +557,10 @@ let gen_recorded rng =
     let pid = 1 + Rng.int rng 3 in
     (match Rng.int rng 4 with
     | 0 ->
-        Trace.add trace
+        Per_event.add trace
           { Event.seq = !seq; k; pid; access = Event.Other }
     | 1 | 2 ->
-        Trace.add trace
+        Per_event.add trace
           {
             Event.seq = !seq;
             k;
@@ -567,7 +568,7 @@ let gen_recorded rng =
             access = Event.Load (gen_range rng);
           }
     | _ ->
-        Trace.add trace
+        Per_event.add trace
           {
             Event.seq = !seq;
             k;
@@ -625,7 +626,7 @@ let describe_recorded (r : Recorded.t) =
     (Array.length r.Recorded.markers)
 
 let roundtrip_prop format r =
-  let path = Filename.temp_file "pift_prop" ".trace" in
+  let path = Tmp_file.path "pift_prop" ".trace" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
@@ -672,7 +673,7 @@ let expect_rejection ~mentions path =
         (Printexc.to_string e) mentions
 
 let with_text_fixture lines f =
-  let path = Filename.temp_file "pift" ".trace" in
+  let path = Tmp_file.path "pift" ".trace" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
@@ -705,7 +706,7 @@ let test_trace_io_zero_length_record () =
 let test_trace_io_corrupt_binary () =
   let app = Option.get (Pift_workloads.Droidbench.find "StringConcat1") in
   let recorded = Recorded.record app in
-  let path = Filename.temp_file "pift" ".btrace" in
+  let path = Tmp_file.path "pift" ".btrace" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
@@ -719,11 +720,7 @@ let test_trace_io_corrupt_binary () =
       (* truncated mid-record (3 bytes is less than the smallest record,
          so the cut cannot land on a record boundary): the reader names
          the failing record *)
-      let rewrite s =
-        let oc = open_out_bin path in
-        output_string oc s;
-        close_out oc
-      in
+      let rewrite s = Tmp_file.write path s in
       rewrite (String.sub whole 0 (String.length whole - 3));
       expect_rejection ~mentions:"record" path;
       (* a zero-length record appended to a valid stream *)
@@ -768,7 +765,7 @@ let read_all path = In_channel.with_open_bin path In_channel.input_all
 
 (* [f] on a temporary file holding [bytes]. *)
 let with_bytes bytes f =
-  let path = Filename.temp_file "pift_fd" ".pift" in
+  let path = Tmp_file.path "pift_fd" ".pift" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
@@ -783,29 +780,19 @@ let drain path =
 let test_fd_hygiene_bad_input () =
   let cases =
     [
-      ("empty file", "", Trace_io.Text, "Trace_io: line 1: empty file");
-      ( "bad magic",
-        "PIFTBIN!\005abc",
-        Trace_io.Text,
-        "Trace_io: line 1: bad magic" );
-      ( "magic only",
-        "PIFTBIN1",
-        Trace_io.Binary,
-        "Trace_io: record 0: truncated varint" );
+      ("empty file", "", "Trace_io: line 1: empty file");
+      ("bad magic", "PIFTBIN!\005abc", "Trace_io: line 1: bad magic");
+      ("magic only", "PIFTBIN1", "Trace_io: record 0: truncated varint");
       ( "truncated header",
         "PIFTBIN1\005ab",
-        Trace_io.Binary,
         "Trace_io: record 0: truncated header" );
     ]
   in
   List.iter
-    (fun (what, bytes, format, prefix) ->
+    (fun (what, bytes, prefix) ->
       with_bytes bytes (fun path ->
           fails_with what ~prefix (fun () -> Trace_io.open_reader path);
-          fails_with (what ^ ", load") ~prefix (fun () -> Trace_io.load path);
-          keeps_fds (what ^ ", detect_format") (fun () ->
-              checkb (what ^ ": format") true
-                (Trace_io.detect_format path = format))))
+          fails_with (what ^ ", load") ~prefix (fun () -> Trace_io.load path)))
     cases;
   (* A record cut short fails while draining, and [with_reader] still
      closes the file. *)
@@ -826,8 +813,9 @@ let test_fd_hygiene_valid () =
     (fun (name, format) ->
       let path = fixture name in
       keeps_fds name (fun () ->
-          checkb (name ^ ": format") true (Trace_io.detect_format path = format);
           let r = Trace_io.open_reader path in
+          checkb (name ^ ": format") true
+            (Trace_io.reader_format r = Some format);
           checkb (name ^ ": first item") true (Trace_io.read_item r <> None);
           Trace_io.close_reader r;
           Trace_io.close_reader r);

@@ -294,22 +294,15 @@ let test_prometheus_label_escaping () =
 (* --- the snapshot reads the run's own counters --------------------------- *)
 
 (* Final occupancy of a recording's replay, read off a tracker fed the
-   recording's items — independent of the snapshot builder. *)
+   recording's events and markers one at a time — independent of the
+   snapshot builder. *)
 let final_occupancy recorded =
   let t = Tracker.create ~policy:Policy.default () in
-  let next = Recorded.items recorded in
-  let rec loop () =
-    match next () with
-    | None -> ()
-    | Some (Recorded.Item_event e) ->
-        Tracker.observe t e;
-        loop ()
-    | Some (Recorded.Item_marker (_, Recorded.Source { kind; range })) ->
-        Tracker.taint_source ~kind t ~pid:recorded.Recorded.pid range;
-        loop ()
-    | Some (Recorded.Item_marker (_, Recorded.Sink _)) -> loop ()
-  in
-  loop ();
+  Per_event.interleave recorded ~observe:(Tracker.observe t)
+    ~on_marker:(fun _ -> function
+      | Recorded.Source { kind; range } ->
+          Tracker.taint_source ~kind t ~pid:recorded.Recorded.pid range
+      | Recorded.Sink _ -> ());
   (Tracker.current_tainted_bytes t, Tracker.current_ranges t)
 
 let test_metrics_do_not_change_stats () =

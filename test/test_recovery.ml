@@ -50,11 +50,7 @@ let recordings =
        (fun n -> Recorded.record (app n))
        [ "StringConcat1"; "DirectLeak1"; "LogLeak1"; "Obfuscation1" ])
 
-let with_tmp ~suffix f =
-  let path = Filename.temp_file "pift_recovery_test" suffix in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
+let with_tmp ~suffix f = Tmp_file.with_path "pift_recovery_test" suffix f
 
 (* --- round-trip property -------------------------------------------------- *)
 
@@ -302,8 +298,7 @@ let test_oversized_record () =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-let write_file path s =
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+let write_file = Tmp_file.write
 
 let sample_snapshot_bytes f =
   run_engine ~shards:2 (fun eng sources ->

@@ -721,7 +721,7 @@ let test_merge_alloc_budget () =
   let paths =
     List.map
       (fun r ->
-        let path = Filename.temp_file "pift_alloc" ".pift" in
+        let path = Tmp_file.path "pift_alloc" ".pift" in
         Trace_io.save ~format:Trace_io.Binary r path;
         path)
       recs
@@ -762,7 +762,7 @@ let test_fill_alloc_budget () =
   let trace = Pift_trace.Trace.create () in
   for i = 0 to n - 1 do
     let r = Range.of_len (64 * (i mod 1031)) (1 + (i mod 8)) in
-    Pift_trace.Trace.add trace
+    Per_event.add trace
       {
         Pift_trace.Event.seq = i + 1;
         k = i + 1;
@@ -790,7 +790,7 @@ let test_fill_alloc_budget () =
       frag_misses = 0;
     }
   in
-  let path = Filename.temp_file "pift_fill_alloc" ".pift" in
+  let path = Tmp_file.path "pift_fill_alloc" ".pift" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
@@ -856,7 +856,7 @@ let test_pid_outside_block () =
   let ev seq pid access = { Pift_trace.Event.seq; k = seq; pid; access } in
   let recording name events markers =
     let trace = Pift_trace.Trace.create () in
-    List.iter (Pift_trace.Trace.add trace) events;
+    List.iter (Per_event.add trace) events;
     {
       Recorded.name;
       trace;
@@ -1353,26 +1353,19 @@ let recorded_of_synth i j it : Recorded.item =
   | S_sink seq ->
       Recorded.Item_marker (seq, Recorded.Sink { kind = "K"; ranges = [ r ] })
 
-(* One set of sources over [specs]; every read of a source's reader
-   appends the source's index to [log]. *)
+(* One set of sources over [specs]; every [src_next] call appends the
+   source's index to [log]. *)
 let synth_sources specs log =
   List.mapi
     (fun i items ->
-      let rest = ref (List.mapi (recorded_of_synth i) items) in
       let rd =
-        Trace_io.of_items
+        Per_event.of_items
           {
             Trace_io.h_name = Printf.sprintf "synth%d" i;
             h_pid = synth_orig_pid;
             h_bytecodes = 0;
           }
-          (fun () ->
-            log := i :: !log;
-            match !rest with
-            | [] -> None
-            | it :: tl ->
-                rest := tl;
-                Some it)
+          (List.mapi (recorded_of_synth i) items)
       in
       {
         Ingest.src_name = Printf.sprintf "synth%d" i;
@@ -1380,7 +1373,10 @@ let synth_sources specs log =
         src_pid = Ingest.tenant_pid i;
         src_orig_pid = synth_orig_pid;
         src_reader = rd;
-        src_next = (fun () -> Trace_io.read_item rd);
+        src_next =
+          (fun () ->
+            log := i :: !log;
+            Trace_io.read_item rd);
         src_emitted = 0;
       })
     specs
@@ -1662,7 +1658,7 @@ let fill_recording i items =
       let r = Range.of_len ((((i * 64) + j) * 32) + 4096) 8 in
       match it with
       | S_event seq ->
-          Pift_trace.Trace.add trace
+          Per_event.add trace
             {
               Pift_trace.Event.seq;
               k = j;
@@ -1701,7 +1697,7 @@ let with_fill_inputs c f =
         in
         List.map
           (fun r ->
-            let path = Filename.temp_file "pift_fill" ".pift" in
+            let path = Tmp_file.path "pift_fill" ".pift" in
             Trace_io.save ~format r path;
             path)
           recs
@@ -1954,9 +1950,7 @@ let test_fill_matches_items () =
 
 (* --- streaming trace readers (satellite) ----------------------------------- *)
 
-let with_tmp ~suffix f =
-  let path = Filename.temp_file "pift_service_test" suffix in
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+let with_tmp ~suffix f = Tmp_file.with_path "pift_service_test" suffix f
 
 let drain_reader path =
   Trace_io.with_reader path (fun r ->
@@ -1971,18 +1965,7 @@ let drain_reader path =
       go ();
       (Trace_io.reader_header r, List.rev !items))
 
-let items_of_recording r =
-  let next = Recorded.items r in
-  let acc = ref [] in
-  let rec go () =
-    match next () with
-    | Some it ->
-        acc := it :: !acc;
-        go ()
-    | None -> ()
-  in
-  go ();
-  List.rev !acc
+let items_of_recording = Per_event.items
 
 let test_reader_matches_load () =
   let r = List.hd (Lazy.force recordings) in
@@ -2006,11 +1989,11 @@ let test_reader_matches_load () =
    with 30k ranges, appended after the last event. *)
 let test_reader_oversized_records () =
   let r = List.hd (Lazy.force recordings) in
-  let seq =
-    (Pift_trace.Trace.get r.Recorded.trace
-       (Pift_trace.Trace.length r.Recorded.trace - 1))
-      .Pift_trace.Event.seq
-  in
+  let seq = ref 0 in
+  Pift_trace.Trace.iter
+    (fun e -> seq := e.Pift_trace.Event.seq)
+    r.Recorded.trace;
+  let seq = !seq in
   let big_source =
     Recorded.Source { kind = String.make 70_000 'k'; range = Range.of_len 0 4 }
   and big_sink =
@@ -2168,7 +2151,7 @@ let fill_outcome path =
 
 (* Tallies of the mutants that decoded whole and that failed. *)
 let check_mutant ~what ~clean ~failed path bytes =
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc bytes);
+  Tmp_file.write path bytes;
   let outcome f =
     try f path
     with e ->
@@ -2249,7 +2232,7 @@ let ev seq pid access = { Pift_trace.Event.seq; k = seq; pid; access }
 
 let counted_recording ?(markers = [||]) events =
   let trace = Pift_trace.Trace.create () in
-  List.iter (Pift_trace.Trace.add trace) events;
+  List.iter (Per_event.add trace) events;
   {
     Recorded.name = "counted";
     trace;
@@ -2453,7 +2436,7 @@ let test_fold_readers_count_one () =
   let header = { Trace_io.h_name = "counted"; h_pid = 7; h_bytecodes = 0 } in
   checkb "in memory: counts of 1" true
     (List.for_all (( = ) 1)
-       (counts (Trace_io.of_items header (Recorded.items r))));
+       (counts (Per_event.of_items header (Per_event.items r))));
   let memory = fill_calls ~room:128 [ Ingest.of_recorded ~pid:p r ] in
   List.iter
     (fun format ->
@@ -2615,7 +2598,7 @@ let gen_oracle_recording rng i =
   let event pid access =
     let k = 1 + Option.value ~default:0 (Hashtbl.find_opt ks pid) in
     Hashtbl.replace ks pid k;
-    Pift_trace.Trace.add trace { Pift_trace.Event.seq = !seq; k; pid; access }
+    Per_event.add trace { Pift_trace.Event.seq = !seq; k; pid; access }
   in
   let marker () =
     let kind = Printf.sprintf "K%d" (Rng.int rng 3) in
@@ -2707,21 +2690,13 @@ let replay_per_pid (r : Recorded.t) ~make ~event ~source ~sink ~result =
         Hashtbl.add models pid m;
         m
   in
-  let next = Recorded.items r in
-  let rec go () =
-    match next () with
-    | None -> ()
-    | Some (Recorded.Item_event e) ->
-        event (model e.Pift_trace.Event.pid) e;
-        go ()
-    | Some (Recorded.Item_marker (_, Recorded.Source { kind; range })) ->
-        source (model main) ~pid:main kind range;
-        go ()
-    | Some (Recorded.Item_marker (_, Recorded.Sink { kind; ranges })) ->
-        verdicts := sink (model main) ~pid:main kind ranges :: !verdicts;
-        go ()
-  in
-  go ();
+  Per_event.interleave r
+    ~observe:(fun e -> event (model e.Pift_trace.Event.pid) e)
+    ~on_marker:(fun _ -> function
+      | Recorded.Source { kind; range } ->
+          source (model main) ~pid:main kind range
+      | Recorded.Sink { kind; ranges } ->
+          verdicts := sink (model main) ~pid:main kind ranges :: !verdicts);
   List.sort compare
     (Hashtbl.fold
        (fun pid m acc ->
@@ -2842,7 +2817,7 @@ let oracle_matches c =
     if c.oc_binary then
       List.map
         (fun r ->
-          let path = Filename.temp_file "pift_oracle" ".pift" in
+          let path = Tmp_file.path "pift_oracle" ".pift" in
           Trace_io.save ~format:Trace_io.Binary r path;
           path)
         c.oc_recs
@@ -2900,7 +2875,7 @@ let test_engine_oracle () =
    at a time, then the bound, the fold ([Row.fold]) and the stops,
    written out here.  The random property also checks whole files
    against the same reading over the recording's own items
-   ([Trace_io.of_items]), which shares no decoder with the file. *)
+   ([Per_event.of_items]), which shares no decoder with the file. *)
 
 type block_call = {
   bc_first : int;  (* rows, not offsets *)
@@ -3366,8 +3341,7 @@ let test_block_property () =
                 flip bytes (b mod (8 * String.length bytes))
             | _ -> bytes
           in
-          Out_channel.with_open_bin path (fun oc ->
-              Out_channel.output_string oc bytes);
+          Tmp_file.write path bytes;
           let preset = [| Row.tag_other; 7; 0; 0; 0; 1 |] in
           let want = block_outcome per_record ~preset path calls
           and got = block_outcome block_read ~preset path calls in
@@ -3382,7 +3356,7 @@ let test_block_property () =
                   }
                 in
                 block_outcome_of per_record ~preset
-                  (fun () -> Trace_io.of_items h (Recorded.items r))
+                  (fun () -> Per_event.of_items h (Per_event.items r))
                   calls
             | `Cut _ | `Flip _ -> got
           in

@@ -109,7 +109,7 @@ let test_merged_and_jsonl () =
     (let ts = List.map (fun (_, s) -> s.Telemetry.sn_ts) merged in
      List.sort compare ts = ts);
   (* JSONL round trip through the report decoder *)
-  let path = Filename.temp_file "pift_telemetry" ".jsonl" in
+  let path = Tmp_file.path "pift_telemetry" ".jsonl" in
   let oc = open_out path in
   Telemetry.write_jsonl oc ~run:"unit" slots;
   close_out oc;
@@ -450,9 +450,9 @@ let test_diff_render () =
    received. *)
 let captured f =
   let redirect fd =
-    let path = Filename.temp_file "pift-view" ".txt" in
+    let path = Tmp_file.path "pift-view" ".txt" in
     let saved = Unix.dup fd in
-    let file = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+    let file = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600 in
     Unix.dup2 file fd;
     Unix.close file;
     (path, saved)

@@ -19,8 +19,18 @@ let other ?pid k = ev ?pid k Event.Other
 
 let of_list events =
   let t = Trace.create () in
-  List.iter (Trace.add t) events;
+  List.iter (Per_event.add t) events;
   t
+
+let rows_of t =
+  let n = ref 0 in
+  Trace.iter_rows (fun _ _ -> incr n) t;
+  !n
+
+let events_of t =
+  let acc = ref [] in
+  Trace.iter (fun e -> acc := e :: !acc) t;
+  List.rev !acc
 
 let test_event_meta () =
   checkb "load" true (Event.is_load (load 1 0 4));
@@ -37,21 +47,17 @@ let test_trace_storage () =
   checki "length" 4 (Trace.length t);
   checki "loads" 2 (Trace.loads t);
   checki "stores" 1 (Trace.stores t);
-  checki "get" 3 (Trace.get t 2).Event.k;
-  (try
-     ignore (Trace.get t 4);
-     Alcotest.fail "out of bounds accepted"
-   with Invalid_argument _ -> ());
+  checki "third event" 3 (List.nth (events_of t) 2).Event.k;
   let seen = ref 0 in
   Trace.iter (fun _ -> incr seen) t;
   checki "iter visits all" 4 !seen;
   (* growth beyond the initial capacity *)
   let big = Trace.create () in
   for i = 1 to 5000 do
-    Trace.add big (other i)
+    Per_event.add big (other i)
   done;
   checki "grows" 5000 (Trace.length big);
-  checki "one consecutive run is one row" 1 (Trace.rows big);
+  checki "one consecutive run is one row" 1 (rows_of big);
   (* rows over several chunks: no two events fold *)
   let events =
     List.init 20_000 (fun i ->
@@ -59,21 +65,16 @@ let test_trace_storage () =
         else other ~pid:(1 + (i mod 3)) i)
   in
   let t = of_list events in
-  checki "rows" 20_000 (Trace.rows t);
+  checki "rows" 20_000 (rows_of t);
   let seen = ref [] in
   Trace.iter (fun e -> seen := e :: !seen) t;
   checkb "iter across chunks" true (List.rev !seen = events);
-  checkb "to_seq across chunks" true (List.of_seq (Trace.to_seq t) = events);
-  checkb "get across chunks" true
-    (List.for_all
-       (fun i -> Trace.get t i = List.nth events i)
-       [ 0; 4095; 4096; 8191; 8192; 19_999 ]);
   (* a trimmed trace reads the same and still grows *)
   Trace.trim t;
   let more = List.init 5000 (fun i -> store (20_000 + i) 8 4) in
-  List.iter (Trace.add t) more;
+  List.iter (Per_event.add t) more;
   checkb "trimmed, then grown" true
-    (List.of_seq (Trace.to_seq t) = events @ more)
+    (events_of t = events @ more)
 
 (* [sink] keeps each instruction beside its event, also across chunks;
    [add] keeps none, and a trace is one kind or the other. *)
@@ -87,11 +88,11 @@ let test_trace_instructions () =
     Trace.sink recorded (insn i) (other i)
   done;
   checkb "recorded" true (Trace.has_insns recorded);
+  let events = Array.of_list (events_of recorded) in
   checkb "instruction beside its event" true
     (List.for_all
        (fun i ->
-         Trace.insn recorded (i - 1) = insn i
-         && (Trace.get recorded (i - 1)).Event.k = i)
+         Trace.insn recorded (i - 1) = insn i && events.(i - 1).Event.k = i)
        [ 1; 4095; 4096; 4097; 8192; 8193; 9000 ]);
   let seen = ref 0 in
   Trace.iter
@@ -111,17 +112,13 @@ let test_trace_instructions () =
     | () -> Alcotest.failf "%s accepted" what
     | exception Invalid_argument _ -> ()
   in
-  invalid "add to a recorded trace" (fun () -> Trace.add recorded (other 9002));
+  invalid "add to a recorded trace" (fun () -> Per_event.add recorded (other 9002));
   let decoded = of_list [ load 1 0 4; other 2 ] in
   checkb "decoded" false (Trace.has_insns decoded);
   invalid "insn of a decoded trace" (fun () -> ignore (Trace.insn decoded 0));
   invalid "sink into a decoded trace" (fun () ->
       Trace.sink decoded Insn.Nop (other 3));
   invalid "insn out of bounds" (fun () -> ignore (Trace.insn recorded 9001))
-
-let test_pids () =
-  let t = of_list [ load ~pid:3 1 0 4; load ~pid:1 2 0 4; other ~pid:3 3 ] in
-  checkb "pids sorted" true (Trace.pids t = [ 1; 3 ])
 
 let test_load_store_distance () =
   (* L@1 .. S@4 (d=3), S@6 (d=5), L@7, S@8 (d=1) *)
@@ -239,9 +236,9 @@ let prop_distance_naive =
 (* Round trip through the rows: random streams of non-memory runs (with
    and without consecutive seq and k, so some fold into one counted row
    and some may not), pid switches, and loads and stores drawn from a
-   small pool of ranges so they reuse interned ones.  [iter], [to_seq]
-   and [get] must give back exactly the events added, and the counts
-   must agree with the list. *)
+   small pool of ranges so they reuse interned ones.  [iter] must give
+   back exactly the events added, and the counts must agree with the
+   list. *)
 let range_pool =
   Array.init 6 (fun i -> Range.of_len (8 * (i mod 3)) (1 + (i / 3 * 3)))
 
@@ -292,16 +289,14 @@ let prop_round_trip =
       Trace.iter (fun e -> iterated := e :: !iterated) t;
       let n = List.length events in
       List.rev !iterated = events
-      && List.of_seq (Trace.to_seq t) = events
-      && List.init n (Trace.get t) = events
       && Trace.length t = n
       && Trace.loads t = List.length (List.filter Event.is_load events)
       && Trace.stores t = List.length (List.filter Event.is_store events)
-      && Trace.rows t <= n)
+      && rows_of t <= n)
 
-(* [Recorded.replay] walks the rows (one [on_other ~n] per counted row,
-   markers after the row that holds their seq); [Recorded.interleave]
-   feeding [Tracker.observe] is the per-event walk.  Markers land at
+(* [Recorded.replay] walks the rows (one [on_other ~n] per counted row
+   or part of one); [Per_event.interleave] feeding [Tracker.observe] is
+   the per-event walk.  Markers land at
    random seqs, inside counted runs too, and must leave verdicts,
    origins and stats equal. *)
 module Recorded = Pift_eval.Recorded
@@ -355,7 +350,7 @@ let prop_replay_rows =
       let prov = Pift_core.Provenance.create () in
       let tracker = Tracker.create ~policy ~prov () in
       let verdicts = ref [] and origins = ref [] in
-      Recorded.interleave r ~observe:(Tracker.observe tracker)
+      Per_event.interleave r ~observe:(Tracker.observe tracker)
         ~on_marker:(fun _ -> function
           | Recorded.Source { kind; range } ->
               Tracker.taint_source ~kind tracker ~pid:1 range
@@ -381,8 +376,89 @@ let prop_replay_rows =
       && rows.Recorded.origins = List.rev !origins
       && rows.Recorded.stats = Tracker.stats tracker)
 
+(* [Recorded.walk] splits a counted row where a marker falls inside it,
+   so, expanded per event, it must give exactly the per-event oracle's
+   order of events and markers; and both trace formats must give back
+   every event and marker.  Markers fall before the first event, on
+   events (inside counted runs too), between them and after the last,
+   in any order. *)
+let walk_gen =
+  QCheck2.Gen.(
+    let* events = events_gen in
+    let seqs = List.map (fun (e : Event.t) -> e.seq) events in
+    let first = List.fold_left min 0 seqs
+    and last = List.fold_left max 0 seqs in
+    let seq_g =
+      frequency
+        [
+          (1, int_range (first - 2) first);
+          (4, if seqs = [] then return 0 else oneofl seqs);
+          (2, int_range first (last + 1));
+          (1, int_range (last + 1) (last + 3));
+        ]
+    in
+    let marker_g =
+      let* seq = seq_g in
+      let* a = int_range 0 (Array.length range_pool - 1) in
+      let* kind = oneofl [ "IMEI"; "G PS%" ] in
+      let* source = bool in
+      return
+        ( seq,
+          if source then Recorded.Source { kind; range = range_pool.(a) }
+          else Recorded.Sink { kind; ranges = [ range_pool.(a) ] } )
+    in
+    let* markers = list_size (int_range 0 12) marker_g in
+    return (events, markers))
+
+(* One path for every case, removed at exit.  Each save writes a new
+   file ([Tmp_file] says why). *)
+let walk_file =
+  lazy
+    (let path = Tmp_file.path "pift_walk" ".pift" in
+     at_exit (fun () -> Tmp_file.remove path);
+     path)
+
+let prop_walk_oracle =
+  QCheck2.Test.make ~name:"walk = per-event order, and both formats round-trip"
+    ~count:300
+    ~print:(fun (events, markers) ->
+      Printf.sprintf "%s; markers at [%s]" (print_events events)
+        (String.concat "; " (List.map (fun (s, _) -> string_of_int s) markers)))
+    walk_gen
+    (fun (events, markers) ->
+      let r =
+        {
+          Recorded.name = "walk";
+          trace = of_list events;
+          markers = Array.of_list markers;
+          pid = 1;
+          bytecodes = 0;
+          frag_hits = 0;
+          frag_misses = 0;
+        }
+      in
+      let walked = ref [] in
+      Recorded.walk r
+        ~row:(fun rows o ->
+          for j = 0 to Pift_trace.Row.count rows o - 1 do
+            walked :=
+              Recorded.Item_event (Trace.event r.trace rows o j) :: !walked
+          done)
+        ~marker:(fun seq m -> walked := Recorded.Item_marker (seq, m) :: !walked);
+      let round_trips format =
+        let path = Lazy.force walk_file in
+        Tmp_file.remove path;
+        Pift_eval.Trace_io.save ~format r path;
+        let loaded = Pift_eval.Trace_io.load path in
+        events_of loaded.Recorded.trace = events
+        && loaded.Recorded.markers = r.markers
+      in
+      List.rev !walked = Per_event.items r
+      && round_trips Pift_eval.Trace_io.Text
+      && round_trips Pift_eval.Trace_io.Binary)
+
 (* [Recorded.replay_grid] shares replays over rectangles of the grid
-   (Tracker.ni_band x Tracker.depth): for unsorted [nis] and [nts] with
+   (Tracker.ni_floor x Tracker.depth): for unsorted [nis] and [nts] with
    repeats it must answer every distinct cell, ascending, with exactly
    what a replay of its own at (NI, NT) gives — verdicts, origins and
    stats — and run at most one replay per distinct cell. *)
@@ -441,7 +517,6 @@ let () =
           Alcotest.test_case "trace storage" `Quick test_trace_storage;
           Alcotest.test_case "recorded instructions" `Quick
             test_trace_instructions;
-          Alcotest.test_case "pids" `Quick test_pids;
         ] );
       ( "statistics",
         [
@@ -462,6 +537,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_distance_naive;
           QCheck_alcotest.to_alcotest prop_round_trip;
           QCheck_alcotest.to_alcotest prop_replay_rows;
+          QCheck_alcotest.to_alcotest prop_walk_oracle;
           QCheck_alcotest.to_alcotest prop_replay_grid;
         ] );
     ]

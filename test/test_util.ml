@@ -232,7 +232,7 @@ let test_heatmap () =
 (* [f] over a cursor on ["WIRETEST" ^ bytes]: its result, or the
    failure message. *)
 let wire_decode bytes f =
-  let path = Filename.temp_file "pift_wire_test" ".bin" in
+  let path = Tmp_file.path "pift_wire_test" ".bin" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
@@ -255,7 +255,7 @@ let wire_field c =
 
 let test_wire_round_trip () =
   let values = [ 0; 1; 127; 128; 300; max_int; -1; min_int ] in
-  let path = Filename.temp_file "pift_wire_test" ".bin" in
+  let path = Tmp_file.path "pift_wire_test" ".bin" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
